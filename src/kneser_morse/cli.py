@@ -69,7 +69,27 @@ def cmd_build(args) -> tuple[list[dict], bool]:
 
 # ---------------------------------------------------------------- verify
 
-def _verify_theorem2(k: int, seed: int, depth: str) -> list[dict]:
+def _census_once():
+    """``wedge.theorem3_counts`` memoized for one invocation, failures
+    included, so the targets of ``verify all`` share one census and all
+    fail with its error if it raises."""
+    memo: dict = {}
+
+    def counts(k: int, census: bool) -> dict:
+        if (k, census) not in memo:
+            try:
+                memo[k, census] = (wedge.theorem3_counts(k, census=census), None)
+            except Exception as e:
+                memo[k, census] = (None, e)
+        out, err = memo[k, census]
+        if err is not None:
+            raise err
+        return out
+
+    return counts
+
+
+def _verify_theorem2(k: int, depth: str, counts_of) -> list[dict]:
     report = collapse.theorem2_matching(k)
     recs = [{'lemma': r.lemma, 'fiber': r.fiber, 'cells': r.cells, 'pairs': r.pairs,
              'acyclic': r.acyclic, 'perfect': r.perfect,
@@ -80,9 +100,9 @@ def _verify_theorem2(k: int, seed: int, depth: str) -> list[dict]:
                     critical=len(report.critical), records=recs)]
 
 
-def _verify_theorem3(k: int, seed: int, depth: str) -> list[dict]:
+def _verify_theorem3(k: int, depth: str, counts_of) -> list[dict]:
     census = k <= 3
-    counts = wedge.theorem3_counts(k, census=census, seed=seed)
+    counts = counts_of(k, census)
     out = [_result('theorem3-census' if census else 'theorem3-formula', k, True,
                    extra_k_cells=counts['extra_k_cells'],
                    extra_km1_cells=counts['extra_km1_cells'],
@@ -107,7 +127,7 @@ def _verify_theorem3(k: int, seed: int, depth: str) -> list[dict]:
     return out
 
 
-def _verify_records(k: int, seed: int, lemma: str) -> list[dict]:
+def _verify_records(k: int, lemma: str) -> list[dict]:
     report = collapse.theorem2_matching(k)
     out = []
     for r in report.records:
@@ -121,33 +141,33 @@ def _verify_records(k: int, seed: int, lemma: str) -> list[dict]:
     return out
 
 
-def _verify_filtration(k: int, seed: int, depth: str) -> list[dict]:
+def _verify_filtration(k: int, depth: str, counts_of) -> list[dict]:
     stages = [wedge.filtration(k, lv).all_faces() for lv in range(4)]
     nested = stages[0] <= stages[1] <= stages[2] <= stages[3]
     return [_result('filtration-nesting', k, nested,
                     sizes=[len(s) for s in stages])]
 
 
-def _verify_p_families(k: int, seed: int, depth: str) -> list[dict]:
-    counts = wedge.theorem3_counts(k, census=True, seed=seed)
+def _verify_p_families(k: int, depth: str, counts_of) -> list[dict]:
+    counts = counts_of(k, True)
     rows = [r for r in counts['rows'] if r[0] == 'P']
     return [_result('p-families', k, True, families=len(rows),
                     critical_total=counts['observed_k_cells'])]
 
 
-def _verify_q_families(k: int, seed: int, depth: str) -> list[dict]:
-    counts = wedge.theorem3_counts(k, census=True, seed=seed)
+def _verify_q_families(k: int, depth: str, counts_of) -> list[dict]:
+    counts = counts_of(k, True)
     rows = [r for r in counts['rows'] if r[0] == 'Q']
     return [_result('q-families', k, True, families=len(rows),
                     critical_total=counts['observed_km1_cells'])]
 
 
 LEMMAS = {
-    'sg-matching': lambda k, seed, depth: _verify_records(k, seed, 'sg-matching'),
-    'a-matching': lambda k, seed, depth: _verify_records(k, seed, 'a-matching'),
-    'b-matching': lambda k, seed, depth: _verify_records(k, seed, 'b-matching'),
-    'c-matching': lambda k, seed, depth: _verify_records(k, seed, 'c-matching'),
-    's3k-collapse': lambda k, seed, depth: _verify_records(k, seed, 's3k-collapse'),
+    'sg-matching': lambda k, depth, counts_of: _verify_records(k, 'sg-matching'),
+    'a-matching': lambda k, depth, counts_of: _verify_records(k, 'a-matching'),
+    'b-matching': lambda k, depth, counts_of: _verify_records(k, 'b-matching'),
+    'c-matching': lambda k, depth, counts_of: _verify_records(k, 'c-matching'),
+    's3k-collapse': lambda k, depth, counts_of: _verify_records(k, 's3k-collapse'),
     'filtration-nesting': _verify_filtration,
     'p-families': _verify_p_families,
     'q-families': _verify_q_families,
@@ -159,7 +179,8 @@ THEOREM3_CENSUS_CAP = 3
 
 def cmd_verify(args) -> tuple[list[dict], bool]:
     target = args.target
-    k, seed, depth = args.k, args.seed, args.depth
+    k, depth = args.k, args.depth
+    counts_of = _census_once()
     results: list[dict] = []
     if target in ('theorem2', 'all'):
         _check_cap('verify theorem2', k, THEOREM2_CAP, args.allow_large)
@@ -177,7 +198,7 @@ def cmd_verify(args) -> tuple[list[dict], bool]:
 
     def run(name, fn):
         try:
-            results.extend(fn(k, seed, depth))
+            results.extend(fn(k, depth, counts_of))
         except Exception as e:  # a failed check, not a crash of the driver
             results.append(_result(name, k, False, error="%s: %s"
                                    % (type(e).__name__, e)))
@@ -286,7 +307,7 @@ def _parser() -> argparse.ArgumentParser:
                             help="kg: all triples; s: mixed edges; sg: stable only")
         sp.add_argument("--format", choices=("json", "csv", "text"), default="text")
         sp.add_argument("--seed", type=int, default=0,
-                        help="seed for the sampled audits; echoed in the report")
+                        help="echoed in the report; no check consumes it")
         sp.add_argument("--allow-large", action="store_true",
                         help="lift the default k caps")
         sp.add_argument("--out", metavar="PATH", default=None,

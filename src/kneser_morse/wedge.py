@@ -20,20 +20,22 @@ closed-form cell, one per label in ``c_set``.  Families with a missed
 pair other than {1, 2} are rotated copies of a {1, 2} family, and the
 four-element families pull back, along the rotation that moves the
 second pair onto {k+5, k+6}, to three-element families one parameter
-down.  Summing the survivors over all families counts the spheres in
-the wedge: t = (k+1)(k+3)(k+4)(k+6)/4 + 1 of dimension k+1 after the
-final free collapse, which ``theorem3_counts`` reports together with a
-mechanical census of every family.
+down; ``transport`` moves a verified family along such a rotation and
+certifies the move for every face at once.  Summing the survivors over
+all families counts the spheres in the wedge: t = (k+1)(k+3)(k+4)(k+6)/4
++ 1 of dimension k after the final free collapse, which
+``theorem3_counts`` reports together with a mechanical census of every
+family.
 
-Faces of one family are stored as bitmasks over the lex-ordered triples
-inside the family support, so a toggle is a single XOR and the covered
-part of the ground set comes from a subset table built once per family.
+Faces of one family are stored as bitmasks over the triples inside the
+family support (lex ordered in a family built directly), so a toggle is a
+single XOR and the covered part of the ground set comes from a subset
+table built once per family.
 """
 
 from __future__ import annotations
 
 import itertools
-import random
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, NamedTuple
@@ -41,9 +43,15 @@ from typing import Iterable, NamedTuple
 from . import graphs
 from .collapse import MatchingError, index_I, index_J, pair_of, parse_four, parse_three
 from .complexes import NbhdComplex, complement_set, complex_for, face_key
-from .morse import Matching, element_matching, face_dim, is_acyclic, is_cover
+# is_cover has no caller here, but perfbench's tracer counts it in every
+# module that binds it and its self-test expects this binding
+from .morse import Matching, element_matching, is_acyclic, is_cover  # noqa: F401
 
-SCAN_BITS = 22  # largest family support scanned exhaustively: C(9,3)=84 choose-3 masks is far out of reach, C(k+3,3) <= 22 keeps k <= 3
+# Most triples a family support may span, since the subset table has
+# 2^SCAN_BITS entries.  A three-element family leaves a support of k+3
+# elements, hence C(k+3,3) triples: 20 at k = 3 and 35 at k = 4, so the
+# scan stops at k = 3.
+SCAN_BITS = 22
 
 
 def level1_contains(sigma, k: int) -> bool:
@@ -370,8 +378,8 @@ def toggle_run(faces: Iterable, wbits: list) -> tuple[list, set, dict]:
 
 
 class FiberRecord(NamedTuple):
-    """Shape of one processed sub-fiber.  For a rotated family the label is
-    the image of the base label, not the lex-least member in the new frame."""
+    """Shape of one processed sub-fiber.  For a transported family the label
+    is the image of the base label, not the lex-least member in the new frame."""
     vertex: tuple
     case: str
     size: int
@@ -381,13 +389,15 @@ class FiberRecord(NamedTuple):
 
 @dataclass
 class FamilyMatching:
-    """An acyclic matching on one family, with its audit trail.
+    """An acyclic matching on one family, with its sub-fiber records.
 
     ``triples`` is the bit dictionary of the masks in ``faces``, ``pairs``
-    and ``critical``; ``fibers`` records the sub-fiber runs in processing
-    order; ``checked`` is 'full' (independent re-enumeration, survivor
-    forms, residue identity, acyclicity of the whole family) or 'spot'
-    (seeded sample audit of a rotated copy).
+    and ``critical``: lex ordered in a family built directly, and the image
+    of the base's dictionary in a family moved by ``transport``, which
+    shares the base's masks.  ``fibers`` records the sub-fiber runs in
+    processing order.  A family built directly is checked in full (residue
+    identity, closed-form survivors, acyclicity of the whole family); a
+    transported one is covered by the certificate of ``transport``.
     """
     k: int
     family: str
@@ -399,7 +409,6 @@ class FamilyMatching:
     pairs: list
     critical: list
     fibers: list
-    checked: str
 
     def decode(self, mask: int) -> tuple:
         return _decode(mask, self.triples)
@@ -420,6 +429,7 @@ def _decode(mask: int, triples: tuple) -> tuple:
         low = mask & -mask
         out.append(triples[low.bit_length() - 1])
         mask ^= low
+    out.sort()  # bit order is lex only in families built directly
     return tuple(out)
 
 
@@ -442,41 +452,27 @@ def q_complement(k: int, i: int, j: int) -> tuple:
     return tuple(sorted(set(pair_of(i, k)) | set(pair_of(j, k))))
 
 
-def _family_rng(seed: int, i: int, j: int) -> random.Random:
-    return random.Random(seed * 1000003 + i * 101 + j)
-
-
-def matching_P(k: int, i: int, j: int, *, verify: str | None = None,
-               seed: int = 0) -> FamilyMatching:
+def matching_P(k: int, i: int, j: int) -> FamilyMatching:
     """Acyclic matching on the family missing {i, i+1, j}.
 
     For i = 1 the family is built directly: it splits along lex-least
     unstable members and every sub-fiber runs its toggle list, leaving one
     closed-form cell per ``c_set`` label, (k+1)(k+2)/2 cells of dimension
-    k in total.  Other i come from rotating the i = 1 family with the
-    matching j by i - 1; rotation respects missed sets and covering, so
-    acyclicity carries over.
-
-    verify='full' (the default except for rotated families at k >= 3)
-    re-enumerates the family independently, checks every survivor against
-    its closed form and every cleared run against the direct residue
-    identity, and tests acyclicity of the family as a whole.
-    verify='spot' audits a seeded 1% sample of the rotated pairs plus all
-    rotated critical cells instead.
+    k in total.  The build checks every cleared run against the direct
+    residue identity, every survivor against its closed form, and the
+    acyclicity of the family as a whole.  Other i are the i = 1 family
+    with the matching j, moved by ``transport`` along the rotation by
+    i - 1, whose certificate covers every face of the rotated family.
     """
     cset = p_complement(k, i, j)
-    if verify is None:
-        verify = 'spot' if (i != 1 and k >= 3) else 'full'
-    if verify not in ('full', 'spot'):
-        raise ValueError("verify must be 'full' or 'spot', got %r" % (verify,))
     if i == 1:
-        return _matching_p1(k, j, cset, 'full')
+        return _matching_p1(k, j, cset)
     jp = graphs.rotate(j, 1 - i, k)
-    base = _matching_p1(k, jp, p_complement(k, 1, jp), 'full')
-    return _rotate_family(base, k, i, j, cset, verify, seed)
+    base = _matching_p1(k, jp, p_complement(k, 1, jp))
+    return transport(base, k, 'P', i, j, cset, i - 1)
 
 
-def _matching_p1(k: int, j: int, cset: tuple, checked: str) -> FamilyMatching:
+def _matching_p1(k: int, j: int, cset: tuple) -> FamilyMatching:
     fam = family_faces(k, cset)
     idx = {t: b for b, t in enumerate(fam.triples)}
     full = fam.cover[-1]
@@ -526,7 +522,7 @@ def _matching_p1(k: int, j: int, cset: tuple, checked: str) -> FamilyMatching:
     if 2 * len(allpairs) + len(criticals) != len(fam.faces):
         raise MatchingError("matched pairs and critical cells do not partition the family (j=%d)" % (j,))
     result = FamilyMatching(k, 'P', 1, j, cset, fam.triples, fam.faces,
-                            allpairs, criticals, records, checked)
+                            allpairs, criticals, records)
     ok, cyc = is_acyclic(result.matching(), cells=fam.faces)
     if not ok:
         raise MatchingError("family (1, %d) matching has a directed cycle through %r"
@@ -534,96 +530,41 @@ def _matching_p1(k: int, j: int, cset: tuple, checked: str) -> FamilyMatching:
     return result
 
 
-def _bit_perm(base_triples: tuple, idx: dict, shift: int, k: int) -> list[int]:
-    return [idx[graphs.rotate(t, shift, k)] for t in base_triples]
+def transport(base: FamilyMatching, k: int, family: str, i: int, j: int,
+              cset: tuple, shift: int) -> FamilyMatching:
+    """Move a verified family along the rotation by ``shift`` mod k+6.
 
-
-def _remap(mask: int, perm: list[int]) -> int:
-    out = 0
-    while mask:
-        low = mask & -mask
-        out |= 1 << perm[low.bit_length() - 1]
-        mask ^= low
-    return out
-
-
-def _rotate_family(base: FamilyMatching, k: int, i: int, j: int, cset: tuple,
-                   verify: str, seed: int) -> FamilyMatching:
-    n = graphs.ground_size(k)
-    shift = i - 1
-    support = [x for x in range(1, n + 1) if x not in set(cset)]
-    triples = tuple(itertools.combinations(support, 3))
-    idx = {t: b for b, t in enumerate(triples)}
-    perm = _bit_perm(base.triples, idx, shift, k)
-    faces = sorted(_remap(f, perm) for f in base.faces)
-    pairs = [(_remap(a, perm), _remap(b, perm)) for a, b in base.pairs]
-    crit = sorted(_remap(c, perm) for c in base.critical)
+    The masks of ``base`` (faces, pairs, critical cells) are shared
+    unchanged; only the bit dictionary is relabelled, bit b standing for
+    the image of ``base.triples[b]``.  The move is certified for every face
+    at once by two checks.  The ground map sends the base support, read in
+    the base frame ``base.k``, onto [k+6] minus ``cset``, so it carries the
+    triples of one support bijectively onto those of the other and a set of
+    triples covers the base support iff its image covers the target.  And
+    every bit keeps its stability across the two frames, so a face keeps an
+    unstable member.  Together they make the relabelling a bijection of the
+    base family onto the family missing ``cset`` that preserves inclusion
+    and dimension: covering pairs stay covering, the modified Hasse
+    digraph is only renamed, so acyclicity and the critical cells carry
+    over.  Either check failing raises ``MatchingError`` naming
+    (family, i, j).
+    """
+    support = [x for x in range(1, graphs.ground_size(base.k) + 1) if x not in base.cset]
+    image = sorted(graphs.rotate(x, shift, k) for x in support)
+    if image != [x for x in range(1, graphs.ground_size(k) + 1) if x not in cset]:
+        raise MatchingError("family (%s, %d, %d): rotation by %d sends the support %r to %r, "
+                            "not onto the complement of %r" % (family, i, j, shift, support, image, cset))
+    triples = tuple(graphs.rotate(t, shift, k) for t in base.triples)
+    for t, u in zip(base.triples, triples):
+        if graphs.is_stable(t, base.k) != graphs.is_stable(u, k):
+            raise MatchingError("family (%s, %d, %d): triple %r at k=%d moves to %r at k=%d "
+                                "and changes stability" % (family, i, j, t, base.k, u, k))
     fibers = [rec._replace(vertex=graphs.rotate(rec.vertex, shift, k)) for rec in base.fibers]
-    result = FamilyMatching(k, 'P', i, j, cset, triples, faces, pairs, crit, fibers, verify)
-    if verify == 'full':
-        fam = family_faces(k, cset)
-        if faces != fam.faces:
-            raise MatchingError("rotated family (%d, %d) differs from the direct enumeration" % (i, j))
-        ok, cyc = is_acyclic(result.matching(), cells=faces)
-        if not ok:
-            raise MatchingError("rotated family (%d, %d) has a directed cycle" % (i, j))
-    else:
-        audit = _audit_context(k, 'P', i, j, cset, triples)
-        rng = _family_rng(seed, i, j)
-        for t in _sample_indices(rng, len(pairs)):
-            a, b = pairs[t]
-            if not is_cover(a, b):
-                raise MatchingError("sampled pair %d of family (%d, %d) is not covering" % (t, i, j))
-            audit(a)
-            audit(b)
-        for c in crit:
-            audit(c)
-            if face_dim(c) != k:
-                raise MatchingError("critical cell of family (%d, %d) has dimension %d, wanted %d"
-                                    % (i, j, face_dim(c), k))
-    return result
+    return FamilyMatching(k, family, i, j, cset, triples, base.faces, base.pairs,
+                          base.critical, fibers)
 
 
-def _sample_indices(rng: random.Random, total: int, fraction: float = 0.01) -> list[int]:
-    if total == 0:
-        return []
-    count = min(total, max(1, int(total * fraction)))
-    return sorted(rng.sample(range(total), count))
-
-
-def _audit_context(k: int, family: str, i: int, j: int, cset: tuple, triples: tuple):
-    """A membership check for sampled masks of one family: exact missed set,
-    an unstable member, and the right partition tag."""
-    n = graphs.ground_size(k)
-    elem = [graphs.vertex_mask(t) for t in triples]
-    support_mask = graphs.vertex_mask([x for x in range(1, n + 1) if x not in set(cset)])
-    ubits = 0
-    for b, t in enumerate(triples):
-        if not graphs.is_stable(t, k):
-            ubits |= 1 << b
-
-    def audit(mask: int) -> None:
-        cov = 0
-        m = mask
-        while m:
-            low = m & -m
-            cov |= elem[low.bit_length() - 1]
-            m ^= low
-        if cov != support_mask:
-            raise MatchingError("sampled face of family (%s, %d, %d) does not miss exactly %r"
-                                % (family, i, j, cset))
-        if not mask & ubits:
-            raise MatchingError("sampled face of family (%s, %d, %d) has no unstable member"
-                                % (family, i, j))
-        tag = pq_classify(_decode(mask, triples), k)
-        if (tag.family, tag.i, tag.j) != (family, i, j):
-            raise MatchingError("sampled face classifies as %r, not (%s, %d, %d)"
-                                % (tag, family, i, j))
-
-    return audit
-
-
-def matching_Q(k: int, i: int, j: int, *, verify: str = 'full') -> FamilyMatching:
+def matching_Q(k: int, i: int, j: int) -> FamilyMatching:
     """Acyclic matching on the family missing {i, i+1} and {j, j+1}.
 
     Rotating by k+5-j moves the second pair onto {k+5, k+6}; every member
@@ -632,18 +573,14 @@ def matching_Q(k: int, i: int, j: int, *, verify: str = 'full') -> FamilyMatchin
     faces are exactly the faces of a three-element family one parameter
     down (missed set the image of {i, i+1, j, j+1} minus k+6, which always
     reads as an adjacent pair plus one element).  The matching is that
-    family's, pulled back through the rotation: k(k+1)/2 critical cells of
-    dimension k-1.  Verification re-enumerates the family directly, which
-    confirms the transport, and checks acyclicity; families here are small
-    enough that 'full' is always used.
+    family's, moved back by ``transport``: k(k+1)/2 critical cells of
+    dimension k-1.  The certificate of ``transport`` checks both claims
+    above for every triple of the support, so it covers every face.
     """
     if k < 1:
         raise ValueError("every four-element missed set at k=0 leaves a two-point support; "
                          "the families are empty and carry no matching")
     cset = q_complement(k, i, j)
-    if verify != 'full':
-        raise ValueError("matching_Q only supports verify='full', got %r" % (verify,))
-    n = graphs.ground_size(k)
     shift = k + 5 - j
     down = sorted(graphs.rotate(x, shift, k) for x in cset)
     if down[-2:] != [k + 5, k + 6]:
@@ -651,31 +588,7 @@ def matching_Q(k: int, i: int, j: int, *, verify: str = 'full') -> FamilyMatchin
     parsed = parse_three(down[:3], k - 1)
     if parsed is None:
         raise MatchingError("image missed set %r does not parse one parameter down" % (down,))
-    i2, j2 = parsed
-    base = matching_P(k - 1, i2, j2)
-    support = [x for x in range(1, n + 1) if x not in set(cset)]
-    triples = tuple(itertools.combinations(support, 3))
-    idx = {t: b for b, t in enumerate(triples)}
-    perm = _bit_perm(base.triples, idx, -shift, k)
-    faces = sorted(_remap(f, perm) for f in base.faces)
-    pairs = [(_remap(a, perm), _remap(b, perm)) for a, b in base.pairs]
-    crit = sorted(_remap(c, perm) for c in base.critical)
-    fibers = [rec._replace(vertex=graphs.rotate(rec.vertex, -shift, k)) for rec in base.fibers]
-    result = FamilyMatching(k, 'Q', i, j, cset, triples, faces, pairs, crit, fibers, verify)
-    fam = family_faces(k, cset)
-    if faces != fam.faces:
-        raise MatchingError("pulled-back family (%d, %d) differs from the direct enumeration" % (i, j))
-    want = k * (k + 1) // 2
-    if len(crit) != want:
-        raise MatchingError("family (Q, %d, %d) kept %d cells, wanted %d" % (i, j, len(crit), want))
-    for c in crit:
-        if face_dim(c) != k - 1:
-            raise MatchingError("critical cell of family (Q, %d, %d) has dimension %d, wanted %d"
-                                % (i, j, face_dim(c), k - 1))
-    ok, cyc = is_acyclic(result.matching(), cells=faces)
-    if not ok:
-        raise MatchingError("family (Q, %d, %d) matching has a directed cycle" % (i, j))
-    return result
+    return transport(matching_P(k - 1, *parsed), k, 'Q', i, j, cset, -shift)
 
 
 def label_order_I(i: int, k: int) -> list[int]:
@@ -713,34 +626,6 @@ def q_indices(k: int) -> list[tuple[int, int]]:
     return out
 
 
-def _census_rotation(base: FamilyMatching, k: int, i: int, j: int, seed: int) -> None:
-    """Sample-audit the rotation of a verified family without materialising
-    it: remap a seeded 1% of the pairs and every critical cell, and check
-    membership and tags in the target frame.  Raises ``MatchingError`` on
-    any discrepancy; counts are preserved by the bijection."""
-    cset = p_complement(k, i, j)
-    n = graphs.ground_size(k)
-    support = [x for x in range(1, n + 1) if x not in set(cset)]
-    triples = tuple(itertools.combinations(support, 3))
-    idx = {t: b for b, t in enumerate(triples)}
-    perm = _bit_perm(base.triples, idx, i - 1, k)
-    audit = _audit_context(k, 'P', i, j, cset, triples)
-    rng = _family_rng(seed, i, j)
-    for t in _sample_indices(rng, len(base.pairs)):
-        a, b = base.pairs[t]
-        a2, b2 = _remap(a, perm), _remap(b, perm)
-        if not is_cover(a2, b2):
-            raise MatchingError("sampled pair %d of family (%d, %d) is not covering" % (t, i, j))
-        audit(a2)
-        audit(b2)
-    for c in base.critical:
-        c2 = _remap(c, perm)
-        audit(c2)
-        if face_dim(c2) != k:
-            raise MatchingError("critical cell of family (%d, %d) has dimension %d, wanted %d"
-                                % (i, j, face_dim(c2), k))
-
-
 def _compose_layer(k: int, pairs: list, crit: list, upper: int, lower: int, tag: str) -> None:
     """Check one whole layer at once: the union of the family matchings is
     acyclic over the faces of the upper stage, and what it leaves unmatched
@@ -758,7 +643,7 @@ def _compose_layer(k: int, pairs: list, crit: list, upper: int, lower: int, tag:
                             % (tag, lower, len(left - want), len(want - left)))
 
 
-def theorem3_counts(k: int, *, census: bool | None = None, seed: int = 0) -> dict:
+def theorem3_counts(k: int, *, census: bool | None = None) -> dict:
     """Closed-form critical-cell counts with a mechanical census.
 
     Returns a dict with the layer totals and the sphere count they imply:
@@ -766,16 +651,18 @@ def theorem3_counts(k: int, *, census: bool | None = None, seed: int = 0) -> dic
     outside the middle stage, ``extra_km1_cells`` = k(k+1)(k+3)(k+6)/4 of
     dimension k-1 between the mixed stage and the middle one, and
     ``predicted_t`` = extra_k_cells - extra_km1_cells + 1 =
-    (k+1)(k+3)(k+4)(k+6)/4 + 1, the number of (k+1)-spheres in the wedge.
+    (k+1)(k+3)(k+4)(k+6)/4 + 1, the number of k-spheres in the wedge.
     ``rows`` lists (family, i, j, cells, critical, dim) per family.
 
     With census (the default up to k=3) every family matching is built and
     its critical count compared against the closed form; a mismatch raises
-    ``MatchingError`` naming the family.  Up to k=2 every family is
-    verified in full and the two layers are composed and checked for
-    acyclicity as single matchings; at k=3 the i=1 families are verified
-    in full and their rotations are sample-audited with the given seed.
-    Beyond k=3 pass census=False for the formula values alone.
+    ``MatchingError`` naming the family.  Each i = 1 family is built and
+    checked in full once, then moved onto its rotated copies by
+    ``transport``, whose certificate covers every face; the four-element
+    families are transported from three-element families one parameter
+    down.  Up to k=2 the two layers are also composed and checked for
+    acyclicity as single matchings.  Beyond k=3 pass census=False for the
+    formula values alone.
     """
     if k < 0:
         raise ValueError("k must be nonnegative, got %r" % (k,))
@@ -801,7 +688,6 @@ def theorem3_counts(k: int, *, census: bool | None = None, seed: int = 0) -> dic
         'extra_km1_cells': extra_km1,
         'predicted_t': predicted,
         'censused': census,
-        'seed': seed,
         'rows': [],
         'observed_k_cells': None,
         'observed_km1_cells': None,
@@ -813,42 +699,33 @@ def theorem3_counts(k: int, *, census: bool | None = None, seed: int = 0) -> dic
                          "for the formula values" % (k,))
     per_p = (k + 1) * (k + 2) // 2
     per_q = k * (k + 1) // 2
-    rows: list[tuple] = []
+    compose = k <= 2
+    p_order = p_indices(k)
+    by_base: dict[int, list] = {}
+    for i, j in p_order:
+        by_base.setdefault(graphs.rotate(j, 1 - i, k), []).append((i, j))
+    placed: dict[tuple, tuple] = {}
     observed_k = 0
     p_pairs_dec: list = []
     p_crit_dec: list = []
-    if k <= 2:
-        for i, j in p_indices(k):
-            fm = matching_P(k, i, j)
+    for jp in label_order_I(1, k):
+        base = matching_P(k, 1, jp)
+        for i, j in by_base[jp]:
+            fm = base if i == 1 else transport(base, k, 'P', i, j, p_complement(k, i, j), i - 1)
             if len(fm.critical) != per_p:
                 raise MatchingError("family (P, %d, %d) kept %d cells, wanted %d"
                                     % (i, j, len(fm.critical), per_p))
-            rows.append(('P', i, j, len(fm.faces), len(fm.critical), k))
+            placed[(i, j)] = ('P', i, j, len(fm.faces), len(fm.critical), k)
             observed_k += len(fm.critical)
-            p_pairs_dec.extend(fm.decoded_pairs())
-            p_crit_dec.extend(fm.decoded_critical())
+            if compose:
+                p_pairs_dec.extend(fm.decoded_pairs())
+                p_crit_dec.extend(fm.decoded_critical())
+        del base, fm
+    if compose:
         _compose_layer(k, p_pairs_dec, p_crit_dec, 3, 2, "top")
-    else:
-        by_base: dict[int, list] = {}
-        order: dict[tuple, int] = {}
-        for pos, (i, j) in enumerate(p_indices(k)):
-            order[(i, j)] = pos
-            by_base.setdefault(graphs.rotate(j, 1 - i, k), []).append((i, j))
-        placed: dict[tuple, tuple] = {}
-        for jp in label_order_I(1, k):
-            base = matching_P(k, 1, jp)
-            if len(base.critical) != per_p:
-                raise MatchingError("family (P, 1, %d) kept %d cells, wanted %d"
-                                    % (jp, len(base.critical), per_p))
-            for i, j in by_base[jp]:
-                if i != 1:
-                    _census_rotation(base, k, i, j, seed)
-                placed[(i, j)] = ('P', i, j, len(base.faces), len(base.critical), k)
-                observed_k += len(base.critical)
-            del base
-        rows.extend(placed[key] for key in sorted(placed, key=order.__getitem__))
     if observed_k != extra_k:
         raise MatchingError("dimension-k survivors total %d, formula says %d" % (observed_k, extra_k))
+    rows = [placed[ij] for ij in p_order]
     observed_km1 = 0
     q_pairs_dec: list = []
     q_crit_dec: list = []
@@ -865,10 +742,10 @@ def theorem3_counts(k: int, *, census: bool | None = None, seed: int = 0) -> dic
                                 % (i, j, len(fm.critical), per_q))
         rows.append(('Q', i, j, len(fm.faces), len(fm.critical), k - 1))
         observed_km1 += len(fm.critical)
-        if k <= 2:
+        if compose:
             q_pairs_dec.extend(fm.decoded_pairs())
             q_crit_dec.extend(fm.decoded_critical())
-    if k <= 2 and k >= 1:
+    if compose and k >= 1:
         _compose_layer(k, q_pairs_dec, q_crit_dec, 2, 1, "middle")
     if observed_km1 != extra_km1:
         raise MatchingError("dimension-(k-1) survivors total %d, formula says %d"

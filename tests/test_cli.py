@@ -186,3 +186,37 @@ def test_verify_all_k0(capsys):
     for expected in ('theorem2-collapse', 'theorem3-census',
                      'filtration-nesting', 'p-families', 'q-families'):
         assert expected in names
+
+
+def test_verify_all_runs_the_census_once(monkeypatch, capsys):
+    calls = []
+    census = cli.wedge.theorem3_counts
+
+    def counting(k, **kwargs):
+        calls.append(k)
+        return census(k, **kwargs)
+
+    monkeypatch.setattr(cli.wedge, "theorem3_counts", counting)
+    code, out, _ = run(capsys, "verify", "all", "--k", "1", "--format", "json")
+    assert code == 0
+    assert calls == [1]
+    by_name = {r['name']: r['detail'] for r in json.loads(out)['results']}
+    assert by_name['p-families']['critical_total'] == 84
+    assert by_name['q-families']['critical_total'] == 14
+
+
+def test_verify_all_shares_a_census_failure(monkeypatch, capsys):
+    calls = []
+
+    def boom(k, **kwargs):
+        calls.append(k)
+        raise RuntimeError("synthetic census")
+
+    monkeypatch.setattr(cli.wedge, "theorem3_counts", boom)
+    code, out, _ = run(capsys, "verify", "all", "--k", "0", "--format", "json")
+    assert code == 1
+    assert calls == [0]
+    failed = {r['name']: r['detail']['error'] for r in json.loads(out)['results']
+              if not r['pass']}
+    assert set(failed) == {'theorem3-census', 'p-families', 'q-families'}
+    assert all(e == "RuntimeError: synthetic census" for e in failed.values())

@@ -12,7 +12,7 @@ from kneser_morse.wedge import (
     c_set, critical_form, family_faces, filtration, level1_contains,
     matching_P, matching_Q, nc_set, p_complement, p_indices, pq_classify,
     q_complement, q_indices, split_fibers, theorem3_counts, toggle_run,
-    w_case, w_set,
+    transport, w_case, w_set,
 )
 
 
@@ -85,7 +85,7 @@ def test_pq_classify_fixtures():
         pq_classify(((1, 3, 5),), 1)  # lies inside the mixed complex
 
 
-@pytest.mark.parametrize("k", [0, 1])
+@pytest.mark.parametrize("k", [0, 1, 2])
 def test_pq_families_partition_the_outside(k):
     outside = filtration(k, 3).all_faces() - filtration(k, 1).all_faces()
     mid = filtration(k, 2).all_faces()
@@ -95,7 +95,7 @@ def test_pq_families_partition_the_outside(k):
         buckets.setdefault((tag.family, tag.i, tag.j), set()).add(sigma)
         assert (sigma in mid) == (tag.family == 'Q')
     for i, j in p_indices(k):
-        m = matching_P(k, i, j, verify='full')
+        m = matching_P(k, i, j)
         assert buckets.pop(('P', i, j), set()) == set(
             m.decode(f) for f in m.faces)
     for i, j in q_indices(k):
@@ -209,8 +209,7 @@ def test_toggle_run_small():
 @pytest.mark.parametrize("k,i,j", [(0, 1, 3), (1, 1, 4), (1, 4, 6), (2, 1, 4),
                                    (2, 5, 8)])
 def test_matching_P_counts(k, i, j):
-    m = matching_P(k, i, j, verify='full')
-    assert m.checked == 'full'
+    m = matching_P(k, i, j)
     assert len(m.critical) == (k + 1) * (k + 2) // 2
     assert all(bin(c).count('1') == k + 1 for c in m.critical)
     assert len(m.faces) == 2 * len(m.pairs) + len(m.critical)
@@ -220,8 +219,8 @@ def test_matching_P_counts(k, i, j):
 
 
 def test_matching_P_rotation_transports_faces():
-    base = matching_P(1, 1, 3, verify='full')
-    rot = matching_P(1, 2, 4, verify='full')
+    base = matching_P(1, 1, 3)
+    rot = matching_P(1, 2, 4)
     moved = {face_key(rotate(base.decode(f), 1, 1)) for f in base.faces}
     assert moved == {rot.decode(f) for f in rot.faces}
 
@@ -232,6 +231,26 @@ def test_matching_Q_counts(k, i, j):
     assert len(m.critical) == k * (k + 1) // 2
     assert all(bin(c).count('1') == k for c in m.critical)
     assert len(m.faces) == 2 * len(m.pairs) + len(m.critical)
+
+
+def test_transport_rejects_a_wrong_shift():
+    # (P, 3, 6) is the (1, 4) family rotated by i - 1 = 2; a shift of i
+    # lands the support one step off the target
+    k, i, j = 2, 3, 6
+    base = matching_P(k, 1, rotate(j, 1 - i, k))
+    cset = p_complement(k, i, j)
+    assert transport(base, k, 'P', i, j, cset, i - 1).faces is base.faces
+    with pytest.raises(MatchingError, match=r"family \(P, 3, 6\).*not onto"):
+        transport(base, k, 'P', i, j, cset, i)
+
+
+def test_transport_rejects_a_wrap_pair_that_changes_stability():
+    # the support {1, 2, 5, 7} of (P, 3, 6) at k = 1 holds the wrap pair
+    # {7, 1}; in the k = 2 frame the support lands on the complement of
+    # {3, 4, 6, 8} unmoved, but (1, 5, 7) turns stable there
+    base = matching_P(1, 3, 6)
+    with pytest.raises(MatchingError, match=r"family \(Q, 3, 6\).*\(1, 5, 7\).*stability"):
+        transport(base, 2, 'Q', 3, 6, base.cset + (8,), 0)
 
 
 def test_matching_Q_empty_at_k0():
