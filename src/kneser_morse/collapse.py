@@ -512,15 +512,6 @@ def b_strata(k: int, l: int) -> dict[int, list]:
     return strata
 
 
-def b_set(k: int, n_span: int, l: int) -> list:
-    """Stable vertices adjacent to some stratum face, lex sorted."""
-    g = graphs.graph('s', k)
-    out: set = set()
-    for sigma in b_strata(k, l).get(n_span, []):
-        out.update(g.neighborhood(sigma))
-    return sorted(out)
-
-
 # ---------------------------------------------------------------------------
 # the composed collapse
 

@@ -16,7 +16,7 @@ from functools import lru_cache
 from typing import Iterable, Iterator, NamedTuple
 
 from . import graphs
-from .graphs import Graph, format_vertex
+from .graphs import Graph
 
 Face = tuple  # tuple of vertex triples, lex sorted
 
@@ -108,9 +108,6 @@ class NbhdComplex:
             return False
         return any(fs <= m for m in self.maximal_sets)
 
-    def face_counts(self) -> list[int]:
-        return [len(self.faces(d)) for d in range(self.dim() + 1)]
-
     def all_faces(self, limit: int = 2_000_000) -> set[Face]:
         """Every face of every dimension.  Exponential in the largest maximal
         face, so guarded: raises if the powerset budget exceeds ``limit``."""
@@ -144,14 +141,3 @@ def containment_pairs(cx, d: int) -> Iterator[tuple[Face, Face]]:
         for i in range(len(tau)):
             yield (tau[:i] + tau[i + 1:], tau)
 
-
-def format_face(sigma: Iterable, k: int) -> str:
-    return " ".join(format_vertex(v, k) for v in face_key(sigma))
-
-
-def write_faces(cx: NbhdComplex, fh, d: int | None = None) -> int:
-    """One face per line: maximal faces by default, a full band if d given."""
-    rows = cx.maximal if d is None else cx.faces(d)
-    for f in rows:
-        fh.write(format_face(f, cx.k) + "\n")
-    return len(rows)

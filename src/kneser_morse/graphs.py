@@ -192,37 +192,8 @@ class Graph:
                 hi >>= 1
                 jx += 1
 
-    def edge_count(self) -> int:
-        return sum(row.bit_count() for row in self.adj) // 2
-
 
 @lru_cache(maxsize=None)
 def graph(kind: str, k: int) -> Graph:
     return Graph(kind, k)
 
-
-def vertices(kind: str, k: int) -> list[Vertex]:
-    return list(graph(kind, k).verts)
-
-
-def adjacent(kind: str, u, v, k: int) -> bool:
-    return graph(kind, k).adjacent(u, v)
-
-
-def neighborhood(kind: str, A: Iterable, k: int) -> list[Vertex]:
-    return graph(kind, k).neighborhood(A)
-
-
-def format_vertex(v, k: int) -> str:
-    """Digits run together while the ground set is single-digit (k <= 3)."""
-    sep = "" if ground_size(k) <= 9 else ","
-    return sep.join(str(x) for x in v)
-
-
-def write_edges(g: Graph, fh) -> int:
-    """Dump one edge per line as 'u v'; returns the edge count."""
-    count = 0
-    for u, v in g.edges():
-        fh.write("%s %s\n" % (format_vertex(u, g.k), format_vertex(v, g.k)))
-        count += 1
-    return count

@@ -296,9 +296,3 @@ def betti(X, max_dim: int, reduced: bool = True) -> BettiResult:
 def relative_betti(X, A, max_dim: int) -> BettiResult:
     return _betti_of_family(relative_family(X, A, max_dim), max_dim, reduced=False)
 
-
-def write_triplets(matrix: SparseIntMatrix, fh) -> int:
-    fh.write("%d %d %d\n" % (matrix.nrows, matrix.ncols, matrix.nnz()))
-    for i, j, v in sorted(matrix.triples):
-        fh.write("%d %d %d\n" % (i, j, v))
-    return matrix.nnz()

@@ -3,8 +3,9 @@
 A matching is a set of disjoint covering pairs (sigma, tau), |tau| = |sigma|+1.
 It is acyclic if the digraph on pairs, with an arc from pair a to pair b when
 b's lower face is a facet of a's upper face (other than a's own lower face),
-has no directed cycle; the check runs band by band since any alternating
-cycle stays inside consecutive dimensions.  Unmatched faces are critical.
+has no directed cycle; an arc keeps the dimension of the lower face, so one
+search keyed by lower faces covers every dimension.  Unmatched faces are
+critical.
 
 Faces can be canonical simplex keys (sorted tuples of vertex triples) or
 plain integer bitmasks; the helpers below dispatch on the type, so the same
@@ -73,9 +74,6 @@ class Matching:
     def matched(self) -> set:
         return set(self.partner)
 
-    def extend(self, other: "Matching") -> "Matching":
-        return Matching(self.pairs + other.pairs)
-
 
 def element_matching(delta: Iterable, x) -> tuple[Matching, set]:
     """Match sigma with sigma+x whenever both lie in delta.
@@ -121,53 +119,48 @@ def critical_cells(cells: Iterable, matching: Matching) -> list:
 
 def is_acyclic(matching: Matching, cells: Iterable | None = None,
                facets: Callable = face_facets) -> tuple[bool, list | None]:
-    """Check the matched-pair digraph for directed cycles, band by band.
+    """Check the matched-pair digraph for directed cycles.
 
-    Returns (True, None) or (False, witness) where the witness is the list of
-    pairs around one cycle.  Malformed input (pairs not covering, a face in
-    two pairs) is rejected by Matching itself; if ``cells`` is given, pairs
-    must stay inside it.
+    One iterative depth-first search over the lower faces of the pairs:
+    from a pair (sigma, tau) it follows every facet of tau other than sigma
+    that is the lower face of another pair.  The faces on the current trail
+    are kept in a set; a finished face is dropped from the lookup, since no
+    cycle can run through it.  Returns (True, None) or (False, witness)
+    where the witness lists the pairs around one cycle in order, each next
+    lower face a facet of the current upper face and the last pair leading
+    back to the first.  Malformed input (pairs not covering, a face in two
+    pairs) is rejected by Matching itself; if ``cells`` is given, pairs must
+    stay inside it.
     """
     if cells is not None:
-        cs = set(cells)
+        cs = cells if isinstance(cells, (set, frozenset)) else set(cells)
         for sigma, tau in matching.pairs:
             if sigma not in cs or tau not in cs:
                 raise ValueError("pair (%r, %r) leaves the cell family" % (sigma, tau))
-    bands: dict[int, dict] = {}
-    for idx, (sigma, tau) in enumerate(matching.pairs):
-        bands.setdefault(face_dim(sigma), {})[sigma] = idx
-    for d, lower_map in sorted(bands.items()):
-        ids = list(lower_map.values())
-        color = {i: 0 for i in ids}
-        for root in ids:
-            if color[root]:
-                continue
-            stack = [(root, None)]
-            trail: list[int] = []
-            while stack:
-                node, state = stack.pop()
-                if state is None:
-                    if color[node] == 1:
-                        continue
-                    color[node] = 1
-                    trail.append(node)
-                    stack.append((node, "post"))
-                    sigma, tau = matching.pairs[node]
-                    for f in facets(tau):
-                        if f == sigma:
-                            continue
-                        nxt = lower_map.get(f)
-                        if nxt is None or nxt == node:
-                            continue
-                        if color[nxt] == 1:
-                            at = trail.index(nxt)
-                            cycle = [matching.pairs[i] for i in trail[at:]]
-                            return False, cycle
-                        if color[nxt] == 0:
-                            stack.append((nxt, None))
-                else:
-                    color[node] = 2
-                    trail.pop()
+        del cs  # a copied cell set is not needed during the search
+    up = dict(matching.pairs)
+    for root, _ in matching.pairs:
+        if root not in up:
+            continue
+        trail = [root]
+        on_trail = {root}
+        stack = [facets(up[root])]
+        while stack:
+            sigma = trail[-1]
+            for f in stack[-1]:
+                if f == sigma or f not in up:
+                    continue
+                if f in on_trail:
+                    return False, [(s, up[s]) for s in trail[trail.index(f):]]
+                trail.append(f)
+                on_trail.add(f)
+                stack.append(facets(up[f]))
+                break
+            else:
+                stack.pop()
+                done = trail.pop()
+                on_trail.remove(done)
+                del up[done]
     return True, None
 
 
@@ -208,10 +201,3 @@ def compose_cluster(label_of: Callable, fiber_matchings: dict[Hashable, Matching
             all_pairs.append((sigma, tau))
     return Matching(all_pairs)
 
-
-def write_matching(matching: Matching, k: int, fh) -> int:
-    """One pair per line, 'sigma | tau', faces space-separated vertices."""
-    from .complexes import format_face
-    for sigma, tau in sorted(matching.pairs):
-        fh.write("%s | %s\n" % (format_face(sigma, k), format_face(tau, k)))
-    return len(matching.pairs)

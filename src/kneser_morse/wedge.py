@@ -43,8 +43,9 @@ from typing import Iterable, NamedTuple
 from . import graphs
 from .collapse import MatchingError, index_I, index_J, pair_of, parse_four, parse_three
 from .complexes import NbhdComplex, complement_set, complex_for, face_key
-# is_cover has no caller here, but perfbench's tracer counts it in every
-# module that binds it and its self-test expects this binding
+# element_matching and is_cover have no caller here, but perfbench's tracer
+# counts them in every module that binds them and its self-test expects
+# these bindings
 from .morse import Matching, element_matching, is_acyclic, is_cover  # noqa: F401
 
 # Most triples a family support may span, since the subset table has
@@ -352,25 +353,26 @@ def split_fibers(fam: FamilyFaces) -> dict[int, list[int]]:
     return dict(sorted(fibers.items()))
 
 
-def toggle_run(faces: Iterable, wbits: list) -> tuple[list, set, dict]:
-    """Run the element matchings of an ordered toggle list.
+def toggle_run(faces: Iterable[int], wbits: list[int]) -> tuple[list, set, dict]:
+    """Run the element matchings of an ordered list of one-bit toggles.
 
-    Stage t pairs a face with its t-th toggle when both sides are still
-    unmatched; later stages only see the leftovers.  Returns (pairs,
+    Stage t pairs a bitmask face with its t-th toggle when both sides are
+    still unmatched; later stages only see the leftovers.  Returns (pairs,
     survivors, stage) where stage maps every face to the stage that
-    matched it, 1-based, survivors getting len(wbits) + 1.  Works on
-    bitmask faces with one-bit toggles and on tuple faces with triple
-    toggles alike.
+    matched it, 1-based, survivors getting len(wbits) + 1.  The pairs are
+    not validated here: the caller checks their union once as a whole.
     """
     remaining = set(faces)
     pairs: list = []
     stage: dict = {}
     for t, wb in enumerate(wbits, start=1):
-        m, matched = element_matching(remaining, wb)
-        pairs.extend(m.pairs)
-        for f in matched:
-            stage[f] = t
-        remaining -= matched
+        ups = [f for f in remaining if f & wb and f ^ wb in remaining]
+        for f in ups:
+            down = f ^ wb
+            pairs.append((down, f))
+            stage[down] = stage[f] = t
+        remaining.difference_update(ups)
+        remaining.difference_update([f ^ wb for f in ups])
     last = len(wbits) + 1
     for f in remaining:
         stage[f] = last
@@ -396,8 +398,10 @@ class FamilyMatching:
     of the base's dictionary in a family moved by ``transport``, which
     shares the base's masks.  ``fibers`` records the sub-fiber runs in
     processing order.  A family built directly is checked in full (residue
-    identity, closed-form survivors, acyclicity of the whole family); a
-    transported one is covered by the certificate of ``transport``.
+    identity, closed-form survivors, and one ``Matching`` over the union of
+    its toggle runs, which validates every pair once before the acyclicity
+    check of the whole family); a transported one is covered by the
+    certificate of ``transport``.
     """
     k: int
     family: str
@@ -459,10 +463,12 @@ def matching_P(k: int, i: int, j: int) -> FamilyMatching:
     unstable members and every sub-fiber runs its toggle list, leaving one
     closed-form cell per ``c_set`` label, (k+1)(k+2)/2 cells of dimension
     k in total.  The build checks every cleared run against the direct
-    residue identity, every survivor against its closed form, and the
-    acyclicity of the family as a whole.  Other i are the i = 1 family
-    with the matching j, moved by ``transport`` along the rotation by
-    i - 1, whose certificate covers every face of the rotated family.
+    residue identity, every survivor against its closed form, and then
+    the union of all runs at once: every pair covers, no face is matched
+    twice, every pair stays inside the family, and the whole matching is
+    acyclic.  Other i are the i = 1 family with the matching j, moved by
+    ``transport`` along the rotation by i - 1, whose certificate covers
+    every face of the rotated family.
     """
     cset = p_complement(k, i, j)
     if i == 1:
@@ -523,7 +529,10 @@ def _matching_p1(k: int, j: int, cset: tuple) -> FamilyMatching:
         raise MatchingError("matched pairs and critical cells do not partition the family (j=%d)" % (j,))
     result = FamilyMatching(k, 'P', 1, j, cset, fam.triples, fam.faces,
                             allpairs, criticals, records)
-    ok, cyc = is_acyclic(result.matching(), cells=fam.faces)
+    del fam  # the subset table is not needed past this point; free it before the DFS
+    # the union is the only place the pairs are validated: each one covers,
+    # no face is matched twice, and every pair stays inside the family
+    ok, cyc = is_acyclic(result.matching(), cells=result.faces)
     if not ok:
         raise MatchingError("family (1, %d) matching has a directed cycle through %r"
                             % (j, [result.decode(a) for a, _ in cyc[:3]]))

@@ -78,18 +78,45 @@ def test_element_matching_rejects_wide_mask():
         element_matching([0b001, 0b011], 0b011)
 
 
+def assert_witness_closes(matching, witness):
+    """Each next lower face is a facet of the current upper face, other
+    than the current lower face, and the last pair leads back to the first."""
+    assert witness is not None and len(witness) >= 2
+    assert all(pair in matching.pairs for pair in witness)
+    for (sigma, tau), (nxt, _) in zip(witness, witness[1:] + witness[:1]):
+        assert nxt != sigma
+        assert nxt in set(face_facets(tau))
+
+
 def test_planted_three_cycle_is_caught():
     m = Matching([(0b001, 0b011), (0b010, 0b110), (0b100, 0b101)])
     ok, witness = is_acyclic(m)
     assert not ok
-    assert witness is not None and len(witness) >= 2
-    assert all(pair in [tuple(p) for p in m.pairs] for pair in witness)
+    assert_witness_closes(m, witness)
+    assert len(witness) == 3
+
+
+def test_planted_three_cycle_on_tuple_faces_is_caught():
+    a, b, c = (1, 2, 3), (4, 5, 6), (7, 8, 9)
+    m = Matching([((a,), (a, b)), ((b,), (b, c)), ((c,), (a, c))])
+    ok, witness = is_acyclic(m, cells=[(a,), (b,), (c,), (a, b), (b, c), (a, c)])
+    assert not ok
+    assert_witness_closes(m, witness)
+    assert len(witness) == 3
 
 
 def test_acyclic_chain():
     m = Matching([(0b001, 0b011), (0b010, 0b110)])
     ok, witness = is_acyclic(m)
     assert ok and witness is None
+
+
+def test_long_acyclic_chain_needs_no_recursion():
+    # pair i is ({i}, {i, i+1}); its upper face leads only to pair i+1, so
+    # the search runs one path 20,000 pairs deep
+    n = 20_000
+    m = Matching([(1 << i, 3 << i) for i in range(n)])
+    assert is_acyclic(m) == (True, None)
 
 
 def test_is_acyclic_enforces_cells():
@@ -133,8 +160,10 @@ def test_is_acyclic_agrees_with_hasse_oracle(seed):
     m = random_matching(rng, cells)
     got, witness = is_acyclic(m, cells=cells)
     assert got == oracle_acyclic(m, cells)
-    if not got:
-        assert witness
+    if got:
+        assert witness is None
+    else:
+        assert_witness_closes(m, witness)
 
 
 def test_verify_poset_map():

@@ -4,7 +4,7 @@ matchings that collapse the two outer steps family by family."""
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kneser_morse import morse
+from kneser_morse import morse, wedge
 from kneser_morse.collapse import MatchingError, index_I
 from kneser_morse.complexes import complex_for, face_key
 from kneser_morse.graphs import all_triples, ground_size, is_stable, rotate
@@ -204,6 +204,61 @@ def test_toggle_run_small():
     assert pairs == [(0b001, 0b011), (0b100, 0b110)]
     assert survivors == {0b010}
     assert stage == {0b001: 1, 0b011: 1, 0b100: 1, 0b110: 1, 0b010: 3}
+
+
+def _stagewise_element_matching(faces, wbits):
+    """The defining run: one element matching per toggle on the leftovers."""
+    remaining = set(faces)
+    pairs, stage = set(), {}
+    for t, wb in enumerate(wbits, start=1):
+        m, matched = morse.element_matching(remaining, wb)
+        pairs.update(m.pairs)
+        stage.update(dict.fromkeys(matched, t))
+        remaining -= matched
+    stage.update(dict.fromkeys(remaining, len(wbits) + 1))
+    return pairs, remaining, stage
+
+
+def test_toggle_run_equals_stagewise_element_matching():
+    k, j = 2, 4
+    fam = family_faces(k, frozenset(p_complement(k, 1, j)))
+    for idx, faces in split_fibers(fam).items():
+        v = fam.triples[idx]
+        wbits = [1 << fam.triples.index(w) for w in w_set(v, j, k)]
+        pairs, survivors, stage = toggle_run(faces, wbits)
+        want_pairs, want_survivors, want_stage = _stagewise_element_matching(faces, wbits)
+        assert len(pairs) == len(set(pairs))
+        assert set(pairs) == want_pairs, v
+        assert survivors == want_survivors, v
+        assert stage == want_stage, v
+
+
+def test_matching_P_catches_a_dropped_toggle_pair(monkeypatch):
+    run = toggle_run
+
+    def drop_one(faces, wbits):
+        pairs, survivors, stage = run(faces, wbits)
+        return pairs[1:], survivors, stage
+
+    monkeypatch.setattr(wedge, 'toggle_run', drop_one)
+    with pytest.raises(MatchingError, match="do not partition"):
+        matching_P(1, 1, 3)
+
+
+def test_matching_P_catches_a_face_matched_twice(monkeypatch):
+    run = toggle_run
+
+    def duplicate_one(faces, wbits):
+        # the last pair is replaced by a copy of the first, so the pair
+        # count still partitions the family and only the union check sees it
+        pairs, survivors, stage = run(faces, wbits)
+        if len(pairs) > 1:
+            pairs = pairs[:-1] + pairs[:1]
+        return pairs, survivors, stage
+
+    monkeypatch.setattr(wedge, 'toggle_run', duplicate_one)
+    with pytest.raises(ValueError, match="matched twice"):
+        matching_P(1, 1, 3)
 
 
 @pytest.mark.parametrize("k,i,j", [(0, 1, 3), (1, 1, 4), (1, 4, 6), (2, 1, 4),
