@@ -101,7 +101,7 @@ def _verify_theorem2(k: int, depth: str, counts_of) -> list[dict]:
 
 
 def _verify_theorem3(k: int, depth: str, counts_of) -> list[dict]:
-    census = k <= 3
+    census = k <= 3 and depth != 'counts'
     counts = counts_of(k, census)
     out = [_result('theorem3-census' if census else 'theorem3-formula', k, True,
                    extra_k_cells=counts['extra_k_cells'],
@@ -323,9 +323,9 @@ def _parser() -> argparse.ArgumentParser:
                     help="which named check to run (target 'lemma')")
     sp.add_argument("--depth", choices=("counts", "acyclicity", "full-snf"),
                     default="acyclicity",
-                    help="counts: formulas and censuses; acyclicity: adds the "
-                         "matching checks (default); full-snf: adds the exact "
-                         "homology cross-checks")
+                    help="counts: formulas only; acyclicity: adds the census "
+                         "and matching checks (default); full-snf: adds the "
+                         "exact homology cross-checks")
     common(sp)
     sp.set_defaults(fn=cmd_verify)
 

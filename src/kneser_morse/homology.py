@@ -11,6 +11,25 @@ Betti numbers in dimension d come from b_d = n_d - rank d_d - rank d_{d+1};
 the reduced variant augments with the empty-face row.  Relative homology of
 a pair (X, A) uses the same machinery on the quotient cells (faces of X not
 in A), where boundary entries landing in A are simply dropped.
+
+A family's boundaries are eliminated top down, d = max_dim + 1 to 0, and
+each elimination clears the next one ("clearing", or the twist of Chen and
+Kerber): if rows P and columns Q were the pivots of d_{d+1}, then
+C_d = d_{d+1}(span Q) + span{e_i : i not in P} as a direct sum, and d_d
+vanishes on the first summand because d_d d_{d+1} = 0.  So the columns P of
+d_d can be dropped without changing its rank or its nonzero invariant
+factors.  The direct sum needs the block P x Q to be invertible in the
+arithmetic at hand.  Over GF(p) any pivot block is.  Over Z only the unit
+pivots qualify: their block has determinant +-1, while a pivot taken in the
+dense residual can leave a determinant other than +-1, a block that is not
+invertible over Z, so those rows are never cleared.
+Each arithmetic (Z and each check prime) clears with its own pivots only,
+which keeps the mod-p rechecks independent of the integer pass.
+
+Clearing relies on d_d d_{d+1} = 0, so that is certified exactly over Z
+before any column is dropped: d_d is applied, column by column, to every
+column of d_{d+1} that some arithmetic pivoted in.  A nonzero image raises
+``AssertionError`` naming d and the column.
 """
 
 from __future__ import annotations
@@ -48,6 +67,20 @@ class SparseIntMatrix:
                 del r[j]
         return {i: r for i, r in rows.items() if r}
 
+    def columns(self, keep=None) -> dict[int, list[tuple[int, int]]]:
+        """Column -> [(row, entry)], for the columns in ``keep`` (all if None)."""
+        cols: dict[int, list[tuple[int, int]]] = {}
+        for i, j, v in self.triples:
+            if keep is None or j in keep:
+                cols.setdefault(j, []).append((i, v))
+        return cols
+
+    def without_columns(self, drop) -> "SparseIntMatrix":
+        if not drop:
+            return self
+        return SparseIntMatrix(self.nrows, self.ncols,
+                               (t for t in self.triples if t[1] not in drop))
+
 
 @dataclass(frozen=True)
 class SNFResult:
@@ -59,13 +92,14 @@ class SNFResult:
         return tuple(d for d in self.diagonal if d > 1)
 
 
-def _eliminate(matrix: SparseIntMatrix, mod: int | None = None) -> tuple[int, dict]:
-    """Pivot away entries; returns (pivot count, residual rows).
+def _eliminate(matrix: SparseIntMatrix, mod: int | None = None) -> tuple[dict, dict]:
+    """Pivot away entries; returns (pivots, residual rows).
 
-    With ``mod`` set, works in GF(mod) where every nonzero entry can pivot,
-    so the residual is always empty and the count is the rank.  Without it,
-    only +-1 entries pivot (exact integer Schur updates) and the residual
-    holds whatever has no unit entry left.
+    ``pivots`` maps each pivot row to its pivot column, so its size is the
+    pivot count.  With ``mod`` set, works in GF(mod) where every nonzero
+    entry can pivot, so the residual is always empty and the count is the
+    rank.  Without it, only +-1 entries pivot (exact integer Schur updates)
+    and the residual holds whatever has no unit entry left.
     """
     rows = matrix.build_rows(mod)
     cols: dict[int, set[int]] = {}
@@ -83,7 +117,7 @@ def _eliminate(matrix: SparseIntMatrix, mod: int | None = None) -> tuple[int, di
                 heap.append(((len(r) - 1) * (len(cols[j]) - 1), i, j))
     heapq.heapify(heap)
 
-    rank = 0
+    pivots: dict[int, int] = {}
     while heap:
         c, i, j = heapq.heappop(heap)
         r = rows.get(i)
@@ -96,7 +130,7 @@ def _eliminate(matrix: SparseIntMatrix, mod: int | None = None) -> tuple[int, di
         if cc > c:
             heapq.heappush(heap, (cc, i, j))
             continue
-        rank += 1
+        pivots[i] = j
         del rows[i]
         for jj in r:
             cols[jj].discard(i)
@@ -125,7 +159,7 @@ def _eliminate(matrix: SparseIntMatrix, mod: int | None = None) -> tuple[int, di
                 del rows[ii]
         cols[j].clear()
         del cols[j]
-    return rank, rows
+    return pivots, rows
 
 
 def _dense_snf(rows: dict[int, dict[int, int]]) -> list[int]:
@@ -188,27 +222,40 @@ def _dense_snf(rows: dict[int, dict[int, int]]) -> list[int]:
     return diag
 
 
-def rank_mod_p(matrix: SparseIntMatrix, p: int) -> int:
-    rank, residual = _eliminate(matrix, mod=p)
+def rank_mod_p(matrix: SparseIntMatrix, p: int, pivots: dict | None = None) -> int:
+    """Rank over GF(p).  A dict passed as ``pivots`` receives the pivot
+    row -> column map of the elimination."""
+    found, residual = _eliminate(matrix, mod=p)
     if residual:
         raise AssertionError("mod-p elimination left a residual")
-    return rank
+    if pivots is not None:
+        pivots.update(found)
+    return len(found)
 
 
-def smith_normal_form(matrix: SparseIntMatrix, precheck: bool = True) -> SNFResult:
-    unit_rank, residual = _eliminate(matrix)
-    diag = [1] * unit_rank + _dense_snf(residual)
+def _check_mod_p(diag, p: int, got: int) -> None:
+    expected = sum(1 for d in diag if d % p)
+    if got != expected:
+        raise AssertionError(
+            "mod-%d rank %d disagrees with invariant factors (%d)" % (p, got, expected))
+
+
+def smith_normal_form(matrix: SparseIntMatrix, precheck: bool = True,
+                      pivots: dict | None = None) -> SNFResult:
+    """Invariant factors over Z, rechecked modulo each ``CHECK_PRIMES`` prime
+    when ``precheck`` is set.  A dict passed as ``pivots`` receives the
+    row -> column map of the unit pivots only, never the dense residual's."""
+    units, residual = _eliminate(matrix)
+    diag = [1] * len(units) + _dense_snf(residual)
     for a, b in zip(diag, diag[1:]):
         if b % a:
             raise AssertionError("invariant factors out of divisibility order: %r" % (diag,))
     result = SNFResult(tuple(diag), len(diag))
     if precheck:
         for p in CHECK_PRIMES:
-            expected = sum(1 for d in diag if d % p)
-            got = rank_mod_p(matrix, p)
-            if got != expected:
-                raise AssertionError(
-                    "mod-%d rank %d disagrees with invariant factors (%d)" % (p, got, expected))
+            _check_mod_p(diag, p, rank_mod_p(matrix, p))
+    if pivots is not None:
+        pivots.update(units)
     return result
 
 
@@ -270,22 +317,48 @@ class BettiResult:
     reduced: bool
 
 
+def _certify_cleared(X, upper: dict, lower: SparseIntMatrix, d: int) -> None:
+    """Check d_d d_{d+1} = 0 exactly on every column of d_{d+1} in ``upper``
+    (column -> [(row, entry)]), one column at a time."""
+    if not upper:
+        return
+    below = lower.columns()
+    for j, col in upper.items():
+        image: dict[int, int] = {}
+        for i, a in col:
+            for r, b in below.get(i, ()):
+                image[r] = image.get(r, 0) + a * b
+        if any(image.values()):
+            raise AssertionError(
+                "d_%d d_%d is nonzero on column %d of d_%d (face %r); clearing needs it zero"
+                % (d, d + 1, j, d + 1, X.faces(d + 1)[j]))
+
+
 def _betti_of_family(X, max_dim: int, reduced: bool) -> BettiResult:
-    counts = [len(X.faces(d)) for d in range(max_dim + 2)]
-    ranks = []
-    snfs = []
-    for d in range(max_dim + 2):
+    top = max_dim + 1
+    counts = [len(X.faces(d)) for d in range(top + 1)]
+    ranks = [0] * (top + 1)
+    torsion = [()] * (top + 1)
+    arithmetics = (0,) + CHECK_PRIMES  # 0 stands for Z
+    # per arithmetic: pivot row -> column of d_{d+1}
+    cleared: dict[int, dict[int, int]] = {a: {} for a in arithmetics}
+    upper: dict = {}  # the columns of d_{d+1} that some arithmetic pivoted in
+    for d in range(top, -1, -1):
         M = boundary_matrix(X, d, reduced=reduced)
-        if not M.triples:
-            snfs.append(SNFResult((), 0))
-            ranks.append(0)
-        else:
-            s = smith_normal_form(M)
-            snfs.append(s)
-            ranks.append(s.rank)
+        _certify_cleared(X, upper, M, d)
+        upper = {}  # freed before the eliminations
+        pivots: dict[int, dict[int, int]] = {a: {} for a in arithmetics}
+        if M.triples:
+            s = smith_normal_form(M.without_columns(cleared[0]), precheck=False,
+                                  pivots=pivots[0])
+            for p in CHECK_PRIMES:
+                got = rank_mod_p(M.without_columns(cleared[p]), p, pivots=pivots[p])
+                _check_mod_p(s.diagonal, p, got)
+            ranks[d], torsion[d] = s.rank, s.torsion
+        cleared = pivots
+        upper = M.columns(set().union(*(piv.values() for piv in pivots.values())))
     numbers = tuple(counts[d] - ranks[d] - ranks[d + 1] for d in range(max_dim + 1))
-    torsion = tuple(snfs[d + 1].torsion for d in range(max_dim + 1))
-    return BettiResult(numbers, torsion, tuple(counts[: max_dim + 1]),
+    return BettiResult(numbers, tuple(torsion[1:]), tuple(counts[: max_dim + 1]),
                        tuple(ranks), reduced)
 
 

@@ -47,6 +47,15 @@ def is_cover(sigma, tau) -> bool:
     return len(ts) == len(ss) + 1 and ss < ts
 
 
+class PairError(ValueError):
+    """A pair that does not cover, or a face matched twice; ``faces`` holds
+    the offending faces."""
+
+    def __init__(self, message: str, *faces):
+        super().__init__(message)
+        self.faces = faces
+
+
 class Matching:
     """Disjoint covering pairs with both-way partner lookup."""
 
@@ -57,10 +66,10 @@ class Matching:
         partner: dict = {}
         for sigma, tau in self.pairs:
             if not is_cover(sigma, tau):
-                raise ValueError("non-covering pair (%r, %r)" % (sigma, tau))
+                raise PairError("non-covering pair (%r, %r)" % (sigma, tau), sigma, tau)
             if sigma in partner or tau in partner:
                 culprit = sigma if sigma in partner else tau
-                raise ValueError("face %r matched twice" % (culprit,))
+                raise PairError("face %r matched twice" % (culprit,), culprit)
             partner[sigma] = tau
             partner[tau] = sigma
         self.partner = partner

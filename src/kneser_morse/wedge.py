@@ -46,7 +46,7 @@ from .complexes import NbhdComplex, complement_set, complex_for, face_key
 # element_matching and is_cover have no caller here, but perfbench's tracer
 # counts them in every module that binds them and its self-test expects
 # these bindings
-from .morse import Matching, element_matching, is_acyclic, is_cover  # noqa: F401
+from .morse import Matching, PairError, element_matching, is_acyclic, is_cover  # noqa: F401
 
 # Most triples a family support may span, since the subset table has
 # 2^SCAN_BITS entries.  A three-element family leaves a support of k+3
@@ -353,30 +353,23 @@ def split_fibers(fam: FamilyFaces) -> dict[int, list[int]]:
     return dict(sorted(fibers.items()))
 
 
-def toggle_run(faces: Iterable[int], wbits: list[int]) -> tuple[list, set, dict]:
+def toggle_run(faces: Iterable[int], wbits: list[int]) -> tuple[list, set]:
     """Run the element matchings of an ordered list of one-bit toggles.
 
     Stage t pairs a bitmask face with its t-th toggle when both sides are
-    still unmatched; later stages only see the leftovers.  Returns (pairs,
-    survivors, stage) where stage maps every face to the stage that
-    matched it, 1-based, survivors getting len(wbits) + 1.  The pairs are
-    not validated here: the caller checks their union once as a whole.
+    still unmatched; later stages only see the leftovers, so the first t
+    stages of a run are the run of ``wbits[:t]``.  Returns (pairs,
+    survivors).  The pairs are not validated here: the caller checks their
+    union once as a whole.
     """
     remaining = set(faces)
     pairs: list = []
-    stage: dict = {}
-    for t, wb in enumerate(wbits, start=1):
+    for wb in wbits:
         ups = [f for f in remaining if f & wb and f ^ wb in remaining]
-        for f in ups:
-            down = f ^ wb
-            pairs.append((down, f))
-            stage[down] = stage[f] = t
+        pairs.extend((f ^ wb, f) for f in ups)
         remaining.difference_update(ups)
         remaining.difference_update([f ^ wb for f in ups])
-    last = len(wbits) + 1
-    for f in remaining:
-        stage[f] = last
-    return pairs, remaining, stage
+    return pairs, remaining
 
 
 class FiberRecord(NamedTuple):
@@ -496,7 +489,7 @@ def _matching_p1(k: int, j: int, cset: tuple) -> FamilyMatching:
             if wb is None:
                 raise MatchingError("toggle %r of label %r leaves the support of %r" % (w, v, cset))
             wbits.append(1 << wb)
-        pairs, residue, _ = toggle_run(faces, wbits)
+        pairs, residue = toggle_run(faces, wbits)
         # direct residue identity: a survivor holds every toggle and loses
         # full coverage as soon as any one toggle is removed
         wall = 0
@@ -532,7 +525,12 @@ def _matching_p1(k: int, j: int, cset: tuple) -> FamilyMatching:
     del fam  # the subset table is not needed past this point; free it before the DFS
     # the union is the only place the pairs are validated: each one covers,
     # no face is matched twice, and every pair stays inside the family
-    ok, cyc = is_acyclic(result.matching(), cells=result.faces)
+    try:
+        matching = result.matching()
+    except PairError as e:
+        raise MatchingError("family (1, %d) pairs: %s, decoded %r"
+                            % (j, e, [result.decode(f) for f in e.faces])) from e
+    ok, cyc = is_acyclic(matching, cells=result.faces)
     if not ok:
         raise MatchingError("family (1, %d) matching has a directed cycle through %r"
                             % (j, [result.decode(a) for a, _ in cyc[:3]]))

@@ -160,7 +160,10 @@ def _check_poset_maps(k):
         for idx, faces in split_fibers(fam).items():
             ws = w_set(fam.triples[idx], j, k)
             wbits = [1 << fam.triples.index(w) for w in ws]
-            _, _, stage = toggle_run(faces, wbits)
+            # a face's stage is one more than the number of toggle prefixes it survives
+            stage = dict.fromkeys(faces, 1)
+            for t in range(1, len(wbits) + 1):
+                stage.update(dict.fromkeys(toggle_run(faces, wbits[:t])[1], t + 1))
             ok, _ = morse.verify_poset_map(lambda f: -stage[f], faces)
             oks.append(ok)
     return all(oks)

@@ -118,6 +118,24 @@ def test_theorem3_formula_only_beyond_census(capsys):
     assert by_name['theorem3-formula']['detail']['censused'] is False
 
 
+def test_depth_counts_runs_no_census(monkeypatch, capsys):
+    calls = []
+    counts = cli.wedge.theorem3_counts
+
+    def counting(k, **kwargs):
+        calls.append(kwargs.get('census'))
+        return counts(k, **kwargs)
+
+    monkeypatch.setattr(cli.wedge, "theorem3_counts", counting)
+    code, out, _ = run(capsys, "verify", "theorem3", "--k", "2",
+                       "--depth", "counts", "--format", "json")
+    assert code == 0
+    assert calls == [False]  # one formula-only call, no census
+    by_name = {r['name']: r for r in json.loads(out)['results']}
+    assert by_name['theorem3-formula']['detail']['censused'] is False
+    assert by_name['theorem3-formula']['detail']['predicted_t'] == 181
+
+
 def test_verify_lemma_requires_name(capsys):
     code, _, err = run(capsys, "verify", "lemma", "--k", "1")
     assert code == 2 and "refused" in err

@@ -198,47 +198,55 @@ def test_family_faces_rejects_stable_missed_set():
         family_faces(1, frozenset({1, 3, 5}))
 
 
+def toggle_stages(faces, wbits):
+    """Stage of each face in a toggle run, 1-based, survivors getting
+    len(wbits) + 1: one more than the number of toggle prefixes it survives."""
+    stage = dict.fromkeys(faces, 1)
+    for t in range(1, len(wbits) + 1):
+        stage.update(dict.fromkeys(toggle_run(faces, wbits[:t])[1], t + 1))
+    return stage
+
+
 def test_toggle_run_small():
-    pairs, survivors, stage = toggle_run([0b001, 0b011, 0b010, 0b110, 0b100],
-                                         [0b010, 0b100])
+    faces, wbits = [0b001, 0b011, 0b010, 0b110, 0b100], [0b010, 0b100]
+    pairs, survivors = toggle_run(faces, wbits)
     assert pairs == [(0b001, 0b011), (0b100, 0b110)]
     assert survivors == {0b010}
-    assert stage == {0b001: 1, 0b011: 1, 0b100: 1, 0b110: 1, 0b010: 3}
+    assert toggle_stages(faces, wbits) == {0b001: 1, 0b011: 1, 0b100: 1, 0b110: 1, 0b010: 3}
 
 
 def _stagewise_element_matching(faces, wbits):
     """The defining run: one element matching per toggle on the leftovers."""
     remaining = set(faces)
-    pairs, stage = set(), {}
-    for t, wb in enumerate(wbits, start=1):
+    pairs = set()
+    for wb in wbits:
         m, matched = morse.element_matching(remaining, wb)
         pairs.update(m.pairs)
-        stage.update(dict.fromkeys(matched, t))
         remaining -= matched
-    stage.update(dict.fromkeys(remaining, len(wbits) + 1))
-    return pairs, remaining, stage
+    return pairs, remaining
 
 
 def test_toggle_run_equals_stagewise_element_matching():
+    # every prefix of the toggles, so each stage's members are checked too
     k, j = 2, 4
     fam = family_faces(k, frozenset(p_complement(k, 1, j)))
     for idx, faces in split_fibers(fam).items():
         v = fam.triples[idx]
         wbits = [1 << fam.triples.index(w) for w in w_set(v, j, k)]
-        pairs, survivors, stage = toggle_run(faces, wbits)
-        want_pairs, want_survivors, want_stage = _stagewise_element_matching(faces, wbits)
-        assert len(pairs) == len(set(pairs))
-        assert set(pairs) == want_pairs, v
-        assert survivors == want_survivors, v
-        assert stage == want_stage, v
+        for t in range(len(wbits) + 1):
+            pairs, survivors = toggle_run(faces, wbits[:t])
+            want_pairs, want_survivors = _stagewise_element_matching(faces, wbits[:t])
+            assert len(pairs) == len(set(pairs))
+            assert set(pairs) == want_pairs, (v, t)
+            assert survivors == want_survivors, (v, t)
 
 
 def test_matching_P_catches_a_dropped_toggle_pair(monkeypatch):
     run = toggle_run
 
     def drop_one(faces, wbits):
-        pairs, survivors, stage = run(faces, wbits)
-        return pairs[1:], survivors, stage
+        pairs, survivors = run(faces, wbits)
+        return pairs[1:], survivors
 
     monkeypatch.setattr(wedge, 'toggle_run', drop_one)
     with pytest.raises(MatchingError, match="do not partition"):
@@ -251,13 +259,14 @@ def test_matching_P_catches_a_face_matched_twice(monkeypatch):
     def duplicate_one(faces, wbits):
         # the last pair is replaced by a copy of the first, so the pair
         # count still partitions the family and only the union check sees it
-        pairs, survivors, stage = run(faces, wbits)
+        pairs, survivors = run(faces, wbits)
         if len(pairs) > 1:
             pairs = pairs[:-1] + pairs[:1]
-        return pairs, survivors, stage
+        return pairs, survivors
 
     monkeypatch.setattr(wedge, 'toggle_run', duplicate_one)
-    with pytest.raises(ValueError, match="matched twice"):
+    with pytest.raises(MatchingError, match=r"family \(1, 3\) pairs: face \d+ matched twice, "
+                                            r"decoded \[\(\("):
         matching_P(1, 1, 3)
 
 
@@ -323,7 +332,7 @@ def test_residue_identity_recomputed():
             v = fam.triples[idx]
             ws = w_set(v, j, k)
             wbits = [1 << fam.triples.index(w) for w in ws]
-            pairs, survivors, _ = toggle_run(faces, wbits)
+            pairs, survivors = toggle_run(faces, wbits)
             case = w_case(v, j, k)
             if case in ('low-run', 'after-j', 'split'):
                 assert len(survivors) == 1
@@ -342,7 +351,7 @@ def test_stage_labels_are_a_poset_map(j):
         v = fam.triples[idx]
         ws = w_set(v, j, k)
         wbits = [1 << fam.triples.index(w) for w in ws]
-        _, _, stage = toggle_run(faces, wbits)
+        stage = toggle_stages(faces, wbits)
         ok, witness = morse.verify_poset_map(
             lambda f: -stage[f], faces)
         assert ok, (v, witness)
