@@ -55,7 +55,7 @@ def cmd_build(args) -> tuple[list[dict], bool]:
     cx = complex_for(args.kind, args.k)
     sizes: dict[int, int] = {}
     for m in cx.maximal:
-        sizes[len(m)] = sizes.get(len(m), 0) + 1
+        sizes[m.bit_count()] = sizes.get(m.bit_count(), 0) + 1
     res = _result(
         'build-%s' % args.kind, args.k, True,
         vertices=len(g.verts),
@@ -100,8 +100,13 @@ def _verify_theorem2(k: int, depth: str, counts_of) -> list[dict]:
                     critical=len(report.critical), records=recs)]
 
 
+def _census(k: int, depth: str) -> bool:
+    """Whether a target at this depth runs the census or the formulas only."""
+    return k <= 3 and depth != 'counts'
+
+
 def _verify_theorem3(k: int, depth: str, counts_of) -> list[dict]:
-    census = k <= 3 and depth != 'counts'
+    census = _census(k, depth)
     counts = counts_of(k, census)
     out = [_result('theorem3-census' if census else 'theorem3-formula', k, True,
                    extra_k_cells=counts['extra_k_cells'],
@@ -148,18 +153,20 @@ def _verify_filtration(k: int, depth: str, counts_of) -> list[dict]:
                     sizes=[len(s) for s in stages])]
 
 
+def _family_total(k: int, depth: str, counts_of, cells: str) -> int:
+    """A layer's survivor total: censused, or the formula at ``--depth counts``."""
+    counts = counts_of(k, _census(k, depth))
+    return counts['observed_' + cells] if counts['censused'] else counts['extra_' + cells]
+
+
 def _verify_p_families(k: int, depth: str, counts_of) -> list[dict]:
-    counts = counts_of(k, True)
-    rows = [r for r in counts['rows'] if r[0] == 'P']
-    return [_result('p-families', k, True, families=len(rows),
-                    critical_total=counts['observed_k_cells'])]
+    return [_result('p-families', k, True, families=len(wedge.p_indices(k)),
+                    critical_total=_family_total(k, depth, counts_of, 'k_cells'))]
 
 
 def _verify_q_families(k: int, depth: str, counts_of) -> list[dict]:
-    counts = counts_of(k, True)
-    rows = [r for r in counts['rows'] if r[0] == 'Q']
-    return [_result('q-families', k, True, families=len(rows),
-                    critical_total=counts['observed_km1_cells'])]
+    return [_result('q-families', k, True, families=len(wedge.q_indices(k)),
+                    critical_total=_family_total(k, depth, counts_of, 'km1_cells'))]
 
 
 LEMMAS = {

@@ -17,15 +17,19 @@ the C-matchings toggle one stable vertex chosen from the covering interval
 of the lex-least common neighbor.  ``theorem2_matching`` composes all of
 them under one order-preserving classifier and certifies that the critical
 cells are exactly F0.
+
+Faces are masks over ``graphs.triple_index(k)``, the index every complex at
+k shares.  A rotation moves a face through one ``complexes.rotation_table``
+per (frame, shift), and faces are decoded only for error witnesses.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 from functools import lru_cache
 
 from . import complexes, graphs, morse
-from .complexes import complement_set, face_key
+from .complexes import complement_set, decode, remap, rotation_table
 from .graphs import rotate, unstable_rep
 from .morse import Matching
 
@@ -97,24 +101,25 @@ def parse_four(cset, k: int) -> tuple[int, int] | None:
 # ---------------------------------------------------------------------------
 # family enumeration
 
-def _stable_triples_within(elements: frozenset[int], k: int) -> list:
-    return [t for t in graphs.all_triples(k)
-            if set(t) <= elements and graphs.is_stable(t, k)]
+def _stable_bits_within(elements: int, k: int) -> list[int]:
+    """Index bits of the stable triples inside a ground-element mask."""
+    ix = graphs.triple_index(k)
+    return [b for b, g in enumerate(ix.ground) if ix.stable >> b & 1 and not g & ~elements]
 
 
-def stable_covers(elements, k: int) -> list:
-    """All sets of stable triples inside ``elements`` whose union is all of
-    ``elements``, as canonical face keys."""
-    elems = frozenset(elements)
-    pool = _stable_triples_within(elems, k)
-    need = graphs.vertex_mask(elems)
-    masks = [graphs.vertex_mask(t) for t in pool]
+def stable_covers(missed, k: int) -> list[int]:
+    """All faces of stable triples that miss exactly the ground elements in
+    ``missed``."""
+    need = ((1 << graphs.ground_size(k)) - 1) & ~graphs.vertex_mask(missed)
+    pool = _stable_bits_within(need, k)
+    ground = graphs.triple_index(k).ground
+    masks = [ground[b] for b in pool]
     suffix = [0] * (len(pool) + 1)
     for i in range(len(pool) - 1, -1, -1):
         suffix[i] = suffix[i + 1] | masks[i]
     out = []
 
-    def walk(i: int, covered: int, chosen: tuple):
+    def walk(i: int, covered: int, chosen: int):
         if covered | suffix[i] != need:
             return
         if i == len(pool):
@@ -122,41 +127,30 @@ def stable_covers(elements, k: int) -> list:
                 out.append(chosen)
             return
         walk(i + 1, covered, chosen)
-        walk(i + 1, covered | masks[i], chosen + (pool[i],))
+        walk(i + 1, covered | masks[i], chosen | 1 << pool[i])
 
-    walk(0, 0, ())
-    return [face_key(c) for c in out]
-
-
-def a_support(k: int, s: int, t: int) -> frozenset[int]:
-    n = graphs.ground_size(k)
-    return frozenset(range(1, n + 1)) - set(pair_of(s, k)) - {t}
+    walk(0, 0, 0)
+    return out
 
 
 def a_family(k: int, s: int, t: int) -> list:
     """All-stable faces whose complement is exactly {s, s+1, t}."""
     if t not in index_I(s, k):
         raise ValueError("t=%d not admissible for s=%d at k=%d" % (t, s, k))
-    return stable_covers(a_support(k, s, t), k)
+    return stable_covers(pair_of(s, k) + (t,), k)
 
 
 def b_family(k: int, s: int, u: int) -> list:
     """All-stable faces whose complement is exactly {s, s+1, u, u+1}."""
     if u not in index_J(s, k):
         raise ValueError("u=%d not admissible for s=%d at k=%d" % (u, s, k))
-    n = graphs.ground_size(k)
-    support = frozenset(range(1, n + 1)) - set(pair_of(s, k)) - set(pair_of(u, k))
-    return stable_covers(support, k)
+    return stable_covers(pair_of(s, k) + pair_of(u, k), k)
 
 
 # ---------------------------------------------------------------------------
 # classifier
 
-def has_stable_triple(elements, k: int) -> bool:
-    return bool(_stable_triples_within(frozenset(elements), k))
-
-
-def classify(sigma, k: int):
+def classify(sigma: int, k: int):
     """Family label of a face of the one-stable-endpoint complex.
 
     Returns ('C', v) with v the lex-least unstable member, ('A', s, t),
@@ -164,31 +158,28 @@ def classify(sigma, k: int):
     must land in exactly one family; an unparseable complement shape is an
     error rather than a silent default.
     """
-    key = face_key(sigma)
-    unstable = [v for v in key if not graphs.is_stable(v, k)]
-    if unstable:
-        return ('C', unstable[0])
-    cset = complement_set(key, k).complement
-    if has_stable_triple(cset, k):
+    ix = graphs.triple_index(k)
+    unstable = sigma & ~ix.stable
+    if unstable:  # the lowest bit is the lex-least member
+        return ('C', ix.triples[(unstable & -unstable).bit_length() - 1])
+    cset = complement_set(sigma, k).complement
+    if _stable_bits_within(graphs.vertex_mask(cset), k):
         return ('SG',)
     if len(cset) == 3:
         parsed = parse_three(cset, k)
         if parsed is None:
-            raise MatchingError("3-complement %r has no pair shape" % (cset,))
+            raise MatchingError("face %r: 3-complement %r has no pair shape"
+                                % (decode(sigma, ix.triples), cset))
         return ('A',) + parsed
     if len(cset) == 4:
         parsed = parse_four(cset, k)
         if parsed is None:
-            raise MatchingError("4-complement %r has no double-pair shape" % (cset,))
+            raise MatchingError("face %r: 4-complement %r has no double-pair shape"
+                                % (decode(sigma, ix.triples), cset))
         return ('B',) + parsed
     raise MatchingError(
-        "complement %r of size %d contains no stable triple" % (cset, len(cset)))
-
-
-@lru_cache(maxsize=None)
-def _unstable_rank(k: int) -> dict:
-    us = [t for t in graphs.all_triples(k) if not graphs.is_stable(t, k)]
-    return {v: i for i, v in enumerate(us)}
+        "face %r: complement %r of size %d contains no stable triple"
+        % (decode(sigma, ix.triples), cset, len(cset)))
 
 
 def label_key(label, k: int) -> tuple:
@@ -199,8 +190,7 @@ def label_key(label, k: int) -> tuple:
     if label[0] == 'B':
         return (2, label[1], label[2])
     if label[0] == 'C':
-        rank = _unstable_rank(k)
-        return (1, len(rank) - rank[label[1]])
+        return (1, -graphs.triple_index(k).bit[label[1]])
     return (0,)
 
 
@@ -222,7 +212,7 @@ def _delta_table(k: int, l: int):
     """Per residue class of C(sigma minus pivot), the pullback recipe.
 
     Each entry is (extra, shift, sub_k, s, t): ``extra`` is the subset of the
-    pivot that becomes uncovered, and the class biject onto the family
+    pivot that becomes uncovered (a ground-element mask), and the class biject onto the family
     (sub_k, s, t) via sigma -> (sigma - pivot) rotated down by ``shift``.
     """
     n = graphs.ground_size(k)
@@ -246,7 +236,7 @@ def _delta_table(k: int, l: int):
         targets = [(1, k - 1, 1, l - 1), (1, k - 1, l - 2, 1), (0, k - 1, 1, l),
                    (2, k - 2, l - 3, 1), (1, k - 2, 1, l - 1), (1, k - 2, l - 2, 1),
                    (2, k - 3, l - 3, 1)]
-    extras = [frozenset(e) for e in
+    extras = [graphs.vertex_mask(e) for e in
               ({a}, {b}, {n}, {a, b}, {a, n}, {b, n}, {a, b, n})]
     rows = []
     for i in range(7):
@@ -264,28 +254,28 @@ def _delta_table(k: int, l: int):
     return rows
 
 
-def delta_decompose(k: int, l: int, sigma):
+def delta_decompose(k: int, l: int, sigma: int):
     """Locate a face of the (1, l) family in the pivot decomposition.
 
     Returns 'pivot-fiber' when the face survives toggling the pivot (so the
     pivot element matching handles it), else the residue class index 1..7.
     """
-    key = face_key(sigma)
-    p = pivot_vertex(k, l)
-    base = frozenset({1, 2, l})
-    if p not in key:
+    ix = graphs.triple_index(k)
+    p = 1 << ix.bit[pivot_vertex(k, l)]
+    if not sigma & p:
         return 'pivot-fiber'
-    rest = tuple(v for v in key if v != p)
-    cs = frozenset(complement_set(rest, k).complement) if rest else \
-        frozenset(range(1, graphs.ground_size(k) + 1))
+    full = (1 << graphs.ground_size(k)) - 1
+    cs = full & ~remap(sigma ^ p, ix.ground)
+    base = graphs.vertex_mask((1, 2, l))
     if cs == base:
         return 'pivot-fiber'
-    extra = cs - base
+    extra = cs & ~base
     for i, (ex, _, _, _, _) in enumerate(_delta_table(k, l), start=1):
         if extra == ex:
             return i
     raise MatchingError(
-        "face %r uncovers %r, not a pivot subset" % (sigma, sorted(extra)))
+        "face %r uncovers %r, not a pivot subset"
+        % (decode(sigma, ix.triples), [x + 1 for x in range(extra.bit_length()) if extra >> x & 1]))
 
 
 @lru_cache(maxsize=None)
@@ -298,14 +288,15 @@ def _matching_a_norm(k: int, l: int) -> tuple:
     family = set(a_family(k, 1, l))
     if not family:
         return ()
-    p = pivot_vertex(k, l)
+    triples = graphs.triple_index(k).triples
+    p = 1 << graphs.triple_index(k).bit[pivot_vertex(k, l)]
     m0, matched = morse.element_matching(family, p)
     pairs = list(m0.pairs)
     buckets: dict[int, set] = {i: set() for i in range(1, 8)}
     for sigma in family - matched:
         idx = delta_decompose(k, l, sigma)
         if idx == 'pivot-fiber':
-            raise MatchingError("face %r escaped the pivot matching" % (sigma,))
+            raise MatchingError("face %r escaped the pivot matching" % (decode(sigma, triples),))
         buckets[idx].add(sigma)
     for idx, (extra, shift, sub_k, s, t) in enumerate(_delta_table(k, l), start=1):
         bucket = buckets[idx]
@@ -315,14 +306,9 @@ def _matching_a_norm(k: int, l: int) -> tuple:
                     "class %d nonempty but its target family vanishes" % idx)
             continue
         sub = matching_A(sub_k, s, t)
-        pulled = []
-        cells = set()
-        for lo, hi in sub.pairs:
-            plo = face_key(tuple(rotate(v, shift, k) for v in lo) + (p,))
-            phi = face_key(tuple(rotate(v, shift, k) for v in hi) + (p,))
-            pulled.append((plo, phi))
-            cells.add(plo)
-            cells.add(phi)
+        table = rotation_table(sub_k, k, shift)
+        pulled = [(remap(lo, table) | p, remap(hi, table) | p) for lo, hi in sub.pairs]
+        cells = {f for pair in pulled for f in pair}
         if cells != bucket:
             raise MatchingError(
                 "class %d of (k=%d, l=%d): pullback covers %d faces, class has %d"
@@ -343,12 +329,8 @@ def matching_A(k: int, s: int, t: int) -> Matching:
     l = (t - s) % n + 1
     if not 3 <= l <= n - 1:
         raise AssertionError("normalized l=%d out of range" % l)
-    base = _matching_a_norm(k, l)
-    if s == 1:
-        m = Matching(list(base))
-    else:
-        m = Matching([(rotate(lo, s - 1, k), rotate(hi, s - 1, k))
-                      for lo, hi in base])
+    table = rotation_table(k, k, s - 1)
+    m = Matching([(remap(lo, table), remap(hi, table)) for lo, hi in _matching_a_norm(k, l)])
     family = set(a_family(k, s, t))
     if m.matched() != family:
         raise MatchingError(
@@ -377,9 +359,8 @@ def matching_B(k: int, s: int, u: int) -> Matching:
     parsed = parse_three(target_c, k - 1)
     if parsed is None:
         raise AssertionError("image complement %r has no pair shape" % (sorted(target_c),))
-    sub = matching_A(k - 1, *parsed)
-    pairs = [(rotate(lo, -shift, k), rotate(hi, -shift, k)) for lo, hi in sub.pairs]
-    m = Matching(pairs)
+    table = rotation_table(k - 1, k, -shift)
+    m = Matching([(remap(lo, table), remap(hi, table)) for lo, hi in matching_A(k - 1, *parsed).pairs])
     if m.matched() != family:
         raise MatchingError(
             "pulled-back matching covers %d faces, family (k=%d,s=%d,u=%d) has %d"
@@ -416,46 +397,45 @@ def comp_set(v, l: int) -> set[int]:
     return {t for t in cover(v) if abs(t - l) > 1 and t not in v}
 
 
-def toggle_element(v, l: int) -> int:
-    c = comp_set(v, l)
-    if not c:
-        raise MatchingError("no toggle element for %r with l=%d" % (v, l))
-    return min(c)
-
-
 @lru_cache(maxsize=None)
 def _s_faces(k: int) -> frozenset:
     return frozenset(complexes.complex_for('s', k).all_faces())
 
 
-def c_fiber(k: int, v, faces=None) -> list:
+def c_fiber(k: int, v, faces=None) -> list[int]:
     """Faces whose lex-least unstable member is v."""
     vt = tuple(sorted(v))
     if graphs.is_stable(vt, k):
         raise ValueError("%r is stable; C-fibers hang off unstable vertices" % (v,))
+    ix = graphs.triple_index(k)
+    vb = 1 << ix.bit[vt]
+    below = ~ix.stable & (vb - 1)  # unstable triples lex-before v
     pool = _s_faces(k) if faces is None else faces
-    out = []
-    for sigma in pool:
-        if vt in sigma and all(graphs.is_stable(w, k) for w in sigma if w < vt):
-            out.append(sigma)
-    return sorted(out)
+    return sorted(sigma for sigma in pool if sigma & vb and not sigma & below)
 
 
-def c_toggle(k: int, v, sigma) -> tuple:
-    """The stable vertex toggled on a face of the fiber of v.
+def c_toggle(k: int, frame: tuple[int, int], sigma: int) -> int:
+    """The stable vertex toggled on a face of the fiber of v, as a one-bit mask.
 
+    ``frame`` is (l, j) = ``unstable_rep(v, k)``, fixed for the whole fiber.
     Everything is computed in the frame where v sits at its {1,2,l} normal
     form: the toggle is {1, l, m} with m the least admissible element in the
     covering interval of the lex-least common neighbor, rotated back.
     """
-    l, j = unstable_rep(v, k)
-    g = graphs.graph('s', k)
-    nb = g.neighborhood(sigma)
+    l, j = frame
+    ix = graphs.triple_index(k)
+    nb = graphs.graph('s', k).common_neighbors(sigma)  # s keeps every triple of the index
     if not nb:
-        raise MatchingError("%r is not a face (no common neighbor)" % (sigma,))
-    u_star = min(rotate(u, -j, k) for u in nb)
-    x = (1, l, toggle_element(u_star, l))
-    return rotate(x, j, k)
+        raise MatchingError("%r is not a face (no common neighbor)" % (decode(sigma, ix.triples),))
+    low = remap(nb, rotation_table(k, k, -j))
+    u_star = ix.triples[(low & -low).bit_length() - 1]  # lowest bit = lex-least
+    c = comp_set(u_star, l)
+    if not c:
+        raise MatchingError("face %r: no toggle element for %r with l=%d"
+                            % (decode(sigma, ix.triples), u_star, l))
+    m = min(c)  # inside cover(u_star), so off 1 and away from l
+    x = (1, l, m) if l < m else (1, m, l)
+    return rotation_table(k, k, j)[ix.bit[x]]
 
 
 def matching_C(k: int, v, faces=None) -> Matching:
@@ -467,40 +447,43 @@ def matching_C(k: int, v, faces=None) -> Matching:
     """
     fiber = c_fiber(k, v, faces)
     fiber_set = set(fiber)
-    toggles = {}
-    for sigma in fiber:
-        toggles[sigma] = c_toggle(k, v, sigma)
+    frame = unstable_rep(v, k)
+    toggles = {sigma: c_toggle(k, frame, sigma) for sigma in fiber}
+    triples = graphs.triple_index(k).triples
     pairs = []
     for sigma in fiber:
         x = toggles[sigma]
-        if x in sigma:
+        if sigma & x:
             continue
-        partner = face_key(sigma + (x,))
+        partner = sigma | x
         if partner not in fiber_set:
             raise MatchingError(
-                "partner of %r via %r leaves the fiber of %r" % (sigma, x, v))
+                "partner of %r via %r leaves the fiber of %r"
+                % (decode(sigma, triples), decode(x, triples), v))
         if toggles[partner] != x:
             raise MatchingError(
                 "toggle not involutive on %r / %r (got %r vs %r)"
-                % (sigma, partner, toggles[partner], x))
+                % (decode(sigma, triples), decode(partner, triples),
+                   decode(toggles[partner], triples), decode(x, triples)))
         pairs.append((sigma, partner))
     m = Matching(pairs)
     if not morse.is_perfect(m, fiber):
-        missing = [s for s in fiber if s not in m.partner][:3]
+        missing = [decode(s, triples) for s in fiber if s not in m.partner][:3]
         raise MatchingError(
             "fiber of %r not perfectly matched; first unmatched: %r" % (v, missing))
     return m
 
 
-def stratum_length(k: int, sigma) -> int:
+def stratum_length(k: int, sigma: int) -> int:
     """Span of the common-neighbor set, in the normal-form frame of the
     face's lex-least unstable member."""
+    triples = graphs.triple_index(k).triples
     label = classify(sigma, k)
     if label[0] != 'C':
-        raise ValueError("%r has no unstable member" % (sigma,))
+        raise ValueError("%r has no unstable member" % (decode(sigma, triples),))
     _, j = unstable_rep(label[1], k)
-    nb = graphs.graph('s', k).neighborhood(sigma)
-    return span_length([rotate(u, -j, k) for u in nb])
+    nb = graphs.graph('s', k).common_neighbors(sigma)
+    return span_length(decode(remap(nb, rotation_table(k, k, -j)), triples))
 
 
 def b_strata(k: int, l: int) -> dict[int, list]:
@@ -525,9 +508,6 @@ class VerificationRecord:
     acyclic: bool
     perfect: bool
     critical_count: int
-
-    def as_dict(self) -> dict:
-        return asdict(self)
 
 
 @dataclass
@@ -555,8 +535,10 @@ def theorem2_matching(k: int) -> CollapseReport:
     Classifies every face of the ambient complex, builds each fiber matching,
     composes them under the family classifier, and certifies: classifier
     monotone, composition acyclic, critical cells exactly the faces of the
-    stable subcomplex.
+    stable subcomplex.  A non-monotone classifier or a stray critical cell
+    raises ``MatchingError`` with the decoded face.
     """
+    triples = graphs.triple_index(k).triples
     faces = sorted(_s_faces(k))
     labels = {sigma: classify(sigma, k) for sigma in faces}
     buckets: dict = {}
@@ -576,8 +558,10 @@ def theorem2_matching(k: int) -> CollapseReport:
         else:
             m = Matching([])
         if label[0] in ('A', 'B') and m.matched() != members:
+            stray = min(m.matched() ^ members)
             raise MatchingError(
-                "classifier bucket %r disagrees with enumerated family" % (label,))
+                "classifier bucket %r disagrees with enumerated family at %r"
+                % (label, decode(stray, triples)))
         fibers[label] = m
         acyclic, _ = morse.is_acyclic(m, members)
         perfect = morse.is_perfect(m, members) if label[0] != 'SG' else False
@@ -594,16 +578,19 @@ def theorem2_matching(k: int) -> CollapseReport:
     composed = morse.compose_cluster(label_of, keyed)
     mono_ok, mono_witness = morse.verify_poset_map(label_of, faces)
     if not mono_ok:
-        raise MatchingError("classifier not order-preserving at %r" % (mono_witness,))
+        raise MatchingError("classifier not order-preserving at %r"
+                            % ([decode(f, triples) for f in mono_witness],))
     acyclic, witness = morse.is_acyclic(composed, faces)
     critical = morse.critical_cells(faces, composed)
-    sg_faces = complexes.complex_for('sg', k).all_faces()
-    crit_ok = set(critical) == sg_faces
+    stray = set(critical) ^ complexes.complex_for('sg', k).all_faces()
+    if stray:
+        raise MatchingError("critical cells and the stable subcomplex differ at face %r"
+                            % (decode(min(stray), triples),))
     records.append(VerificationRecord(
         lemma="s3k-collapse", k=k, fiber="all",
         cells=len(faces), pairs=len(composed.pairs), acyclic=acyclic,
         perfect=False, critical_count=len(critical)))
-    ok = acyclic and crit_ok and all(
+    ok = acyclic and all(
         r.acyclic and (r.perfect or r.fiber in ("SG", "all")) for r in records)
     return CollapseReport(k=k, matching=composed, records=records,
                           critical=critical, ok=ok)

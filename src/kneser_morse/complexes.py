@@ -3,7 +3,15 @@
 A set of vertices is a face iff the vertices have a common neighbor, so the
 complex is determined by the family {N(v)}: maximal faces are the
 inclusion-maximal neighborhoods, and every face is a nonempty subset of one
-of them.  Faces are written canonically as lex-sorted tuples of triples.
+of them.
+
+Every face is an integer bitmask over ``graphs.triple_index(k)``: bit b
+stands for the b-th triple of [k+6] in lex order.  The ``kg``, ``s`` and
+``sg`` complexes and every filtration stage at one k share that index, so
+their faces compare directly.  ``face_key`` is the one encoder (triples to
+mask), ``decode`` the one decoder (mask to sorted triples, for reports,
+error witnesses and tests), and ``remap`` moves a face along a per-bit
+table, such as a rotation of the ground set.
 
 ``complement_set`` returns the ground elements missed by a face; the shape of
 that complement is what all the matching machinery keys on.
@@ -13,17 +21,57 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, NamedTuple
 
 from . import graphs
 from .graphs import Graph
 
-Face = tuple  # tuple of vertex triples, lex sorted
+
+def face_key(sigma: Iterable, k: int) -> int:
+    """The mask of a set of triples of [k+6]; duplicates collapse."""
+    bit = graphs.triple_index(k).bit
+    mask = 0
+    for v in sigma:
+        t = tuple(sorted(v))
+        if t not in bit:
+            raise ValueError("%r is not a triple of 1..%d" % (v, graphs.ground_size(k)))
+        mask |= 1 << bit[t]
+    return mask
 
 
-def face_key(sigma: Iterable) -> Face:
-    """Canonical form: sorted tuple of sorted triples, duplicates dropped."""
-    return tuple(sorted({tuple(sorted(v)) for v in sigma}))
+def decode(mask: int, triples) -> tuple:
+    """The lex-sorted triples of a mask whose bit b stands for ``triples[b]``."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(triples[low.bit_length() - 1])
+        mask ^= low
+    out.sort()  # bit order is lex only in a lex-ordered dictionary
+    return tuple(out)
+
+
+def remap(mask: int, table) -> int:
+    """The union of ``table[b]`` over the set bits b of ``mask``.
+
+    With one-bit entries this moves a face onto another bit dictionary (a
+    rotation, or a family's local bits onto the per-k index); with the
+    ground masks of the index it gives the ground elements a face covers.
+    """
+    out = 0
+    while mask:
+        low = mask & -mask
+        out |= table[low.bit_length() - 1]
+        mask ^= low
+    return out
+
+
+@lru_cache(maxsize=None)
+def rotation_table(src_k: int, k: int, shift: int) -> tuple:
+    """Per bit of the index at ``src_k``, the one-bit mask of that triple
+    rotated by ``shift`` mod k+6, in the index at k."""
+    bit = graphs.triple_index(k).bit
+    return tuple(1 << bit[graphs.rotate(t, shift, k)]
+                 for t in graphs.triple_index(src_k).triples)
 
 
 class ComplementSet(NamedTuple):
@@ -31,15 +79,15 @@ class ComplementSet(NamedTuple):
     support: tuple[int, ...]     # ground elements covered by the face
 
 
-def complement_set(sigma: Iterable, k: int) -> ComplementSet:
-    n = graphs.ground_size(k)
-    covered: set[int] = set()
-    for v in sigma:
-        covered.update(v)
-    if not covered <= set(range(1, n + 1)):
-        raise ValueError("face %r leaves the ground set 1..%d" % (sigma, n))
-    comp = tuple(x for x in range(1, n + 1) if x not in covered)
-    return ComplementSet(comp, tuple(sorted(covered)))
+def complement_set(sigma: int, k: int) -> ComplementSet:
+    ix = graphs.triple_index(k)
+    if sigma < 0 or sigma >> len(ix.triples):
+        raise ValueError("mask %r has bits outside the %d triples of 1..%d"
+                         % (sigma, len(ix.triples), graphs.ground_size(k)))
+    covered = remap(sigma, ix.ground)
+    ground = range(1, graphs.ground_size(k) + 1)
+    return ComplementSet(tuple(x for x in ground if not covered >> (x - 1) & 1),
+                         tuple(x for x in ground if covered >> (x - 1) & 1))
 
 
 class NbhdComplex:
@@ -48,17 +96,12 @@ class NbhdComplex:
     def __init__(self, g: Graph):
         self.graph: Graph | None = g
         self.k = g.k
-        nbhds = []
-        seen = set()
-        for v in g.verts:
-            nb = frozenset(g.neighborhood([v]))
-            if nb and nb not in seen:
-                seen.add(nb)
-                nbhds.append(nb)
-        self._install(nbhds)
+        bit = graphs.triple_index(g.k).bit
+        table = [1 << bit[t] for t in g.verts]
+        self._install(remap(row, table) for row in g.adj)
 
     @classmethod
-    def from_maximal(cls, k: int, faces: Iterable[Iterable]) -> "NbhdComplex":
+    def from_maximal(cls, k: int, faces: Iterable[int]) -> "NbhdComplex":
         """The complex generated by explicit faces.
 
         Needed for the middle filtration stage, whose generating faces are
@@ -68,76 +111,53 @@ class NbhdComplex:
         cx = cls.__new__(cls)
         cx.graph = None
         cx.k = k
-        cx._install([frozenset(tuple(sorted(v)) for v in f) for f in faces])
+        cx._install(faces)
         return cx
 
-    def _install(self, gens: Iterable[frozenset]) -> None:
-        pool = sorted({g for g in gens if g}, key=lambda m: (-len(m), sorted(m)))
-        maximal: list[frozenset] = []
+    def _install(self, gens: Iterable[int]) -> None:
+        pool = sorted({g for g in gens if g}, key=lambda m: -m.bit_count())
+        maximal: list[int] = []
         for nb in pool:
-            if not any(nb <= m for m in maximal):
+            if not any(nb & ~m == 0 for m in maximal):
                 maximal.append(nb)
-        self.maximal_sets = maximal
-        self.maximal = sorted(face_key(m) for m in maximal)
-        self._bands: dict[int, list[Face]] = {}
-        self._band_sets: dict[int, set[Face]] = {}
+        self.maximal = sorted(maximal)
+        self._bands: dict[int, list[int]] = {}
 
     def dim(self) -> int:
-        return max((len(m) for m in self.maximal), default=0) - 1
+        return max((m.bit_count() for m in self.maximal), default=0) - 1
 
-    def faces(self, d: int) -> list[Face]:
-        """All d-faces ((d+1)-subsets of maximal faces), lex sorted."""
+    def faces(self, d: int) -> list[int]:
+        """All d-faces ((d+1)-subsets of maximal faces), in mask order."""
         if d < 0:
             return []
         if d not in self._bands:
-            out: set[Face] = set()
+            out: set[int] = set()
             for m in self.maximal:
-                if len(m) >= d + 1:
-                    out.update(itertools.combinations(m, d + 1))
+                if m.bit_count() >= d + 1:
+                    bits = [1 << b for b in range(m.bit_length()) if m >> b & 1]
+                    out.update(map(sum, itertools.combinations(bits, d + 1)))
             self._bands[d] = sorted(out)
-            self._band_sets[d] = out
         return self._bands[d]
 
-    def face_set(self, d: int) -> set[Face]:
-        self.faces(d)
-        return self._band_sets.get(d, set())
+    def is_face(self, sigma: int) -> bool:
+        return sigma != 0 and any(sigma & ~m == 0 for m in self.maximal)
 
-    def is_face(self, sigma: Iterable) -> bool:
-        fs = {tuple(sorted(v)) for v in sigma}
-        if not fs:
-            return False
-        return any(fs <= m for m in self.maximal_sets)
-
-    def all_faces(self, limit: int = 2_000_000) -> set[Face]:
+    def all_faces(self, limit: int = 2_000_000) -> set[int]:
         """Every face of every dimension.  Exponential in the largest maximal
         face, so guarded: raises if the powerset budget exceeds ``limit``."""
-        budget = sum(2 ** len(m) for m in self.maximal)
+        budget = sum(2 ** m.bit_count() for m in self.maximal)
         if budget > limit:
             raise ValueError(
                 "refusing to expand %d powerset candidates (limit %d)" % (budget, limit))
-        out: set[Face] = set()
+        out: set[int] = set()
         for m in self.maximal:
-            for r in range(1, len(m) + 1):
-                out.update(itertools.combinations(m, r))
+            sub = m
+            while sub:  # every nonempty submask of m
+                out.add(sub)
+                sub = (sub - 1) & m
         return out
-
-
-def neighborhood_complex(g: Graph) -> NbhdComplex:
-    return NbhdComplex(g)
 
 
 @lru_cache(maxsize=None)
 def complex_for(kind: str, k: int) -> NbhdComplex:
     return NbhdComplex(graphs.graph(kind, k))
-
-
-def containment_pairs(cx, d: int) -> Iterator[tuple[Face, Face]]:
-    """All codimension-1 containments (sigma, tau) with tau a d-face.
-
-    Every facet of a face is a face, so dropping each member of each d-face
-    lists each pair exactly once.
-    """
-    for tau in cx.faces(d):
-        for i in range(len(tau)):
-            yield (tau[:i] + tau[i + 1:], tau)
-

@@ -14,13 +14,16 @@ Rotation x -> x+j (mod k+6) permutes the ground set, preserves stability and
 is an automorphism of all three graphs.  Every unstable triple is a rotation
 of {1, 2, l} for a unique l in {3, ..., k+5}; ``unstable_rep`` recovers that
 normal form.
+
+``triple_index(k)`` numbers all triples of [k+6] in lex order; bit b of a
+face mask stands for triple b of that index, in every complex at that k.
 """
 
 from __future__ import annotations
 
 import itertools
 from functools import lru_cache
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 KG = "kg"
 S = "s"
@@ -73,77 +76,83 @@ def all_triples(k: int) -> list[Vertex]:
 
 
 def rotate(x, j: int, k: int):
-    """Rotate ground elements by j (mod k+6).
-
-    Accepts a single element (int), a vertex (tuple of ints), or a collection
-    of vertices; containers keep their type, vertices come back sorted.
-    """
+    """Rotate a ground element (int) or a triple (sorted on return) by j
+    (mod k+6)."""
     n = ground_size(k)
     if isinstance(x, int):
         return (x + j - 1) % n + 1
-    seq = tuple(x)
-    if all(isinstance(e, int) for e in seq):
-        t = tuple(sorted((e + j - 1) % n + 1 for e in seq))
-        return t
-    rotated = (rotate(v, j, k) for v in seq)
-    if isinstance(x, frozenset):
-        return frozenset(rotated)
-    if isinstance(x, set):
-        return set(rotated)
-    if isinstance(x, list):
-        return list(rotated)
-    return tuple(sorted(rotated))
+    return tuple(sorted((e + j - 1) % n + 1 for e in x))
 
 
 def unstable_rep(v, k: int) -> tuple[int, int]:
     """Write an unstable triple as rotate({1,2,l}, j); returns (l, j).
 
-    The representation with l in {3, ..., k+5} is unique; the search order
-    (smallest j, then smallest l) is a tie-break that never fires but makes
-    the contract deterministic.
+    A cyclically adjacent pair {a, a+1} of the triple fixes j = a - 1, and l
+    is the third element rotated back by j.  A run {a, a+1, a+2} has two
+    such pairs; only the lower one gives l in {3, ..., k+5}, which makes the
+    representation unique (asserted).
     """
     t = check_vertex(v, k)
-    if is_stable(t, k):
-        raise ValueError("%r is stable; it has no {1,2,l} normal form" % (v,))
     n = ground_size(k)
-    for j in range(n):
-        for l in range(3, n):
-            if rotate((1, 2, l), j, k) == t:
-                return (l, j)
-    raise AssertionError("unreachable: every unstable triple is some 12l+j")
+    found = []
+    for a in t:
+        if a % n + 1 in t:
+            (c,) = set(t) - {a, a % n + 1}
+            l = (c - a) % n + 1
+            if 3 <= l <= n - 1:
+                found.append((l, a - 1))
+    if not found:
+        raise ValueError("%r is stable; it has no {1,2,l} normal form" % (v,))
+    if len(found) > 1:
+        raise AssertionError("%r has two {1,2,l} normal forms: %r" % (v, found))
+    return found[0]
+
+
+class TripleIndex(NamedTuple):
+    """All triples of [k+6] in lex order: bit b of a face mask stands for
+    ``triples[b]``; ``ground[b]`` is its ground-element mask and ``stable``
+    the face mask of the stable triples."""
+    triples: tuple
+    bit: dict
+    ground: tuple
+    stable: int
+
+
+@lru_cache(maxsize=None)
+def triple_index(k: int) -> TripleIndex:
+    pool = all_triples(k)
+    stable = sum(1 << b for b, t in enumerate(pool) if is_stable(t, k))
+    return TripleIndex(tuple(pool), {t: b for b, t in enumerate(pool)},
+                       tuple(vertex_mask(t) for t in pool), stable)
 
 
 class Graph:
     """One graph family instance with bitset adjacency.
 
     ``adj[i]`` is an integer whose bit b is set iff vertex b (by index in the
-    lex-sorted vertex list) is adjacent to vertex i.
+    lex-sorted vertex list) is adjacent to vertex i.  For ``kg`` and ``s``
+    the vertex list is the whole of ``triple_index(k)``, so their rows are
+    face masks.
     """
 
-    __slots__ = ("kind", "k", "n", "verts", "index", "masks", "stable", "adj")
+    __slots__ = ("kind", "k", "verts", "index", "adj")
 
     def __init__(self, kind: str, k: int):
         if kind not in KINDS:
             raise ValueError("unknown graph kind %r (want one of %s)" % (kind, ", ".join(KINDS)))
         self.kind = kind
         self.k = k
-        self.n = ground_size(k)
-        pool = all_triples(k)
-        stable_flags = {t: is_stable(t, k) for t in pool}
-        if kind == SG:
-            pool = [t for t in pool if stable_flags[t]]
-        self.verts: list[Vertex] = pool
-        self.index: dict[Vertex, int] = {t: i for i, t in enumerate(pool)}
-        self.masks: list[int] = [vertex_mask(t) for t in pool]
-        self.stable: list[bool] = [stable_flags[t] for t in pool]
+        ix = triple_index(k)
+        bits = [b for b in range(len(ix.triples)) if kind != SG or ix.stable >> b & 1]
+        self.verts: list[Vertex] = [ix.triples[b] for b in bits]
+        self.index: dict[Vertex, int] = {t: i for i, t in enumerate(self.verts)}
         adj = []
-        for i, t in enumerate(pool):
+        for b in bits:
             row = 0
-            mi, si = self.masks[i], self.stable[i]
-            for jx, u in enumerate(pool):
-                if jx == i or (mi & self.masks[jx]):
+            for jx, c in enumerate(bits):
+                if ix.ground[b] & ix.ground[c]:  # meeting triples, a triple and itself included
                     continue
-                if kind == S and not (si or self.stable[jx]):
+                if kind == S and not (ix.stable >> b | ix.stable >> c) & 1:
                     continue
                 row |= 1 << jx
             adj.append(row)
@@ -156,31 +165,26 @@ class Graph:
         except KeyError:
             raise ValueError("%r is not a vertex of %s_(3,%d)" % (v, self.kind, self.k)) from None
 
-    def adjacent(self, u, v) -> bool:
-        iu, iv = self.vertex_index(u), self.vertex_index(v)
-        return bool(self.adj[iu] >> iv & 1)
+    def common_neighbors(self, face: int) -> int:
+        """Common neighbors of the vertices in a mask over ``verts``, as such
+        a mask; -1 (every vertex) for the empty face."""
+        nb = -1
+        while face:
+            low = face & -face
+            nb &= self.adj[low.bit_length() - 1]
+            face ^= low
+        return nb
 
     def neighborhood(self, A: Iterable) -> list[Vertex]:
         """Common neighbors of all vertices in A, lex sorted.
 
         The intersection over an empty A is the whole vertex set.
         """
-        bits = -1
+        face = 0
         for v in A:
-            bits &= self.adj[self.vertex_index(v)]
-            if bits == 0:
-                return []
-        if bits == -1:
-            return list(self.verts)
-        out = []
-        while bits:
-            b = bits & -bits
-            out.append(self.verts[b.bit_length() - 1])
-            bits ^= b
-        return out
-
-    def degree(self, v) -> int:
-        return self.adj[self.vertex_index(v)].bit_count()
+            face |= 1 << self.vertex_index(v)
+        nb = self.common_neighbors(face)
+        return [t for b, t in enumerate(self.verts) if nb >> b & 1]
 
     def edges(self) -> Iterator[tuple[Vertex, Vertex]]:
         for i, row in enumerate(self.adj):

@@ -7,6 +7,11 @@ without a unit entry goes through a small dense textbook SNF.  Ranks are
 double-checked modulo two large primes: the mod-p rank must equal the number
 of invariant factors not divisible by p.
 
+Faces are integer bitmasks, one bit per vertex, and each dimension's basis
+is its faces in increasing mask order.  The boundary drops one bit at a
+time with sign (-1)^i, where i is the number of set bits below the dropped
+one: the usual alternating sign with the vertices ordered by bit.
+
 Betti numbers in dimension d come from b_d = n_d - rank d_d - rank d_{d+1};
 the reduced variant augments with the empty-face row.  Relative homology of
 a pair (X, A) uses the same machinery on the quotient cells (faces of X not
@@ -262,7 +267,7 @@ def smith_normal_form(matrix: SparseIntMatrix, precheck: bool = True,
 def boundary_matrix(X, d: int, reduced: bool = False) -> SparseIntMatrix:
     """Boundary from d-faces to (d-1)-faces in the bases X.faces(d-1), X.faces(d).
 
-    Faces are sorted tuples, so dropping index i carries sign (-1)^i.  A facet
+    Dropping a bit with i set bits below it carries sign (-1)^i.  A facet
     absent from X.faces(d-1) contributes nothing; that convention makes the
     same builder serve quotient (relative) families.  For d = 0 the reduced
     flag adds the augmentation row onto the empty face.
@@ -276,10 +281,14 @@ def boundary_matrix(X, d: int, reduced: bool = False) -> SparseIntMatrix:
     rindex = {f: i for i, f in enumerate(rows)}
     triples = []
     for j, f in enumerate(cols):
-        for idx in range(len(f)):
-            i = rindex.get(f[:idx] + f[idx + 1:])
+        rest, sign = f, 1
+        while rest:
+            low = rest & -rest
+            i = rindex.get(f ^ low)
             if i is not None:
-                triples.append((i, j, -1 if idx & 1 else 1))
+                triples.append((i, j, sign))
+            rest ^= low
+            sign = -sign
     return SparseIntMatrix(len(rows), len(cols), triples)
 
 

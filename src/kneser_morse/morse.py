@@ -7,10 +7,8 @@ has no directed cycle; an arc keeps the dimension of the lower face, so one
 search keyed by lower faces covers every dimension.  Unmatched faces are
 critical.
 
-Faces can be canonical simplex keys (sorted tuples of vertex triples) or
-plain integer bitmasks; the helpers below dispatch on the type, so the same
-verification code drives both the small tuple-based complexes and the large
-bitmask-encoded fiber families.
+Faces are integer bitmasks, bit b standing for one vertex: a facet drops
+one bit and a cover adds one.
 """
 
 from __future__ import annotations
@@ -18,33 +16,19 @@ from __future__ import annotations
 from typing import Callable, Hashable, Iterable, Iterator
 
 
-def face_dim(face) -> int:
-    """Number of vertices minus one."""
-    if isinstance(face, int):
-        return face.bit_count() - 1
-    return len(face) - 1
-
-
-def face_facets(face) -> Iterator:
+def face_facets(face: int) -> Iterator[int]:
     """All faces obtained by dropping one vertex."""
-    if isinstance(face, int):
-        m = face
-        while m:
-            b = m & -m
-            yield face ^ b
-            m ^= b
-    else:
-        for i in range(len(face)):
-            yield face[:i] + face[i + 1:]
+    m = face
+    while m:
+        b = m & -m
+        yield face ^ b
+        m ^= b
 
 
-def is_cover(sigma, tau) -> bool:
+def is_cover(sigma: int, tau: int) -> bool:
     """True iff tau = sigma plus exactly one vertex."""
-    if isinstance(sigma, int) and isinstance(tau, int):
-        extra = tau & ~sigma
-        return (tau & sigma) == sigma and extra != 0 and extra & (extra - 1) == 0
-    ss, ts = set(sigma), set(tau)
-    return len(ts) == len(ss) + 1 and ss < ts
+    extra = tau & ~sigma
+    return (tau & sigma) == sigma and extra != 0 and extra & (extra - 1) == 0
 
 
 class PairError(ValueError):
@@ -84,37 +68,26 @@ class Matching:
         return set(self.partner)
 
 
-def element_matching(delta: Iterable, x) -> tuple[Matching, set]:
+def element_matching(delta: Iterable[int], x: int) -> tuple[Matching, set]:
     """Match sigma with sigma+x whenever both lie in delta.
 
     Returns the matching together with the matched subfamily (every face of
     delta whose x-toggle also lies in delta); that subfamily is perfectly
-    matched and the recursion continues on the rest.  ``x`` is a vertex for
-    tuple faces or a one-bit mask for integer faces.
+    matched and the recursion continues on the rest.  ``x`` is a one-bit
+    mask.
     """
+    if x <= 0 or x & (x - 1):
+        raise ValueError("toggle %r is not a single bit" % (x,))
     dset = set(delta)
     pairs = []
     matched = set()
-    if all(isinstance(f, int) for f in dset):
-        bit = x
-        if not isinstance(bit, int) or bit == 0 or bit & (bit - 1):
-            raise ValueError("toggle %r is not a single bit" % (x,))
-        for f in dset:
-            if not f & bit:
-                up = f | bit
-                if up in dset:
-                    pairs.append((f, up))
-                    matched.add(f)
-                    matched.add(up)
-    else:
-        xv = tuple(sorted(x))
-        for f in dset:
-            if xv not in f:
-                up = tuple(sorted(f + (xv,)))
-                if up in dset:
-                    pairs.append((f, up))
-                    matched.add(f)
-                    matched.add(up)
+    for f in dset:
+        if not f & x:
+            up = f | x
+            if up in dset:
+                pairs.append((f, up))
+                matched.add(f)
+                matched.add(up)
     return Matching(pairs), matched
 
 

@@ -30,7 +30,9 @@ family.
 Faces of one family are stored as bitmasks over the triples inside the
 family support (lex ordered in a family built directly), so a toggle is a
 single XOR and the covered part of the ground set comes from a subset
-table built once per family.
+table built once per family.  The filtration stages, like every complex,
+hold masks over ``graphs.triple_index(k)``; a family reaches that index
+through one ``remap`` table per family.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from typing import Iterable, NamedTuple
 
 from . import graphs
 from .collapse import MatchingError, index_I, index_J, pair_of, parse_four, parse_three
-from .complexes import NbhdComplex, complement_set, complex_for, face_key
+from .complexes import NbhdComplex, complement_set, complex_for, decode, face_key, remap
 # element_matching and is_cover have no caller here, but perfbench's tracer
 # counts them in every module that binds them and its self-test expects
 # these bindings
@@ -55,7 +57,7 @@ from .morse import Matching, PairError, element_matching, is_acyclic, is_cover  
 SCAN_BITS = 22
 
 
-def level1_contains(sigma, k: int) -> bool:
+def level1_contains(sigma: int, k: int) -> bool:
     """Membership in the mixed-graph complex, via the missed set.
 
     A face of the full complex lies in the complex of the mixed graph iff
@@ -64,19 +66,18 @@ def level1_contains(sigma, k: int) -> bool:
     triple is a common stable neighbor).  Cheaper than an is_face query and
     independent of it; the two are compared in the tests.
     """
-    fk = face_key(sigma)
-    if not fk:
+    if not sigma:
         raise ValueError("the empty face belongs to every stage")
-    comp = complement_set(fk, k).complement
+    comp = complement_set(sigma, k).complement
     if len(comp) < 3:
         raise ValueError("%r misses only %d ground elements; not a face of the full complex"
-                         % (sigma, len(comp)))
-    if all(graphs.is_stable(v, k) for v in fk):
+                         % (decode(sigma, graphs.triple_index(k).triples), len(comp)))
+    if not sigma & ~graphs.triple_index(k).stable:
         return True
     return any(graphs.is_stable(t, k) for t in itertools.combinations(comp, 3))
 
 
-def _level2_extras(k: int) -> list[list[tuple]]:
+def _level2_extras(k: int) -> list[int]:
     """Generating faces added at the middle stage: per missed 4-set with no
     stable triple inside (two disjoint adjacent pairs), all triples avoiding
     it.  Missed 4-sets containing a stable triple add nothing new."""
@@ -86,7 +87,7 @@ def _level2_extras(k: int) -> list[list[tuple]]:
         for j in index_J(i, k):
             miss = set(pair_of(i, k)) | set(pair_of(j, k))
             support = [x for x in range(1, n + 1) if x not in miss]
-            face = list(itertools.combinations(support, 3))
+            face = face_key(itertools.combinations(support, 3), k)
             if face:
                 out.append(face)
     return out
@@ -114,7 +115,7 @@ def _filtration(k: int, level: int) -> NbhdComplex:
     if level == 3:
         return complex_for('kg', k)
     base = complex_for('s', k)
-    gens = [list(m) for m in base.maximal] + _level2_extras(k)
+    gens = base.maximal + _level2_extras(k)
     return NbhdComplex.from_maximal(k, gens)
 
 
@@ -126,24 +127,25 @@ class PQTag(NamedTuple):
     fiber: tuple  # lex-least unstable member, the sub-fiber label
 
 
-def pq_classify(sigma, k: int) -> PQTag:
+def pq_classify(sigma: int, k: int) -> PQTag:
     """Locate a face of the full complex outside the mixed one.
 
     The missed set determines (family, i, j) uniquely: runs of three or
     four are read starting at the lower adjacent pair, and any other shape
     would put the face inside level 1 or break the partition, which raises.
     """
-    fk = face_key(graphs.check_vertex(v, k) for v in sigma)
-    if not fk:
+    if not sigma:
         raise MatchingError("the empty face carries no tag")
-    comp = complement_set(fk, k).complement
+    ix = graphs.triple_index(k)
+    comp = complement_set(sigma, k).complement
     if len(comp) < 3:
         raise MatchingError("%r misses only %d ground elements; not a face of the full complex"
-                            % (sigma, len(comp)))
-    if level1_contains(fk, k):
+                            % (decode(sigma, ix.triples), len(comp)))
+    if level1_contains(sigma, k):
         raise MatchingError("%r lies in the mixed complex; the families cover only the outside"
-                            % (sigma,))
-    least = min(v for v in fk if not graphs.is_stable(v, k))
+                            % (decode(sigma, ix.triples),))
+    unstable = sigma & ~ix.stable
+    least = ix.triples[(unstable & -unstable).bit_length() - 1]
     if len(comp) == 3:
         parsed = parse_three(comp, k)
         if parsed is None:
@@ -408,26 +410,10 @@ class FamilyMatching:
     fibers: list
 
     def decode(self, mask: int) -> tuple:
-        return _decode(mask, self.triples)
-
-    def decoded_pairs(self) -> list[tuple]:
-        return [(self.decode(a), self.decode(b)) for a, b in self.pairs]
+        return decode(mask, self.triples)
 
     def decoded_critical(self) -> list[tuple]:
         return [self.decode(c) for c in self.critical]
-
-    def matching(self) -> Matching:
-        return Matching(self.pairs)
-
-
-def _decode(mask: int, triples: tuple) -> tuple:
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(triples[low.bit_length() - 1])
-        mask ^= low
-    out.sort()  # bit order is lex only in families built directly
-    return tuple(out)
 
 
 def p_complement(k: int, i: int, j: int) -> tuple:
@@ -498,13 +484,14 @@ def _matching_p1(k: int, j: int, cset: tuple) -> FamilyMatching:
         ident = {f for f in faces
                  if f & wall == wall and all(fam.cover[f & ~wb] != full for wb in wbits)}
         if residue != ident:
-            raise MatchingError("toggle run of label %r disagrees with the residue identity (j=%d)"
-                                % (v, j))
+            raise MatchingError("toggle run of label %r disagrees with the residue identity at %r (j=%d)"
+                                % (v, decode(min(residue ^ ident), fam.triples), j))
         if v in retain:
             want = critical_form(v, j, k)
-            if len(residue) != 1 or _decode(next(iter(residue)), fam.triples) != want:
-                raise MatchingError("label %r kept %d cells instead of its closed form (j=%d)"
-                                    % (v, len(residue), j))
+            kept = [decode(f, fam.triples) for f in residue]
+            if kept != [want]:
+                raise MatchingError("label %r kept %r instead of its closed form %r (j=%d)"
+                                    % (v, kept, want, j))
         elif v in clear:
             if residue:
                 raise MatchingError("label %r should clear but kept %d cells (j=%d)"
@@ -526,7 +513,7 @@ def _matching_p1(k: int, j: int, cset: tuple) -> FamilyMatching:
     # the union is the only place the pairs are validated: each one covers,
     # no face is matched twice, and every pair stays inside the family
     try:
-        matching = result.matching()
+        matching = Matching(result.pairs)
     except PairError as e:
         raise MatchingError("family (1, %d) pairs: %s, decoded %r"
                             % (j, e, [result.decode(f) for f in e.faces])) from e
@@ -633,6 +620,15 @@ def q_indices(k: int) -> list[tuple[int, int]]:
     return out
 
 
+def _to_index(fm: FamilyMatching, pairs: list, crit: list) -> None:
+    """Append the pairs and critical cells of a family, remapped from its
+    local bits onto the per-k index, to ``pairs`` and ``crit``."""
+    bit = graphs.triple_index(fm.k).bit
+    table = [1 << bit[t] for t in fm.triples]
+    pairs.extend((remap(a, table), remap(b, table)) for a, b in fm.pairs)
+    crit.extend(remap(c, table) for c in fm.critical)
+
+
 def _compose_layer(k: int, pairs: list, crit: list, upper: int, lower: int, tag: str) -> None:
     """Check one whole layer at once: the union of the family matchings is
     acyclic over the faces of the upper stage, and what it leaves unmatched
@@ -641,7 +637,9 @@ def _compose_layer(k: int, pairs: list, crit: list, upper: int, lower: int, tag:
     m = Matching(pairs)
     ok, cyc = is_acyclic(m, cells=cells)
     if not ok:
-        raise MatchingError("%s layer matching has a directed cycle through %r" % (tag, cyc[:2]))
+        triples = graphs.triple_index(k).triples
+        raise MatchingError("%s layer matching has a directed cycle through %r"
+                            % (tag, [decode(a, triples) for a, _ in cyc[:2]]))
     left = cells - m.matched()
     want = filtration(k, lower).all_faces() | set(crit)
     if left != want:
@@ -713,8 +711,8 @@ def theorem3_counts(k: int, *, census: bool | None = None) -> dict:
         by_base.setdefault(graphs.rotate(j, 1 - i, k), []).append((i, j))
     placed: dict[tuple, tuple] = {}
     observed_k = 0
-    p_pairs_dec: list = []
-    p_crit_dec: list = []
+    p_pairs: list = []
+    p_crit: list = []
     for jp in label_order_I(1, k):
         base = matching_P(k, 1, jp)
         for i, j in by_base[jp]:
@@ -725,17 +723,16 @@ def theorem3_counts(k: int, *, census: bool | None = None) -> dict:
             placed[(i, j)] = ('P', i, j, len(fm.faces), len(fm.critical), k)
             observed_k += len(fm.critical)
             if compose:
-                p_pairs_dec.extend(fm.decoded_pairs())
-                p_crit_dec.extend(fm.decoded_critical())
+                _to_index(fm, p_pairs, p_crit)
         del base, fm
     if compose:
-        _compose_layer(k, p_pairs_dec, p_crit_dec, 3, 2, "top")
+        _compose_layer(k, p_pairs, p_crit, 3, 2, "top")
     if observed_k != extra_k:
         raise MatchingError("dimension-k survivors total %d, formula says %d" % (observed_k, extra_k))
     rows = [placed[ij] for ij in p_order]
     observed_km1 = 0
-    q_pairs_dec: list = []
-    q_crit_dec: list = []
+    q_pairs: list = []
+    q_crit: list = []
     for i, j in q_indices(k):
         if k == 0:
             fam = family_faces(k, q_complement(k, i, j))
@@ -750,10 +747,9 @@ def theorem3_counts(k: int, *, census: bool | None = None) -> dict:
         rows.append(('Q', i, j, len(fm.faces), len(fm.critical), k - 1))
         observed_km1 += len(fm.critical)
         if compose:
-            q_pairs_dec.extend(fm.decoded_pairs())
-            q_crit_dec.extend(fm.decoded_critical())
+            _to_index(fm, q_pairs, q_crit)
     if compose and k >= 1:
-        _compose_layer(k, q_pairs_dec, q_crit_dec, 2, 1, "middle")
+        _compose_layer(k, q_pairs, q_crit, 2, 1, "middle")
     if observed_km1 != extra_km1:
         raise MatchingError("dimension-(k-1) survivors total %d, formula says %d"
                             % (observed_km1, extra_km1))

@@ -18,8 +18,8 @@ from kneser_morse.collapse import (
     label_key, matching_B, pair_of, parse_three, pivot_vertex,
     stratum_length, theorem2_matching, _delta_table, _s_faces,
 )
-from kneser_morse.complexes import complex_for, face_key
-from kneser_morse.graphs import ground_size, rotate
+from kneser_morse.complexes import complex_for, decode, face_key
+from kneser_morse.graphs import ground_size, rotate, triple_index
 from kneser_morse.homology import (
     CHECK_PRIMES, betti, boundary_matrix, rank_mod_p, relative_betti,
     smith_normal_form,
@@ -176,7 +176,7 @@ def _check_delta_classes_k3():
         if not family:
             continue
         p = pivot_vertex(3, l)
-        _, matched = morse.element_matching(family, p)
+        _, matched = morse.element_matching(family, face_key([p], 3))
         buckets = {}
         for sigma in family - matched:
             buckets.setdefault(delta_decompose(3, l, sigma), set()).add(sigma)
@@ -190,7 +190,8 @@ def _check_delta_classes_k3():
             if sub_k <= 1:
                 oks.append(not bucket)
                 continue
-            image = {face_key(rotate(tuple(v for v in f if v != p), -shift, 3))
+            image = {face_key([rotate(v, -shift, 3) for v in decode(f, triple_index(3).triples)
+                               if v != p], sub_k)
                      for f in bucket}
             oks.append(len(image) == len(bucket)
                        and image == set(a_family(sub_k, s, t)))
@@ -213,7 +214,8 @@ def _check_b_pullbacks():
             shift = 8 - u
             parsed = parse_three(
                 frozenset(rotate(pair_of(s, 3), shift, 3)) | {8}, 2)
-            image = {face_key(rotate(f, shift, 3)) for f in fam}
+            image = {face_key([rotate(v, shift, 3) for v in decode(f, triple_index(3).triples)], 2)
+                     for f in fam}
             oks.append(parsed is not None and len(image) == len(fam)
                        and image == set(a_family(2, *parsed)))
             m = matching_B(3, s, u)
@@ -227,8 +229,8 @@ def _check_euler_and_mod_p():
     for k in (0, 1, 2):
         rep = theorem2_matching(k)
         faces = _s_faces(k)
-        full = sum((-1) ** (len(f) - 1) for f in faces)
-        crit = sum((-1) ** (len(c) - 1) for c in rep.critical)
+        full = sum((-1) ** (f.bit_count() - 1) for f in faces)
+        crit = sum((-1) ** (c.bit_count() - 1) for c in rep.critical)
         oks.append(full == crit)
         oks.append(len(faces) == 2 * len(rep.matching.pairs) + len(rep.critical))
     for kind, k in [('s', 0), ('s', 1), ('sg', 1)]:

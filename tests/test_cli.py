@@ -3,6 +3,8 @@
 import json
 import re
 
+import pytest
+
 from kneser_morse import cli
 from kneser_morse.cli import main
 
@@ -134,6 +136,15 @@ def test_depth_counts_runs_no_census(monkeypatch, capsys):
     by_name = {r['name']: r for r in json.loads(out)['results']}
     assert by_name['theorem3-formula']['detail']['censused'] is False
     assert by_name['theorem3-formula']['detail']['predicted_t'] == 181
+    # verify all shares that one formula-only call with its family targets
+    calls.clear()
+    code, out, _ = run(capsys, "verify", "all", "--k", "1", "--depth", "counts",
+                       "--format", "json")
+    assert code == 0
+    assert calls == [False]
+    by_name = {r['name']: r['detail'] for r in json.loads(out)['results']}
+    assert by_name['p-families'] == {'families': 28, 'critical_total': 84}
+    assert by_name['q-families'] == {'families': 14, 'critical_total': 14}
 
 
 def test_verify_lemma_requires_name(capsys):
@@ -238,3 +249,186 @@ def test_verify_all_shares_a_census_failure(monkeypatch, capsys):
               if not r['pass']}
     assert set(failed) == {'theorem3-census', 'p-families', 'q-families'}
     assert all(e == "RuntimeError: synthetic census" for e in failed.values())
+
+
+# Reports of the parent of the single face encoding, elapsed_ms masked.
+THEOREM2_K1 = {
+    'command': 'verify',
+    'k': 1,
+    'results': [
+        {
+            'name': 'theorem2-collapse',
+            'k': 1,
+            'pass': True,
+            'detail': {
+                'cells': 98,
+                'pairs': 42,
+                'critical': 14,
+                'records': [
+                    {
+                        'lemma': 'sg-matching', 'fiber': 'SG', 'cells': 14, 'pairs': 0,
+                        'acyclic': True, 'perfect': False, 'critical_count': 14,
+                    },
+                    {
+                        'lemma': 'c-matching', 'fiber': 'C v=467', 'cells': 4, 'pairs': 2,
+                        'acyclic': True, 'perfect': True, 'critical_count': 0,
+                    },
+                    {
+                        'lemma': 'c-matching', 'fiber': 'C v=457', 'cells': 4, 'pairs': 2,
+                        'acyclic': True, 'perfect': True, 'critical_count': 0,
+                    },
+                    {
+                        'lemma': 'c-matching', 'fiber': 'C v=356', 'cells': 4, 'pairs': 2,
+                        'acyclic': True, 'perfect': True, 'critical_count': 0,
+                    },
+                    {
+                        'lemma': 'c-matching', 'fiber': 'C v=346', 'cells': 4, 'pairs': 2,
+                        'acyclic': True, 'perfect': True, 'critical_count': 0,
+                    },
+                    {
+                        'lemma': 'c-matching', 'fiber': 'C v=267', 'cells': 8, 'pairs': 4,
+                        'acyclic': True, 'perfect': True, 'critical_count': 0,
+                    },
+                    {
+                        'lemma': 'c-matching', 'fiber': 'C v=245', 'cells': 8, 'pairs': 4,
+                        'acyclic': True, 'perfect': True, 'critical_count': 0,
+                    },
+                    {
+                        'lemma': 'c-matching', 'fiber': 'C v=237', 'cells': 4, 'pairs': 2,
+                        'acyclic': True, 'perfect': True, 'critical_count': 0,
+                    },
+                    {
+                        'lemma': 'c-matching', 'fiber': 'C v=235', 'cells': 8, 'pairs': 4,
+                        'acyclic': True, 'perfect': True, 'critical_count': 0,
+                    },
+                    {
+                        'lemma': 'c-matching', 'fiber': 'C v=157', 'cells': 4, 'pairs': 2,
+                        'acyclic': True, 'perfect': True, 'critical_count': 0,
+                    },
+                    {
+                        'lemma': 'c-matching', 'fiber': 'C v=156', 'cells': 8, 'pairs': 4,
+                        'acyclic': True, 'perfect': True, 'critical_count': 0,
+                    },
+                    {
+                        'lemma': 'c-matching', 'fiber': 'C v=137', 'cells': 8, 'pairs': 4,
+                        'acyclic': True, 'perfect': True, 'critical_count': 0,
+                    },
+                    {
+                        'lemma': 'c-matching', 'fiber': 'C v=134', 'cells': 8, 'pairs': 4,
+                        'acyclic': True, 'perfect': True, 'critical_count': 0,
+                    },
+                    {
+                        'lemma': 'c-matching', 'fiber': 'C v=126', 'cells': 4, 'pairs': 2,
+                        'acyclic': True, 'perfect': True, 'critical_count': 0,
+                    },
+                    {
+                        'lemma': 'c-matching', 'fiber': 'C v=124', 'cells': 8, 'pairs': 4,
+                        'acyclic': True, 'perfect': True, 'critical_count': 0,
+                    },
+                    {
+                        'lemma': 's3k-collapse', 'fiber': 'all', 'cells': 98, 'pairs': 42,
+                        'acyclic': True, 'perfect': False, 'critical_count': 14,
+                    },
+                ],
+            },
+        },
+    ],
+    'seed': 0,
+    'elapsed_ms': 0,
+}
+
+
+THEOREM3_K1_FULL_SNF = {
+    'command': 'verify',
+    'k': 1,
+    'results': [
+        {
+            'name': 'theorem3-census',
+            'k': 1,
+            'pass': True,
+            'detail': {
+                'extra_k_cells': 84,
+                'extra_km1_cells': 14,
+                'predicted_t': 71,
+                'censused': True,
+                'families': 42,
+                'rows': [
+                    ['P', 1, 3, 11, 3, 1], ['P', 1, 4, 11, 3, 1], ['P', 1, 5, 11, 3, 1],
+                    ['P', 1, 6, 11, 3, 1], ['P', 2, 4, 11, 3, 1], ['P', 2, 5, 11, 3, 1],
+                    ['P', 2, 6, 11, 3, 1], ['P', 2, 7, 11, 3, 1], ['P', 3, 5, 11, 3, 1],
+                    ['P', 3, 6, 11, 3, 1], ['P', 3, 7, 11, 3, 1], ['P', 3, 1, 11, 3, 1],
+                    ['P', 4, 6, 11, 3, 1], ['P', 4, 7, 11, 3, 1], ['P', 4, 1, 11, 3, 1],
+                    ['P', 4, 2, 11, 3, 1], ['P', 5, 7, 11, 3, 1], ['P', 5, 1, 11, 3, 1],
+                    ['P', 5, 2, 11, 3, 1], ['P', 5, 3, 11, 3, 1], ['P', 6, 1, 11, 3, 1],
+                    ['P', 6, 2, 11, 3, 1], ['P', 6, 3, 11, 3, 1], ['P', 6, 4, 11, 3, 1],
+                    ['P', 7, 2, 11, 3, 1], ['P', 7, 3, 11, 3, 1], ['P', 7, 4, 11, 3, 1],
+                    ['P', 7, 5, 11, 3, 1], ['Q', 1, 3, 1, 1, 0], ['Q', 1, 4, 1, 1, 0],
+                    ['Q', 1, 5, 1, 1, 0], ['Q', 1, 6, 1, 1, 0], ['Q', 2, 4, 1, 1, 0],
+                    ['Q', 2, 5, 1, 1, 0], ['Q', 2, 6, 1, 1, 0], ['Q', 2, 7, 1, 1, 0],
+                    ['Q', 3, 5, 1, 1, 0], ['Q', 3, 6, 1, 1, 0], ['Q', 3, 7, 1, 1, 0],
+                    ['Q', 4, 6, 1, 1, 0], ['Q', 4, 7, 1, 1, 0], ['Q', 5, 7, 1, 1, 0],
+                ],
+            },
+        },
+        {
+            'name': 'theorem3-betti', 'k': 1, 'pass': True,
+            'detail': {'numbers': [0, 71, 0], 'wanted': [0, 71, 0]},
+        },
+        {
+            'name': 'theorem3-relative-top', 'k': 1, 'pass': True,
+            'detail': {'numbers': [0, 84, 0], 'wanted': [0, 84, 0]},
+        },
+        {
+            'name': 'theorem3-relative-mid', 'k': 1, 'pass': True,
+            'detail': {'numbers': [14, 0], 'wanted': [14, 0]},
+        },
+    ],
+    'seed': 0,
+    'elapsed_ms': 0,
+}
+
+
+BETTI_KG_K1 = {
+    'command': 'betti',
+    'k': 1,
+    'results': [
+        {
+            'name': 'betti-kg',
+            'k': 1,
+            'pass': True,
+            'detail': {
+                'numbers': [0, 71, 0], 'torsion': [[], [], []], 'cells': [35, 210, 140],
+                'reduced': True,
+            },
+        },
+    ],
+    'seed': 0,
+    'elapsed_ms': 0,
+}
+
+
+BUILD_SG_K1 = {
+    'command': 'build',
+    'k': 1,
+    'results': [
+        {
+            'name': 'build-sg', 'k': 1, 'pass': True,
+            'detail': {'vertices': 7, 'edges': 7, 'maximal_faces': 7, 'dim': 1,
+                       'maximal_by_size': {'2': 7}},
+        },
+    ],
+    'seed': 0,
+    'elapsed_ms': 0,
+}
+
+
+@pytest.mark.parametrize("argv,expected", [
+    (("verify", "theorem2", "--k", "1"), THEOREM2_K1),
+    (("verify", "theorem3", "--k", "1", "--depth", "full-snf"), THEOREM3_K1_FULL_SNF),
+    (("betti", "--k", "1", "--kind", "kg"), BETTI_KG_K1),
+    (("build", "--k", "1", "--kind", "sg"), BUILD_SG_K1),
+])
+def test_reports_match_the_pinned_parent(capsys, argv, expected):
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert code == 0
+    assert mask_elapsed(out) == json.dumps(expected, indent=2) + "\n"

@@ -17,8 +17,12 @@ from kneser_morse.collapse import (
     matching_C, pair_of, parse_three, parse_four, pivot_vertex,
     stratum_length, theorem2_matching, _delta_table, _s_faces,
 )
-from kneser_morse.complexes import complex_for, face_key
-from kneser_morse.graphs import ground_size, is_stable, rotate
+from kneser_morse.complexes import complex_for, decode, face_key
+from kneser_morse.graphs import ground_size, is_stable, rotate, triple_index
+
+
+def members(sigma, k):
+    return decode(sigma, triple_index(k).triples)
 
 
 def test_pair_of_wraps():
@@ -72,9 +76,9 @@ def test_parse_three_is_a_bijection_on_its_range(k):
 def test_a_family_fixture():
     # k=2, complement {1,2,4}: stable covers of {3,5,6,7,8}
     fam = a_family(2, 1, 4)
-    assert all(all(is_stable(v, 2) for v in f) for f in fam)
+    assert all(all(is_stable(v, 2) for v in members(f, 2)) for f in fam)
     for f in fam:
-        used = set().union(*map(set, f))
+        used = set().union(*map(set, members(f, 2)))
         assert used == {3, 5, 6, 7, 8}
     with pytest.raises(ValueError):
         a_family(2, 1, 2)
@@ -125,8 +129,9 @@ def test_classifier_buckets_match_enumerated_families(k):
 def test_classify_rejects_garbage_complements():
     # a nonface would be the only way to reach an unparseable shape; the
     # classifier itself must never default silently
-    with pytest.raises((MatchingError, AssertionError, KeyError, ValueError)):
-        classify(((9, 9, 9),), 0)
+    # {135, 246} is all stable and misses nothing, so no family fits it
+    with pytest.raises(MatchingError, match="contains no stable triple"):
+        classify(face_key([(1, 3, 5), (2, 4, 6)], 0), 0)
 
 
 @pytest.mark.parametrize("k", [0, 1, 2])
@@ -168,7 +173,7 @@ def test_delta_classes_biject_onto_their_targets(l):
     if not family:
         return
     p = pivot_vertex(k, l)
-    _, matched = morse.element_matching(family, p)
+    _, matched = morse.element_matching(family, face_key([p], k))
     buckets = {}
     for sigma in family - matched:
         buckets.setdefault(delta_decompose(k, l, sigma), set()).add(sigma)
@@ -178,7 +183,7 @@ def test_delta_classes_biject_onto_their_targets(l):
             assert not bucket
             continue
         target = set(a_family(sub_k, s, t))
-        image = {face_key(rotate(tuple(v for v in sigma if v != p), -shift, k))
+        image = {face_key([rotate(v, -shift, k) for v in members(sigma, k) if v != p], sub_k)
                  for sigma in bucket}
         assert len(image) == len(bucket)
         assert image == target
@@ -214,7 +219,7 @@ def test_matching_B_pullback_bijection():
             target_c = frozenset(rotate(pair_of(s, 3), shift, 3)) | {8}
             parsed = parse_three(target_c, 2)
             assert parsed is not None
-            image = {face_key(rotate(f, shift, 3)) for f in fam}
+            image = {face_key([rotate(v, shift, 3) for v in members(f, 3)], 2) for f in fam}
             assert len(image) == len(fam)
             assert image == set(a_family(2, *parsed))
             m = matching_B(3, s, u)
@@ -291,7 +296,7 @@ def test_theorem2_matching(k):
 
 def test_theorem2_critical_size_distribution_k2():
     rep = theorem2_matching(2)
-    assert dict(Counter(len(c) for c in rep.critical)) == {
+    assert dict(Counter(c.bit_count() for c in rep.critical)) == {
         1: 16, 2: 68, 3: 88, 4: 42, 5: 8}
 
 
@@ -301,7 +306,20 @@ def test_theorem2_euler_conservation(k):
     # counts is preserved on the critical complex
     rep = theorem2_matching(k)
     faces = _s_faces(k)
-    full = sum((-1) ** (len(f) - 1) for f in faces)
-    crit = sum((-1) ** (len(c) - 1) for c in rep.critical)
+    full = sum((-1) ** (f.bit_count() - 1) for f in faces)
+    crit = sum((-1) ** (c.bit_count() - 1) for c in rep.critical)
     assert full == crit
     assert len(faces) == 2 * len(rep.matching.pairs) + len(rep.critical)
+
+
+@pytest.mark.parametrize("flip", [(1, 2, 4), (1, 3, 5)])
+def test_theorem2_catches_a_flipped_stability_bit(flip, monkeypatch):
+    # one bit of the per-k stable mask flipped, either way: some face lands
+    # in the wrong family, and the error names it decoded
+    theorem2_matching(1)  # the graphs and face sets are cached unpatched
+    real = graphs.triple_index
+    ix = real(1)
+    flipped = ix._replace(stable=ix.stable ^ 1 << ix.bit[flip])
+    monkeypatch.setattr(graphs, 'triple_index', lambda k: flipped if k == 1 else real(k))
+    with pytest.raises(MatchingError, match=r"face \(\(\d+, \d+, \d+\)"):
+        theorem2_matching(1)

@@ -3,27 +3,57 @@
 import itertools
 
 import pytest
+from hypothesis import given, strategies as st
 
 from kneser_morse.complexes import (
-    NbhdComplex, complement_set, complex_for, containment_pairs, face_key,
-    neighborhood_complex,
+    NbhdComplex, complement_set, complex_for, decode, face_key, remap,
+    rotation_table,
 )
-from kneser_morse.graphs import graph, is_stable
+from kneser_morse.graphs import all_triples, graph, is_stable, rotate, triple_index
+
+
+def triples_of(k):
+    return triple_index(k).triples
 
 
 def test_face_key_dedup_and_order():
-    assert face_key([(3, 1, 2), (1, 2, 3), (4, 5, 6)]) == ((1, 2, 3), (4, 5, 6))
-    assert face_key([]) == ()
-    assert face_key([[2, 1, 7]]) == ((1, 2, 7),)
+    assert face_key([(3, 1, 2), (1, 2, 3), (4, 5, 6)], 0) == face_key([(1, 2, 3), (4, 5, 6)], 0)
+    assert face_key([(1, 2, 3), (4, 5, 6)], 0) == 1 | 1 << all_triples(0).index((4, 5, 6))
+    assert face_key([], 0) == 0
+    assert decode(face_key([[2, 1, 7]], 1), triples_of(1)) == ((1, 2, 7),)
+    with pytest.raises(ValueError):
+        face_key([(1, 2, 7)], 0)
+
+
+@given(st.integers(0, 3), st.data())
+def test_decode_inverts_face_key(k, data):
+    # members in any order and with repeats
+    sigma = data.draw(st.lists(st.sampled_from(all_triples(k)).flatmap(st.permutations),
+                               max_size=8))
+    want = tuple(sorted({tuple(sorted(v)) for v in sigma}))
+    assert decode(face_key(sigma, k), triples_of(k)) == want
+
+
+def test_remap_rotates_and_covers():
+    sigma = face_key([(1, 2, 3), (4, 5, 6)], 0)
+    moved = remap(sigma, rotation_table(0, 0, 1))
+    want = tuple(sorted(rotate(v, 1, 0) for v in decode(sigma, triples_of(0))))
+    assert decode(moved, triples_of(0)) == want
+    # the ground masks of the index give the covered ground elements
+    assert remap(sigma, triple_index(0).ground) == 0b111111
+    # a table from k = 0 into the k = 1 index keeps the triples apart
+    assert decode(remap(sigma, rotation_table(0, 1, 0)), triples_of(1)) == ((1, 2, 3), (4, 5, 6))
 
 
 def test_complement_set():
-    c = complement_set([(1, 2, 3), (1, 4, 5)], 0)
+    c = complement_set(face_key([(1, 2, 3), (1, 4, 5)], 0), 0)
     assert c.complement == (6,)
     assert c.support == (1, 2, 3, 4, 5)
-    c2 = complement_set([(1, 2, 3)], 1)
+    c2 = complement_set(face_key([(1, 2, 3)], 1), 1)
     assert c2.complement == (4, 5, 6, 7)
-    assert complement_set([], 0).complement == tuple(range(1, 7))
+    assert complement_set(0, 0).complement == tuple(range(1, 7))
+    with pytest.raises(ValueError):
+        complement_set(1 << 20, 0)  # k = 0 has 20 triples
 
 
 def test_kg0_complex_is_a_perfect_matching():
@@ -31,7 +61,7 @@ def test_kg0_complex_is_a_perfect_matching():
     # no: maximal faces are the single-vertex neighborhoods, each of size 1
     cx = complex_for('kg', 0)
     assert len(cx.faces(0)) == 20
-    assert all(len(f) == 1 for f in cx.maximal)
+    assert all(f.bit_count() == 1 for f in cx.maximal)
     assert cx.dim() == 0
 
 
@@ -47,9 +77,8 @@ def test_vertex_counts(kind, k, nverts):
 @pytest.mark.parametrize("kind,k", [('kg', 0), ('sg', 1), ('s', 1), ('kg', 1)])
 def test_maximal_faces_are_incomparable(kind, k):
     cx = complex_for(kind, k)
-    sets = [frozenset(f) for f in cx.maximal]
-    for a, b in itertools.combinations(sets, 2):
-        assert not a <= b and not b <= a
+    for a, b in itertools.combinations(cx.maximal, 2):
+        assert a & ~b and b & ~a
 
 
 @pytest.mark.parametrize("kind,k", [('kg', 0), ('sg', 1), ('s', 0)])
@@ -57,8 +86,8 @@ def test_maximal_faces_are_common_neighborhoods(kind, k):
     g = graph(kind, k)
     cx = complex_for(kind, k)
     for f in cx.maximal:
-        nb = g.neighborhood(g.neighborhood(f))
-        assert face_key(nb) == f
+        nb = g.neighborhood(g.neighborhood(decode(f, triples_of(k))))
+        assert face_key(nb, k) == f
 
 
 @pytest.mark.parametrize("kind,k", [('kg', 0), ('sg', 1), ('s', 1)])
@@ -68,8 +97,8 @@ def test_is_face_matches_enumeration(kind, k):
     verts = cx.faces(0)
     for r in range(1, 4):
         for sub in itertools.combinations(verts, r):
-            assert cx.is_face(sub) == (face_key(sub) in faces)
-    assert not cx.is_face([])
+            assert cx.is_face(sum(sub)) == (sum(sub) in faces)
+    assert not cx.is_face(0)
 
 
 def test_all_faces_nonempty_and_closed():
@@ -77,8 +106,9 @@ def test_all_faces_nonempty_and_closed():
     faces = set(cx.all_faces())
     assert len(faces) == 14  # 7 vertices + 7 edges: the 7-cycle's complex
     for f in faces:
-        for g_ in itertools.combinations(f, len(f) - 1):
-            assert len(g_) == 0 or face_key(g_) in faces
+        members = [1 << b for b in range(f.bit_length()) if f >> b & 1]
+        for g_ in itertools.combinations(members, len(members) - 1):
+            assert len(g_) == 0 or sum(g_) in faces
 
 
 def test_from_maximal_roundtrip():
@@ -90,9 +120,10 @@ def test_from_maximal_roundtrip():
 
 
 def test_from_maximal_filters_dominated():
-    cx = NbhdComplex.from_maximal(0, [[(1, 2, 3)], [(1, 2, 3), (4, 5, 6)]])
-    assert cx.maximal == [((1, 2, 3), (4, 5, 6))]
-    assert cx.is_face([(1, 2, 3)])
+    a, ab = face_key([(1, 2, 3)], 0), face_key([(1, 2, 3), (4, 5, 6)], 0)
+    cx = NbhdComplex.from_maximal(0, [a, ab])
+    assert cx.maximal == [ab]
+    assert cx.is_face(a)
 
 
 def test_all_faces_budget_guard():
@@ -101,21 +132,8 @@ def test_all_faces_budget_guard():
         list(cx.all_faces(limit=100))
 
 
-def test_containment_pairs():
-    cx = complex_for('sg', 1)
-    pairs = list(containment_pairs(cx, 1))
-    assert len(pairs) == 14  # each of the 7 edges has 2 vertex facets
-    for small, big in pairs:
-        assert set(small) < set(big)
-        assert len(big) == len(small) + 1
-
-
-def test_neighborhood_complex_matches_kind_helper():
-    g = graph('sg', 1)
-    assert neighborhood_complex(g).maximal == complex_for('sg', 1).maximal
-
-
 def test_stable_vertices_only_in_sg():
     cx = complex_for('sg', 1)
     for f in cx.maximal:
-        assert all(is_stable(v, 1) for v in f)
+        assert all(is_stable(v, 1) for v in decode(f, triples_of(1)))
+        assert not f & ~triple_index(1).stable

@@ -75,7 +75,7 @@ def test_rotation_preserves_stability(k, j, data):
     assert is_stable(v, k) == is_stable(rotate(v, j, k), k)
 
 
-@pytest.mark.parametrize("k", [0, 1, 2])
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
 def test_unstable_rep_roundtrip(k):
     for v in all_triples(k):
         if is_stable(v, k):

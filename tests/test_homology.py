@@ -87,16 +87,18 @@ def test_snf_empty():
 
 
 def simplicial(maximal):
-    """Close a list of vertex tuples under subsets, as a FaceFamily."""
+    """Close a list of vertex tuples under subsets, as a FaceFamily of
+    masks (bit v-1 for vertex v)."""
     import itertools
     bands = {}
     seen = set()
     for m in maximal:
         for r in range(1, len(m) + 1):
             for f in itertools.combinations(sorted(m), r):
-                if f not in seen:
-                    seen.add(f)
-                    bands.setdefault(r - 1, []).append(f)
+                mask = sum(1 << (v - 1) for v in f)
+                if mask not in seen:
+                    seen.add(mask)
+                    bands.setdefault(r - 1, []).append(mask)
     return FaceFamily(bands)
 
 
@@ -258,6 +260,14 @@ def test_boundary_matrix_shape_and_squares_to_zero():
     assert all(v == 0 for row in prod for v in row)
 
 
+def test_boundary_sign_counts_the_bits_below():
+    # d{1,2,3} = {2,3} - {1,3} + {1,2}: dropping a bit with i set bits
+    # below it carries (-1)^i
+    m = boundary_matrix(simplicial([(1, 2, 3)]), 2)
+    rows = simplicial([(1, 2, 3)]).faces(1)  # 0b011, 0b101, 0b110
+    assert {rows[i]: v for i, _, v in m.triples} == {0b110: 1, 0b101: -1, 0b011: 1}
+
+
 def test_relative_betti_disc_mod_boundary():
     disc = simplicial([(1, 2, 3)])
     boundary = simplicial([(1, 2), (2, 3), (1, 3)])
@@ -275,7 +285,7 @@ def test_relative_betti_pair_of_complexes():
 
 
 def test_face_family_protocol():
-    fam = FaceFamily({0: [(1,), (2,)], 2: []})
-    assert fam.faces(0) == [(1,), (2,)]
+    fam = FaceFamily({0: [0b10, 0b01], 2: []})
+    assert fam.faces(0) == [0b01, 0b10]
     assert fam.faces(5) == []
     assert fam.dims() == [0]

@@ -11,20 +11,12 @@ import networkx as nx
 import pytest
 
 from kneser_morse.morse import (
-    Matching, compose_cluster, critical_cells, element_matching, face_dim,
+    Matching, compose_cluster, critical_cells, element_matching,
     face_facets, is_acyclic, is_cover, is_perfect, verify_poset_map,
 )
 
 
-def test_face_dim_both_reps():
-    assert face_dim(((1, 2, 3),)) == 0
-    assert face_dim(((1, 2, 3), (4, 5, 6))) == 1
-    assert face_dim(0b1) == 0
-    assert face_dim(0b10110) == 2
-
-
 def test_face_facets_both_reps():
-    assert set(face_facets(((1, 2, 3), (4, 5, 6)))) == {((1, 2, 3),), ((4, 5, 6),)}
     assert set(face_facets(0b1011)) == {0b1010, 0b1001, 0b0011}
     assert list(face_facets(0b1)) == [0]
 
@@ -34,8 +26,6 @@ def test_is_cover_both_reps():
     assert not is_cover(0b001, 0b111)
     assert not is_cover(0b011, 0b001)
     assert not is_cover(0b011, 0b011)
-    assert is_cover(((1, 2, 3),), ((1, 2, 3), (4, 5, 6)))
-    assert not is_cover(((1, 2, 3),), ((1, 2, 4), (4, 5, 6)))
 
 
 def test_matching_rejects_bad_pairs():
@@ -67,12 +57,6 @@ def test_element_matching_is_perfect_on_its_subfamily():
     assert ok
 
 
-def test_element_matching_tuple_faces():
-    delta = [((1, 2, 3),), ((1, 2, 3), (4, 5, 6))]
-    m, sub = element_matching(delta, (4, 5, 6))
-    assert len(m) == 1 and sub == set(delta)
-
-
 def test_element_matching_rejects_wide_mask():
     with pytest.raises(ValueError):
         element_matching([0b001, 0b011], 0b011)
@@ -91,15 +75,6 @@ def assert_witness_closes(matching, witness):
 def test_planted_three_cycle_is_caught():
     m = Matching([(0b001, 0b011), (0b010, 0b110), (0b100, 0b101)])
     ok, witness = is_acyclic(m)
-    assert not ok
-    assert_witness_closes(m, witness)
-    assert len(witness) == 3
-
-
-def test_planted_three_cycle_on_tuple_faces_is_caught():
-    a, b, c = (1, 2, 3), (4, 5, 6), (7, 8, 9)
-    m = Matching([((a,), (a, b)), ((b,), (b, c)), ((c,), (a, c))])
-    ok, witness = is_acyclic(m, cells=[(a,), (b,), (c,), (a, b), (b, c), (a, c)])
     assert not ok
     assert_witness_closes(m, witness)
     assert len(witness) == 3
@@ -168,9 +143,9 @@ def test_is_acyclic_agrees_with_hasse_oracle(seed):
 
 def test_verify_poset_map():
     cells = [0b001, 0b011, 0b111]
-    ok, bad = verify_poset_map(face_dim, cells)
+    ok, bad = verify_poset_map(lambda f: f.bit_count() - 1, cells)
     assert ok and bad is None
-    ok, bad = verify_poset_map(lambda f: -face_dim(f), cells)
+    ok, bad = verify_poset_map(lambda f: 1 - f.bit_count(), cells)
     assert not ok
     assert bad == (0b001, 0b011)
 
@@ -182,7 +157,7 @@ def test_verify_poset_map_ignores_missing_facets():
 
 
 def test_compose_cluster():
-    label = lambda f: face_dim(f) // 2
+    label = lambda f: (f.bit_count() - 1) // 2
     fibers = {
         0: Matching([(0b001, 0b011)]),
         1: Matching([(0b111, 0b1111)]),
@@ -190,7 +165,7 @@ def test_compose_cluster():
     merged = compose_cluster(label, fibers)
     assert len(merged) == 2
     with pytest.raises(ValueError, match="straddles"):
-        compose_cluster(lambda f: face_dim(f), fibers)
+        compose_cluster(lambda f: f.bit_count() - 1, fibers)
 
 
 def test_critical_cells_order_and_content():

@@ -1,13 +1,15 @@
 """The filtration between the stable and ambient complexes, and the layered
 matchings that collapse the two outer steps family by family."""
 
+import re
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from kneser_morse import morse, wedge
 from kneser_morse.collapse import MatchingError, index_I
-from kneser_morse.complexes import complex_for, face_key
-from kneser_morse.graphs import all_triples, ground_size, is_stable, rotate
+from kneser_morse.complexes import complex_for, decode, face_key, remap
+from kneser_morse.graphs import all_triples, ground_size, is_stable, rotate, triple_index
 from kneser_morse.wedge import (
     c_set, critical_form, family_faces, filtration, level1_contains,
     matching_P, matching_Q, nc_set, p_complement, p_indices, pq_classify,
@@ -54,16 +56,17 @@ def test_filtration_rejects_bad_level():
 def test_level1_membership_law(k):
     ambient = filtration(k, 3).all_faces()
     level1 = filtration(k, 1).all_faces()
-    for sigma in ambient:
-        assert level1_contains(sigma, k) == (sigma in level1)
+    for mask in ambient:
+        assert level1_contains(mask, k) == (mask in level1)
+        sigma = decode(mask, triple_index(k).triples)
         members = set().union(*map(set, sigma))
         comp = set(range(1, ground_size(k) + 1)) - members
         law = (all(is_stable(v, k) for v in sigma)
                or any(is_stable(t, k) for t in all_triples(k)
                       if set(t) <= comp))
-        assert level1_contains(sigma, k) == law
+        assert level1_contains(mask, k) == law
         if len(sigma) >= 5:
-            assert level1_contains(sigma, k)
+            assert level1_contains(mask, k)
 
 
 # ---------------------------------------------------------------------------
@@ -76,13 +79,13 @@ def test_family_counts():
 
 
 def test_pq_classify_fixtures():
-    assert pq_classify(((3, 5, 6), (3, 5, 7)), 1) == ('P', 1, 4, (3, 5, 6))
+    assert pq_classify(face_key([(3, 5, 6), (3, 5, 7)], 1), 1) == ('P', 1, 4, (3, 5, 6))
     # run-of-three missed set {7,1,2} reads from the wrap pair
-    rot = tuple(rotate(v, -1, 1) for v in ((3, 5, 6), (3, 5, 7)))
-    tag = pq_classify(face_key(rot), 1)
+    rot = [rotate(v, -1, 1) for v in ((3, 5, 6), (3, 5, 7))]
+    tag = pq_classify(face_key(rot, 1), 1)
     assert (tag.family, tag.i, tag.j) == ('P', 7, 3)
     with pytest.raises(MatchingError):
-        pq_classify(((1, 3, 5),), 1)  # lies inside the mixed complex
+        pq_classify(face_key([(1, 3, 5)], 1), 1)  # lies inside the mixed complex
 
 
 @pytest.mark.parametrize("k", [0, 1, 2])
@@ -97,12 +100,12 @@ def test_pq_families_partition_the_outside(k):
     for i, j in p_indices(k):
         m = matching_P(k, i, j)
         assert buckets.pop(('P', i, j), set()) == set(
-            m.decode(f) for f in m.faces)
+            face_key(m.decode(f), k) for f in m.faces)
     for i, j in q_indices(k):
         expected = set()
         if k >= 1:
             q = matching_Q(k, i, j)
-            expected = set(q.decode(f) for f in q.faces)
+            expected = set(face_key(q.decode(f), k) for f in q.faces)
         assert buckets.pop(('Q', i, j), set()) == expected
     assert not buckets
 
@@ -186,7 +189,7 @@ def test_w_set_properties(k, data):
         assert w != v
     if w_case(v, j, k) in ('low-run', 'after-j', 'split'):
         crit = critical_form(v, j, k)
-        assert crit == face_key((v,) + tuple(ws))
+        assert crit == tuple(sorted({v, *ws}))
         assert len(crit) == k + 1
 
 
@@ -270,6 +273,31 @@ def test_matching_P_catches_a_face_matched_twice(monkeypatch):
         matching_P(1, 1, 3)
 
 
+def test_matching_P_catches_a_perturbed_closed_form(monkeypatch):
+    real = critical_form
+
+    def perturbed(v, j, k):
+        return ((4, 5, 6), (4, 5, 7)) if v == (4, 5, 6) else real(v, j, k)
+
+    monkeypatch.setattr(wedge, 'critical_form', perturbed)
+    with pytest.raises(MatchingError, match=r"label \(4, 5, 6\) kept \[\(\(4, 5, 6\), \(5, 6, 7\)\)\] "
+                                            r"instead of its closed form"):
+        matching_P(1, 1, 3)
+
+
+@pytest.mark.parametrize("label,toggle,check", [
+    ((4, 5, 7), (4, 5, 6), "disagrees with the residue identity at"),
+    ((4, 5, 6), (4, 5, 7), "instead of its closed form"),
+])
+def test_matching_P_catches_a_swapped_toggle(label, toggle, check, monkeypatch):
+    # every label of the k = 1 family (1, 3) toggles (5, 6, 7) alone; here
+    # one label's toggle is swapped for another triple of the support
+    real = w_set
+    monkeypatch.setattr(wedge, 'w_set', lambda v, j, k: (toggle,) if v == label else real(v, j, k))
+    with pytest.raises(MatchingError, match=r"label %s .*%s.*\(\(" % (re.escape(str(label)), check)):
+        matching_P(1, 1, 3)
+
+
 @pytest.mark.parametrize("k,i,j", [(0, 1, 3), (1, 1, 4), (1, 4, 6), (2, 1, 4),
                                    (2, 5, 8)])
 def test_matching_P_counts(k, i, j):
@@ -277,16 +305,19 @@ def test_matching_P_counts(k, i, j):
     assert len(m.critical) == (k + 1) * (k + 2) // 2
     assert all(bin(c).count('1') == k + 1 for c in m.critical)
     assert len(m.faces) == 2 * len(m.pairs) + len(m.critical)
+    # the same matching moved onto the per-k index
+    table = [1 << triple_index(k).bit[t] for t in m.triples]
     ok, witness = morse.is_acyclic(
-        morse.Matching(m.decoded_pairs()), [m.decode(f) for f in m.faces])
+        morse.Matching([(remap(a, table), remap(b, table)) for a, b in m.pairs]),
+        [remap(f, table) for f in m.faces])
     assert ok, witness
 
 
 def test_matching_P_rotation_transports_faces():
     base = matching_P(1, 1, 3)
     rot = matching_P(1, 2, 4)
-    moved = {face_key(rotate(base.decode(f), 1, 1)) for f in base.faces}
-    assert moved == {rot.decode(f) for f in rot.faces}
+    moved = {face_key([rotate(v, 1, 1) for v in base.decode(f)], 1) for f in base.faces}
+    assert moved == {face_key(rot.decode(f), 1) for f in rot.faces}
 
 
 @pytest.mark.parametrize("k,i,j", [(1, 1, 3), (1, 2, 4), (2, 1, 4), (2, 3, 7)])
@@ -365,9 +396,8 @@ def test_no_facet_leaves_a_family_sideways():
     for i, j in p_indices(k):
         m = matching_P(k, i, j)
         for f in m.faces:
-            sigma = m.decode(f)
-            for drop in range(len(sigma)):
-                tau = sigma[:drop] + sigma[drop + 1:]
+            sigma = face_key(m.decode(f), k)
+            for tau in morse.face_facets(sigma):
                 if not tau:
                     continue
                 if tau in mid:
