@@ -162,9 +162,10 @@ def classify(sigma: int, k: int):
     unstable = sigma & ~ix.stable
     if unstable:  # the lowest bit is the lex-least member
         return ('C', ix.triples[(unstable & -unstable).bit_length() - 1])
-    cset = complement_set(sigma, k).complement
-    if _stable_bits_within(graphs.vertex_mask(cset), k):
+    missed = ((1 << graphs.ground_size(k)) - 1) & ~remap(sigma, ix.ground)
+    if _stable_bits_within(missed, k):
         return ('SG',)
+    cset = complement_set(sigma, k)
     if len(cset) == 3:
         parsed = parse_three(cset, k)
         if parsed is None:

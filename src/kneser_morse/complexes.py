@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
 from . import graphs
 from .graphs import Graph
@@ -74,20 +74,14 @@ def rotation_table(src_k: int, k: int, shift: int) -> tuple:
                  for t in graphs.triple_index(src_k).triples)
 
 
-class ComplementSet(NamedTuple):
-    complement: tuple[int, ...]  # ground elements no member touches
-    support: tuple[int, ...]     # ground elements covered by the face
-
-
-def complement_set(sigma: int, k: int) -> ComplementSet:
+def complement_set(sigma: int, k: int) -> tuple[int, ...]:
+    """The ground elements of [k+6] that no member of the face touches."""
     ix = graphs.triple_index(k)
     if sigma < 0 or sigma >> len(ix.triples):
         raise ValueError("mask %r has bits outside the %d triples of 1..%d"
                          % (sigma, len(ix.triples), graphs.ground_size(k)))
     covered = remap(sigma, ix.ground)
-    ground = range(1, graphs.ground_size(k) + 1)
-    return ComplementSet(tuple(x for x in ground if not covered >> (x - 1) & 1),
-                         tuple(x for x in ground if covered >> (x - 1) & 1))
+    return tuple(x for x in range(1, graphs.ground_size(k) + 1) if not covered >> (x - 1) & 1)
 
 
 class NbhdComplex:

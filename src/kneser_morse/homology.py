@@ -1,46 +1,39 @@
-"""Exact homology of the face complexes via integer Smith normal form.
+"""Exact homology of the face complexes: coreduction, then the Smith form.
 
-Boundary matrices of the complexes here are sparse with entries +-1, so the
-Smith form is computed by eliminating unit pivots chosen Markowitz-style
-(least fill), which usually empties the matrix; whatever residual survives
-without a unit entry goes through a small dense textbook SNF.  Ranks are
-double-checked modulo two large primes: the mod-p rank must equal the number
-of invariant factors not divisible by p.
-
-Faces are integer bitmasks, one bit per vertex, and each dimension's basis
-is its faces in increasing mask order.  The boundary drops one bit at a
-time with sign (-1)^i, where i is the number of set bits below the dropped
-one: the usual alternating sign with the vertices ordered by bit.
+Faces are integer bitmasks, one bit per vertex.  The boundary drops one bit
+at a time with sign (-1)^i, where i is the number of set bits below the
+dropped one: the usual alternating sign with the vertices ordered by bit.
+``boundary_matrix`` and the coreduction read facets and signs from the one
+helper ``_facets``; the matrix bases are the faces in increasing mask order.
 
 Betti numbers in dimension d come from b_d = n_d - rank d_d - rank d_{d+1};
-the reduced variant augments with the empty-face row.  Relative homology of
-a pair (X, A) uses the same machinery on the quotient cells (faces of X not
+the reduced variant augments with the empty face.  Relative homology of a
+pair (X, A) uses the same machinery on the quotient cells (faces of X not
 in A), where boundary entries landing in A are simply dropped.
 
-A family's boundaries are eliminated top down, d = max_dim + 1 to 0, and
-each elimination clears the next one ("clearing", or the twist of Chen and
-Kerber): if rows P and columns Q were the pivots of d_{d+1}, then
-C_d = d_{d+1}(span Q) + span{e_i : i not in P} as a direct sum, and d_d
-vanishes on the first summand because d_d d_{d+1} = 0.  So the columns P of
-d_d can be dropped without changing its rank or its nonzero invariant
-factors.  The direct sum needs the block P x Q to be invertible in the
-arithmetic at hand.  Over GF(p) any pivot block is.  Over Z only the unit
-pivots qualify: their block has determinant +-1, while a pivot taken in the
-dense residual can leave a determinant other than +-1, a block that is not
-invertible over Z, so those rows are never cleared.
-Each arithmetic (Z and each check prime) clears with its own pivots only,
-which keeps the mod-p rechecks independent of the integer pass.
+A family is coreduced (Mrozek and Batko, DCG 41, 2009) through one
+dimension above its top boundary.  Removal order makes the matching
+acyclic, so the critical cells span a chain-equivalent Morse complex
+(Skoldberg, Trans. AMS 358, 2006): the boundary of a critical cell with the
+lower cell of each pair rewritten away and the upper cells dropped.  Then
+rank d_d is the Morse rank plus one per pair whose upper cell has
+dimension d, and the torsion is the Morse torsion.  The equivalence needs
+d d = 0, so that is certified exactly first, on every column of every
+boundary from the top band down; a nonzero image raises ``AssertionError``
+naming d, the column and the face.
 
-Clearing relies on d_d d_{d+1} = 0, so that is certified exactly over Z
-before any column is dropped: d_d is applied, column by column, to every
-column of d_{d+1} that some arithmetic pivoted in.  A nonzero image raises
-``AssertionError`` naming d and the column.
+The Smith form of a (small) Morse boundary eliminates unit pivots row by
+row; whatever residual survives without a unit entry goes through a dense
+textbook SNF.  Ranks are double-checked modulo two large primes: the mod-p
+rank must equal the number of invariant factors not divisible by p.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from itertools import groupby
+from operator import itemgetter
 from typing import Iterable
 
 CHECK_PRIMES = (1000003, 998244353)
@@ -72,20 +65,6 @@ class SparseIntMatrix:
                 del r[j]
         return {i: r for i, r in rows.items() if r}
 
-    def columns(self, keep=None) -> dict[int, list[tuple[int, int]]]:
-        """Column -> [(row, entry)], for the columns in ``keep`` (all if None)."""
-        cols: dict[int, list[tuple[int, int]]] = {}
-        for i, j, v in self.triples:
-            if keep is None or j in keep:
-                cols.setdefault(j, []).append((i, v))
-        return cols
-
-    def without_columns(self, drop) -> "SparseIntMatrix":
-        if not drop:
-            return self
-        return SparseIntMatrix(self.nrows, self.ncols,
-                               (t for t in self.triples if t[1] not in drop))
-
 
 @dataclass(frozen=True)
 class SNFResult:
@@ -97,53 +76,33 @@ class SNFResult:
         return tuple(d for d in self.diagonal if d > 1)
 
 
-def _eliminate(matrix: SparseIntMatrix, mod: int | None = None) -> tuple[dict, dict]:
-    """Pivot away entries; returns (pivots, residual rows).
+def _eliminate(matrix: SparseIntMatrix, mod: int | None = None) -> tuple[int, dict]:
+    """Pivot away entries row by row; returns (pivot count, residual rows).
 
-    ``pivots`` maps each pivot row to its pivot column, so its size is the
-    pivot count.  With ``mod`` set, works in GF(mod) where every nonzero
-    entry can pivot, so the residual is always empty and the count is the
-    rank.  Without it, only +-1 entries pivot (exact integer Schur updates)
-    and the residual holds whatever has no unit entry left.
+    With ``mod`` set, works in GF(mod) where every nonzero entry can pivot,
+    so the residual is always empty and the count is the rank.  Without it,
+    only +-1 entries pivot (exact integer Schur updates) and the residual
+    holds the rows left without a unit entry when their turn came.
     """
     rows = matrix.build_rows(mod)
     cols: dict[int, set[int]] = {}
     for i, r in rows.items():
         for j in r:
             cols.setdefault(j, set()).add(i)
-
-    def usable(v: int) -> bool:
-        return mod is not None or v in (1, -1)
-
-    heap: list[tuple[int, int, int]] = []
-    for i, r in rows.items():
-        for j, v in r.items():
-            if usable(v):
-                heap.append(((len(r) - 1) * (len(cols[j]) - 1), i, j))
-    heapq.heapify(heap)
-
-    pivots: dict[int, int] = {}
-    while heap:
-        c, i, j = heapq.heappop(heap)
+    count = 0
+    for i in sorted(rows):
         r = rows.get(i)
-        if r is None:
+        j = next((j for j, v in r.items() if mod is not None or v in (1, -1)), None) if r else None
+        if j is None:
             continue
-        v = r.get(j)
-        if v is None or not usable(v):
-            continue
-        cc = (len(r) - 1) * (len(cols[j]) - 1)
-        if cc > c:
-            heapq.heappush(heap, (cc, i, j))
-            continue
-        pivots[i] = j
+        count += 1
         del rows[i]
         for jj in r:
             cols[jj].discard(i)
-        inv = v if mod is None else pow(v, -1, mod)
-        for ii in list(cols[j]):
+        inv = r[j] if mod is None else pow(r[j], -1, mod)
+        for ii in cols.pop(j):
             rr = rows[ii]
-            a = rr.pop(j)
-            f = a * inv if mod is None else a * inv % mod
+            f = rr.pop(j) * inv
             for jj, pv in r.items():
                 if jj == j:
                     continue
@@ -152,144 +111,101 @@ def _eliminate(matrix: SparseIntMatrix, mod: int | None = None) -> tuple[dict, d
                     w %= mod
                 if w:
                     if jj not in rr:
-                        cols.setdefault(jj, set()).add(ii)
+                        cols[jj].add(ii)
                     rr[jj] = w
-                    if usable(w):
-                        heapq.heappush(
-                            heap, ((len(rr) - 1) * (len(cols[jj]) - 1), ii, jj))
                 elif jj in rr:
                     del rr[jj]
                     cols[jj].discard(ii)
             if not rr:
                 del rows[ii]
-        cols[j].clear()
-        del cols[j]
-    return pivots, rows
+    return count, rows
 
 
 def _dense_snf(rows: dict[int, dict[int, int]]) -> list[int]:
-    """Textbook SNF diagonal of a small residual block (exact integers)."""
-    row_ids = sorted(rows)
-    col_ids = sorted({j for r in rows.values() for j in r})
-    a = [[rows[i].get(j, 0) for j in col_ids] for i in row_ids]
-    m, n = len(a), len(col_ids)
+    """Textbook SNF diagonal of a small residual block (exact integers).
+
+    A least nonzero entry moves to the corner and reduces its row and
+    column by division.  A remainder is a smaller least entry for the next
+    round; a block entry the corner does not divide is first added into the
+    corner's row.  Otherwise the corner is the next invariant factor.
+    """
+    cols = sorted({j for r in rows.values() for j in r})
+    a = [[r.get(j, 0) for j in cols] for r in rows.values()]
     diag: list[int] = []
-    t = 0
-    while t < m and t < n:
-        pivot = None
-        for i in range(t, m):
-            for j in range(t, n):
-                if a[i][j] and (pivot is None or abs(a[i][j]) < abs(a[pivot[0]][pivot[1]])):
-                    pivot = (i, j)
-        if pivot is None:
-            break
-        bi, bj = pivot
-        a[t], a[bi] = a[bi], a[t]
+    while any(map(any, a)):
+        _, i, j = min((abs(v), i, j) for i, row in enumerate(a) for j, v in enumerate(row) if v)
+        a[0], a[i] = a[i], a[0]
         for row in a:
-            row[t], row[bj] = row[bj], row[t]
-        while True:
-            dirty = False
-            for i in range(t + 1, m):
-                if a[i][t]:
-                    q = a[i][t] // a[t][t]
-                    if q:
-                        for j in range(t, n):
-                            a[i][j] -= q * a[t][j]
-                    if a[i][t]:
-                        a[t], a[i] = a[i], a[t]
-                        dirty = True
-            for j in range(t + 1, n):
-                if a[t][j]:
-                    q = a[t][j] // a[t][t]
-                    if q:
-                        for i in range(t, m):
-                            a[i][j] -= q * a[i][t]
-                    if a[t][j]:
-                        for i in range(m):
-                            a[i][t], a[i][j] = a[i][j], a[i][t]
-                        dirty = True
-            if dirty:
-                continue
-            offender = None
-            for i in range(t + 1, m):
-                for j in range(t + 1, n):
-                    if a[i][j] % a[t][t]:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
-            if offender is None:
-                break
-            for j in range(t, n):
-                a[t][j] += a[offender][j]
-        diag.append(abs(a[t][t]))
-        t += 1
+            row[0], row[j] = row[j], row[0]
+        p = a[0][0]
+        for row in a[1:]:
+            q = row[0] // p
+            row[:] = [x - q * y for x, y in zip(row, a[0])]
+        qs = [x // p for x in a[0]]
+        for row in a:
+            row[1:] = [x - q * row[0] for x, q in zip(row[1:], qs[1:])]
+        if any(a[0][1:]) or any(row[0] for row in a[1:]):
+            continue
+        bad = next((row for row in a[1:] if any(x % p for x in row)), None)
+        if bad is not None:
+            a[0] = [x + y for x, y in zip(a[0], bad)]
+            continue
+        diag.append(abs(p))
+        a = [row[1:] for row in a[1:]]
     return diag
 
 
-def rank_mod_p(matrix: SparseIntMatrix, p: int, pivots: dict | None = None) -> int:
-    """Rank over GF(p).  A dict passed as ``pivots`` receives the pivot
-    row -> column map of the elimination."""
-    found, residual = _eliminate(matrix, mod=p)
+def rank_mod_p(matrix: SparseIntMatrix, p: int) -> int:
+    """Rank over GF(p)."""
+    rank, residual = _eliminate(matrix, mod=p)
     if residual:
         raise AssertionError("mod-p elimination left a residual")
-    if pivots is not None:
-        pivots.update(found)
-    return len(found)
+    return rank
 
 
-def _check_mod_p(diag, p: int, got: int) -> None:
-    expected = sum(1 for d in diag if d % p)
-    if got != expected:
-        raise AssertionError(
-            "mod-%d rank %d disagrees with invariant factors (%d)" % (p, got, expected))
-
-
-def smith_normal_form(matrix: SparseIntMatrix, precheck: bool = True,
-                      pivots: dict | None = None) -> SNFResult:
+def smith_normal_form(matrix: SparseIntMatrix, precheck: bool = True) -> SNFResult:
     """Invariant factors over Z, rechecked modulo each ``CHECK_PRIMES`` prime
-    when ``precheck`` is set.  A dict passed as ``pivots`` receives the
-    row -> column map of the unit pivots only, never the dense residual's."""
+    when ``precheck`` is set: the mod-p rank must equal the number of
+    invariant factors that p does not divide."""
     units, residual = _eliminate(matrix)
-    diag = [1] * len(units) + _dense_snf(residual)
+    diag = [1] * units + _dense_snf(residual)
     for a, b in zip(diag, diag[1:]):
         if b % a:
             raise AssertionError("invariant factors out of divisibility order: %r" % (diag,))
-    result = SNFResult(tuple(diag), len(diag))
     if precheck:
         for p in CHECK_PRIMES:
-            _check_mod_p(diag, p, rank_mod_p(matrix, p))
-    if pivots is not None:
-        pivots.update(units)
-    return result
+            got, expected = rank_mod_p(matrix, p), sum(1 for d in diag if d % p)
+            if got != expected:
+                raise AssertionError("mod-%d rank %d disagrees with invariant factors (%d)"
+                                     % (p, got, expected))
+    return SNFResult(tuple(diag), len(diag))
+
+
+def _facets(f: int):
+    """Each facet of the mask face ``f`` with its sign: dropping a bit with
+    i set bits below it carries (-1)^i.  A vertex's facet is the empty
+    face 0."""
+    rest, sign = f, 1
+    while rest:
+        low = rest & -rest
+        yield f ^ low, sign
+        rest ^= low
+        sign = -sign
 
 
 def boundary_matrix(X, d: int, reduced: bool = False) -> SparseIntMatrix:
     """Boundary from d-faces to (d-1)-faces in the bases X.faces(d-1), X.faces(d).
 
-    Dropping a bit with i set bits below it carries sign (-1)^i.  A facet
-    absent from X.faces(d-1) contributes nothing; that convention makes the
-    same builder serve quotient (relative) families.  For d = 0 the reduced
-    flag adds the augmentation row onto the empty face.
+    The signs are those of ``_facets``.  A facet absent from X.faces(d-1)
+    contributes nothing; that convention makes the same builder serve
+    quotient (relative) families.  For d = 0 the reduced flag adds the
+    augmentation row onto the empty face.
     """
     cols = X.faces(d)
-    if d == 0:
-        if reduced:
-            return SparseIntMatrix(1, len(cols), [(0, j, 1) for j in range(len(cols))])
-        return SparseIntMatrix(0, len(cols), [])
-    rows = X.faces(d - 1)
+    rows = X.faces(d - 1) if d else [0] if reduced else []
     rindex = {f: i for i, f in enumerate(rows)}
-    triples = []
-    for j, f in enumerate(cols):
-        rest, sign = f, 1
-        while rest:
-            low = rest & -rest
-            i = rindex.get(f ^ low)
-            if i is not None:
-                triples.append((i, j, sign))
-            rest ^= low
-            sign = -sign
-    return SparseIntMatrix(len(rows), len(cols), triples)
+    return SparseIntMatrix(len(rows), len(cols), (
+        (rindex[g], j, s) for j, f in enumerate(cols) for g, s in _facets(f) if g in rindex))
 
 
 class FaceFamily:
@@ -302,18 +218,14 @@ class FaceFamily:
     def faces(self, d: int) -> list:
         return self._bands.get(d, [])
 
-    def dims(self) -> list[int]:
-        return sorted(self._bands)
-
 
 def relative_family(X, A, max_dim: int) -> FaceFamily:
+    """The cells of X not in A, through dimension max_dim + 2 (one band
+    above the top boundary that ``relative_betti`` ranks)."""
     bands = {}
-    for d in range(max_dim + 2):
-        xs = X.faces(d)
-        if not xs:
-            continue
+    for d in range(max_dim + 3):
         asub = set(A.faces(d))
-        bands[d] = [f for f in xs if f not in asub]
+        bands[d] = [f for f in X.faces(d) if f not in asub]
     return FaceFamily(bands)
 
 
@@ -326,55 +238,139 @@ class BettiResult:
     reduced: bool
 
 
-def _certify_cleared(X, upper: dict, lower: SparseIntMatrix, d: int) -> None:
-    """Check d_d d_{d+1} = 0 exactly on every column of d_{d+1} in ``upper``
-    (column -> [(row, entry)]), one column at a time."""
-    if not upper:
-        return
-    below = lower.columns()
-    for j, col in upper.items():
-        image: dict[int, int] = {}
-        for i, a in col:
-            for r, b in below.get(i, ()):
-                image[r] = image.get(r, 0) + a * b
-        if any(image.values()):
-            raise AssertionError(
-                "d_%d d_%d is nonzero on column %d of d_%d (face %r); clearing needs it zero"
-                % (d, d + 1, j, d + 1, X.faces(d + 1)[j]))
+def _certify(X, top: int, reduced: bool) -> None:
+    """Check d_{d-1} d_d = 0 exactly on every column of d_d, one column at
+    a time, walking down from d = top."""
+    upper = boundary_matrix(X, top, reduced=reduced)
+    for d in range(top, 0, -1):
+        lower = boundary_matrix(X, d - 1, reduced=reduced)
+        below: dict[int, list[tuple[int, int]]] = {}
+        for i, j, v in lower.triples:
+            below.setdefault(j, []).append((i, v))
+        for j, col in groupby(sorted(upper.triples, key=itemgetter(1)), itemgetter(1)):
+            image: dict[int, int] = {}
+            for i, _, a in col:
+                for r, b in below.get(i, ()):
+                    image[r] = image.get(r, 0) + a * b
+            if any(image.values()):
+                raise AssertionError(
+                    "d_%d d_%d is nonzero on column %d of d_%d (face %r); "
+                    "the Morse reduction needs it zero" % (d - 1, d, j, d, X.faces(d)[j]))
+        upper = lower
 
 
-def _betti_of_family(X, max_dim: int, reduced: bool) -> BettiResult:
-    top = max_dim + 1
-    counts = [len(X.faces(d)) for d in range(top + 1)]
-    ranks = [0] * (top + 1)
-    torsion = [()] * (top + 1)
-    arithmetics = (0,) + CHECK_PRIMES  # 0 stands for Z
-    # per arithmetic: pivot row -> column of d_{d+1}
-    cleared: dict[int, dict[int, int]] = {a: {} for a in arithmetics}
-    upper: dict = {}  # the columns of d_{d+1} that some arithmetic pivoted in
-    for d in range(top, -1, -1):
-        M = boundary_matrix(X, d, reduced=reduced)
-        _certify_cleared(X, upper, M, d)
-        upper = {}  # freed before the eliminations
-        pivots: dict[int, dict[int, int]] = {a: {} for a in arithmetics}
-        if M.triples:
-            s = smith_normal_form(M.without_columns(cleared[0]), precheck=False,
-                                  pivots=pivots[0])
-            for p in CHECK_PRIMES:
-                got = rank_mod_p(M.without_columns(cleared[p]), p, pivots=pivots[p])
-                _check_mod_p(s.diagonal, p, got)
-            ranks[d], torsion[d] = s.rank, s.torsion
-        cleared = pivots
-        upper = M.columns(set().union(*(piv.values() for piv in pivots.values())))
-    numbers = tuple(counts[d] - ranks[d] - ranks[d + 1] for d in range(max_dim + 1))
-    return BettiResult(numbers, tuple(torsion[1:]), tuple(counts[: max_dim + 1]),
-                       tuple(ranks), reduced)
+def _coreduce(cells: list) -> tuple[dict, list]:
+    """Coreduction of ``cells``, listed by increasing dimension.
+
+    A cell with exactly one remaining facet is paired with that facet and
+    both are removed; when none is left, the lowest remaining cell is
+    removed as critical.  A pair whose incidence is not +-1 raises, naming
+    the face.  Returns the pairs (lower cell -> upper cell) and the critical
+    cells, each in removal order.
+    """
+    alive: dict[int, int] = {}  # cell -> number of remaining facets
+    up: dict[int, int] = {}  # cell -> the bits that extend it to a coface
+    for f in cells:
+        alive[f] = up[f] = 0
+        for g, _ in _facets(f):
+            if g in alive:
+                alive[f] += 1
+                up[g] |= f ^ g
+    ready = [f for f, n in alive.items() if n == 1]
+    pairs: dict[int, int] = {}
+    critical: list[int] = []
+
+    def remove(f: int) -> None:
+        del alive[f]
+        rest = up.pop(f)
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            if f | low in alive:
+                alive[f | low] -= 1
+                if alive[f | low] == 1:
+                    ready.append(f | low)
+
+    for c in cells:
+        while ready:
+            a = ready.pop()
+            if alive.get(a) != 1:
+                continue
+            (b, e), = ((g, s) for g, s in _facets(a) if g in alive)
+            if e not in (1, -1):
+                raise AssertionError("face %r pairs with its facet %r at incidence %d, "
+                                     "not +-1" % (a, b, e))
+            pairs[b] = a
+            remove(a)
+            remove(b)
+        if c in alive:
+            critical.append(c)
+            remove(c)
+    return pairs, critical
+
+
+def _flow(c: int, pairs: dict, when: dict) -> dict:
+    """The boundary of ``c`` with the lower cell of each pair rewritten
+    away, latest removal first: b becomes b - e^-1 d(a) for the pair (a, b)
+    with incidence e.  Every other facet of a left earlier than b, which
+    makes the matching acyclic; a facet that did not raises.  Returns the
+    chain over the cells left (critical, upper and absent ones)."""
+    chain = dict(_facets(c))
+    heap = [(-when[g], g) for g in chain if g in when]
+    heapq.heapify(heap)
+    while heap:
+        _, b = heapq.heappop(heap)
+        x = chain.pop(b)
+        if not x:
+            continue
+        a = pairs[b]
+        rest = dict(_facets(a))
+        x *= rest.pop(b)
+        for g, s in rest.items():
+            if g in when:
+                if when[g] >= when[b]:
+                    raise AssertionError(
+                        "rewriting face %r through %r meets facet %r, removed no earlier"
+                        % (b, a, g))
+                if g not in chain:
+                    heapq.heappush(heap, (-when[g], g))
+            chain[g] = chain.get(g, 0) - x * s
+    return chain
+
+
+def _morse_boundaries(pairs: dict, critical: list, top: int) -> list[SparseIntMatrix]:
+    """The Morse boundaries d = 0..top between the critical cells, each
+    dimension's critical cells in removal order as its basis."""
+    when = {b: t for t, b in enumerate(pairs)}
+    bands: dict[int, list[int]] = {}
+    for c in critical:
+        bands.setdefault(c.bit_count() - 1, []).append(c)
+    index = {c: i for band in bands.values() for i, c in enumerate(band)}
+    out = []
+    for d in range(top + 1):
+        rows, cols = bands.get(d - 1, []), bands.get(d, [])
+        triples = [(index[g], j, v) for j, c in enumerate(cols) if rows
+                   for g, v in _flow(c, pairs, when).items() if g in index]
+        out.append(SparseIntMatrix(len(rows), len(cols), triples))
+    return out
 
 
 def betti(X, max_dim: int, reduced: bool = True) -> BettiResult:
-    return _betti_of_family(X, max_dim, reduced)
+    top = max_dim + 1
+    _certify(X, top + 1, reduced)
+    pairs, critical = _coreduce(
+        ([0] if reduced else []) + [f for d in range(top + 2) for f in X.faces(d)])
+    uppers = [a.bit_count() - 1 for a in pairs.values()]
+    ranks = [uppers.count(d) for d in range(top + 1)]  # one per pair
+    torsion = [()] * (top + 1)
+    for d, m in enumerate(_morse_boundaries(pairs, critical, top)):
+        s = smith_normal_form(m)
+        ranks[d] += s.rank
+        torsion[d] = s.torsion
+    counts = [len(X.faces(d)) for d in range(max_dim + 1)]
+    numbers = tuple(counts[d] - ranks[d] - ranks[d + 1] for d in range(max_dim + 1))
+    return BettiResult(numbers, tuple(torsion[1:]), tuple(counts), tuple(ranks), reduced)
 
 
 def relative_betti(X, A, max_dim: int) -> BettiResult:
-    return _betti_of_family(relative_family(X, A, max_dim), max_dim, reduced=False)
-
+    return betti(relative_family(X, A, max_dim), max_dim, reduced=False)

@@ -68,7 +68,7 @@ def level1_contains(sigma: int, k: int) -> bool:
     """
     if not sigma:
         raise ValueError("the empty face belongs to every stage")
-    comp = complement_set(sigma, k).complement
+    comp = complement_set(sigma, k)
     if len(comp) < 3:
         raise ValueError("%r misses only %d ground elements; not a face of the full complex"
                          % (decode(sigma, graphs.triple_index(k).triples), len(comp)))
@@ -137,7 +137,7 @@ def pq_classify(sigma: int, k: int) -> PQTag:
     if not sigma:
         raise MatchingError("the empty face carries no tag")
     ix = graphs.triple_index(k)
-    comp = complement_set(sigma, k).complement
+    comp = complement_set(sigma, k)
     if len(comp) < 3:
         raise MatchingError("%r misses only %d ground elements; not a face of the full complex"
                             % (decode(sigma, ix.triples), len(comp)))

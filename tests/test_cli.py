@@ -160,6 +160,16 @@ def test_verify_lemma_named(capsys):
     assert results and all(r['pass'] for r in results)
 
 
+@pytest.mark.parametrize("lemma", ["a-matching", "b-matching"])
+def test_a_vacuous_lemma_passes(capsys, lemma):
+    # the A-families are empty for k <= 1 and the B-families for k <= 2
+    code, out, _ = run(capsys, "verify", "lemma", "--lemma", lemma,
+                       "--k", "1", "--format", "json")
+    assert code == 0
+    assert json.loads(out)['results'] == [
+        {'name': lemma, 'k': 1, 'pass': True, 'detail': {'fibers': 0}}]
+
+
 def test_failure_exit_and_stderr(monkeypatch, capsys):
     class Sad:
         ok = False

@@ -2,10 +2,14 @@
 
 Rank results are cross-checked against an independent Gaussian elimination
 over the rationals, done here with Fraction arithmetic and no pivot tricks,
-and the torsion of the top-down, cleared walk against the Smith form of
-each whole boundary matrix.
+and the ranks and torsion of the coreduced (Morse) path against the Smith
+form of each whole boundary matrix.
 """
 
+import itertools
+import math
+import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -14,8 +18,9 @@ from kneser_morse import homology
 from kneser_morse.complexes import complex_for
 from kneser_morse.homology import (
     CHECK_PRIMES, FaceFamily, SparseIntMatrix, betti, boundary_matrix,
-    rank_mod_p, relative_betti, smith_normal_form,
+    rank_mod_p, relative_betti, relative_family, smith_normal_form,
 )
+from kneser_morse.wedge import filtration
 
 
 def dense(matrix):
@@ -41,23 +46,6 @@ def fraction_rank(matrix):
                 rows[r] = [a - f * b for a, b in zip(rows[r], rows[rank])]
         rank += 1
     return rank
-
-
-def fraction_det(rows):
-    rows = [[Fraction(v) for v in row] for row in rows]
-    det = Fraction(1)
-    for col in range(len(rows)):
-        piv = next((r for r in range(col, len(rows)) if rows[r][col]), None)
-        if piv is None:
-            return 0
-        if piv != col:
-            rows[col], rows[piv] = rows[piv], rows[col]
-            det = -det
-        det *= rows[col][col]
-        for r in range(col + 1, len(rows)):
-            f = rows[r][col] / rows[col][col]
-            rows[r] = [a - f * b for a, b in zip(rows[r], rows[col])]
-    return det
 
 
 def test_snf_diagonal_fixture():
@@ -86,10 +74,56 @@ def test_snf_empty():
     assert s.rank == 0 and s.diagonal == ()
 
 
+def fraction_det(rows):
+    rows = [[Fraction(v) for v in row] for row in rows]
+    det = Fraction(1)
+    for col in range(len(rows)):
+        piv = next((r for r in range(col, len(rows)) if rows[r][col]), None)
+        if piv is None:
+            return 0
+        if piv != col:
+            rows[col], rows[piv] = rows[piv], rows[col]
+            det = -det
+        det *= rows[col][col]
+        for r in range(col + 1, len(rows)):
+            f = rows[r][col] / rows[col][col]
+            rows[r] = [a - f * b for a, b in zip(rows[r], rows[col])]
+    return det
+
+
+def determinantal_factors(rows):
+    """Invariant factors d_t / d_(t-1), d_t the gcd of the t x t minors."""
+    divisors = [1]
+    for t in range(1, min(len(rows), len(rows[0])) + 1):
+        g = 0
+        for rs in itertools.combinations(range(len(rows)), t):
+            for cs in itertools.combinations(range(len(rows[0])), t):
+                g = math.gcd(g, int(fraction_det([[rows[r][c] for c in cs] for r in rs])))
+        if not g:
+            break
+        divisors.append(g)
+    return tuple(b // a for a, b in zip(divisors, divisors[1:]))
+
+
+# a residual block on which the earlier row-swapping dense SNF never ended
+CYCLING_BLOCK = [[-3, -3, 0, 0, 8, -3], [-1, 7, 7, -9, 8, 10], [8, 4, 11, -4, 12, 0],
+                 [-6, 1, 3, -6, 0, 1], [-10, 0, -10, -4, -2, 5], [-4, 8, -1, -2, -9, 0]]
+
+
+def test_snf_matches_determinantal_divisors():
+    rng = random.Random(0)
+    blocks = [CYCLING_BLOCK] + [
+        [[rng.choice([0, 0, 1, -1, 2, -3, 4, 6, -9]) for _ in range(n)] for _ in range(m)]
+        for m, n in ((rng.randint(1, 5), rng.randint(1, 5)) for _ in range(100))]
+    for rows in blocks:
+        m = SparseIntMatrix(len(rows), len(rows[0]),
+                            [(i, j, v) for i, row in enumerate(rows) for j, v in enumerate(row)])
+        assert smith_normal_form(m).diagonal == determinantal_factors(rows), rows
+
+
 def simplicial(maximal):
     """Close a list of vertex tuples under subsets, as a FaceFamily of
     masks (bit v-1 for vertex v)."""
-    import itertools
     bands = {}
     seen = set()
     for m in maximal:
@@ -107,7 +141,6 @@ def test_sphere_fixtures():
     assert betti(s0, 1).numbers == (1, 0)
     circle = simplicial([(1, 2), (2, 3), (1, 3)])
     assert betti(circle, 2).numbers == (0, 1, 0)
-    import itertools
     sphere = simplicial(list(itertools.combinations(range(1, 5), 3)))
     assert betti(sphere, 3).numbers == (0, 0, 1, 0)
     assert betti(sphere, 3, reduced=False).numbers == (1, 0, 1, 0)
@@ -126,21 +159,6 @@ def test_projective_plane_torsion():
     assert b.torsion[1] == (2,)
 
 
-def test_only_unit_pivots_are_reported_over_the_integers():
-    # d_2 of RP^2 has invariant factors 1^9, 2: the 2 comes from the dense
-    # residual, whose rows must never be used to clear d_1
-    m = boundary_matrix(simplicial(RP2_FACETS), 2)
-    units, modp = {}, {}
-    s = smith_normal_form(m, pivots=units)
-    assert s.diagonal == (1,) * 9 + (2,)
-    assert len(units) == 9
-    assert rank_mod_p(m, CHECK_PRIMES[0], pivots=modp) == 10 and len(modp) == 10
-    entries = dense(m)
-    blocks = [[[entries[i][j] for j in piv.values()] for i in piv] for piv in (units, modp)]
-    assert abs(fraction_det(blocks[0])) == 1  # unimodular over Z
-    assert fraction_det(blocks[1]) % CHECK_PRIMES[0]
-
-
 def named_complex(name):
     return simplicial(RP2_FACETS) if name == 'rp2' else complex_for(name[:-1], int(name[-1]))
 
@@ -153,45 +171,11 @@ def test_betti_against_fraction_ranks():
         for d in range(top + 2):
             m = boundary_matrix(cx, d, reduced=True)
             assert b.ranks[d] == fraction_rank(m), (name, d)
-            if d:  # the cleared walk keeps the torsion of the whole matrix
+            if d:  # the Morse path keeps the torsion of the whole matrix
                 assert b.torsion[d - 1] == smith_normal_form(m).torsion, (name, d)
         # reduced Euler relation: sum (-1)^d cells_d - 1 == sum (-1)^d betti_d
         euler = sum((-1) ** d * len(cx.faces(d)) for d in range(top + 1)) - 1
         assert euler == sum((-1) ** d * x for d, x in enumerate(b.numbers))
-
-
-@pytest.mark.parametrize("name", ['s1', 'rp2'])
-def test_each_arithmetic_clears_with_its_own_pivots(name, monkeypatch):
-    # per arithmetic, record the columns each elimination saw and the pivots
-    # it found: the next boundary down must lack exactly those pivot rows.
-    # On RP^2 the integer pass has one pivot fewer in d_2 than GF(p).
-    cx = named_complex(name)
-    seen = {}
-    snf, rank = homology.smith_normal_form, homology.rank_mod_p
-
-    def spy_snf(m, precheck=True, pivots=None):
-        out = snf(m, precheck, pivots)
-        seen.setdefault(0, []).append(({j for _, j, _ in m.triples}, dict(pivots)))
-        return out
-
-    def spy_rank(m, p, pivots=None):
-        out = rank(m, p, pivots)
-        seen.setdefault(p, []).append(({j for _, j, _ in m.triples}, dict(pivots)))
-        return out
-
-    monkeypatch.setattr(homology, 'smith_normal_form', spy_snf)
-    monkeypatch.setattr(homology, 'rank_mod_p', spy_rank)
-    top = max(d for d in range(8) if cx.faces(d))
-    b = betti(cx, top)
-    assert set(seen) == {0, *CHECK_PRIMES}
-    dims = range(top, -1, -1)  # d_{top+1} is empty and never eliminated
-    for key, runs in seen.items():
-        assert len(runs) == len(dims)
-        for d, (_, above), (cols, _) in zip(dims[1:], runs, runs[1:]):
-            whole = {j for _, j, _ in boundary_matrix(cx, d, reduced=True).triples}
-            assert cols == whole - set(above), (key, d)
-        if key:
-            assert [len(piv) for _, piv in runs] == [b.ranks[d] for d in dims]
 
 
 def test_a_flipped_boundary_sign_breaks_the_certificate(monkeypatch):
@@ -212,12 +196,125 @@ def test_a_flipped_boundary_sign_breaks_the_certificate(monkeypatch):
 def test_a_mod_p_rank_off_by_one_is_caught(monkeypatch):
     rank = homology.rank_mod_p
 
-    def off_by_one(m, p, pivots=None):
-        return rank(m, p, pivots) + 1
+    def off_by_one(m, p):
+        return rank(m, p) + 1
 
     monkeypatch.setattr(homology, 'rank_mod_p', off_by_one)
     with pytest.raises(AssertionError, match="disagrees with invariant factors"):
         betti(complex_for('s', 1), 3)
+
+
+def relative_step(k, level, max_dim):
+    return filtration(k, level), filtration(k, level - 1), max_dim
+
+
+# name -> (X, A or None for an absolute complex, max_dim)
+MORSE_FIXTURES = {
+    **{'%s%d' % (kind, k): (complex_for(kind, k), None, k + 1)
+       for kind in ('kg', 's', 'sg') for k in (0, 1)},
+    'rp2': (simplicial(RP2_FACETS), None, 2),
+    'top0': relative_step(0, 3, 1), 'top1': relative_step(1, 3, 2),
+    'mid0': relative_step(0, 2, 1), 'mid1': relative_step(1, 2, 1),
+}
+
+
+def morse_fixture(name):
+    """(BettiResult, the family it ranks, max_dim, reduced) for a fixture."""
+    X, A, max_dim = MORSE_FIXTURES[name]
+    if A is None:
+        return betti(X, max_dim), X, max_dim, True
+    return relative_betti(X, A, max_dim), relative_family(X, A, max_dim), max_dim, False
+
+
+@pytest.mark.parametrize("name", sorted(MORSE_FIXTURES))
+def test_morse_path_matches_the_full_smith_form(name):
+    b, family, max_dim, reduced = morse_fixture(name)
+    for d in range(max_dim + 2):
+        whole = smith_normal_form(boundary_matrix(family, d, reduced=reduced))
+        assert b.ranks[d] == whole.rank, (name, d)
+        if d:
+            assert b.torsion[d - 1] == whole.torsion, (name, d)
+    if name == 'rp2':
+        assert b.torsion[1] == (2,)  # survives the reduction
+
+
+def test_k2_ranks_are_pinned():
+    # rank d_d for d = 0..max_dim+1, as the full-matrix elimination found them
+    assert betti(complex_for('kg', 2), 3).ranks == (1, 55, 1205, 4494, 7056)
+    assert relative_betti(*relative_step(2, 3, 3)).ranks == (0, 0, 584, 3160, 5040)
+    assert relative_betti(*relative_step(2, 2, 2)).ranks == (0, 0, 60, 20)
+
+
+def coreduce(family, max_dim, reduced):
+    cells = [0] if reduced else []
+    return homology._coreduce(cells + [f for d in range(max_dim + 3) for f in family.faces(d)])
+
+
+def dense_product(a, b):
+    left, right = dense(a), dense(b)
+    return [[sum(x * right[t][j] for t, x in enumerate(row)) for j in range(b.ncols)]
+            for row in left]
+
+
+@pytest.mark.parametrize("name", ['kg1', 's1', 'rp2', 'top1', 'mid1'])
+@pytest.mark.parametrize("thin", [None, 2, 3])
+def test_morse_complex_squares_to_zero_and_keeps_the_ranks(name, thin):
+    # with thin = t, every t-th pair is split back into two critical cells:
+    # a smaller acyclic matching in the same removal order, whose Morse
+    # complex is bigger but must still be a chain complex of the same ranks
+    b, family, max_dim, reduced = morse_fixture(name)
+    pairs, critical = coreduce(family, max_dim, reduced)
+    if thin:
+        split = set(list(pairs)[::thin])
+        critical = critical + [c for lo in split for c in (lo, pairs[lo])]
+        pairs = {lo: up for lo, up in pairs.items() if lo not in split}
+    morse = homology._morse_boundaries(pairs, critical, max_dim + 1)
+    for d in range(1, max_dim + 2):
+        assert not any(map(any, dense_product(morse[d - 1], morse[d]))), (name, d)
+    for d, m in enumerate(morse):
+        uppers = sum(1 for up in pairs.values() if up.bit_count() == d + 1)
+        s = smith_normal_form(m)
+        assert s.rank + uppers == b.ranks[d], (name, d)
+        if d:
+            assert s.torsion == b.torsion[d - 1], (name, d)
+    if thin == 2 and name == 'kg1':  # the split pairs leave a nontrivial composite
+        assert morse[1].nnz() and morse[2].nnz()
+
+
+def test_a_non_unit_pair_incidence_is_named(monkeypatch):
+    # every incidence doubled: d d = 0 still holds, but no pair may form
+    facets = homology._facets
+    monkeypatch.setattr(homology, '_facets', lambda f: ((g, 2 * s) for g, s in facets(f)))
+    with pytest.raises(AssertionError, match=r"face \d+ pairs with its facet \d+ at incidence "):
+        betti(complex_for('s', 1), 2)
+
+
+def test_a_rewrite_out_of_removal_order_is_named(monkeypatch):
+    # the pairs handed to the rewrite in reverse removal order
+    coreduce_ = homology._coreduce
+
+    def reversed_order(cells):
+        pairs, critical = coreduce_(cells)
+        return dict(reversed(pairs.items())), critical
+
+    monkeypatch.setattr(homology, '_coreduce', reversed_order)
+    with pytest.raises(AssertionError, match=r"rewriting face \d+ through \d+ meets facet "
+                                             r"\d+, removed no earlier"):
+        betti(simplicial(RP2_FACETS), 2)
+
+
+def test_a_dropped_facet_is_named(monkeypatch):
+    # one facet of one triangle lost by the shared facet rule: the
+    # certificate names a face that contains the triangle
+    cx = complex_for('s', 1)
+    tri = cx.faces(2)[0]
+    facets = homology._facets
+    monkeypatch.setattr(homology, '_facets', lambda f: (
+        (g, s) for g, s in facets(f) if (f, g) != (tri, tri & (tri - 1))))
+    with pytest.raises(AssertionError) as e:
+        betti(cx, 3)
+    named = re.search(r"is nonzero on column \d+ of d_\d \(face (\d+)\)", str(e.value))
+    assert named and int(named.group(1)) & tri == tri
 
 
 @pytest.mark.parametrize("kind,k,where,rank", [
@@ -287,5 +384,4 @@ def test_relative_betti_pair_of_complexes():
 def test_face_family_protocol():
     fam = FaceFamily({0: [0b10, 0b01], 2: []})
     assert fam.faces(0) == [0b01, 0b10]
-    assert fam.faces(5) == []
-    assert fam.dims() == [0]
+    assert fam.faces(2) == fam.faces(5) == []
