@@ -1,5 +1,5 @@
-"""The removed-test manifest: ``TESTS_REMOVED.json`` at the repository root
-lists every test deleted on purpose, with the reason it went."""
+"""The retired-test manifest: ``tests/retired_tests.json`` lists every test
+deleted on purpose, with the reason it went."""
 
 import ast
 import json
@@ -23,7 +23,7 @@ def function_of(test_id):
 
 
 def test_removed_tests_are_named_explained_and_gone():
-    entries = json.loads((ROOT / 'TESTS_REMOVED.json').read_text())
+    entries = json.loads((ROOT / 'tests' / 'retired_tests.json').read_text())
     assert entries
     defined = defined_tests()
     for entry in entries:
