@@ -487,15 +487,6 @@ def stratum_length(k: int, sigma: int) -> int:
     return span_length(decode(remap(nb, rotation_table(k, k, -j)), triples))
 
 
-def b_strata(k: int, l: int) -> dict[int, list]:
-    """Fiber of the normal-form vertex {1,2,l}, stratified by neighbor span."""
-    v = (1, 2, l)
-    strata: dict[int, list] = {}
-    for sigma in c_fiber(k, v):
-        strata.setdefault(stratum_length(k, sigma), []).append(sigma)
-    return strata
-
-
 # ---------------------------------------------------------------------------
 # the composed collapse
 

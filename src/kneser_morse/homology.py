@@ -22,10 +22,11 @@ d d = 0, so that is certified exactly first, on every column of every
 boundary from the top band down; a nonzero image raises ``AssertionError``
 naming d, the column and the face.
 
-The Smith form of a (small) Morse boundary eliminates unit pivots row by
-row; whatever residual survives without a unit entry goes through a dense
-textbook SNF.  Ranks are double-checked modulo two large primes: the mod-p
-rank must equal the number of invariant factors not divisible by p.
+Morse boundaries are small (185 x 4 at most for ``kg`` at k = 2), so each
+arithmetic runs one dense elimination on the whole matrix: a textbook
+Smith form over Z, and a row reduction over GF(p) that double-checks it
+modulo two large primes, where the mod-p rank must equal the number of
+invariant factors not divisible by p.
 """
 
 from __future__ import annotations
@@ -52,18 +53,12 @@ class SparseIntMatrix:
     def nnz(self) -> int:
         return len(self.triples)
 
-    def build_rows(self, mod: int | None = None) -> dict[int, dict[int, int]]:
-        rows: dict[int, dict[int, int]] = {}
+    def dense(self) -> list[list[int]]:
+        """Row lists of the entries; duplicate coordinates add up."""
+        rows = [[0] * self.ncols for _ in range(self.nrows)]
         for i, j, v in self.triples:
-            r = rows.setdefault(i, {})
-            w = r.get(j, 0) + v
-            if mod is not None:
-                w %= mod
-            if w:
-                r[j] = w
-            elif j in r:
-                del r[j]
-        return {i: r for i, r in rows.items() if r}
+            rows[i][j] += v
+        return rows
 
 
 @dataclass(frozen=True)
@@ -76,61 +71,15 @@ class SNFResult:
         return tuple(d for d in self.diagonal if d > 1)
 
 
-def _eliminate(matrix: SparseIntMatrix, mod: int | None = None) -> tuple[int, dict]:
-    """Pivot away entries row by row; returns (pivot count, residual rows).
-
-    With ``mod`` set, works in GF(mod) where every nonzero entry can pivot,
-    so the residual is always empty and the count is the rank.  Without it,
-    only +-1 entries pivot (exact integer Schur updates) and the residual
-    holds the rows left without a unit entry when their turn came.
-    """
-    rows = matrix.build_rows(mod)
-    cols: dict[int, set[int]] = {}
-    for i, r in rows.items():
-        for j in r:
-            cols.setdefault(j, set()).add(i)
-    count = 0
-    for i in sorted(rows):
-        r = rows.get(i)
-        j = next((j for j, v in r.items() if mod is not None or v in (1, -1)), None) if r else None
-        if j is None:
-            continue
-        count += 1
-        del rows[i]
-        for jj in r:
-            cols[jj].discard(i)
-        inv = r[j] if mod is None else pow(r[j], -1, mod)
-        for ii in cols.pop(j):
-            rr = rows[ii]
-            f = rr.pop(j) * inv
-            for jj, pv in r.items():
-                if jj == j:
-                    continue
-                w = rr.get(jj, 0) - f * pv
-                if mod is not None:
-                    w %= mod
-                if w:
-                    if jj not in rr:
-                        cols[jj].add(ii)
-                    rr[jj] = w
-                elif jj in rr:
-                    del rr[jj]
-                    cols[jj].discard(ii)
-            if not rr:
-                del rows[ii]
-    return count, rows
-
-
-def _dense_snf(rows: dict[int, dict[int, int]]) -> list[int]:
-    """Textbook SNF diagonal of a small residual block (exact integers).
+def _dense_snf(a: list[list[int]]) -> list[int]:
+    """Textbook SNF diagonal of the row lists ``a`` (exact integers; ``a``
+    is consumed).
 
     A least nonzero entry moves to the corner and reduces its row and
     column by division.  A remainder is a smaller least entry for the next
     round; a block entry the corner does not divide is first added into the
     corner's row.  Otherwise the corner is the next invariant factor.
     """
-    cols = sorted({j for r in rows.values() for j in r})
-    a = [[r.get(j, 0) for j in cols] for r in rows.values()]
     diag: list[int] = []
     while any(map(any, a)):
         _, i, j = min((abs(v), i, j) for i, row in enumerate(a) for j, v in enumerate(row) if v)
@@ -156,28 +105,37 @@ def _dense_snf(rows: dict[int, dict[int, int]]) -> list[int]:
 
 
 def rank_mod_p(matrix: SparseIntMatrix, p: int) -> int:
-    """Rank over GF(p)."""
-    rank, residual = _eliminate(matrix, mod=p)
-    if residual:
-        raise AssertionError("mod-p elimination left a residual")
+    """Rank over GF(p): each row in turn pivots on its first nonzero entry
+    and clears that column from the rows still left."""
+    rows = [[x % p for x in row] for row in matrix.dense()]
+    rank = 0
+    while rows:
+        pivot = rows.pop()
+        j = next((j for j, x in enumerate(pivot) if x), None)
+        if j is None:
+            continue
+        rank += 1
+        inv = pow(pivot[j], -1, p)
+        for row in rows:
+            if row[j]:
+                f = row[j] * inv % p
+                row[:] = [(x - f * y) % p for x, y in zip(row, pivot)]
     return rank
 
 
-def smith_normal_form(matrix: SparseIntMatrix, precheck: bool = True) -> SNFResult:
-    """Invariant factors over Z, rechecked modulo each ``CHECK_PRIMES`` prime
-    when ``precheck`` is set: the mod-p rank must equal the number of
-    invariant factors that p does not divide."""
-    units, residual = _eliminate(matrix)
-    diag = [1] * units + _dense_snf(residual)
+def smith_normal_form(matrix: SparseIntMatrix) -> SNFResult:
+    """Invariant factors over Z, rechecked modulo each ``CHECK_PRIMES``
+    prime: the mod-p rank must equal the number of invariant factors that p
+    does not divide."""
+    diag = _dense_snf(matrix.dense())
     for a, b in zip(diag, diag[1:]):
         if b % a:
             raise AssertionError("invariant factors out of divisibility order: %r" % (diag,))
-    if precheck:
-        for p in CHECK_PRIMES:
-            got, expected = rank_mod_p(matrix, p), sum(1 for d in diag if d % p)
-            if got != expected:
-                raise AssertionError("mod-%d rank %d disagrees with invariant factors (%d)"
-                                     % (p, got, expected))
+    for p in CHECK_PRIMES:
+        got, expected = rank_mod_p(matrix, p), sum(1 for d in diag if d % p)
+        if got != expected:
+            raise AssertionError("mod-%d rank %d disagrees with invariant factors (%d)"
+                                 % (p, got, expected))
     return SNFResult(tuple(diag), len(diag))
 
 

@@ -99,8 +99,7 @@ def critical_cells(cells: Iterable, matching: Matching) -> list:
     return sorted(c for c in cells if c not in matching.partner)
 
 
-def is_acyclic(matching: Matching, cells: Iterable | None = None,
-               facets: Callable = face_facets) -> tuple[bool, list | None]:
+def is_acyclic(matching: Matching, cells: Iterable | None = None) -> tuple[bool, list | None]:
     """Check the matched-pair digraph for directed cycles.
 
     One iterative depth-first search over the lower faces of the pairs:
@@ -126,7 +125,7 @@ def is_acyclic(matching: Matching, cells: Iterable | None = None,
             continue
         trail = [root]
         on_trail = {root}
-        stack = [facets(up[root])]
+        stack = [face_facets(up[root])]
         while stack:
             sigma = trail[-1]
             for f in stack[-1]:
@@ -136,7 +135,7 @@ def is_acyclic(matching: Matching, cells: Iterable | None = None,
                     return False, [(s, up[s]) for s in trail[trail.index(f):]]
                 trail.append(f)
                 on_trail.add(f)
-                stack.append(facets(up[f]))
+                stack.append(face_facets(up[f]))
                 break
             else:
                 stack.pop()
@@ -146,8 +145,7 @@ def is_acyclic(matching: Matching, cells: Iterable | None = None,
     return True, None
 
 
-def verify_poset_map(label_of: Callable, cells: Iterable,
-                     facets: Callable = face_facets) -> tuple[bool, tuple | None]:
+def verify_poset_map(label_of: Callable, cells: Iterable) -> tuple[bool, tuple | None]:
     """Check that labels never increase when passing to a facet.
 
     Only codimension-1 containments inside ``cells`` are examined; for the
@@ -158,7 +156,7 @@ def verify_poset_map(label_of: Callable, cells: Iterable,
     cs = set(cells)
     for tau in cs:
         lt = label_of(tau)
-        for sigma in facets(tau):
+        for sigma in face_facets(tau):
             if sigma in cs and label_of(sigma) > lt:
                 return False, (sigma, tau)
     return True, None

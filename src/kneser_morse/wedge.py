@@ -374,29 +374,18 @@ def toggle_run(faces: Iterable[int], wbits: list[int]) -> tuple[list, set]:
     return pairs, remaining
 
 
-class FiberRecord(NamedTuple):
-    """Shape of one processed sub-fiber.  For a transported family the label
-    is the image of the base label, not the lex-least member in the new frame."""
-    vertex: tuple
-    case: str
-    size: int
-    pairs: int
-    critical: int
-
-
 @dataclass
 class FamilyMatching:
-    """An acyclic matching on one family, with its sub-fiber records.
+    """An acyclic matching on one family.
 
     ``triples`` is the bit dictionary of the masks in ``faces``, ``pairs``
     and ``critical``: lex ordered in a family built directly, and the image
     of the base's dictionary in a family moved by ``transport``, which
-    shares the base's masks.  ``fibers`` records the sub-fiber runs in
-    processing order.  A family built directly is checked in full (residue
-    identity, closed-form survivors, and one ``Matching`` over the union of
-    its toggle runs, which validates every pair once before the acyclicity
-    check of the whole family); a transported one is covered by the
-    certificate of ``transport``.
+    shares the base's masks.  A family built directly is checked in full
+    (residue identity, closed-form survivors, and one ``Matching`` over the
+    union of its toggle runs, which validates every pair once before the
+    acyclicity check of the whole family); a transported one is covered by
+    the certificate of ``transport``.
     """
     k: int
     family: str
@@ -407,7 +396,6 @@ class FamilyMatching:
     faces: list
     pairs: list
     critical: list
-    fibers: list
 
     def decode(self, mask: int) -> tuple:
         return decode(mask, self.triples)
@@ -465,10 +453,10 @@ def _matching_p1(k: int, j: int, cset: tuple) -> FamilyMatching:
     clear = set(nc_set(j, k))
     allpairs: list = []
     criticals: list = []
-    records: list = []
+    present: set = set()
     for b, faces in split_fibers(fam).items():
         v = fam.triples[b]
-        case = w_case(v, j, k)
+        present.add(v)
         wbits = []
         for w in w_set(v, j, k):
             wb = idx.get(w)
@@ -500,24 +488,28 @@ def _matching_p1(k: int, j: int, cset: tuple) -> FamilyMatching:
             raise MatchingError("label %r owns a sub-fiber yet is neither kind (j=%d)" % (v, j))
         allpairs.extend(pairs)
         criticals.extend(sorted(residue))
-        records.append(FiberRecord(v, case, len(faces), len(pairs), len(residue)))
-    present = {rec.vertex for rec in records}
     if not retain <= present:
         raise MatchingError("labels %r should retain a cell but own no face (j=%d)"
                             % (sorted(retain - present), j))
     if 2 * len(allpairs) + len(criticals) != len(fam.faces):
         raise MatchingError("matched pairs and critical cells do not partition the family (j=%d)" % (j,))
-    result = FamilyMatching(k, 'P', 1, j, cset, fam.triples, fam.faces,
-                            allpairs, criticals, records)
+    # every pair stays inside the family: both faces cover the support and
+    # hold an unstable member
+    for pair in allpairs:
+        for f in pair:
+            if fam.cover[f] != full or not f & fam.unstable:
+                raise MatchingError("family (1, %d) pairs face %r, which lies outside the family"
+                                    % (j, decode(f, fam.triples)))
+    result = FamilyMatching(k, 'P', 1, j, cset, fam.triples, fam.faces, allpairs, criticals)
     del fam  # the subset table is not needed past this point; free it before the DFS
-    # the union is the only place the pairs are validated: each one covers,
-    # no face is matched twice, and every pair stays inside the family
+    # the union is the only place the pairs are validated as a matching:
+    # each one covers and no face is matched twice
     try:
         matching = Matching(result.pairs)
     except PairError as e:
         raise MatchingError("family (1, %d) pairs: %s, decoded %r"
                             % (j, e, [result.decode(f) for f in e.faces])) from e
-    ok, cyc = is_acyclic(matching, cells=result.faces)
+    ok, cyc = is_acyclic(matching)
     if not ok:
         raise MatchingError("family (1, %d) matching has a directed cycle through %r"
                             % (j, [result.decode(a) for a, _ in cyc[:3]]))
@@ -553,9 +545,7 @@ def transport(base: FamilyMatching, k: int, family: str, i: int, j: int,
         if graphs.is_stable(t, base.k) != graphs.is_stable(u, k):
             raise MatchingError("family (%s, %d, %d): triple %r at k=%d moves to %r at k=%d "
                                 "and changes stability" % (family, i, j, t, base.k, u, k))
-    fibers = [rec._replace(vertex=graphs.rotate(rec.vertex, shift, k)) for rec in base.fibers]
-    return FamilyMatching(k, family, i, j, cset, triples, base.faces, base.pairs,
-                          base.critical, fibers)
+    return FamilyMatching(k, family, i, j, cset, triples, base.faces, base.pairs, base.critical)
 
 
 def matching_Q(k: int, i: int, j: int) -> FamilyMatching:

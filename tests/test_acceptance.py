@@ -237,7 +237,7 @@ def _check_euler_and_mod_p():
         cx = complex_for(kind, k)
         for d in range(cx.dim() + 2):
             m = boundary_matrix(cx, d, reduced=True)
-            exact = smith_normal_form(m, precheck=False).rank
+            exact = smith_normal_form(m).rank
             mod_ranks = [rank_mod_p(m, p) for p in CHECK_PRIMES]
             oks.append(all(r <= exact for r in mod_ranks))
             oks.append(max(mod_ranks, default=0) == exact)

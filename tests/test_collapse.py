@@ -12,7 +12,7 @@ import pytest
 
 from kneser_morse import graphs, morse
 from kneser_morse.collapse import (
-    MatchingError, a_family, b_family, b_strata, c_fiber, classify,
+    MatchingError, a_family, b_family, c_fiber, classify,
     delta_decompose, index_I, index_J, label_key, matching_A, matching_B,
     matching_C, pair_of, parse_three, parse_four, pivot_vertex,
     stratum_length, theorem2_matching, _delta_table, _s_faces,
@@ -264,6 +264,14 @@ def test_stratum_labels_are_a_poset_map(l):
     ok, witness = morse.verify_poset_map(
         lambda sigma: -stratum_length(k, sigma), fiber)
     assert ok, witness
+
+
+def b_strata(k, l):
+    """Fiber of the normal-form vertex {1,2,l}, stratified by neighbor span."""
+    strata = {}
+    for sigma in c_fiber(k, (1, 2, l)):
+        strata.setdefault(stratum_length(k, sigma), []).append(sigma)
+    return strata
 
 
 def test_b_strata_partition_the_fiber():

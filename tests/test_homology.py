@@ -74,6 +74,25 @@ def test_snf_empty():
     assert s.rank == 0 and s.diagonal == ()
 
 
+P, Q = CHECK_PRIMES
+
+
+@pytest.mark.parametrize("nrows,ncols,triples,diagonal", [
+    # duplicate coordinates add up: the (0, 0) entries cancel, (1, 1) reads 4
+    (2, 2, [(0, 0, 3), (1, 1, 2), (0, 0, -3), (1, 1, 2)], (4,)),
+    # an entry divisible by a check prime: invariant factor p, mod-p rank 0
+    (1, 2, [(0, 1, P)], (P,)),
+    (2, 1, [(0, 0, 2 * Q), (1, 0, 3 * Q)], (Q,)),
+    (0, 3, [], ()),
+    (3, 0, [], ()),
+])
+def test_dense_edge_cases_and_their_rechecks(nrows, ncols, triples, diagonal):
+    m = SparseIntMatrix(nrows, ncols, triples)
+    assert smith_normal_form(m).diagonal == diagonal  # the mod-p rechecks agreed
+    for p in CHECK_PRIMES:
+        assert rank_mod_p(m, p) == sum(1 for d in diagonal if d % p), p
+
+
 def fraction_det(rows):
     rows = [[Fraction(v) for v in row] for row in rows]
     det = Fraction(1)
@@ -336,7 +355,7 @@ def test_mod_p_rank_matches_exact_everywhere():
         cx = complex_for(kind, k)
         for d in range(cx.dim() + 2):
             m = boundary_matrix(cx, d, reduced=True)
-            exact = smith_normal_form(m, precheck=False).rank
+            exact = smith_normal_form(m).rank
             for p in CHECK_PRIMES:
                 assert rank_mod_p(m, p) <= exact
             assert rank_mod_p(m, 2 ** 31 - 1) == exact or fraction_rank(m) == exact

@@ -273,6 +273,26 @@ def test_matching_P_catches_a_face_matched_twice(monkeypatch):
         matching_P(1, 1, 3)
 
 
+def test_matching_P_catches_a_pair_outside_the_family(monkeypatch):
+    run = toggle_run
+    planted = []
+
+    def plant_outside(faces, wbits):
+        # the first nonempty run loses its last pair to the empty face and a
+        # single vertex: the pair count still partitions the family, the
+        # planted pair covers, and no other check meets it
+        pairs, survivors = run(faces, wbits)
+        if pairs and not planted:
+            planted.append(pairs[-1])
+            pairs[-1] = (0, 1)
+        return pairs, survivors
+
+    monkeypatch.setattr(wedge, 'toggle_run', plant_outside)
+    with pytest.raises(MatchingError, match=r"family \(1, 3\) pairs face \(\), which lies "
+                                            r"outside the family"):
+        matching_P(1, 1, 3)
+
+
 def test_matching_P_catches_a_perturbed_closed_form(monkeypatch):
     real = critical_form
 
