@@ -104,9 +104,12 @@ def is_acyclic(matching: Matching, cells: Iterable | None = None) -> tuple[bool,
 
     One iterative depth-first search over the lower faces of the pairs:
     from a pair (sigma, tau) it follows every facet of tau other than sigma
-    that is the lower face of another pair.  The faces on the current trail
-    are kept in a set; a finished face is dropped from the lookup, since no
-    cycle can run through it.  Returns (True, None) or (False, witness)
+    that is the lower face of another pair.  Since tau is sigma plus one
+    bit, those facets are tau ^ b for the bits b of sigma, probed in
+    ascending bit order; each trail face keeps its bits not yet probed on a
+    parallel stack.  The faces on the current trail are kept in a set; a
+    finished face is dropped from the lookup, since no cycle can run
+    through it.  Returns (True, None) or (False, witness)
     where the witness lists the pairs around one cycle in order, each next
     lower face a facet of the current upper face and the last pair leading
     back to the first.  Malformed input (pairs not covering, a face in two
@@ -125,23 +128,28 @@ def is_acyclic(matching: Matching, cells: Iterable | None = None) -> tuple[bool,
             continue
         trail = [root]
         on_trail = {root}
-        stack = [face_facets(up[root])]
-        while stack:
+        todo = [root]
+        while trail:
             sigma = trail[-1]
-            for f in stack[-1]:
-                if f == sigma or f not in up:
-                    continue
-                if f in on_trail:
-                    return False, [(s, up[s]) for s in trail[trail.index(f):]]
-                trail.append(f)
-                on_trail.add(f)
-                stack.append(face_facets(up[f]))
-                break
+            tau = up[sigma]
+            bits = todo[-1]
+            while bits:
+                b = bits & -bits
+                bits ^= b
+                f = tau ^ b
+                if f in up:
+                    if f in on_trail:
+                        return False, [(s, up[s]) for s in trail[trail.index(f):]]
+                    todo[-1] = bits
+                    trail.append(f)
+                    on_trail.add(f)
+                    todo.append(f)
+                    break
             else:
-                stack.pop()
-                done = trail.pop()
-                on_trail.remove(done)
-                del up[done]
+                todo.pop()
+                trail.pop()
+                on_trail.remove(sigma)
+                del up[sigma]
     return True, None
 
 

@@ -306,10 +306,13 @@ class FamilyFaces(NamedTuple):
 def family_faces(k: int, cset: Iterable[int]) -> FamilyFaces:
     """Every face missing exactly ``cset`` that has an unstable member.
 
-    The missed set must contain no stable triple, otherwise the family
-    would sit inside the mixed complex and be empty here.  The subset
-    table is exponential in the number of triples of the support, hence
-    the hard cap of ``SCAN_BITS``.
+    ``cover`` is built by doubling, one triple at a time, so ``cover[s]``
+    is the union of the triples of the bit set s; ``faces`` is every s,
+    in ascending order, whose cover is the whole support and which holds
+    an unstable bit.  The missed set must contain no stable triple,
+    otherwise the family would sit inside the mixed complex and be empty
+    here.  The subset table is exponential in the number of triples of the
+    support, hence the hard cap of ``SCAN_BITS``.
     """
     n = graphs.ground_size(k)
     cs = sorted(set(cset))
@@ -323,36 +326,42 @@ def family_faces(k: int, cset: Iterable[int]) -> FamilyFaces:
     if m > SCAN_BITS:
         raise ValueError("support of %d elements spans %d triples; subset scan beyond %d bits refused"
                          % (len(support), m, SCAN_BITS))
-    elem = [graphs.vertex_mask(t) for t in triples]
     full = graphs.vertex_mask(support)
     unstable = 0
     for b, t in enumerate(triples):
         if not graphs.is_stable(t, k):
             unstable |= 1 << b
-    cover = [0] * (1 << m)
-    faces = []
-    append = faces.append
-    for s in range(1, 1 << m):
-        low = s & -s
-        c = cover[s ^ low] | elem[low.bit_length() - 1]
-        cover[s] = c
-        if c == full and s & unstable:
-            append(s)
+    # doubling: after triple b the table holds every subset of bits 0..b,
+    # the new upper half being the lower half with triple b added
+    cover = [0]
+    for t in triples:
+        e = graphs.vertex_mask(t)
+        cover += [c | e for c in cover]
+    faces = [s for s, c in enumerate(cover) if c == full and s & unstable]
     return FamilyFaces(triples, unstable, faces, cover)
 
 
 def split_fibers(fam: FamilyFaces) -> dict[int, list[int]]:
     """Family faces keyed by the bit of their lex-least unstable member.
 
-    Bit order agrees with lex order on triples, so ascending keys walk the
-    sub-fibers in the order the labels are processed.  Empty sub-fibers do
+    The fibers are peeled in ascending bit order: the faces still left that
+    hold the next unstable bit form its fiber, and the rest go on to the
+    next bit.  Bit order agrees with lex order on triples, so ascending keys
+    walk the sub-fibers in the order the labels are processed, and each
+    fiber keeps the ascending order of ``fam.faces``.  Empty sub-fibers do
     not appear.
     """
     fibers: dict[int, list[int]] = {}
-    for f in fam.faces:
-        u = f & fam.unstable
-        fibers.setdefault((u & -u).bit_length() - 1, []).append(f)
-    return dict(sorted(fibers.items()))
+    rest = fam.faces
+    bits = fam.unstable
+    while bits and rest:
+        bit = bits & -bits
+        bits ^= bit
+        fiber = [f for f in rest if f & bit]
+        if fiber:
+            fibers[bit.bit_length() - 1] = fiber
+            rest = [f for f in rest if not f & bit]
+    return fibers
 
 
 def toggle_run(faces: Iterable[int], wbits: list[int]) -> tuple[list, set]:
@@ -368,9 +377,10 @@ def toggle_run(faces: Iterable[int], wbits: list[int]) -> tuple[list, set]:
     pairs: list = []
     for wb in wbits:
         ups = [f for f in remaining if f & wb and f ^ wb in remaining]
-        pairs.extend((f ^ wb, f) for f in ups)
+        lows = [f ^ wb for f in ups]
+        pairs.extend(zip(lows, ups))
         remaining.difference_update(ups)
-        remaining.difference_update([f ^ wb for f in ups])
+        remaining.difference_update(lows)
     return pairs, remaining
 
 
@@ -448,7 +458,8 @@ def matching_P(k: int, i: int, j: int) -> FamilyMatching:
 def _matching_p1(k: int, j: int, cset: tuple) -> FamilyMatching:
     fam = family_faces(k, cset)
     idx = {t: b for b, t in enumerate(fam.triples)}
-    full = fam.cover[-1]
+    cover, unstable = fam.cover, fam.unstable
+    full = cover[-1]
     retain = set(c_set(j, k))
     clear = set(nc_set(j, k))
     allpairs: list = []
@@ -465,12 +476,15 @@ def _matching_p1(k: int, j: int, cset: tuple) -> FamilyMatching:
             wbits.append(1 << wb)
         pairs, residue = toggle_run(faces, wbits)
         # direct residue identity: a survivor holds every toggle and loses
-        # full coverage as soon as any one toggle is removed
+        # full coverage as soon as any one toggle is removed (f ^ wb drops
+        # wb, which every candidate holds)
         wall = 0
         for wb in wbits:
             wall |= wb
-        ident = {f for f in faces
-                 if f & wall == wall and all(fam.cover[f & ~wb] != full for wb in wbits)}
+        ident = [f for f in faces if f & wall == wall]
+        for wb in wbits:
+            ident = [f for f in ident if cover[f ^ wb] != full]
+        ident = set(ident)
         if residue != ident:
             raise MatchingError("toggle run of label %r disagrees with the residue identity at %r (j=%d)"
                                 % (v, decode(min(residue ^ ident), fam.triples), j))
@@ -495,13 +509,14 @@ def _matching_p1(k: int, j: int, cset: tuple) -> FamilyMatching:
         raise MatchingError("matched pairs and critical cells do not partition the family (j=%d)" % (j,))
     # every pair stays inside the family: both faces cover the support and
     # hold an unstable member
-    for pair in allpairs:
-        for f in pair:
-            if fam.cover[f] != full or not f & fam.unstable:
-                raise MatchingError("family (1, %d) pairs face %r, which lies outside the family"
-                                    % (j, decode(f, fam.triples)))
+    outside = [f for pair in allpairs for f in pair if cover[f] != full or not f & unstable]
+    if outside:
+        raise MatchingError("family (1, %d) pairs face %r, which lies outside the family"
+                            % (j, decode(outside[0], fam.triples)))
     result = FamilyMatching(k, 'P', 1, j, cset, fam.triples, fam.faces, allpairs, criticals)
-    del fam  # the subset table is not needed past this point; free it before the DFS
+    # the subset table is not needed past this point; drop every reference
+    # to it before the DFS
+    del fam, cover
     # the union is the only place the pairs are validated as a matching:
     # each one covers and no face is matched twice
     try:

@@ -170,6 +170,32 @@ def test_a_vacuous_lemma_passes(capsys, lemma):
         {'name': lemma, 'k': 1, 'pass': True, 'detail': {'fibers': 0}}]
 
 
+@pytest.mark.parametrize("lemma", ["sg-matching", "a-matching", "b-matching", "c-matching",
+                                   "s3k-collapse", "filtration-nesting"])
+def test_a_face_expanding_lemma_is_refused_at_k3(monkeypatch, capsys, lemma):
+    # these lemmas expand the mixed complex or the filtration stages face by
+    # face, which the powerset guard stops at k = 3; the cap refuses first
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a refused target must not start its work")
+
+    monkeypatch.setattr(cli.collapse, "theorem2_matching", forbidden)
+    monkeypatch.setattr(cli.wedge, "filtration", forbidden)
+    code, out, err = run(capsys, "verify", "lemma", "--lemma", lemma, "--k", "3")
+    assert code == 2 and out == ""
+    assert err.startswith("refused:") and "k <= 2" in err
+
+
+@pytest.mark.parametrize("lemma", ["p-families", "q-families"])
+def test_the_family_lemmas_keep_the_census_cap(capsys, lemma):
+    code, out, _ = run(capsys, "verify", "lemma", "--lemma", lemma, "--k", "3",
+                       "--depth", "counts", "--format", "json")
+    assert code == 0
+    assert [r['pass'] for r in json.loads(out)['results']] == [True]
+    code, _, err = run(capsys, "verify", "lemma", "--lemma", lemma, "--k", "4",
+                       "--depth", "counts")
+    assert code == 2 and "k <= 3" in err
+
+
 def test_failure_exit_and_stderr(monkeypatch, capsys):
     class Sad:
         ok = False

@@ -2,9 +2,11 @@
 
 The acyclicity test is cross-checked against a straightforward cycle search
 on the modified Hasse diagram (cover arcs point down, matched arcs point up),
-which is the textbook definition.
+which is the textbook definition, and against a reference search that walks
+the facets through a generator, for the exact witness.
 """
 
+import itertools
 import random
 
 import networkx as nx
@@ -14,6 +16,7 @@ from kneser_morse.morse import (
     Matching, compose_cluster, critical_cells, element_matching,
     face_facets, is_acyclic, is_cover, is_perfect, verify_poset_map,
 )
+from kneser_morse.wedge import matching_P
 
 
 def test_face_facets_both_reps():
@@ -127,6 +130,36 @@ def random_matching(rng, cells):
     return Matching(pairs)
 
 
+def reference_is_acyclic(matching):
+    """The same depth-first search with every facet of an upper face drawn
+    from ``face_facets``, its own lower face skipped: the visit order, and
+    so the witness, that ``is_acyclic`` must reproduce."""
+    up = dict(matching.pairs)
+    for root, _ in matching.pairs:
+        if root not in up:
+            continue
+        trail = [root]
+        on_trail = {root}
+        stack = [face_facets(up[root])]
+        while stack:
+            sigma = trail[-1]
+            for f in stack[-1]:
+                if f == sigma or f not in up:
+                    continue
+                if f in on_trail:
+                    return False, [(s, up[s]) for s in trail[trail.index(f):]]
+                trail.append(f)
+                on_trail.add(f)
+                stack.append(face_facets(up[f]))
+                break
+            else:
+                stack.pop()
+                done = trail.pop()
+                on_trail.remove(done)
+                del up[done]
+    return True, None
+
+
 @pytest.mark.parametrize("seed", range(40))
 def test_is_acyclic_agrees_with_hasse_oracle(seed):
     rng = random.Random(seed)
@@ -135,10 +168,43 @@ def test_is_acyclic_agrees_with_hasse_oracle(seed):
     m = random_matching(rng, cells)
     got, witness = is_acyclic(m, cells=cells)
     assert got == oracle_acyclic(m, cells)
+    assert (got, witness) == reference_is_acyclic(m)
     if got:
         assert witness is None
     else:
         assert_witness_closes(m, witness)
+
+
+def test_the_witness_follows_ascending_bits():
+    # the root (1+8, 1+8+64) leads through facet 64+8 into one three-cycle
+    # and through facet 64+1 into another; the lower bit of the root is
+    # probed first, so the witness is the cycle through 64+8
+    low = [(64 | 1, 64 | 1 | 2), (64 | 2, 64 | 2 | 4), (64 | 4, 64 | 4 | 1)]
+    high = [(64 | 8, 64 | 8 | 16), (64 | 16, 64 | 16 | 32), (64 | 32, 64 | 32 | 8)]
+    m = Matching([(1 | 8, 1 | 8 | 64)] + low + high)
+    assert is_acyclic(m) == reference_is_acyclic(m) == (False, high)
+
+
+def test_a_cycle_planted_in_a_base_family_is_caught():
+    # pairs (A+x, A+x+y), (A+y, A+y+z), (A+z, A+z+x) replace whatever matched
+    # those six faces in the k = 2 family (1, 4); each upper face has the
+    # next lower face as a facet, so the three pairs close a cycle
+    fm = matching_P(2, 1, 4)
+    faces = set(fm.faces)
+    width = len(fm.triples)
+    a, x, y, z = next((a, x, y, z) for a in fm.faces
+                      for x, y, z in itertools.combinations([1 << b for b in range(width)], 3)
+                      if not a & (x | y | z) and {a | x, a | y, a | z} <= faces)
+    planted = [(a | x, a | x | y), (a | y, a | y | z), (a | z, a | z | x)]
+    touched = {f for pair in planted for f in pair}
+    pairs = [p for p in fm.pairs if not touched & set(p)] + planted
+    m = Matching(pairs)
+    assert is_acyclic(Matching(fm.pairs)) == (True, None)
+    ok, witness = is_acyclic(m)
+    assert not ok
+    assert_witness_closes(m, witness)
+    assert set(witness) & set(planted)  # the pairs left in place are acyclic
+    assert (ok, witness) == reference_is_acyclic(m)
 
 
 def test_verify_poset_map():

@@ -201,6 +201,34 @@ def test_family_faces_rejects_stable_missed_set():
         family_faces(1, frozenset({1, 3, 5}))
 
 
+BASE_FAMILIES = [(k, j) for k in (0, 1, 2) for j in index_I(1, k)] + [(3, 4)]
+
+
+@pytest.mark.parametrize("k,j", BASE_FAMILIES)
+def test_family_faces_and_fibers_match_their_definitions(k, j):
+    cset = p_complement(k, 1, j)
+    fam = family_faces(k, cset)
+    support = [x for x in range(1, ground_size(k) + 1) if x not in cset]
+    assert fam.triples == tuple(t for t in all_triples(k) if not set(t) & set(cset))
+    assert fam.unstable == sum(1 << b for b, t in enumerate(fam.triples) if not is_stable(t, k))
+    # cover[s] is the union of the triples of s, one subset at a time: the
+    # lowest bit of s added to the cover of the rest
+    elem = [sum(1 << (x - 1) for x in t) for t in fam.triples]
+    cover = [0] * (1 << len(elem))
+    for s in range(1, len(cover)):
+        low = s & -s
+        cover[s] = cover[s ^ low] | elem[low.bit_length() - 1]
+    assert fam.cover == cover
+    full = sum(1 << (x - 1) for x in support)
+    assert fam.faces == [s for s in range(len(cover)) if cover[s] == full and s & fam.unstable]
+    # each face filed under the bit of its lex-least unstable member
+    fibers: dict = {}
+    for f in fam.faces:
+        u = f & fam.unstable
+        fibers.setdefault((u & -u).bit_length() - 1, []).append(f)
+    assert list(split_fibers(fam).items()) == sorted(fibers.items())
+
+
 def toggle_stages(faces, wbits):
     """Stage of each face in a toggle run, 1-based, survivors getting
     len(wbits) + 1: one more than the number of toggle prefixes it survives."""
