@@ -377,22 +377,6 @@ def cover(v) -> set[int]:
     return set(range(min(v), max(v) + 1))
 
 
-def co_set(vs) -> set[int]:
-    out: set[int] = set()
-    for v in vs:
-        out |= cover(v)
-    return out
-
-
-def cover_hull(vs) -> set[int]:
-    co = co_set(vs)
-    return set(range(min(co), max(co) + 1)) if co else set()
-
-
-def span_length(vs) -> int:
-    return len(cover_hull(vs))
-
-
 def comp_set(v, l: int) -> set[int]:
     """Candidate toggle elements: inside cover(v), off v, far from l."""
     return {t for t in cover(v) if abs(t - l) > 1 and t not in v}
@@ -473,18 +457,6 @@ def matching_C(k: int, v, faces=None) -> Matching:
         raise MatchingError(
             "fiber of %r not perfectly matched; first unmatched: %r" % (v, missing))
     return m
-
-
-def stratum_length(k: int, sigma: int) -> int:
-    """Span of the common-neighbor set, in the normal-form frame of the
-    face's lex-least unstable member."""
-    triples = graphs.triple_index(k).triples
-    label = classify(sigma, k)
-    if label[0] != 'C':
-        raise ValueError("%r has no unstable member" % (decode(sigma, triples),))
-    _, j = unstable_rep(label[1], k)
-    nb = graphs.graph('s', k).common_neighbors(sigma)
-    return span_length(decode(remap(nb, rotation_table(k, k, -j)), triples))
 
 
 # ---------------------------------------------------------------------------

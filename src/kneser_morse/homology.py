@@ -11,27 +11,26 @@ the reduced variant augments with the empty face.  Relative homology of a
 pair (X, A) uses the same machinery on the quotient cells (faces of X not
 in A), where boundary entries landing in A are simply dropped.
 
-A family is coreduced (Mrozek and Batko, DCG 41, 2009) through one
-dimension above its top boundary.  Removal order makes the matching
-acyclic, so the critical cells span a chain-equivalent Morse complex
-(Skoldberg, Trans. AMS 358, 2006): the boundary of a critical cell with the
-lower cell of each pair rewritten away and the upper cells dropped.  Then
-rank d_d is the Morse rank plus one per pair whose upper cell has
-dimension d, and the torsion is the Morse torsion.  The equivalence needs
-d d = 0, so that is certified exactly first, on every column of every
-boundary from the top band down; a nonzero image raises ``AssertionError``
-naming d, the column and the face.
+A family is coreduced (Mrozek and Batko, DCG 41, 2009) through its top
+boundary: the cells of dimension -1..max_dim + 1 form a chain complex of
+their own.  Removal order makes the matching acyclic, so the critical
+cells span a chain-equivalent Morse complex (Skoldberg, Trans. AMS 358,
+2006): the boundary of a critical cell with the lower cell of each pair
+rewritten away and the upper cells dropped.  Then rank d_d is the Morse
+rank plus one per pair whose upper cell has dimension d, and the torsion
+is the Morse torsion.  The equivalence needs d d = 0, so that is certified
+exactly first, on every column of every boundary the ranks read; a nonzero
+image raises ``AssertionError`` naming d, the column and the face.
 
-Morse boundaries are small (185 x 4 at most for ``kg`` at k = 2), so each
-arithmetic runs one dense elimination on the whole matrix: a textbook
-Smith form over Z, and a row reduction over GF(p) that double-checks it
-modulo two large primes, where the mod-p rank must equal the number of
-invariant factors not divisible by p.
+Morse boundaries have few rows or few columns (185 x 4 and 4 x 7,056 at
+most, for ``kg`` at k = 2), so each arithmetic runs one dense elimination
+on the whole matrix: a textbook Smith form over Z, and a row reduction
+over GF(p) that double-checks it modulo two large primes, where the mod-p
+rank must equal the number of invariant factors not divisible by p.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from itertools import groupby
 from operator import itemgetter
@@ -178,10 +177,10 @@ class FaceFamily:
 
 
 def relative_family(X, A, max_dim: int) -> FaceFamily:
-    """The cells of X not in A, through dimension max_dim + 2 (one band
-    above the top boundary that ``relative_betti`` ranks)."""
+    """The cells of X not in A, through dimension max_dim + 1 (the top
+    boundary that ``relative_betti`` ranks)."""
     bands = {}
-    for d in range(max_dim + 3):
+    for d in range(max_dim + 2):
         asub = set(A.faces(d))
         bands[d] = [f for f in X.faces(d) if f not in asub]
     return FaceFamily(bands)
@@ -267,57 +266,57 @@ def _coreduce(cells: list) -> tuple[dict, list]:
     return pairs, critical
 
 
-def _flow(c: int, pairs: dict, when: dict) -> dict:
-    """The boundary of ``c`` with the lower cell of each pair rewritten
-    away, latest removal first: b becomes b - e^-1 d(a) for the pair (a, b)
-    with incidence e.  Every other facet of a left earlier than b, which
-    makes the matching acyclic; a facet that did not raises.  Returns the
-    chain over the cells left (critical, upper and absent ones)."""
-    chain = dict(_facets(c))
-    heap = [(-when[g], g) for g in chain if g in when]
-    heapq.heapify(heap)
-    while heap:
-        _, b = heapq.heappop(heap)
-        x = chain.pop(b)
-        if not x:
-            continue
-        a = pairs[b]
-        rest = dict(_facets(a))
-        x *= rest.pop(b)
-        for g, s in rest.items():
-            if g in when:
-                if when[g] >= when[b]:
-                    raise AssertionError(
-                        "rewriting face %r through %r meets facet %r, removed no earlier"
-                        % (b, a, g))
-                if g not in chain:
-                    heapq.heappush(heap, (-when[g], g))
-            chain[g] = chain.get(g, 0) - x * s
-    return chain
-
-
 def _morse_boundaries(pairs: dict, critical: list, top: int) -> list[SparseIntMatrix]:
     """The Morse boundaries d = 0..top between the critical cells, each
-    dimension's critical cells in removal order as its basis."""
-    when = {b: t for t, b in enumerate(pairs)}
+    dimension's critical cells in removal order as its basis.
+
+    One pass over the pairs (b, a) in removal order tables the image
+    pi(b) = -[a:b] sum [a:g] pi(g) over the facets g != b of a, where a
+    critical cell is its own image and an upper or absent cell maps to 0.
+    Every lower g must have left before b, which makes the matching
+    acyclic; one that did not raises.  Only the dimensions that feed a
+    boundary with both rows and columns are tabled.  The column of a
+    critical cell c is then sum [c:g] pi(g) over its facets g.
+    """
     bands: dict[int, list[int]] = {}
     for c in critical:
         bands.setdefault(c.bit_count() - 1, []).append(c)
-    index = {c: i for band in bands.values() for i, c in enumerate(band)}
+    feed = {d - 1 for d in range(top + 1) if bands.get(d - 1) and bands.get(d)}
+    image = {c: {i: 1} for d in feed for i, c in enumerate(bands[d])}
+
+    def project(f: int, b: int | None = None) -> tuple[dict[int, int], int]:
+        """sum [f:g] pi(g) over the facets g != b of f, and [f:b]."""
+        chain, e = {}, 0
+        for g, s in _facets(f):
+            if g == b:
+                e = s
+            elif g in image:
+                for i, v in image[g].items():
+                    chain[i] = chain.get(i, 0) + s * v
+            elif g in pairs:
+                raise AssertionError(
+                    "rewriting face %r through %r meets facet %r, removed no earlier"
+                    % (b, f, g))
+        return chain, e
+
+    for b, a in pairs.items():
+        if b.bit_count() - 1 in feed:
+            chain, e = project(a, b)
+            image[b] = {i: -e * v for i, v in chain.items() if v}
     out = []
     for d in range(top + 1):
         rows, cols = bands.get(d - 1, []), bands.get(d, [])
-        triples = [(index[g], j, v) for j, c in enumerate(cols) if rows
-                   for g, v in _flow(c, pairs, when).items() if g in index]
+        triples = [(i, j, v) for j, c in enumerate(cols) if d - 1 in feed
+                   for i, v in project(c)[0].items()]
         out.append(SparseIntMatrix(len(rows), len(cols), triples))
     return out
 
 
 def betti(X, max_dim: int, reduced: bool = True) -> BettiResult:
     top = max_dim + 1
-    _certify(X, top + 1, reduced)
+    _certify(X, top, reduced)
     pairs, critical = _coreduce(
-        ([0] if reduced else []) + [f for d in range(top + 2) for f in X.faces(d)])
+        ([0] if reduced else []) + [f for d in range(top + 1) for f in X.faces(d)])
     uppers = [a.bit_count() - 1 for a in pairs.values()]
     ranks = [uppers.count(d) for d in range(top + 1)]  # one per pair
     torsion = [()] * (top + 1)

@@ -16,7 +16,7 @@ from kneser_morse import morse
 from kneser_morse.collapse import (
     a_family, b_family, c_fiber, classify, delta_decompose, index_I, index_J,
     label_key, matching_B, pair_of, parse_three, pivot_vertex,
-    stratum_length, theorem2_matching, _delta_table, _s_faces,
+    theorem2_matching, _delta_table, _s_faces,
 )
 from kneser_morse.complexes import complex_for, decode, face_key
 from kneser_morse.graphs import ground_size, rotate, triple_index
@@ -28,6 +28,8 @@ from kneser_morse.wedge import (
     family_faces, filtration, p_complement, split_fibers, theorem3_counts,
     toggle_run, w_set,
 )
+
+from test_collapse import stratum_length  # the span oracle of the C-fiber strata
 
 
 def announce(n, ok, detail):

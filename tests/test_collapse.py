@@ -15,10 +15,10 @@ from kneser_morse.collapse import (
     MatchingError, a_family, b_family, c_fiber, classify,
     delta_decompose, index_I, index_J, label_key, matching_A, matching_B,
     matching_C, pair_of, parse_three, parse_four, pivot_vertex,
-    stratum_length, theorem2_matching, _delta_table, _s_faces,
+    theorem2_matching, _delta_table, _s_faces,
 )
-from kneser_morse.complexes import complex_for, decode, face_key
-from kneser_morse.graphs import ground_size, is_stable, rotate, triple_index
+from kneser_morse.complexes import complex_for, decode, face_key, remap, rotation_table
+from kneser_morse.graphs import ground_size, is_stable, rotate, triple_index, unstable_rep
 
 
 def members(sigma, k):
@@ -253,6 +253,18 @@ def test_matching_C_perfect_and_acyclic(k):
 def test_c_fiber_rejects_stable_vertex():
     with pytest.raises(ValueError):
         c_fiber(1, (1, 3, 5))
+
+
+def stratum_length(k, sigma):
+    """Span of the common-neighbor set, in the normal-form frame of the
+    face's lex-least unstable member: the length of the integer interval
+    that covers every neighbor."""
+    label = classify(sigma, k)
+    assert label[0] == 'C', members(sigma, k)
+    _, j = unstable_rep(label[1], k)
+    nb = remap(graphs.graph('s', k).common_neighbors(sigma), rotation_table(k, k, -j))
+    ends = [x for v in decode(nb, triple_index(k).triples) for x in (min(v), max(v))]
+    return max(ends) - min(ends) + 1 if ends else 0
 
 
 @pytest.mark.parametrize("l", [3, 4, 5])

@@ -176,6 +176,12 @@ def test_projective_plane_torsion():
     b = betti(rp2, 2)
     assert b.numbers == (0, 0, 0)
     assert b.torsion[1] == (2,)
+    # max_dim 1 ranks d_2 as the top boundary, with no cells above it
+    low = betti(rp2, 1)
+    assert low.torsion == ((), (2,)) and low.ranks == (1, 5, 10)
+    for d in range(3):
+        whole = smith_normal_form(boundary_matrix(rp2, d, reduced=True))
+        assert low.ranks[d] == whole.rank and (not d or low.torsion[d - 1] == whole.torsion)
 
 
 def named_complex(name):
@@ -197,19 +203,31 @@ def test_betti_against_fraction_ranks():
         assert euler == sum((-1) ** d * x for d, x in enumerate(b.numbers))
 
 
-def test_a_flipped_boundary_sign_breaks_the_certificate(monkeypatch):
+def flip_a_sign(monkeypatch, flip):
+    """Negate the first entry of every boundary d_flip that is built."""
     build = homology.boundary_matrix
 
     def flipped(X, d, reduced=False):
         m = build(X, d, reduced=reduced)
-        if d == 1:
+        if d == flip:
             i, j, v = m.triples[0]
             m = SparseIntMatrix(m.nrows, m.ncols, [(i, j, -v)] + m.triples[1:])
         return m
 
     monkeypatch.setattr(homology, 'boundary_matrix', flipped)
+
+
+def test_a_flipped_boundary_sign_breaks_the_certificate(monkeypatch):
+    flip_a_sign(monkeypatch, 1)
     with pytest.raises(AssertionError, match=r"d_1 d_2 is nonzero on column \d+ of d_2"):
         betti(complex_for('s', 1), 3)
+
+
+def test_a_flipped_sign_in_the_top_boundary_breaks_the_certificate(monkeypatch):
+    # d_4 is the top boundary max_dim 3 ranks: no band above it checks it
+    flip_a_sign(monkeypatch, 4)
+    with pytest.raises(AssertionError, match=r"d_3 d_4 is nonzero on column \d+ of d_4"):
+        betti(complex_for('s', 2), 3)
 
 
 def test_a_mod_p_rank_off_by_one_is_caught(monkeypatch):
@@ -266,7 +284,7 @@ def test_k2_ranks_are_pinned():
 
 def coreduce(family, max_dim, reduced):
     cells = [0] if reduced else []
-    return homology._coreduce(cells + [f for d in range(max_dim + 3) for f in family.faces(d)])
+    return homology._coreduce(cells + [f for d in range(max_dim + 2) for f in family.faces(d)])
 
 
 def dense_product(a, b):
