@@ -28,7 +28,7 @@ from . import collapse, graphs, wedge
 from .complexes import complex_for
 from .homology import betti, relative_betti
 
-K_CAPS = {'counts': 5, 'acyclicity': 3, 'full-snf': 2}
+K_CAPS = {'counts': 5, 'acyclicity': wedge.CENSUS_CAP, 'full-snf': 2}
 KINDS = ('kg', 's', 'sg')
 
 
@@ -91,19 +91,18 @@ def _census_once():
 
 
 def _verify_theorem2(k: int, depth: str, counts_of) -> list[dict]:
-    report = collapse.theorem2_matching(k)
+    report = collapse.theorem2_matching(k)  # raises on any failed check
     recs = [{'lemma': r.lemma, 'fiber': r.fiber, 'cells': r.cells, 'pairs': r.pairs,
              'acyclic': r.acyclic, 'perfect': r.perfect,
              'critical_count': r.critical_count} for r in report.records]
-    total = recs[-1] if recs else {}
-    return [_result('theorem2-collapse', k, report.ok,
-                    cells=total.get('cells', 0), pairs=total.get('pairs', 0),
+    total = report.records[-1]  # the whole-complex record
+    return [_result('theorem2-collapse', k, True, cells=total.cells, pairs=total.pairs,
                     critical=len(report.critical), records=recs)]
 
 
 def _census(k: int, depth: str) -> bool:
     """Whether a target at this depth runs the census or the formulas only."""
-    return k <= 3 and depth != 'counts'
+    return k <= wedge.CENSUS_CAP and depth != 'counts'
 
 
 def _verify_theorem3(k: int, depth: str, counts_of) -> list[dict]:
@@ -134,14 +133,9 @@ def _verify_theorem3(k: int, depth: str, counts_of) -> list[dict]:
 
 
 def _verify_records(k: int, lemma: str) -> list[dict]:
-    report = collapse.theorem2_matching(k)
-    out = []
-    for r in report.records:
-        if r.lemma != lemma:
-            continue
-        ok = r.acyclic and (r.perfect or r.lemma in ('sg-matching', 's3k-collapse'))
-        out.append(_result(lemma, k, ok, fiber=r.fiber, cells=r.cells,
-                           pairs=r.pairs, critical=r.critical_count))
+    out = [_result(lemma, k, True, fiber=r.fiber, cells=r.cells, pairs=r.pairs,
+                   critical=r.critical_count)
+           for r in collapse.theorem2_matching(k).records if r.lemma == lemma]
     if not out:  # no face classifies into this kind at k: vacuously true
         out.append(_result(lemma, k, True, fibers=0))
     return out
@@ -182,7 +176,6 @@ LEMMAS = {
 }
 
 THEOREM2_CAP = 2
-THEOREM3_CENSUS_CAP = 3
 # the family targets read the census and reach its cap; every other lemma
 # expands the mixed complex or the filtration stages face by face, which
 # the powerset guard of ``all_faces`` stops beyond the Theorem 2 cap
@@ -197,10 +190,7 @@ def cmd_verify(args) -> tuple[list[dict], bool]:
     if target in ('theorem2', 'all'):
         _check_cap('verify theorem2', k, THEOREM2_CAP, args.allow_large)
     if target in ('theorem3', 'all'):
-        cap = K_CAPS['counts'] if depth == 'counts' else THEOREM3_CENSUS_CAP
-        if depth == 'full-snf':
-            cap = K_CAPS['full-snf']
-        _check_cap('verify theorem3', k, cap, args.allow_large)
+        _check_cap('verify theorem3', k, K_CAPS[depth], args.allow_large)
     if target == 'lemma':
         if not args.lemma:
             raise Refusal("verify lemma needs --lemma; known names: %s"

@@ -15,8 +15,10 @@ come from a pivot-vertex recursion that reduces the family parameter, the
 B-matchings pull back A-matchings one parameter down along a rotation, and
 the C-matchings toggle one stable vertex chosen from the covering interval
 of the lex-least common neighbor.  ``theorem2_matching`` composes all of
-them under one order-preserving classifier and certifies that the critical
-cells are exactly F0.
+them under one order-preserving classifier (the Cluster Lemma) and proves
+Theorem 2 with three checks on the whole complex: no pair straddles two
+fibers, the union is acyclic, and the critical cells are exactly F0.  Each
+fiber's acyclicity and perfection follow from these three.
 
 Faces are masks over ``graphs.triple_index(k)``, the index every complex at
 k shares.  A rotation moves a face through one ``complexes.rotation_table``
@@ -216,24 +218,20 @@ def _delta_table(k: int, l: int):
     pivot that becomes uncovered (a ground-element mask), and the class biject onto the family
     (sub_k, s, t) via sigma -> (sigma - pivot) rotated down by ``shift``.
     """
-    n = graphs.ground_size(k)
+    a, b, n = pivot_vertex(k, l)
     if l == 3:
-        a, b = 4, 6
         targets = [(1, k - 1, 1, 3), (1, k - 1, 1, 5), (0, k - 1, 1, 3),
                    (2, k - 2, 1, 4), (1, k - 2, 1, 3), (1, k - 2, 1, 5),
                    (2, k - 3, 1, 4)]
     elif l == 4:
-        a, b = 3, 5
         targets = [(1, k - 1, 1, 3), (1, k - 1, 3, 1), (0, k - 1, 1, 4),
                    (2, k - 2, 1, 3), (1, k - 2, 1, 3), (1, k - 2, 3, 1),
                    (2, k - 3, 1, 3)]
     elif l == 5:
-        a, b = 3, 6
         targets = [(1, k - 1, 1, 4), (1, k - 1, 4, 1), (0, k - 1, 1, 5),
                    (2, k - 2, 3, 1), (1, k - 2, 1, 4), (1, k - 2, 4, 1),
                    (2, k - 3, 3, 1)]
     else:
-        a, b = 3, l - 1
         targets = [(1, k - 1, 1, l - 1), (1, k - 1, l - 2, 1), (0, k - 1, 1, l),
                    (2, k - 2, l - 3, 1), (1, k - 2, 1, l - 1), (1, k - 2, l - 2, 1),
                    (2, k - 3, l - 3, 1)]
@@ -279,6 +277,21 @@ def delta_decompose(k: int, l: int, sigma: int):
         % (decode(sigma, ix.triples), [x + 1 for x in range(extra.bit_length()) if extra >> x & 1]))
 
 
+def _transport(pairs, table: list[int], family: set, k: int, what: str, add: int = 0) -> list:
+    """Move matching pairs along a ``rotation_table`` into parameter k, with
+    the mask ``add`` joined to every face, and check that the moved pairs
+    cover exactly ``family``; a mismatch names one decoded face of the
+    difference."""
+    moved = [(remap(lo, table) | add, remap(hi, table) | add) for lo, hi in pairs]
+    cells = {f for pair in moved for f in pair}
+    if cells != family:
+        raise MatchingError(
+            "%s: moved pairs cover %d faces, the family has %d; they differ at %r"
+            % (what, len(cells), len(family),
+               decode(min(cells ^ family), graphs.triple_index(k).triples)))
+    return moved
+
+
 @lru_cache(maxsize=None)
 def _matching_a_norm(k: int, l: int) -> tuple:
     """Matching pairs on the (s, t) = (1, l) family, built recursively."""
@@ -306,15 +319,8 @@ def _matching_a_norm(k: int, l: int) -> tuple:
                 raise MatchingError(
                     "class %d nonempty but its target family vanishes" % idx)
             continue
-        sub = matching_A(sub_k, s, t)
-        table = rotation_table(sub_k, k, shift)
-        pulled = [(remap(lo, table) | p, remap(hi, table) | p) for lo, hi in sub.pairs]
-        cells = {f for pair in pulled for f in pair}
-        if cells != bucket:
-            raise MatchingError(
-                "class %d of (k=%d, l=%d): pullback covers %d faces, class has %d"
-                % (idx, k, l, len(cells), len(bucket)))
-        pairs.extend(pulled)
+        pairs.extend(_transport(matching_A(sub_k, s, t).pairs, rotation_table(sub_k, k, shift),
+                                bucket, k, "class %d of (k=%d, l=%d)" % (idx, k, l), add=p))
     m = Matching(pairs)
     if not morse.is_perfect(m, family):
         raise MatchingError("matching on (1,%d) family at k=%d not perfect" % (l, k))
@@ -330,14 +336,8 @@ def matching_A(k: int, s: int, t: int) -> Matching:
     l = (t - s) % n + 1
     if not 3 <= l <= n - 1:
         raise AssertionError("normalized l=%d out of range" % l)
-    table = rotation_table(k, k, s - 1)
-    m = Matching([(remap(lo, table), remap(hi, table)) for lo, hi in _matching_a_norm(k, l)])
-    family = set(a_family(k, s, t))
-    if m.matched() != family:
-        raise MatchingError(
-            "rotated matching covers %d faces, family (k=%d,s=%d,t=%d) has %d"
-            % (len(m.matched()), k, s, t, len(family)))
-    return m
+    return Matching(_transport(_matching_a_norm(k, l), rotation_table(k, k, s - 1),
+                               set(a_family(k, s, t)), k, "family (k=%d,s=%d,t=%d)" % (k, s, t)))
 
 
 # ---------------------------------------------------------------------------
@@ -360,13 +360,8 @@ def matching_B(k: int, s: int, u: int) -> Matching:
     parsed = parse_three(target_c, k - 1)
     if parsed is None:
         raise AssertionError("image complement %r has no pair shape" % (sorted(target_c),))
-    table = rotation_table(k - 1, k, -shift)
-    m = Matching([(remap(lo, table), remap(hi, table)) for lo, hi in matching_A(k - 1, *parsed).pairs])
-    if m.matched() != family:
-        raise MatchingError(
-            "pulled-back matching covers %d faces, family (k=%d,s=%d,u=%d) has %d"
-            % (len(m.matched()), k, s, u, len(family)))
-    return m
+    return Matching(_transport(matching_A(k - 1, *parsed).pairs, rotation_table(k - 1, k, -shift),
+                               family, k, "family (k=%d,s=%d,u=%d)" % (k, s, u)))
 
 
 # ---------------------------------------------------------------------------
@@ -480,7 +475,6 @@ class CollapseReport:
     matching: Matching
     records: list[VerificationRecord]
     critical: list
-    ok: bool
 
 
 def _fiber_tag(label) -> str:
@@ -494,67 +488,73 @@ def _fiber_tag(label) -> str:
 
 
 def theorem2_matching(k: int) -> CollapseReport:
-    """Build and fully verify the collapse matching at parameter k.
+    """Build the collapse matching at parameter k and certify Theorem 2.
 
-    Classifies every face of the ambient complex, builds each fiber matching,
-    composes them under the family classifier, and certifies: classifier
-    monotone, composition acyclic, critical cells exactly the faces of the
-    stable subcomplex.  A non-monotone classifier or a stray critical cell
-    raises ``MatchingError`` with the decoded face.
+    Classifies every face of the ambient complex and builds each fiber
+    matching (the A-, B- and C-matchings check their own families as they
+    are built).  The Cluster Lemma then needs three checks, each made once
+    on the whole complex:
+
+    1. the classifier is order-preserving, and ``compose_cluster`` finds no
+       pair straddling two fibers;
+    2. one acyclicity search over the union of all pairs finds no cycle;
+    3. the critical cells are exactly the SG fiber and the faces of ``sg``.
+
+    A cycle among one fiber's pairs is a cycle of the union, so check 2
+    makes every fiber acyclic; by checks 1 and 3 every face outside the SG
+    fiber is matched inside its own fiber, so every other fiber is perfectly
+    matched.  The per-fiber records carry these consequences.  A failed
+    check raises ``MatchingError`` naming decoded faces and their fiber.
     """
     triples = graphs.triple_index(k).triples
     faces = sorted(_s_faces(k))
     labels = {sigma: classify(sigma, k) for sigma in faces}
+    keys = {label: label_key(label, k) for label in set(labels.values())}
+    key_of = {sigma: keys[label] for sigma, label in labels.items()}
     buckets: dict = {}
     for sigma, label in labels.items():
-        buckets.setdefault(label, set()).add(sigma)
+        buckets.setdefault(label, []).append(sigma)
 
-    records: list[VerificationRecord] = []
+    def fail(what: str, witness) -> MatchingError:
+        tags = sorted({_fiber_tag(labels[f]) if f in labels else "outside s" for f in witness})
+        return MatchingError("%s at %s [fiber %s]" % (
+            what, ", ".join("face %r" % (decode(f, triples),) for f in witness), " / ".join(tags)))
+
     fibers: dict = {}
-    for label in sorted(buckets, key=lambda la: label_key(la, k)):
-        members = buckets[label]
+    for label in sorted(buckets, key=keys.__getitem__):
         if label[0] == 'A':
-            m = matching_A(k, label[1], label[2])
+            fibers[label] = matching_A(k, label[1], label[2])
         elif label[0] == 'B':
-            m = matching_B(k, label[1], label[2])
+            fibers[label] = matching_B(k, label[1], label[2])
         elif label[0] == 'C':
-            m = matching_C(k, label[1], faces=members)
+            fibers[label] = matching_C(k, label[1], faces=buckets[label])
         else:
-            m = Matching([])
-        if label[0] in ('A', 'B') and m.matched() != members:
-            stray = min(m.matched() ^ members)
-            raise MatchingError(
-                "classifier bucket %r disagrees with enumerated family at %r"
-                % (label, decode(stray, triples)))
-        fibers[label] = m
-        acyclic, _ = morse.is_acyclic(m, members)
-        perfect = morse.is_perfect(m, members) if label[0] != 'SG' else False
-        records.append(VerificationRecord(
-            lemma="%s-matching" % label[0].lower(), k=k, fiber=_fiber_tag(label),
-            cells=len(members), pairs=len(m.pairs), acyclic=acyclic,
-            perfect=perfect,
-            critical_count=len(members) - 2 * len(m.pairs)))
+            fibers[label] = Matching([])
 
-    def label_of(sigma):
-        return label_key(labels[sigma], k)
-
-    keyed = {label_key(la, k): m for la, m in fibers.items()}
-    composed = morse.compose_cluster(label_of, keyed)
-    mono_ok, mono_witness = morse.verify_poset_map(label_of, faces)
+    try:
+        composed = morse.compose_cluster(key_of.get, {keys[la]: m for la, m in fibers.items()})
+    except morse.PairError as e:
+        filed = " / ".join(_fiber_tag(la) for la, m in fibers.items()
+                           if any(f in m for f in e.faces))
+        raise fail("pair filed under fiber %s straddles fibers" % filed, e.faces) from e
+    mono_ok, mono_witness = morse.verify_poset_map(key_of.__getitem__, faces)
     if not mono_ok:
-        raise MatchingError("classifier not order-preserving at %r"
-                            % ([decode(f, triples) for f in mono_witness],))
-    acyclic, witness = morse.is_acyclic(composed, faces)
+        raise fail("classifier not order-preserving", mono_witness)
+    acyclic, cycle = morse.is_acyclic(composed, _s_faces(k))
+    if not acyclic:
+        raise fail("matched pairs close a cycle", [f for pair in cycle for f in pair])
     critical = morse.critical_cells(faces, composed)
-    stray = set(critical) ^ complexes.complex_for('sg', k).all_faces()
+    sg = complexes.complex_for('sg', k).all_faces()
+    stray = set(critical) ^ sg | set(critical) ^ set(buckets.get(('SG',), ()))
     if stray:
-        raise MatchingError("critical cells and the stable subcomplex differ at face %r"
-                            % (decode(min(stray), triples),))
+        raise fail("critical cells and the stable subcomplex differ", [min(stray)])
+
+    records = [VerificationRecord(
+        lemma="%s-matching" % label[0].lower(), k=k, fiber=_fiber_tag(label),
+        cells=len(buckets[label]), pairs=len(m.pairs), acyclic=True,
+        perfect=label[0] != 'SG', critical_count=len(buckets[label]) - 2 * len(m.pairs))
+        for label, m in fibers.items()]
     records.append(VerificationRecord(
-        lemma="s3k-collapse", k=k, fiber="all",
-        cells=len(faces), pairs=len(composed.pairs), acyclic=acyclic,
-        perfect=False, critical_count=len(critical)))
-    ok = acyclic and all(
-        r.acyclic and (r.perfect or r.fiber in ("SG", "all")) for r in records)
-    return CollapseReport(k=k, matching=composed, records=records,
-                          critical=critical, ok=ok)
+        lemma="s3k-collapse", k=k, fiber="all", cells=len(faces), pairs=len(composed.pairs),
+        acyclic=True, perfect=False, critical_count=len(critical)))
+    return CollapseReport(k=k, matching=composed, records=records, critical=critical)

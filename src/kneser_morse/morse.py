@@ -173,19 +173,21 @@ def verify_poset_map(label_of: Callable, cells: Iterable) -> tuple[bool, tuple |
 def compose_cluster(label_of: Callable, fiber_matchings: dict[Hashable, Matching]) -> Matching:
     """Union of per-fiber matchings under a classifier.
 
-    Every pair must have both endpoints in the fiber it was filed under;
-    a straddling pair or a face matched by two fibers is a structural error.
-    Acyclicity of the union (guaranteed when the classifier is a poset map
-    and each fiber matching is acyclic) is re-verified by callers, not
-    assumed here.
+    Every pair must have both endpoints in the fiber it was filed under: a
+    straddling pair raises ``PairError`` carrying its two faces, and a face
+    matched by two fibers raises one from ``Matching``.  Nothing else is
+    checked here.  With a poset-map classifier, the union is acyclic iff
+    every fiber matching is, so a caller that runs one acyclicity search on
+    the union has checked every fiber; a face outside the fibers' pairs is
+    critical in the union.
     """
     all_pairs = []
     for label, m in fiber_matchings.items():
         for sigma, tau in m.pairs:
             if label_of(sigma) != label or label_of(tau) != label:
-                raise ValueError(
+                raise PairError(
                     "pair (%r, %r) straddles fibers: filed under %r, classified as (%r, %r)"
-                    % (sigma, tau, label, label_of(sigma), label_of(tau)))
+                    % (sigma, tau, label, label_of(sigma), label_of(tau)), sigma, tau)
             all_pairs.append((sigma, tau))
     return Matching(all_pairs)
 

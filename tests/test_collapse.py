@@ -6,11 +6,14 @@ families are bijections, and the composed matching leaves exactly the stable
 subcomplex critical.
 """
 
+import itertools
+import json
+import re
 from collections import Counter
 
 import pytest
 
-from kneser_morse import graphs, morse
+from kneser_morse import cli, collapse, graphs, morse
 from kneser_morse.collapse import (
     MatchingError, a_family, b_family, c_fiber, classify,
     delta_decompose, index_I, index_J, label_key, matching_A, matching_B,
@@ -160,6 +163,17 @@ def test_matching_A_perfect_and_acyclic(k):
     assert pairs_seen > 0
 
 
+def test_a_rotated_matching_that_misses_its_family_names_a_face(monkeypatch):
+    # the family (k=2, s=2, t=5) loses one face; the rotated (1, 4) matching
+    # still covers it, and the transport check names the face
+    real = collapse.a_family
+    monkeypatch.setattr(collapse, 'a_family', lambda k, s, t: real(k, s, t)[1:]
+                        if (k, s, t) == (2, 2, 5) else real(k, s, t))
+    with pytest.raises(MatchingError, match=r"family \(k=2,s=2,t=5\): moved pairs cover 2 "
+                                            r"faces, the family has 1; they differ at \(\(\d+, \d+, \d+\)"):
+        matching_A(2, 2, 5)
+
+
 def test_matching_A_empty_at_small_k():
     assert matching_A(1, 1, 3).pairs == []
 
@@ -303,7 +317,6 @@ THEOREM2_EXPECT = {0: (2, 0, 2), 1: (98, 42, 14), 2: (15966, 7872, 222)}
 @pytest.mark.parametrize("k", [0, 1, 2])
 def test_theorem2_matching(k):
     rep = theorem2_matching(k)
-    assert rep.ok
     cells, pairs, crit = THEOREM2_EXPECT[k]
     assert rep.records[-1].cells == cells
     assert len(rep.matching.pairs) == pairs
@@ -343,3 +356,103 @@ def test_theorem2_catches_a_flipped_stability_bit(flip, monkeypatch):
     monkeypatch.setattr(graphs, 'triple_index', lambda k: flipped if k == 1 else real(k))
     with pytest.raises(MatchingError, match=r"face \(\(\d+, \d+, \d+\)"):
         theorem2_matching(1)
+
+
+# ---------------------------------------------------------------------------
+# planted defects in the fiber matchings at k = 2: each whole-complex check
+# of theorem2_matching raises with decoded faces and the fiber tag
+
+def planted_cycle_site(k):
+    """The first C fiber, with faces a, x, y, z (single bits for x, y, z)
+    such that a+x, a+y, a+z and a+x+y, a+y+z, a+z+x all lie in the fiber."""
+    width = len(triple_index(k).triples)
+    for v in fiber_reps(k):
+        fiber = set(c_fiber(k, v))
+        for a in sorted(fiber):
+            ups = [1 << b for b in range(width) if not a >> b & 1 and a | 1 << b in fiber]
+            for x, y, z in itertools.combinations(ups, 3):
+                if {a | x | y, a | y | z, a | z | x} <= fiber:
+                    return v, a, x, y, z
+    raise AssertionError("no C fiber at k=%d holds a three-pair cycle" % k)
+
+
+def plant_cycle(monkeypatch):
+    # pairs (a+x, a+x+y), (a+y, a+y+z), (a+z, a+z+x) replace whatever matched
+    # those six faces in one C fiber; each upper face has the next lower face
+    # as a facet, so the three pairs close a cycle
+    v, a, x, y, z = planted_cycle_site(2)
+    planted = [(a | x, a | x | y), (a | y, a | y | z), (a | z, a | z | x)]
+    touched = {f for pair in planted for f in pair}
+    real = collapse.matching_C
+
+    def matching(k, u, faces=None):
+        m = real(k, u, faces)
+        if (k, u) != (2, v):
+            return m
+        return morse.Matching([p for p in m.pairs if not touched & set(p)] + planted)
+
+    monkeypatch.setattr(collapse, 'matching_C', matching)
+    return r"close a cycle at face \(\(\d+, \d+, \d+\).*\[fiber C v=%s\]" % "".join(map(str, v))
+
+
+def plant_misfiled_pair(monkeypatch):
+    # the pair of fiber A s=1 t=7 is filed under fiber A s=1 t=4 instead
+    real = collapse.matching_A
+
+    def matching(k, s, t):
+        if k != 2 or (s, t) not in ((1, 4), (1, 7)):
+            return real(k, s, t)
+        if t == 7:
+            return morse.Matching([])
+        return morse.Matching(real(2, 1, 4).pairs + real(2, 1, 7).pairs)
+
+    monkeypatch.setattr(collapse, 'matching_A', matching)
+    return r"filed under fiber A s=1 t=4 straddles fibers at face \(\(\d+, \d+, \d+\).*\[fiber A s=1 t=7\]"
+
+
+def plant_dropped_pair(monkeypatch):
+    # the first pair of fiber A s=1 t=4 is left out, so both its faces stay critical
+    real = collapse.matching_A
+
+    def matching(k, s, t):
+        m = real(k, s, t)
+        return morse.Matching(m.pairs[1:]) if (k, s, t) == (2, 1, 4) else m
+
+    monkeypatch.setattr(collapse, 'matching_A', matching)
+    return r"stable subcomplex differ at face \(\(\d+, \d+, \d+\).*\[fiber A s=1 t=4\]"
+
+
+def plant_sg_face_in_a_c_fiber(monkeypatch):
+    # a maximal face of sg classified into the C fiber that orders lowest
+    # among the non-SG fibers, so the classifier stays order-preserving; the
+    # face stays critical and lies in sg, but not in the SG fiber, and the
+    # C fiber it sits in is not perfectly matched
+    f = min(complex_for('sg', 2).maximal)
+    v = [t for t in triple_index(2).triples if not is_stable(t, 2)][-1]
+    real = collapse.classify
+    monkeypatch.setattr(collapse, 'classify',
+                        lambda sigma, k: ('C', v) if (sigma, k) == (f, 2) else real(sigma, k))
+    return r"stable subcomplex differ at face \(\(\d+, \d+, \d+\).*\[fiber C v=%s\]" % "".join(map(str, v))
+
+
+PLANTS = [plant_cycle, plant_misfiled_pair, plant_dropped_pair, plant_sg_face_in_a_c_fiber]
+
+
+@pytest.mark.parametrize("plant", PLANTS)
+def test_theorem2_names_a_planted_defect(plant, monkeypatch):
+    match = plant(monkeypatch)
+    with pytest.raises(MatchingError, match=match):
+        theorem2_matching(2)
+
+
+@pytest.mark.parametrize("plant", PLANTS)
+def test_the_cli_fails_on_a_planted_defect(plant, monkeypatch, capsys):
+    match = plant(monkeypatch)
+    code = cli.main(["verify", "theorem2", "--k", "2", "--format", "json"])
+    out, err = capsys.readouterr()
+    assert code == 1
+    (result,) = json.loads(out)['results']
+    assert result['pass'] is False
+    assert result['detail']['error'].startswith("MatchingError: ")
+    assert re.search(match, result['detail']['error'])
+    assert err.splitlines()[0] == "FAIL theorem2-collapse"
