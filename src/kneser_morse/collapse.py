@@ -378,6 +378,12 @@ def comp_set(v, l: int) -> set[int]:
 
 
 @lru_cache(maxsize=None)
+def _toggle_element(u_star: tuple, l: int) -> int | None:
+    """The least element of ``comp_set(u_star, l)``, None if it is empty."""
+    return min(comp_set(u_star, l), default=None)
+
+
+@lru_cache(maxsize=None)
 def _s_faces(k: int) -> frozenset:
     return frozenset(complexes.complex_for('s', k).all_faces())
 
@@ -409,11 +415,10 @@ def c_toggle(k: int, frame: tuple[int, int], sigma: int) -> int:
         raise MatchingError("%r is not a face (no common neighbor)" % (decode(sigma, ix.triples),))
     low = remap(nb, rotation_table(k, k, -j))
     u_star = ix.triples[(low & -low).bit_length() - 1]  # lowest bit = lex-least
-    c = comp_set(u_star, l)
-    if not c:
+    m = _toggle_element(u_star, l)  # inside cover(u_star), so off 1 and away from l
+    if m is None:
         raise MatchingError("face %r: no toggle element for %r with l=%d"
                             % (decode(sigma, ix.triples), u_star, l))
-    m = min(c)  # inside cover(u_star), so off 1 and away from l
     x = (1, l, m) if l < m else (1, m, l)
     return rotation_table(k, k, j)[ix.bit[x]]
 

@@ -1,32 +1,29 @@
 """Exact homology of the face complexes: coreduction, then the Smith form.
 
-Faces are integer bitmasks, one bit per vertex.  The boundary drops one bit
-at a time with sign (-1)^i, where i is the number of set bits below the
-dropped one: the usual alternating sign with the vertices ordered by bit.
-``boundary_matrix`` and the coreduction read facets and signs from the one
-helper ``_facets``; the matrix bases are the faces in increasing mask order.
+Faces are integer bitmasks; every facet and sign comes from
+``morse.face_facets``, and the matrix bases are the faces in increasing
+mask order.  Betti numbers in dimension d are b_d = n_d - rank d_d - rank
+d_{d+1}; the reduced variant augments with the empty face.  Relative
+homology of a pair (X, A) runs the same machinery on the quotient cells
+(faces of X not in A), where boundary entries landing in A are dropped.
 
-Betti numbers in dimension d come from b_d = n_d - rank d_d - rank d_{d+1};
-the reduced variant augments with the empty face.  Relative homology of a
-pair (X, A) uses the same machinery on the quotient cells (faces of X not
-in A), where boundary entries landing in A are simply dropped.
-
-A family is coreduced (Mrozek and Batko, DCG 41, 2009) through its top
-boundary: the cells of dimension -1..max_dim + 1 form a chain complex of
-their own.  Removal order makes the matching acyclic, so the critical
-cells span a chain-equivalent Morse complex (Skoldberg, Trans. AMS 358,
-2006): the boundary of a critical cell with the lower cell of each pair
-rewritten away and the upper cells dropped.  Then rank d_d is the Morse
-rank plus one per pair whose upper cell has dimension d, and the torsion
-is the Morse torsion.  The equivalence needs d d = 0, so that is certified
+A family is coreduced by ``morse.coreduce`` through its top boundary: the
+cells of dimension -1..max_dim + 1 form a chain complex of their own.
+Removal order makes the matching acyclic, so the critical cells span a
+chain-equivalent Morse complex (Skoldberg, Trans. AMS 358, 2006): the
+boundary of a critical cell with the lower cell of each pair rewritten
+away and the upper cells dropped.  Then rank d_d is the Morse rank plus
+one per pair whose upper cell has dimension d, and the torsion is the
+Morse torsion.  The equivalence needs d d = 0, so that is certified
 exactly first, on every column of every boundary the ranks read; a nonzero
 image raises ``AssertionError`` naming d, the column and the face.
 
-Morse boundaries have few rows or few columns (185 x 4 and 4 x 7,056 at
-most, for ``kg`` at k = 2), so each arithmetic runs one dense elimination
-on the whole matrix: a textbook Smith form over Z, and a row reduction
-over GF(p) that double-checks it modulo two large primes, where the mod-p
-rank must equal the number of invariant factors not divisible by p.
+``betti`` lists each dimension's cells in descending mask order: ``kg`` at
+k <= 2 keeps exactly t critical k-cells below the top band, and the only
+nonzero Morse boundary of the complexes here is 2 x 3 (``s``, k = 2).  So
+one dense elimination per matrix suffices: a textbook Smith form over Z,
+rechecked by a row reduction modulo two large primes p, whose rank must
+equal the number of invariant factors not divisible by p.
 """
 
 from __future__ import annotations
@@ -35,6 +32,8 @@ from dataclasses import dataclass
 from itertools import groupby
 from operator import itemgetter
 from typing import Iterable
+
+from . import morse
 
 CHECK_PRIMES = (1000003, 998244353)
 
@@ -138,31 +137,20 @@ def smith_normal_form(matrix: SparseIntMatrix) -> SNFResult:
     return SNFResult(tuple(diag), len(diag))
 
 
-def _facets(f: int):
-    """Each facet of the mask face ``f`` with its sign: dropping a bit with
-    i set bits below it carries (-1)^i.  A vertex's facet is the empty
-    face 0."""
-    rest, sign = f, 1
-    while rest:
-        low = rest & -rest
-        yield f ^ low, sign
-        rest ^= low
-        sign = -sign
-
-
 def boundary_matrix(X, d: int, reduced: bool = False) -> SparseIntMatrix:
     """Boundary from d-faces to (d-1)-faces in the bases X.faces(d-1), X.faces(d).
 
-    The signs are those of ``_facets``.  A facet absent from X.faces(d-1)
-    contributes nothing; that convention makes the same builder serve
-    quotient (relative) families.  For d = 0 the reduced flag adds the
-    augmentation row onto the empty face.
+    The signs are those of ``morse.face_facets``.  A facet absent from
+    X.faces(d-1) contributes nothing, so the same function serves quotient
+    (relative) families.  For d = 0 the reduced flag adds the augmentation
+    row onto the empty face.
     """
     cols = X.faces(d)
     rows = X.faces(d - 1) if d else [0] if reduced else []
     rindex = {f: i for i, f in enumerate(rows)}
     return SparseIntMatrix(len(rows), len(cols), (
-        (rindex[g], j, s) for j, f in enumerate(cols) for g, s in _facets(f) if g in rindex))
+        (rindex[g], j, s) for j, f in enumerate(cols)
+        for g, s in morse.face_facets(f) if g in rindex))
 
 
 class FaceFamily:
@@ -216,56 +204,6 @@ def _certify(X, top: int, reduced: bool) -> None:
         upper = lower
 
 
-def _coreduce(cells: list) -> tuple[dict, list]:
-    """Coreduction of ``cells``, listed by increasing dimension.
-
-    A cell with exactly one remaining facet is paired with that facet and
-    both are removed; when none is left, the lowest remaining cell is
-    removed as critical.  A pair whose incidence is not +-1 raises, naming
-    the face.  Returns the pairs (lower cell -> upper cell) and the critical
-    cells, each in removal order.
-    """
-    alive: dict[int, int] = {}  # cell -> number of remaining facets
-    up: dict[int, int] = {}  # cell -> the bits that extend it to a coface
-    for f in cells:
-        alive[f] = up[f] = 0
-        for g, _ in _facets(f):
-            if g in alive:
-                alive[f] += 1
-                up[g] |= f ^ g
-    ready = [f for f, n in alive.items() if n == 1]
-    pairs: dict[int, int] = {}
-    critical: list[int] = []
-
-    def remove(f: int) -> None:
-        del alive[f]
-        rest = up.pop(f)
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            if f | low in alive:
-                alive[f | low] -= 1
-                if alive[f | low] == 1:
-                    ready.append(f | low)
-
-    for c in cells:
-        while ready:
-            a = ready.pop()
-            if alive.get(a) != 1:
-                continue
-            (b, e), = ((g, s) for g, s in _facets(a) if g in alive)
-            if e not in (1, -1):
-                raise AssertionError("face %r pairs with its facet %r at incidence %d, "
-                                     "not +-1" % (a, b, e))
-            pairs[b] = a
-            remove(a)
-            remove(b)
-        if c in alive:
-            critical.append(c)
-            remove(c)
-    return pairs, critical
-
-
 def _morse_boundaries(pairs: dict, critical: list, top: int) -> list[SparseIntMatrix]:
     """The Morse boundaries d = 0..top between the critical cells, each
     dimension's critical cells in removal order as its basis.
@@ -287,7 +225,7 @@ def _morse_boundaries(pairs: dict, critical: list, top: int) -> list[SparseIntMa
     def project(f: int, b: int | None = None) -> tuple[dict[int, int], int]:
         """sum [f:g] pi(g) over the facets g != b of f, and [f:b]."""
         chain, e = {}, 0
-        for g, s in _facets(f):
+        for g, s in morse.face_facets(f):
             if g == b:
                 e = s
             elif g in image:
@@ -313,10 +251,14 @@ def _morse_boundaries(pairs: dict, critical: list, top: int) -> list[SparseIntMa
 
 
 def betti(X, max_dim: int, reduced: bool = True) -> BettiResult:
+    """Betti numbers and torsion of X through max_dim.  After d d = 0 is
+    certified on every column of d_1..d_{max_dim+1}, ``morse.coreduce`` runs
+    on the cells of dimension -1..max_dim+1 in descending mask order inside
+    each dimension, and its Morse boundaries' Smith forms give the rest."""
     top = max_dim + 1
     _certify(X, top, reduced)
-    pairs, critical = _coreduce(
-        ([0] if reduced else []) + [f for d in range(top + 1) for f in X.faces(d)])
+    pairs, critical = morse.coreduce(
+        ([0] if reduced else []) + [f for d in range(top + 1) for f in reversed(X.faces(d))])
     uppers = [a.bit_count() - 1 for a in pairs.values()]
     ranks = [uppers.count(d) for d in range(top + 1)]  # one per pair
     torsion = [()] * (top + 1)
@@ -330,4 +272,6 @@ def betti(X, max_dim: int, reduced: bool = True) -> BettiResult:
 
 
 def relative_betti(X, A, max_dim: int) -> BettiResult:
+    """Homology of (X, A) through max_dim: unreduced ``betti``, with its
+    certificate and cell order, on the cells of X not in A."""
     return betti(relative_family(X, A, max_dim), max_dim, reduced=False)

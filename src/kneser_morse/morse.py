@@ -8,7 +8,8 @@ search keyed by lower faces covers every dimension.  Unmatched faces are
 critical.
 
 Faces are integer bitmasks, bit b standing for one vertex: a facet drops
-one bit and a cover adds one.
+one bit and a cover adds one.  ``face_facets`` is the one facet and sign
+helper, read by ``coreduce``, ``verify_poset_map`` and ``homology``.
 """
 
 from __future__ import annotations
@@ -16,13 +17,16 @@ from __future__ import annotations
 from typing import Callable, Hashable, Iterable, Iterator
 
 
-def face_facets(face: int) -> Iterator[int]:
-    """All faces obtained by dropping one vertex."""
-    m = face
-    while m:
-        b = m & -m
-        yield face ^ b
-        m ^= b
+def face_facets(face: int) -> Iterator[tuple[int, int]]:
+    """Each facet of ``face`` with its sign: dropping a bit with i set bits
+    below it carries (-1)^i, the alternating sign with the vertices ordered
+    by bit.  A vertex's facet is the empty face 0."""
+    rest, sign = face, 1
+    while rest:
+        low = rest & -rest
+        yield face ^ low, sign
+        rest ^= low
+        sign = -sign
 
 
 def is_cover(sigma: int, tau: int) -> bool:
@@ -153,6 +157,58 @@ def is_acyclic(matching: Matching, cells: Iterable | None = None) -> tuple[bool,
     return True, None
 
 
+def coreduce(cells: list) -> tuple[dict, list]:
+    """Coreduction (Mrozek and Batko, DCG 41, 2009) of ``cells``, listed by
+    increasing dimension.
+
+    A cell with exactly one remaining facet is paired with it and both are
+    removed; when none is left, the first remaining cell in the order of
+    ``cells`` is removed as critical.  Removal order makes the matching
+    acyclic; the caller's order decides how many cells stay critical.  A
+    pair of incidence other than +-1 raises, naming the face.  Returns the
+    pairs (lower -> upper cell) and the critical cells in removal order.
+    """
+    alive: dict[int, int] = {}  # cell -> number of remaining facets
+    up: dict[int, int] = {}  # cell -> the bits that extend it to a coface
+    for f in cells:
+        alive[f] = up[f] = 0
+        for g, _ in face_facets(f):
+            if g in alive:
+                alive[f] += 1
+                up[g] |= f ^ g
+    ready = [f for f, n in alive.items() if n == 1]
+    pairs: dict[int, int] = {}
+    critical: list[int] = []
+
+    def remove(f: int) -> None:
+        del alive[f]
+        rest = up.pop(f)
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            if f | low in alive:
+                alive[f | low] -= 1
+                if alive[f | low] == 1:
+                    ready.append(f | low)
+
+    for c in cells:
+        while ready:
+            a = ready.pop()
+            if alive.get(a) != 1:
+                continue
+            (b, e), = ((g, s) for g, s in face_facets(a) if g in alive)
+            if e not in (1, -1):
+                raise AssertionError("face %r pairs with its facet %r at incidence %d, "
+                                     "not +-1" % (a, b, e))
+            pairs[b] = a
+            remove(a)
+            remove(b)
+        if c in alive:
+            critical.append(c)
+            remove(c)
+    return pairs, critical
+
+
 def verify_poset_map(label_of: Callable, cells: Iterable) -> tuple[bool, tuple | None]:
     """Check that labels never increase when passing to a facet.
 
@@ -164,7 +220,7 @@ def verify_poset_map(label_of: Callable, cells: Iterable) -> tuple[bool, tuple |
     cs = set(cells)
     for tau in cs:
         lt = label_of(tau)
-        for sigma in face_facets(tau):
+        for sigma, _ in face_facets(tau):
             if sigma in cs and label_of(sigma) > lt:
                 return False, (sigma, tau)
     return True, None

@@ -268,7 +268,7 @@ def _hasse_oracle(matching, cells):
     dg.add_nodes_from(cells)
     cs = set(cells)
     for tau in cells:
-        for sigma in morse.face_facets(tau):
+        for sigma, _ in morse.face_facets(tau):
             if sigma not in cs:
                 continue
             if matching.partner.get(sigma) == tau:
@@ -305,7 +305,7 @@ def test_criterion_7_independent_oracles():
         universe = list(range(1, 2 ** rng.choice([4, 5])))
         cells = sorted(rng.sample(universe, min(len(universe), 20)))
         pool = [(s, t) for t in cells
-                for s in morse.face_facets(t) if s in set(cells)]
+                for s, _ in morse.face_facets(t) if s in set(cells)]
         rng.shuffle(pool)
         used, pairs = set(), []
         for s, t in pool:

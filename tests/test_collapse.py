@@ -435,7 +435,16 @@ def plant_sg_face_in_a_c_fiber(monkeypatch):
     return r"stable subcomplex differ at face \(\(\d+, \d+, \d+\).*\[fiber C v=%s\]" % "".join(map(str, v))
 
 
-PLANTS = [plant_cycle, plant_misfiled_pair, plant_dropped_pair, plant_sg_face_in_a_c_fiber]
+def plant_largest_toggle_element(monkeypatch):
+    # the C toggle built from the largest admissible element instead of the
+    # least leaves faces of the fiber of (5, 7, 8) unmatched
+    monkeypatch.setattr(collapse, '_toggle_element',
+                        lambda u_star, l: max(collapse.comp_set(u_star, l), default=None))
+    return r"fiber of \(5, 7, 8\) not perfectly matched; first unmatched: \[\(\(\d+, \d+, \d+\)"
+
+
+PLANTS = [plant_cycle, plant_misfiled_pair, plant_dropped_pair, plant_sg_face_in_a_c_fiber,
+          plant_largest_toggle_element]
 
 
 @pytest.mark.parametrize("plant", PLANTS)

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import pytest
 
-from kneser_morse import homology
+from kneser_morse import homology, morse
 from kneser_morse.complexes import complex_for
 from kneser_morse.homology import (
     CHECK_PRIMES, FaceFamily, SparseIntMatrix, betti, boundary_matrix,
@@ -263,9 +263,32 @@ def morse_fixture(name):
     return relative_betti(X, A, max_dim), relative_family(X, A, max_dim), max_dim, False
 
 
+def spy_coreduce(monkeypatch):
+    """The critical cells of each coreduction ``betti`` runs, in call order."""
+    runs, real = [], morse.coreduce
+
+    def spy(cells):
+        pairs, critical = real(cells)
+        runs.append(critical)
+        return pairs, critical
+
+    monkeypatch.setattr(morse, 'coreduce', spy)
+    return runs
+
+
+def assert_wedge_shape(critical, k, max_dim):
+    # betti's descending order leaves kg exactly t = (k+1)(k+3)(k+4)(k+6)/4 + 1
+    # critical k-cells below the top band
+    t = (k + 1) * (k + 3) * (k + 4) * (k + 6) // 4 + 1
+    assert sorted(c.bit_count() - 1 for c in critical if c.bit_count() <= max_dim + 1) == [k] * t
+
+
 @pytest.mark.parametrize("name", sorted(MORSE_FIXTURES))
-def test_morse_path_matches_the_full_smith_form(name):
+def test_morse_path_matches_the_full_smith_form(name, monkeypatch):
+    runs = spy_coreduce(monkeypatch)
     b, family, max_dim, reduced = morse_fixture(name)
+    if name.startswith('kg'):
+        assert_wedge_shape(runs[-1], int(name[-1]), max_dim)
     for d in range(max_dim + 2):
         whole = smith_normal_form(boundary_matrix(family, d, reduced=reduced))
         assert b.ranks[d] == whole.rank, (name, d)
@@ -275,16 +298,22 @@ def test_morse_path_matches_the_full_smith_form(name):
         assert b.torsion[1] == (2,)  # survives the reduction
 
 
-def test_k2_ranks_are_pinned():
+def test_k2_ranks_are_pinned(monkeypatch):
     # rank d_d for d = 0..max_dim+1, as the full-matrix elimination found them
+    runs = spy_coreduce(monkeypatch)
     assert betti(complex_for('kg', 2), 3).ranks == (1, 55, 1205, 4494, 7056)
+    assert_wedge_shape(runs[-1], 2, 3)
     assert relative_betti(*relative_step(2, 3, 3)).ranks == (0, 0, 584, 3160, 5040)
     assert relative_betti(*relative_step(2, 2, 2)).ranks == (0, 0, 60, 20)
 
 
-def coreduce(family, max_dim, reduced):
+def coreduce(family, max_dim, reduced, order):
+    """``morse.coreduce`` on the cells ``betti`` ranks, each dimension's
+    cells in ascending or descending mask order."""
     cells = [0] if reduced else []
-    return homology._coreduce(cells + [f for d in range(max_dim + 2) for f in family.faces(d)])
+    for d in range(max_dim + 2):
+        cells += family.faces(d) if order == 'ascending' else reversed(family.faces(d))
+    return morse.coreduce(cells)
 
 
 def dense_product(a, b):
@@ -293,48 +322,51 @@ def dense_product(a, b):
             for row in left]
 
 
-@pytest.mark.parametrize("name", ['kg1', 's1', 'rp2', 'top1', 'mid1'])
+@pytest.mark.parametrize("name,order", [
+    pytest.param(name, order, id=name if order == 'ascending' else name + '-descending')
+    for order in ('ascending', 'descending') for name in ('kg1', 's1', 'rp2', 'top1', 'mid1')])
 @pytest.mark.parametrize("thin", [None, 2, 3])
-def test_morse_complex_squares_to_zero_and_keeps_the_ranks(name, thin):
+def test_morse_complex_squares_to_zero_and_keeps_the_ranks(name, order, thin):
     # with thin = t, every t-th pair is split back into two critical cells:
     # a smaller acyclic matching in the same removal order, whose Morse
     # complex is bigger but must still be a chain complex of the same ranks
     b, family, max_dim, reduced = morse_fixture(name)
-    pairs, critical = coreduce(family, max_dim, reduced)
+    pairs, critical = coreduce(family, max_dim, reduced, order)
+    assert morse.is_acyclic(morse.Matching(pairs.items())) == (True, None)
     if thin:
         split = set(list(pairs)[::thin])
         critical = critical + [c for lo in split for c in (lo, pairs[lo])]
         pairs = {lo: up for lo, up in pairs.items() if lo not in split}
-    morse = homology._morse_boundaries(pairs, critical, max_dim + 1)
+    boundaries = homology._morse_boundaries(pairs, critical, max_dim + 1)
     for d in range(1, max_dim + 2):
-        assert not any(map(any, dense_product(morse[d - 1], morse[d]))), (name, d)
-    for d, m in enumerate(morse):
+        assert not any(map(any, dense_product(boundaries[d - 1], boundaries[d]))), (name, d)
+    for d, m in enumerate(boundaries):
         uppers = sum(1 for up in pairs.values() if up.bit_count() == d + 1)
         s = smith_normal_form(m)
         assert s.rank + uppers == b.ranks[d], (name, d)
         if d:
             assert s.torsion == b.torsion[d - 1], (name, d)
     if thin == 2 and name == 'kg1':  # the split pairs leave a nontrivial composite
-        assert morse[1].nnz() and morse[2].nnz()
+        assert boundaries[1].nnz() and boundaries[2].nnz()
 
 
 def test_a_non_unit_pair_incidence_is_named(monkeypatch):
     # every incidence doubled: d d = 0 still holds, but no pair may form
-    facets = homology._facets
-    monkeypatch.setattr(homology, '_facets', lambda f: ((g, 2 * s) for g, s in facets(f)))
+    facets = morse.face_facets
+    monkeypatch.setattr(morse, 'face_facets', lambda f: ((g, 2 * s) for g, s in facets(f)))
     with pytest.raises(AssertionError, match=r"face \d+ pairs with its facet \d+ at incidence "):
         betti(complex_for('s', 1), 2)
 
 
 def test_a_rewrite_out_of_removal_order_is_named(monkeypatch):
     # the pairs handed to the rewrite in reverse removal order
-    coreduce_ = homology._coreduce
+    coreduce_ = morse.coreduce
 
     def reversed_order(cells):
         pairs, critical = coreduce_(cells)
         return dict(reversed(pairs.items())), critical
 
-    monkeypatch.setattr(homology, '_coreduce', reversed_order)
+    monkeypatch.setattr(morse, 'coreduce', reversed_order)
     with pytest.raises(AssertionError, match=r"rewriting face \d+ through \d+ meets facet "
                                              r"\d+, removed no earlier"):
         betti(simplicial(RP2_FACETS), 2)
@@ -345,8 +377,8 @@ def test_a_dropped_facet_is_named(monkeypatch):
     # certificate names a face that contains the triangle
     cx = complex_for('s', 1)
     tri = cx.faces(2)[0]
-    facets = homology._facets
-    monkeypatch.setattr(homology, '_facets', lambda f: (
+    facets = morse.face_facets
+    monkeypatch.setattr(morse, 'face_facets', lambda f: (
         (g, s) for g, s in facets(f) if (f, g) != (tri, tri & (tri - 1))))
     with pytest.raises(AssertionError) as e:
         betti(cx, 3)

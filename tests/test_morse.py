@@ -20,8 +20,11 @@ from kneser_morse.wedge import matching_P
 
 
 def test_face_facets_both_reps():
-    assert set(face_facets(0b1011)) == {0b1010, 0b1001, 0b0011}
-    assert list(face_facets(0b1)) == [0]
+    # low bit first; dropping a bit with i set bits below it carries (-1)^i
+    assert list(face_facets(0b1011)) == [(0b1010, 1), (0b1001, -1), (0b0011, 1)]
+    assert list(face_facets(0b10100)) == [(0b10000, 1), (0b00100, -1)]
+    assert list(face_facets(0b1)) == [(0, 1)]
+    assert list(face_facets(0)) == []
 
 
 def test_is_cover_both_reps():
@@ -72,7 +75,7 @@ def assert_witness_closes(matching, witness):
     assert all(pair in matching.pairs for pair in witness)
     for (sigma, tau), (nxt, _) in zip(witness, witness[1:] + witness[:1]):
         assert nxt != sigma
-        assert nxt in set(face_facets(tau))
+        assert nxt in {f for f, _ in face_facets(tau)}
 
 
 def test_planted_three_cycle_is_caught():
@@ -109,7 +112,7 @@ def oracle_acyclic(matching, cells):
     dg.add_nodes_from(cells)
     cs = set(cells)
     for tau in cells:
-        for sigma in face_facets(tau):
+        for sigma, _ in face_facets(tau):
             if sigma not in cs:
                 continue
             if matching.partner.get(sigma) == tau:
@@ -120,7 +123,7 @@ def oracle_acyclic(matching, cells):
 
 
 def random_matching(rng, cells):
-    pool = [(s, t) for t in cells for s in face_facets(t) if s in set(cells)]
+    pool = [(s, t) for t in cells for s, _ in face_facets(t) if s in set(cells)]
     rng.shuffle(pool)
     used, pairs = set(), []
     for s, t in pool:
@@ -143,7 +146,7 @@ def reference_is_acyclic(matching):
         stack = [face_facets(up[root])]
         while stack:
             sigma = trail[-1]
-            for f in stack[-1]:
+            for f, _ in stack[-1]:
                 if f == sigma or f not in up:
                     continue
                 if f in on_trail:

@@ -445,7 +445,7 @@ def test_no_facet_leaves_a_family_sideways():
         m = matching_P(k, i, j)
         for f in m.faces:
             sigma = face_key(m.decode(f), k)
-            for tau in morse.face_facets(sigma):
+            for tau, _ in morse.face_facets(sigma):
                 if not tau:
                     continue
                 if tau in mid:
