@@ -221,6 +221,8 @@ def cmd_verify(args) -> tuple[list[dict], bool]:
 # ---------------------------------------------------------------- betti
 
 def cmd_betti(args) -> tuple[list[dict], bool]:
+    if args.max_dim is not None and args.max_dim < 0:
+        raise Refusal("--max-dim must be nonnegative, got %d" % args.max_dim)
     _check_cap("betti %s" % args.kind, args.k, K_CAPS['full-snf'], args.allow_large)
     max_dim = args.max_dim if args.max_dim is not None else args.k + 1
     b = betti(complex_for(args.kind, args.k), max_dim=max_dim)

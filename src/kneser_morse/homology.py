@@ -254,7 +254,10 @@ def betti(X, max_dim: int, reduced: bool = True) -> BettiResult:
     """Betti numbers and torsion of X through max_dim.  After d d = 0 is
     certified on every column of d_1..d_{max_dim+1}, ``morse.coreduce`` runs
     on the cells of dimension -1..max_dim+1 in descending mask order inside
-    each dimension, and its Morse boundaries' Smith forms give the rest."""
+    each dimension, and its Morse boundaries' Smith forms give the rest.
+    A negative ``max_dim`` raises ``ValueError``: there is no table to give."""
+    if max_dim < 0:
+        raise ValueError("max_dim must be nonnegative, got %r" % (max_dim,))
     top = max_dim + 1
     _certify(X, top, reduced)
     pairs, critical = morse.coreduce(
@@ -273,5 +276,6 @@ def betti(X, max_dim: int, reduced: bool = True) -> BettiResult:
 
 def relative_betti(X, A, max_dim: int) -> BettiResult:
     """Homology of (X, A) through max_dim: unreduced ``betti``, with its
-    certificate and cell order, on the cells of X not in A."""
+    certificate, cell order and ``ValueError`` for a negative max_dim, on
+    the cells of X not in A."""
     return betti(relative_family(X, A, max_dim), max_dim, reduced=False)

@@ -14,6 +14,8 @@ helper, read by ``coreduce``, ``verify_poset_map`` and ``homology``.
 
 from __future__ import annotations
 
+import itertools
+import operator
 from typing import Callable, Hashable, Iterable, Iterator
 
 
@@ -44,14 +46,50 @@ class PairError(ValueError):
         self.faces = faces
 
 
-class Matching:
-    """Disjoint covering pairs with both-way partner lookup."""
+def _table_slots(pairs: list) -> int:
+    """Slots of the table layout for ``pairs``, or 0 for the dict layout.
 
-    __slots__ = ("pairs", "partner")
+    A table indexed by mask holds one slot per mask up to the largest, so
+    it is used only when those slots number at most two per matched face,
+    where it costs no more than the dict it replaces.  Every base family of
+    ``wedge`` qualifies (1,024 slots for 950 matched faces at k = 2, 2^20
+    for 1,042,566 at k = 3); the wide per-k index masks do not.
+    """
+    # the upper faces bound every mask the table is indexed by, since a
+    # pair is checked to cover before its faces are looked up
+    top = max(map(operator.itemgetter(1), pairs), default=-1)
+    return top + 1 if top < 4 * len(pairs) else 0
+
+
+class Matching:
+    """Disjoint covering pairs with both-way partner lookup.
+
+    The pairs pick one of two layouts (``_table_slots``): narrow masks are
+    marked matched in a ``bytearray`` indexed by mask, wide masks keep a
+    partner dict.  Either way every pair is checked in order, and the first
+    one that does not cover or reuses a face raises ``PairError``.
+    ``partner``, ``in`` and ``matched()`` read the same in both layouts; in
+    the table layout ``partner`` is built on first use.
+    """
+
+    __slots__ = ("pairs", "_table", "_partner")
 
     def __init__(self, pairs: Iterable[tuple]):
         self.pairs = list(pairs)
-        partner: dict = {}
+        slots = _table_slots(self.pairs)
+        self._table = bytearray(slots) if slots else None
+        self._partner = None if slots else {}
+        if slots:
+            seen = self._table
+            for sigma, tau in self.pairs:
+                if not is_cover(sigma, tau):
+                    raise PairError("non-covering pair (%r, %r)" % (sigma, tau), sigma, tau)
+                if seen[sigma] or seen[tau]:
+                    culprit = sigma if seen[sigma] else tau
+                    raise PairError("face %r matched twice" % (culprit,), culprit)
+                seen[sigma] = seen[tau] = 1
+            return
+        partner = self._partner
         for sigma, tau in self.pairs:
             if not is_cover(sigma, tau):
                 raise PairError("non-covering pair (%r, %r)" % (sigma, tau), sigma, tau)
@@ -60,16 +98,24 @@ class Matching:
                 raise PairError("face %r matched twice" % (culprit,), culprit)
             partner[sigma] = tau
             partner[tau] = sigma
-        self.partner = partner
+
+    @property
+    def partner(self) -> dict:
+        if self._partner is None:
+            self._partner = dict(self.pairs)
+            self._partner.update((tau, sigma) for sigma, tau in self.pairs)
+        return self._partner
 
     def __len__(self) -> int:
         return len(self.pairs)
 
     def __contains__(self, face) -> bool:
-        return face in self.partner
+        if self._table is None:
+            return face in self._partner
+        return 0 <= face < len(self._table) and self._table[face] == 1
 
     def matched(self) -> set:
-        return set(self.partner)
+        return set(itertools.chain.from_iterable(self.pairs))
 
 
 def element_matching(delta: Iterable[int], x: int) -> tuple[Matching, set]:
@@ -96,24 +142,30 @@ def element_matching(delta: Iterable[int], x: int) -> tuple[Matching, set]:
 
 
 def is_perfect(matching: Matching, cells: Iterable) -> bool:
-    return all(c in matching.partner for c in cells)
+    partner = matching.partner
+    return all(c in partner for c in cells)
 
 
 def critical_cells(cells: Iterable, matching: Matching) -> list:
-    return sorted(c for c in cells if c not in matching.partner)
+    partner = matching.partner
+    return sorted(c for c in cells if c not in partner)
 
 
 def is_acyclic(matching: Matching, cells: Iterable | None = None) -> tuple[bool, list | None]:
     """Check the matched-pair digraph for directed cycles.
 
-    One iterative depth-first search over the lower faces of the pairs:
-    from a pair (sigma, tau) it follows every facet of tau other than sigma
-    that is the lower face of another pair.  Since tau is sigma plus one
-    bit, those facets are tau ^ b for the bits b of sigma, probed in
-    ascending bit order; each trail face keeps its bits not yet probed on a
-    parallel stack.  The faces on the current trail are kept in a set; a
-    finished face is dropped from the lookup, since no cycle can run
-    through it.  Returns (True, None) or (False, witness)
+    One iterative depth-first search over the lower faces of the pairs,
+    roots taken in pair order: from a pair (sigma, tau) it follows every
+    facet of tau other than sigma that is the lower face of another pair.
+    Since tau is sigma plus one bit, those facets are tau ^ b for the bits
+    b of sigma, probed in ascending bit order; each trail face keeps its
+    bits not yet probed on a parallel stack.  The faces on the current
+    trail are kept in a set; a finished face leaves the lookup from lower
+    to upper face, since no cycle can run through it.  That lookup follows
+    the layout of ``matching``: a list indexed by mask, 0 off the lower
+    faces, for narrow masks (``_search_table``), a dict for wide ones
+    (``_search_dict``); the two searches visit the pairs in the same order.
+    Returns (True, None) or (False, witness)
     where the witness lists the pairs around one cycle in order, each next
     lower face a facet of the current upper face and the last pair leading
     back to the first.  Malformed input (pairs not covering, a face in two
@@ -126,8 +178,14 @@ def is_acyclic(matching: Matching, cells: Iterable | None = None) -> tuple[bool,
             if sigma not in cs or tau not in cs:
                 raise ValueError("pair (%r, %r) leaves the cell family" % (sigma, tau))
         del cs  # a copied cell set is not needed during the search
-    up = dict(matching.pairs)
-    for root, _ in matching.pairs:
+    if matching._table is None:
+        return _search_dict(matching.pairs)
+    return _search_table(matching.pairs, len(matching._table))
+
+
+def _search_dict(pairs: list) -> tuple[bool, list | None]:
+    up = dict(pairs)
+    for root, _ in pairs:
         if root not in up:
             continue
         trail = [root]
@@ -154,6 +212,43 @@ def is_acyclic(matching: Matching, cells: Iterable | None = None) -> tuple[bool,
                 trail.pop()
                 on_trail.remove(sigma)
                 del up[sigma]
+    return True, None
+
+
+def _search_table(pairs: list, slots: int) -> tuple[bool, list | None]:
+    """``_search_dict`` on a list of ``slots`` upper faces indexed by
+    lower face: a probe reads a slot where the dict search asks for a key,
+    and a finished face's slot is set to 0 where its key is deleted."""
+    up = [0] * slots
+    for sigma, tau in pairs:
+        up[sigma] = tau
+    for root, _ in pairs:
+        if not up[root]:
+            continue
+        trail = [root]
+        on_trail = {root}
+        todo = [root]
+        while trail:
+            sigma = trail[-1]
+            tau = up[sigma]
+            bits = todo[-1]
+            while bits:
+                b = bits & -bits
+                bits ^= b
+                f = tau ^ b
+                if up[f]:
+                    if f in on_trail:
+                        return False, [(s, up[s]) for s in trail[trail.index(f):]]
+                    todo[-1] = bits
+                    trail.append(f)
+                    on_trail.add(f)
+                    todo.append(f)
+                    break
+            else:
+                todo.pop()
+                trail.pop()
+                on_trail.remove(sigma)
+                up[sigma] = 0
     return True, None
 
 

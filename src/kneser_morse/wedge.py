@@ -39,6 +39,8 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
+from array import array
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, NamedTuple
@@ -297,24 +299,42 @@ class FamilyFaces(NamedTuple):
 
     Bit b of a face stands for ``triples[b]``; ``unstable`` collects the
     bits whose triple is unstable; ``cover[m]`` is the ground-element mask
-    covered by the bit set m, for every subset of the universe.
+    covered by the bit set m, for every subset of the universe, held as a
+    2-byte ``array('H')`` (a ground mask has k+6 bits, at most 10 within
+    the scan cap of ``family_faces``).
     """
     triples: tuple
     unstable: int
     faces: list
-    cover: list
+    cover: array
+
+
+_IDENTITY = int.from_bytes(bytes(range(256)), 'big')
+_ONES = int.from_bytes(bytes([1]) * 256, 'big')
+
+
+def _or_table(e: int) -> bytes:
+    """The ``translate`` table that ors the byte ``e`` into every byte: the
+    identity table with ``e`` or-ed into each of its 256 bytes at once."""
+    return (_IDENTITY | e * _ONES).to_bytes(256, 'big')
 
 
 def family_faces(k: int, cset: Iterable[int]) -> FamilyFaces:
     """Every face missing exactly ``cset`` that has an unstable member.
 
-    ``cover`` is built by doubling, one triple at a time, so ``cover[s]``
-    is the union of the triples of the bit set s; ``faces`` is every s,
-    in ascending order, whose cover is the whole support and which holds
-    an unstable bit.  The missed set must contain no stable triple,
+    One byte per subset of the universe is built by doubling, one triple
+    at a time: after triple b the table holds every subset of bits 0..b,
+    the new upper half being the lower half with triple b added, one
+    ``translate`` per doubling.  The byte of the bit set s holds the
+    support positions its triples cover, plus bit 7 when s holds an
+    unstable bit, so ``faces`` is every s, in ascending order, whose byte
+    reads every position and bit 7.  ``cover`` translates each byte's
+    positions into the ground mask, split over the two byte planes of the
+    ``array('H')``.  The missed set must contain no stable triple,
     otherwise the family would sit inside the mixed complex and be empty
     here.  The subset table is exponential in the number of triples of the
-    support, hence the hard cap of ``SCAN_BITS``.
+    support, hence the hard cap of ``SCAN_BITS``, which also keeps the
+    support within 6 elements, so the positions stay clear of bit 7.
     """
     n = graphs.ground_size(k)
     cs = sorted(set(cset))
@@ -328,19 +348,31 @@ def family_faces(k: int, cset: Iterable[int]) -> FamilyFaces:
     if m > SCAN_BITS:
         raise ValueError("support of %d elements spans %d triples; subset scan beyond %d bits refused"
                          % (len(support), m, SCAN_BITS))
-    full = graphs.vertex_mask(support)
+    pos = {x: 1 << i for i, x in enumerate(support)}
     unstable = 0
+    table = bytearray(1)
     for b, t in enumerate(triples):
+        e = pos[t[0]] | pos[t[1]] | pos[t[2]]
         if not graphs.is_stable(t, k):
             unstable |= 1 << b
-    # doubling: after triple b the table holds every subset of bits 0..b,
-    # the new upper half being the lower half with triple b added
-    cover = [0]
-    for t in triples:
-        e = graphs.vertex_mask(t)
-        cover += [c | e for c in cover]
-    faces = [s for s, c in enumerate(cover) if c == full and s & unstable]
-    return FamilyFaces(triples, unstable, faces, cover)
+            e |= 0x80
+        table += table.translate(_or_table(e))
+    is_face = bytearray(256)
+    is_face[(1 << len(support)) - 1 | 0x80] = 1
+    faces = list(itertools.compress(range(len(table)), table.translate(is_face)))
+    # the ground mask of every set of support positions, repeated over the
+    # byte values so that bit 7 drops out
+    ground = [0]
+    for x in support:
+        ground += [g | graphs.vertex_mask((x,)) for g in ground]
+    repeat = 256 // len(ground)
+    planes = [table.translate(bytes(g & 0xFF for g in ground) * repeat),
+              table.translate(bytes(g >> 8 for g in ground) * repeat)]
+    if sys.byteorder == 'big':
+        planes.reverse()
+    both = bytearray(2 * len(table))
+    both[0::2], both[1::2] = planes
+    return FamilyFaces(triples, unstable, faces, array('H', both))
 
 
 def split_fibers(fam: FamilyFaces) -> dict[int, list[int]]:
@@ -371,19 +403,34 @@ def toggle_run(faces: Iterable[int], wbits: list[int]) -> tuple[list, set]:
 
     Stage t pairs a bitmask face with its t-th toggle when both sides are
     still unmatched; later stages only see the leftovers, so the first t
-    stages of a run are the run of ``wbits[:t]``.  Returns (pairs,
-    survivors).  The pairs are not validated here: the caller checks their
-    union once as a whole.
+    stages of a run are the run of ``wbits[:t]``.  The faces are masks of
+    one family, so the unmatched ones are marked in a ``bytearray``
+    indexed by mask (at most 2^SCAN_BITS bytes).  Each stage walks the
+    leftovers in descending order, so an upper face meets its lower face
+    before the lower face is kept; its pairs come out in ascending order.
+    Returns (pairs, survivors).  The pairs are not validated here: the
+    caller checks their union once as a whole.
     """
-    remaining = set(faces)
+    remaining = sorted(faces)
+    free = bytearray(remaining[-1] + 1 if remaining else 0)
+    for f in remaining:
+        free[f] = 1
     pairs: list = []
     for wb in wbits:
-        ups = [f for f in remaining if f & wb and f ^ wb in remaining]
-        lows = [f ^ wb for f in ups]
-        pairs.extend(zip(lows, ups))
-        remaining.difference_update(ups)
-        remaining.difference_update(lows)
-    return pairs, remaining
+        keep, stage = [], []
+        for f in reversed(remaining):
+            if free[f]:
+                low = f ^ wb
+                if f & wb and free[low]:
+                    stage.append((low, f))
+                    free[f] = free[low] = 0
+                else:
+                    keep.append(f)
+        stage.reverse()
+        keep.reverse()
+        pairs += stage
+        remaining = keep
+    return pairs, set(remaining)
 
 
 @dataclass

@@ -105,6 +105,13 @@ def test_refusal_negative_k(capsys):
     assert code == 2 and err.startswith("refused:")
 
 
+@pytest.mark.parametrize("max_dim", ["-1", "-7"])
+def test_refusal_negative_max_dim(capsys, max_dim):
+    code, out, err = run(capsys, "betti", "--k", "1", "--max-dim", max_dim)
+    assert code == 2 and out == ""
+    assert err.startswith("refused:") and "--max-dim" in err
+
+
 def test_refusal_census_depth_cap(capsys):
     # census verification stops at k=3; formula-only runs go further
     code, _, err = run(capsys, "verify", "theorem3", "--k", "4",

@@ -450,6 +450,16 @@ def test_relative_betti_pair_of_complexes():
     assert r.numbers == (0, 1)
 
 
+@pytest.mark.parametrize("max_dim", [-1, -3])
+def test_a_negative_max_dim_is_refused(max_dim):
+    disc = simplicial([(1, 2, 3)])
+    boundary = simplicial([(1, 2), (2, 3), (1, 3)])
+    with pytest.raises(ValueError, match="max_dim must be nonnegative"):
+        betti(disc, max_dim)
+    with pytest.raises(ValueError, match="max_dim must be nonnegative"):
+        relative_betti(disc, boundary, max_dim)
+
+
 def test_face_family_protocol():
     fam = FaceFamily({0: [0b10, 0b01], 2: []})
     assert fam.faces(0) == [0b01, 0b10]

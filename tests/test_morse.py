@@ -8,12 +8,14 @@ the facets through a generator, for the exact witness.
 
 import itertools
 import random
+import re
 
 import networkx as nx
 import pytest
 
+from kneser_morse import morse
 from kneser_morse.morse import (
-    Matching, compose_cluster, critical_cells, element_matching,
+    Matching, PairError, compose_cluster, critical_cells, element_matching,
     face_facets, is_acyclic, is_cover, is_perfect, verify_poset_map,
 )
 from kneser_morse.wedge import matching_P
@@ -163,12 +165,17 @@ def reference_is_acyclic(matching):
     return True, None
 
 
-@pytest.mark.parametrize("seed", range(40))
-def test_is_acyclic_agrees_with_hasse_oracle(seed):
+def random_case(seed):
+    """Twenty random cells on 4 or 5 bits and a random matching on them."""
     rng = random.Random(seed)
     universe = list(range(1, 2 ** rng.choice([4, 5])))
     cells = sorted(rng.sample(universe, min(len(universe), 20)))
-    m = random_matching(rng, cells)
+    return cells, random_matching(rng, cells)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_is_acyclic_agrees_with_hasse_oracle(seed):
+    cells, m = random_case(seed)
     got, witness = is_acyclic(m, cells=cells)
     assert got == oracle_acyclic(m, cells)
     assert (got, witness) == reference_is_acyclic(m)
@@ -176,6 +183,7 @@ def test_is_acyclic_agrees_with_hasse_oracle(seed):
         assert witness is None
     else:
         assert_witness_closes(m, witness)
+    assert_layouts_agree(m)
 
 
 def test_the_witness_follows_ascending_bits():
@@ -208,6 +216,91 @@ def test_a_cycle_planted_in_a_base_family_is_caught():
     assert_witness_closes(m, witness)
     assert set(witness) & set(planted)  # the pairs left in place are acyclic
     assert (ok, witness) == reference_is_acyclic(m)
+    assert m._table is not None
+    assert_layouts_agree(m)
+
+
+# ---------------------------------------------------------------------------
+# the two layouts: narrow masks on tables, wide masks on dicts
+
+def shifted(pairs, by):
+    """Every mask moved ``by`` bits up: past the table width, the same
+    matching on the dict layout."""
+    return [(sigma << by, tau << by) for sigma, tau in pairs]
+
+
+def width(pairs):
+    return max(f for pair in pairs for f in pair).bit_length()
+
+
+def assert_layouts_agree(m):
+    """``m`` and its copy shifted past the table width, which takes the
+    dict layout, give the same search, witness and lookups."""
+    by = width(m.pairs)
+    wide = Matching(shifted(m.pairs, by))
+    assert wide._table is None
+    ok, witness = is_acyclic(m)
+    assert (ok, witness) == reference_is_acyclic(m)
+    assert is_acyclic(wide) == (ok, witness and shifted(witness, by))
+    assert wide.partner == {f << by: g << by for f, g in m.partner.items()}
+    assert wide.matched() == {f << by for f in m.matched()}
+    assert -1 not in m and -1 not in wide
+    for f in range(2 << by):
+        assert (f in m) == (f in m.partner) == (f << by in wide)
+
+
+def test_the_pairs_pick_the_layout():
+    # a table while its slots (largest mask + 1) number at most two per
+    # matched face
+    assert Matching([(0b001, 0b011)])._table is not None
+    assert Matching([(0b010, 0b110)])._table is None
+    assert Matching([])._table is None
+    fm = matching_P(2, 1, 4)
+    assert len(Matching(fm.pairs)._table) == 1 << len(fm.triples)
+    assert Matching(shifted(fm.pairs, len(fm.triples)))._table is None
+
+
+def test_both_layouts_follow_the_reference_on_dense_matchings():
+    # every nonempty face on 6 bits: with this many pairs the probe order
+    # decides which cycle the witness names, which the sparse cases of the
+    # Hasse oracle test rarely show
+    for seed in range(40):
+        m = random_matching(random.Random(seed), list(range(1, 64)))
+        assert m._table is not None
+        assert_layouts_agree(m)
+
+
+def test_the_random_cases_cover_both_layouts():
+    assert {random_case(seed)[1]._table is None for seed in range(40)} == {False, True}
+
+
+def bad_pair_cases(fm):
+    """Pair lists that break the matching of a base family, each with the
+    faces ``PairError`` must name: a pair that does not cover, a lower face
+    matched again, and an upper face matched again from a critical cell."""
+    pairs = fm.pairs
+    s0, t0 = pairs[0]
+    extra = next(1 << b for b in range(len(fm.triples)) if not t0 >> b & 1)
+    c, t = next((c, t) for c in fm.critical for _, t in pairs if is_cover(c, t))
+    return [
+        (pairs[:3] + [(s0, t0 | extra)] + pairs[3:], (s0, t0 | extra)),
+        (pairs + [(s0, s0 | extra)], (s0,)),
+        (pairs + [(c, t)], (t,)),
+    ]
+
+
+def test_both_layouts_name_the_same_bad_pairs():
+    fm = matching_P(2, 1, 4)
+    by = len(fm.triples)
+    for pairs, faces in bad_pair_cases(fm):
+        assert morse._table_slots(pairs) and not morse._table_slots(shifted(pairs, by))
+        with pytest.raises(PairError) as narrow:
+            Matching(pairs)
+        with pytest.raises(PairError) as wide:
+            Matching(shifted(pairs, by))
+        assert narrow.value.faces == faces
+        assert wide.value.faces == tuple(f << by for f in faces)
+        assert re.sub(r"\d+", "N", str(narrow.value)) == re.sub(r"\d+", "N", str(wide.value))
 
 
 def test_verify_poset_map():

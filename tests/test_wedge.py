@@ -218,7 +218,7 @@ def test_family_faces_and_fibers_match_their_definitions(k, j):
     for s in range(1, len(cover)):
         low = s & -s
         cover[s] = cover[s ^ low] | elem[low.bit_length() - 1]
-    assert fam.cover == cover
+    assert fam.cover.typecode == 'H' and list(fam.cover) == cover
     full = sum(1 << (x - 1) for x in support)
     assert fam.faces == [s for s in range(len(cover)) if cover[s] == full and s & fam.unstable]
     # each face filed under the bit of its lex-least unstable member
@@ -255,6 +255,34 @@ def _stagewise_element_matching(faces, wbits):
         pairs.update(m.pairs)
         remaining -= matched
     return pairs, remaining
+
+
+def reference_toggle_run(faces, wbits):
+    """The set-based run: each stage pairs every leftover face holding the
+    toggle with its partner if that is left too, then drops both."""
+    remaining = set(faces)
+    pairs: list = []
+    for wb in wbits:
+        ups = [f for f in remaining if f & wb and f ^ wb in remaining]
+        lows = [f ^ wb for f in ups]
+        pairs.extend(zip(lows, ups))
+        remaining.difference_update(ups)
+        remaining.difference_update(lows)
+    return pairs, remaining
+
+
+@pytest.mark.parametrize("k,j", BASE_FAMILIES)
+def test_toggle_run_matches_the_set_based_run(k, j):
+    # every sub-fiber of the family, every prefix of its toggles below k = 3
+    fam = family_faces(k, p_complement(k, 1, j))
+    for b, faces in split_fibers(fam).items():
+        wbits = [1 << fam.triples.index(w) for w in w_set(fam.triples[b], j, k)]
+        for t in range(len(wbits) + 1) if k <= 2 else [len(wbits)]:
+            pairs, survivors = toggle_run(faces, wbits[:t])
+            want_pairs, want_survivors = reference_toggle_run(faces, wbits[:t])
+            assert len(pairs) == len(set(pairs))
+            assert set(pairs) == set(want_pairs), (b, t)
+            assert survivors == want_survivors, (b, t)
 
 
 def test_toggle_run_equals_stagewise_element_matching():
