@@ -4,8 +4,10 @@ A matching is a set of disjoint covering pairs (sigma, tau), |tau| = |sigma|+1.
 It is acyclic if the digraph on pairs, with an arc from pair a to pair b when
 b's lower face is a facet of a's upper face (other than a's own lower face),
 has no directed cycle; an arc keeps the dimension of the lower face, so one
-search keyed by lower faces covers every dimension.  Unmatched faces are
-critical.
+search keyed by lower faces covers every dimension.  On the table layout
+of narrow masks, bulk sink peeling over bitsets first removes the pairs
+that reach no cycle, and the search sees only the rest.  Unmatched faces
+are critical.
 
 Faces are integer bitmasks, bit b standing for one vertex: a facet drops
 one bit and a cover adds one.  ``face_facets`` is the one facet and sign
@@ -65,9 +67,10 @@ class Matching:
     """Disjoint covering pairs with both-way partner lookup.
 
     The pairs pick one of two layouts (``_table_slots``): narrow masks are
-    marked matched in a ``bytearray`` indexed by mask, wide masks keep a
-    partner dict.  Either way every pair is checked in order, and the first
-    one that does not cover or reuses a face raises ``PairError``.
+    marked in a ``bytearray`` indexed by mask, 1 for a lower face and 2 for
+    an upper face; wide masks keep a partner dict.  Either way every pair
+    is checked in order, and the first one that does not cover or reuses a
+    face raises ``PairError``.
     ``partner``, ``in`` and ``matched()`` read the same in both layouts; in
     the table layout ``partner`` is built on first use.
     """
@@ -87,7 +90,7 @@ class Matching:
                 if seen[sigma] or seen[tau]:
                     culprit = sigma if seen[sigma] else tau
                     raise PairError("face %r matched twice" % (culprit,), culprit)
-                seen[sigma] = seen[tau] = 1
+                seen[sigma], seen[tau] = 1, 2
             return
         partner = self._partner
         for sigma, tau in self.pairs:
@@ -112,7 +115,7 @@ class Matching:
     def __contains__(self, face) -> bool:
         if self._table is None:
             return face in self._partner
-        return 0 <= face < len(self._table) and self._table[face] == 1
+        return 0 <= face < len(self._table) and self._table[face] != 0
 
     def matched(self) -> set:
         return set(itertools.chain.from_iterable(self.pairs))
@@ -154,17 +157,18 @@ def critical_cells(cells: Iterable, matching: Matching) -> list:
 def is_acyclic(matching: Matching, cells: Iterable | None = None) -> tuple[bool, list | None]:
     """Check the matched-pair digraph for directed cycles.
 
-    One iterative depth-first search over the lower faces of the pairs,
-    roots taken in pair order: from a pair (sigma, tau) it follows every
-    facet of tau other than sigma that is the lower face of another pair.
-    Since tau is sigma plus one bit, those facets are tau ^ b for the bits
-    b of sigma, probed in ascending bit order; each trail face keeps its
-    bits not yet probed on a parallel stack.  The faces on the current
-    trail are kept in a set; a finished face leaves the lookup from lower
-    to upper face, since no cycle can run through it.  That lookup follows
-    the layout of ``matching``: a list indexed by mask, 0 off the lower
-    faces, for narrow masks (``_search_table``), a dict for wide ones
-    (``_search_dict``); the two searches visit the pairs in the same order.
+    One iterative depth-first search (``_search_dict``) over the lower
+    faces of the pairs, roots taken in pair order: from a pair (sigma, tau)
+    it follows every facet of tau other than sigma that is the lower face
+    of another pair.  Since tau is sigma plus one bit, those facets are
+    tau ^ b for the bits b of sigma, probed in ascending bit order; each
+    trail face keeps its bits not yet probed on a parallel stack.  The
+    faces on the current trail are kept in a set; a finished face leaves
+    the dict from lower to upper face, since no cycle can run through it.
+    A table-layout matching is first peeled (``_peel``), and only the pairs
+    left, in pair order, are searched: every pair a peeled pair reaches is
+    peeled too, so the search would only have finished them, and the
+    witness is the one the search of all pairs finds.
     Returns (True, None) or (False, witness)
     where the witness lists the pairs around one cycle in order, each next
     lower face a facet of the current upper face and the last pair leading
@@ -180,17 +184,70 @@ def is_acyclic(matching: Matching, cells: Iterable | None = None) -> tuple[bool,
         del cs  # a copied cell set is not needed during the search
     if matching._table is None:
         return _search_dict(matching.pairs)
-    return _search_table(matching.pairs, len(matching._table))
+    return _search_dict(_peel(matching._table, matching.pairs)[0])
+
+
+_LOWER = bytes.maketrans(b"\0\1\2", b"010")  # table marks -> base-2 digits
+_UPPER = bytes.maketrans(b"\0\1\2", b"001")
+
+
+def _peel(table: bytearray, pairs: list) -> tuple[list, list]:
+    """Remove sink pairs of the matched-pair digraph in bulk rounds.
+
+    The lower and upper faces still in the digraph are bitsets ``low`` and
+    ``up`` over the slots of ``table``.  In a round, ``(low & nobit[b]) <<
+    2^b`` marks the faces tau whose facet tau ^ 2^b is in ``low``; an upper
+    face marked twice has an arc out besides its own lower face, and every
+    other one is a sink.  The sinks and their lower faces, their only
+    facets left in ``low``, are removed.  Peeling stops after a round that
+    removes fewer pairs than the table has 64-bit words, so the rounds cost
+    no more than a pass per pair.  Returns the pairs left, in pair order,
+    and the number of pairs each round removed.
+    """
+    slots = len(table)
+    n = (slots - 1).bit_length()
+    nobit = []  # nobit[b]: the masks below 2^n without bit b
+    for b in range(n):
+        keep, w = (1 << (1 << b)) - 1, 2 << b
+        while w < 1 << n:
+            keep, w = keep | keep << w, w << 1
+        nobit.append(keep)
+    low = int(table.translate(_LOWER)[::-1], 2)  # base 2: no digit limit
+    up = int(table.translate(_UPPER)[::-1], 2)
+    words, rounds = -(-slots // 64), []
+    while low:
+        once = twice = 0
+        for b, keep in enumerate(nobit):
+            t = (low & keep) << (1 << b)
+            twice |= once & t
+            once |= t
+        sinks = up & ~twice
+        up ^= sinks
+        drop = 0
+        for b, keep in enumerate(nobit):
+            drop |= sinks >> (1 << b) & keep
+        low &= ~drop
+        rounds.append(sinks.bit_count())
+        if rounds[-1] < words:
+            break
+    left = format(low, "b").zfill(slots)[::-1]
+    return [p for p in pairs if left[p[0]] == "1"], rounds
 
 
 def _search_dict(pairs: list) -> tuple[bool, list | None]:
     up = dict(pairs)
-    for root, _ in pairs:
+    for root, tau in pairs:
         if root not in up:
+            continue
+        bits = root  # a root with no facet to follow finishes at once
+        while bits and tau ^ (bits & -bits) not in up:
+            bits &= bits - 1
+        if not bits:
+            del up[root]
             continue
         trail = [root]
         on_trail = {root}
-        todo = [root]
+        todo = [bits]
         while trail:
             sigma = trail[-1]
             tau = up[sigma]
@@ -212,43 +269,6 @@ def _search_dict(pairs: list) -> tuple[bool, list | None]:
                 trail.pop()
                 on_trail.remove(sigma)
                 del up[sigma]
-    return True, None
-
-
-def _search_table(pairs: list, slots: int) -> tuple[bool, list | None]:
-    """``_search_dict`` on a list of ``slots`` upper faces indexed by
-    lower face: a probe reads a slot where the dict search asks for a key,
-    and a finished face's slot is set to 0 where its key is deleted."""
-    up = [0] * slots
-    for sigma, tau in pairs:
-        up[sigma] = tau
-    for root, _ in pairs:
-        if not up[root]:
-            continue
-        trail = [root]
-        on_trail = {root}
-        todo = [root]
-        while trail:
-            sigma = trail[-1]
-            tau = up[sigma]
-            bits = todo[-1]
-            while bits:
-                b = bits & -bits
-                bits ^= b
-                f = tau ^ b
-                if up[f]:
-                    if f in on_trail:
-                        return False, [(s, up[s]) for s in trail[trail.index(f):]]
-                    todo[-1] = bits
-                    trail.append(f)
-                    on_trail.add(f)
-                    todo.append(f)
-                    break
-            else:
-                todo.pop()
-                trail.pop()
-                on_trail.remove(sigma)
-                up[sigma] = 0
     return True, None
 
 

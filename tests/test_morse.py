@@ -196,11 +196,10 @@ def test_the_witness_follows_ascending_bits():
     assert is_acyclic(m) == reference_is_acyclic(m) == (False, high)
 
 
-def test_a_cycle_planted_in_a_base_family_is_caught():
-    # pairs (A+x, A+x+y), (A+y, A+y+z), (A+z, A+z+x) replace whatever matched
-    # those six faces in the k = 2 family (1, 4); each upper face has the
-    # next lower face as a facet, so the three pairs close a cycle
-    fm = matching_P(2, 1, 4)
+def planted_cycle(fm):
+    """The pairs of family ``fm`` with (A+x, A+x+y), (A+y, A+y+z) and
+    (A+z, A+z+x) in place of whatever matched those six faces; each upper
+    face has the next lower face as a facet, so the three close a cycle."""
     faces = set(fm.faces)
     width = len(fm.triples)
     a, x, y, z = next((a, x, y, z) for a in fm.faces
@@ -208,13 +207,18 @@ def test_a_cycle_planted_in_a_base_family_is_caught():
                       if not a & (x | y | z) and {a | x, a | y, a | z} <= faces)
     planted = [(a | x, a | x | y), (a | y, a | y | z), (a | z, a | z | x)]
     touched = {f for pair in planted for f in pair}
-    pairs = [p for p in fm.pairs if not touched & set(p)] + planted
+    return [p for p in fm.pairs if not touched & set(p)] + planted
+
+
+def test_a_cycle_planted_in_a_base_family_is_caught():
+    fm = matching_P(2, 1, 4)
+    pairs = planted_cycle(fm)
     m = Matching(pairs)
     assert is_acyclic(Matching(fm.pairs)) == (True, None)
     ok, witness = is_acyclic(m)
     assert not ok
     assert_witness_closes(m, witness)
-    assert set(witness) & set(planted)  # the pairs left in place are acyclic
+    assert set(witness) & set(pairs[-3:])  # the pairs left in place are acyclic
     assert (ok, witness) == reference_is_acyclic(m)
     assert m._table is not None
     assert_layouts_agree(m)
@@ -272,6 +276,109 @@ def test_both_layouts_follow_the_reference_on_dense_matchings():
 
 def test_the_random_cases_cover_both_layouts():
     assert {random_case(seed)[1]._table is None for seed in range(40)} == {False, True}
+
+
+def test_the_table_marks_lower_and_upper_faces():
+    m = Matching([(0b001, 0b011), (0b100, 0b110)])
+    assert list(m._table) == [0, 1, 0, 2, 1, 0, 2]
+    assert all(f in m for f in (0b001, 0b011, 0b100, 0b110))
+    assert 0b010 not in m and 0b101 not in m and 7 not in m
+    assert m.partner == {0b001: 0b011, 0b011: 0b001, 0b100: 0b110, 0b110: 0b100}
+    assert m.matched() == {0b001, 0b011, 0b100, 0b110}
+
+
+@pytest.mark.parametrize("pairs", [
+    [(0b001, 0b011), (0b011, 0b111)],  # upper face, then lower face
+    [(0b011, 0b111), (0b001, 0b011)],  # lower face, then upper face
+])
+def test_a_face_in_both_roles_is_named_in_both_layouts(pairs):
+    assert morse._table_slots(pairs) and not morse._table_slots(shifted(pairs, 3))
+    with pytest.raises(PairError) as narrow:
+        Matching(pairs)
+    with pytest.raises(PairError) as wide:
+        Matching(shifted(pairs, 3))
+    assert narrow.value.faces == (0b011,)
+    assert wide.value.faces == (0b011 << 3,)
+    assert str(narrow.value) == "face 3 matched twice"
+    assert str(wide.value) == "face 24 matched twice"
+
+
+# ---------------------------------------------------------------------------
+# sink peeling on the table layout, and the search of the pairs it leaves
+
+def walk_pairs(walk):
+    """A gradient path along the vertex sequence ``walk``: pair i is the
+    edge {v_i, v_i+1} under the triangle {v_i, v_i+1, v_i+2}, whose facet
+    {v_i+1, v_i+2} is the next pair's edge."""
+    mask = lambda vs: sum(1 << v for v in vs)
+    return [(mask(walk[i:i + 2]), mask(walk[i:i + 3])) for i in range(len(walk) - 2)]
+
+
+# each set of six or more of the vertices 0..10 under itself plus vertex 11:
+# 1,024 sinks, none with an arc to or from the edges and triangles of a
+# walk, that make the 4,096-slot table (64 words) the layout
+FILLER = [(s, s | 1 << 11) for s in range(1 << 11) if s.bit_count() >= 6]
+
+# steps of 1, 2 and 3 around 11 vertices: 32 distinct edges and triangles
+LONG_PATH = walk_pairs([d * i % 11 for d in (1, 2, 3) for i in range(11)] + [0])
+
+# steps of 1 around 11 vertices and back to the first edge: an 11-pair cycle
+LONG_CYCLE = walk_pairs(list(range(11)) + [0, 1])
+
+
+def assert_peeling_stops_in_linear_rounds(m, rounds):
+    """Every round but the last removes at least a word's worth of pairs,
+    so there are at most pairs / words + 1 rounds."""
+    words = -(-len(m._table) // 64)
+    assert rounds[-1] < words <= min(rounds[:-1], default=words)
+    assert len(rounds) <= len(m) // words + 1
+
+
+def test_peeling_stops_on_a_long_acyclic_path():
+    # round 1 takes the filler and the path's last pair, round 2 one more
+    # pair, fewer than the 64 words: the search finishes the other 30
+    m = Matching(LONG_PATH + FILLER)
+    assert len(m._table) == 4096
+    rest, rounds = morse._peel(m._table, m.pairs)
+    assert rounds == [1025, 1]
+    assert rest == LONG_PATH[:-2]
+    assert_peeling_stops_in_linear_rounds(m, rounds)
+    assert is_acyclic(m) == reference_is_acyclic(m) == (True, None)
+    assert_layouts_agree(m)
+
+
+def test_peeling_stops_on_a_long_cycle():
+    m = Matching(LONG_CYCLE + FILLER)
+    rest, rounds = morse._peel(m._table, m.pairs)
+    assert rounds == [1024, 0]
+    assert rest == LONG_CYCLE
+    assert_peeling_stops_in_linear_rounds(m, rounds)
+    assert is_acyclic(m) == reference_is_acyclic(m) == (False, LONG_CYCLE)
+    assert_layouts_agree(m)
+
+
+def test_peeling_a_base_family_stops_in_linear_rounds():
+    m = Matching(matching_P(2, 1, 4).pairs)
+    rest, rounds = morse._peel(m._table, m.pairs)
+    assert_peeling_stops_in_linear_rounds(m, rounds)
+    assert len(rest) == len(m) - sum(rounds)
+    assert morse._search_dict(rest) == (True, None)
+
+
+def test_a_cycle_planted_in_a_k3_base_family_is_caught_in_both_layouts():
+    # as at k = 2 above, on the 2^20-slot table of (3, 1, 4): peeling stops
+    # with pairs left, and their search names the cycle the dict layout,
+    # which searches every pair, names
+    m = Matching(planted_cycle(matching_P(3, 1, 4)))
+    assert len(m._table) == 1 << 20
+    rest, rounds = morse._peel(m._table, m.pairs)
+    assert rest and len(rest) == len(m) - sum(rounds)
+    assert_peeling_stops_in_linear_rounds(m, rounds)
+    ok, witness = is_acyclic(m)
+    assert not ok
+    assert_witness_closes(m, witness)
+    by = len(m._table).bit_length()
+    assert is_acyclic(Matching(shifted(m.pairs, by))) == (False, shifted(witness, by))
 
 
 def bad_pair_cases(fm):
