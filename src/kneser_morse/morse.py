@@ -236,18 +236,12 @@ def _peel(table: bytearray, pairs: list) -> tuple[list, list]:
 
 def _search_dict(pairs: list) -> tuple[bool, list | None]:
     up = dict(pairs)
-    for root, tau in pairs:
+    for root, _ in pairs:
         if root not in up:
-            continue
-        bits = root  # a root with no facet to follow finishes at once
-        while bits and tau ^ (bits & -bits) not in up:
-            bits &= bits - 1
-        if not bits:
-            del up[root]
             continue
         trail = [root]
         on_trail = {root}
-        todo = [bits]
+        todo = [root]
         while trail:
             sigma = trail[-1]
             tau = up[sigma]
