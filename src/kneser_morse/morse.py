@@ -4,20 +4,25 @@ A matching is a set of disjoint covering pairs (sigma, tau), |tau| = |sigma|+1.
 It is acyclic if the digraph on pairs, with an arc from pair a to pair b when
 b's lower face is a facet of a's upper face (other than a's own lower face),
 has no directed cycle; an arc keeps the dimension of the lower face, so one
-search keyed by lower faces covers every dimension.  On the table layout
-of narrow masks, bulk sink peeling over bitsets first removes the pairs
-that reach no cycle, and the search sees only the rest.  Unmatched faces
-are critical.
+search keyed by lower faces covers every dimension.  Narrow masks keep the
+lower and upper faces of a matching as two big-int bitsets over the masks
+up to the largest; bulk sink peeling over those bitsets first removes the
+pairs that reach no cycle, and the search sees only the rest.  Unmatched
+faces are critical.
 
 Faces are integer bitmasks, bit b standing for one vertex: a facet drops
-one bit and a cover adds one.  ``face_facets`` is the one facet and sign
-helper, read by ``coreduce``, ``verify_poset_map`` and ``homology``.
+one bit and a cover adds one.  A bitset holds a set of faces as one int,
+bit f standing for face f; ``Bits`` and ``StagePairs`` are sized views
+that read such sets as faces and pairs without listing them.
+``face_facets`` is the one facet and sign helper, read by ``coreduce``,
+``verify_poset_map`` and ``homology``.
 """
 
 from __future__ import annotations
 
 import itertools
 import operator
+from functools import lru_cache
 from typing import Callable, Hashable, Iterable, Iterator
 
 
@@ -39,6 +44,107 @@ def is_cover(sigma: int, tau: int) -> bool:
     return (tau & sigma) == sigma and extra != 0 and extra & (extra - 1) == 0
 
 
+# ---------------------------------------------------------------------------
+# bitsets of faces
+
+@lru_cache(maxsize=None)
+def nobit(n: int) -> tuple[int, ...]:
+    """``nobit(n)[b]``: the bitset of the masks below 2^n that lack bit b.
+
+    ``s & nobit(n)[b]`` keeps the faces of the bitset s without bit b, and
+    shifting that left by 2^b adds bit b to each of them.  Cached per n:
+    n * 2^n bits, 2.6 MB for the 2^20 slots of a k = 3 base family.
+    """
+    out = []
+    for b in range(n):
+        keep, w = (1 << (1 << b)) - 1, 2 << b
+        while w < 1 << n:
+            keep, w = keep | keep << w, w << 1
+        out.append(keep)
+    return tuple(out)
+
+
+def bitset(table: bytes, digits: bytes) -> int:
+    """The bitset of the slots s whose byte ``table[s]`` the ``translate``
+    table ``digits`` turns into the digit "1" (every other byte must turn
+    into "0").  Base 2 is exempt from the int string-digit limit."""
+    return int(table.translate(digits)[::-1], 2)
+
+
+def members(bits: int) -> Iterator[int]:
+    """The faces of the bitset ``bits`` in ascending order."""
+    s = format(bits, "b")
+    top = len(s) - 1
+    i = s.rfind("1")
+    while i >= 0:
+        yield top - i
+        i = s.rfind("1", 0, i)
+
+
+class Bits:
+    """A set of faces held as one bitset: ``len`` is a popcount, iteration
+    is ascending and lists nothing."""
+
+    __slots__ = ("bits",)
+
+    def __init__(self, bits: int):
+        self.bits = bits
+
+    def __len__(self) -> int:
+        return self.bits.bit_count()
+
+    def __iter__(self) -> Iterator[int]:
+        return members(self.bits)
+
+
+class StagePairs:
+    """Pairs held by stage: ``stages`` lists (b, up), ``up`` the bitset of
+    the upper faces tau of the stage, each paired with tau ^ 2^b.
+
+    A sized view: ``len`` is the total popcount, and iteration yields
+    (sigma, tau) stage by stage, ascending within a stage.  Nothing is
+    checked here; ``Matching`` validates the stages.
+    """
+
+    __slots__ = ("stages", "_len", "_bitsets")
+
+    def __init__(self, stages: Iterable[tuple[int, int]]):
+        self.stages = list(stages)
+        self._len = sum(up.bit_count() for _, up in self.stages)
+        self._bitsets = None
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __iter__(self) -> Iterator[tuple[int, int]]:
+        for b, up in self.stages:
+            w = 1 << b
+            for tau in members(up):
+                yield tau ^ w, tau
+
+    def bitsets(self) -> tuple[int, int]:
+        """The lower and the upper faces of all stages, as two bitsets; the
+        lower faces are right only once every upper face holds its bit."""
+        if self._bitsets is None:
+            low = up = 0
+            for b, u in self.stages:
+                low |= u >> (1 << b)
+                up |= u
+            self._bitsets = low, up
+        return self._bitsets
+
+    def select(self, low: int) -> list[tuple[int, int]]:
+        """The pairs whose lower face is in the bitset ``low``, in order."""
+        out = []
+        for b, up in self.stages:
+            w = 1 << b
+            out.extend((tau ^ w, tau) for tau in members(up & low << w))
+        return out
+
+
+# ---------------------------------------------------------------------------
+# matchings
+
 class PairError(ValueError):
     """A pair that does not cover, or a face matched twice; ``faces`` holds
     the offending faces."""
@@ -48,49 +154,86 @@ class PairError(ValueError):
         self.faces = faces
 
 
-def _table_slots(pairs: list) -> int:
-    """Slots of the table layout for ``pairs``, or 0 for the dict layout.
+def _table_slots(pairs) -> int:
+    """Slots of the bitset layout for ``pairs``, or 0 for the dict layout.
 
-    A table indexed by mask holds one slot per mask up to the largest, so
-    it is used only when those slots number at most two per matched face,
-    where it costs no more than the dict it replaces.  Every base family of
+    The bitsets hold one slot per mask up to the largest, so they are used
+    only when those slots number at most two per matched face, where they
+    cost no more than the dict they replace.  Every base family of
     ``wedge`` qualifies (1,024 slots for 950 matched faces at k = 2, 2^20
     for 1,042,566 at k = 3); the wide per-k index masks do not.
     """
-    # the upper faces bound every mask the table is indexed by, since a
-    # pair is checked to cover before its faces are looked up
-    top = max(map(operator.itemgetter(1), pairs), default=-1)
+    # the upper faces bound every mask, since a pair is checked to cover
+    # before its faces are marked
+    if isinstance(pairs, StagePairs):
+        top = max((up.bit_length() for _, up in pairs.stages), default=0) - 1
+    else:
+        top = max(map(operator.itemgetter(1), pairs), default=-1)
     return top + 1 if top < 4 * len(pairs) else 0
+
+
+_LOWER = bytes.maketrans(b"\0\1\2", b"010")  # marks -> base-2 digits
+_UPPER = bytes.maketrans(b"\0\1\2", b"001")
+
+
+def _marked(pairs: list, slots: int) -> tuple[int, int]:
+    """Check the pairs one by one, in order, marking each lower face 1 and
+    each upper face 2 in a ``bytearray`` of ``slots``: the first pair that
+    does not cover or reuses a face raises ``PairError``.  Returns the
+    lower and the upper faces as bitsets."""
+    seen = bytearray(slots)
+    for sigma, tau in pairs:
+        if not is_cover(sigma, tau):
+            raise PairError("non-covering pair (%r, %r)" % (sigma, tau), sigma, tau)
+        if seen[sigma] or seen[tau]:
+            culprit = sigma if seen[sigma] else tau
+            raise PairError("face %r matched twice" % (culprit,), culprit)
+        seen[sigma], seen[tau] = 1, 2
+    return bitset(seen, _LOWER), bitset(seen, _UPPER)
+
+
+def _staged(pairs: StagePairs, slots: int) -> tuple[int, int] | None:
+    """The lower and upper bitsets of valid stages, checked in bulk, or
+    None.  The stages are valid iff every upper face holds its stage's bit
+    (so each pair covers) and the lower and upper faces of all stages
+    number twice the pairs (so no face is used twice, in one role or
+    both)."""
+    masks = nobit((slots - 1).bit_length())
+    for b, up in pairs.stages:
+        if up and (b >= len(masks) or up & masks[b]):
+            return None
+    low, up = pairs.bitsets()
+    return (low, up) if (low | up).bit_count() == 2 * len(pairs) else None
 
 
 class Matching:
     """Disjoint covering pairs with both-way partner lookup.
 
-    The pairs pick one of two layouts (``_table_slots``): narrow masks are
-    marked in a ``bytearray`` indexed by mask, 1 for a lower face and 2 for
-    an upper face; wide masks keep a partner dict.  Either way every pair
-    is checked in order, and the first one that does not cover or reuses a
-    face raises ``PairError``.
-    ``partner``, ``in`` and ``matched()`` read the same in both layouts; in
-    the table layout ``partner`` is built on first use.
+    The pairs are a list or a ``StagePairs`` view, and pick one of two
+    layouts (``_table_slots``).  Narrow masks keep the lower and the upper
+    faces as two bitsets over the slots: a pair list is checked pair by
+    pair and marked once (``_marked``), while stages are checked in bulk
+    (``_staged``) and, only when that fails, pair by pair in iteration
+    order to name the culprit.  Wide masks keep a partner dict, checked
+    pair by pair.  Either way the first pair, in order, that does not
+    cover or reuses a face raises ``PairError``, with the same faces and
+    message in both layouts.  ``partner``, ``in`` and ``matched()`` read
+    the same in both layouts; on the bitset layout ``partner`` is built on
+    first use.
     """
 
-    __slots__ = ("pairs", "_table", "_partner")
+    __slots__ = ("pairs", "_slots", "_low", "_up", "_partner")
 
-    def __init__(self, pairs: Iterable[tuple]):
-        self.pairs = list(pairs)
-        slots = _table_slots(self.pairs)
-        self._table = bytearray(slots) if slots else None
+    def __init__(self, pairs: Iterable[tuple] | StagePairs):
+        self.pairs = pairs if isinstance(pairs, StagePairs) else list(pairs)
+        self._slots = slots = _table_slots(self.pairs)
+        self._low = self._up = 0
         self._partner = None if slots else {}
         if slots:
-            seen = self._table
-            for sigma, tau in self.pairs:
-                if not is_cover(sigma, tau):
-                    raise PairError("non-covering pair (%r, %r)" % (sigma, tau), sigma, tau)
-                if seen[sigma] or seen[tau]:
-                    culprit = sigma if seen[sigma] else tau
-                    raise PairError("face %r matched twice" % (culprit,), culprit)
-                seen[sigma], seen[tau] = 1, 2
+            bits = None
+            if isinstance(self.pairs, StagePairs):
+                bits = _staged(self.pairs, slots)
+            self._low, self._up = bits or _marked(self.pairs, slots)
             return
         partner = self._partner
         for sigma, tau in self.pairs:
@@ -113,9 +256,7 @@ class Matching:
         return len(self.pairs)
 
     def __contains__(self, face) -> bool:
-        if self._table is None:
-            return face in self._partner
-        return 0 <= face < len(self._table) and self._table[face] != 0
+        return face in self.partner
 
     def matched(self) -> set:
         return set(itertools.chain.from_iterable(self.pairs))
@@ -165,10 +306,11 @@ def is_acyclic(matching: Matching, cells: Iterable | None = None) -> tuple[bool,
     trail face keeps its bits not yet probed on a parallel stack.  The
     faces on the current trail are kept in a set; a finished face leaves
     the dict from lower to upper face, since no cycle can run through it.
-    A table-layout matching is first peeled (``_peel``), and only the pairs
-    left, in pair order, are searched: every pair a peeled pair reaches is
-    peeled too, so the search would only have finished them, and the
-    witness is the one the search of all pairs finds.
+    A matching on the bitset layout is first peeled (``_peel``) on its two
+    bitsets, and only the pairs left are listed, in pair order (stage by
+    stage for ``StagePairs``), for the search: every pair a peeled pair
+    reaches is peeled too, so the search would only have finished them,
+    and the witness is the one the search of all pairs finds.
     Returns (True, None) or (False, witness)
     where the witness lists the pairs around one cycle in order, each next
     lower face a facet of the current upper face and the last pair leading
@@ -182,56 +324,51 @@ def is_acyclic(matching: Matching, cells: Iterable | None = None) -> tuple[bool,
             if sigma not in cs or tau not in cs:
                 raise ValueError("pair (%r, %r) leaves the cell family" % (sigma, tau))
         del cs  # a copied cell set is not needed during the search
-    if matching._table is None:
+    if not matching._slots:
         return _search_dict(matching.pairs)
-    return _search_dict(_peel(matching._table, matching.pairs)[0])
+    low = _peel(matching._low, matching._up, matching._slots)[0]
+    return _search_dict(_pairs_left(matching.pairs, low, matching._slots))
 
 
-_LOWER = bytes.maketrans(b"\0\1\2", b"010")  # table marks -> base-2 digits
-_UPPER = bytes.maketrans(b"\0\1\2", b"001")
-
-
-def _peel(table: bytearray, pairs: list) -> tuple[list, list]:
+def _peel(low: int, up: int, slots: int) -> tuple[int, list]:
     """Remove sink pairs of the matched-pair digraph in bulk rounds.
 
-    The lower and upper faces still in the digraph are bitsets ``low`` and
-    ``up`` over the slots of ``table``.  In a round, ``(low & nobit[b]) <<
+    The lower and upper faces still in the digraph are the bitsets ``low``
+    and ``up`` over ``slots`` masks.  In a round, ``(low & nobit[b]) <<
     2^b`` marks the faces tau whose facet tau ^ 2^b is in ``low``; an upper
     face marked twice has an arc out besides its own lower face, and every
     other one is a sink.  The sinks and their lower faces, their only
     facets left in ``low``, are removed.  Peeling stops after a round that
-    removes fewer pairs than the table has 64-bit words, so the rounds cost
-    no more than a pass per pair.  Returns the pairs left, in pair order,
-    and the number of pairs each round removed.
+    removes fewer pairs than the slots have 64-bit words, so the rounds
+    cost no more than a pass per pair.  Returns the lower faces left, as a
+    bitset, and the number of pairs each round removed.
     """
-    slots = len(table)
-    n = (slots - 1).bit_length()
-    nobit = []  # nobit[b]: the masks below 2^n without bit b
-    for b in range(n):
-        keep, w = (1 << (1 << b)) - 1, 2 << b
-        while w < 1 << n:
-            keep, w = keep | keep << w, w << 1
-        nobit.append(keep)
-    low = int(table.translate(_LOWER)[::-1], 2)  # base 2: no digit limit
-    up = int(table.translate(_UPPER)[::-1], 2)
+    masks = nobit((slots - 1).bit_length())
     words, rounds = -(-slots // 64), []
     while low:
         once = twice = 0
-        for b, keep in enumerate(nobit):
+        for b, keep in enumerate(masks):
             t = (low & keep) << (1 << b)
             twice |= once & t
             once |= t
         sinks = up & ~twice
         up ^= sinks
         drop = 0
-        for b, keep in enumerate(nobit):
+        for b, keep in enumerate(masks):
             drop |= sinks >> (1 << b) & keep
         low &= ~drop
         rounds.append(sinks.bit_count())
         if rounds[-1] < words:
             break
+    return low, rounds
+
+
+def _pairs_left(pairs, low: int, slots: int) -> list:
+    """The pairs whose lower face is in the bitset ``low``, in pair order."""
+    if isinstance(pairs, StagePairs):
+        return pairs.select(low)
     left = format(low, "b").zfill(slots)[::-1]
-    return [p for p in pairs if left[p[0]] == "1"], rounds
+    return [p for p in pairs if left[p[0]] == "1"]
 
 
 def _search_dict(pairs: list) -> tuple[bool, list | None]:

@@ -27,20 +27,20 @@ all families counts the spheres in the wedge: t = (k+1)(k+3)(k+4)(k+6)/4
 ``theorem3_counts`` reports together with a mechanical census of every
 family.
 
-Faces of one family are stored as bitmasks over the triples inside the
-family support (lex ordered in a family built directly), so a toggle is a
-single XOR and the covered part of the ground set comes from a subset
-table built once per family.  The filtration stages, like every complex,
-hold masks over ``graphs.triple_index(k)``; a family reaches that index
-through one ``remap`` table per family.
+Faces of one family are bitmasks over the triples inside the family
+support (lex ordered in a family built directly), and a set of them is a
+big-int bitset over the family's subset table, bit f standing for face f:
+the faces, each sub-fiber, each toggle stage and the survivors are single
+ints, so the build and its checks are a few big-int operations per fiber
+and per toggle, and nothing lists the faces or the pairs.  The filtration
+stages, like every complex, hold masks over ``graphs.triple_index(k)``; a
+family reaches that index through one ``remap`` table per family.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import sys
-from array import array
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, NamedTuple
@@ -51,7 +51,8 @@ from .complexes import NbhdComplex, complement_set, complex_for, decode, face_ke
 # element_matching and is_cover have no caller here, but perfbench's tracer
 # counts them in every module that binds them and its self-test expects
 # these bindings
-from .morse import Matching, PairError, element_matching, is_acyclic, is_cover  # noqa: F401
+from .morse import (Bits, Matching, PairError, StagePairs, bitset, element_matching,  # noqa: F401
+                    is_acyclic, is_cover, members, nobit)
 
 # Most triples a family support may span, since the subset table has
 # 2^SCAN_BITS entries.  A three-element family leaves a support of k+3
@@ -295,18 +296,20 @@ def critical_form(v, j: int, k: int) -> tuple | None:
 
 
 class FamilyFaces(NamedTuple):
-    """One family enumerated as bitmasks.
+    """One family enumerated over its subset table.
 
     Bit b of a face stands for ``triples[b]``; ``unstable`` collects the
-    bits whose triple is unstable; ``cover[m]`` is the ground-element mask
-    covered by the bit set m, for every subset of the universe, held as a
-    2-byte ``array('H')`` (a ground mask has k+6 bits, at most 10 within
-    the scan cap of ``family_faces``).
+    bits whose triple is unstable.  ``cover[s]`` is one byte per subset s
+    of the universe: bit i for each support element (in ascending order)
+    that a triple of s covers, plus bit 7 when s holds an unstable bit.
+    ``faces`` is a ``morse.Bits`` view of the family and ``full`` the
+    bitset of every subset that covers the support, unstable or not.
     """
     triples: tuple
     unstable: int
-    faces: list
-    cover: array
+    faces: Bits
+    cover: bytearray
+    full: int
 
 
 _IDENTITY = int.from_bytes(bytes(range(256)), 'big')
@@ -319,6 +322,12 @@ def _or_table(e: int) -> bytes:
     return (_IDENTITY | e * _ONES).to_bytes(256, 'big')
 
 
+def _digits(*hits: int) -> bytes:
+    """The ``translate`` table that turns the bytes ``hits`` into the digit
+    "1" and every other byte into "0", for ``morse.bitset``."""
+    return bytes(b"01"[v in hits] for v in range(256))
+
+
 def family_faces(k: int, cset: Iterable[int]) -> FamilyFaces:
     """Every face missing exactly ``cset`` that has an unstable member.
 
@@ -327,14 +336,14 @@ def family_faces(k: int, cset: Iterable[int]) -> FamilyFaces:
     the new upper half being the lower half with triple b added, one
     ``translate`` per doubling.  The byte of the bit set s holds the
     support positions its triples cover, plus bit 7 when s holds an
-    unstable bit, so ``faces`` is every s, in ascending order, whose byte
-    reads every position and bit 7.  ``cover`` translates each byte's
-    positions into the ground mask, split over the two byte planes of the
-    ``array('H')``.  The missed set must contain no stable triple,
-    otherwise the family would sit inside the mixed complex and be empty
-    here.  The subset table is exponential in the number of triples of the
-    support, hence the hard cap of ``SCAN_BITS``, which also keeps the
-    support within 6 elements, so the positions stay clear of bit 7.
+    unstable bit.  One more ``translate`` and one base-2 parse each read
+    the bitset of the subsets whose byte holds every position (``full``)
+    and of those that also hold bit 7 (``faces``).  The missed set must
+    contain no stable triple, otherwise the family would sit inside the
+    mixed complex and be empty here.  The subset table is exponential in
+    the number of triples of the support, hence the hard cap of
+    ``SCAN_BITS``, which also keeps the support within 6 elements, so the
+    positions stay clear of bit 7.
     """
     n = graphs.ground_size(k)
     cs = sorted(set(cset))
@@ -357,80 +366,58 @@ def family_faces(k: int, cset: Iterable[int]) -> FamilyFaces:
             unstable |= 1 << b
             e |= 0x80
         table += table.translate(_or_table(e))
-    is_face = bytearray(256)
-    is_face[(1 << len(support)) - 1 | 0x80] = 1
-    faces = list(itertools.compress(range(len(table)), table.translate(is_face)))
-    # the ground mask of every set of support positions, repeated over the
-    # byte values so that bit 7 drops out
-    ground = [0]
-    for x in support:
-        ground += [g | graphs.vertex_mask((x,)) for g in ground]
-    repeat = 256 // len(ground)
-    planes = [table.translate(bytes(g & 0xFF for g in ground) * repeat),
-              table.translate(bytes(g >> 8 for g in ground) * repeat)]
-    if sys.byteorder == 'big':
-        planes.reverse()
-    both = bytearray(2 * len(table))
-    both[0::2], both[1::2] = planes
-    return FamilyFaces(triples, unstable, faces, array('H', both))
+    whole = (1 << len(support)) - 1
+    faces = bitset(table, _digits(whole | 0x80))
+    full = bitset(table, _digits(whole, whole | 0x80))
+    return FamilyFaces(triples, unstable, Bits(faces), table, full)
 
 
-def split_fibers(fam: FamilyFaces) -> dict[int, list[int]]:
+def split_fibers(fam: FamilyFaces) -> dict[int, int]:
     """Family faces keyed by the bit of their lex-least unstable member.
 
     The fibers are peeled in ascending bit order: the faces still left that
-    hold the next unstable bit form its fiber, and the rest go on to the
-    next bit.  Bit order agrees with lex order on triples, so ascending keys
-    walk the sub-fibers in the order the labels are processed, and each
-    fiber keeps the ascending order of ``fam.faces``.  Empty sub-fibers do
-    not appear.
+    hold the next unstable bit u, ``rest & ~nobit[u]``, form its fiber, a
+    bitset, and the rest go on to the next bit.  Bit order agrees with lex
+    order on triples, so ascending keys walk the sub-fibers in the order
+    the labels are processed.  Empty sub-fibers do not appear.
     """
-    fibers: dict[int, list[int]] = {}
-    rest = fam.faces
-    bits = fam.unstable
-    while bits and rest:
-        bit = bits & -bits
-        bits ^= bit
-        fiber = [f for f in rest if f & bit]
+    masks = nobit(len(fam.triples))
+    fibers: dict[int, int] = {}
+    rest = fam.faces.bits
+    for u in members(fam.unstable):
+        if not rest:
+            break
+        fiber = rest & ~masks[u]
         if fiber:
-            fibers[bit.bit_length() - 1] = fiber
-            rest = [f for f in rest if not f & bit]
+            fibers[u] = fiber
+            rest ^= fiber
     return fibers
 
 
-def toggle_run(faces: Iterable[int], wbits: list[int]) -> tuple[list, set]:
-    """Run the element matchings of an ordered list of one-bit toggles.
+def toggle_run(faces: int, toggles: Iterable[int]) -> tuple[list, int]:
+    """Run the element matchings of an ordered list of toggle bits on the
+    bitset ``faces``.
 
-    Stage t pairs a bitmask face with its t-th toggle when both sides are
-    still unmatched; later stages only see the leftovers, so the first t
-    stages of a run are the run of ``wbits[:t]``.  The faces are masks of
-    one family, so the unmatched ones are marked in a ``bytearray``
-    indexed by mask (at most 2^SCAN_BITS bytes).  Each stage walks the
-    leftovers in descending order, so an upper face meets its lower face
-    before the lower face is kept; its pairs come out in ascending order.
-    Returns (pairs, survivors).  The pairs are not validated here: the
-    caller checks their union once as a whole.
+    Stage b pairs a face holding bit b with the face without it when both
+    are still unmatched; later stages only see the leftovers, so the first
+    t stages of a run are the run of ``toggles[:t]``.  A stage is a few
+    big-int operations: its upper faces are ``up = F & ~nobit[b] & ((F &
+    nobit[b]) << 2^b)``, and ``F ^= up | up >> 2^b`` drops them with their
+    lower faces.  Returns (stages, survivors): the stages (b, up) in toggle
+    order, one per toggle, for ``morse.StagePairs``, and the bitset of the
+    faces left.  The stages are not validated here: the caller checks
+    their union once as a whole.
     """
-    remaining = sorted(faces)
-    free = bytearray(remaining[-1] + 1 if remaining else 0)
-    for f in remaining:
-        free[f] = 1
-    pairs: list = []
-    for wb in wbits:
-        keep, stage = [], []
-        for f in reversed(remaining):
-            if free[f]:
-                low = f ^ wb
-                if f & wb and free[low]:
-                    stage.append((low, f))
-                    free[f] = free[low] = 0
-                else:
-                    keep.append(f)
-        stage.reverse()
-        keep.reverse()
-        pairs += stage
-        remaining = keep
-    return pairs, set(remaining)
+    masks = nobit(max(faces.bit_length() - 1, 0).bit_length())
+    stages = []
+    for b in toggles:
+        up = 0
+        if b < len(masks):
+            lows = faces & masks[b]
+            up = (faces ^ lows) & lows << (1 << b)
+            faces ^= up | up >> (1 << b)
+        stages.append((b, up))
+    return stages, faces
 
 
 @dataclass
@@ -440,11 +427,15 @@ class FamilyMatching:
     ``triples`` is the bit dictionary of the masks in ``faces``, ``pairs``
     and ``critical``: lex ordered in a family built directly, and the image
     of the base's dictionary in a family moved by ``transport``, which
-    shares the base's masks.  A family built directly is checked in full
-    (residue identity, closed-form survivors, and one ``Matching`` over the
-    union of its toggle runs, which validates every pair once before the
-    acyclicity check of the whole family); a transported one is covered by
-    the certificate of ``transport``.
+    shares the base's masks.  ``faces`` is a ``morse.Bits`` view and
+    ``pairs`` a ``morse.StagePairs`` view, so ``len`` on either is a
+    popcount and neither is listed unless iterated: the faces ascending,
+    the pairs fiber by fiber, stage by stage, ascending within a stage.
+    ``critical`` lists the survivors, fiber by fiber.  A family built
+    directly is checked in full (residue identity, closed-form survivors,
+    and one ``Matching`` over the union of its toggle runs, which validates
+    every pair once before the acyclicity check of the whole family); a
+    transported one is covered by the certificate of ``transport``.
     """
     k: int
     family: str
@@ -452,8 +443,8 @@ class FamilyMatching:
     j: int
     cset: tuple
     triples: tuple
-    faces: list
-    pairs: list
+    faces: Bits
+    pairs: StagePairs
     critical: list
 
     def decode(self, mask: int) -> tuple:
@@ -507,72 +498,75 @@ def matching_P(k: int, i: int, j: int) -> FamilyMatching:
 def _matching_p1(k: int, j: int, cset: tuple) -> FamilyMatching:
     fam = family_faces(k, cset)
     idx = {t: b for b, t in enumerate(fam.triples)}
-    cover, unstable = fam.cover, fam.unstable
-    full = cover[-1]
+    masks = nobit(len(fam.triples))
     retain = set(c_set(j, k))
     clear = set(nc_set(j, k))
-    allpairs: list = []
+    stages: list = []
     criticals: list = []
     present: set = set()
-    for b, faces in split_fibers(fam).items():
-        v = fam.triples[b]
+    # lose[b]: the faces holding b whose facet without b misses part of
+    # the support, ~nobit[b] & ~((full & nobit[b]) << 2^b)
+    lose: dict[int, int] = {}
+    for u, fiber in split_fibers(fam).items():
+        v = fam.triples[u]
         present.add(v)
-        wbits = []
+        toggles = []
         for w in w_set(v, j, k):
-            wb = idx.get(w)
-            if wb is None:
+            b = idx.get(w)
+            if b is None:
                 raise MatchingError("toggle %r of label %r leaves the support of %r" % (w, v, cset))
-            wbits.append(1 << wb)
-        pairs, residue = toggle_run(faces, wbits)
+            toggles.append(b)
+        run, residue = toggle_run(fiber, toggles)
         # direct residue identity: a survivor holds every toggle and loses
-        # full coverage as soon as any one toggle is removed (f ^ wb drops
-        # wb, which every candidate holds)
-        wall = 0
-        for wb in wbits:
-            wall |= wb
-        ident = [f for f in faces if f & wall == wall]
-        for wb in wbits:
-            ident = [f for f in ident if cover[f ^ wb] != full]
-        ident = set(ident)
+        # full coverage as soon as any one toggle is removed
+        ident = fiber
+        for b in toggles:
+            if b not in lose:
+                lose[b] = ~masks[b] & ~((fam.full & masks[b]) << (1 << b))
+            ident &= lose[b]
         if residue != ident:
+            diff = residue ^ ident
             raise MatchingError("toggle run of label %r disagrees with the residue identity at %r (j=%d)"
-                                % (v, decode(min(residue ^ ident), fam.triples), j))
+                                % (v, decode((diff & -diff).bit_length() - 1, fam.triples), j))
+        kept = list(members(residue))
         if v in retain:
             want = critical_form(v, j, k)
-            kept = [decode(f, fam.triples) for f in residue]
-            if kept != [want]:
+            decoded = [decode(f, fam.triples) for f in kept]
+            if decoded != [want]:
                 raise MatchingError("label %r kept %r instead of its closed form %r (j=%d)"
-                                    % (v, kept, want, j))
+                                    % (v, decoded, want, j))
         elif v in clear:
-            if residue:
+            if kept:
                 raise MatchingError("label %r should clear but kept %d cells (j=%d)"
-                                    % (v, len(residue), j))
+                                    % (v, len(kept), j))
         else:
             raise MatchingError("label %r owns a sub-fiber yet is neither kind (j=%d)" % (v, j))
-        allpairs.extend(pairs)
-        criticals.extend(sorted(residue))
+        stages.extend(run)
+        criticals.extend(kept)
     if not retain <= present:
         raise MatchingError("labels %r should retain a cell but own no face (j=%d)"
                             % (sorted(retain - present), j))
-    if 2 * len(allpairs) + len(criticals) != len(fam.faces):
+    pairs = StagePairs(stages)
+    if 2 * len(pairs) + len(criticals) != len(fam.faces):
         raise MatchingError("matched pairs and critical cells do not partition the family (j=%d)" % (j,))
-    # every pair stays inside the family: both faces cover the support and
-    # hold an unstable member
-    outside = [f for pair in allpairs for f in pair if cover[f] != full or not f & unstable]
-    if outside:
-        raise MatchingError("family (1, %d) pairs face %r, which lies outside the family"
-                            % (j, decode(outside[0], fam.triples)))
-    result = FamilyMatching(k, 'P', 1, j, cset, fam.triples, fam.faces, allpairs, criticals)
+    result = FamilyMatching(k, 'P', 1, j, cset, fam.triples, fam.faces, pairs, criticals)
     # the subset table is not needed past this point; drop every reference
     # to it before the DFS
-    del fam, cover
+    del fam, lose
     # the union is the only place the pairs are validated as a matching:
     # each one covers and no face is matched twice
     try:
-        matching = Matching(result.pairs)
+        matching = Matching(pairs)
     except PairError as e:
         raise MatchingError("family (1, %d) pairs: %s, decoded %r"
                             % (j, e, [result.decode(f) for f in e.faces])) from e
+    # every pair stays inside the family: its faces, read once the stages
+    # are valid, are family faces
+    low, up = pairs.bitsets()
+    outside = (low | up) & ~result.faces.bits
+    if outside:
+        raise MatchingError("family (1, %d) pairs face %r, which lies outside the family"
+                            % (j, result.decode((outside & -outside).bit_length() - 1)))
     ok, cyc = is_acyclic(matching)
     if not ok:
         raise MatchingError("family (1, %d) matching has a directed cycle through %r"

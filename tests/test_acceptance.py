@@ -158,13 +158,14 @@ def _check_poset_maps(k):
             oks.append(ok)
     for j in index_I(1, k):
         fam = family_faces(k, frozenset(p_complement(k, 1, j)))
-        for idx, faces in split_fibers(fam).items():
+        for idx, fiber in split_fibers(fam).items():
             ws = w_set(fam.triples[idx], j, k)
-            wbits = [1 << fam.triples.index(w) for w in ws]
+            toggles = [fam.triples.index(w) for w in ws]
+            faces = list(morse.members(fiber))
             # a face's stage is one more than the number of toggle prefixes it survives
             stage = dict.fromkeys(faces, 1)
-            for t in range(1, len(wbits) + 1):
-                stage.update(dict.fromkeys(toggle_run(faces, wbits[:t])[1], t + 1))
+            for t in range(1, len(toggles) + 1):
+                stage.update(dict.fromkeys(morse.members(toggle_run(fiber, toggles[:t])[1]), t + 1))
             ok, _ = morse.verify_poset_map(lambda f: -stage[f], faces)
             oks.append(ok)
     return all(oks)

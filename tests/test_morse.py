@@ -17,7 +17,7 @@ import pytest
 from kneser_morse import morse
 from kneser_morse.morse import (
     Matching, PairError, compose_cluster, critical_cells, element_matching,
-    face_facets, is_acyclic, is_cover, is_perfect, verify_poset_map,
+    StagePairs, face_facets, is_acyclic, is_cover, is_perfect, verify_poset_map,
 )
 from kneser_morse.wedge import matching_P
 
@@ -221,7 +221,7 @@ def test_a_cycle_planted_in_a_base_family_is_caught():
     assert_witness_closes(m, witness)
     assert set(witness) & set(pairs[-3:])  # the pairs left in place are acyclic
     assert (ok, witness) == reference_is_acyclic(m)
-    assert m._table is not None
+    assert m._slots
     assert_layouts_agree(m)
 
 
@@ -239,13 +239,17 @@ def width(pairs):
 
 
 def assert_layouts_agree(m):
-    """``m`` and its copy shifted past the table width, which takes the
-    dict layout, give the same search, witness and lookups."""
+    """``m``, the same pairs listed (for ``StagePairs``, in iteration order)
+    and their copy shifted past the table width, which takes the dict
+    layout, give the same search, witness and lookups."""
     by = width(m.pairs)
     wide = Matching(shifted(m.pairs, by))
-    assert wide._table is None
+    assert not wide._slots
     ok, witness = is_acyclic(m)
     assert (ok, witness) == reference_is_acyclic(m)
+    listed = Matching(list(m.pairs))
+    assert (listed._slots, listed._low, listed._up) == (m._slots, m._low, m._up)
+    assert is_acyclic(listed) == (ok, witness)
     assert is_acyclic(wide) == (ok, witness and shifted(witness, by))
     assert wide.partner == {f << by: g << by for f, g in m.partner.items()}
     assert wide.matched() == {f << by for f in m.matched()}
@@ -257,12 +261,13 @@ def assert_layouts_agree(m):
 def test_the_pairs_pick_the_layout():
     # a table while its slots (largest mask + 1) number at most two per
     # matched face
-    assert Matching([(0b001, 0b011)])._table is not None
-    assert Matching([(0b010, 0b110)])._table is None
-    assert Matching([])._table is None
+    assert Matching([(0b001, 0b011)])._slots == 4
+    assert not Matching([(0b010, 0b110)])._slots
+    assert not Matching([])._slots
+    assert not Matching(StagePairs([]))._slots
     fm = matching_P(2, 1, 4)
-    assert len(Matching(fm.pairs)._table) == 1 << len(fm.triples)
-    assert Matching(shifted(fm.pairs, len(fm.triples)))._table is None
+    assert Matching(fm.pairs)._slots == Matching(list(fm.pairs))._slots == 1 << len(fm.triples)
+    assert not Matching(shifted(fm.pairs, len(fm.triples)))._slots
 
 
 def test_both_layouts_follow_the_reference_on_dense_matchings():
@@ -271,17 +276,17 @@ def test_both_layouts_follow_the_reference_on_dense_matchings():
     # Hasse oracle test rarely show
     for seed in range(40):
         m = random_matching(random.Random(seed), list(range(1, 64)))
-        assert m._table is not None
+        assert m._slots
         assert_layouts_agree(m)
 
 
 def test_the_random_cases_cover_both_layouts():
-    assert {random_case(seed)[1]._table is None for seed in range(40)} == {False, True}
+    assert {not random_case(seed)[1]._slots for seed in range(40)} == {False, True}
 
 
 def test_the_table_marks_lower_and_upper_faces():
     m = Matching([(0b001, 0b011), (0b100, 0b110)])
-    assert list(m._table) == [0, 1, 0, 2, 1, 0, 2]
+    assert (m._slots, m._low, m._up) == (7, 1 << 0b001 | 1 << 0b100, 1 << 0b011 | 1 << 0b110)
     assert all(f in m for f in (0b001, 0b011, 0b100, 0b110))
     assert 0b010 not in m and 0b101 not in m and 7 not in m
     assert m.partner == {0b001: 0b011, 0b011: 0b001, 0b100: 0b110, 0b110: 0b100}
@@ -327,10 +332,16 @@ LONG_PATH = walk_pairs([d * i % 11 for d in (1, 2, 3) for i in range(11)] + [0])
 LONG_CYCLE = walk_pairs(list(range(11)) + [0, 1])
 
 
+def peeled(m):
+    """The pairs peeling leaves, in pair order, and the pairs per round."""
+    low, rounds = morse._peel(m._low, m._up, m._slots)
+    return morse._pairs_left(m.pairs, low, m._slots), rounds
+
+
 def assert_peeling_stops_in_linear_rounds(m, rounds):
     """Every round but the last removes at least a word's worth of pairs,
     so there are at most pairs / words + 1 rounds."""
-    words = -(-len(m._table) // 64)
+    words = -(-m._slots // 64)
     assert rounds[-1] < words <= min(rounds[:-1], default=words)
     assert len(rounds) <= len(m) // words + 1
 
@@ -339,8 +350,8 @@ def test_peeling_stops_on_a_long_acyclic_path():
     # round 1 takes the filler and the path's last pair, round 2 one more
     # pair, fewer than the 64 words: the search finishes the other 30
     m = Matching(LONG_PATH + FILLER)
-    assert len(m._table) == 4096
-    rest, rounds = morse._peel(m._table, m.pairs)
+    assert m._slots == 4096
+    rest, rounds = peeled(m)
     assert rounds == [1025, 1]
     assert rest == LONG_PATH[:-2]
     assert_peeling_stops_in_linear_rounds(m, rounds)
@@ -350,7 +361,7 @@ def test_peeling_stops_on_a_long_acyclic_path():
 
 def test_peeling_stops_on_a_long_cycle():
     m = Matching(LONG_CYCLE + FILLER)
-    rest, rounds = morse._peel(m._table, m.pairs)
+    rest, rounds = peeled(m)
     assert rounds == [1024, 0]
     assert rest == LONG_CYCLE
     assert_peeling_stops_in_linear_rounds(m, rounds)
@@ -360,7 +371,7 @@ def test_peeling_stops_on_a_long_cycle():
 
 def test_peeling_a_base_family_stops_in_linear_rounds():
     m = Matching(matching_P(2, 1, 4).pairs)
-    rest, rounds = morse._peel(m._table, m.pairs)
+    rest, rounds = peeled(m)
     assert_peeling_stops_in_linear_rounds(m, rounds)
     assert len(rest) == len(m) - sum(rounds)
     assert morse._search_dict(rest) == (True, None)
@@ -371,25 +382,54 @@ def test_a_cycle_planted_in_a_k3_base_family_is_caught_in_both_layouts():
     # with pairs left, and their search names the cycle the dict layout,
     # which searches every pair, names
     m = Matching(planted_cycle(matching_P(3, 1, 4)))
-    assert len(m._table) == 1 << 20
+    assert m._slots == 1 << 20
     # more slots than the int string-digit limit allows digits (4300 by
-    # default): the packing in _peel goes through base 2, which it exempts
-    assert len(m._table) > getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    rest, rounds = morse._peel(m._table, m.pairs)
+    # default): the packing in _marked goes through base 2, which it exempts
+    assert m._slots > getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    rest, rounds = peeled(m)
     assert rest and len(rest) == len(m) - sum(rounds)
     assert_peeling_stops_in_linear_rounds(m, rounds)
     ok, witness = is_acyclic(m)
     assert not ok
     assert_witness_closes(m, witness)
-    by = len(m._table).bit_length()
+    by = m._slots.bit_length()
     assert is_acyclic(Matching(shifted(m.pairs, by))) == (False, shifted(witness, by))
+
+
+def planted_stages(fm):
+    """``planted_cycle`` in stage form: every stage of ``fm`` without the
+    pairs that touch the six planted faces, then one stage per planted
+    pair, so it iterates as the planted pair list."""
+    planted = planted_cycle(fm)[-3:]
+    touched = {f for pair in planted for f in pair}
+    drop = sum(1 << tau for sigma, tau in fm.pairs if touched & {sigma, tau})
+    return ([(b, up & ~drop) for b, up in fm.pairs.stages]
+            + [((sigma ^ tau).bit_length() - 1, 1 << tau) for sigma, tau in planted])
+
+
+def test_a_cycle_planted_in_stage_form_is_caught_in_every_layout():
+    # the stages of (3, 1, 4) with a three-cycle planted: validated in bulk,
+    # peeled, and searched stage by stage, they give the witness of the
+    # same pairs listed and of their shifted copy on the dict layout
+    fm = matching_P(3, 1, 4)
+    staged = StagePairs(planted_stages(fm))
+    assert list(staged) == planted_cycle(fm)
+    m = Matching(staged)
+    assert m._slots == 1 << 20 and m.pairs is staged
+    rest, rounds = peeled(m)
+    assert rest and len(rest) == len(m) - sum(rounds)
+    ok, witness = is_acyclic(m)
+    assert not ok
+    assert_witness_closes(m, witness)
+    assert set(witness) & set(planted_cycle(fm)[-3:])
+    assert_layouts_agree(m)
 
 
 def bad_pair_cases(fm):
     """Pair lists that break the matching of a base family, each with the
     faces ``PairError`` must name: a pair that does not cover, a lower face
     matched again, and an upper face matched again from a critical cell."""
-    pairs = fm.pairs
+    pairs = list(fm.pairs)
     s0, t0 = pairs[0]
     extra = next(1 << b for b in range(len(fm.triples)) if not t0 >> b & 1)
     c, t = next((c, t) for c in fm.critical for _, t in pairs if is_cover(c, t))
@@ -412,6 +452,56 @@ def test_both_layouts_name_the_same_bad_pairs():
         assert narrow.value.faces == faces
         assert wide.value.faces == tuple(f << by for f in faces)
         assert re.sub(r"\d+", "N", str(narrow.value)) == re.sub(r"\d+", "N", str(wide.value))
+
+
+def test_stage_pairs_is_a_sized_view():
+    # stage 1 pairs 0b011 and 0b110 with their facets without bit 1, stage
+    # 0 pairs 0b1001 with 0b1000; iteration is stage by stage, ascending
+    staged = StagePairs([(1, 1 << 0b110 | 1 << 0b011), (0, 1 << 0b1001)])
+    assert len(staged) == 3
+    assert list(staged) == [(0b001, 0b011), (0b100, 0b110), (0b1000, 0b1001)]
+    low, up = staged.bitsets()
+    assert low == 1 << 0b001 | 1 << 0b100 | 1 << 0b1000
+    assert up == 1 << 0b011 | 1 << 0b110 | 1 << 0b1001
+    assert staged.select(1 << 0b100 | 1 << 0b1000) == [(0b100, 0b110), (0b1000, 0b1001)]
+    m = Matching(staged)
+    assert m.pairs is staged and (m._slots, m._low, m._up) == (10, low, up)
+    assert m.partner == Matching(list(staged)).partner
+    assert 0b1000 in m and 0b010 not in m
+    assert len(StagePairs([(0, 0)])) == 0 and list(StagePairs([(0, 0)])) == []
+
+
+def staged_defects(fm):
+    """The stages of base family ``fm`` with one planted defect each, and
+    the faces ``PairError`` must name: an upper face t replaced by its
+    lower face s (so it lacks its toggle bit), the pair (s, t) again in a
+    stage of its own, and t as the lower face of a pair of its own."""
+    stages = fm.pairs.stages
+    at = next(i for i, (_, up) in enumerate(stages) if up)
+    b, up = stages[at]
+    t = (up & -up).bit_length() - 1
+    s = t ^ 1 << b
+    c = next(c for c in range(len(fm.triples)) if not t >> c & 1)
+    return [
+        (stages[:at] + [(b, up ^ 1 << t | 1 << s)] + stages[at + 1:], (t, s)),
+        (stages + [(b, 1 << t)], (s,)),
+        (stages + [(c, 1 << (t | 1 << c))], (t,)),
+    ]
+
+
+def test_staged_defects_raise_as_the_listed_pairs_do():
+    # each defect fails the bulk check, and the pair-by-pair fallback names
+    # the first bad pair in iteration order, as the same pairs listed do
+    for k, j in [(1, 3), (2, 4), (2, 6)]:
+        for stages, faces in staged_defects(matching_P(k, 1, j)):
+            staged = StagePairs(stages)
+            assert morse._staged(staged, morse._table_slots(staged)) is None
+            with pytest.raises(PairError) as bulk:
+                Matching(staged)
+            with pytest.raises(PairError) as listed:
+                Matching(list(staged))
+            assert bulk.value.faces == listed.value.faces == faces
+            assert str(bulk.value) == str(listed.value)
 
 
 def test_verify_poset_map():

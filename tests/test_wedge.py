@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from kneser_morse import morse, wedge
+from kneser_morse.morse import members
 from kneser_morse.collapse import MatchingError, index_I
 from kneser_morse.complexes import complex_for, decode, face_key, remap
 from kneser_morse.graphs import all_triples, ground_size, is_stable, rotate, triple_index
@@ -211,39 +212,54 @@ def test_family_faces_and_fibers_match_their_definitions(k, j):
     support = [x for x in range(1, ground_size(k) + 1) if x not in cset]
     assert fam.triples == tuple(t for t in all_triples(k) if not set(t) & set(cset))
     assert fam.unstable == sum(1 << b for b, t in enumerate(fam.triples) if not is_stable(t, k))
-    # cover[s] is the union of the triples of s, one subset at a time: the
-    # lowest bit of s added to the cover of the rest
-    elem = [sum(1 << (x - 1) for x in t) for t in fam.triples]
+    # cover[s] is the union of the triples of s as support positions, plus
+    # bit 7 for an unstable triple, one subset at a time: the lowest bit
+    # of s added to the cover of the rest
+    elem = [sum(1 << support.index(x) for x in t) | (0 if is_stable(t, k) else 0x80)
+            for t in fam.triples]
     cover = [0] * (1 << len(elem))
     for s in range(1, len(cover)):
         low = s & -s
         cover[s] = cover[s ^ low] | elem[low.bit_length() - 1]
-    assert fam.cover.typecode == 'H' and list(fam.cover) == cover
-    full = sum(1 << (x - 1) for x in support)
-    assert fam.faces == [s for s in range(len(cover)) if cover[s] == full and s & fam.unstable]
+    assert fam.cover == bytes(cover)
+    whole = (1 << len(support)) - 1
+    assert list(members(fam.full)) == [s for s in range(len(cover)) if cover[s] & 0x7F == whole]
+    faces = [s for s in range(len(cover)) if cover[s] & 0x7F == whole and s & fam.unstable]
+    assert len(fam.faces) == len(faces) and list(fam.faces) == faces
     # each face filed under the bit of its lex-least unstable member
     fibers: dict = {}
-    for f in fam.faces:
+    for f in faces:
         u = f & fam.unstable
         fibers.setdefault((u & -u).bit_length() - 1, []).append(f)
-    assert list(split_fibers(fam).items()) == sorted(fibers.items())
+    got = split_fibers(fam)
+    assert list(got) == sorted(fibers)
+    assert {u: list(members(fiber)) for u, fiber in got.items()} == fibers
 
 
-def toggle_stages(faces, wbits):
-    """Stage of each face in a toggle run, 1-based, survivors getting
-    len(wbits) + 1: one more than the number of toggle prefixes it survives."""
-    stage = dict.fromkeys(faces, 1)
-    for t in range(1, len(wbits) + 1):
-        stage.update(dict.fromkeys(toggle_run(faces, wbits[:t])[1], t + 1))
+def bits_of(faces):
+    return sum(1 << f for f in set(faces))
+
+
+def toggle_stages(fiber, toggles):
+    """Stage of each face of the bitset ``fiber`` in a toggle run, 1-based,
+    survivors getting len(toggles) + 1: one more than the number of toggle
+    prefixes it survives."""
+    stage = dict.fromkeys(members(fiber), 1)
+    for t in range(1, len(toggles) + 1):
+        stage.update(dict.fromkeys(members(toggle_run(fiber, toggles[:t])[1]), t + 1))
     return stage
 
 
 def test_toggle_run_small():
-    faces, wbits = [0b001, 0b011, 0b010, 0b110, 0b100], [0b010, 0b100]
-    pairs, survivors = toggle_run(faces, wbits)
-    assert pairs == [(0b001, 0b011), (0b100, 0b110)]
-    assert survivors == {0b010}
-    assert toggle_stages(faces, wbits) == {0b001: 1, 0b011: 1, 0b100: 1, 0b110: 1, 0b010: 3}
+    faces, toggles = bits_of([0b001, 0b011, 0b010, 0b110, 0b100]), [1, 2]
+    stages, survivors = toggle_run(faces, toggles)
+    assert stages == [(1, 1 << 0b011 | 1 << 0b110), (2, 0)]
+    assert list(morse.StagePairs(stages)) == [(0b001, 0b011), (0b100, 0b110)]
+    assert survivors == 1 << 0b010
+    assert toggle_stages(faces, toggles) == {0b001: 1, 0b011: 1, 0b100: 1, 0b110: 1, 0b010: 3}
+    # a toggle bit no face reaches leaves an empty stage
+    assert toggle_run(faces, [5]) == ([(5, 0)], faces)
+    assert toggle_run(0, [0]) == ([(0, 0)], 0)
 
 
 def _stagewise_element_matching(faces, wbits):
@@ -258,12 +274,13 @@ def _stagewise_element_matching(faces, wbits):
 
 
 def reference_toggle_run(faces, wbits):
-    """The set-based run: each stage pairs every leftover face holding the
-    toggle with its partner if that is left too, then drops both."""
+    """The list-based run: each stage pairs every leftover face holding the
+    toggle with its partner if that is left too, in ascending order, then
+    drops both."""
     remaining = set(faces)
     pairs: list = []
     for wb in wbits:
-        ups = [f for f in remaining if f & wb and f ^ wb in remaining]
+        ups = sorted(f for f in remaining if f & wb and f ^ wb in remaining)
         lows = [f ^ wb for f in ups]
         pairs.extend(zip(lows, ups))
         remaining.difference_update(ups)
@@ -271,41 +288,80 @@ def reference_toggle_run(faces, wbits):
     return pairs, remaining
 
 
+def toggle_bits(fam, label, j, k):
+    return [fam.triples.index(w) for w in w_set(fam.triples[label], j, k)]
+
+
 @pytest.mark.parametrize("k,j", BASE_FAMILIES)
 def test_toggle_run_matches_the_set_based_run(k, j):
     # every sub-fiber of the family, every prefix of its toggles below k = 3
     fam = family_faces(k, p_complement(k, 1, j))
-    for b, faces in split_fibers(fam).items():
-        wbits = [1 << fam.triples.index(w) for w in w_set(fam.triples[b], j, k)]
-        for t in range(len(wbits) + 1) if k <= 2 else [len(wbits)]:
-            pairs, survivors = toggle_run(faces, wbits[:t])
-            want_pairs, want_survivors = reference_toggle_run(faces, wbits[:t])
-            assert len(pairs) == len(set(pairs))
-            assert set(pairs) == set(want_pairs), (b, t)
-            assert survivors == want_survivors, (b, t)
+    for b, fiber in split_fibers(fam).items():
+        faces = list(members(fiber))
+        toggles = toggle_bits(fam, b, j, k)
+        for t in range(len(toggles) + 1) if k <= 2 else [len(toggles)]:
+            stages, survivors = toggle_run(fiber, toggles[:t])
+            want_pairs, want_survivors = reference_toggle_run(faces, [1 << c for c in toggles[:t]])
+            assert [c for c, _ in stages] == toggles[:t]
+            assert list(morse.StagePairs(stages)) == want_pairs, (b, t)
+            assert set(members(survivors)) == want_survivors, (b, t)
+
+
+@pytest.mark.parametrize("k,j", BASE_FAMILIES)
+def test_the_bitset_build_matches_the_list_build(k, j):
+    # the family split by lex-least unstable member and run by the list
+    # reference, fiber by fiber, against the bitset build of matching_P
+    fm = matching_P(k, 1, j)
+    fam = family_faces(k, p_complement(k, 1, j))
+    fibers: dict = {}
+    for f in fam.faces:
+        u = f & fam.unstable
+        fibers.setdefault((u & -u).bit_length() - 1, []).append(f)
+    pairs, critical = [], []
+    for b in sorted(fibers):
+        run, left = reference_toggle_run(fibers[b], [1 << c for c in toggle_bits(fam, b, j, k)])
+        pairs += run
+        critical += sorted(left)
+    assert list(fm.pairs) == pairs
+    assert fm.critical == critical
+    assert len(fm.faces) == len(fam.faces) == 2 * len(pairs) + len(critical)
+    assert len(fm.pairs) == len(pairs)
+    staged, listed = morse.Matching(fm.pairs), morse.Matching(pairs)
+    assert (staged._slots, staged._low, staged._up) == (listed._slots, listed._low, listed._up)
 
 
 def test_toggle_run_equals_stagewise_element_matching():
     # every prefix of the toggles, so each stage's members are checked too
     k, j = 2, 4
     fam = family_faces(k, frozenset(p_complement(k, 1, j)))
-    for idx, faces in split_fibers(fam).items():
-        v = fam.triples[idx]
-        wbits = [1 << fam.triples.index(w) for w in w_set(v, j, k)]
-        for t in range(len(wbits) + 1):
-            pairs, survivors = toggle_run(faces, wbits[:t])
-            want_pairs, want_survivors = _stagewise_element_matching(faces, wbits[:t])
+    for idx, fiber in split_fibers(fam).items():
+        faces = list(members(fiber))
+        toggles = toggle_bits(fam, idx, j, k)
+        for t in range(len(toggles) + 1):
+            stages, survivors = toggle_run(fiber, toggles[:t])
+            want_pairs, want_survivors = _stagewise_element_matching(
+                faces, [1 << c for c in toggles[:t]])
+            pairs = list(morse.StagePairs(stages))
             assert len(pairs) == len(set(pairs))
-            assert set(pairs) == want_pairs, (v, t)
-            assert survivors == want_survivors, (v, t)
+            assert set(pairs) == want_pairs, (idx, t)
+            assert set(members(survivors)) == want_survivors, (idx, t)
+
+
+def first_stage(stages):
+    """Index of the first nonempty stage, or None."""
+    return next((i for i, (_, up) in enumerate(stages) if up), None)
 
 
 def test_matching_P_catches_a_dropped_toggle_pair(monkeypatch):
     run = toggle_run
 
-    def drop_one(faces, wbits):
-        pairs, survivors = run(faces, wbits)
-        return pairs[1:], survivors
+    def drop_one(faces, toggles):
+        stages, survivors = run(faces, toggles)
+        at = first_stage(stages)
+        if at is not None:
+            b, up = stages[at]
+            stages[at] = (b, up & up - 1)
+        return stages, survivors
 
     monkeypatch.setattr(wedge, 'toggle_run', drop_one)
     with pytest.raises(MatchingError, match="do not partition"):
@@ -315,13 +371,18 @@ def test_matching_P_catches_a_dropped_toggle_pair(monkeypatch):
 def test_matching_P_catches_a_face_matched_twice(monkeypatch):
     run = toggle_run
 
-    def duplicate_one(faces, wbits):
-        # the last pair is replaced by a copy of the first, so the pair
-        # count still partitions the family and only the union check sees it
-        pairs, survivors = run(faces, wbits)
-        if len(pairs) > 1:
-            pairs = pairs[:-1] + pairs[:1]
-        return pairs, survivors
+    def duplicate_one(faces, toggles):
+        # the last pair gives way to a stage of its own repeating the first,
+        # so the pair count still partitions the family and only the union
+        # check sees it
+        stages, survivors = run(faces, toggles)
+        if len(morse.StagePairs(stages)) > 1:
+            b, up = stages[first_stage(stages)]
+            last = max(i for i, (_, u) in enumerate(stages) if u)
+            c, top = stages[last]
+            stages[last] = (c, top ^ 1 << top.bit_length() - 1)
+            stages.append((b, up & -up))
+        return stages, survivors
 
     monkeypatch.setattr(wedge, 'toggle_run', duplicate_one)
     with pytest.raises(MatchingError, match=r"family \(1, 3\) pairs: face \d+ matched twice, "
@@ -329,19 +390,42 @@ def test_matching_P_catches_a_face_matched_twice(monkeypatch):
         matching_P(1, 1, 3)
 
 
+def test_matching_P_catches_an_upper_face_without_its_toggle_bit(monkeypatch):
+    run = toggle_run
+
+    def swap_one(faces, toggles):
+        # the first pair's upper face gives way to its lower face, which
+        # lacks the stage's bit: the count and the faces used are unchanged
+        stages, survivors = run(faces, toggles)
+        at = first_stage(stages)
+        if at is not None:
+            b, up = stages[at]
+            low = up & -up
+            stages[at] = (b, up ^ low | low >> (1 << b))
+        return stages, survivors
+
+    monkeypatch.setattr(wedge, 'toggle_run', swap_one)
+    with pytest.raises(MatchingError, match=r"family \(1, 3\) pairs: non-covering pair "
+                                            r"\(\d+, \d+\), decoded \[\(\("):
+        matching_P(1, 1, 3)
+
+
 def test_matching_P_catches_a_pair_outside_the_family(monkeypatch):
     run = toggle_run
     planted = []
 
-    def plant_outside(faces, wbits):
-        # the first nonempty run loses its last pair to the empty face and a
-        # single vertex: the pair count still partitions the family, the
-        # planted pair covers, and no other check meets it
-        pairs, survivors = run(faces, wbits)
-        if pairs and not planted:
-            planted.append(pairs[-1])
-            pairs[-1] = (0, 1)
-        return pairs, survivors
+    def plant_outside(faces, toggles):
+        # the first nonempty run loses its last pair to a stage pairing the
+        # empty face with a single vertex: the pair count still partitions
+        # the family, the planted pair covers, and no other check meets it
+        stages, survivors = run(faces, toggles)
+        if first_stage(stages) is not None and not planted:
+            last = max(i for i, (_, u) in enumerate(stages) if u)
+            c, top = stages[last]
+            planted.append(top)
+            stages[last] = (c, top ^ 1 << top.bit_length() - 1)
+            stages.append((0, 1 << 0b1))
+        return stages, survivors
 
     monkeypatch.setattr(wedge, 'toggle_run', plant_outside)
     with pytest.raises(MatchingError, match=r"family \(1, 3\) pairs face \(\), which lies "
@@ -435,32 +519,28 @@ def test_residue_identity_recomputed():
     for k, j in [(1, 4), (2, 4), (2, 6)]:
         m = matching_P(k, 1, j)
         fam = family_faces(k, frozenset(p_complement(k, 1, j)))
-        for idx, faces in split_fibers(fam).items():
+        for idx, fiber in split_fibers(fam).items():
             v = fam.triples[idx]
-            ws = w_set(v, j, k)
-            wbits = [1 << fam.triples.index(w) for w in ws]
-            pairs, survivors = toggle_run(faces, wbits)
+            stages, survivors = toggle_run(fiber, toggle_bits(fam, idx, j, k))
             case = w_case(v, j, k)
             if case in ('low-run', 'after-j', 'split'):
-                assert len(survivors) == 1
+                assert survivors.bit_count() == 1
                 crit = critical_form(v, j, k)
-                assert {m.decode(s) for s in survivors} == {crit}
+                assert {m.decode(s) for s in members(survivors)} == {crit}
             else:
                 assert not survivors
-            assert len(faces) == 2 * len(pairs) + len(survivors)
+            assert fiber.bit_count() == 2 * len(morse.StagePairs(stages)) + survivors.bit_count()
 
 
 @pytest.mark.parametrize("j", index_I(1, 2))
 def test_stage_labels_are_a_poset_map(j):
     k = 2
     fam = family_faces(k, frozenset(p_complement(k, 1, j)))
-    for idx, faces in split_fibers(fam).items():
+    for idx, fiber in split_fibers(fam).items():
         v = fam.triples[idx]
-        ws = w_set(v, j, k)
-        wbits = [1 << fam.triples.index(w) for w in ws]
-        stage = toggle_stages(faces, wbits)
+        stage = toggle_stages(fiber, toggle_bits(fam, idx, j, k))
         ok, witness = morse.verify_poset_map(
-            lambda f: -stage[f], faces)
+            lambda f: -stage[f], list(members(fiber)))
         assert ok, (v, witness)
 
 
