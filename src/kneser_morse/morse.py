@@ -4,11 +4,13 @@ A matching is a set of disjoint covering pairs (sigma, tau), |tau| = |sigma|+1.
 It is acyclic if the digraph on pairs, with an arc from pair a to pair b when
 b's lower face is a facet of a's upper face (other than a's own lower face),
 has no directed cycle; an arc keeps the dimension of the lower face, so one
-search keyed by lower faces covers every dimension.  Narrow masks keep the
-lower and upper faces of a matching as two big-int bitsets over the masks
-up to the largest; bulk sink peeling over those bitsets first removes the
-pairs that reach no cycle, and the search sees only the rest.  Unmatched
-faces are critical.
+search keyed by lower faces covers every dimension.  The type of the pairs
+picks the layout: pairs handed over as ``StagePairs`` keep their lower and
+upper faces as two big-int bitsets over the masks up to the largest upper
+face, checked in bulk, and bulk sink peeling over those bitsets first
+removes the pairs that reach no cycle, so the search sees only the rest;
+any other pairs are listed into a partner dict, checked pair by pair, and
+searched in full.  Unmatched faces are critical.
 
 Faces are integer bitmasks, bit b standing for one vertex: a facet drops
 one bit and a cover adds one.  A bitset holds a set of faces as one int,
@@ -21,7 +23,6 @@ that read such sets as faces and pairs without listing them.
 from __future__ import annotations
 
 import itertools
-import operator
 from functools import lru_cache
 from typing import Callable, Hashable, Iterable, Iterator
 
@@ -154,96 +155,61 @@ class PairError(ValueError):
         self.faces = faces
 
 
-def _table_slots(pairs) -> int:
-    """Slots of the bitset layout for ``pairs``, or 0 for the dict layout.
-
-    The bitsets hold one slot per mask up to the largest, so they are used
-    only when those slots number at most two per matched face, where they
-    cost no more than the dict they replace.  Every base family of
-    ``wedge`` qualifies (1,024 slots for 950 matched faces at k = 2, 2^20
-    for 1,042,566 at k = 3); the wide per-k index masks do not.
-    """
-    # the upper faces bound every mask, since a pair is checked to cover
-    # before its faces are marked
-    if isinstance(pairs, StagePairs):
-        top = max((up.bit_length() for _, up in pairs.stages), default=0) - 1
-    else:
-        top = max(map(operator.itemgetter(1), pairs), default=-1)
-    return top + 1 if top < 4 * len(pairs) else 0
-
-
-_LOWER = bytes.maketrans(b"\0\1\2", b"010")  # marks -> base-2 digits
-_UPPER = bytes.maketrans(b"\0\1\2", b"001")
-
-
-def _marked(pairs: list, slots: int) -> tuple[int, int]:
-    """Check the pairs one by one, in order, marking each lower face 1 and
-    each upper face 2 in a ``bytearray`` of ``slots``: the first pair that
-    does not cover or reuses a face raises ``PairError``.  Returns the
-    lower and the upper faces as bitsets."""
-    seen = bytearray(slots)
+def _partner(pairs) -> dict:
+    """Check the pairs one by one, in order, and return their partner dict:
+    the first pair that does not cover or reuses a face raises
+    ``PairError`` naming it."""
+    partner = {}
     for sigma, tau in pairs:
         if not is_cover(sigma, tau):
             raise PairError("non-covering pair (%r, %r)" % (sigma, tau), sigma, tau)
-        if seen[sigma] or seen[tau]:
-            culprit = sigma if seen[sigma] else tau
+        if sigma in partner or tau in partner:
+            culprit = sigma if sigma in partner else tau
             raise PairError("face %r matched twice" % (culprit,), culprit)
-        seen[sigma], seen[tau] = 1, 2
-    return bitset(seen, _LOWER), bitset(seen, _UPPER)
+        partner[sigma] = tau
+        partner[tau] = sigma
+    return partner
 
 
-def _staged(pairs: StagePairs, slots: int) -> tuple[int, int] | None:
-    """The lower and upper bitsets of valid stages, checked in bulk, or
-    None.  The stages are valid iff every upper face holds its stage's bit
-    (so each pair covers) and the lower and upper faces of all stages
-    number twice the pairs (so no face is used twice, in one role or
+def _staged(pairs: StagePairs) -> bool:
+    """The stages checked in bulk: True iff every upper face holds its
+    stage's bit (so each pair covers) and the lower and upper faces of all
+    stages number twice the pairs (so no face is used twice, in one role or
     both)."""
-    masks = nobit((slots - 1).bit_length())
-    for b, up in pairs.stages:
-        if up and (b >= len(masks) or up & masks[b]):
-            return None
     low, up = pairs.bitsets()
-    return (low, up) if (low | up).bit_count() == 2 * len(pairs) else None
+    masks = nobit((up.bit_length() - 1).bit_length())
+    for b, u in pairs.stages:
+        if u and (b >= len(masks) or u & masks[b]):
+            return False
+    return (low | up).bit_count() == 2 * len(pairs)
 
 
 class Matching:
     """Disjoint covering pairs with both-way partner lookup.
 
-    The pairs are a list or a ``StagePairs`` view, and pick one of two
-    layouts (``_table_slots``).  Narrow masks keep the lower and the upper
-    faces as two bitsets over the slots: a pair list is checked pair by
-    pair and marked once (``_marked``), while stages are checked in bulk
-    (``_staged``) and, only when that fails, pair by pair in iteration
-    order to name the culprit.  Wide masks keep a partner dict, checked
-    pair by pair.  Either way the first pair, in order, that does not
-    cover or reuses a face raises ``PairError``, with the same faces and
-    message in both layouts.  ``partner``, ``in`` and ``matched()`` read
-    the same in both layouts; on the bitset layout ``partner`` is built on
-    first use.
+    The type of the pairs picks the layout.  A ``StagePairs`` view is kept
+    as it is, its lower and upper faces two bitsets (``bitsets``), and is
+    checked in bulk (``_staged``); any other iterable is listed once and
+    kept as a partner dict, checked pair by pair (``_partner``).  Stages
+    that fail the bulk check are replayed through the same pair-by-pair
+    check in iteration order, so in both layouts the first bad pair raises
+    ``PairError`` with the same faces and message; stages that fail in
+    bulk are never accepted.  ``partner``, ``in`` and ``matched()`` read
+    the same in both layouts; for stages ``partner`` is built on first
+    use.
     """
 
-    __slots__ = ("pairs", "_slots", "_low", "_up", "_partner")
+    __slots__ = ("pairs", "_partner")
 
     def __init__(self, pairs: Iterable[tuple] | StagePairs):
-        self.pairs = pairs if isinstance(pairs, StagePairs) else list(pairs)
-        self._slots = slots = _table_slots(self.pairs)
-        self._low = self._up = 0
-        self._partner = None if slots else {}
-        if slots:
-            bits = None
-            if isinstance(self.pairs, StagePairs):
-                bits = _staged(self.pairs, slots)
-            self._low, self._up = bits or _marked(self.pairs, slots)
-            return
-        partner = self._partner
-        for sigma, tau in self.pairs:
-            if not is_cover(sigma, tau):
-                raise PairError("non-covering pair (%r, %r)" % (sigma, tau), sigma, tau)
-            if sigma in partner or tau in partner:
-                culprit = sigma if sigma in partner else tau
-                raise PairError("face %r matched twice" % (culprit,), culprit)
-            partner[sigma] = tau
-            partner[tau] = sigma
+        if isinstance(pairs, StagePairs):
+            self.pairs, self._partner = pairs, None
+            if not _staged(pairs):
+                _partner(pairs)
+                raise AssertionError("stages fail the bulk check, yet no pair fails in order")
+        else:
+            self.pairs = list(pairs)
+            self._partner = _partner(self.pairs)
 
     @property
     def partner(self) -> dict:
@@ -306,11 +272,11 @@ def is_acyclic(matching: Matching, cells: Iterable | None = None) -> tuple[bool,
     trail face keeps its bits not yet probed on a parallel stack.  The
     faces on the current trail are kept in a set; a finished face leaves
     the dict from lower to upper face, since no cycle can run through it.
-    A matching on the bitset layout is first peeled (``_peel``) on its two
-    bitsets, and only the pairs left are listed, in pair order (stage by
-    stage for ``StagePairs``), for the search: every pair a peeled pair
-    reaches is peeled too, so the search would only have finished them,
-    and the witness is the one the search of all pairs finds.
+    Pairs held as ``StagePairs`` are first peeled (``_peel``) on their two
+    bitsets, and only the pairs left are listed, stage by stage, for the
+    search: every pair a peeled pair reaches is peeled too, so the search
+    would only have finished them, and the witness is the one the search
+    of all pairs finds.  A pair list is searched as it is.
     Returns (True, None) or (False, witness)
     where the witness lists the pairs around one cycle in order, each next
     lower face a facet of the current upper face and the last pair leading
@@ -324,25 +290,27 @@ def is_acyclic(matching: Matching, cells: Iterable | None = None) -> tuple[bool,
             if sigma not in cs or tau not in cs:
                 raise ValueError("pair (%r, %r) leaves the cell family" % (sigma, tau))
         del cs  # a copied cell set is not needed during the search
-    if not matching._slots:
-        return _search_dict(matching.pairs)
-    low = _peel(matching._low, matching._up, matching._slots)[0]
-    return _search_dict(_pairs_left(matching.pairs, low, matching._slots))
+    pairs = matching.pairs
+    if isinstance(pairs, StagePairs):
+        pairs = pairs.select(_peel(*pairs.bitsets())[0])
+    return _search_dict(pairs)
 
 
-def _peel(low: int, up: int, slots: int) -> tuple[int, list]:
+def _peel(low: int, up: int) -> tuple[int, list]:
     """Remove sink pairs of the matched-pair digraph in bulk rounds.
 
     The lower and upper faces still in the digraph are the bitsets ``low``
-    and ``up`` over ``slots`` masks.  In a round, ``(low & nobit[b]) <<
-    2^b`` marks the faces tau whose facet tau ^ 2^b is in ``low``; an upper
-    face marked twice has an arc out besides its own lower face, and every
-    other one is a sink.  The sinks and their lower faces, their only
-    facets left in ``low``, are removed.  Peeling stops after a round that
-    removes fewer pairs than the slots have 64-bit words, so the rounds
-    cost no more than a pass per pair.  Returns the lower faces left, as a
-    bitset, and the number of pairs each round removed.
+    and ``up``; the table is the masks up to the largest upper face.  In a
+    round, ``(low & nobit[b]) << 2^b`` marks the faces tau whose facet
+    tau ^ 2^b is in ``low``; an upper face marked twice has an arc out
+    besides its own lower face, and every other one is a sink.  The sinks
+    and their lower faces, their only facets left in ``low``, are removed.
+    Peeling stops after a round that removes fewer pairs than the table
+    has 64-bit words, so the rounds cost no more than a pass per pair.
+    Returns the lower faces left, as a bitset, and the number of pairs
+    each round removed.
     """
+    slots = up.bit_length()
     masks = nobit((slots - 1).bit_length())
     words, rounds = -(-slots // 64), []
     while low:
@@ -361,14 +329,6 @@ def _peel(low: int, up: int, slots: int) -> tuple[int, list]:
         if rounds[-1] < words:
             break
     return low, rounds
-
-
-def _pairs_left(pairs, low: int, slots: int) -> list:
-    """The pairs whose lower face is in the bitset ``low``, in pair order."""
-    if isinstance(pairs, StagePairs):
-        return pairs.select(low)
-    left = format(low, "b").zfill(slots)[::-1]
-    return [p for p in pairs if left[p[0]] == "1"]
 
 
 def _search_dict(pairs: list) -> tuple[bool, list | None]:

@@ -554,7 +554,9 @@ def _matching_p1(k: int, j: int, cset: tuple) -> FamilyMatching:
     # to it before the DFS
     del fam, lose
     # the union is the only place the pairs are validated as a matching:
-    # each one covers and no face is matched twice
+    # as StagePairs it takes the bitset layout, checked in bulk (every
+    # upper face holds its toggle bit, no face is used twice), and only a
+    # union that fails is replayed pair by pair to name the first bad pair
     try:
         matching = Matching(pairs)
     except PairError as e:

@@ -192,15 +192,30 @@ def test_a_face_expanding_lemma_is_refused_at_k3(monkeypatch, capsys, lemma):
     assert err.startswith("refused:") and "k <= 2" in err
 
 
+# the family lemmas at k = 4 from the formulas alone
+FAMILY_FORMULAS_K4 = {'p-families': {'families': 70, 'critical_total': 1050},
+                      'q-families': {'families': 35, 'critical_total': 350}}
+
+
 @pytest.mark.parametrize("lemma", ["p-families", "q-families"])
 def test_the_family_lemmas_keep_the_census_cap(capsys, lemma):
+    # the census stops at k = 3 whatever the depth above counts; the
+    # formulas alone, at --depth counts, reach k <= 5 as verify theorem3 does
     code, out, _ = run(capsys, "verify", "lemma", "--lemma", lemma, "--k", "3",
                        "--depth", "counts", "--format", "json")
     assert code == 0
     assert [r['pass'] for r in json.loads(out)['results']] == [True]
-    code, _, err = run(capsys, "verify", "lemma", "--lemma", lemma, "--k", "4",
+    for depth in ([], ["--depth", "full-snf"]):  # the default depth, then the deepest
+        code, _, err = run(capsys, "verify", "lemma", "--lemma", lemma, "--k", "4", *depth)
+        assert code == 2 and "k <= 3" in err
+    code, out, _ = run(capsys, "verify", "lemma", "--lemma", lemma, "--k", "4",
+                       "--depth", "counts", "--format", "json")
+    assert code == 0
+    assert json.loads(out)['results'] == [
+        {'name': lemma, 'k': 4, 'pass': True, 'detail': FAMILY_FORMULAS_K4[lemma]}]
+    code, _, err = run(capsys, "verify", "lemma", "--lemma", lemma, "--k", "6",
                        "--depth", "counts")
-    assert code == 2 and "k <= 3" in err
+    assert code == 2 and "k <= 5" in err
 
 
 def test_failure_exit_and_stderr(monkeypatch, capsys):

@@ -8,7 +8,6 @@ the facets through a generator, for the exact witness.
 
 import itertools
 import random
-import re
 import sys
 
 import networkx as nx
@@ -38,8 +37,9 @@ def test_is_cover_both_reps():
 
 
 def test_matching_rejects_bad_pairs():
-    with pytest.raises(ValueError, match="non-covering"):
+    with pytest.raises(ValueError, match="non-covering") as bad:
         Matching([(0b001, 0b010)])
+    assert bad.value.faces == (0b001, 0b010)
     with pytest.raises(ValueError, match="matched twice"):
         Matching([(0b001, 0b011), (0b001, 0b101)])
     with pytest.raises(ValueError, match="matched twice"):
@@ -184,7 +184,7 @@ def test_is_acyclic_agrees_with_hasse_oracle(seed):
         assert witness is None
     else:
         assert_witness_closes(m, witness)
-    assert_layouts_agree(m)
+    assert_layouts_agree(stage_each(m.pairs))
 
 
 def test_the_witness_follows_ascending_bits():
@@ -214,60 +214,63 @@ def planted_cycle(fm):
 def test_a_cycle_planted_in_a_base_family_is_caught():
     fm = matching_P(2, 1, 4)
     pairs = planted_cycle(fm)
-    m = Matching(pairs)
+    m = Matching(StagePairs(planted_stages(fm)))
+    assert list(m.pairs) == pairs
     assert is_acyclic(Matching(fm.pairs)) == (True, None)
     ok, witness = is_acyclic(m)
     assert not ok
     assert_witness_closes(m, witness)
     assert set(witness) & set(pairs[-3:])  # the pairs left in place are acyclic
-    assert (ok, witness) == reference_is_acyclic(m)
-    assert m._slots
-    assert_layouts_agree(m)
+    assert (ok, witness) == reference_is_acyclic(Matching(pairs))
+    assert_layouts_agree(m.pairs)
 
 
 # ---------------------------------------------------------------------------
-# the two layouts: narrow masks on tables, wide masks on dicts
+# the two layouts: stages on bitsets, any other pairs on a dict
 
-def shifted(pairs, by):
-    """Every mask moved ``by`` bits up: past the table width, the same
-    matching on the dict layout."""
-    return [(sigma << by, tau << by) for sigma, tau in pairs]
+def stage_each(pairs):
+    """``pairs`` as ``StagePairs``, one pair per stage and in order, as
+    ``planted_stages`` stages its planted pairs: the stage of a pair is the
+    one bit by which its faces differ."""
+    staged = StagePairs(((sigma ^ tau).bit_length() - 1, 1 << tau) for sigma, tau in pairs)
+    assert list(staged) == list(pairs)
+    return staged
 
 
 def width(pairs):
     return max(f for pair in pairs for f in pair).bit_length()
 
 
-def assert_layouts_agree(m):
-    """``m``, the same pairs listed (for ``StagePairs``, in iteration order)
-    and their copy shifted past the table width, which takes the dict
-    layout, give the same search, witness and lookups."""
-    by = width(m.pairs)
-    wide = Matching(shifted(m.pairs, by))
-    assert not wide._slots
-    ok, witness = is_acyclic(m)
-    assert (ok, witness) == reference_is_acyclic(m)
-    listed = Matching(list(m.pairs))
-    assert (listed._slots, listed._low, listed._up) == (m._slots, m._low, m._up)
-    assert is_acyclic(listed) == (ok, witness)
-    assert is_acyclic(wide) == (ok, witness and shifted(witness, by))
-    assert wide.partner == {f << by: g << by for f, g in m.partner.items()}
-    assert wide.matched() == {f << by for f in m.matched()}
-    assert -1 not in m and -1 not in wide
-    for f in range(2 << by):
-        assert (f in m) == (f in m.partner) == (f << by in wide)
+def assert_layouts_agree(staged):
+    """The stages ``staged``, on the bitset layout, and the same pairs
+    listed, on the dict layout, give the reference search and witness and
+    the same lookups."""
+    m, listed = Matching(staged), Matching(list(staged))
+    assert m.pairs is staged and isinstance(listed.pairs, list)
+    assert is_acyclic(m) == is_acyclic(listed) == reference_is_acyclic(listed)
+    assert m.partner == listed.partner
+    assert m.matched() == listed.matched()
+    assert -1 not in m and -1 not in listed
+    for f in range(2 << width(listed.pairs)):
+        assert (f in m) == (f in m.partner) == (f in listed)
 
 
-def test_the_pairs_pick_the_layout():
-    # a table while its slots (largest mask + 1) number at most two per
-    # matched face
-    assert Matching([(0b001, 0b011)])._slots == 4
-    assert not Matching([(0b010, 0b110)])._slots
-    assert not Matching([])._slots
-    assert not Matching(StagePairs([]))._slots
+def test_the_pairs_pick_the_layout(monkeypatch):
+    # stages keep their bitsets, are peeled before the search and build the
+    # partner dict on first use; any other iterable is listed once into a
+    # partner dict and searched in full, however narrow its masks
     fm = matching_P(2, 1, 4)
-    assert Matching(fm.pairs)._slots == Matching(list(fm.pairs))._slots == 1 << len(fm.triples)
-    assert not Matching(shifted(fm.pairs, len(fm.triples)))._slots
+    real, peeled_up = morse._peel, []
+    monkeypatch.setattr(morse, "_peel", lambda low, up: peeled_up.append(up) or real(low, up))
+    listed = Matching(iter([(0b001, 0b011)]))
+    assert listed.pairs == [(0b001, 0b011)] and listed._partner == {0b001: 0b011, 0b011: 0b001}
+    assert is_acyclic(listed) == (True, None) and peeled_up == []
+    staged = Matching(fm.pairs)
+    assert staged.pairs is fm.pairs and staged._partner is None
+    assert is_acyclic(staged) == (True, None) and peeled_up == [fm.pairs.bitsets()[1]]
+    assert is_acyclic(Matching(list(fm.pairs))) == (True, None) and len(peeled_up) == 1
+    assert is_acyclic(Matching(StagePairs([]))) == (True, None) and peeled_up[1:] == [0]
+    assert is_acyclic(Matching([])) == (True, None) and len(peeled_up) == 2
 
 
 def test_both_layouts_follow_the_reference_on_dense_matchings():
@@ -276,17 +279,20 @@ def test_both_layouts_follow_the_reference_on_dense_matchings():
     # Hasse oracle test rarely show
     for seed in range(40):
         m = random_matching(random.Random(seed), list(range(1, 64)))
-        assert m._slots
-        assert_layouts_agree(m)
+        assert_layouts_agree(stage_each(m.pairs))
 
 
 def test_the_random_cases_cover_both_layouts():
-    assert {not random_case(seed)[1]._slots for seed in range(40)} == {False, True}
+    # every random case runs on both layouts (assert_layouts_agree), and
+    # the cases hold acyclic and cyclic matchings, so each layout meets both
+    verdicts = {is_acyclic(Matching(stage_each(random_case(seed)[1].pairs)))[0]
+                for seed in range(40)}
+    assert verdicts == {False, True}
 
 
 def test_the_table_marks_lower_and_upper_faces():
-    m = Matching([(0b001, 0b011), (0b100, 0b110)])
-    assert (m._slots, m._low, m._up) == (7, 1 << 0b001 | 1 << 0b100, 1 << 0b011 | 1 << 0b110)
+    m = Matching(stage_each([(0b001, 0b011), (0b100, 0b110)]))
+    assert m.pairs.bitsets() == (1 << 0b001 | 1 << 0b100, 1 << 0b011 | 1 << 0b110)
     assert all(f in m for f in (0b001, 0b011, 0b100, 0b110))
     assert 0b010 not in m and 0b101 not in m and 7 not in m
     assert m.partner == {0b001: 0b011, 0b011: 0b001, 0b100: 0b110, 0b110: 0b100}
@@ -298,19 +304,16 @@ def test_the_table_marks_lower_and_upper_faces():
     [(0b011, 0b111), (0b001, 0b011)],  # lower face, then upper face
 ])
 def test_a_face_in_both_roles_is_named_in_both_layouts(pairs):
-    assert morse._table_slots(pairs) and not morse._table_slots(shifted(pairs, 3))
-    with pytest.raises(PairError) as narrow:
+    with pytest.raises(PairError) as staged:
+        Matching(stage_each(pairs))
+    with pytest.raises(PairError) as listed:
         Matching(pairs)
-    with pytest.raises(PairError) as wide:
-        Matching(shifted(pairs, 3))
-    assert narrow.value.faces == (0b011,)
-    assert wide.value.faces == (0b011 << 3,)
-    assert str(narrow.value) == "face 3 matched twice"
-    assert str(wide.value) == "face 24 matched twice"
+    assert staged.value.faces == listed.value.faces == (0b011,)
+    assert str(staged.value) == str(listed.value) == "face 3 matched twice"
 
 
 # ---------------------------------------------------------------------------
-# sink peeling on the table layout, and the search of the pairs it leaves
+# sink peeling on the bitset layout, and the search of the pairs it leaves
 
 def walk_pairs(walk):
     """A gradient path along the vertex sequence ``walk``: pair i is the
@@ -322,7 +325,7 @@ def walk_pairs(walk):
 
 # each set of six or more of the vertices 0..10 under itself plus vertex 11:
 # 1,024 sinks, none with an arc to or from the edges and triangles of a
-# walk, that make the 4,096-slot table (64 words) the layout
+# walk, that widen the table to 4,096 masks (64 words)
 FILLER = [(s, s | 1 << 11) for s in range(1 << 11) if s.bit_count() >= 6]
 
 # steps of 1, 2 and 3 around 11 vertices: 32 distinct edges and triangles
@@ -334,14 +337,19 @@ LONG_CYCLE = walk_pairs(list(range(11)) + [0, 1])
 
 def peeled(m):
     """The pairs peeling leaves, in pair order, and the pairs per round."""
-    low, rounds = morse._peel(m._low, m._up, m._slots)
-    return morse._pairs_left(m.pairs, low, m._slots), rounds
+    low, rounds = morse._peel(*m.pairs.bitsets())
+    return m.pairs.select(low), rounds
+
+
+def table_width(m):
+    """The masks of the table of ``m``: up to its largest upper face."""
+    return m.pairs.bitsets()[1].bit_length()
 
 
 def assert_peeling_stops_in_linear_rounds(m, rounds):
     """Every round but the last removes at least a word's worth of pairs,
     so there are at most pairs / words + 1 rounds."""
-    words = -(-m._slots // 64)
+    words = -(-table_width(m) // 64)
     assert rounds[-1] < words <= min(rounds[:-1], default=words)
     assert len(rounds) <= len(m) // words + 1
 
@@ -349,24 +357,24 @@ def assert_peeling_stops_in_linear_rounds(m, rounds):
 def test_peeling_stops_on_a_long_acyclic_path():
     # round 1 takes the filler and the path's last pair, round 2 one more
     # pair, fewer than the 64 words: the search finishes the other 30
-    m = Matching(LONG_PATH + FILLER)
-    assert m._slots == 4096
+    m = Matching(stage_each(LONG_PATH + FILLER))
+    assert table_width(m) == 4096
     rest, rounds = peeled(m)
     assert rounds == [1025, 1]
     assert rest == LONG_PATH[:-2]
     assert_peeling_stops_in_linear_rounds(m, rounds)
     assert is_acyclic(m) == reference_is_acyclic(m) == (True, None)
-    assert_layouts_agree(m)
+    assert_layouts_agree(m.pairs)
 
 
 def test_peeling_stops_on_a_long_cycle():
-    m = Matching(LONG_CYCLE + FILLER)
+    m = Matching(stage_each(LONG_CYCLE + FILLER))
     rest, rounds = peeled(m)
     assert rounds == [1024, 0]
     assert rest == LONG_CYCLE
     assert_peeling_stops_in_linear_rounds(m, rounds)
     assert is_acyclic(m) == reference_is_acyclic(m) == (False, LONG_CYCLE)
-    assert_layouts_agree(m)
+    assert_layouts_agree(m.pairs)
 
 
 def test_peeling_a_base_family_stops_in_linear_rounds():
@@ -378,22 +386,21 @@ def test_peeling_a_base_family_stops_in_linear_rounds():
 
 
 def test_a_cycle_planted_in_a_k3_base_family_is_caught_in_both_layouts():
-    # as at k = 2 above, on the 2^20-slot table of (3, 1, 4): peeling stops
-    # with pairs left, and their search names the cycle the dict layout,
-    # which searches every pair, names
-    m = Matching(planted_cycle(matching_P(3, 1, 4)))
-    assert m._slots == 1 << 20
-    # more slots than the int string-digit limit allows digits (4300 by
-    # default): the packing in _marked goes through base 2, which it exempts
-    assert m._slots > getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    # as at k = 2 above, on the 2^20-mask table of (3, 1, 4): peeling stops
+    # with pairs left, and their search names the cycle that the same pairs
+    # listed, searched in full on the dict layout, name
+    m = Matching(StagePairs(planted_stages(matching_P(3, 1, 4))))
+    assert table_width(m) == 1 << 20
+    # more masks than the int string-digit limit allows digits (4300 by
+    # default): the bitsets are listed through base 2, which it exempts
+    assert table_width(m) > getattr(sys, "get_int_max_str_digits", lambda: 0)()
     rest, rounds = peeled(m)
     assert rest and len(rest) == len(m) - sum(rounds)
     assert_peeling_stops_in_linear_rounds(m, rounds)
     ok, witness = is_acyclic(m)
     assert not ok
     assert_witness_closes(m, witness)
-    by = m._slots.bit_length()
-    assert is_acyclic(Matching(shifted(m.pairs, by))) == (False, shifted(witness, by))
+    assert is_acyclic(Matching(list(m.pairs))) == (False, witness)
 
 
 def planted_stages(fm):
@@ -403,55 +410,54 @@ def planted_stages(fm):
     planted = planted_cycle(fm)[-3:]
     touched = {f for pair in planted for f in pair}
     drop = sum(1 << tau for sigma, tau in fm.pairs if touched & {sigma, tau})
-    return ([(b, up & ~drop) for b, up in fm.pairs.stages]
-            + [((sigma ^ tau).bit_length() - 1, 1 << tau) for sigma, tau in planted])
+    return [(b, up & ~drop) for b, up in fm.pairs.stages] + stage_each(planted).stages
 
 
 def test_a_cycle_planted_in_stage_form_is_caught_in_every_layout():
     # the stages of (3, 1, 4) with a three-cycle planted: validated in bulk,
-    # peeled, and searched stage by stage, they give the witness of the
-    # same pairs listed and of their shifted copy on the dict layout
+    # peeled, and searched stage by stage, they give the witness and the
+    # lookups of the same pairs listed on the dict layout
     fm = matching_P(3, 1, 4)
     staged = StagePairs(planted_stages(fm))
     assert list(staged) == planted_cycle(fm)
     m = Matching(staged)
-    assert m._slots == 1 << 20 and m.pairs is staged
+    assert m.pairs is staged
     rest, rounds = peeled(m)
     assert rest and len(rest) == len(m) - sum(rounds)
     ok, witness = is_acyclic(m)
     assert not ok
     assert_witness_closes(m, witness)
     assert set(witness) & set(planted_cycle(fm)[-3:])
-    assert_layouts_agree(m)
+    assert_layouts_agree(staged)
 
 
 def bad_pair_cases(fm):
     """Pair lists that break the matching of a base family, each with the
-    faces ``PairError`` must name: a pair that does not cover, a lower face
-    matched again, and an upper face matched again from a critical cell."""
+    faces ``PairError`` must name: a pair upside down, which does not
+    cover, a lower face matched again, and an upper face matched again
+    from a critical cell.  Each pair's faces differ in one bit, so every
+    list also runs one pair per stage."""
     pairs = list(fm.pairs)
     s0, t0 = pairs[0]
     extra = next(1 << b for b in range(len(fm.triples)) if not t0 >> b & 1)
     c, t = next((c, t) for c in fm.critical for _, t in pairs if is_cover(c, t))
     return [
-        (pairs[:3] + [(s0, t0 | extra)] + pairs[3:], (s0, t0 | extra)),
+        (pairs[:3] + [(t0 | extra, t0)] + pairs[3:], (t0 | extra, t0)),
         (pairs + [(s0, s0 | extra)], (s0,)),
         (pairs + [(c, t)], (t,)),
     ]
 
 
 def test_both_layouts_name_the_same_bad_pairs():
-    fm = matching_P(2, 1, 4)
-    by = len(fm.triples)
-    for pairs, faces in bad_pair_cases(fm):
-        assert morse._table_slots(pairs) and not morse._table_slots(shifted(pairs, by))
-        with pytest.raises(PairError) as narrow:
+    for pairs, faces in bad_pair_cases(matching_P(2, 1, 4)):
+        staged = stage_each(pairs)
+        assert not morse._staged(staged)
+        with pytest.raises(PairError) as bulk:
+            Matching(staged)
+        with pytest.raises(PairError) as listed:
             Matching(pairs)
-        with pytest.raises(PairError) as wide:
-            Matching(shifted(pairs, by))
-        assert narrow.value.faces == faces
-        assert wide.value.faces == tuple(f << by for f in faces)
-        assert re.sub(r"\d+", "N", str(narrow.value)) == re.sub(r"\d+", "N", str(wide.value))
+        assert bulk.value.faces == listed.value.faces == faces
+        assert str(bulk.value) == str(listed.value)
 
 
 def test_stage_pairs_is_a_sized_view():
@@ -465,7 +471,7 @@ def test_stage_pairs_is_a_sized_view():
     assert up == 1 << 0b011 | 1 << 0b110 | 1 << 0b1001
     assert staged.select(1 << 0b100 | 1 << 0b1000) == [(0b100, 0b110), (0b1000, 0b1001)]
     m = Matching(staged)
-    assert m.pairs is staged and (m._slots, m._low, m._up) == (10, low, up)
+    assert m.pairs is staged and m._partner is None
     assert m.partner == Matching(list(staged)).partner
     assert 0b1000 in m and 0b010 not in m
     assert len(StagePairs([(0, 0)])) == 0 and list(StagePairs([(0, 0)])) == []
@@ -495,13 +501,22 @@ def test_staged_defects_raise_as_the_listed_pairs_do():
     for k, j in [(1, 3), (2, 4), (2, 6)]:
         for stages, faces in staged_defects(matching_P(k, 1, j)):
             staged = StagePairs(stages)
-            assert morse._staged(staged, morse._table_slots(staged)) is None
+            assert not morse._staged(staged)
             with pytest.raises(PairError) as bulk:
                 Matching(staged)
             with pytest.raises(PairError) as listed:
                 Matching(list(staged))
             assert bulk.value.faces == listed.value.faces == faces
             assert str(bulk.value) == str(listed.value)
+
+
+def test_stages_that_fail_only_the_bulk_check_are_never_accepted(monkeypatch):
+    # a bulk check that fails valid stages: the replay finds no bad pair,
+    # and Matching raises rather than accept stages the bulk check refused
+    pairs = matching_P(2, 1, 4).pairs
+    monkeypatch.setattr(morse, "_staged", lambda staged: None)
+    with pytest.raises(AssertionError, match="bulk check"):
+        Matching(pairs)
 
 
 def test_verify_poset_map():

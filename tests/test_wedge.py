@@ -240,6 +240,15 @@ def bits_of(faces):
     return sum(1 << f for f in set(faces))
 
 
+def table_bits(faces, slots):
+    """``bits_of`` through one byte table over ``slots`` masks, which stays
+    linear on the 2^20 masks of a k = 3 family."""
+    marks = bytearray(slots)
+    for f in faces:
+        marks[f] = 1
+    return morse.bitset(marks, bytes.maketrans(b"\0\1", b"01"))
+
+
 def toggle_stages(fiber, toggles):
     """Stage of each face of the bitset ``fiber`` in a toggle run, 1-based,
     survivors getting len(toggles) + 1: one more than the number of toggle
@@ -326,8 +335,17 @@ def test_the_bitset_build_matches_the_list_build(k, j):
     assert fm.critical == critical
     assert len(fm.faces) == len(fam.faces) == 2 * len(pairs) + len(critical)
     assert len(fm.pairs) == len(pairs)
-    staged, listed = morse.Matching(fm.pairs), morse.Matching(pairs)
-    assert (staged._slots, staged._low, staged._up) == (listed._slots, listed._low, listed._up)
+    # the stages on the bitset layout, the same pairs listed on the dict
+    # layout: the same bitsets, lookups and acyclicity search, including
+    # the k <= 1 families, whose tables hold more than four masks per pair
+    staged, listed = morse.Matching(fm.pairs), morse.Matching(list(fm.pairs))
+    slots = 1 << len(fam.triples)
+    assert fm.pairs.bitsets() == (table_bits([s for s, _ in pairs], slots),
+                                  table_bits([t for _, t in pairs], slots))
+    assert staged.partner == listed.partner
+    assert staged.matched() == listed.matched()
+    assert all((f in staged) == (f in listed) for f in range(slots))
+    assert morse.is_acyclic(staged) == morse.is_acyclic(listed) == (True, None)
 
 
 def test_toggle_run_equals_stagewise_element_matching():
