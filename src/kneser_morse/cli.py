@@ -177,8 +177,9 @@ LEMMAS = {
 
 THEOREM2_CAP = 2
 # the family targets read the census and reach its cap, or, at --depth
-# counts, only its formulas and reach theirs; no depth adds homology to
-# them.  Every other lemma expands the mixed complex or the filtration
+# counts, only its formulas and reach theirs; they have no homology check
+# yet, so --depth full-snf is refused for them rather than run as the
+# default depth.  Every other lemma expands the mixed complex or the filtration
 # stages face by face, which the powerset guard of ``all_faces`` stops
 # beyond the Theorem 2 cap
 CENSUS_LEMMAS = ('p-families', 'q-families')
@@ -201,6 +202,10 @@ def cmd_verify(args) -> tuple[list[dict], bool]:
         if args.lemma in CENSUS_LEMMAS:
             cap = K_CAPS['counts' if depth == 'counts' else 'acyclicity']
         _check_cap('verify lemma %s' % args.lemma, k, cap, args.allow_large)
+        if args.lemma in CENSUS_LEMMAS and depth == 'full-snf':
+            raise Refusal("verify lemma %s refused at --depth full-snf: these targets "
+                          "have no homology check yet; use --depth acyclicity or counts"
+                          % args.lemma)
 
     def run(name, fn):
         try:
@@ -333,7 +338,8 @@ def _parser() -> argparse.ArgumentParser:
                     default="acyclicity",
                     help="counts: formulas only; acyclicity: adds the census "
                          "and matching checks (default); full-snf: adds the "
-                         "exact homology cross-checks")
+                         "exact homology cross-checks (refused for the lemmas "
+                         "p-families and q-families, which have none yet)")
     common(sp)
     sp.set_defaults(fn=cmd_verify)
 

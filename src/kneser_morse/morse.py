@@ -7,10 +7,12 @@ has no directed cycle; an arc keeps the dimension of the lower face, so one
 search keyed by lower faces covers every dimension.  The type of the pairs
 picks the layout: pairs handed over as ``StagePairs`` keep their lower and
 upper faces as two big-int bitsets over the masks up to the largest upper
-face, checked in bulk, and bulk sink peeling over those bitsets first
-removes the pairs that reach no cycle, so the search sees only the rest;
-any other pairs are listed into a partner dict, checked pair by pair, and
-searched in full.  Unmatched faces are critical.
+face, checked in bulk, and peeled of sink pairs in bulk rounds: a finite
+digraph is acyclic iff removing its sinks empties it, so stages that peel
+to empty are acyclic with no pair listed, and only after a stall or a
+spent round budget does the search see the pairs left; any other pairs
+are listed into a partner dict, checked pair by pair, and searched in
+full.  Unmatched faces are critical.
 
 Faces are integer bitmasks, bit b standing for one vertex: a facet drops
 one bit and a cover adds one.  A bitset holds a set of faces as one int,
@@ -273,10 +275,12 @@ def is_acyclic(matching: Matching, cells: Iterable | None = None) -> tuple[bool,
     faces on the current trail are kept in a set; a finished face leaves
     the dict from lower to upper face, since no cycle can run through it.
     Pairs held as ``StagePairs`` are first peeled (``_peel``) on their two
-    bitsets, and only the pairs left are listed, stage by stage, for the
-    search: every pair a peeled pair reaches is peeled too, so the search
-    would only have finished them, and the witness is the one the search
-    of all pairs finds.  A pair list is searched as it is.
+    bitsets.  Peeling to empty proves them acyclic, with no pair listed or
+    searched; only after a round that finds no sink or a spent round
+    budget are the pairs left listed, stage by stage, for the search:
+    every pair a peeled pair reaches is peeled too, so the search would
+    only have finished them, and the witness is the one the search of all
+    pairs finds.  A pair list is searched as it is.
     Returns (True, None) or (False, witness)
     where the witness lists the pairs around one cycle in order, each next
     lower face a facet of the current upper face and the last pair leading
@@ -292,7 +296,10 @@ def is_acyclic(matching: Matching, cells: Iterable | None = None) -> tuple[bool,
         del cs  # a copied cell set is not needed during the search
     pairs = matching.pairs
     if isinstance(pairs, StagePairs):
-        pairs = pairs.select(_peel(*pairs.bitsets())[0])
+        low = _peel(*pairs.bitsets())[0]
+        if not low:
+            return True, None
+        pairs = pairs.select(low)
     return _search_dict(pairs)
 
 
@@ -305,29 +312,33 @@ def _peel(low: int, up: int) -> tuple[int, list]:
     tau ^ 2^b is in ``low``; an upper face marked twice has an arc out
     besides its own lower face, and every other one is a sink.  The sinks
     and their lower faces, their only facets left in ``low``, are removed.
-    Peeling stops after a round that removes fewer pairs than the table
-    has 64-bit words, so the rounds cost no more than a pass per pair.
+    A finite digraph is acyclic iff removing its sinks empties it (Kahn,
+    CACM 5, 1962), so peeling runs until ``low`` is empty, until a round
+    finds no sink (a stall: every pair left has an arc out, so a cycle
+    remains), or until pairs // words + 1 rounds are spent, words the
+    table's 64-bit words, so the rounds cost no more than a pass per pair.
     Returns the lower faces left, as a bitset, and the number of pairs
     each round removed.
     """
     slots = up.bit_length()
     masks = nobit((slots - 1).bit_length())
-    words, rounds = -(-slots // 64), []
-    while low:
+    words = -(-slots // 64) or 1  # no stage holds a pair: an empty table
+    budget, rounds = up.bit_count() // words + 1, []
+    while low and len(rounds) < budget:
         once = twice = 0
         for b, keep in enumerate(masks):
             t = (low & keep) << (1 << b)
             twice |= once & t
             once |= t
         sinks = up & ~twice
+        if not sinks:
+            break
         up ^= sinks
         drop = 0
         for b, keep in enumerate(masks):
             drop |= sinks >> (1 << b) & keep
         low &= ~drop
         rounds.append(sinks.bit_count())
-        if rounds[-1] < words:
-            break
     return low, rounds
 
 

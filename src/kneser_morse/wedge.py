@@ -528,21 +528,22 @@ def _matching_p1(k: int, j: int, cset: tuple) -> FamilyMatching:
             diff = residue ^ ident
             raise MatchingError("toggle run of label %r disagrees with the residue identity at %r (j=%d)"
                                 % (v, decode((diff & -diff).bit_length() - 1, fam.triples), j))
-        kept = list(members(residue))
+        # the survivors are checked as a bitset and listed only to report
         if v in retain:
             want = critical_form(v, j, k)
-            decoded = [decode(f, fam.triples) for f in kept]
-            if decoded != [want]:
+            bits = [idx.get(w) for w in want or ()]
+            if not bits or None in bits or residue != 1 << sum(1 << b for b in bits):
+                decoded = [decode(f, fam.triples) for f in members(residue)]
                 raise MatchingError("label %r kept %r instead of its closed form %r (j=%d)"
                                     % (v, decoded, want, j))
+            criticals.append(residue.bit_length() - 1)
         elif v in clear:
-            if kept:
+            if residue:
                 raise MatchingError("label %r should clear but kept %d cells (j=%d)"
-                                    % (v, len(kept), j))
+                                    % (v, residue.bit_count(), j))
         else:
             raise MatchingError("label %r owns a sub-fiber yet is neither kind (j=%d)" % (v, j))
         stages.extend(run)
-        criticals.extend(kept)
     if not retain <= present:
         raise MatchingError("labels %r should retain a cell but own no face (j=%d)"
                             % (sorted(retain - present), j))

@@ -218,6 +218,22 @@ def test_the_family_lemmas_keep_the_census_cap(capsys, lemma):
     assert code == 2 and "k <= 5" in err
 
 
+@pytest.mark.parametrize("lemma", ["p-families", "q-families"])
+def test_the_family_lemmas_refuse_full_snf(capsys, lemma):
+    # these targets have no homology check, so full-snf is refused at any k
+    # rather than reported as a pass of the default depth; verify all runs
+    # their census beside the homology checks of theorem3 as before
+    for k in ("0", "3"):
+        code, out, err = run(capsys, "verify", "lemma", "--lemma", lemma, "--k", k,
+                             "--depth", "full-snf")
+        assert code == 2 and out == ""
+        assert err.startswith("refused:") and "no homology check" in err
+    code, out, _ = run(capsys, "verify", "all", "--k", "1", "--depth", "full-snf",
+                       "--format", "json")
+    assert code == 0
+    assert lemma in [r['name'] for r in json.loads(out)['results']]
+
+
 def test_failure_exit_and_stderr(monkeypatch, capsys):
     def sad(k):
         raise cli.collapse.MatchingError("synthetic failed check")

@@ -18,6 +18,7 @@ from kneser_morse.morse import (
     Matching, PairError, compose_cluster, critical_cells, element_matching,
     StagePairs, face_facets, is_acyclic, is_cover, is_perfect, verify_poset_map,
 )
+from kneser_morse.collapse import index_I
 from kneser_morse.wedge import matching_P
 
 
@@ -347,30 +348,33 @@ def table_width(m):
 
 
 def assert_peeling_stops_in_linear_rounds(m, rounds):
-    """Every round but the last removes at least a word's worth of pairs,
-    so there are at most pairs / words + 1 rounds."""
+    """At most pairs // words + 1 rounds, each removing at least one pair,
+    so the rounds cost no more than a pass per pair."""
     words = -(-table_width(m) // 64)
-    assert rounds[-1] < words <= min(rounds[:-1], default=words)
     assert len(rounds) <= len(m) // words + 1
+    assert all(rounds)
 
 
 def test_peeling_stops_on_a_long_acyclic_path():
-    # round 1 takes the filler and the path's last pair, round 2 one more
-    # pair, fewer than the 64 words: the search finishes the other 30
+    # round 1 takes the filler and the path's last pair, and every later
+    # round one more pair: the budget of 1,056 // 64 + 1 = 17 rounds is
+    # spent with the path's first 15 pairs left, and the search finishes it
     m = Matching(stage_each(LONG_PATH + FILLER))
-    assert table_width(m) == 4096
+    assert table_width(m) == 4096 and len(m) == 1056
     rest, rounds = peeled(m)
-    assert rounds == [1025, 1]
-    assert rest == LONG_PATH[:-2]
+    assert rounds == [1025] + [1] * 16
+    assert rest == LONG_PATH[:15]
     assert_peeling_stops_in_linear_rounds(m, rounds)
     assert is_acyclic(m) == reference_is_acyclic(m) == (True, None)
     assert_layouts_agree(m.pairs)
 
 
 def test_peeling_stops_on_a_long_cycle():
+    # round 1 takes the filler; the next finds no sink, a stall with the
+    # whole cycle left for the search
     m = Matching(stage_each(LONG_CYCLE + FILLER))
     rest, rounds = peeled(m)
-    assert rounds == [1024, 0]
+    assert rounds == [1024]
     assert rest == LONG_CYCLE
     assert_peeling_stops_in_linear_rounds(m, rounds)
     assert is_acyclic(m) == reference_is_acyclic(m) == (False, LONG_CYCLE)
@@ -378,15 +382,50 @@ def test_peeling_stops_on_a_long_cycle():
 
 
 def test_peeling_a_base_family_stops_in_linear_rounds():
-    m = Matching(matching_P(2, 1, 4).pairs)
-    rest, rounds = peeled(m)
-    assert_peeling_stops_in_linear_rounds(m, rounds)
-    assert len(rest) == len(m) - sum(rounds)
-    assert morse._search_dict(rest) == (True, None)
+    # every P-base at k = 2 and 3 is acyclic, so removing sinks empties it,
+    # within the round budget
+    for k in (2, 3):
+        for j in index_I(1, k):
+            m = Matching(matching_P(k, 1, j).pairs)
+            low, rounds = morse._peel(*m.pairs.bitsets())
+            assert low == 0 and sum(rounds) == len(m), (k, j)
+            assert_peeling_stops_in_linear_rounds(m, rounds)
+
+
+def test_peeling_empties_3_1_4_in_twelve_rounds():
+    pairs = matching_P(3, 1, 4).pairs
+    low, rounds = morse._peel(*pairs.bitsets())
+    assert low == 0
+    assert rounds == [325945, 97370, 47985, 23277, 11918, 5984,
+                      3906, 2490, 1446, 635, 258, 69]
+    assert len(pairs) // ((1 << 20) // 64) + 1 == 32  # the budget
+
+
+def test_an_acyclic_family_is_neither_listed_nor_searched(monkeypatch):
+    # the build of (3, 1, 4) runs is_acyclic on its stages, and so does the
+    # check below: peeling empties them, and neither lists nor searches
+    def spy(*args):
+        raise AssertionError("called on an acyclic family")
+
+    monkeypatch.setattr(morse, "_search_dict", spy)
+    monkeypatch.setattr(StagePairs, "select", spy)
+    assert is_acyclic(Matching(matching_P(3, 1, 4).pairs)) == (True, None)
+
+
+def test_peeling_empties_exactly_the_acyclic_stage_cases():
+    # the random and dense cases one pair per stage: a case peels to empty
+    # within its budget iff the reference search finds no cycle
+    cases = [random_case(seed)[1] for seed in range(40)]
+    cases += [random_matching(random.Random(seed), list(range(1, 64))) for seed in range(40)]
+    for m in cases:
+        staged = Matching(stage_each(m.pairs))
+        low, rounds = morse._peel(*staged.pairs.bitsets())
+        assert_peeling_stops_in_linear_rounds(staged, rounds)
+        assert (low == 0) == reference_is_acyclic(m)[0]
 
 
 def test_a_cycle_planted_in_a_k3_base_family_is_caught_in_both_layouts():
-    # as at k = 2 above, on the 2^20-mask table of (3, 1, 4): peeling stops
+    # as at k = 2 above, on the 2^20-mask table of (3, 1, 4): peeling stalls
     # with pairs left, and their search names the cycle that the same pairs
     # listed, searched in full on the dict layout, name
     m = Matching(StagePairs(planted_stages(matching_P(3, 1, 4))))

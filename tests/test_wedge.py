@@ -463,6 +463,16 @@ def test_matching_P_catches_a_perturbed_closed_form(monkeypatch):
         matching_P(1, 1, 3)
 
 
+def test_matching_P_catches_a_label_that_keeps_a_cell_it_should_clear(monkeypatch):
+    # (4, 5, 6) keeps its closed-form cell in the k = 1 family (1, 3); filed
+    # among the labels that clear, its survivor is reported by count
+    real_c, real_nc = c_set, nc_set
+    monkeypatch.setattr(wedge, 'c_set', lambda j, k: [v for v in real_c(j, k) if v != (4, 5, 6)])
+    monkeypatch.setattr(wedge, 'nc_set', lambda j, k: real_nc(j, k) + [(4, 5, 6)])
+    with pytest.raises(MatchingError, match=r"^label \(4, 5, 6\) should clear but kept 1 cells \(j=3\)$"):
+        matching_P(1, 1, 3)
+
+
 @pytest.mark.parametrize("label,toggle,check", [
     ((4, 5, 7), (4, 5, 6), "disagrees with the residue identity at"),
     ((4, 5, 6), (4, 5, 7), "instead of its closed form"),
