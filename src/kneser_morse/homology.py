@@ -1,22 +1,27 @@
 """Exact homology of the face complexes: coreduction, then the Smith form.
 
 Faces are integer bitmasks; every facet and sign comes from
-``morse.face_facets``, and the matrix bases are the faces in increasing
-mask order.  Betti numbers in dimension d are b_d = n_d - rank d_d - rank
-d_{d+1}; the reduced variant augments with the empty face.  Relative
-homology of a pair (X, A) runs the same machinery on the quotient cells
-(faces of X not in A), where boundary entries landing in A are dropped.
+``morse.face_facets``.  ``betti`` lists the cells of dimension
+-1..max_dim + 1 and walks their facets once, into ``morse.facet_table``:
+per cell, the indices of its facets among the cells and their signs.  A
+facet outside the cells is dropped, so relative homology of a pair
+(X, A) runs the same machinery on the quotient cells (faces of X not in
+A).  Betti numbers in dimension d are b_d = n_d - rank d_d - rank
+d_{d+1}; the reduced variant augments with the empty face.
+``boundary_matrix`` gives the same boundaries as matrices, with the faces
+in increasing mask order as bases.
 
-A family is coreduced by ``morse.coreduce`` through its top boundary: the
-cells of dimension -1..max_dim + 1 form a chain complex of their own.
-Removal order makes the matching acyclic, so the critical cells span a
-chain-equivalent Morse complex (Skoldberg, Trans. AMS 358, 2006): the
-boundary of a critical cell with the lower cell of each pair rewritten
-away and the upper cells dropped.  Then rank d_d is the Morse rank plus
-one per pair whose upper cell has dimension d, and the torsion is the
-Morse torsion.  The equivalence needs d d = 0, so that is certified
-exactly first, on every column of every boundary the ranks read; a nonzero
-image raises ``AssertionError`` naming d, the column and the face.
+A family is coreduced by ``morse.coreduce`` through its top boundary on
+that table: the cells of dimension -1..max_dim + 1 form a chain complex of
+their own.  Removal order makes the matching acyclic, so the critical
+cells span a chain-equivalent Morse complex (Skoldberg, Trans. AMS 358,
+2006): the boundary of a critical cell with the lower cell of each pair
+rewritten away and the upper cells dropped.  Then rank d_d is the Morse
+rank plus one per pair whose upper cell has dimension d, and the torsion
+is the Morse torsion.  The equivalence needs d d = 0, so that is
+certified exactly first, on every column of every boundary the ranks
+read, from the same table; a nonzero image raises ``AssertionError``
+naming d, the column and the face.
 
 ``betti`` lists each dimension's cells in descending mask order: ``kg`` at
 k <= 2 keeps exactly t critical k-cells below the top band, and the only
@@ -29,8 +34,6 @@ equal the number of invariant factors not divisible by p.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import groupby
-from operator import itemgetter
 from typing import Iterable
 
 from . import morse
@@ -183,28 +186,31 @@ class BettiResult:
     reduced: bool
 
 
-def _certify(X, top: int, reduced: bool) -> None:
+def _certify(X, top: int, table: tuple[list, list]) -> None:
     """Check d_{d-1} d_d = 0 exactly on every column of d_d, one column at
-    a time, walking down from d = top."""
-    upper = boundary_matrix(X, top, reduced=reduced)
+    a time, walking down from d = top and through each d's columns in
+    ascending mask order.  ``table`` is the ``morse.facet_table`` of the
+    cells ``betti`` lists, whose last bands are X.faces(top), ..., X.faces(1),
+    each in descending mask order; a column's image is read off it."""
+    facets, signs = table
+    end = len(facets)
     for d in range(top, 0, -1):
-        lower = boundary_matrix(X, d - 1, reduced=reduced)
-        below: dict[int, list[tuple[int, int]]] = {}
-        for i, j, v in lower.triples:
-            below.setdefault(j, []).append((i, v))
-        for j, col in groupby(sorted(upper.triples, key=itemgetter(1)), itemgetter(1)):
+        band = X.faces(d)
+        for j in range(len(band)):
+            i = end - 1 - j
             image: dict[int, int] = {}
-            for i, _, a in col:
-                for r, b in below.get(i, ()):
+            for f, a in zip(facets[i], signs[i]):
+                for r, b in zip(facets[f], signs[f]):
                     image[r] = image.get(r, 0) + a * b
             if any(image.values()):
                 raise AssertionError(
                     "d_%d d_%d is nonzero on column %d of d_%d (face %r); "
-                    "the Morse reduction needs it zero" % (d - 1, d, j, d, X.faces(d)[j]))
-        upper = lower
+                    "the Morse reduction needs it zero" % (d - 1, d, j, d, band[j]))
+        end -= len(band)
 
 
-def _morse_boundaries(pairs: dict, critical: list, top: int) -> list[SparseIntMatrix]:
+def _morse_boundaries(pairs: dict, critical: list, top: int,
+                      cells: list, table: tuple[list, list]) -> list[SparseIntMatrix]:
     """The Morse boundaries d = 0..top between the critical cells, each
     dimension's critical cells in removal order as its basis.
 
@@ -214,18 +220,22 @@ def _morse_boundaries(pairs: dict, critical: list, top: int) -> list[SparseIntMa
     Every lower g must have left before b, which makes the matching
     acyclic; one that did not raises.  Only the dimensions that feed a
     boundary with both rows and columns are tabled.  The column of a
-    critical cell c is then sum [c:g] pi(g) over its facets g.
+    critical cell c is then sum [c:g] pi(g) over its facets g.  Facets and
+    signs are read off ``table``, the ``morse.facet_table`` of ``cells``.
     """
+    facets, signs = table
     bands: dict[int, list[int]] = {}
     for c in critical:
         bands.setdefault(c.bit_count() - 1, []).append(c)
     feed = {d - 1 for d in range(top + 1) if bands.get(d - 1) and bands.get(d)}
     image = {c: {i: 1} for d in feed for i, c in enumerate(bands[d])}
+    index = {c: i for i, c in enumerate(cells) if c.bit_count() - 2 in feed} if feed else {}
 
     def project(f: int, b: int | None = None) -> tuple[dict[int, int], int]:
         """sum [f:g] pi(g) over the facets g != b of f, and [f:b]."""
         chain, e = {}, 0
-        for g, s in morse.face_facets(f):
+        at = index[f]
+        for g, s in zip(map(cells.__getitem__, facets[at]), signs[at]):
             if g == b:
                 e = s
             elif g in image:
@@ -251,21 +261,25 @@ def _morse_boundaries(pairs: dict, critical: list, top: int) -> list[SparseIntMa
 
 
 def betti(X, max_dim: int, reduced: bool = True) -> BettiResult:
-    """Betti numbers and torsion of X through max_dim.  After d d = 0 is
-    certified on every column of d_1..d_{max_dim+1}, ``morse.coreduce`` runs
-    on the cells of dimension -1..max_dim+1 in descending mask order inside
-    each dimension, and its Morse boundaries' Smith forms give the rest.
-    A negative ``max_dim`` raises ``ValueError``: there is no table to give."""
+    """Betti numbers and torsion of X through max_dim.
+
+    The cells of dimension -1..max_dim+1 are listed by dimension, in
+    descending mask order inside each, and ``morse.facet_table`` walks
+    their facets once.  On that table d d = 0 is certified on every column
+    of d_1..d_{max_dim+1} (``_certify``), ``morse.coreduce`` runs, and the
+    Smith forms of its Morse boundaries give the rest.  A negative
+    ``max_dim`` raises ``ValueError``: there is no table to give."""
     if max_dim < 0:
         raise ValueError("max_dim must be nonnegative, got %r" % (max_dim,))
     top = max_dim + 1
-    _certify(X, top, reduced)
-    pairs, critical = morse.coreduce(
-        ([0] if reduced else []) + [f for d in range(top + 1) for f in reversed(X.faces(d))])
+    cells = ([0] if reduced else []) + [f for d in range(top + 1) for f in reversed(X.faces(d))]
+    table = morse.facet_table(cells)
+    _certify(X, top, table)
+    pairs, critical = morse.coreduce(cells, table)
     uppers = [a.bit_count() - 1 for a in pairs.values()]
     ranks = [uppers.count(d) for d in range(top + 1)]  # one per pair
     torsion = [()] * (top + 1)
-    for d, m in enumerate(_morse_boundaries(pairs, critical, top)):
+    for d, m in enumerate(_morse_boundaries(pairs, critical, top, cells, table)):
         s = smith_normal_form(m)
         ranks[d] += s.rank
         torsion[d] = s.torsion

@@ -18,8 +18,9 @@ Faces are integer bitmasks, bit b standing for one vertex: a facet drops
 one bit and a cover adds one.  A bitset holds a set of faces as one int,
 bit f standing for face f; ``Bits`` and ``StagePairs`` are sized views
 that read such sets as faces and pairs without listing them.
-``face_facets`` is the one facet and sign helper, read by ``coreduce``,
-``verify_poset_map`` and ``homology``.
+``face_facets`` is the one facet and sign helper, read by ``facet_table``
+(the table ``coreduce`` runs on, built once per ``homology.betti`` call),
+``verify_poset_map`` and ``homology.boundary_matrix``.
 """
 
 from __future__ import annotations
@@ -374,54 +375,74 @@ def _search_dict(pairs: list) -> tuple[bool, list | None]:
     return True, None
 
 
-def coreduce(cells: list) -> tuple[dict, list]:
+def facet_table(cells: list) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
+    """The facets of each cell that lie in ``cells``, walked once with
+    ``face_facets``: two lists parallel to ``cells``, the facet indices into
+    ``cells`` in ``face_facets`` order and their signs.  Equal sign tuples
+    are one shared tuple, so a family needs only a few of them."""
+    index = {c: i for i, c in enumerate(cells)}
+    shared: dict[tuple[int, ...], tuple[int, ...]] = {}
+    facets, signs = [], []
+    for c in cells:
+        fs, ss = [], []
+        for g, s in face_facets(c):
+            i = index.get(g)
+            if i is not None:
+                fs.append(i)
+                ss.append(s)
+        facets.append(tuple(fs))
+        ss = tuple(ss)
+        signs.append(shared.setdefault(ss, ss))
+    return facets, signs
+
+
+def coreduce(cells: list, table: tuple[list, list]) -> tuple[dict, list]:
     """Coreduction (Mrozek and Batko, DCG 41, 2009) of ``cells``, listed by
-    increasing dimension.
+    increasing dimension, on their ``facet_table``.
 
     A cell with exactly one remaining facet is paired with it and both are
     removed; when none is left, the first remaining cell in the order of
     ``cells`` is removed as critical.  Removal order makes the matching
     acyclic; the caller's order decides how many cells stay critical.  A
-    pair of incidence other than +-1 raises, naming the face.  Returns the
-    pairs (lower -> upper cell) and the critical cells in removal order.
+    pair of incidence other than +-1 raises, naming the face.  Runs on
+    indices into ``cells``: a count of remaining facets per cell, each
+    cell's cofaces ascending by the bit they add, and a flag per removed
+    cell.  Returns the pairs (lower -> upper cell) and the critical cells
+    in removal order.
     """
-    alive: dict[int, int] = {}  # cell -> number of remaining facets
-    up: dict[int, int] = {}  # cell -> the bits that extend it to a coface
-    for f in cells:
-        alive[f] = up[f] = 0
-        for g, _ in face_facets(f):
-            if g in alive:
-                alive[f] += 1
-                up[g] |= f ^ g
-    ready = [f for f, n in alive.items() if n == 1]
+    facets, signs = table
+    alive = [len(fs) for fs in facets]  # cell -> number of remaining facets
+    cofaces: list[list[int]] = [[] for _ in cells]
+    for i in sorted(range(len(cells)), key=cells.__getitem__):
+        for j in facets[i]:
+            cofaces[j].append(i)
+    removed = bytearray(len(cells))
+    ready = [i for i, n in enumerate(alive) if n == 1]
     pairs: dict[int, int] = {}
     critical: list[int] = []
 
     def remove(f: int) -> None:
-        del alive[f]
-        rest = up.pop(f)
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            if f | low in alive:
-                alive[f | low] -= 1
-                if alive[f | low] == 1:
-                    ready.append(f | low)
+        removed[f] = 1
+        for a in cofaces[f]:
+            if not removed[a]:
+                alive[a] -= 1
+                if alive[a] == 1:
+                    ready.append(a)
 
-    for c in cells:
+    for c in range(len(cells)):
         while ready:
             a = ready.pop()
-            if alive.get(a) != 1:
+            if removed[a] or alive[a] != 1:
                 continue
-            (b, e), = ((g, s) for g, s in face_facets(a) if g in alive)
+            (b, e), = ((g, s) for g, s in zip(facets[a], signs[a]) if not removed[g])
             if e not in (1, -1):
                 raise AssertionError("face %r pairs with its facet %r at incidence %d, "
-                                     "not +-1" % (a, b, e))
-            pairs[b] = a
+                                     "not +-1" % (cells[a], cells[b], e))
+            pairs[cells[b]] = cells[a]
             remove(a)
             remove(b)
-        if c in alive:
-            critical.append(c)
+        if not removed[c]:
+            critical.append(cells[c])
             remove(c)
     return pairs, critical
 

@@ -479,6 +479,81 @@ BETTI_KG_K1 = {
 }
 
 
+THEOREM3_K2_FULL_SNF = {
+    'command': 'verify',
+    'k': 2,
+    'results': [
+        {
+            'name': 'theorem3-census',
+            'k': 2,
+            'pass': True,
+            'detail': {
+                'extra_k_cells': 240,
+                'extra_km1_cells': 60,
+                'predicted_t': 181,
+                'censused': True,
+                'families': 60,
+                'rows': [
+                    ['P', 1, 3, 958, 6, 2], ['P', 1, 4, 956, 6, 2], ['P', 1, 5, 958, 6, 2],
+                    ['P', 1, 6, 958, 6, 2], ['P', 1, 7, 956, 6, 2], ['P', 2, 4, 958, 6, 2],
+                    ['P', 2, 5, 956, 6, 2], ['P', 2, 6, 958, 6, 2], ['P', 2, 7, 958, 6, 2],
+                    ['P', 2, 8, 956, 6, 2], ['P', 3, 5, 958, 6, 2], ['P', 3, 6, 956, 6, 2],
+                    ['P', 3, 7, 958, 6, 2], ['P', 3, 8, 958, 6, 2], ['P', 3, 1, 956, 6, 2],
+                    ['P', 4, 6, 958, 6, 2], ['P', 4, 7, 956, 6, 2], ['P', 4, 8, 958, 6, 2],
+                    ['P', 4, 1, 958, 6, 2], ['P', 4, 2, 956, 6, 2], ['P', 5, 7, 958, 6, 2],
+                    ['P', 5, 8, 956, 6, 2], ['P', 5, 1, 958, 6, 2], ['P', 5, 2, 958, 6, 2],
+                    ['P', 5, 3, 956, 6, 2], ['P', 6, 8, 958, 6, 2], ['P', 6, 1, 956, 6, 2],
+                    ['P', 6, 2, 958, 6, 2], ['P', 6, 3, 958, 6, 2], ['P', 6, 4, 956, 6, 2],
+                    ['P', 7, 1, 958, 6, 2], ['P', 7, 2, 956, 6, 2], ['P', 7, 3, 958, 6, 2],
+                    ['P', 7, 4, 958, 6, 2], ['P', 7, 5, 956, 6, 2], ['P', 8, 2, 958, 6, 2],
+                    ['P', 8, 3, 956, 6, 2], ['P', 8, 4, 958, 6, 2], ['P', 8, 5, 958, 6, 2],
+                    ['P', 8, 6, 956, 6, 2], ['Q', 1, 3, 11, 3, 1], ['Q', 1, 4, 11, 3, 1],
+                    ['Q', 1, 5, 11, 3, 1], ['Q', 1, 6, 11, 3, 1], ['Q', 1, 7, 11, 3, 1],
+                    ['Q', 2, 4, 11, 3, 1], ['Q', 2, 5, 11, 3, 1], ['Q', 2, 6, 11, 3, 1],
+                    ['Q', 2, 7, 11, 3, 1], ['Q', 2, 8, 11, 3, 1], ['Q', 3, 5, 11, 3, 1],
+                    ['Q', 3, 6, 11, 3, 1], ['Q', 3, 7, 11, 3, 1], ['Q', 3, 8, 11, 3, 1],
+                    ['Q', 4, 6, 11, 3, 1], ['Q', 4, 7, 11, 3, 1], ['Q', 4, 8, 11, 3, 1],
+                    ['Q', 5, 7, 11, 3, 1], ['Q', 5, 8, 11, 3, 1], ['Q', 6, 8, 11, 3, 1],
+                ],
+            },
+        },
+        {
+            'name': 'theorem3-betti', 'k': 2, 'pass': True,
+            'detail': {'numbers': [0, 0, 181, 0], 'wanted': [0, 0, 181, 0]},
+        },
+        {
+            'name': 'theorem3-relative-top', 'k': 2, 'pass': True,
+            'detail': {'numbers': [0, 0, 240, 0], 'wanted': [0, 0, 240, 0]},
+        },
+        {
+            'name': 'theorem3-relative-mid', 'k': 2, 'pass': True,
+            'detail': {'numbers': [0, 60, 0], 'wanted': [0, 60, 0]},
+        },
+    ],
+    'seed': 0,
+    'elapsed_ms': 0,
+}
+
+
+BETTI_KG_K2 = {
+    'command': 'betti',
+    'k': 2,
+    'results': [
+        {
+            'name': 'betti-kg',
+            'k': 2,
+            'pass': True,
+            'detail': {
+                'numbers': [0, 0, 181, 0], 'torsion': [[], [], [], []],
+                'cells': [56, 1260, 5880, 11550], 'reduced': True,
+            },
+        },
+    ],
+    'seed': 0,
+    'elapsed_ms': 0,
+}
+
+
 BUILD_SG_K1 = {
     'command': 'build',
     'k': 1,
@@ -498,6 +573,8 @@ BUILD_SG_K1 = {
     (("verify", "theorem2", "--k", "1"), THEOREM2_K1),
     (("verify", "theorem3", "--k", "1", "--depth", "full-snf"), THEOREM3_K1_FULL_SNF),
     (("betti", "--k", "1", "--kind", "kg"), BETTI_KG_K1),
+    (("verify", "theorem3", "--k", "2", "--depth", "full-snf"), THEOREM3_K2_FULL_SNF),
+    (("betti", "--k", "2", "--kind", "kg"), BETTI_KG_K2),
     (("build", "--k", "1", "--kind", "sg"), BUILD_SG_K1),
 ])
 def test_reports_match_the_pinned_parent(capsys, argv, expected):

@@ -3,7 +3,9 @@
 Rank results are cross-checked against an independent Gaussian elimination
 over the rationals, done here with Fraction arithmetic and no pivot tricks,
 and the ranks and torsion of the coreduced (Morse) path against the Smith
-form of each whole boundary matrix.
+form of each whole boundary matrix.  The facet table that the certificate
+and the coreduction read is checked against ``boundary_matrix``, and both
+against reference versions that build matrices and dicts instead.
 """
 
 import itertools
@@ -203,31 +205,33 @@ def test_betti_against_fraction_ranks():
         assert euler == sum((-1) ** d * x for d, x in enumerate(b.numbers))
 
 
-def flip_a_sign(monkeypatch, flip):
-    """Negate the first entry of every boundary d_flip that is built."""
-    build = homology.boundary_matrix
+def flip_a_sign(monkeypatch, X, flip):
+    """Negate the first sign ``morse.face_facets`` gives for the first face
+    of X.faces(flip): the first entry of column 0 of d_flip."""
+    face, facets = X.faces(flip)[0], morse.face_facets
 
-    def flipped(X, d, reduced=False):
-        m = build(X, d, reduced=reduced)
-        if d == flip:
-            i, j, v = m.triples[0]
-            m = SparseIntMatrix(m.nrows, m.ncols, [(i, j, -v)] + m.triples[1:])
-        return m
+    def flipped(f):
+        out = list(facets(f))
+        if f == face:
+            out[0] = (out[0][0], -out[0][1])
+        return iter(out)
 
-    monkeypatch.setattr(homology, 'boundary_matrix', flipped)
+    monkeypatch.setattr(morse, 'face_facets', flipped)
 
 
 def test_a_flipped_boundary_sign_breaks_the_certificate(monkeypatch):
-    flip_a_sign(monkeypatch, 1)
+    cx = complex_for('s', 1)
+    flip_a_sign(monkeypatch, cx, 1)
     with pytest.raises(AssertionError, match=r"d_1 d_2 is nonzero on column \d+ of d_2"):
-        betti(complex_for('s', 1), 3)
+        betti(cx, 3)
 
 
 def test_a_flipped_sign_in_the_top_boundary_breaks_the_certificate(monkeypatch):
     # d_4 is the top boundary max_dim 3 ranks: no band above it checks it
-    flip_a_sign(monkeypatch, 4)
+    cx = complex_for('s', 2)
+    flip_a_sign(monkeypatch, cx, 4)
     with pytest.raises(AssertionError, match=r"d_3 d_4 is nonzero on column \d+ of d_4"):
-        betti(complex_for('s', 2), 3)
+        betti(cx, 3)
 
 
 def test_a_mod_p_rank_off_by_one_is_caught(monkeypatch):
@@ -267,8 +271,8 @@ def spy_coreduce(monkeypatch):
     """The critical cells of each coreduction ``betti`` runs, in call order."""
     runs, real = [], morse.coreduce
 
-    def spy(cells):
-        pairs, critical = real(cells)
+    def spy(cells, table):
+        pairs, critical = real(cells, table)
         runs.append(critical)
         return pairs, critical
 
@@ -309,11 +313,13 @@ def test_k2_ranks_are_pinned(monkeypatch):
 
 def coreduce(family, max_dim, reduced, order):
     """``morse.coreduce`` on the cells ``betti`` ranks, each dimension's
-    cells in ascending or descending mask order."""
+    cells in ascending or descending mask order: its pairs and critical
+    cells, then the cells and their facet table."""
     cells = [0] if reduced else []
     for d in range(max_dim + 2):
         cells += family.faces(d) if order == 'ascending' else reversed(family.faces(d))
-    return morse.coreduce(cells)
+    table = morse.facet_table(cells)
+    return morse.coreduce(cells, table) + (cells, table)
 
 
 def dense_product(a, b):
@@ -331,13 +337,13 @@ def test_morse_complex_squares_to_zero_and_keeps_the_ranks(name, order, thin):
     # a smaller acyclic matching in the same removal order, whose Morse
     # complex is bigger but must still be a chain complex of the same ranks
     b, family, max_dim, reduced = morse_fixture(name)
-    pairs, critical = coreduce(family, max_dim, reduced, order)
+    pairs, critical, cells, table = coreduce(family, max_dim, reduced, order)
     assert morse.is_acyclic(morse.Matching(pairs.items())) == (True, None)
     if thin:
         split = set(list(pairs)[::thin])
         critical = critical + [c for lo in split for c in (lo, pairs[lo])]
         pairs = {lo: up for lo, up in pairs.items() if lo not in split}
-    boundaries = homology._morse_boundaries(pairs, critical, max_dim + 1)
+    boundaries = homology._morse_boundaries(pairs, critical, max_dim + 1, cells, table)
     for d in range(1, max_dim + 2):
         assert not any(map(any, dense_product(boundaries[d - 1], boundaries[d]))), (name, d)
     for d, m in enumerate(boundaries):
@@ -362,8 +368,8 @@ def test_a_rewrite_out_of_removal_order_is_named(monkeypatch):
     # the pairs handed to the rewrite in reverse removal order
     coreduce_ = morse.coreduce
 
-    def reversed_order(cells):
-        pairs, critical = coreduce_(cells)
+    def reversed_order(cells, table):
+        pairs, critical = coreduce_(cells, table)
         return dict(reversed(pairs.items())), critical
 
     monkeypatch.setattr(morse, 'coreduce', reversed_order)
@@ -384,6 +390,188 @@ def test_a_dropped_facet_is_named(monkeypatch):
         betti(cx, 3)
     named = re.search(r"is nonzero on column \d+ of d_\d \(face (\d+)\)", str(e.value))
     assert named and int(named.group(1)) & tri == tri
+
+
+# ---------------------------------------------------------------------------
+# the facet table against the seams it replaced: the matrix-product
+# certificate and the dict coreduction, kept here as oracles
+
+def oracle_certify(X, top, reduced):
+    """d_{d-1} d_d = 0 on every column of d_d, walking down from d = top,
+    as products of ``boundary_matrix`` columns."""
+    upper = boundary_matrix(X, top, reduced=reduced)
+    for d in range(top, 0, -1):
+        lower = boundary_matrix(X, d - 1, reduced=reduced)
+        below = {}
+        for i, j, v in lower.triples:
+            below.setdefault(j, []).append((i, v))
+        for j, col in itertools.groupby(sorted(upper.triples, key=lambda t: t[1]),
+                                        lambda t: t[1]):
+            image = {}
+            for i, _, a in col:
+                for r, b in below.get(i, ()):
+                    image[r] = image.get(r, 0) + a * b
+            if any(image.values()):
+                raise AssertionError(
+                    "d_%d d_%d is nonzero on column %d of d_%d (face %r); "
+                    "the Morse reduction needs it zero" % (d - 1, d, j, d, X.faces(d)[j]))
+        upper = lower
+
+
+def oracle_coreduce(cells):
+    """Coreduction of ``cells`` on dicts keyed by mask, every facet read
+    from ``morse.face_facets`` when it is needed."""
+    alive, up = {}, {}
+    for f in cells:
+        alive[f] = up[f] = 0
+        for g, _ in morse.face_facets(f):
+            if g in alive:
+                alive[f] += 1
+                up[g] |= f ^ g
+    ready = [f for f, n in alive.items() if n == 1]
+    pairs, critical = {}, []
+
+    def remove(f):
+        del alive[f]
+        rest = up.pop(f)
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            if f | low in alive:
+                alive[f | low] -= 1
+                if alive[f | low] == 1:
+                    ready.append(f | low)
+
+    for c in cells:
+        while ready:
+            a = ready.pop()
+            if alive.get(a) != 1:
+                continue
+            (b, e), = ((g, s) for g, s in morse.face_facets(a) if g in alive)
+            if e not in (1, -1):
+                raise AssertionError("face %r pairs with its facet %r at incidence %d, "
+                                     "not +-1" % (a, b, e))
+            pairs[b] = a
+            remove(a)
+            remove(b)
+        if c in alive:
+            critical.append(c)
+            remove(c)
+    return pairs, critical
+
+
+def reference_case(name):
+    """(family, max_dim, reduced) as the CLI ranks it: ``kg``, ``s`` and
+    ``sg`` at k <= 2, the top and middle relative steps, and RP2."""
+    if name == 'rp2':
+        return simplicial(RP2_FACETS), 2, True
+    k = int(name[-1])
+    if name[:-1] in ('top', 'mid'):
+        X, A, max_dim = relative_step(k, 3, k + 1) if name[:-1] == 'top' \
+            else relative_step(k, 2, max(k, 1))
+        return relative_family(X, A, max_dim), max_dim, False
+    return complex_for(name[:-1], k), k + 1, True
+
+
+REFERENCE = ['rp2'] + ['%s%d' % (kind, k) for kind in ('kg', 's', 'sg', 'top', 'mid')
+                       for k in (0, 1, 2)]
+
+
+def betti_cells(family, max_dim, reduced):
+    """The cells ``betti`` lists, each dimension's in descending mask order."""
+    return ([0] if reduced else []) + [
+        f for d in range(max_dim + 2) for f in reversed(family.faces(d))]
+
+
+@pytest.mark.parametrize("name", REFERENCE)
+def test_the_facet_table_reads_as_the_boundary_matrices(name):
+    family, max_dim, reduced = reference_case(name)
+    cells = betti_cells(family, max_dim, reduced)
+    facets, signs = morse.facet_table(cells)
+    at = {c: i for i, c in enumerate(cells)}
+    for d in range(max_dim + 2):
+        m = boundary_matrix(family, d, reduced=reduced)
+        rows = family.faces(d - 1) if d else [0] if reduced else []
+        columns = [[] for _ in range(m.ncols)]
+        for i, j, v in m.triples:
+            columns[j].append((rows[i], v))
+        for f, column in zip(family.faces(d), columns):
+            i = at[f]
+            assert [(cells[g], s) for g, s in zip(facets[i], signs[i])] == column, (name, d, f)
+    assert not reduced or facets[0] == ()  # the empty face has no facet
+    assert len({id(s) for s in signs}) == len(set(signs))  # equal sign tuples are shared
+
+
+@pytest.mark.parametrize("name", ['rp2', 's1', 'kg2', 'top1', 'mid2'])
+def test_betti_walks_the_facets_of_each_cell_once(name, monkeypatch):
+    family, max_dim, reduced = reference_case(name)
+    walked, facets = [], morse.face_facets
+    monkeypatch.setattr(morse, 'face_facets', lambda f: (walked.append(f), facets(f))[1])
+    betti(family, max_dim, reduced=reduced)
+    assert sorted(walked) == sorted(betti_cells(family, max_dim, reduced))
+
+
+@pytest.mark.parametrize("order", ['descending', 'ascending'])
+@pytest.mark.parametrize("name", REFERENCE)
+def test_the_coreduction_matches_the_dict_oracle(name, order):
+    family, max_dim, reduced = reference_case(name)
+    pairs, critical, cells, _ = coreduce(family, max_dim, reduced, order)
+    want_pairs, want_critical = oracle_coreduce(cells)
+    assert list(pairs.items()) == list(want_pairs.items())  # in removal order
+    assert critical == want_critical
+
+
+def perturbed(how, cells):
+    """A ``face_facets`` with every incidence doubled, or with one incidence
+    between two of ``cells`` flipped or dropped: the first one of the first
+    face, in the lowest band above the vertices that has one (or else of
+    the vertices)."""
+    facets = morse.face_facets
+    if how == 'doubled':
+        return lambda f: ((g, 2 * s) for g, s in facets(f))
+    among = set(cells)
+    bands = sorted(among, key=lambda f: (f.bit_count() < 2, f.bit_count(), f))
+    face, hit = next(((f, g) for f in bands for g, _ in facets(f) if g in among), (None, None))
+
+    def walk(f):
+        out = list(facets(f))
+        if f == face:
+            at = [g for g, _ in out].index(hit)
+            out[at:at + 1] = [(hit, -out[at][1])] if how == 'flipped' else []
+        return iter(out)
+
+    return walk
+
+
+def outcome(run):
+    try:
+        return run()
+    except AssertionError as e:
+        return str(e)
+
+
+@pytest.mark.parametrize("how", ['flipped', 'dropped', 'doubled'])
+@pytest.mark.parametrize("name", REFERENCE)
+def test_a_perturbed_table_fails_as_the_oracles_do(name, how, monkeypatch):
+    family, max_dim, reduced = reference_case(name)
+    top, cells = max_dim + 1, betti_cells(family, max_dim, reduced)
+    monkeypatch.setattr(morse, 'face_facets', perturbed(how, cells))
+
+    def on_the_table():
+        table = morse.facet_table(cells)
+        homology._certify(family, top, table)
+        return morse.coreduce(cells, table)
+
+    def by_the_oracles():
+        oracle_certify(family, top, reduced)
+        return oracle_coreduce(cells)
+
+    got, want = outcome(on_the_table), outcome(by_the_oracles)
+    assert got == want
+    if isinstance(want, str):  # betti fails with the same message and face
+        with pytest.raises(AssertionError) as e:
+            betti(family, max_dim, reduced=reduced)
+        assert str(e.value) == want
 
 
 @pytest.mark.parametrize("kind,k,where,rank", [
