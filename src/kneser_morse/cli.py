@@ -267,22 +267,21 @@ def _short(val) -> str:
 def _render_csv(report: dict) -> str:
     buf = io.StringIO()
     w = csv.writer(buf)
-    rows = None
-    for r in report['results']:
-        if 'rows' in r['detail'] and r['detail']['rows']:
-            rows = r['detail']['rows']
-    if rows is not None:
+    results = report['results']
+    # the family table stands for the census only when nothing else is reported
+    rows = results[0]['detail'].get('rows') if len(results) == 1 else None
+    if rows:
         w.writerow(['k', 'family', 'i', 'j', 'cells', 'critical', 'dim'])
         for fam, i, j, cells, critical, dim in rows:
             w.writerow([report['k'], fam, i, j, cells, critical, dim])
     elif report['command'] == 'betti':
         w.writerow(['dim', 'betti', 'torsion'])
-        det = report['results'][0]['detail']
+        det = results[0]['detail']
         for d, n in enumerate(det['numbers']):
             w.writerow([d, n, ";".join(map(str, det['torsion'][d]))])
     else:
         w.writerow(['name', 'k', 'pass', 'detail'])
-        for r in report['results']:
+        for r in results:
             w.writerow([r['name'], r['k'], int(r['pass']),
                         json.dumps(r['detail'], sort_keys=True)])
     return buf.getvalue()
@@ -328,7 +327,7 @@ def _parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("build", help="sizes and maximal faces of one complex")
     common(sp, kind=True)
-    sp.set_defaults(fn=cmd_build, depth='counts')
+    sp.set_defaults(fn=cmd_build)
 
     sp = sub.add_parser("verify", help="run a verification target")
     sp.add_argument("target", choices=("theorem2", "theorem3", "lemma", "all"))
@@ -347,7 +346,7 @@ def _parser() -> argparse.ArgumentParser:
     common(sp, kind=True)
     sp.add_argument("--max-dim", type=int, default=None,
                     help="highest dimension to report (default k+1)")
-    sp.set_defaults(fn=cmd_betti, depth='full-snf')
+    sp.set_defaults(fn=cmd_betti)
     return p
 
 

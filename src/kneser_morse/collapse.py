@@ -3,7 +3,7 @@
 Let F be the face family of the neighborhood complex of the ``s`` graph and
 F0 the face family for ``sg``.  Every face in F \\ F0 falls into one of three
 families, keyed by the complement set C (the ground elements the face never
-touches) and by stability of its members:
+touches, read by ``graphs.missed_shape``) and by stability of its members:
 
 * A-family: all members stable, C = {s, s+1, t} containing no stable triple;
 * B-family: all members stable, C = {s, s+1, u, u+1} containing no stable
@@ -32,90 +32,23 @@ from functools import lru_cache
 
 from . import complexes, graphs, morse
 from .complexes import complement_set, decode, remap, rotation_table
-from .graphs import rotate, unstable_rep
-from .morse import Matching
-
-
-class MatchingError(RuntimeError):
-    """A claimed matching property failed mechanical verification."""
-
-
-# ---------------------------------------------------------------------------
-# index sets and complement-shape parsing
-
-def pair_of(s: int, k: int) -> tuple[int, int]:
-    """The cyclically adjacent pair {s, s+1} (s = k+6 wraps to {k+6, 1})."""
-    n = graphs.ground_size(k)
-    return (s, s % n + 1)
-
-
-def index_I(s: int, k: int) -> list[int]:
-    """Admissible third elements t for complements {s, s+1, t}."""
-    n = graphs.ground_size(k)
-    if not 1 <= s <= n:
-        raise ValueError("s=%d outside 1..%d" % (s, n))
-    excluded = {(s - 2) % n + 1, s, s % n + 1}
-    return [t for t in range(1, n + 1) if t not in excluded]
-
-
-def index_J(s: int, k: int) -> list[int]:
-    """Admissible second pair starts u for complements {s, s+1, u, u+1}."""
-    n = graphs.ground_size(k)
-    if s == 1:
-        return list(range(3, n))          # u+1 may not wrap onto 1
-    if 1 < s < n - 1:
-        return list(range(s + 2, n + 1))  # u > s+1, wrap u = k+6 allowed
-    return []
-
-
-def parse_three(cset, k: int) -> tuple[int, int] | None:
-    """Write a 3-element complement as {s, s+1, t}; None if no such shape.
-
-    The admissibility sets make the parse unique (a run {s, s+1, s+2} reads
-    with the lower pair), which is asserted.
-    """
-    cs = set(cset)
-    found = []
-    for s in range(1, graphs.ground_size(k) + 1):
-        p = set(pair_of(s, k))
-        if p <= cs:
-            (t,) = cs - p if len(cs - p) == 1 else (None,)
-            if t is not None and t in index_I(s, k):
-                found.append((s, t))
-    if len(found) > 1:
-        raise AssertionError("ambiguous 3-complement %r: %r" % (cset, found))
-    return found[0] if found else None
-
-
-def parse_four(cset, k: int) -> tuple[int, int] | None:
-    """Write a 4-element complement as {s, s+1} + {u, u+1}; None otherwise."""
-    cs = set(cset)
-    found = []
-    for s in range(1, graphs.ground_size(k) + 1):
-        for u in index_J(s, k):
-            if set(pair_of(s, k)) | set(pair_of(u, k)) == cs:
-                found.append((s, u))
-    if len(found) > 1:
-        raise AssertionError("ambiguous 4-complement %r: %r" % (cset, found))
-    return found[0] if found else None
+# rotate has no caller here, but perfbench's tracer counts it in every module
+# that binds it and its self-test expects this binding
+from .graphs import (index_I, index_J, missed_shape, pair_of, pullback,  # noqa: F401
+                     rotate, unstable_rep)
+from .morse import Matching, MatchingError
 
 
 # ---------------------------------------------------------------------------
 # family enumeration
 
-def _stable_bits_within(elements: int, k: int) -> list[int]:
-    """Index bits of the stable triples inside a ground-element mask."""
-    ix = graphs.triple_index(k)
-    return [b for b, g in enumerate(ix.ground) if ix.stable >> b & 1 and not g & ~elements]
-
-
 def stable_covers(missed, k: int) -> list[int]:
     """All faces of stable triples that miss exactly the ground elements in
     ``missed``."""
     need = ((1 << graphs.ground_size(k)) - 1) & ~graphs.vertex_mask(missed)
-    pool = _stable_bits_within(need, k)
-    ground = graphs.triple_index(k).ground
-    masks = [ground[b] for b in pool]
+    ix = graphs.triple_index(k)
+    pool = [b for b, g in enumerate(ix.ground) if ix.stable >> b & 1 and not g & ~need]
+    masks = [ix.ground[b] for b in pool]
     suffix = [0] * (len(pool) + 1)
     for i in range(len(pool) - 1, -1, -1):
         suffix[i] = suffix[i + 1] | masks[i]
@@ -164,22 +97,18 @@ def classify(sigma: int, k: int):
     unstable = sigma & ~ix.stable
     if unstable:  # the lowest bit is the lex-least member
         return ('C', ix.triples[(unstable & -unstable).bit_length() - 1])
-    missed = ((1 << graphs.ground_size(k)) - 1) & ~remap(sigma, ix.ground)
-    if _stable_bits_within(missed, k):
+    shape = missed_shape(((1 << graphs.ground_size(k)) - 1) & ~remap(sigma, ix.ground), k)
+    if shape is True:
         return ('SG',)
+    if shape is not None:
+        return ('A' if shape[0] == 3 else 'B',) + shape[1:]
     cset = complement_set(sigma, k)
     if len(cset) == 3:
-        parsed = parse_three(cset, k)
-        if parsed is None:
-            raise MatchingError("face %r: 3-complement %r has no pair shape"
-                                % (decode(sigma, ix.triples), cset))
-        return ('A',) + parsed
+        raise MatchingError("face %r: 3-complement %r has no pair shape"
+                            % (decode(sigma, ix.triples), cset))
     if len(cset) == 4:
-        parsed = parse_four(cset, k)
-        if parsed is None:
-            raise MatchingError("face %r: 4-complement %r has no double-pair shape"
-                                % (decode(sigma, ix.triples), cset))
-        return ('B',) + parsed
+        raise MatchingError("face %r: 4-complement %r has no double-pair shape"
+                            % (decode(sigma, ix.triples), cset))
     raise MatchingError(
         "face %r: complement %r of size %d contains no stable triple"
         % (decode(sigma, ix.triples), cset, len(cset)))
@@ -243,12 +172,12 @@ def _delta_table(k: int, l: int):
         if sub_k >= 2:
             # renormalize the target name: near l = n-1 the written (s, t)
             # can put t on the wrong side of the pair once the ground set
-            # shrinks, and the canonical parse swaps it to the wrap pair
-            parsed = parse_three(set(pair_of(s, sub_k)) | {t}, sub_k)
-            if parsed is None:
+            # shrinks, and the canonical reading swaps it to the wrap pair
+            shape = missed_shape(graphs.vertex_mask(pair_of(s, sub_k) + (t,)), sub_k)
+            if not isinstance(shape, tuple):
                 raise AssertionError(
                     "target {%d, %d+1, %d} unparseable at k=%d" % (s, s, t, sub_k))
-            s, t = parsed
+            _, s, t = shape
         rows.append((extras[i], shift, sub_k, s, t))
     return rows
 
@@ -330,13 +259,10 @@ def _matching_a_norm(k: int, l: int) -> tuple:
 def matching_A(k: int, s: int, t: int) -> Matching:
     """Perfect matching on the all-stable {s, s+1, t}-complement family,
     obtained by rotating the normalized (1, l) matching."""
-    n = graphs.ground_size(k)
     if t not in index_I(s, k):
         raise ValueError("t=%d not admissible for s=%d at k=%d" % (t, s, k))
-    l = (t - s) % n + 1
-    if not 3 <= l <= n - 1:
-        raise AssertionError("normalized l=%d out of range" % l)
-    return Matching(_transport(_matching_a_norm(k, l), rotation_table(k, k, s - 1),
+    l, j = unstable_rep(pair_of(s, k) + (t,), k)  # j = s-1
+    return Matching(_transport(_matching_a_norm(k, l), rotation_table(k, k, j),
                                set(a_family(k, s, t)), k, "family (k=%d,s=%d,t=%d)" % (k, s, t)))
 
 
@@ -348,19 +274,16 @@ def matching_B(k: int, s: int, u: int) -> Matching:
 
     Rotating by k+5-u sends the family bijectively onto a 3-complement
     family one parameter down (the u-pair lands on {k+5, k+6} and drops off
-    the smaller ground set); the matching pulls back along that rotation.
+    the smaller ground set, see ``graphs.pullback``); the matching pulls
+    back along that rotation.
     """
     family = set(b_family(k, s, u))
     if k <= 2:
         if family:
             raise MatchingError("expected empty 4-complement family at k=%d" % k)
         return Matching([])
-    shift = (k + 5) - u
-    target_c = frozenset(rotate((s, s % graphs.ground_size(k) + 1), shift, k)) | {k + 5}
-    parsed = parse_three(target_c, k - 1)
-    if parsed is None:
-        raise AssertionError("image complement %r has no pair shape" % (sorted(target_c),))
-    return Matching(_transport(matching_A(k - 1, *parsed).pairs, rotation_table(k - 1, k, -shift),
+    sub_s, sub_t, shift = pullback(k, s, u)
+    return Matching(_transport(matching_A(k - 1, sub_s, sub_t).pairs, rotation_table(k - 1, k, -shift),
                                family, k, "family (k=%d,s=%d,u=%d)" % (k, s, u)))
 
 

@@ -15,6 +15,13 @@ is an automorphism of all three graphs.  Every unstable triple is a rotation
 of {1, 2, l} for a unique l in {3, ..., k+5}; ``unstable_rep`` recovers that
 normal form.
 
+Both theorems sort faces by the ground elements a face misses, and
+``missed_shape`` is the one reader of that set: a stable triple fits inside,
+or it is {s, s+1, t} (the normal form rotated back), or {s, s+1, u, u+1}, or
+none of these.  ``pullback`` takes a family of the third kind to one of the
+second kind one parameter down; ``index_I`` and ``index_J`` list the
+admissible t and u.
+
 ``triple_index(k)`` numbers all triples of [k+6] in lex order; bit b of a
 face mask stands for triple b of that index, in every complex at that k.
 """
@@ -106,6 +113,93 @@ def unstable_rep(v, k: int) -> tuple[int, int]:
     if len(found) > 1:
         raise AssertionError("%r has two {1,2,l} normal forms: %r" % (v, found))
     return found[0]
+
+
+# ---------------------------------------------------------------------------
+# missed sets: the shapes both theorems sort faces by
+
+def pair_of(s: int, k: int) -> tuple[int, int]:
+    """The cyclically adjacent pair {s, s+1} (s = k+6 wraps to {k+6, 1})."""
+    n = ground_size(k)
+    return (s, s % n + 1)
+
+
+def index_I(s: int, k: int) -> list[int]:
+    """Admissible third elements t for missed sets {s, s+1, t}."""
+    n = ground_size(k)
+    if not 1 <= s <= n:
+        raise ValueError("s=%d outside 1..%d" % (s, n))
+    excluded = {(s - 2) % n + 1, s, s % n + 1}
+    return [t for t in range(1, n + 1) if t not in excluded]
+
+
+def index_J(s: int, k: int) -> list[int]:
+    """Admissible second pair starts u for missed sets {s, s+1, u, u+1}."""
+    n = ground_size(k)
+    if s == 1:
+        return list(range(3, n))          # u+1 may not wrap onto 1
+    if 1 < s < n - 1:
+        return list(range(s + 2, n + 1))  # u > s+1, wrap u = k+6 allowed
+    return []
+
+
+def p_complement(k: int, i: int, j: int) -> tuple:
+    """The missed set {i, i+1, j} of a three-element family, validated."""
+    n = ground_size(k)
+    if not 1 <= i <= n:
+        raise ValueError("pair start i=%r leaves the ground set 1..%d" % (i, n))
+    if j not in index_I(i, k):
+        raise ValueError("j=%r cannot accompany the pair {%d, %d}" % (j, i, i % n + 1))
+    return tuple(sorted(set(pair_of(i, k)) | {j}))
+
+
+def q_complement(k: int, i: int, j: int) -> tuple:
+    """The missed set {i, i+1, j, j+1} of a four-element family, validated."""
+    if not 1 <= i <= k + 4:
+        raise ValueError("first pair start i=%r must lie in 1..%d" % (i, k + 4))
+    if j not in index_J(i, k):
+        raise ValueError("second pair start j=%r is not admissible after i=%d" % (j, i))
+    return tuple(sorted(set(pair_of(i, k)) | set(pair_of(j, k))))
+
+
+def missed_shape(missed: int, k: int):
+    """Read a ground-element mask of missed elements: True when a stable
+    triple fits inside, (3, s, t) for {s, s+1, t} with t in ``index_I(s,
+    k)``, (4, s, u) for {s, s+1, u, u+1} with u in ``index_J(s, k)``, else
+    None.  Stability inside is read off ``triple_index(k).stable``, the
+    shapes off the ground set.  A three-element set is ``unstable_rep``'s
+    {1, 2, l} rotated back by j, so s = j+1 and t = l+j, and a run {s, s+1,
+    s+2} reads from its lower pair; four elements are two disjoint adjacent
+    pairs with s < u."""
+    n = ground_size(k)
+    ix = triple_index(k)
+    elements = [x for x in range(1, n + 1) if missed >> (x - 1) & 1]
+    if any(ix.stable >> ix.bit[t] & 1 for t in itertools.combinations(elements, 3)):
+        return True
+    if len(elements) == 3 and not is_stable(elements, k):
+        l, j = unstable_rep(elements, k)
+        return (3, j + 1, rotate(l, j, k))
+    if len(elements) == 4:
+        a, b, c, d = elements
+        if b == a + 1 and d == c + 1:
+            return (4, a, c)
+        if (a, d) == (1, n) and c == b + 1:  # the second pair wraps: {n, 1}
+            return (4, b, n)
+    return None
+
+
+def pullback(k: int, s: int, u: int) -> tuple[int, int, int]:
+    """(s', t', shift): rotating by shift = k+5-u moves the pair {u, u+1}
+    onto {k+5, k+6}, off the ground set of parameter k-1, and sends the
+    family missing {s, s+1, u, u+1} to the one missing {s', s'+1, t'} there."""
+    shift = k + 5 - u
+    down = sorted(rotate(x, shift, k) for x in pair_of(s, k) + pair_of(u, k))
+    if down[-2:] != [k + 5, k + 6]:
+        raise AssertionError("rotation by %d failed to move the second pair on top" % (shift,))
+    shape = missed_shape(vertex_mask(down[:3]), k - 1)
+    if not isinstance(shape, tuple):
+        raise AssertionError("image complement %r has no pair shape" % (down[:3],))
+    return shape[1], shape[2], shift
 
 
 class TripleIndex(NamedTuple):

@@ -158,6 +158,10 @@ class PairError(ValueError):
         self.faces = faces
 
 
+class MatchingError(RuntimeError):
+    """A claimed matching property failed mechanical verification."""
+
+
 def _partner(pairs) -> dict:
     """Check the pairs one by one, in order, and return their partner dict:
     the first pair that does not cover or reuses a face raises
@@ -412,7 +416,11 @@ def coreduce(cells: list, table: tuple[list, list]) -> tuple[dict, list]:
     """
     facets, signs = table
     alive = [len(fs) for fs in facets]  # cell -> number of remaining facets
-    cofaces: list[list[int]] = [[] for _ in cells]
+    # the top band has no cofaces among the cells: it shares one empty tuple
+    below = len(cells)
+    while below and cells[below - 1].bit_count() == cells[-1].bit_count():
+        below -= 1
+    cofaces: list = [[] for _ in range(below)] + [()] * (len(cells) - below)
     for i in sorted(range(len(cells)), key=cells.__getitem__):
         for j in facets[i]:
             cofaces[j].append(i)

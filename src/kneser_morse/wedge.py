@@ -9,7 +9,7 @@ of the ground set, so a face outside it misses three or four elements
 and the missed set contains no stable triple: it is an adjacent pair
 {i, i+1} plus one more element j, or two disjoint adjacent pairs
 {i, i+1} and {j, j+1} (pairs may wrap, runs of three or four read as
-the shape starting at the lower pair, see ``parse_three``).
+the shape starting at the lower pair, see ``graphs.missed_shape``).
 
 Grouping the outside faces by their missed set gives the families
 matched here.  Each family splits along the lex-least unstable member
@@ -46,13 +46,14 @@ from functools import lru_cache
 from typing import Iterable, NamedTuple
 
 from . import graphs
-from .collapse import MatchingError, index_I, index_J, pair_of, parse_four, parse_three
 from .complexes import NbhdComplex, complement_set, complex_for, decode, face_key, remap
+from .graphs import (index_I, index_J, missed_shape, p_complement, pullback,
+                     q_complement, unstable_rep, vertex_mask)
 # element_matching and is_cover have no caller here, but perfbench's tracer
 # counts them in every module that binds them and its self-test expects
 # these bindings
-from .morse import (Bits, Matching, PairError, StagePairs, bitset, element_matching,  # noqa: F401
-                    is_acyclic, is_cover, members, nobit)
+from .morse import (Bits, Matching, MatchingError, PairError, StagePairs, bitset,  # noqa: F401
+                    element_matching, is_acyclic, is_cover, members, nobit)
 
 # Most triples a family support may span, since the subset table has
 # 2^SCAN_BITS entries.  A three-element family leaves a support of k+3
@@ -79,7 +80,7 @@ def level1_contains(sigma: int, k: int) -> bool:
                          % (decode(sigma, graphs.triple_index(k).triples), len(comp)))
     if not sigma & ~graphs.triple_index(k).stable:
         return True
-    return any(graphs.is_stable(t, k) for t in itertools.combinations(comp, 3))
+    return missed_shape(vertex_mask(comp), k) is True
 
 
 def _level2_extras(k: int) -> list[int]:
@@ -88,13 +89,12 @@ def _level2_extras(k: int) -> list[int]:
     it.  Missed 4-sets containing a stable triple add nothing new."""
     n = graphs.ground_size(k)
     out = []
-    for i in range(1, k + 5):
-        for j in index_J(i, k):
-            miss = set(pair_of(i, k)) | set(pair_of(j, k))
-            support = [x for x in range(1, n + 1) if x not in miss]
-            face = face_key(itertools.combinations(support, 3), k)
-            if face:
-                out.append(face)
+    for i, j in q_indices(k):
+        miss = q_complement(k, i, j)
+        support = [x for x in range(1, n + 1) if x not in miss]
+        face = face_key(itertools.combinations(support, 3), k)
+        if face:
+            out.append(face)
     return out
 
 
@@ -146,24 +146,21 @@ def pq_classify(sigma: int, k: int) -> PQTag:
     if len(comp) < 3:
         raise MatchingError("%r misses only %d ground elements; not a face of the full complex"
                             % (decode(sigma, ix.triples), len(comp)))
-    if level1_contains(sigma, k):
+    shape = missed_shape(vertex_mask(comp), k)
+    unstable = sigma & ~ix.stable
+    if shape is True or not unstable:
         raise MatchingError("%r lies in the mixed complex; the families cover only the outside"
                             % (decode(sigma, ix.triples),))
-    unstable = sigma & ~ix.stable
-    least = ix.triples[(unstable & -unstable).bit_length() - 1]
-    if len(comp) == 3:
-        parsed = parse_three(comp, k)
-        if parsed is None:
+    if shape is None:
+        if len(comp) == 3:
             raise MatchingError("missed set %r holds no adjacent pair; the partition is broken"
                                 % (comp,))
-        return PQTag('P', parsed[0], parsed[1], least)
-    if len(comp) == 4:
-        parsed = parse_four(comp, k)
-        if parsed is None:
+        if len(comp) == 4:
             raise MatchingError("missed set %r is not two disjoint adjacent pairs; the partition is broken"
                                 % (comp,))
-        return PQTag('Q', parsed[0], parsed[1], least)
-    raise MatchingError("missed set %r has five or more elements yet no stable triple" % (comp,))
+        raise MatchingError("missed set %r has five or more elements yet no stable triple" % (comp,))
+    least = ix.triples[(unstable & -unstable).bit_length() - 1]
+    return PQTag('P' if shape[0] == 3 else 'Q', shape[1], shape[2], least)
 
 
 def _validate_j1(j: int, k: int) -> None:
@@ -349,7 +346,7 @@ def family_faces(k: int, cset: Iterable[int]) -> FamilyFaces:
     cs = sorted(set(cset))
     if not cs or cs[0] < 1 or cs[-1] > n:
         raise ValueError("missed set %r leaves the ground set 1..%d" % (cset, n))
-    if any(graphs.is_stable(t, k) for t in itertools.combinations(cs, 3)):
+    if missed_shape(vertex_mask(cs), k) is True:
         raise ValueError("missed set %r contains a stable triple; that family is empty" % (cset,))
     support = [x for x in range(1, n + 1) if x not in cs]
     triples = tuple(itertools.combinations(support, 3))
@@ -454,25 +451,6 @@ class FamilyMatching:
         return [self.decode(c) for c in self.critical]
 
 
-def p_complement(k: int, i: int, j: int) -> tuple:
-    """The missed set {i, i+1, j} of a three-element family, validated."""
-    n = graphs.ground_size(k)
-    if not 1 <= i <= n:
-        raise ValueError("pair start i=%r leaves the ground set 1..%d" % (i, n))
-    if j not in index_I(i, k):
-        raise ValueError("j=%r cannot accompany the pair {%d, %d}" % (j, i, i % n + 1))
-    return tuple(sorted(set(pair_of(i, k)) | {j}))
-
-
-def q_complement(k: int, i: int, j: int) -> tuple:
-    """The missed set {i, i+1, j, j+1} of a four-element family, validated."""
-    if not 1 <= i <= k + 4:
-        raise ValueError("first pair start i=%r must lie in 1..%d" % (i, k + 4))
-    if j not in index_J(i, k):
-        raise ValueError("second pair start j=%r is not admissible after i=%d" % (j, i))
-    return tuple(sorted(set(pair_of(i, k)) | set(pair_of(j, k))))
-
-
 def matching_P(k: int, i: int, j: int) -> FamilyMatching:
     """Acyclic matching on the family missing {i, i+1, j}.
 
@@ -490,9 +468,9 @@ def matching_P(k: int, i: int, j: int) -> FamilyMatching:
     cset = p_complement(k, i, j)
     if i == 1:
         return _matching_p1(k, j, cset)
-    jp = graphs.rotate(j, 1 - i, k)
+    jp, shift = unstable_rep(cset, k)  # shift = i-1
     base = _matching_p1(k, jp, p_complement(k, 1, jp))
-    return transport(base, k, 'P', i, j, cset, i - 1)
+    return transport(base, k, 'P', i, j, cset, shift)
 
 
 def _matching_p1(k: int, j: int, cset: tuple) -> FamilyMatching:
@@ -626,14 +604,8 @@ def matching_Q(k: int, i: int, j: int) -> FamilyMatching:
         raise ValueError("every four-element missed set at k=0 leaves a two-point support; "
                          "the families are empty and carry no matching")
     cset = q_complement(k, i, j)
-    shift = k + 5 - j
-    down = sorted(graphs.rotate(x, shift, k) for x in cset)
-    if down[-2:] != [k + 5, k + 6]:
-        raise AssertionError("rotation by %d failed to move the second pair on top" % (shift,))
-    parsed = parse_three(down[:3], k - 1)
-    if parsed is None:
-        raise MatchingError("image missed set %r does not parse one parameter down" % (down,))
-    return transport(matching_P(k - 1, *parsed), k, 'Q', i, j, cset, -shift)
+    sub_i, sub_j, shift = pullback(k, i, j)
+    return transport(matching_P(k - 1, sub_i, sub_j), k, 'Q', i, j, cset, -shift)
 
 
 def label_order_I(i: int, k: int) -> list[int]:
@@ -759,7 +731,7 @@ def theorem3_counts(k: int, *, census: bool | None = None) -> dict:
     p_order = p_indices(k)
     by_base: dict[int, list] = {}
     for i, j in p_order:
-        by_base.setdefault(graphs.rotate(j, 1 - i, k), []).append((i, j))
+        by_base.setdefault(unstable_rep(p_complement(k, i, j), k)[0], []).append((i, j))
     placed: dict[tuple, tuple] = {}
     observed_k = 0
     p_pairs: list = []

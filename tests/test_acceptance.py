@@ -14,22 +14,23 @@ import networkx as nx
 
 from kneser_morse import morse
 from kneser_morse.collapse import (
-    a_family, b_family, c_fiber, classify, delta_decompose, index_I, index_J,
-    label_key, matching_B, pair_of, parse_three, pivot_vertex,
-    theorem2_matching, _delta_table, _s_faces,
+    a_family, b_family, c_fiber, classify, delta_decompose, label_key,
+    matching_B, pivot_vertex, theorem2_matching, _delta_table, _s_faces,
 )
 from kneser_morse.complexes import complex_for, decode, face_key
-from kneser_morse.graphs import ground_size, rotate, triple_index
+from kneser_morse.graphs import (
+    ground_size, index_I, index_J, p_complement, pair_of, rotate, triple_index,
+)
 from kneser_morse.homology import (
     CHECK_PRIMES, betti, boundary_matrix, rank_mod_p, relative_betti,
     smith_normal_form,
 )
 from kneser_morse.wedge import (
-    family_faces, filtration, p_complement, split_fibers, theorem3_counts,
-    toggle_run, w_set,
+    family_faces, filtration, split_fibers, theorem3_counts, toggle_run, w_set,
 )
 
-from test_collapse import stratum_length  # the span oracle of the C-fiber strata
+# the span oracle of the C-fiber strata and the brute-force 3-complement reader
+from test_collapse import parse_three, stratum_length
 
 
 def announce(n, ok, detail):

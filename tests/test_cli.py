@@ -1,5 +1,7 @@
 """Driver behavior: exit codes, report formats, refusal caps."""
 
+import csv
+import io
 import json
 import re
 
@@ -91,6 +93,32 @@ def test_census_csv_header(capsys):
     lines = out.strip().splitlines()
     assert lines[0] == "k,family,i,j,cells,critical,dim"
     assert len(lines) == 1 + 28 + 14
+
+
+def test_multi_result_csv_lists_every_result(capsys):
+    # the census rows stand for a report only when the census is its one
+    # result; next to other results each keeps its line and pass value
+    code, out, _ = run(capsys, "verify", "all", "--k", "1", "--format", "csv")
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(out)))
+    assert rows[0] == ['name', 'k', 'pass', 'detail']
+    assert [(name, k, ok) for name, k, ok, _ in rows[1:]] == [
+        (name, '1', '1') for name in ('theorem2-collapse', 'theorem3-census',
+                                      'filtration-nesting', 'p-families', 'q-families')]
+
+
+def test_multi_result_csv_shows_a_failure_beside_the_census(monkeypatch, capsys):
+    # a wrong Betti table next to a passing census reads as a failed row
+    class Wrong:
+        numbers = (0, 0, 0)
+
+    monkeypatch.setattr(cli, "betti", lambda cx, max_dim: Wrong)
+    code, out, _ = run(capsys, "verify", "theorem3", "--k", "1", "--depth", "full-snf",
+                       "--format", "csv")
+    assert code == 1
+    passed = {name: ok for name, _, ok, _ in list(csv.reader(io.StringIO(out)))[1:]}
+    assert passed == {'theorem3-census': '1', 'theorem3-betti': '0',
+                      'theorem3-relative-top': '1', 'theorem3-relative-mid': '1'}
 
 
 def test_refusal_large_k(capsys):

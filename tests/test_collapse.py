@@ -15,13 +15,16 @@ import pytest
 
 from kneser_morse import cli, collapse, graphs, morse
 from kneser_morse.collapse import (
-    MatchingError, a_family, b_family, c_fiber, classify,
-    delta_decompose, index_I, index_J, label_key, matching_A, matching_B,
-    matching_C, pair_of, parse_three, parse_four, pivot_vertex,
-    theorem2_matching, _delta_table, _s_faces,
+    a_family, b_family, c_fiber, classify, delta_decompose, label_key,
+    matching_A, matching_B, matching_C, pivot_vertex, theorem2_matching,
+    _delta_table, _s_faces,
 )
 from kneser_morse.complexes import complex_for, decode, face_key, remap, rotation_table
-from kneser_morse.graphs import ground_size, is_stable, rotate, triple_index, unstable_rep
+from kneser_morse.graphs import (
+    ground_size, index_I, index_J, is_stable, missed_shape, pair_of, rotate,
+    triple_index, unstable_rep,
+)
+from kneser_morse.morse import MatchingError
 
 
 def members(sigma, k):
@@ -47,6 +50,74 @@ def test_index_sizes(k):
 def test_index_I_excludes_the_pair_and_its_flanks():
     assert index_I(1, 0) == [3, 4, 5]
     assert index_I(6, 0) == [2, 3, 4]  # pair is {6,1}; 5 and 2 flank it
+
+
+# ---------------------------------------------------------------------------
+# the brute-force missed-set readers that ``graphs.missed_shape`` replaced,
+# kept as its oracles
+
+def parse_three(cset, k):
+    """Write a 3-element complement as {s, s+1, t}; None if no such shape.
+
+    The admissibility sets make the parse unique (a run {s, s+1, s+2} reads
+    with the lower pair), which is asserted.
+    """
+    cs = set(cset)
+    found = []
+    for s in range(1, ground_size(k) + 1):
+        p = set(pair_of(s, k))
+        if p <= cs:
+            (t,) = cs - p if len(cs - p) == 1 else (None,)
+            if t is not None and t in index_I(s, k):
+                found.append((s, t))
+    if len(found) > 1:
+        raise AssertionError("ambiguous 3-complement %r: %r" % (cset, found))
+    return found[0] if found else None
+
+
+def parse_four(cset, k):
+    """Write a 4-element complement as {s, s+1} + {u, u+1}; None otherwise."""
+    cs = set(cset)
+    found = []
+    for s in range(1, ground_size(k) + 1):
+        for u in index_J(s, k):
+            if set(pair_of(s, k)) | set(pair_of(u, k)) == cs:
+                found.append((s, u))
+    if len(found) > 1:
+        raise AssertionError("ambiguous 4-complement %r: %r" % (cset, found))
+    return found[0] if found else None
+
+
+def brute_shape(missed, k):
+    """``missed_shape`` by the brute-force readers: every 3-subset tested
+    for stability, then ``parse_three`` or ``parse_four``."""
+    cset = [x for x in range(1, ground_size(k) + 1) if missed >> (x - 1) & 1]
+    if any(is_stable(t, k) for t in itertools.combinations(cset, 3)):
+        return True
+    parse = {3: parse_three, 4: parse_four}.get(len(cset))
+    parsed = parse(cset, k) if parse else None
+    return (len(cset),) + parsed if parsed else None
+
+
+def shape_disagreements(reader, k):
+    """The ground masks at k on which ``reader`` and ``brute_shape`` differ."""
+    return [m for m in range(1 << ground_size(k)) if reader(m, k) != brute_shape(m, k)]
+
+
+@pytest.mark.parametrize("k", range(6))
+def test_missed_shape_agrees_with_the_brute_force_readers(k):
+    assert shape_disagreements(missed_shape, k) == []
+
+
+def test_a_reader_of_runs_from_the_upper_pair_is_caught():
+    # a run {s, s+1, s+2} read from {s+1, s+2} with t = s
+    def upper(missed, k):
+        shape = missed_shape(missed, k)
+        if isinstance(shape, tuple) and shape[0] == 3 and shape[2] == rotate(shape[1], 2, k):
+            return (3, rotate(shape[1], 1, k), shape[1])
+        return shape
+
+    assert shape_disagreements(upper, 2)
 
 
 def test_parse_three_fixtures():

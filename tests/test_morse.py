@@ -18,7 +18,7 @@ from kneser_morse.morse import (
     Matching, PairError, compose_cluster, critical_cells, element_matching,
     StagePairs, face_facets, is_acyclic, is_cover, is_perfect, verify_poset_map,
 )
-from kneser_morse.collapse import index_I
+from kneser_morse.graphs import index_I
 from kneser_morse.wedge import matching_P
 
 

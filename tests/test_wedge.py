@@ -7,15 +7,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from kneser_morse import morse, wedge
-from kneser_morse.morse import members
-from kneser_morse.collapse import MatchingError, index_I
+from kneser_morse.morse import MatchingError, members
 from kneser_morse.complexes import complex_for, decode, face_key, remap
-from kneser_morse.graphs import all_triples, ground_size, is_stable, rotate, triple_index
+from kneser_morse.graphs import (
+    all_triples, ground_size, index_I, is_stable, p_complement, q_complement,
+    rotate, triple_index,
+)
 from kneser_morse.wedge import (
     c_set, critical_form, family_faces, filtration, level1_contains,
-    matching_P, matching_Q, nc_set, p_complement, p_indices, pq_classify,
-    q_complement, q_indices, split_fibers, theorem3_counts, toggle_run,
-    transport, w_case, w_set,
+    matching_P, matching_Q, nc_set, p_indices, pq_classify, q_indices,
+    split_fibers, theorem3_counts, toggle_run, transport, w_case, w_set,
 )
 
 
