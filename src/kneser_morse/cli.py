@@ -176,12 +176,14 @@ LEMMAS = {
 }
 
 THEOREM2_CAP = 2
+DEFAULT_DEPTH = 'acyclicity'
 # the family targets read the census and reach its cap, or, at --depth
 # counts, only its formulas and reach theirs; they have no homology check
 # yet, so --depth full-snf is refused for them rather than run as the
 # default depth.  Every other lemma expands the mixed complex or the filtration
 # stages face by face, which the powerset guard of ``all_faces`` stops
-# beyond the Theorem 2 cap
+# beyond the Theorem 2 cap; like verify theorem2, those run the same checks
+# at every depth, so a depth other than the default is refused for them
 CENSUS_LEMMAS = ('p-families', 'q-families')
 
 
@@ -206,6 +208,11 @@ def cmd_verify(args) -> tuple[list[dict], bool]:
             raise Refusal("verify lemma %s refused at --depth full-snf: these targets "
                           "have no homology check yet; use --depth acyclicity or counts"
                           % args.lemma)
+    if depth != DEFAULT_DEPTH and (target == 'theorem2' or target == 'lemma'
+                                   and args.lemma not in CENSUS_LEMMAS):
+        raise Refusal("verify %s refused at --depth %s: this target runs the same checks at "
+                      "every depth; only theorem3, all, p-families and q-families read --depth"
+                      % ('theorem2' if target == 'theorem2' else 'lemma ' + args.lemma, depth))
 
     def run(name, fn):
         try:
@@ -334,11 +341,13 @@ def _parser() -> argparse.ArgumentParser:
     sp.add_argument("--lemma", choices=sorted(LEMMAS), default=None,
                     help="which named check to run (target 'lemma')")
     sp.add_argument("--depth", choices=("counts", "acyclicity", "full-snf"),
-                    default="acyclicity",
+                    default=DEFAULT_DEPTH,
                     help="counts: formulas only; acyclicity: adds the census "
                          "and matching checks (default); full-snf: adds the "
-                         "exact homology cross-checks (refused for the lemmas "
-                         "p-families and q-families, which have none yet)")
+                         "exact homology cross-checks.  Read by theorem3, all "
+                         "and the lemmas p-families and q-families, which "
+                         "refuse full-snf (no homology check yet); theorem2 "
+                         "and the other lemmas refuse any depth but the default")
     common(sp)
     sp.set_defaults(fn=cmd_verify)
 

@@ -10,19 +10,31 @@ touches, read by ``graphs.missed_shape``) and by stability of its members:
   triple (two disjoint cyclically adjacent pairs);
 * C-family: some member unstable, fibered by the lex-least unstable member.
 
-Each family carries an explicit perfect acyclic matching: the A-matchings
-come from a pivot-vertex recursion that reduces the family parameter, the
-B-matchings pull back A-matchings one parameter down along a rotation, and
-the C-matchings toggle one stable vertex chosen from the covering interval
-of the lex-least common neighbor.  ``theorem2_matching`` composes all of
-them under one order-preserving classifier (the Cluster Lemma) and proves
-Theorem 2 with three checks on the whole complex: no pair straddles two
-fibers, the union is acyclic, and the critical cells are exactly F0.  Each
-fiber's acyclicity and perfection follow from these three.
+Each family carries an explicit perfect acyclic matching.  The A- and
+B-matchings come from ``wedge``'s family engine, the one the P- and
+Q-families of Theorem 3 use.  The A-family missing {1, 2, l} is the part of
+the P-family's subset table (``wedge.family_faces``) that covers the
+support with no unstable bit.  A pivot triple's element matching is one
+``wedge.toggle_run`` stage; each face it leaves holds the pivot, and the
+rest of the face also misses part of the pivot, which files the face in one
+of seven residue classes.  A class is a smaller A-family moved up by
+``wedge.transport`` with the pivot added to every face.  Both steps are
+certified for all faces at once, and a count closes the partition.  The
+other A-families are these rotated by ``transport``, and a B-family is an
+A-family one parameter down pulled back along a rotation, the route
+``wedge.matching_Q`` takes.  A family's matching is a list of parts, each a
+``wedge.FamilyMatching`` over its own triples.  The C-matchings toggle one
+stable vertex chosen from the covering interval of the lex-least common
+neighbor.  ``theorem2_matching`` composes all of them under one
+order-preserving classifier (the Cluster Lemma) and proves Theorem 2 with
+three checks on the whole complex: no pair straddles two fibers, the union
+is acyclic, and the critical cells are exactly F0.  Each fiber's
+acyclicity and perfection follow from these three.
 
 Faces are masks over ``graphs.triple_index(k)``, the index every complex at
-k shares.  A rotation moves a face through one ``complexes.rotation_table``
-per (frame, shift), and faces are decoded only for error witnesses.
+k shares; the A- and B-parts reach it through ``wedge._to_index``.  A
+rotation moves a face through one ``complexes.rotation_table`` per (frame,
+shift), and faces are decoded only for error witnesses.
 """
 
 from __future__ import annotations
@@ -30,56 +42,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from . import complexes, graphs, morse
+from . import complexes, graphs, morse, wedge
 from .complexes import complement_set, decode, remap, rotation_table
 # rotate has no caller here, but perfbench's tracer counts it in every module
 # that binds it and its self-test expects this binding
-from .graphs import (index_I, index_J, missed_shape, pair_of, pullback,  # noqa: F401
-                     rotate, unstable_rep)
-from .morse import Matching, MatchingError
-
-
-# ---------------------------------------------------------------------------
-# family enumeration
-
-def stable_covers(missed, k: int) -> list[int]:
-    """All faces of stable triples that miss exactly the ground elements in
-    ``missed``."""
-    need = ((1 << graphs.ground_size(k)) - 1) & ~graphs.vertex_mask(missed)
-    ix = graphs.triple_index(k)
-    pool = [b for b, g in enumerate(ix.ground) if ix.stable >> b & 1 and not g & ~need]
-    masks = [ix.ground[b] for b in pool]
-    suffix = [0] * (len(pool) + 1)
-    for i in range(len(pool) - 1, -1, -1):
-        suffix[i] = suffix[i + 1] | masks[i]
-    out = []
-
-    def walk(i: int, covered: int, chosen: int):
-        if covered | suffix[i] != need:
-            return
-        if i == len(pool):
-            if covered == need and chosen:
-                out.append(chosen)
-            return
-        walk(i + 1, covered, chosen)
-        walk(i + 1, covered | masks[i], chosen | 1 << pool[i])
-
-    walk(0, 0, 0)
-    return out
-
-
-def a_family(k: int, s: int, t: int) -> list:
-    """All-stable faces whose complement is exactly {s, s+1, t}."""
-    if t not in index_I(s, k):
-        raise ValueError("t=%d not admissible for s=%d at k=%d" % (t, s, k))
-    return stable_covers(pair_of(s, k) + (t,), k)
-
-
-def b_family(k: int, s: int, u: int) -> list:
-    """All-stable faces whose complement is exactly {s, s+1, u, u+1}."""
-    if u not in index_J(s, k):
-        raise ValueError("u=%d not admissible for s=%d at k=%d" % (u, s, k))
-    return stable_covers(pair_of(s, k) + pair_of(u, k), k)
+from .graphs import (missed_shape, p_complement, pair_of, pullback,  # noqa: F401
+                     q_complement, rotate, unstable_rep, vertex_mask)
+from .morse import Bits, Matching, MatchingError, StagePairs
+from .wedge import FamilyMatching
 
 
 # ---------------------------------------------------------------------------
@@ -127,7 +97,7 @@ def label_key(label, k: int) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# A-family matchings: pivot recursion
+# A- and B-family matchings: parts on the P-family subset tables
 
 def pivot_vertex(k: int, l: int):
     n = graphs.ground_size(k)
@@ -141,11 +111,13 @@ def pivot_vertex(k: int, l: int):
 
 
 def _delta_table(k: int, l: int):
-    """Per residue class of C(sigma minus pivot), the pullback recipe.
+    """Per residue class of the pivot stage on the (1, l) family, the
+    recipe that fills it.
 
-    Each entry is (extra, shift, sub_k, s, t): ``extra`` is the subset of the
-    pivot that becomes uncovered (a ground-element mask), and the class biject onto the family
-    (sub_k, s, t) via sigma -> (sigma - pivot) rotated down by ``shift``.
+    Each row is (extra, shift, sub_k, s, t).  ``extra`` is a ground-element
+    mask, the part of the pivot that the rest of a class face leaves
+    uncovered; sigma -> (sigma - pivot) rotated down by ``shift`` sends the
+    class bijectively onto the A-family (sub_k, s, t).
     """
     a, b, n = pivot_vertex(k, l)
     if l == 3:
@@ -182,109 +154,105 @@ def _delta_table(k: int, l: int):
     return rows
 
 
-def delta_decompose(k: int, l: int, sigma: int):
-    """Locate a face of the (1, l) family in the pivot decomposition.
+def _add_pivot(part: FamilyMatching, pivot: tuple, l: int) -> FamilyMatching:
+    """A residue class of the (1, l) family: ``part``, moved by ``transport``
+    onto the all-stable faces missing {1, 2, l} plus a set E, with the pivot
+    added to every face.
 
-    Returns 'pivot-fiber' when the face survives toggling the pivot (so the
-    pivot element matching handles it), else the residue class index 1..7.
+    The pivot is certified to be a stable triple off {1, 2, l} that holds
+    every element of a nonempty E, so it lies outside the class support.
+    Adding it then keeps faces all-stable, makes them cover every element
+    but 1, 2 and l, and sends covering pairs to covering pairs; the image
+    is exactly the family faces that hold the pivot and whose rest leaves E
+    uncovered.  The pivot becomes bit m of the part, m its number of
+    triples, so adding it shifts every bitset by 2^m.
     """
-    ix = graphs.triple_index(k)
-    p = 1 << ix.bit[pivot_vertex(k, l)]
-    if not sigma & p:
-        return 'pivot-fiber'
-    full = (1 << graphs.ground_size(k)) - 1
-    cs = full & ~remap(sigma ^ p, ix.ground)
-    base = graphs.vertex_mask((1, 2, l))
-    if cs == base:
-        return 'pivot-fiber'
-    extra = cs & ~base
-    for i, (ex, _, _, _, _) in enumerate(_delta_table(k, l), start=1):
-        if extra == ex:
-            return i
-    raise MatchingError(
-        "face %r uncovers %r, not a pivot subset"
-        % (decode(sigma, ix.triples), [x + 1 for x in range(extra.bit_length()) if extra >> x & 1]))
-
-
-def _transport(pairs, table: list[int], family: set, k: int, what: str, add: int = 0) -> list:
-    """Move matching pairs along a ``rotation_table`` into parameter k, with
-    the mask ``add`` joined to every face, and check that the moved pairs
-    cover exactly ``family``; a mismatch names one decoded face of the
-    difference."""
-    moved = [(remap(lo, table) | add, remap(hi, table) | add) for lo, hi in pairs]
-    cells = {f for pair in moved for f in pair}
-    if cells != family:
-        raise MatchingError(
-            "%s: moved pairs cover %d faces, the family has %d; they differ at %r"
-            % (what, len(cells), len(family),
-               decode(min(cells ^ family), graphs.triple_index(k).triples)))
-    return moved
+    k, base = part.k, vertex_mask((1, 2, l))
+    pm, extra = vertex_mask(pivot), vertex_mask(part.cset) & ~base
+    if not graphs.is_stable(pivot, k) or pm & base or not extra or extra & ~pm:
+        raise MatchingError("family (A, 1, %d): pivot %r at k=%d is not a stable triple off "
+                            "{1, 2, %d} that holds the uncovered elements %r of its class"
+                            % (l, pivot, k, l, [x for x in part.cset if x not in (1, 2, l)]))
+    w = 1 << len(part.triples)
+    return FamilyMatching(k, 'A', 1, l, (1, 2, l), part.triples + (pivot,), Bits(part.faces.bits << w),
+                          StagePairs((b, up << w) for b, up in part.pairs.stages), [])
 
 
 @lru_cache(maxsize=None)
-def _matching_a_norm(k: int, l: int) -> tuple:
-    """Matching pairs on the (s, t) = (1, l) family, built recursively."""
-    if k <= 1:
-        if a_family(k, 1, l):
-            raise MatchingError("expected empty family at k=%d" % k)
-        return ()
-    family = set(a_family(k, 1, l))
+def _a_base(k: int, l: int) -> tuple[FamilyMatching, ...]:
+    """The all-stable family missing {1, 2, l}, matched in parts.
+
+    The family is the subsets of the P-family's table that cover its
+    support and hold no unstable bit.  Part one is the element matching of
+    the pivot, one ``toggle_run`` stage.  Each face it leaves holds the
+    pivot and falls in one residue class of ``_delta_table``, filled by the
+    parts of a smaller A-family moved into the frame at k by ``transport``
+    and given the pivot by ``_add_pivot``.  The classes of a target below
+    k = 2 are left out, as every A-family there is empty.  Twice the pivot
+    pairs plus the class faces must number the family's faces: with the
+    certificates, which make the classes disjoint from each other and from
+    the pivot pairs, that makes the parts a perfect matching, and a face
+    in a class left out, or a pivot stage lost, fails the count.
+    """
+    cset = (1, 2, l)
+    fam = wedge.family_faces(k, cset)
+    family = fam.full & ~fam.faces.bits
     if not family:
         return ()
-    triples = graphs.triple_index(k).triples
-    p = 1 << graphs.triple_index(k).bit[pivot_vertex(k, l)]
-    m0, matched = morse.element_matching(family, p)
-    pairs = list(m0.pairs)
-    buckets: dict[int, set] = {i: set() for i in range(1, 8)}
-    for sigma in family - matched:
-        idx = delta_decompose(k, l, sigma)
-        if idx == 'pivot-fiber':
-            raise MatchingError("face %r escaped the pivot matching" % (decode(sigma, triples),))
-        buckets[idx].add(sigma)
-    for idx, (extra, shift, sub_k, s, t) in enumerate(_delta_table(k, l), start=1):
-        bucket = buckets[idx]
-        if sub_k <= 1:
-            if bucket:
-                raise MatchingError(
-                    "class %d nonempty but its target family vanishes" % idx)
-            continue
-        pairs.extend(_transport(matching_A(sub_k, s, t).pairs, rotation_table(sub_k, k, shift),
-                                bucket, k, "class %d of (k=%d, l=%d)" % (idx, k, l), add=p))
-    m = Matching(pairs)
-    if not morse.is_perfect(m, family):
-        raise MatchingError("matching on (1,%d) family at k=%d not perfect" % (l, k))
-    return tuple(pairs)
+    pivot = pivot_vertex(k, l)
+    stages, rest = wedge.toggle_run(family, [fam.triples.index(pivot)])
+    parts = [FamilyMatching(k, 'A', 1, l, cset, fam.triples, Bits(family ^ rest), StagePairs(stages), [])]
+    for extra, shift, sub_k, s, t in _delta_table(k, l):
+        if sub_k >= 2:
+            m = vertex_mask(cset) | extra
+            missed = tuple(x for x in range(1, graphs.ground_size(k) + 1) if m >> (x - 1) & 1)
+            parts += [_add_pivot(wedge.transport(part, k, 'A', 1, l, missed, shift), pivot, l)
+                      for part in _a_parts(sub_k, s, t)]
+    classes = sum(len(part.faces) for part in parts[1:])
+    if 2 * len(parts[0].pairs) + classes != family.bit_count():
+        raise MatchingError("family (A, 1, %d) at k=%d: %d pivot pairs and %d class faces do not "
+                            "partition its %d faces" % (l, k, len(parts[0].pairs), classes,
+                                                        family.bit_count()))
+    return tuple(parts)
+
+
+def _a_parts(k: int, s: int, t: int) -> list[FamilyMatching]:
+    """The parts of the (1, l) family moved onto the family missing
+    {s, s+1, t} by ``transport``, along ``unstable_rep``'s rotation."""
+    cset = p_complement(k, s, t)
+    l, j = unstable_rep(cset, k)  # j = s-1
+    return [wedge.transport(part, k, 'A', s, t, cset, j) for part in _a_base(k, l)]
+
+
+def _on_index(parts) -> Matching:
+    """One ``Matching`` over the per-k index of the pairs of all parts."""
+    pairs: list = []
+    for part in parts:
+        wedge._to_index(part, pairs, [])
+    return Matching(pairs)
 
 
 def matching_A(k: int, s: int, t: int) -> Matching:
-    """Perfect matching on the all-stable {s, s+1, t}-complement family,
-    obtained by rotating the normalized (1, l) matching."""
-    if t not in index_I(s, k):
-        raise ValueError("t=%d not admissible for s=%d at k=%d" % (t, s, k))
-    l, j = unstable_rep(pair_of(s, k) + (t,), k)  # j = s-1
-    return Matching(_transport(_matching_a_norm(k, l), rotation_table(k, k, j),
-                               set(a_family(k, s, t)), k, "family (k=%d,s=%d,t=%d)" % (k, s, t)))
+    """Perfect matching on the all-stable {s, s+1, t}-complement family."""
+    return _on_index(_a_parts(k, s, t))
 
-
-# ---------------------------------------------------------------------------
-# B-family matchings: rotation down one parameter
 
 def matching_B(k: int, s: int, u: int) -> Matching:
-    """Perfect matching on the {s, s+1, u, u+1}-complement family.
+    """Perfect matching on the all-stable {s, s+1, u, u+1}-complement family.
 
     Rotating by k+5-u sends the family bijectively onto a 3-complement
     family one parameter down (the u-pair lands on {k+5, k+6} and drops off
-    the smaller ground set, see ``graphs.pullback``); the matching pulls
-    back along that rotation.
+    the smaller ground set, see ``graphs.pullback``); the parts of that
+    family's matching move back by ``transport``, as ``wedge.matching_Q``
+    moves a P-family.  At k = 0 the support has two elements and the family
+    is empty.
     """
-    family = set(b_family(k, s, u))
-    if k <= 2:
-        if family:
-            raise MatchingError("expected empty 4-complement family at k=%d" % k)
+    cset = q_complement(k, s, u)
+    if k == 0:
         return Matching([])
     sub_s, sub_t, shift = pullback(k, s, u)
-    return Matching(_transport(matching_A(k - 1, sub_s, sub_t).pairs, rotation_table(k - 1, k, -shift),
-                               family, k, "family (k=%d,s=%d,u=%d)" % (k, s, u)))
+    return _on_index(wedge.transport(part, k, 'B', s, u, cset, -shift)
+                     for part in _a_parts(k - 1, sub_s, sub_t))
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,9 @@ pair other than {1, 2} are rotated copies of a {1, 2} family, and the
 four-element families pull back, along the rotation that moves the
 second pair onto {k+5, k+6}, to three-element families one parameter
 down; ``transport`` moves a verified family along such a rotation and
-certifies the move for every face at once.  Summing the survivors over
+certifies the move for every face at once.  ``collapse`` builds the
+all-stable A- and B-families of Theorem 2 with the same ``family_faces``,
+``toggle_run`` and ``transport``.  Summing the survivors over
 all families counts the spheres in the wedge: t = (k+1)(k+3)(k+4)(k+6)/4
 + 1 of dimension k after the final free collapse, which
 ``theorem3_counts`` reports together with a mechanical census of every
@@ -419,7 +421,8 @@ def toggle_run(faces: int, toggles: Iterable[int]) -> tuple[list, int]:
 
 @dataclass
 class FamilyMatching:
-    """An acyclic matching on one family.
+    """An acyclic matching on one family, or on one part of an A- or
+    B-family of ``collapse``, which matches those families in parts.
 
     ``triples`` is the bit dictionary of the masks in ``faces``, ``pairs``
     and ``critical``: lex ordered in a family built directly, and the image
@@ -557,7 +560,8 @@ def _matching_p1(k: int, j: int, cset: tuple) -> FamilyMatching:
 
 def transport(base: FamilyMatching, k: int, family: str, i: int, j: int,
               cset: tuple, shift: int) -> FamilyMatching:
-    """Move a verified family along the rotation by ``shift`` mod k+6.
+    """Move a verified family, or one part of it, along the rotation by
+    ``shift`` mod k+6.
 
     The masks of ``base`` (faces, pairs, critical cells) are shared
     unchanged; only the bit dictionary is relabelled, bit b standing for
@@ -566,8 +570,9 @@ def transport(base: FamilyMatching, k: int, family: str, i: int, j: int,
     the base frame ``base.k``, onto [k+6] minus ``cset``, so it carries the
     triples of one support bijectively onto those of the other and a set of
     triples covers the base support iff its image covers the target.  And
-    every bit keeps its stability across the two frames, so a face keeps an
-    unstable member.  Together they make the relabelling a bijection of the
+    every bit keeps its stability across the two frames, so a P or Q face
+    keeps an unstable member and an A or B face (``collapse``) stays
+    all-stable.  Together they make the relabelling a bijection of the
     base family onto the family missing ``cset`` that preserves inclusion
     and dimension: covering pairs stay covering, the modified Hasse
     digraph is only renamed, so acyclicity and the critical cells carry

@@ -14,8 +14,8 @@ import networkx as nx
 
 from kneser_morse import morse
 from kneser_morse.collapse import (
-    a_family, b_family, c_fiber, classify, delta_decompose, label_key,
-    matching_B, pivot_vertex, theorem2_matching, _delta_table, _s_faces,
+    c_fiber, classify, label_key, matching_B, pivot_vertex, theorem2_matching,
+    _delta_table, _s_faces,
 )
 from kneser_morse.complexes import complex_for, decode, face_key
 from kneser_morse.graphs import (
@@ -29,8 +29,11 @@ from kneser_morse.wedge import (
     family_faces, filtration, split_fibers, theorem3_counts, toggle_run, w_set,
 )
 
+# the enumeration oracles of the A- and B-families and their residue classes,
 # the span oracle of the C-fiber strata and the brute-force 3-complement reader
-from test_collapse import parse_three, stratum_length
+from test_collapse import (
+    a_family, b_family, delta_decompose, parse_three, stratum_length,
+)
 
 
 def announce(n, ok, detail):

@@ -262,6 +262,39 @@ def test_the_family_lemmas_refuse_full_snf(capsys, lemma):
     assert lemma in [r['name'] for r in json.loads(out)['results']]
 
 
+SINGLE_DEPTH_TARGETS = [("theorem2",)] + [
+    ("lemma", "--lemma", lemma) for lemma in ("sg-matching", "a-matching", "b-matching",
+                                              "c-matching", "s3k-collapse", "filtration-nesting")]
+
+
+@pytest.mark.parametrize("target", SINGLE_DEPTH_TARGETS, ids=lambda t: t[-1])
+def test_a_single_depth_target_refuses_another_depth(monkeypatch, capsys, target):
+    # these targets run the same checks at every depth, so a depth other
+    # than the default is refused before any work starts, rather than
+    # reported as if the flag had been read; the default, named, still runs
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a refused target must not start its work")
+
+    monkeypatch.setattr(cli.collapse, "theorem2_matching", forbidden)
+    monkeypatch.setattr(cli.wedge, "filtration", forbidden)
+    for depth in ("counts", "full-snf"):
+        code, out, err = run(capsys, "verify", *target, "--k", "1", "--depth", depth)
+        assert code == 2 and out == ""
+        assert err.startswith("refused:") and "same checks at every depth" in err
+    monkeypatch.undo()
+    code, _, err = run(capsys, "verify", *target, "--k", "1", "--depth", "acyclicity")
+    assert code == 0 and err == ""
+
+
+def test_verify_all_runs_the_single_depth_targets_at_every_depth(capsys):
+    for depth in ("counts", "acyclicity", "full-snf"):
+        code, out, _ = run(capsys, "verify", "all", "--k", "1", "--depth", depth,
+                           "--format", "json")
+        assert code == 0
+        names = {r['name'] for r in json.loads(out)['results']}
+        assert {'theorem2-collapse', 'filtration-nesting'} <= names
+
+
 def test_failure_exit_and_stderr(monkeypatch, capsys):
     def sad(k):
         raise cli.collapse.MatchingError("synthetic failed check")

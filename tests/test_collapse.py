@@ -6,6 +6,7 @@ families are bijections, and the composed matching leaves exactly the stable
 subcomplex critical.
 """
 
+import hashlib
 import itertools
 import json
 import re
@@ -13,22 +14,84 @@ from collections import Counter
 
 import pytest
 
-from kneser_morse import cli, collapse, graphs, morse
+from kneser_morse import cli, collapse, graphs, morse, wedge
 from kneser_morse.collapse import (
-    a_family, b_family, c_fiber, classify, delta_decompose, label_key,
-    matching_A, matching_B, matching_C, pivot_vertex, theorem2_matching,
-    _delta_table, _s_faces,
+    c_fiber, classify, label_key, matching_A, matching_B, matching_C,
+    pivot_vertex, theorem2_matching, _delta_table, _s_faces,
 )
 from kneser_morse.complexes import complex_for, decode, face_key, remap, rotation_table
 from kneser_morse.graphs import (
     ground_size, index_I, index_J, is_stable, missed_shape, pair_of, rotate,
-    triple_index, unstable_rep,
+    triple_index, unstable_rep, vertex_mask,
 )
 from kneser_morse.morse import MatchingError
 
 
 def members(sigma, k):
     return decode(sigma, triple_index(k).triples)
+
+
+# ---------------------------------------------------------------------------
+# enumeration oracles: the all-stable families by depth-first search over the
+# stable triples, and the residue class of a face by its missed set; the
+# matchings under test build the same families on the P-family subset tables
+
+def stable_covers(missed, k):
+    """All faces of stable triples that miss exactly the ground elements in
+    ``missed``."""
+    need = ((1 << ground_size(k)) - 1) & ~vertex_mask(missed)
+    ix = triple_index(k)
+    pool = [b for b, g in enumerate(ix.ground) if ix.stable >> b & 1 and not g & ~need]
+    masks = [ix.ground[b] for b in pool]
+    suffix = [0] * (len(pool) + 1)
+    for i in range(len(pool) - 1, -1, -1):
+        suffix[i] = suffix[i + 1] | masks[i]
+    out = []
+
+    def walk(i, covered, chosen):
+        if covered | suffix[i] != need:
+            return
+        if i == len(pool):
+            if covered == need and chosen:
+                out.append(chosen)
+            return
+        walk(i + 1, covered, chosen)
+        walk(i + 1, covered | masks[i], chosen | 1 << pool[i])
+
+    walk(0, 0, 0)
+    return out
+
+
+def a_family(k, s, t):
+    """All-stable faces whose complement is exactly {s, s+1, t}."""
+    if t not in index_I(s, k):
+        raise ValueError("t=%d not admissible for s=%d at k=%d" % (t, s, k))
+    return stable_covers(pair_of(s, k) + (t,), k)
+
+
+def b_family(k, s, u):
+    """All-stable faces whose complement is exactly {s, s+1, u, u+1}."""
+    if u not in index_J(s, k):
+        raise ValueError("u=%d not admissible for s=%d at k=%d" % (u, s, k))
+    return stable_covers(pair_of(s, k) + pair_of(u, k), k)
+
+
+def delta_decompose(k, l, sigma):
+    """Locate a face of the (1, l) family in the pivot decomposition:
+    'pivot-fiber' when the face survives toggling the pivot, else the
+    residue class index 1..7 of ``_delta_table``."""
+    ix = triple_index(k)
+    p = 1 << ix.bit[pivot_vertex(k, l)]
+    if not sigma & p:
+        return 'pivot-fiber'
+    cs = ((1 << ground_size(k)) - 1) & ~remap(sigma ^ p, ix.ground)
+    base = vertex_mask((1, 2, l))
+    if cs == base:
+        return 'pivot-fiber'
+    for i, (ex, _, _, _, _) in enumerate(_delta_table(k, l), start=1):
+        if cs & ~base == ex:
+            return i
+    raise AssertionError("face %r uncovers %r, not a pivot subset" % (members(sigma, k), cs))
 
 
 def test_pair_of_wraps():
@@ -234,15 +297,139 @@ def test_matching_A_perfect_and_acyclic(k):
     assert pairs_seen > 0
 
 
-def test_a_rotated_matching_that_misses_its_family_names_a_face(monkeypatch):
-    # the family (k=2, s=2, t=5) loses one face; the rotated (1, 4) matching
-    # still covers it, and the transport check names the face
-    real = collapse.a_family
-    monkeypatch.setattr(collapse, 'a_family', lambda k, s, t: real(k, s, t)[1:]
-                        if (k, s, t) == (2, 2, 5) else real(k, s, t))
-    with pytest.raises(MatchingError, match=r"family \(k=2,s=2,t=5\): moved pairs cover 2 "
-                                            r"faces, the family has 1; they differ at \(\(\d+, \d+, \d+\)"):
+# per k, the count and sha256 of the sorted (s, t, lower, upper) A pairs and
+# (s, u, lower, upper) B pairs over the per-k index, pinned from the
+# depth-first pivot recursion that the subset-table engine replaced
+AB_PAIRS = {
+    2: ((16, '7881d77bbbdad704fed70bcc8da91b4273767f87cdffcd2bae88319ba8a02fc0'),
+        (0, '4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945')),
+    3: ((972, '0606787643cca3cf288683c614101a19a7c098afa48fc4c5c5bef0677f41fcef'),
+        (9, 'adb3969b31baa238442220d9c5a931d0202db61243395bf1ab1bc18261a120ba')),
+}
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_the_a_and_b_pairs_are_pinned(k):
+    def digest(pairs):
+        return len(pairs), hashlib.sha256(repr(sorted(pairs)).encode()).hexdigest()
+
+    n = ground_size(k)
+    a = [(s, t) + pair for s in range(1, n + 1) for t in index_I(s, k)
+         for pair in matching_A(k, s, t).pairs]
+    b = [(s, u) + pair for s in range(1, n + 1) for u in index_J(s, k)
+         for pair in matching_B(k, s, u).pairs]
+    assert (digest(a), digest(b)) == AB_PAIRS[k]
+
+
+@pytest.mark.parametrize("l", range(3, 9))
+def test_the_parts_are_the_pivot_fiber_and_the_residue_classes(l):
+    # on the per-k index, the pivot stage matches the pivot fiber of the
+    # enumerated family and each further part is one residue class
+    k = 3
+    buckets = {}
+    for sigma in a_family(k, 1, l):
+        buckets.setdefault(delta_decompose(k, l, sigma), set()).add(sigma)
+    parts = []
+    for part in collapse._a_base(k, l):
+        pairs = []
+        wedge._to_index(part, pairs, [])
+        parts.append({f for pair in pairs for f in pair})
+    assert parts[0] == buckets.pop('pivot-fiber')
+    assert sorted(map(sorted, parts[1:])) == sorted(map(sorted, buckets.values()))
+
+
+@pytest.fixture
+def fresh_bases():
+    """Clear the memoized A-bases around a test that plants a defect in
+    their recipe, so the defect is built and no broken base outlives it."""
+    collapse._a_base.cache_clear()
+    yield
+    collapse._a_base.cache_clear()
+
+
+def test_a_rotated_matching_that_misses_its_family_is_refused(fresh_bases, monkeypatch):
+    # the (1, 4) base rotated one step too far for the family (k=2, s=2,
+    # t=5): the transport certificate sees the support land off the family
+    real = collapse.unstable_rep
+
+    def off_by_one(v, k):
+        l, j = real(v, k)
+        return (l, j + 1) if (tuple(v), k) == ((2, 3, 5), 2) else (l, j)
+
+    monkeypatch.setattr(collapse, 'unstable_rep', off_by_one)
+    with pytest.raises(MatchingError, match=r"family \(A, 2, 5\): rotation by 2 sends the support "
+                                            r"\[3, 5, 6, 7, 8\] to \[1, 2, 5, 7, 8\], not onto the "
+                                            r"complement of \(2, 3, 5\)"):
         matching_A(2, 2, 5)
+
+
+def plant_delta_rows(monkeypatch, edit):
+    """``_delta_table`` at k = 3 with its rows passed through ``edit``."""
+    real = collapse._delta_table
+    monkeypatch.setattr(collapse, '_delta_table',
+                        lambda k, l: edit(real(k, l)) if k == 3 else real(k, l))
+
+
+def test_a_class_moved_by_the_wrong_shift_is_refused(fresh_bases, monkeypatch):
+    # the class {9} of (1, 4) at k = 3 is the (2, 1, 4) family unrotated;
+    # rotated by one it lands on other faces, off the class support
+    def shifted(rows):
+        extra, shift, sub_k, s, t = rows[2]
+        return rows[:2] + [(extra, shift + 1, sub_k, s, t)] + rows[3:]
+
+    plant_delta_rows(monkeypatch, shifted)
+    with pytest.raises(MatchingError, match=r"family \(A, 1, 4\): rotation by 1 .* not onto "
+                                            r"the complement of \(1, 2, 4, 9\)"):
+        matching_A(3, 1, 4)
+
+
+def test_swapped_extra_rows_are_refused(fresh_bases, monkeypatch):
+    # the classes {5} and {9} of (1, 4) at k = 3 trade their uncovered
+    # sets: each target is then certified against the other's missed set
+    def swapped(rows):
+        (e1, *r1), (e2, *r2) = rows[1], rows[2]
+        return rows[:1] + [(e2, *r1), (e1, *r2)] + rows[3:]
+
+    plant_delta_rows(monkeypatch, swapped)
+    with pytest.raises(MatchingError, match=r"family \(A, 1, 4\): rotation by 1 .* not onto "
+                                            r"the complement of \(1, 2, 4, 9\)"):
+        matching_A(3, 1, 4)
+
+
+def test_a_pivot_that_misses_its_class_is_refused(fresh_bases, monkeypatch):
+    # (1, 4) at k = 3 toggles (3, 6, 9) while its residue table is still
+    # the one of its pivot (3, 5, 9): the class {5} moves in as certified,
+    # but adding (3, 6, 9) would leave 5 uncovered
+    rows, table = _delta_table(3, 4), collapse._delta_table
+    real = collapse.pivot_vertex
+    monkeypatch.setattr(collapse, 'pivot_vertex',
+                        lambda k, l: (3, 6, 9) if (k, l) == (3, 4) else real(k, l))
+    monkeypatch.setattr(collapse, '_delta_table',
+                        lambda k, l: rows if (k, l) == (3, 4) else table(k, l))
+    with pytest.raises(MatchingError, match=r"family \(A, 1, 4\): pivot \(3, 6, 9\) at k=3 is not a "
+                                            r"stable triple off \{1, 2, 4\} that holds the uncovered "
+                                            r"elements \[5\] of its class"):
+        matching_A(3, 1, 4)
+
+
+def test_a_b_pullback_by_the_wrong_shift_is_refused(fresh_bases, monkeypatch):
+    real = collapse.pullback
+
+    def off_by_one(k, s, u):
+        sub_s, sub_t, shift = real(k, s, u)
+        return sub_s, sub_t, shift + 1
+
+    monkeypatch.setattr(collapse, 'pullback', off_by_one)
+    with pytest.raises(MatchingError, match=r"family \(B, 1, 4\): rotation by -5 .* not onto "
+                                            r"the complement of \(1, 2, 4, 5\)"):
+        matching_B(3, 1, 4)
+
+
+def test_a_dropped_pivot_stage_fails_the_partition_count(fresh_bases, monkeypatch):
+    monkeypatch.setattr(wedge, 'toggle_run', lambda faces, toggles: ([], faces))
+    with pytest.raises(MatchingError, match=r"family \(A, 1, 4\) at k=2: 0 pivot pairs and 0 "
+                                            r"class faces do not partition its \d+ faces"):
+        matching_A(2, 1, 4)
 
 
 def test_matching_A_empty_at_small_k():
