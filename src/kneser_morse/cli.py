@@ -9,10 +9,12 @@ the exact homology oracle.
 
 Reports carry {command, k, results, seed, elapsed_ms}; everything except
 elapsed_ms is byte-deterministic for a fixed (command, k, format, seed).
-Parameters are capped to keep desk-scale runtimes (verification depth
-'full-snf' stops at k=2, 'acyclicity' at k=3, 'counts' at k=5; Theorem 2
-and the lemmas that expand a complex face by face stop at k=2) and
---allow-large lifts the cap for anyone with time to spare.
+``--depth counts`` runs the formulas only, ``acyclicity`` adds the census
+and matching checks, ``full-snf`` the exact homology cross-checks.  The
+table ``VERIFY`` gives each verify target the depths it reads and its
+default k cap at each, ``CAPS`` the caps of build and betti, both restated
+in README's "Size caps"; --allow-large lifts the caps for anyone with time
+to spare.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ from . import collapse, graphs, wedge
 from .complexes import complex_for
 from .homology import betti, relative_betti
 
-K_CAPS = {'counts': 5, 'acyclicity': wedge.CENSUS_CAP, 'full-snf': 2}
 KINDS = ('kg', 's', 'sg')
 
 
@@ -51,7 +52,7 @@ def _result(name: str, k: int, passed: bool, **detail) -> dict:
 # ---------------------------------------------------------------- build
 
 def cmd_build(args) -> tuple[list[dict], bool]:
-    _check_cap("build %s" % args.kind, args.k, K_CAPS['counts'], args.allow_large)
+    _check_cap("build %s" % args.kind, args.k, CAPS['build'], args.allow_large)
     g = graphs.graph(args.kind, args.k)
     cx = complex_for(args.kind, args.k)
     sizes: dict[int, int] = {}
@@ -70,27 +71,29 @@ def cmd_build(args) -> tuple[list[dict], bool]:
 
 # ---------------------------------------------------------------- verify
 
-def _census_once():
-    """``wedge.theorem3_counts`` memoized for one invocation, failures
-    included, so the targets of ``verify all`` share one census and all
-    fail with its error if it raises."""
-    memo: dict = {}
+def _census_once(k: int, depth: str):
+    """``wedge.theorem3_counts`` at k, run at most once per invocation,
+    failures included, so the targets of ``verify all`` share one census and
+    all fail with its error if it raises.  ``--depth counts`` asks for the
+    formulas alone; at any other depth ``theorem3_counts`` decides by its cap."""
+    memo: list = []
 
-    def counts(k: int, census: bool) -> dict:
-        if (k, census) not in memo:
+    def counts_of() -> dict:
+        if not memo:
             try:
-                memo[k, census] = (wedge.theorem3_counts(k, census=census), None)
+                memo.append((wedge.theorem3_counts(
+                    k, census=False if depth == 'counts' else None), None))
             except Exception as e:
-                memo[k, census] = (None, e)
-        out, err = memo[k, census]
+                memo.append((None, e))
+        out, err = memo[0]
         if err is not None:
             raise err
         return out
 
-    return counts
+    return counts_of
 
 
-def _verify_theorem2(k: int, depth: str, counts_of) -> list[dict]:
+def _verify_theorem2(name: str, k: int, depth: str, counts_of) -> list[dict]:
     report = collapse.theorem2_matching(k)  # raises on any failed check
     recs = [{'lemma': r.lemma, 'fiber': r.fiber, 'cells': r.cells, 'pairs': r.pairs,
              'acyclic': r.acyclic, 'perfect': r.perfect,
@@ -100,15 +103,9 @@ def _verify_theorem2(k: int, depth: str, counts_of) -> list[dict]:
                     critical=len(report.critical), records=recs)]
 
 
-def _census(k: int, depth: str) -> bool:
-    """Whether a target at this depth runs the census or the formulas only."""
-    return k <= wedge.CENSUS_CAP and depth != 'counts'
-
-
-def _verify_theorem3(k: int, depth: str, counts_of) -> list[dict]:
-    census = _census(k, depth)
-    counts = counts_of(k, census)
-    out = [_result('theorem3-census' if census else 'theorem3-formula', k, True,
+def _verify_theorem3(name: str, k: int, depth: str, counts_of) -> list[dict]:
+    counts = counts_of()
+    out = [_result('theorem3-census' if counts['censused'] else 'theorem3-formula', k, True,
                    extra_k_cells=counts['extra_k_cells'],
                    extra_km1_cells=counts['extra_km1_cells'],
                    predicted_t=counts['predicted_t'],
@@ -132,7 +129,7 @@ def _verify_theorem3(k: int, depth: str, counts_of) -> list[dict]:
     return out
 
 
-def _verify_records(k: int, lemma: str) -> list[dict]:
+def _verify_records(lemma: str, k: int, depth: str, counts_of) -> list[dict]:
     out = [_result(lemma, k, True, fiber=r.fiber, cells=r.cells, pairs=r.pairs,
                    critical=r.critical_count)
            for r in collapse.theorem2_matching(k).records if r.lemma == lemma]
@@ -141,97 +138,76 @@ def _verify_records(k: int, lemma: str) -> list[dict]:
     return out
 
 
-def _verify_filtration(k: int, depth: str, counts_of) -> list[dict]:
+def _verify_filtration(name: str, k: int, depth: str, counts_of) -> list[dict]:
     stages = [wedge.filtration(k, lv).all_faces() for lv in range(4)]
     nested = stages[0] <= stages[1] <= stages[2] <= stages[3]
     return [_result('filtration-nesting', k, nested,
                     sizes=[len(s) for s in stages])]
 
 
-def _family_total(k: int, depth: str, counts_of, cells: str) -> int:
-    """A layer's survivor total: censused, or the formula at ``--depth counts``."""
-    counts = counts_of(k, _census(k, depth))
-    return counts['observed_' + cells] if counts['censused'] else counts['extra_' + cells]
+def _verify_families(name: str, k: int, depth: str, counts_of) -> list[dict]:
+    """One layer's families and survivor total, censused or from the formulas."""
+    indices, cells = ((wedge.p_indices, 'k_cells') if name == 'p-families'
+                      else (wedge.q_indices, 'km1_cells'))
+    counts = counts_of()
+    total = counts[('observed_' if counts['censused'] else 'extra_') + cells]
+    return [_result(name, k, True, families=len(indices(k)), critical_total=total,
+                    censused=counts['censused'])]
 
 
-def _verify_p_families(k: int, depth: str, counts_of) -> list[dict]:
-    return [_result('p-families', k, True, families=len(wedge.p_indices(k)),
-                    critical_total=_family_total(k, depth, counts_of, 'k_cells'))]
+def _verify_all(name: str, k: int, depth: str, counts_of) -> list[dict]:
+    return [r for member in ALL for r in _run(member, k, depth, counts_of)]
 
 
-def _verify_q_families(k: int, depth: str, counts_of) -> list[dict]:
-    return [_result('q-families', k, True, families=len(wedge.q_indices(k)),
-                    critical_total=_family_total(k, depth, counts_of, 'km1_cells'))]
-
-
-LEMMAS = {
-    'sg-matching': lambda k, depth, counts_of: _verify_records(k, 'sg-matching'),
-    'a-matching': lambda k, depth, counts_of: _verify_records(k, 'a-matching'),
-    'b-matching': lambda k, depth, counts_of: _verify_records(k, 'b-matching'),
-    'c-matching': lambda k, depth, counts_of: _verify_records(k, 'c-matching'),
-    's3k-collapse': lambda k, depth, counts_of: _verify_records(k, 's3k-collapse'),
-    'filtration-nesting': _verify_filtration,
-    'p-families': _verify_p_families,
-    'q-families': _verify_q_families,
+# Each verify target: its runner and {depth it reads: default k cap}.  A depth
+# missing from a row is refused at every k; --allow-large lifts the caps.  The
+# census stops at its scan budget and the formulas at k = 5.  Theorem 2, the
+# exact homology and the targets that expand the mixed complex or the
+# filtration stages face by face stop at k = 2, short of the powerset guard
+# of ``all_faces``.  ``build`` and ``betti`` read no depth and have one cap
+# each.  README's "Size caps" table restates these rows.
+VERIFY = {
+    'theorem2': (_verify_theorem2, {'acyclicity': 2}),
+    'theorem3': (_verify_theorem3, {'counts': 5, 'acyclicity': wedge.CENSUS_CAP,
+                                    'full-snf': 2}),
+    'all': (_verify_all, {'counts': 2, 'acyclicity': 2, 'full-snf': 2}),
+    'filtration-nesting': (_verify_filtration, {'acyclicity': 2}),
+    'p-families': (_verify_families, {'counts': 5, 'acyclicity': wedge.CENSUS_CAP}),
+    'q-families': (_verify_families, {'counts': 5, 'acyclicity': wedge.CENSUS_CAP}),
+    'sg-matching': (_verify_records, {'acyclicity': 2}),
+    'a-matching': (_verify_records, {'acyclicity': 2}),
+    'b-matching': (_verify_records, {'acyclicity': 2}),
+    'c-matching': (_verify_records, {'acyclicity': 2}),
+    's3k-collapse': (_verify_records, {'acyclicity': 2}),
 }
+CAPS = {'build': 5, 'betti': 2}
+ALL = ('theorem2', 'theorem3', 'filtration-nesting', 'p-families', 'q-families')
+TARGETS = ('theorem2', 'theorem3', 'lemma', 'all')
+LEMMAS = sorted(set(VERIFY) - set(TARGETS))  # the names verify lemma takes
+# the result a theorem target reports its error under
+FAILS_AS = {'theorem2': 'theorem2-collapse', 'theorem3': 'theorem3-census'}
 
-THEOREM2_CAP = 2
-DEFAULT_DEPTH = 'acyclicity'
-# the family targets read the census and reach its cap, or, at --depth
-# counts, only its formulas and reach theirs; they have no homology check
-# yet, so --depth full-snf is refused for them rather than run as the
-# default depth.  Every other lemma expands the mixed complex or the filtration
-# stages face by face, which the powerset guard of ``all_faces`` stops
-# beyond the Theorem 2 cap; like verify theorem2, those run the same checks
-# at every depth, so a depth other than the default is refused for them
-CENSUS_LEMMAS = ('p-families', 'q-families')
+
+def _run(name: str, k: int, depth: str, counts_of) -> list[dict]:
+    try:
+        return VERIFY[name][0](name, k, depth, counts_of)
+    except Exception as e:  # a failed check, not a crash of the driver
+        return [_result(FAILS_AS.get(name, name), k, False,
+                        error="%s: %s" % (type(e).__name__, e))]
 
 
 def cmd_verify(args) -> tuple[list[dict], bool]:
-    target = args.target
-    k, depth = args.k, args.depth
-    counts_of = _census_once()
-    results: list[dict] = []
-    if target in ('theorem2', 'all'):
-        _check_cap('verify theorem2', k, THEOREM2_CAP, args.allow_large)
-    if target in ('theorem3', 'all'):
-        _check_cap('verify theorem3', k, K_CAPS[depth], args.allow_large)
-    if target == 'lemma':
-        if not args.lemma:
-            raise Refusal("verify lemma needs --lemma; known names: %s"
-                          % ", ".join(sorted(LEMMAS)))
-        cap = THEOREM2_CAP
-        if args.lemma in CENSUS_LEMMAS:
-            cap = K_CAPS['counts' if depth == 'counts' else 'acyclicity']
-        _check_cap('verify lemma %s' % args.lemma, k, cap, args.allow_large)
-        if args.lemma in CENSUS_LEMMAS and depth == 'full-snf':
-            raise Refusal("verify lemma %s refused at --depth full-snf: these targets "
-                          "have no homology check yet; use --depth acyclicity or counts"
-                          % args.lemma)
-    if depth != DEFAULT_DEPTH and (target == 'theorem2' or target == 'lemma'
-                                   and args.lemma not in CENSUS_LEMMAS):
-        raise Refusal("verify %s refused at --depth %s: this target runs the same checks at "
-                      "every depth; only theorem3, all, p-families and q-families read --depth"
-                      % ('theorem2' if target == 'theorem2' else 'lemma ' + args.lemma, depth))
-
-    def run(name, fn):
-        try:
-            results.extend(fn(k, depth, counts_of))
-        except Exception as e:  # a failed check, not a crash of the driver
-            results.append(_result(name, k, False, error="%s: %s"
-                                   % (type(e).__name__, e)))
-
-    if target in ('theorem2', 'all'):
-        run('theorem2-collapse', _verify_theorem2)
-    if target in ('theorem3', 'all'):
-        run('theorem3-census', _verify_theorem3)
-    if target == 'all':
-        for name in ('filtration-nesting', 'p-families', 'q-families'):
-            run(name, LEMMAS[name])
-    if target == 'lemma':
-        run(args.lemma, LEMMAS[args.lemma])
-    ok = all(r['pass'] for r in results)
-    return results, ok
+    name = args.lemma if args.target == 'lemma' else args.target
+    if name is None:
+        raise Refusal("verify lemma needs --lemma; known names: %s" % ", ".join(LEMMAS))
+    label = "verify %s%s" % ("lemma " if args.target == 'lemma' else "", name)
+    caps = VERIFY[name][1]
+    if args.depth not in caps:
+        raise Refusal("%s refused at --depth %s: this target reads only --depth %s"
+                      % (label, args.depth, " or ".join(caps)))
+    _check_cap(label, args.k, caps[args.depth], args.allow_large)
+    results = _run(name, args.k, args.depth, _census_once(args.k, args.depth))
+    return results, all(r['pass'] for r in results)
 
 
 # ---------------------------------------------------------------- betti
@@ -239,7 +215,7 @@ def cmd_verify(args) -> tuple[list[dict], bool]:
 def cmd_betti(args) -> tuple[list[dict], bool]:
     if args.max_dim is not None and args.max_dim < 0:
         raise Refusal("--max-dim must be nonnegative, got %d" % args.max_dim)
-    _check_cap("betti %s" % args.kind, args.k, K_CAPS['full-snf'], args.allow_large)
+    _check_cap("betti %s" % args.kind, args.k, CAPS['betti'], args.allow_large)
     max_dim = args.max_dim if args.max_dim is not None else args.k + 1
     b = betti(complex_for(args.kind, args.k), max_dim=max_dim)
     res = _result('betti-%s' % args.kind, args.k, True,
@@ -337,17 +313,15 @@ def _parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=cmd_build)
 
     sp = sub.add_parser("verify", help="run a verification target")
-    sp.add_argument("target", choices=("theorem2", "theorem3", "lemma", "all"))
-    sp.add_argument("--lemma", choices=sorted(LEMMAS), default=None,
+    sp.add_argument("target", choices=TARGETS)
+    sp.add_argument("--lemma", choices=LEMMAS, default=None,
                     help="which named check to run (target 'lemma')")
     sp.add_argument("--depth", choices=("counts", "acyclicity", "full-snf"),
-                    default=DEFAULT_DEPTH,
+                    default="acyclicity",
                     help="counts: formulas only; acyclicity: adds the census "
                          "and matching checks (default); full-snf: adds the "
-                         "exact homology cross-checks.  Read by theorem3, all "
-                         "and the lemmas p-families and q-families, which "
-                         "refuse full-snf (no homology check yet); theorem2 "
-                         "and the other lemmas refuse any depth but the default")
+                         "exact homology cross-checks.  A target refuses a depth "
+                         "it does not read (README, Size caps)")
     common(sp)
     sp.set_defaults(fn=cmd_verify)
 

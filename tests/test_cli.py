@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import pathlib
 import re
 
 import pytest
@@ -178,8 +179,8 @@ def test_depth_counts_runs_no_census(monkeypatch, capsys):
     assert code == 0
     assert calls == [False]
     by_name = {r['name']: r['detail'] for r in json.loads(out)['results']}
-    assert by_name['p-families'] == {'families': 28, 'critical_total': 84}
-    assert by_name['q-families'] == {'families': 14, 'critical_total': 14}
+    assert by_name['p-families'] == {'families': 28, 'critical_total': 84, 'censused': False}
+    assert by_name['q-families'] == {'families': 14, 'critical_total': 14, 'censused': False}
 
 
 def test_verify_lemma_requires_name(capsys):
@@ -221,8 +222,8 @@ def test_a_face_expanding_lemma_is_refused_at_k3(monkeypatch, capsys, lemma):
 
 
 # the family lemmas at k = 4 from the formulas alone
-FAMILY_FORMULAS_K4 = {'p-families': {'families': 70, 'critical_total': 1050},
-                      'q-families': {'families': 35, 'critical_total': 350}}
+FAMILY_FORMULAS_K4 = {'p-families': {'families': 70, 'critical_total': 1050, 'censused': False},
+                      'q-families': {'families': 35, 'critical_total': 350, 'censused': False}}
 
 
 @pytest.mark.parametrize("lemma", ["p-families", "q-families"])
@@ -233,9 +234,12 @@ def test_the_family_lemmas_keep_the_census_cap(capsys, lemma):
                        "--depth", "counts", "--format", "json")
     assert code == 0
     assert [r['pass'] for r in json.loads(out)['results']] == [True]
-    for depth in ([], ["--depth", "full-snf"]):  # the default depth, then the deepest
+    # the default depth meets the census cap; full-snf, a depth these targets
+    # do not read, is refused before any cap
+    for depth, why in (([], "k <= 3"),
+                       (["--depth", "full-snf"], "reads only --depth counts or acyclicity")):
         code, _, err = run(capsys, "verify", "lemma", "--lemma", lemma, "--k", "4", *depth)
-        assert code == 2 and "k <= 3" in err
+        assert code == 2 and why in err
     code, out, _ = run(capsys, "verify", "lemma", "--lemma", lemma, "--k", "4",
                        "--depth", "counts", "--format", "json")
     assert code == 0
@@ -255,7 +259,7 @@ def test_the_family_lemmas_refuse_full_snf(capsys, lemma):
         code, out, err = run(capsys, "verify", "lemma", "--lemma", lemma, "--k", k,
                              "--depth", "full-snf")
         assert code == 2 and out == ""
-        assert err.startswith("refused:") and "no homology check" in err
+        assert err.startswith("refused:") and "reads only --depth counts or acyclicity" in err
     code, out, _ = run(capsys, "verify", "all", "--k", "1", "--depth", "full-snf",
                        "--format", "json")
     assert code == 0
@@ -280,7 +284,7 @@ def test_a_single_depth_target_refuses_another_depth(monkeypatch, capsys, target
     for depth in ("counts", "full-snf"):
         code, out, err = run(capsys, "verify", *target, "--k", "1", "--depth", depth)
         assert code == 2 and out == ""
-        assert err.startswith("refused:") and "same checks at every depth" in err
+        assert err.startswith("refused:") and "reads only --depth acyclicity" in err
     monkeypatch.undo()
     code, _, err = run(capsys, "verify", *target, "--k", "1", "--depth", "acyclicity")
     assert code == 0 and err == ""
@@ -293,6 +297,84 @@ def test_verify_all_runs_the_single_depth_targets_at_every_depth(capsys):
         assert code == 0
         names = {r['name'] for r in json.loads(out)['results']}
         assert {'theorem2-collapse', 'filtration-nesting'} <= names
+
+
+DEPTHS = ("counts", "acyclicity", "full-snf")
+# verify argv -> {depth it reads: default k cap}; any other depth is refused at
+# every k, a cap only without --allow-large
+REFUSAL_MATRIX = {
+    **{target: {'acyclicity': 2} for target in SINGLE_DEPTH_TARGETS},
+    ("theorem3",): {'counts': 5, 'acyclicity': 3, 'full-snf': 2},
+    ("all",): {'counts': 2, 'acyclicity': 2, 'full-snf': 2},
+    ("lemma",): {},
+    **{("lemma", "--lemma", lemma): {'counts': 5, 'acyclicity': 3}
+       for lemma in ("p-families", "q-families")},
+}
+
+
+class Ran(Exception):
+    """Raised by every stubbed library entry point: the command started its work."""
+
+
+@pytest.fixture
+def nothing_built(monkeypatch):
+    def ran(*args, **kwargs):
+        raise Ran
+
+    for owner, attr in ((cli.collapse, "theorem2_matching"), (cli.wedge, "theorem3_counts"),
+                        (cli.wedge, "filtration"), (cli.graphs, "graph"), (cli, "complex_for"),
+                        (cli, "betti"), (cli, "relative_betti")):
+        monkeypatch.setattr(owner, attr, ran)
+
+
+def exit_code(capsys, *argv):
+    try:
+        code = main(list(argv))
+    except Ran:  # build and betti let an error of their work propagate
+        code = 1
+    capsys.readouterr()
+    return code
+
+
+@pytest.mark.parametrize("target", REFUSAL_MATRIX, ids=lambda t: t[-1])
+def test_the_refusal_matrix(nothing_built, capsys, target):
+    caps = REFUSAL_MATRIX[target]
+    for depth in DEPTHS:
+        for k in range(7):
+            for large in ([], ["--allow-large"]):
+                code = exit_code(capsys, "verify", *target, "--k", str(k),
+                                 "--depth", depth, *large)
+                refused = depth not in caps or (k > caps[depth] and not large)
+                assert (code == 2) == refused, (target, depth, k, large, code)
+
+
+@pytest.mark.parametrize("command,cap", [("build", 5), ("betti", 2)])
+def test_the_build_and_betti_caps(nothing_built, capsys, command, cap):
+    for k in range(7):
+        for large in ([], ["--allow-large"]):
+            code = exit_code(capsys, command, "--k", str(k), *large)
+            assert (code == 2) == (k > cap and not large), (command, k, large, code)
+
+
+def readme_caps():
+    """README's "Size caps" rows as {command: {depth: cap}}, refused depths left out."""
+    text = (pathlib.Path(__file__).parent.parent / "README.md").read_text()
+    section = text.split("### Size caps", 1)[1].split("\n### ", 1)[0]
+    rows = {}
+    for line in section.splitlines():
+        if line.startswith("| `"):
+            command, *cells = [c.strip() for c in line.strip("|").split("|")]
+            rows[command.strip("`")] = {depth: int(cell.split("<=")[1])
+                                        for depth, cell in zip(DEPTHS, cells)
+                                        if cell != "refused"}
+    return rows
+
+
+def test_the_readme_cap_table_restates_the_cli_table():
+    want = {('verify lemma --lemma ' if name in cli.LEMMAS else 'verify ') + name: caps
+            for name, (_, caps) in cli.VERIFY.items()}
+    want.update((command, dict.fromkeys(DEPTHS, cap)) for command, cap in cli.CAPS.items())
+    assert readme_caps() == want
 
 
 def test_failure_exit_and_stderr(monkeypatch, capsys):
