@@ -71,18 +71,26 @@ def cmd_build(args) -> tuple[list[dict], bool]:
 
 # ---------------------------------------------------------------- verify
 
+def _censused(k: int, depth: str) -> bool:
+    """Whether a run censuses: ``--depth counts`` asks for the formulas
+    alone, any other depth censuses up to the census cap."""
+    return depth != 'counts' and k <= wedge.CENSUS_CAP
+
+
+def _theorem3_name(censused: bool) -> str:
+    return 'theorem3-census' if censused else 'theorem3-formula'
+
+
 def _census_once(k: int, depth: str):
     """``wedge.theorem3_counts`` at k, run at most once per invocation,
     failures included, so the targets of ``verify all`` share one census and
-    all fail with its error if it raises.  ``--depth counts`` asks for the
-    formulas alone; at any other depth ``theorem3_counts`` decides by its cap."""
+    all fail with its error if it raises."""
     memo: list = []
 
     def counts_of() -> dict:
         if not memo:
             try:
-                memo.append((wedge.theorem3_counts(
-                    k, census=False if depth == 'counts' else None), None))
+                memo.append((wedge.theorem3_counts(k, census=_censused(k, depth)), None))
             except Exception as e:
                 memo.append((None, e))
         out, err = memo[0]
@@ -105,7 +113,7 @@ def _verify_theorem2(name: str, k: int, depth: str, counts_of) -> list[dict]:
 
 def _verify_theorem3(name: str, k: int, depth: str, counts_of) -> list[dict]:
     counts = counts_of()
-    out = [_result('theorem3-census' if counts['censused'] else 'theorem3-formula', k, True,
+    out = [_result(_theorem3_name(counts['censused']), k, True,
                    extra_k_cells=counts['extra_k_cells'],
                    extra_km1_cells=counts['extra_km1_cells'],
                    predicted_t=counts['predicted_t'],
@@ -184,16 +192,16 @@ CAPS = {'build': 5, 'betti': 2}
 ALL = ('theorem2', 'theorem3', 'filtration-nesting', 'p-families', 'q-families')
 TARGETS = ('theorem2', 'theorem3', 'lemma', 'all')
 LEMMAS = sorted(set(VERIFY) - set(TARGETS))  # the names verify lemma takes
-# the result a theorem target reports its error under
-FAILS_AS = {'theorem2': 'theorem2-collapse', 'theorem3': 'theorem3-census'}
 
 
 def _run(name: str, k: int, depth: str, counts_of) -> list[dict]:
     try:
         return VERIFY[name][0](name, k, depth, counts_of)
     except Exception as e:  # a failed check, not a crash of the driver
-        return [_result(FAILS_AS.get(name, name), k, False,
-                        error="%s: %s" % (type(e).__name__, e))]
+        # a theorem target fails under the name its pass would carry
+        failed = {'theorem2': 'theorem2-collapse',
+                  'theorem3': _theorem3_name(_censused(k, depth))}.get(name, name)
+        return [_result(failed, k, False, error="%s: %s" % (type(e).__name__, e))]
 
 
 def cmd_verify(args) -> tuple[list[dict], bool]:

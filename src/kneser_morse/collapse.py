@@ -23,9 +23,11 @@ certified for all faces at once, and a count closes the partition.  The
 other A-families are these rotated by ``transport``, and a B-family is an
 A-family one parameter down pulled back along a rotation, the route
 ``wedge.matching_Q`` takes.  A family's matching is a list of parts, each a
-``wedge.FamilyMatching`` over its own triples.  The C-matchings toggle one
-stable vertex chosen from the covering interval of the lex-least common
-neighbor.  ``theorem2_matching`` composes all of them under one
+``wedge.FamilyMatching`` over its own triples.  A C-fiber's faces are
+grouped by missed set, and each group toggles one stable vertex, read off
+the lex-least stable triple inside the missed set in v's frame; faces with
+one toggle form a block, matched by ``morse.element_matching``.
+``theorem2_matching`` composes all of them under one
 order-preserving classifier (the Cluster Lemma) and proves Theorem 2 with
 three checks on the whole complex: no pair straddles two fibers, the union
 is acyclic, and the critical cells are exactly F0.  Each fiber's
@@ -33,21 +35,20 @@ acyclicity and perfection follow from these three.
 
 Faces are masks over ``graphs.triple_index(k)``, the index every complex at
 k shares; the A- and B-parts reach it through ``wedge._to_index``.  A
-rotation moves a face through one ``complexes.rotation_table`` per (frame,
-shift), and faces are decoded only for error witnesses.
+C-toggle moves ground elements with ``graphs.rotate``, and faces are
+decoded only for error witnesses.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
 from . import complexes, graphs, morse, wedge
-from .complexes import complement_set, decode, remap, rotation_table
-# rotate has no caller here, but perfbench's tracer counts it in every module
-# that binds it and its self-test expects this binding
-from .graphs import (missed_shape, p_complement, pair_of, pullback,  # noqa: F401
-                     q_complement, rotate, unstable_rep, vertex_mask)
+from .complexes import complement_set, decode, remap
+from .graphs import (missed_shape, p_complement, pair_of, pullback, q_complement, rotate,
+                     unstable_rep, vertex_mask)
 from .morse import Bits, Matching, MatchingError, StagePairs
 from .wedge import FamilyMatching
 
@@ -256,22 +257,12 @@ def matching_B(k: int, s: int, u: int) -> Matching:
 
 
 # ---------------------------------------------------------------------------
-# C-family matchings: toggle inside the covering interval
-
-def cover(v) -> set[int]:
-    """Integer interval spanned by a vertex: {min v, ..., max v}."""
-    return set(range(min(v), max(v) + 1))
-
+# C-family matchings: toggle blocks read off the missed set
 
 def comp_set(v, l: int) -> set[int]:
-    """Candidate toggle elements: inside cover(v), off v, far from l."""
-    return {t for t in cover(v) if abs(t - l) > 1 and t not in v}
-
-
-@lru_cache(maxsize=None)
-def _toggle_element(u_star: tuple, l: int) -> int | None:
-    """The least element of ``comp_set(u_star, l)``, None if it is empty."""
-    return min(comp_set(u_star, l), default=None)
+    """Candidate toggle elements: in the integer interval spanned by v, off
+    v, far from l."""
+    return {t for t in range(min(v), max(v) + 1) if abs(t - l) > 1 and t not in v}
 
 
 @lru_cache(maxsize=None)
@@ -291,63 +282,61 @@ def c_fiber(k: int, v, faces=None) -> list[int]:
     return sorted(sigma for sigma in pool if sigma & vb and not sigma & below)
 
 
-def c_toggle(k: int, frame: tuple[int, int], sigma: int) -> int:
-    """The stable vertex toggled on a face of the fiber of v, as a one-bit mask.
+def c_toggle(k: int, frame: tuple[int, int], missed: int) -> int | None:
+    """The stable vertex toggled on the faces of the fiber of v that miss
+    the ground elements ``missed``, as a one-bit mask; None if there is none.
 
     ``frame`` is (l, j) = ``unstable_rep(v, k)``, fixed for the whole fiber.
-    Everything is computed in the frame where v sits at its {1,2,l} normal
-    form: the toggle is {1, l, m} with m the least admissible element in the
-    covering interval of the lex-least common neighbor, rotated back.
+    A face holding the unstable v has exactly the stable triples inside its
+    missed set as common neighbors.  In the frame where v is {1, 2, l}, u*
+    is the lex-least stable triple inside the missed set rotated by -j, and
+    the toggle is {1, l, m}, m the least element of ``comp_set(u*, l)``,
+    rotated back by j.
     """
     l, j = frame
     ix = graphs.triple_index(k)
-    nb = graphs.graph('s', k).common_neighbors(sigma)  # s keeps every triple of the index
-    if not nb:
-        raise MatchingError("%r is not a face (no common neighbor)" % (decode(sigma, ix.triples),))
-    low = remap(nb, rotation_table(k, k, -j))
-    u_star = ix.triples[(low & -low).bit_length() - 1]  # lowest bit = lex-least
-    m = _toggle_element(u_star, l)  # inside cover(u_star), so off 1 and away from l
-    if m is None:
-        raise MatchingError("face %r: no toggle element for %r with l=%d"
-                            % (decode(sigma, ix.triples), u_star, l))
-    x = (1, l, m) if l < m else (1, m, l)
-    return rotation_table(k, k, j)[ix.bit[x]]
+    inside = sorted(rotate(x, -j, k) for x in range(1, graphs.ground_size(k) + 1)
+                    if missed >> (x - 1) & 1)
+    for u_star in itertools.combinations(inside, 3):  # lex order
+        if ix.stable >> ix.bit[u_star] & 1:
+            m = min(comp_set(u_star, l), default=None)  # off 1 and away from l
+            return None if m is None else 1 << ix.bit[rotate((1, l, m), j, k)]
+    return None
 
 
 def matching_C(k: int, v, faces=None) -> Matching:
     """Perfect matching on the fiber of unstable vertex v.
 
-    The toggle rule is validated as it runs: the partner must stay in the
-    fiber and must select the same toggle, so the pairing is an involution
-    by construction or fails loudly.
+    The fiber's faces are grouped by missed set, and each group's toggle is
+    read once by ``c_toggle``.  Faces with the same toggle form a block,
+    matched by ``morse.element_matching``.  A face whose partner leaves its
+    block stays unmatched, and the fiber fails unless every block is
+    perfectly matched.
     """
     fiber = c_fiber(k, v, faces)
-    fiber_set = set(fiber)
     frame = unstable_rep(v, k)
-    toggles = {sigma: c_toggle(k, frame, sigma) for sigma in fiber}
-    triples = graphs.triple_index(k).triples
-    pairs = []
+    ix = graphs.triple_index(k)
+    full = (1 << graphs.ground_size(k)) - 1
+    groups: dict = {}
     for sigma in fiber:
-        x = toggles[sigma]
-        if sigma & x:
-            continue
-        partner = sigma | x
-        if partner not in fiber_set:
-            raise MatchingError(
-                "partner of %r via %r leaves the fiber of %r"
-                % (decode(sigma, triples), decode(x, triples), v))
-        if toggles[partner] != x:
-            raise MatchingError(
-                "toggle not involutive on %r / %r (got %r vs %r)"
-                % (decode(sigma, triples), decode(partner, triples),
-                   decode(toggles[partner], triples), decode(x, triples)))
-        pairs.append((sigma, partner))
-    m = Matching(pairs)
-    if not morse.is_perfect(m, fiber):
-        missing = [decode(s, triples) for s in fiber if s not in m.partner][:3]
-        raise MatchingError(
-            "fiber of %r not perfectly matched; first unmatched: %r" % (v, missing))
-    return m
+        groups.setdefault(full & ~remap(sigma, ix.ground), []).append(sigma)
+    blocks: dict = {}
+    for missed, group in groups.items():
+        x = c_toggle(k, frame, missed)
+        if x is None:
+            raise MatchingError("face %r of the fiber of %r: no toggle for its missed set %r"
+                                % (decode(group[0], ix.triples), v, complement_set(group[0], k)))
+        blocks.setdefault(x, []).extend(group)
+    pairs: list = []
+    unmatched: list = []
+    for x, block in blocks.items():
+        m, matched = morse.element_matching(block, x)
+        pairs += m.pairs
+        unmatched += (f for f in block if f not in matched)
+    if unmatched:
+        raise MatchingError("fiber of %r not perfectly matched; first unmatched: %r"
+                            % (v, [decode(f, ix.triples) for f in sorted(unmatched)[:3]]))
+    return Matching(pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -404,15 +393,19 @@ def theorem2_matching(k: int) -> CollapseReport:
     """
     triples = graphs.triple_index(k).triples
     faces = sorted(_s_faces(k))
-    labels = {sigma: classify(sigma, k) for sigma in faces}
-    keys = {label: label_key(label, k) for label in set(labels.values())}
-    key_of = {sigma: keys[label] for sigma, label in labels.items()}
+    keys: dict = {}
+    key_of: dict = {}
     buckets: dict = {}
-    for sigma, label in labels.items():
-        buckets.setdefault(label, []).append(sigma)
+    for sigma in faces:
+        label = classify(sigma, k)
+        if label not in keys:
+            keys[label] = label_key(label, k)
+            buckets[label] = []
+        key_of[sigma] = keys[label]
+        buckets[label].append(sigma)
 
     def fail(what: str, witness) -> MatchingError:
-        tags = sorted({_fiber_tag(labels[f]) if f in labels else "outside s" for f in witness})
+        tags = sorted({_fiber_tag(classify(f, k)) if f in key_of else "outside s" for f in witness})
         return MatchingError("%s at %s [fiber %s]" % (
             what, ", ".join("face %r" % (decode(f, triples),) for f in witness), " / ".join(tags)))
 
@@ -433,7 +426,7 @@ def theorem2_matching(k: int) -> CollapseReport:
         filed = " / ".join(_fiber_tag(la) for la, m in fibers.items()
                            if any(f in m for f in e.faces))
         raise fail("pair filed under fiber %s straddles fibers" % filed, e.faces) from e
-    mono_ok, mono_witness = morse.verify_poset_map(key_of.__getitem__, faces)
+    mono_ok, mono_witness = morse.verify_poset_map(key_of.__getitem__, _s_faces(k))
     if not mono_ok:
         raise fail("classifier not order-preserving", mono_witness)
     acyclic, cycle = morse.is_acyclic(composed, _s_faces(k))

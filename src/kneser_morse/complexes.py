@@ -65,15 +65,6 @@ def remap(mask: int, table) -> int:
     return out
 
 
-@lru_cache(maxsize=None)
-def rotation_table(src_k: int, k: int, shift: int) -> tuple:
-    """Per bit of the index at ``src_k``, the one-bit mask of that triple
-    rotated by ``shift`` mod k+6, in the index at k."""
-    bit = graphs.triple_index(k).bit
-    return tuple(1 << bit[graphs.rotate(t, shift, k)]
-                 for t in graphs.triple_index(src_k).triples)
-
-
 def complement_set(sigma: int, k: int) -> tuple[int, ...]:
     """The ground elements of [k+6] that no member of the face touches."""
     ix = graphs.triple_index(k)

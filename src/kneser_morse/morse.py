@@ -258,11 +258,6 @@ def element_matching(delta: Iterable[int], x: int) -> tuple[Matching, set]:
     return Matching(pairs), matched
 
 
-def is_perfect(matching: Matching, cells: Iterable) -> bool:
-    partner = matching.partner
-    return all(c in partner for c in cells)
-
-
 def critical_cells(cells: Iterable, matching: Matching) -> list:
     partner = matching.partner
     return sorted(c for c in cells if c not in partner)
@@ -463,7 +458,7 @@ def verify_poset_map(label_of: Callable, cells: Iterable) -> tuple[bool, tuple |
     checking all containments.  Returns (ok, witness) with the offending
     (facet, face) pair on failure.
     """
-    cs = set(cells)
+    cs = cells if isinstance(cells, (set, frozenset)) else set(cells)
     for tau in cs:
         lt = label_of(tau)
         for sigma, _ in face_facets(tau):

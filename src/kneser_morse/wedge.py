@@ -51,9 +51,9 @@ from . import graphs
 from .complexes import NbhdComplex, complement_set, complex_for, decode, face_key, remap
 from .graphs import (index_I, index_J, missed_shape, p_complement, pullback,
                      q_complement, unstable_rep, vertex_mask)
-# element_matching and is_cover have no caller here, but perfbench's tracer
-# counts them in every module that binds them and its self-test expects
-# these bindings
+# element_matching (called through morse by collapse) and is_cover have no
+# caller here, but perfbench's tracer counts them in every module that binds
+# them and its self-test expects these bindings
 from .morse import (Bits, Matching, MatchingError, PairError, StagePairs, bitset,  # noqa: F401
                     element_matching, is_acyclic, is_cover, members, nobit)
 

@@ -466,6 +466,22 @@ def test_verify_all_shares_a_census_failure(monkeypatch, capsys):
     assert all(e == "RuntimeError: synthetic census" for e in failed.values())
 
 
+@pytest.mark.parametrize("k, depth, name", [(4, ["--depth", "counts"], "theorem3-formula"),
+                                           (2, [], "theorem3-census")])
+def test_a_theorem3_failure_carries_the_name_of_its_pass(monkeypatch, capsys, k, depth, name):
+    # a formula-only run fails as theorem3-formula, a censused one (the
+    # default depth at k = 2) as theorem3-census
+    def boom(k, **kwargs):
+        raise RuntimeError("synthetic census")
+
+    monkeypatch.setattr(cli.wedge, "theorem3_counts", boom)
+    code, out, err = run(capsys, "verify", "theorem3", "--k", str(k), *depth, "--format", "json")
+    assert code == 1
+    (result,) = json.loads(out)['results']
+    assert (result['name'], result['pass']) == (name, False)
+    assert err.splitlines()[0] == "FAIL %s" % name
+
+
 # Reports of the parent of the single face encoding, elapsed_ms masked.
 THEOREM2_K1 = {
     'command': 'verify',

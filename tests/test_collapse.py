@@ -19,7 +19,7 @@ from kneser_morse.collapse import (
     c_fiber, classify, label_key, matching_A, matching_B, matching_C,
     pivot_vertex, theorem2_matching, _delta_table, _s_faces,
 )
-from kneser_morse.complexes import complex_for, decode, face_key, remap, rotation_table
+from kneser_morse.complexes import complex_for, decode, face_key, remap
 from kneser_morse.graphs import (
     ground_size, index_I, index_J, is_stable, missed_shape, pair_of, rotate,
     triple_index, unstable_rep, vertex_mask,
@@ -29,6 +29,17 @@ from kneser_morse.morse import MatchingError
 
 def members(sigma, k):
     return decode(sigma, triple_index(k).triples)
+
+
+def is_perfect(matching, cells):
+    return all(c in matching for c in cells)
+
+
+def rotation_table(src_k, k, shift):
+    """Per bit of the index at ``src_k``, the one-bit mask of that triple
+    rotated by ``shift`` mod k+6, in the index at k."""
+    bit = triple_index(k).bit
+    return tuple(1 << bit[rotate(t, shift, k)] for t in triple_index(src_k).triples)
 
 
 # ---------------------------------------------------------------------------
@@ -290,7 +301,7 @@ def test_matching_A_perfect_and_acyclic(k):
         for t in index_I(s, k):
             fam = set(a_family(k, s, t))
             m = matching_A(k, s, t)
-            assert morse.is_perfect(m, fam)
+            assert is_perfect(m, fam)
             ok, witness = morse.is_acyclic(m, fam)
             assert ok, witness
             pairs_seen += len(m.pairs)
@@ -308,17 +319,28 @@ AB_PAIRS = {
 }
 
 
+def digest(pairs):
+    return len(pairs), hashlib.sha256(repr(sorted(pairs)).encode()).hexdigest()
+
+
 @pytest.mark.parametrize("k", [2, 3])
 def test_the_a_and_b_pairs_are_pinned(k):
-    def digest(pairs):
-        return len(pairs), hashlib.sha256(repr(sorted(pairs)).encode()).hexdigest()
-
     n = ground_size(k)
     a = [(s, t) + pair for s in range(1, n + 1) for t in index_I(s, k)
          for pair in matching_A(k, s, t).pairs]
     b = [(s, u) + pair for s in range(1, n + 1) for u in index_J(s, k)
          for pair in matching_B(k, s, u).pairs]
     assert (digest(a), digest(b)) == AB_PAIRS[k]
+
+
+# the count and sha256 of the sorted (v, lower, upper) C pairs at k = 2,
+# pinned from the per-face toggle walk that the toggle blocks replaced
+C_PAIRS_K2 = (7856, '2ec3eabd5f8bc5396d05c003ea8493a6339586d97169dfbf08f562407ee67664')
+
+
+def test_the_c_pairs_are_pinned():
+    pairs = [(v,) + pair for v in fiber_reps(2) for pair in matching_C(2, v).pairs]
+    assert digest(pairs) == C_PAIRS_K2
 
 
 @pytest.mark.parametrize("l", range(3, 9))
@@ -495,7 +517,7 @@ def test_matching_B_pullback_bijection():
             assert len(image) == len(fam)
             assert image == set(a_family(2, *parsed))
             m = matching_B(3, s, u)
-            assert morse.is_perfect(m, fam)
+            assert is_perfect(m, fam)
             ok, _ = morse.is_acyclic(m, fam)
             assert ok
     assert hit > 0
@@ -517,7 +539,7 @@ def test_matching_C_perfect_and_acyclic(k):
     for v in fiber_reps(k):
         fiber = c_fiber(k, v)
         m = matching_C(k, v)
-        assert morse.is_perfect(m, fiber)
+        assert is_perfect(m, fiber)
         ok, witness = morse.is_acyclic(m, fiber)
         assert ok, witness
 
@@ -525,6 +547,42 @@ def test_matching_C_perfect_and_acyclic(k):
 def test_c_fiber_rejects_stable_vertex():
     with pytest.raises(ValueError):
         c_fiber(1, (1, 3, 5))
+
+
+def graph_toggle(k, frame, sigma):
+    """The C toggle read face by face: the lex-least common neighbor of the
+    face in the ``s`` graph, moved into v's frame by a rotation table; the
+    toggle is {1, l, m}, m the least element of its covering interval off
+    it and away from l, moved back."""
+    l, j = frame
+    ix = triple_index(k)
+    low = remap(graphs.graph('s', k).common_neighbors(sigma), rotation_table(k, k, -j))
+    u = ix.triples[(low & -low).bit_length() - 1]
+    m = min(t for t in range(u[0], u[2] + 1) if abs(t - l) > 1 and t not in u)
+    return rotation_table(k, k, j)[ix.bit[tuple(sorted((1, l, m)))]]
+
+
+# per k: C faces, (v, missed set) groups and (v, toggle) blocks
+C_TOGGLES = {0: (0, 0, 0), 1: (84, 28, 14), 2: (15712, 248, 56)}
+
+
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_c_toggle_equals_the_graph_toggle(k):
+    ix = triple_index(k)
+    full = (1 << ground_size(k)) - 1
+    seen, groups, blocks = 0, set(), set()
+    for sigma in _s_faces(k):
+        label = classify(sigma, k)
+        if label[0] != 'C':
+            continue
+        frame = unstable_rep(label[1], k)
+        missed = full & ~remap(sigma, ix.ground)
+        x = collapse.c_toggle(k, frame, missed)
+        assert x == graph_toggle(k, frame, sigma), members(sigma, k)
+        seen += 1
+        groups.add((label[1], missed))
+        blocks.add((label[1], x))
+    assert (seen, len(groups), len(blocks)) == C_TOGGLES[k]
 
 
 def stratum_length(k, sigma):
@@ -696,13 +754,38 @@ def plant_sg_face_in_a_c_fiber(monkeypatch):
 def plant_largest_toggle_element(monkeypatch):
     # the C toggle built from the largest admissible element instead of the
     # least leaves faces of the fiber of (5, 7, 8) unmatched
-    monkeypatch.setattr(collapse, '_toggle_element',
-                        lambda u_star, l: max(collapse.comp_set(u_star, l), default=None))
+    real = collapse.comp_set
+    monkeypatch.setattr(collapse, 'comp_set', lambda u_star, l: set(sorted(real(u_star, l))[-1:]))
     return r"fiber of \(5, 7, 8\) not perfectly matched; first unmatched: \[\(\(\d+, \d+, \d+\)"
 
 
+def plant_partner_in_another_block(monkeypatch):
+    # in the first C fiber at k = 2 where a face's partner misses one
+    # element less, that partner's missed set is given another toggle: the
+    # partner moves to another block and the face is left unmatched
+    k, real = 2, collapse.c_toggle
+    ix = triple_index(k)
+    full = (1 << ground_size(k)) - 1
+    for v in fiber_reps(k):
+        frame = unstable_rep(v, k)
+        fiber = set(c_fiber(k, v))
+        for sigma in sorted(fiber):
+            missed = full & ~remap(sigma, ix.ground)
+            x = real(k, frame, missed)
+            moved = full & ~remap(sigma | x, ix.ground)
+            if not sigma & x and sigma | x in fiber and moved != missed:
+                other = 2 if x == 1 else 1
+                monkeypatch.setattr(
+                    collapse, 'c_toggle',
+                    lambda kk, fr, missed: other if (kk, fr, missed) == (k, frame, moved)
+                    else real(kk, fr, missed))
+                return r"fiber of %s not perfectly matched; first unmatched: \[\(\(\d+, \d+, \d+\)" \
+                    % re.escape(repr(v))
+    raise AssertionError("no C fiber at k=2 has a partner with a smaller missed set")
+
+
 PLANTS = [plant_cycle, plant_misfiled_pair, plant_dropped_pair, plant_sg_face_in_a_c_fiber,
-          plant_largest_toggle_element]
+          plant_largest_toggle_element, plant_partner_in_another_block]
 
 
 @pytest.mark.parametrize("plant", PLANTS)

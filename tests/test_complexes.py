@@ -7,7 +7,6 @@ from hypothesis import given, strategies as st
 
 from kneser_morse.complexes import (
     NbhdComplex, complement_set, complex_for, decode, face_key, remap,
-    rotation_table,
 )
 from kneser_morse.graphs import all_triples, graph, is_stable, rotate, triple_index
 
@@ -36,13 +35,15 @@ def test_decode_inverts_face_key(k, data):
 
 def test_remap_rotates_and_covers():
     sigma = face_key([(1, 2, 3), (4, 5, 6)], 0)
-    moved = remap(sigma, rotation_table(0, 0, 1))
+    bit0, bit1 = triple_index(0).bit, triple_index(1).bit
+    moved = remap(sigma, [1 << bit0[rotate(t, 1, 0)] for t in triples_of(0)])
     want = tuple(sorted(rotate(v, 1, 0) for v in decode(sigma, triples_of(0))))
     assert decode(moved, triples_of(0)) == want
     # the ground masks of the index give the covered ground elements
     assert remap(sigma, triple_index(0).ground) == 0b111111
     # a table from k = 0 into the k = 1 index keeps the triples apart
-    assert decode(remap(sigma, rotation_table(0, 1, 0)), triples_of(1)) == ((1, 2, 3), (4, 5, 6))
+    assert decode(remap(sigma, [1 << bit1[t] for t in triples_of(0)]), triples_of(1)) == \
+        ((1, 2, 3), (4, 5, 6))
 
 
 def test_complement_set():
