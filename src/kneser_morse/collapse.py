@@ -22,15 +22,17 @@ of seven residue classes.  A class is a smaller A-family moved up by
 certified for all faces at once, and a count closes the partition.  The
 other A-families are these rotated by ``transport``, and a B-family is an
 A-family one parameter down pulled back along a rotation, the route
-``wedge.matching_Q`` takes.  A family's matching is a list of parts, each a
+``wedge.matching_Q`` takes.  A family's matching is built in parts, each a
 ``wedge.FamilyMatching`` over its own triples.  A C-fiber's faces are
 grouped by missed set, and each group toggles one stable vertex, read off
 the lex-least stable triple inside the missed set in v's frame; faces with
-one toggle form a block, matched by ``morse.element_matching``.
-``theorem2_matching`` composes all of them under one
-order-preserving classifier (the Cluster Lemma) and proves Theorem 2 with
-three checks on the whole complex: no pair straddles two fibers, the union
-is acyclic, and the critical cells are exactly F0.  Each fiber's
+one toggle form a block, paired by ``morse.element_matching``.  Every
+fiber hands back a plain pair list over the per-k index.
+``theorem2_matching`` files every face in one table (face -> label key) and
+composes the lists under that order-preserving classifier (the Cluster
+Lemma) into the one ``Matching`` that validates each pair.  Theorem 2 then
+needs three checks on the whole complex: no pair straddles two fibers, the
+union is acyclic, and the critical cells are exactly F0.  Each fiber's
 acyclicity and perfection follow from these three.
 
 Faces are masks over ``graphs.triple_index(k)``, the index every complex at
@@ -62,9 +64,13 @@ def classify(sigma: int, k: int):
     Returns ('C', v) with v the lex-least unstable member, ('A', s, t),
     ('B', s, u), or ('SG',) for faces of the stable subcomplex.  Every face
     must land in exactly one family; an unparseable complement shape is an
-    error rather than a silent default.
+    error rather than a silent default, and a mask that is empty or has a
+    bit past the per-k index raises ``ValueError``.
     """
     ix = graphs.triple_index(k)
+    if sigma <= 0 or sigma >> len(ix.triples):
+        raise ValueError("mask %r is not a nonempty face of the %d triples of 1..%d"
+                         % (sigma, len(ix.triples), graphs.ground_size(k)))
     unstable = sigma & ~ix.stable
     if unstable:  # the lowest bit is the lex-least member
         return ('C', ix.triples[(unstable & -unstable).bit_length() - 1])
@@ -74,12 +80,9 @@ def classify(sigma: int, k: int):
     if shape is not None:
         return ('A' if shape[0] == 3 else 'B',) + shape[1:]
     cset = complement_set(sigma, k)
-    if len(cset) == 3:
-        raise MatchingError("face %r: 3-complement %r has no pair shape"
-                            % (decode(sigma, ix.triples), cset))
-    if len(cset) == 4:
-        raise MatchingError("face %r: 4-complement %r has no double-pair shape"
-                            % (decode(sigma, ix.triples), cset))
+    if len(cset) in (3, 4):
+        raise MatchingError("face %r: %d-complement %r has no %s shape" % (
+            decode(sigma, ix.triples), len(cset), cset, ('pair', 'double-pair')[len(cset) - 3]))
     raise MatchingError(
         "face %r: complement %r of size %d contains no stable triple"
         % (decode(sigma, ix.triples), cset, len(cset)))
@@ -225,21 +228,16 @@ def _a_parts(k: int, s: int, t: int) -> list[FamilyMatching]:
     return [wedge.transport(part, k, 'A', s, t, cset, j) for part in _a_base(k, l)]
 
 
-def _on_index(parts) -> Matching:
-    """One ``Matching`` over the per-k index of the pairs of all parts."""
+def matching_A(k: int, s: int, t: int) -> list[tuple[int, int]]:
+    """Pairs of a perfect matching on the all-stable {s, s+1, t}-complement family."""
     pairs: list = []
-    for part in parts:
+    for part in _a_parts(k, s, t):
         wedge._to_index(part, pairs, [])
-    return Matching(pairs)
+    return pairs
 
 
-def matching_A(k: int, s: int, t: int) -> Matching:
-    """Perfect matching on the all-stable {s, s+1, t}-complement family."""
-    return _on_index(_a_parts(k, s, t))
-
-
-def matching_B(k: int, s: int, u: int) -> Matching:
-    """Perfect matching on the all-stable {s, s+1, u, u+1}-complement family.
+def matching_B(k: int, s: int, u: int) -> list[tuple[int, int]]:
+    """Pairs of a perfect matching on the all-stable {s, s+1, u, u+1}-complement family.
 
     Rotating by k+5-u sends the family bijectively onto a 3-complement
     family one parameter down (the u-pair lands on {k+5, k+6} and drops off
@@ -249,11 +247,13 @@ def matching_B(k: int, s: int, u: int) -> Matching:
     is empty.
     """
     cset = q_complement(k, s, u)
+    pairs: list = []
     if k == 0:
-        return Matching([])
+        return pairs
     sub_s, sub_t, shift = pullback(k, s, u)
-    return _on_index(wedge.transport(part, k, 'B', s, u, cset, -shift)
-                     for part in _a_parts(k - 1, sub_s, sub_t))
+    for part in _a_parts(k - 1, sub_s, sub_t):
+        wedge._to_index(wedge.transport(part, k, 'B', s, u, cset, -shift), pairs, [])
+    return pairs
 
 
 # ---------------------------------------------------------------------------
@@ -268,18 +268,6 @@ def comp_set(v, l: int) -> set[int]:
 @lru_cache(maxsize=None)
 def _s_faces(k: int) -> frozenset:
     return frozenset(complexes.complex_for('s', k).all_faces())
-
-
-def c_fiber(k: int, v, faces=None) -> list[int]:
-    """Faces whose lex-least unstable member is v."""
-    vt = tuple(sorted(v))
-    if graphs.is_stable(vt, k):
-        raise ValueError("%r is stable; C-fibers hang off unstable vertices" % (v,))
-    ix = graphs.triple_index(k)
-    vb = 1 << ix.bit[vt]
-    below = ~ix.stable & (vb - 1)  # unstable triples lex-before v
-    pool = _s_faces(k) if faces is None else faces
-    return sorted(sigma for sigma in pool if sigma & vb and not sigma & below)
 
 
 def c_toggle(k: int, frame: tuple[int, int], missed: int) -> int | None:
@@ -304,21 +292,34 @@ def c_toggle(k: int, frame: tuple[int, int], missed: int) -> int | None:
     return None
 
 
-def matching_C(k: int, v, faces=None) -> Matching:
-    """Perfect matching on the fiber of unstable vertex v.
+def matching_C(k: int, v, faces: list[int]) -> list[tuple[int, int]]:
+    """Pairs of a perfect matching on the fiber of unstable vertex v.
 
-    The fiber's faces are grouped by missed set, and each group's toggle is
-    read once by ``c_toggle``.  Faces with the same toggle form a block,
-    matched by ``morse.element_matching``.  A face whose partner leaves its
-    block stays unmatched, and the fiber fails unless every block is
-    perfectly matched.
+    ``faces`` is the fiber's bucket.  Each face must hold v and no unstable
+    member lex-before v, a second reading of the C label beside
+    ``classify``; a face that fails raises ``MatchingError`` naming it and
+    the fiber.  The faces are grouped by missed set, and each group's
+    toggle is read once by ``c_toggle``.  Faces with the same toggle form a
+    block, paired by ``morse.element_matching``.  A face whose partner
+    leaves its block stays unmatched, and the fiber fails unless every
+    block is perfectly matched.
     """
-    fiber = c_fiber(k, v, faces)
-    frame = unstable_rep(v, k)
+    vt = tuple(sorted(v))
+    if graphs.is_stable(vt, k):
+        raise ValueError("%r is stable; C-fibers hang off unstable vertices" % (v,))
     ix = graphs.triple_index(k)
+    vb = 1 << ix.bit[vt]
+    below = ~ix.stable & (vb - 1)  # unstable triples lex-before v
+    frame = unstable_rep(v, k)
     full = (1 << graphs.ground_size(k)) - 1
     groups: dict = {}
-    for sigma in fiber:
+    for sigma in faces:
+        if not sigma & vb or sigma & below:
+            low = sigma & below
+            why = ("holds the earlier unstable member %r" % (ix.triples[(low & -low).bit_length() - 1],)
+                   if sigma & vb else "does not hold it")
+            raise MatchingError("face %r filed under the fiber of %r %s"
+                                % (decode(sigma, ix.triples), v, why))
         groups.setdefault(full & ~remap(sigma, ix.ground), []).append(sigma)
     blocks: dict = {}
     for missed, group in groups.items():
@@ -328,15 +329,14 @@ def matching_C(k: int, v, faces=None) -> Matching:
                                 % (decode(group[0], ix.triples), v, complement_set(group[0], k)))
         blocks.setdefault(x, []).extend(group)
     pairs: list = []
-    unmatched: list = []
     for x, block in blocks.items():
-        m, matched = morse.element_matching(block, x)
-        pairs += m.pairs
-        unmatched += (f for f in block if f not in matched)
-    if unmatched:
+        pairs += morse.element_matching(block, x)
+    if 2 * len(pairs) != len(faces):  # the blocks' pairs are disjoint
+        matched = {f for pair in pairs for f in pair}
+        unmatched = sorted(f for f in faces if f not in matched)
         raise MatchingError("fiber of %r not perfectly matched; first unmatched: %r"
-                            % (v, [decode(f, ix.triples) for f in sorted(unmatched)[:3]]))
-    return Matching(pairs)
+                            % (v, [decode(f, ix.triples) for f in unmatched[:3]]))
+    return pairs
 
 
 # ---------------------------------------------------------------------------
@@ -375,15 +375,18 @@ def _fiber_tag(label) -> str:
 def theorem2_matching(k: int) -> CollapseReport:
     """Build the collapse matching at parameter k and certify Theorem 2.
 
-    Classifies every face of the ambient complex and builds each fiber
-    matching (the A-, B- and C-matchings check their own families as they
-    are built).  The Cluster Lemma then needs three checks, each made once
-    on the whole complex:
+    One pass classifies every face of the ambient complex into ``key_of``
+    (face -> label key), the only face table the checks read, and a bucket
+    per label.  Each fiber hands back a plain pair list (the A-, B- and
+    C-matchings check their own families as they are built).  The Cluster
+    Lemma then needs three checks, each made once on the whole complex:
 
     1. the classifier is order-preserving, and ``compose_cluster`` finds no
-       pair straddling two fibers;
-    2. one acyclicity search over the union of all pairs finds no cycle;
-    3. the critical cells are exactly the SG fiber and the faces of ``sg``.
+       pair straddling two fibers as it builds the one ``Matching`` that
+       validates every pair;
+    2. one acyclicity search over the union finds no cycle;
+    3. the critical cells, the faces of ``key_of`` the union leaves
+       unmatched, are exactly the SG fiber and the faces of ``sg``.
 
     A cycle among one fiber's pairs is a cycle of the union, so check 2
     makes every fiber acyclic; by checks 1 and 3 every face outside the SG
@@ -392,11 +395,10 @@ def theorem2_matching(k: int) -> CollapseReport:
     check raises ``MatchingError`` naming decoded faces and their fiber.
     """
     triples = graphs.triple_index(k).triples
-    faces = sorted(_s_faces(k))
     keys: dict = {}
     key_of: dict = {}
     buckets: dict = {}
-    for sigma in faces:
+    for sigma in sorted(_s_faces(k)):
         label = classify(sigma, k)
         if label not in keys:
             keys[label] = label_key(label, k)
@@ -416,23 +418,23 @@ def theorem2_matching(k: int) -> CollapseReport:
         elif label[0] == 'B':
             fibers[label] = matching_B(k, label[1], label[2])
         elif label[0] == 'C':
-            fibers[label] = matching_C(k, label[1], faces=buckets[label])
+            fibers[label] = matching_C(k, label[1], buckets[label])
         else:
-            fibers[label] = Matching([])
+            fibers[label] = []
 
     try:
-        composed = morse.compose_cluster(key_of.get, {keys[la]: m for la, m in fibers.items()})
+        composed = morse.compose_cluster(key_of, {keys[la]: pairs for la, pairs in fibers.items()})
     except morse.PairError as e:
-        filed = " / ".join(_fiber_tag(la) for la, m in fibers.items()
-                           if any(f in m for f in e.faces))
-        raise fail("pair filed under fiber %s straddles fibers" % filed, e.faces) from e
-    mono_ok, mono_witness = morse.verify_poset_map(key_of.__getitem__, _s_faces(k))
+        filed = next(la for la, key in keys.items() if key == e.key)
+        raise fail("pair filed under fiber %s %s" % (_fiber_tag(filed), e.what), e.faces) from e
+    mono_ok, mono_witness = morse.verify_poset_map(key_of)
     if not mono_ok:
         raise fail("classifier not order-preserving", mono_witness)
-    acyclic, cycle = morse.is_acyclic(composed, _s_faces(k))
+    acyclic, cycle = morse.is_acyclic(composed)
     if not acyclic:
         raise fail("matched pairs close a cycle", [f for pair in cycle for f in pair])
-    critical = morse.critical_cells(faces, composed)
+    partner = composed.partner
+    critical = [f for f in key_of if f not in partner]
     sg = complexes.complex_for('sg', k).all_faces()
     stray = set(critical) ^ sg | set(critical) ^ set(buckets.get(('SG',), ()))
     if stray:
@@ -440,10 +442,10 @@ def theorem2_matching(k: int) -> CollapseReport:
 
     records = [VerificationRecord(
         lemma="%s-matching" % label[0].lower(), k=k, fiber=_fiber_tag(label),
-        cells=len(buckets[label]), pairs=len(m.pairs), acyclic=True,
-        perfect=label[0] != 'SG', critical_count=len(buckets[label]) - 2 * len(m.pairs))
-        for label, m in fibers.items()]
+        cells=len(buckets[label]), pairs=len(pairs), acyclic=True,
+        perfect=label[0] != 'SG', critical_count=len(buckets[label]) - 2 * len(pairs))
+        for label, pairs in fibers.items()]
     records.append(VerificationRecord(
-        lemma="s3k-collapse", k=k, fiber="all", cells=len(faces), pairs=len(composed.pairs),
+        lemma="s3k-collapse", k=k, fiber="all", cells=len(key_of), pairs=len(composed.pairs),
         acyclic=True, perfect=False, critical_count=len(critical)))
     return CollapseReport(k=k, matching=composed, records=records, critical=critical)

@@ -14,6 +14,11 @@ spent round budget does the search see the pairs left; any other pairs
 are listed into a partner dict, checked pair by pair, and searched in
 full.  Unmatched faces are critical.
 
+Pair builders (``element_matching``) hand back plain lists, validated only
+by the ``Matching`` they end up in.  For a union of fibers (the Cluster
+Lemma), the one face table ``key_of`` (face -> fiber key) is all that
+``compose_cluster`` and ``verify_poset_map`` read.
+
 Faces are integer bitmasks, bit b standing for one vertex: a facet drops
 one bit and a cover adds one.  A bitset holds a set of faces as one int,
 bit f standing for face f; ``Bits`` and ``StagePairs`` are sized views
@@ -27,7 +32,7 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache
-from typing import Callable, Hashable, Iterable, Iterator
+from typing import Hashable, Iterable, Iterator
 
 
 def face_facets(face: int) -> Iterator[tuple[int, int]]:
@@ -150,12 +155,15 @@ class StagePairs:
 # matchings
 
 class PairError(ValueError):
-    """A pair that does not cover, or a face matched twice; ``faces`` holds
-    the offending faces."""
+    """A pair that does not cover, a face matched twice, or a pair that
+    straddles two fibers: ``faces`` holds the offending faces, ``what`` the
+    defect, and ``key`` the fiber key it was filed under, if any."""
 
-    def __init__(self, message: str, *faces):
+    def __init__(self, message: str, *faces, what: str, key: Hashable = None):
         super().__init__(message)
         self.faces = faces
+        self.what = what
+        self.key = key
 
 
 class MatchingError(RuntimeError):
@@ -169,10 +177,11 @@ def _partner(pairs) -> dict:
     partner = {}
     for sigma, tau in pairs:
         if not is_cover(sigma, tau):
-            raise PairError("non-covering pair (%r, %r)" % (sigma, tau), sigma, tau)
+            raise PairError("non-covering pair (%r, %r)" % (sigma, tau), sigma, tau, what="does not cover")
         if sigma in partner or tau in partner:
             culprit = sigma if sigma in partner else tau
-            raise PairError("face %r matched twice" % (culprit,), culprit)
+            raise PairError("face %r matched twice" % (culprit,), culprit,
+                            what="holds a face matched twice")
         partner[sigma] = tau
         partner[tau] = sigma
     return partner
@@ -235,32 +244,14 @@ class Matching:
         return set(itertools.chain.from_iterable(self.pairs))
 
 
-def element_matching(delta: Iterable[int], x: int) -> tuple[Matching, set]:
-    """Match sigma with sigma+x whenever both lie in delta.
-
-    Returns the matching together with the matched subfamily (every face of
-    delta whose x-toggle also lies in delta); that subfamily is perfectly
-    matched and the recursion continues on the rest.  ``x`` is a one-bit
-    mask.
-    """
+def element_matching(delta: Iterable[int], x: int) -> list[tuple[int, int]]:
+    """The pairs (sigma, sigma+x) with both faces in delta, as a plain list:
+    a perfect matching of the faces whose x-toggle lies in delta, and the
+    recursion continues on the rest.  ``x`` is a one-bit mask."""
     if x <= 0 or x & (x - 1):
         raise ValueError("toggle %r is not a single bit" % (x,))
     dset = set(delta)
-    pairs = []
-    matched = set()
-    for f in dset:
-        if not f & x:
-            up = f | x
-            if up in dset:
-                pairs.append((f, up))
-                matched.add(f)
-                matched.add(up)
-    return Matching(pairs), matched
-
-
-def critical_cells(cells: Iterable, matching: Matching) -> list:
-    partner = matching.partner
-    return sorted(c for c in cells if c not in partner)
+    return [(f, f | x) for f in dset if not f & x and f | x in dset]
 
 
 def is_acyclic(matching: Matching, cells: Iterable | None = None) -> tuple[bool, list | None]:
@@ -450,41 +441,46 @@ def coreduce(cells: list, table: tuple[list, list]) -> tuple[dict, list]:
     return pairs, critical
 
 
-def verify_poset_map(label_of: Callable, cells: Iterable) -> tuple[bool, tuple | None]:
+def verify_poset_map(key_of: dict) -> tuple[bool, tuple | None]:
     """Check that labels never increase when passing to a facet.
 
-    Only codimension-1 containments inside ``cells`` are examined; for the
-    families used here every fiber is convex, so that is equivalent to
-    checking all containments.  Returns (ok, witness) with the offending
-    (facet, face) pair on failure.
+    ``key_of`` maps each cell to its label, read with one dict probe per
+    facet; a facet that is not a cell puts no constraint.  Only
+    codimension-1 containments are examined; for the families used here
+    every fiber is convex, so that is equivalent to checking all
+    containments.  Returns (ok, witness) with the offending (facet, face)
+    pair on failure.
     """
-    cs = cells if isinstance(cells, (set, frozenset)) else set(cells)
-    for tau in cs:
-        lt = label_of(tau)
+    get = key_of.get
+    for tau, lt in key_of.items():
         for sigma, _ in face_facets(tau):
-            if sigma in cs and label_of(sigma) > lt:
+            if get(sigma, lt) > lt:
                 return False, (sigma, tau)
     return True, None
 
 
-def compose_cluster(label_of: Callable, fiber_matchings: dict[Hashable, Matching]) -> Matching:
-    """Union of per-fiber matchings under a classifier.
+def compose_cluster(key_of: dict, pairs_by_key: dict[Hashable, list]) -> Matching:
+    """The one ``Matching`` of per-fiber pair lists, filed by fiber key.
 
-    Every pair must have both endpoints in the fiber it was filed under: a
-    straddling pair raises ``PairError`` carrying its two faces, and a face
-    matched by two fibers raises one from ``Matching``.  Nothing else is
-    checked here.  With a poset-map classifier, the union is acyclic iff
-    every fiber matching is, so a caller that runs one acyclicity search on
-    the union has checked every fiber; a face outside the fibers' pairs is
-    critical in the union.
+    Both faces of a pair must have the key it was filed under in
+    ``key_of``: a straddling pair, or one with a face outside the table,
+    raises ``PairError``.  The ``Matching`` then validates each pair once;
+    its ``PairError`` gets the ``key`` of the faces, by then the key the
+    pair was filed under.  With a poset-map classifier the union is acyclic
+    iff every fiber's pairs are, so one acyclicity search on the union
+    checks every fiber; a cell the union leaves unmatched is critical.
     """
+    get = key_of.get
     all_pairs = []
-    for label, m in fiber_matchings.items():
-        for sigma, tau in m.pairs:
-            if label_of(sigma) != label or label_of(tau) != label:
-                raise PairError(
-                    "pair (%r, %r) straddles fibers: filed under %r, classified as (%r, %r)"
-                    % (sigma, tau, label, label_of(sigma), label_of(tau)), sigma, tau)
-            all_pairs.append((sigma, tau))
-    return Matching(all_pairs)
-
+    for key, pairs in pairs_by_key.items():
+        for sigma, tau in pairs:
+            if get(sigma) != key or get(tau) != key:
+                raise PairError("pair (%r, %r) straddles fibers: filed under %r, classified as (%r, %r)"
+                                % (sigma, tau, key, get(sigma), get(tau)), sigma, tau,
+                                what="straddles fibers", key=key)
+        all_pairs += pairs
+    try:
+        return Matching(all_pairs)
+    except PairError as e:
+        e.key = key_of[e.faces[0]]
+        raise

@@ -14,7 +14,7 @@ import networkx as nx
 
 from kneser_morse import morse
 from kneser_morse.collapse import (
-    c_fiber, classify, label_key, matching_B, pivot_vertex, theorem2_matching,
+    classify, label_key, matching_B, pivot_vertex, theorem2_matching,
     _delta_table, _s_faces,
 )
 from kneser_morse.complexes import complex_for, decode, face_key
@@ -29,10 +29,11 @@ from kneser_morse.wedge import (
     family_faces, filtration, split_fibers, theorem3_counts, toggle_run, w_set,
 )
 
-# the enumeration oracles of the A- and B-families and their residue classes,
-# the span oracle of the C-fiber strata and the brute-force 3-complement reader
+# the enumeration oracles of the A- and B-families, the C-fibers and the A
+# residue classes, the span oracle of the C-fiber strata and the brute-force
+# 3-complement reader
 from test_collapse import (
-    a_family, b_family, delta_decompose, parse_three, stratum_length,
+    a_family, b_family, c_fiber, delta_decompose, parse_three, stratum_length,
 )
 
 
@@ -151,14 +152,12 @@ def _check_classifier_partition(k):
 
 
 def _check_poset_maps(k):
-    ok1, _ = morse.verify_poset_map(
-        lambda s: label_key(classify(s, k), k), sorted(_s_faces(k)))
+    ok1, _ = morse.verify_poset_map({s: label_key(classify(s, k), k) for s in sorted(_s_faces(k))})
     oks = [ok1]
     for l in (3, 4, 5):
         fiber = c_fiber(k, (1, 2, l))
         if fiber:
-            ok, _ = morse.verify_poset_map(
-                lambda s: -stratum_length(k, s), fiber)
+            ok, _ = morse.verify_poset_map({s: -stratum_length(k, s) for s in fiber})
             oks.append(ok)
     for j in index_I(1, k):
         fam = family_faces(k, frozenset(p_complement(k, 1, j)))
@@ -170,7 +169,7 @@ def _check_poset_maps(k):
             stage = dict.fromkeys(faces, 1)
             for t in range(1, len(toggles) + 1):
                 stage.update(dict.fromkeys(morse.members(toggle_run(fiber, toggles[:t])[1]), t + 1))
-            ok, _ = morse.verify_poset_map(lambda f: -stage[f], faces)
+            ok, _ = morse.verify_poset_map({f: -stage[f] for f in faces})
             oks.append(ok)
     return all(oks)
 
@@ -182,13 +181,13 @@ def _check_delta_classes_k3():
         if not family:
             continue
         p = pivot_vertex(3, l)
-        _, matched = morse.element_matching(family, face_key([p], 3))
+        matched = {f for pair in morse.element_matching(family, face_key([p], 3)) for f in pair}
         buckets = {}
         for sigma in family - matched:
             buckets.setdefault(delta_decompose(3, l, sigma), set()).add(sigma)
         ok, _ = morse.verify_poset_map(
-            lambda s: 0 if delta_decompose(3, l, s) == 'pivot-fiber'
-            else -delta_decompose(3, l, s), sorted(family))
+            {s: 0 if delta_decompose(3, l, s) == 'pivot-fiber' else -delta_decompose(3, l, s)
+             for s in sorted(family)})
         oks.append(ok)
         for idx, (extra, shift, sub_k, s, t) in enumerate(
                 _delta_table(3, l), start=1):
@@ -224,7 +223,7 @@ def _check_b_pullbacks():
                      for f in fam}
             oks.append(parsed is not None and len(image) == len(fam)
                        and image == set(a_family(2, *parsed)))
-            m = matching_B(3, s, u)
+            m = morse.Matching(matching_B(3, s, u))
             oks.append(all(f in m for f in fam)
                        and morse.is_acyclic(m, fam)[0])
     return all(oks) and hits > 0

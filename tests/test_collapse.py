@@ -6,6 +6,7 @@ families are bijections, and the composed matching leaves exactly the stable
 subcomplex critical.
 """
 
+import functools
 import hashlib
 import itertools
 import json
@@ -16,7 +17,7 @@ import pytest
 
 from kneser_morse import cli, collapse, graphs, morse, wedge
 from kneser_morse.collapse import (
-    c_fiber, classify, label_key, matching_A, matching_B, matching_C,
+    classify, label_key, matching_A, matching_B, matching_C,
     pivot_vertex, theorem2_matching, _delta_table, _s_faces,
 )
 from kneser_morse.complexes import complex_for, decode, face_key, remap
@@ -24,7 +25,7 @@ from kneser_morse.graphs import (
     ground_size, index_I, index_J, is_stable, missed_shape, pair_of, rotate,
     triple_index, unstable_rep, vertex_mask,
 )
-from kneser_morse.morse import MatchingError
+from kneser_morse.morse import Matching, MatchingError
 
 
 def members(sigma, k):
@@ -85,6 +86,23 @@ def b_family(k, s, u):
     if u not in index_J(s, k):
         raise ValueError("u=%d not admissible for s=%d at k=%d" % (u, s, k))
     return stable_covers(pair_of(s, k) + pair_of(u, k), k)
+
+
+@functools.lru_cache(maxsize=None)
+def c_fibers(k):
+    """The faces of ``s`` filed by their lex-least unstable member, read off
+    the decoded members."""
+    out = {}
+    for sigma in sorted(_s_faces(k)):
+        unstable = [t for t in members(sigma, k) if not is_stable(t, k)]
+        if unstable:
+            out.setdefault(min(unstable), []).append(sigma)
+    return out
+
+
+def c_fiber(k, v):
+    """Faces whose lex-least unstable member is v, ascending."""
+    return list(c_fibers(k).get(tuple(sorted(v)), ()))
 
 
 def delta_decompose(k, l, sigma):
@@ -238,7 +256,7 @@ def test_b_family_empty_below_k3(k):
     for s in range(1, n + 1):
         for u in index_J(s, k):
             assert b_family(k, s, u) == []
-            assert matching_B(k, s, u).pairs == []
+            assert matching_B(k, s, u) == []
 
 
 def test_b_family_first_appears_at_k3():
@@ -282,11 +300,18 @@ def test_classify_rejects_garbage_complements():
         classify(face_key([(1, 3, 5), (2, 4, 6)], 0), 0)
 
 
+@pytest.mark.parametrize("mask", [0, 1 << 56])
+def test_classify_refuses_what_it_cannot_label(mask):
+    # the empty face and a bit past the 56 triples at k = 2 name no face
+    with pytest.raises(ValueError, match=r"mask %d is not a nonempty face of the 56 triples "
+                                         r"of 1\.\.8" % mask):
+        classify(mask, 2)
+
+
 @pytest.mark.parametrize("k", [0, 1, 2])
 def test_classifier_is_a_poset_map(k):
-    faces = sorted(_s_faces(k))
     ok, witness = morse.verify_poset_map(
-        lambda sigma: label_key(classify(sigma, k), k), faces)
+        {sigma: label_key(classify(sigma, k), k) for sigma in sorted(_s_faces(k))})
     assert ok, witness
 
 
@@ -300,7 +325,7 @@ def test_matching_A_perfect_and_acyclic(k):
     for s in range(1, n + 1):
         for t in index_I(s, k):
             fam = set(a_family(k, s, t))
-            m = matching_A(k, s, t)
+            m = Matching(matching_A(k, s, t))
             assert is_perfect(m, fam)
             ok, witness = morse.is_acyclic(m, fam)
             assert ok, witness
@@ -327,9 +352,9 @@ def digest(pairs):
 def test_the_a_and_b_pairs_are_pinned(k):
     n = ground_size(k)
     a = [(s, t) + pair for s in range(1, n + 1) for t in index_I(s, k)
-         for pair in matching_A(k, s, t).pairs]
+         for pair in matching_A(k, s, t)]
     b = [(s, u) + pair for s in range(1, n + 1) for u in index_J(s, k)
-         for pair in matching_B(k, s, u).pairs]
+         for pair in matching_B(k, s, u)]
     assert (digest(a), digest(b)) == AB_PAIRS[k]
 
 
@@ -339,7 +364,7 @@ C_PAIRS_K2 = (7856, '2ec3eabd5f8bc5396d05c003ea8493a6339586d97169dfbf08f562407ee
 
 
 def test_the_c_pairs_are_pinned():
-    pairs = [(v,) + pair for v in fiber_reps(2) for pair in matching_C(2, v).pairs]
+    pairs = [(v,) + pair for v in fiber_reps(2) for pair in matching_C(2, v, c_fiber(2, v))]
     assert digest(pairs) == C_PAIRS_K2
 
 
@@ -455,7 +480,7 @@ def test_a_dropped_pivot_stage_fails_the_partition_count(fresh_bases, monkeypatc
 
 
 def test_matching_A_empty_at_small_k():
-    assert matching_A(1, 1, 3).pairs == []
+    assert matching_A(1, 1, 3) == []
 
 
 @pytest.mark.parametrize("l", range(3, 9))
@@ -467,7 +492,7 @@ def test_delta_classes_biject_onto_their_targets(l):
     if not family:
         return
     p = pivot_vertex(k, l)
-    _, matched = morse.element_matching(family, face_key([p], k))
+    matched = {f for pair in morse.element_matching(family, face_key([p], k)) for f in pair}
     buckets = {}
     for sigma in family - matched:
         buckets.setdefault(delta_decompose(k, l, sigma), set()).add(sigma)
@@ -494,7 +519,7 @@ def test_delta_class_labels_are_a_poset_map(l):
         out = delta_decompose(k, l, sigma)
         return 0 if out == 'pivot-fiber' else -out
 
-    ok, witness = morse.verify_poset_map(label, family)
+    ok, witness = morse.verify_poset_map({sigma: label(sigma) for sigma in family})
     assert ok, witness
 
 
@@ -516,7 +541,7 @@ def test_matching_B_pullback_bijection():
             image = {face_key([rotate(v, shift, 3) for v in members(f, 3)], 2) for f in fam}
             assert len(image) == len(fam)
             assert image == set(a_family(2, *parsed))
-            m = matching_B(3, s, u)
+            m = Matching(matching_B(3, s, u))
             assert is_perfect(m, fam)
             ok, _ = morse.is_acyclic(m, fam)
             assert ok
@@ -538,15 +563,15 @@ def fiber_reps(k):
 def test_matching_C_perfect_and_acyclic(k):
     for v in fiber_reps(k):
         fiber = c_fiber(k, v)
-        m = matching_C(k, v)
+        m = Matching(matching_C(k, v, fiber))
         assert is_perfect(m, fiber)
         ok, witness = morse.is_acyclic(m, fiber)
         assert ok, witness
 
 
-def test_c_fiber_rejects_stable_vertex():
-    with pytest.raises(ValueError):
-        c_fiber(1, (1, 3, 5))
+def test_matching_C_rejects_stable_vertex():
+    with pytest.raises(ValueError, match="is stable"):
+        matching_C(1, (1, 3, 5), [])
 
 
 def graph_toggle(k, frame, sigma):
@@ -603,8 +628,7 @@ def test_stratum_labels_are_a_poset_map(l):
     fiber = c_fiber(k, (1, 2, l))
     if not fiber:
         return
-    ok, witness = morse.verify_poset_map(
-        lambda sigma: -stratum_length(k, sigma), fiber)
+    ok, witness = morse.verify_poset_map({sigma: -stratum_length(k, sigma) for sigma in fiber})
     assert ok, witness
 
 
@@ -676,7 +700,8 @@ def test_theorem2_catches_a_flipped_stability_bit(flip, monkeypatch):
 
 # ---------------------------------------------------------------------------
 # planted defects in the fiber matchings at k = 2: each whole-complex check
-# of theorem2_matching raises with decoded faces and the fiber tag
+# of theorem2_matching, and each fiber's own check, raises with decoded
+# faces and the fiber
 
 def planted_cycle_site(k):
     """The first C fiber, with faces a, x, y, z (single bits for x, y, z)
@@ -701,11 +726,11 @@ def plant_cycle(monkeypatch):
     touched = {f for pair in planted for f in pair}
     real = collapse.matching_C
 
-    def matching(k, u, faces=None):
-        m = real(k, u, faces)
+    def matching(k, u, faces):
+        pairs = real(k, u, faces)
         if (k, u) != (2, v):
-            return m
-        return morse.Matching([p for p in m.pairs if not touched & set(p)] + planted)
+            return pairs
+        return [p for p in pairs if not touched & set(p)] + planted
 
     monkeypatch.setattr(collapse, 'matching_C', matching)
     return r"close a cycle at face \(\(\d+, \d+, \d+\).*\[fiber C v=%s\]" % "".join(map(str, v))
@@ -719,8 +744,8 @@ def plant_misfiled_pair(monkeypatch):
         if k != 2 or (s, t) not in ((1, 4), (1, 7)):
             return real(k, s, t)
         if t == 7:
-            return morse.Matching([])
-        return morse.Matching(real(2, 1, 4).pairs + real(2, 1, 7).pairs)
+            return []
+        return real(2, 1, 4) + real(2, 1, 7)
 
     monkeypatch.setattr(collapse, 'matching_A', matching)
     return r"filed under fiber A s=1 t=4 straddles fibers at face \(\(\d+, \d+, \d+\).*\[fiber A s=1 t=7\]"
@@ -731,8 +756,8 @@ def plant_dropped_pair(monkeypatch):
     real = collapse.matching_A
 
     def matching(k, s, t):
-        m = real(k, s, t)
-        return morse.Matching(m.pairs[1:]) if (k, s, t) == (2, 1, 4) else m
+        pairs = real(k, s, t)
+        return pairs[1:] if (k, s, t) == (2, 1, 4) else pairs
 
     monkeypatch.setattr(collapse, 'matching_A', matching)
     return r"stable subcomplex differ at face \(\(\d+, \d+, \d+\).*\[fiber A s=1 t=4\]"
@@ -740,15 +765,16 @@ def plant_dropped_pair(monkeypatch):
 
 def plant_sg_face_in_a_c_fiber(monkeypatch):
     # a maximal face of sg classified into the C fiber that orders lowest
-    # among the non-SG fibers, so the classifier stays order-preserving; the
-    # face stays critical and lies in sg, but not in the SG fiber, and the
-    # C fiber it sits in is not perfectly matched
+    # among the non-SG fibers, so the classifier stays order-preserving;
+    # the face holds no unstable member, and the fiber's own membership
+    # check refuses it before any pair is built
     f = min(complex_for('sg', 2).maximal)
     v = [t for t in triple_index(2).triples if not is_stable(t, 2)][-1]
     real = collapse.classify
     monkeypatch.setattr(collapse, 'classify',
                         lambda sigma, k: ('C', v) if (sigma, k) == (f, 2) else real(sigma, k))
-    return r"stable subcomplex differ at face \(\(\d+, \d+, \d+\).*\[fiber C v=%s\]" % "".join(map(str, v))
+    return r"face %s filed under the fiber of %s does not hold it" \
+        % (re.escape(repr(members(f, 2))), re.escape(repr(v)))
 
 
 def plant_largest_toggle_element(monkeypatch):
@@ -784,8 +810,46 @@ def plant_partner_in_another_block(monkeypatch):
     raise AssertionError("no C fiber at k=2 has a partner with a smaller missed set")
 
 
+def plant_face_matched_twice(monkeypatch):
+    # the first C fiber at k = 2 gains a second pair on the lower face of
+    # one of its pairs, to another cover of that face inside the fiber: both
+    # pairs lie in the fiber, so only the union's one Matching refuses them
+    k, real = 2, collapse.matching_C
+    width = len(triple_index(k).triples)
+    v = fiber_reps(k)[0]
+    fiber = c_fiber(k, v)
+    for sigma, tau in real(k, v, fiber):
+        others = [sigma | 1 << b for b in range(width)
+                  if not sigma >> b & 1 and sigma | 1 << b in fiber and sigma | 1 << b != tau]
+        if others:
+            extra = (sigma, others[0])
+            monkeypatch.setattr(collapse, 'matching_C', lambda kk, u, faces: real(kk, u, faces)
+                                + ([extra] if (kk, u) == (k, v) else []))
+            tag = "".join(map(str, v))
+            return r"pair filed under fiber C v=%s holds a face matched twice at face %s \[fiber C v=%s\]$" \
+                % (tag, re.escape(repr(members(sigma, k))), tag)
+    raise AssertionError("no pair of the first C fiber at k=2 has a lower face with another cover")
+
+
+def plant_face_under_a_later_fiber(monkeypatch):
+    # a face of one C fiber that also holds a later unstable triple is filed
+    # under that triple's fiber: the fiber's membership check names the
+    # earlier unstable member the face holds
+    k, real = 2, collapse.classify
+    for v in fiber_reps(k):
+        for sigma in c_fiber(k, v):
+            later = [t for t in members(sigma, k) if not is_stable(t, k) and t > v]
+            if later:
+                monkeypatch.setattr(collapse, 'classify', lambda f, kk: ('C', later[-1])
+                                    if (f, kk) == (sigma, k) else real(f, kk))
+                return r"face %s filed under the fiber of %s holds the earlier unstable member %s$" \
+                    % tuple(re.escape(repr(x)) for x in (members(sigma, k), later[-1], v))
+    raise AssertionError("no C face at k=2 holds two unstable triples")
+
+
 PLANTS = [plant_cycle, plant_misfiled_pair, plant_dropped_pair, plant_sg_face_in_a_c_fiber,
-          plant_largest_toggle_element, plant_partner_in_another_block]
+          plant_largest_toggle_element, plant_partner_in_another_block, plant_face_matched_twice,
+          plant_face_under_a_later_fiber]
 
 
 @pytest.mark.parametrize("plant", PLANTS)

@@ -15,7 +15,7 @@ import pytest
 
 from kneser_morse import morse
 from kneser_morse.morse import (
-    Matching, PairError, compose_cluster, critical_cells, element_matching,
+    Matching, PairError, compose_cluster, element_matching,
     StagePairs, face_facets, is_acyclic, is_cover, verify_poset_map,
 )
 from kneser_morse.graphs import index_I
@@ -58,11 +58,14 @@ def test_matching_partner_lookup():
 
 def test_element_matching_is_perfect_on_its_subfamily():
     delta = [0b010, 0b011, 0b110, 0b111, 0b100]
-    m, sub = element_matching(delta, 0b001)
+    pairs = element_matching(delta, 0b001)
+    assert sorted(pairs) == [(0b010, 0b011), (0b110, 0b111)]
+    m = Matching(pairs)
+    sub = m.matched()
     assert sub == {0b010, 0b011, 0b110, 0b111}
     assert all(f in m for f in sub)
     assert not all(f in m for f in delta)
-    assert critical_cells(delta, m) == [0b100]
+    assert [f for f in delta if f not in m] == [0b100]
     ok, _ = is_acyclic(m)
     assert ok
 
@@ -560,33 +563,57 @@ def test_stages_that_fail_only_the_bulk_check_are_never_accepted(monkeypatch):
 
 def test_verify_poset_map():
     cells = [0b001, 0b011, 0b111]
-    ok, bad = verify_poset_map(lambda f: f.bit_count() - 1, cells)
+    ok, bad = verify_poset_map({f: f.bit_count() - 1 for f in cells})
     assert ok and bad is None
-    ok, bad = verify_poset_map(lambda f: 1 - f.bit_count(), cells)
+    ok, bad = verify_poset_map({f: 1 - f.bit_count() for f in cells})
     assert not ok
     assert bad == (0b001, 0b011)
 
 
 def test_verify_poset_map_ignores_missing_facets():
     # facets outside the family put no constraint on the labels
-    ok, _ = verify_poset_map(lambda f: 0, [0b011, 0b110])
+    ok, _ = verify_poset_map({0b011: 0, 0b110: 0})
     assert ok
 
 
 def test_compose_cluster():
-    label = lambda f: (f.bit_count() - 1) // 2
     fibers = {
-        0: Matching([(0b001, 0b011)]),
-        1: Matching([(0b111, 0b1111)]),
+        0: [(0b001, 0b011)],
+        1: [(0b111, 0b1111)],
     }
-    merged = compose_cluster(label, fibers)
+    faces = [0b001, 0b011, 0b111, 0b1111]
+    merged = compose_cluster({f: (f.bit_count() - 1) // 2 for f in faces}, fibers)
     assert len(merged) == 2
-    with pytest.raises(ValueError, match="straddles"):
-        compose_cluster(lambda f: f.bit_count() - 1, fibers)
+    assert merged.partner[0b011] == 0b001 and merged.partner[0b111] == 0b1111
+    with pytest.raises(ValueError, match="straddles") as bad:
+        compose_cluster({f: f.bit_count() - 1 for f in faces}, fibers)
+    assert bad.value.faces == (0b001, 0b011)
+    assert (bad.value.what, bad.value.key) == ("straddles fibers", 0)
 
 
-def test_critical_cells_order_and_content():
-    cells = [0b001, 0b010, 0b011]
-    m = Matching([(0b001, 0b011)])
-    assert critical_cells(cells, m) == [0b010]
-    assert critical_cells(cells, Matching([])) == cells
+def test_compose_cluster_refuses_a_face_outside_the_table():
+    with pytest.raises(PairError, match="straddles") as bad:
+        compose_cluster({0b001: 0}, {0: [(0b001, 0b011)]})
+    assert bad.value.faces == (0b001, 0b011)
+    assert bad.value.key == 0
+
+
+def test_compose_cluster_names_the_fiber_of_a_face_matched_twice():
+    # both pairs lie in fiber 1, so the face reused is filed under 1
+    key_of = {0b001: 0, 0b010: 1, 0b011: 1, 0b110: 1}
+    with pytest.raises(PairError, match="matched twice") as bad:
+        compose_cluster(key_of, {0: [], 1: [(0b010, 0b011), (0b010, 0b110)]})
+    assert bad.value.faces == (0b010,)
+    assert (bad.value.what, bad.value.key) == ("holds a face matched twice", 1)
+    with pytest.raises(PairError, match="non-covering") as bad:
+        compose_cluster(key_of, {1: [(0b011, 0b110)]})
+    assert (bad.value.what, bad.value.key) == ("does not cover", 1)
+
+
+def test_compose_cluster_leaves_the_critical_cells():
+    # the cells of the table that the union leaves unmatched, in table order
+    key_of = {0b001: 0, 0b010: 0, 0b011: 0}
+    composed = compose_cluster(key_of, {0: [(0b001, 0b011)]})
+    assert [c for c in key_of if c not in composed.partner] == [0b010]
+    composed = compose_cluster(key_of, {0: []})
+    assert [c for c in key_of if c not in composed.partner] == list(key_of)

@@ -277,9 +277,9 @@ def _stagewise_element_matching(faces, wbits):
     remaining = set(faces)
     pairs = set()
     for wb in wbits:
-        m, matched = morse.element_matching(remaining, wb)
-        pairs.update(m.pairs)
-        remaining -= matched
+        stage = morse.element_matching(remaining, wb)
+        pairs.update(stage)
+        remaining -= {f for pair in stage for f in pair}
     return pairs, remaining
 
 
@@ -568,8 +568,7 @@ def test_stage_labels_are_a_poset_map(j):
     for idx, fiber in split_fibers(fam).items():
         v = fam.triples[idx]
         stage = toggle_stages(fiber, toggle_bits(fam, idx, j, k))
-        ok, witness = morse.verify_poset_map(
-            lambda f: -stage[f], list(members(fiber)))
+        ok, witness = morse.verify_poset_map({f: -stage[f] for f in members(fiber)})
         assert ok, (v, witness)
 
 
