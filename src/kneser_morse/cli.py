@@ -108,7 +108,8 @@ def _verify_theorem2(name: str, k: int, depth: str, counts_of) -> list[dict]:
              'critical_count': r.critical_count} for r in report.records]
     total = report.records[-1]  # the whole-complex record
     return [_result('theorem2-collapse', k, True, cells=total.cells, pairs=total.pairs,
-                    critical=len(report.critical), records=recs)]
+                    critical=len(report.critical), poset_map_route=report.poset_map_route,
+                    records=recs)]
 
 
 def _verify_theorem3(name: str, k: int, depth: str, counts_of) -> list[dict]:
@@ -118,6 +119,7 @@ def _verify_theorem3(name: str, k: int, depth: str, counts_of) -> list[dict]:
                    extra_km1_cells=counts['extra_km1_cells'],
                    predicted_t=counts['predicted_t'],
                    censused=counts['censused'],
+                   **({'union_route': counts['union_route']} if counts['censused'] else {}),
                    families=len(counts['rows']) or None,
                    rows=[list(r) for r in counts['rows']])]
     if depth == 'full-snf':

@@ -29,11 +29,12 @@ the lex-least stable triple inside the missed set in v's frame; faces with
 one toggle form a block, paired by ``morse.element_matching``.  Every
 fiber hands back a plain pair list over the per-k index.
 ``theorem2_matching`` files every face in one table (face -> label key) and
-composes the lists under that order-preserving classifier (the Cluster
-Lemma) into the one ``Matching`` that validates each pair.  Theorem 2 then
-needs three checks on the whole complex: no pair straddles two fibers, the
-union is acyclic, and the critical cells are exactly F0.  Each fiber's
-acyclicity and perfection follow from these three.
+composes the lists under that classifier (the Cluster Lemma) into the one
+``Matching`` that validates each pair; ``check_label_order`` proves the
+classifier order-preserving on missed sets.  Theorem 2 then needs three
+checks on the whole complex: no pair straddles two fibers, the union is
+acyclic, and the critical cells are exactly F0.  Each fiber's acyclicity
+and perfection follow from these three.
 
 Faces are masks over ``graphs.triple_index(k)``, the index every complex at
 k shares; the A- and B-parts reach it through ``wedge._to_index``.  A
@@ -75,17 +76,16 @@ def classify(sigma: int, k: int):
     if unstable:  # the lowest bit is the lex-least member
         return ('C', ix.triples[(unstable & -unstable).bit_length() - 1])
     shape = missed_shape(((1 << graphs.ground_size(k)) - 1) & ~remap(sigma, ix.ground), k)
-    if shape is True:
-        return ('SG',)
     if shape is not None:
-        return ('A' if shape[0] == 3 else 'B',) + shape[1:]
+        return _stable_label(shape)
     cset = complement_set(sigma, k)
-    if len(cset) in (3, 4):
-        raise MatchingError("face %r: %d-complement %r has no %s shape" % (
-            decode(sigma, ix.triples), len(cset), cset, ('pair', 'double-pair')[len(cset) - 3]))
-    raise MatchingError(
-        "face %r: complement %r of size %d contains no stable triple"
-        % (decode(sigma, ix.triples), cset, len(cset)))
+    raise MatchingError("face %r: complement %r of size %d contains no stable triple and has no "
+                        "pair shape" % (decode(sigma, ix.triples), cset, len(cset)))
+
+
+def _stable_label(shape) -> tuple:
+    """The label of an all-stable face whose missed set reads ``shape``."""
+    return ('SG',) if shape is True else ('A' if shape[0] == 3 else 'B',) + shape[1:]
 
 
 def label_key(label, k: int) -> tuple:
@@ -98,6 +98,32 @@ def label_key(label, k: int) -> tuple:
     if label[0] == 'C':
         return (1, -graphs.triple_index(k).bit[label[1]])
     return (0,)
+
+
+def check_label_order(k: int) -> None:
+    """``label_key`` never rises from a face of ``s`` to a facet, proved on
+    missed sets (``graphs.missed_lattice``) with no face listed.  An
+    all-stable face and its facets are labelled by missed set alone, and a
+    facet misses a superset reached by one-element growths.  A facet of a
+    C(v) face keeps an unstable member, and a subset's least unstable
+    member is no earlier, or keeps none and misses a superset of a set
+    holding a stable triple (the face's common neighbour), so it is SG.
+    So the key of M + x must not be above that of M, and the C keys must
+    not rise along the per-k index, down to SG."""
+    shapes = graphs.missed_lattice(k)
+    labels = {m: _stable_label(shape) for m, shape in enumerate(shapes) if m.bit_count() >= 3}
+    for m, x in itertools.product(labels, range(graphs.ground_size(k))):
+        face, facet = labels[m], labels[m | 1 << x]
+        if label_key(facet, k) > label_key(face, k):
+            raise MatchingError("classifier not order-preserving: facet shape %r %r keys above face "
+                                "shape %r %r" % (graphs.ground_elements(m | 1 << x), facet,
+                                                 graphs.ground_elements(m), face))
+    ix = graphs.triple_index(k)
+    chain = [('C', t) for b, t in enumerate(ix.triples) if not ix.stable >> b & 1] + [('SG',)]
+    for above, below in zip(chain, chain[1:]):
+        if label_key(below, k) > label_key(above, k):
+            raise MatchingError("classifier not order-preserving: label %r keys above label %r"
+                                % (below, above))
 
 
 # ---------------------------------------------------------------------------
@@ -208,8 +234,7 @@ def _a_base(k: int, l: int) -> tuple[FamilyMatching, ...]:
     parts = [FamilyMatching(k, 'A', 1, l, cset, fam.triples, Bits(family ^ rest), StagePairs(stages), [])]
     for extra, shift, sub_k, s, t in _delta_table(k, l):
         if sub_k >= 2:
-            m = vertex_mask(cset) | extra
-            missed = tuple(x for x in range(1, graphs.ground_size(k) + 1) if m >> (x - 1) & 1)
+            missed = graphs.ground_elements(vertex_mask(cset) | extra)
             parts += [_add_pivot(wedge.transport(part, k, 'A', 1, l, missed, shift), pivot, l)
                       for part in _a_parts(sub_k, s, t)]
     classes = sum(len(part.faces) for part in parts[1:])
@@ -232,7 +257,7 @@ def matching_A(k: int, s: int, t: int) -> list[tuple[int, int]]:
     """Pairs of a perfect matching on the all-stable {s, s+1, t}-complement family."""
     pairs: list = []
     for part in _a_parts(k, s, t):
-        wedge._to_index(part, pairs, [])
+        wedge._to_index(part, pairs)
     return pairs
 
 
@@ -252,7 +277,7 @@ def matching_B(k: int, s: int, u: int) -> list[tuple[int, int]]:
         return pairs
     sub_s, sub_t, shift = pullback(k, s, u)
     for part in _a_parts(k - 1, sub_s, sub_t):
-        wedge._to_index(wedge.transport(part, k, 'B', s, u, cset, -shift), pairs, [])
+        wedge._to_index(wedge.transport(part, k, 'B', s, u, cset, -shift), pairs)
     return pairs
 
 
@@ -283,8 +308,7 @@ def c_toggle(k: int, frame: tuple[int, int], missed: int) -> int | None:
     """
     l, j = frame
     ix = graphs.triple_index(k)
-    inside = sorted(rotate(x, -j, k) for x in range(1, graphs.ground_size(k) + 1)
-                    if missed >> (x - 1) & 1)
+    inside = sorted(rotate(x, -j, k) for x in graphs.ground_elements(missed))
     for u_star in itertools.combinations(inside, 3):  # lex order
         if ix.stable >> ix.bit[u_star] & 1:
             m = min(comp_set(u_star, l), default=None)  # off 1 and away from l
@@ -360,6 +384,7 @@ class CollapseReport:
     matching: Matching
     records: list[VerificationRecord]
     critical: list
+    poset_map_route: str
 
 
 def _fiber_tag(label) -> str:
@@ -381,9 +406,10 @@ def theorem2_matching(k: int) -> CollapseReport:
     C-matchings check their own families as they are built).  The Cluster
     Lemma then needs three checks, each made once on the whole complex:
 
-    1. the classifier is order-preserving, and ``compose_cluster`` finds no
-       pair straddling two fibers as it builds the one ``Matching`` that
-       validates every pair;
+    1. ``compose_cluster`` finds no pair straddling two fibers as it
+       builds the one ``Matching`` that validates every pair, and the
+       classifier is order-preserving, proved for every face on missed
+       sets by ``check_label_order`` (the route ``poset_map_route`` names);
     2. one acyclicity search over the union finds no cycle;
     3. the critical cells, the faces of ``key_of`` the union leaves
        unmatched, are exactly the SG fiber and the faces of ``sg``.
@@ -427,9 +453,7 @@ def theorem2_matching(k: int) -> CollapseReport:
     except morse.PairError as e:
         filed = next(la for la, key in keys.items() if key == e.key)
         raise fail("pair filed under fiber %s %s" % (_fiber_tag(filed), e.what), e.faces) from e
-    mono_ok, mono_witness = morse.verify_poset_map(key_of)
-    if not mono_ok:
-        raise fail("classifier not order-preserving", mono_witness)
+    check_label_order(k)
     acyclic, cycle = morse.is_acyclic(composed)
     if not acyclic:
         raise fail("matched pairs close a cycle", [f for pair in cycle for f in pair])
@@ -448,4 +472,5 @@ def theorem2_matching(k: int) -> CollapseReport:
     records.append(VerificationRecord(
         lemma="s3k-collapse", k=k, fiber="all", cells=len(key_of), pairs=len(composed.pairs),
         acyclic=True, perfect=False, critical_count=len(critical)))
-    return CollapseReport(k=k, matching=composed, records=records, critical=critical)
+    return CollapseReport(k=k, matching=composed, records=records, critical=critical,
+                          poset_map_route='lattice')

@@ -18,9 +18,10 @@ normal form.
 Both theorems sort faces by the ground elements a face misses, and
 ``missed_shape`` is the one reader of that set: a stable triple fits inside,
 or it is {s, s+1, t} (the normal form rotated back), or {s, s+1, u, u+1}, or
-none of these.  ``pullback`` takes a family of the third kind to one of the
-second kind one parameter down; ``index_I`` and ``index_J`` list the
-admissible t and u.
+none of these.  ``missed_lattice`` checks, on every mask, the facts that
+both theorems' Cluster-Lemma hypotheses rest on.  ``pullback`` takes a
+family of the third kind to one of the second kind one parameter down;
+``index_I`` and ``index_J`` list the admissible t and u.
 
 ``triple_index(k)`` numbers all triples of [k+6] in lex order; bit b of a
 face mask stands for triple b of that index, in every complex at that k.
@@ -31,6 +32,8 @@ from __future__ import annotations
 import itertools
 from functools import lru_cache
 from typing import Iterable, Iterator, NamedTuple
+
+from .morse import MatchingError
 
 KG = "kg"
 S = "s"
@@ -173,7 +176,7 @@ def missed_shape(missed: int, k: int):
     pairs with s < u."""
     n = ground_size(k)
     ix = triple_index(k)
-    elements = [x for x in range(1, n + 1) if missed >> (x - 1) & 1]
+    elements = ground_elements(missed)
     if any(ix.stable >> ix.bit[t] & 1 for t in itertools.combinations(elements, 3)):
         return True
     if len(elements) == 3 and not is_stable(elements, k):
@@ -186,6 +189,47 @@ def missed_shape(missed: int, k: int):
         if (a, d) == (1, n) and c == b + 1:  # the second pair wraps: {n, 1}
             return (4, b, n)
     return None
+
+
+def ground_elements(mask: int) -> tuple[int, ...]:
+    """The ground elements of a ground-element mask, ascending."""
+    return tuple(b + 1 for b in range(mask.bit_length()) if mask >> b & 1)
+
+
+def missed_lattice(k: int) -> list:
+    """``missed_shape`` of every mask M of [k+6], indexed by M, once these
+    hold for every M of three or more elements and x off M: (a) |M| >= 5:
+    a stable triple fits inside; (b) |M| = 3 or 4 and none fits: M has the
+    pair or the double-pair shape; (c) M + x holds a stable triple, or has
+    the double-pair shape while M has the pair shape.  (c) is checked as
+    "M + x holds a stable triple if M does"; the rest of it follows from
+    (a) and (b) on M + x, one element larger.
+
+    Lemma.  By (a) and (b) a face of the full complex outside the mixed
+    complex (an unstable member, no stable triple in its missed set) is a
+    P-face (pair shape) or a Q-face (double pair, the middle stage).  A
+    facet misses a superset, reached by one-element growths, so by (c) a
+    facet of a P- or Q-face stays in its family or has left the layer: no
+    face of a family has a facet in another family of the layer, and the
+    union of their matchings is acyclic iff each is (the Cluster Lemma).
+    A failed fact raises ``MatchingError`` naming the mask's elements.
+    """
+    n = ground_size(k)
+    shapes = [missed_shape(m, k) for m in range(1 << n)]
+    for m in reversed(range(1 << n)):  # a growth is checked before its masks
+        shape, size = shapes[m], m.bit_count()
+        if size < 3:
+            continue
+        if shape is True:
+            for x in range(n):
+                if shapes[m | 1 << x] is not True:
+                    raise MatchingError("missed set %r holds a stable triple, but its growth by %d "
+                                        "reads %r" % (ground_elements(m), x + 1, shapes[m | 1 << x]))
+        elif shape is None or shape[0] != size:
+            want = "" if size >= 5 else " or have the %s shape" % ("pair", "double-pair")[size - 3]
+            raise MatchingError("missed set %r reads %r, but a set of %d elements must hold a "
+                                "stable triple%s" % (ground_elements(m), shape, size, want))
+    return shapes
 
 
 def pullback(k: int, s: int, u: int) -> tuple[int, int, int]:

@@ -17,7 +17,8 @@ full.  Unmatched faces are critical.
 Pair builders (``element_matching``) hand back plain lists, validated only
 by the ``Matching`` they end up in.  For a union of fibers (the Cluster
 Lemma), the one face table ``key_of`` (face -> fiber key) is all that
-``compose_cluster`` and ``verify_poset_map`` read.
+``compose_cluster`` reads; ``verify_poset_map``, a walk over its facets,
+is the tests' oracle for the order ``graphs.missed_lattice`` proves.
 
 Faces are integer bitmasks, bit b standing for one vertex: a facet drops
 one bit and a cover adds one.  A bitset holds a set of faces as one int,
@@ -254,7 +255,7 @@ def element_matching(delta: Iterable[int], x: int) -> list[tuple[int, int]]:
     return [(f, f | x) for f in dset if not f & x and f | x in dset]
 
 
-def is_acyclic(matching: Matching, cells: Iterable | None = None) -> tuple[bool, list | None]:
+def is_acyclic(matching: Matching) -> tuple[bool, list | None]:
     """Check the matched-pair digraph for directed cycles.
 
     One iterative depth-first search (``_search_dict``) over the lower
@@ -276,15 +277,9 @@ def is_acyclic(matching: Matching, cells: Iterable | None = None) -> tuple[bool,
     where the witness lists the pairs around one cycle in order, each next
     lower face a facet of the current upper face and the last pair leading
     back to the first.  Malformed input (pairs not covering, a face in two
-    pairs) is rejected by Matching itself; if ``cells`` is given, pairs must
-    stay inside it.
+    pairs) is rejected by Matching itself; that the pairs stay inside a
+    family is the caller's check.
     """
-    if cells is not None:
-        cs = cells if isinstance(cells, (set, frozenset)) else set(cells)
-        for sigma, tau in matching.pairs:
-            if sigma not in cs or tau not in cs:
-                raise ValueError("pair (%r, %r) leaves the cell family" % (sigma, tau))
-        del cs  # a copied cell set is not needed during the search
     pairs = matching.pairs
     if isinstance(pairs, StagePairs):
         low = _peel(*pairs.bitsets())[0]

@@ -27,7 +27,8 @@ all-stable A- and B-families of Theorem 2 with the same ``family_faces``,
 all families counts the spheres in the wedge: t = (k+1)(k+3)(k+4)(k+6)/4
 + 1 of dimension k after the final free collapse, which
 ``theorem3_counts`` reports together with a mechanical census of every
-family.
+family.  ``_layer_certificate`` proves on missed sets, for every face,
+that each layer's families compose under the Cluster Lemma.
 
 Faces of one family are bitmasks over the triples inside the family
 support (lex ordered in a family built directly), and a set of them is a
@@ -63,26 +64,6 @@ from .morse import (Bits, Matching, MatchingError, PairError, StagePairs, bitset
 # scan, and with it the census, stops at CENSUS_CAP = 3.
 SCAN_BITS = 22
 CENSUS_CAP = max(k for k in range(SCAN_BITS) if math.comb(k + 3, 3) <= SCAN_BITS)
-
-
-def level1_contains(sigma: int, k: int) -> bool:
-    """Membership in the mixed-graph complex, via the missed set.
-
-    A face of the full complex lies in the complex of the mixed graph iff
-    all of its members are stable (any triple inside the missed set is then
-    a common neighbor there) or some stable triple avoids its support (that
-    triple is a common stable neighbor).  Cheaper than an is_face query and
-    independent of it; the two are compared in the tests.
-    """
-    if not sigma:
-        raise ValueError("the empty face belongs to every stage")
-    comp = complement_set(sigma, k)
-    if len(comp) < 3:
-        raise ValueError("%r misses only %d ground elements; not a face of the full complex"
-                         % (decode(sigma, graphs.triple_index(k).triples), len(comp)))
-    if not sigma & ~graphs.triple_index(k).stable:
-        return True
-    return missed_shape(vertex_mask(comp), k) is True
 
 
 def _level2_extras(k: int) -> list[int]:
@@ -139,28 +120,21 @@ def pq_classify(sigma: int, k: int) -> PQTag:
 
     The missed set determines (family, i, j) uniquely: runs of three or
     four are read starting at the lower adjacent pair, and any other shape
-    would put the face inside level 1 or break the partition, which raises.
+    would put the face inside level 1 or off the full complex, which
+    raises.
     """
     if not sigma:
         raise MatchingError("the empty face carries no tag")
     ix = graphs.triple_index(k)
     comp = complement_set(sigma, k)
-    if len(comp) < 3:
-        raise MatchingError("%r misses only %d ground elements; not a face of the full complex"
-                            % (decode(sigma, ix.triples), len(comp)))
     shape = missed_shape(vertex_mask(comp), k)
+    if shape is None:  # under three elements, or a shape graphs.missed_lattice rules out
+        raise MatchingError("%r misses %r; no face of the full complex outside the mixed one does"
+                            % (decode(sigma, ix.triples), comp))
     unstable = sigma & ~ix.stable
     if shape is True or not unstable:
         raise MatchingError("%r lies in the mixed complex; the families cover only the outside"
                             % (decode(sigma, ix.triples),))
-    if shape is None:
-        if len(comp) == 3:
-            raise MatchingError("missed set %r holds no adjacent pair; the partition is broken"
-                                % (comp,))
-        if len(comp) == 4:
-            raise MatchingError("missed set %r is not two disjoint adjacent pairs; the partition is broken"
-                                % (comp,))
-        raise MatchingError("missed set %r has five or more elements yet no stable triple" % (comp,))
     least = ix.triples[(unstable & -unstable).bit_length() - 1]
     return PQTag('P' if shape[0] == 3 else 'Q', shape[1], shape[2], least)
 
@@ -648,32 +622,26 @@ def q_indices(k: int) -> list[tuple[int, int]]:
     return out
 
 
-def _to_index(fm: FamilyMatching, pairs: list, crit: list) -> None:
-    """Append the pairs and critical cells of a family, remapped from its
-    local bits onto the per-k index, to ``pairs`` and ``crit``."""
+def _to_index(fm: FamilyMatching, pairs: list) -> None:
+    """Append the pairs of a family, remapped from its local bits onto the
+    per-k index, to ``pairs``."""
     bit = graphs.triple_index(fm.k).bit
     table = [1 << bit[t] for t in fm.triples]
     pairs.extend((remap(a, table), remap(b, table)) for a, b in fm.pairs)
-    crit.extend(remap(c, table) for c in fm.critical)
 
 
-def _compose_layer(k: int, pairs: list, crit: list, upper: int, lower: int, tag: str) -> None:
-    """Check one whole layer at once: the union of the family matchings is
-    acyclic over the faces of the upper stage, and what it leaves unmatched
-    is the lower stage plus the counted critical cells."""
-    cells = filtration(k, upper).all_faces()
-    m = Matching(pairs)
-    ok, cyc = is_acyclic(m, cells=cells)
-    if not ok:
-        triples = graphs.triple_index(k).triples
-        raise MatchingError("%s layer matching has a directed cycle through %r"
-                            % (tag, [decode(a, triples) for a, _ in cyc[:2]]))
-    left = cells - m.matched()
-    want = filtration(k, lower).all_faces() | set(crit)
-    if left != want:
-        raise MatchingError("%s layer survivors are not stage %d plus the counted cells "
-                            "(%d unexpected, %d missing)"
-                            % (tag, lower, len(left - want), len(want - left)))
+def _layer_certificate(k: int) -> None:
+    """The Cluster-Lemma hypothesis of both layers for every face at k:
+    ``graphs.missed_lattice``'s lemma, once the masks read as a pair or a
+    double pair are the missed sets of ``p_indices`` and ``q_indices``."""
+    read = {(shape, m) for m, shape in enumerate(graphs.missed_lattice(k))
+            if isinstance(shape, tuple)}
+    want = {((3, i, j), vertex_mask(p_complement(k, i, j))) for i, j in p_indices(k)}
+    want |= {((4, i, j), vertex_mask(q_complement(k, i, j))) for i, j in q_indices(k)}
+    if read != want:
+        shape, m = min(read ^ want)
+        raise MatchingError("missed set %r and family shape %r: the families and the shapes "
+                            "read on the lattice differ" % (graphs.ground_elements(m), shape))
 
 
 def theorem3_counts(k: int, *, census: bool | None = None) -> dict:
@@ -693,9 +661,9 @@ def theorem3_counts(k: int, *, census: bool | None = None) -> dict:
     checked in full once, then moved onto its rotated copies by
     ``transport``, whose certificate covers every face; the four-element
     families are transported from three-element families one parameter
-    down.  Up to k=2 the two layers are also composed and checked for
-    acyclicity as single matchings.  Beyond k=3 pass census=False for the
-    formula values alone.
+    down.  ``_layer_certificate`` certifies the union of each layer's
+    family matchings, by the route ``union_route`` names.  Beyond k=3 pass
+    census=False for the formula values alone.
     """
     if k < 0:
         raise ValueError("k must be nonnegative, got %r" % (k,))
@@ -724,23 +692,22 @@ def theorem3_counts(k: int, *, census: bool | None = None) -> dict:
         'rows': [],
         'observed_k_cells': None,
         'observed_km1_cells': None,
+        'union_route': 'lattice' if census else None,
     }
     if not census:
         return out
     if k > CENSUS_CAP:
         raise ValueError("the census at k=%d is out of scan budget; pass census=False "
                          "for the formula values" % (k,))
+    _layer_certificate(k)
     per_p = (k + 1) * (k + 2) // 2
     per_q = k * (k + 1) // 2
-    compose = k <= 2
     p_order = p_indices(k)
     by_base: dict[int, list] = {}
     for i, j in p_order:
         by_base.setdefault(unstable_rep(p_complement(k, i, j), k)[0], []).append((i, j))
     placed: dict[tuple, tuple] = {}
     observed_k = 0
-    p_pairs: list = []
-    p_crit: list = []
     for jp in label_order_I(1, k):
         base = matching_P(k, 1, jp)
         for i, j in by_base[jp]:
@@ -750,17 +717,11 @@ def theorem3_counts(k: int, *, census: bool | None = None) -> dict:
                                     % (i, j, len(fm.critical), per_p))
             placed[(i, j)] = ('P', i, j, len(fm.faces), len(fm.critical), k)
             observed_k += len(fm.critical)
-            if compose:
-                _to_index(fm, p_pairs, p_crit)
         del base, fm
-    if compose:
-        _compose_layer(k, p_pairs, p_crit, 3, 2, "top")
     if observed_k != extra_k:
         raise MatchingError("dimension-k survivors total %d, formula says %d" % (observed_k, extra_k))
     rows = [placed[ij] for ij in p_order]
     observed_km1 = 0
-    q_pairs: list = []
-    q_crit: list = []
     for i, j in q_indices(k):
         if k == 0:
             fam = family_faces(k, q_complement(k, i, j))
@@ -774,10 +735,6 @@ def theorem3_counts(k: int, *, census: bool | None = None) -> dict:
                                 % (i, j, len(fm.critical), per_q))
         rows.append(('Q', i, j, len(fm.faces), len(fm.critical), k - 1))
         observed_km1 += len(fm.critical)
-        if compose:
-            _to_index(fm, q_pairs, q_crit)
-    if compose and k >= 1:
-        _compose_layer(k, q_pairs, q_crit, 2, 1, "middle")
     if observed_km1 != extra_km1:
         raise MatchingError("dimension-(k-1) survivors total %d, formula says %d"
                             % (observed_km1, extra_km1))

@@ -14,8 +14,8 @@ import networkx as nx
 
 from kneser_morse import morse
 from kneser_morse.collapse import (
-    classify, label_key, matching_B, pivot_vertex, theorem2_matching,
-    _delta_table, _s_faces,
+    check_label_order, classify, label_key, matching_B, pivot_vertex,
+    theorem2_matching, _delta_table, _s_faces,
 )
 from kneser_morse.complexes import complex_for, decode, face_key
 from kneser_morse.graphs import (
@@ -25,8 +25,10 @@ from kneser_morse.homology import (
     CHECK_PRIMES, betti, boundary_matrix, rank_mod_p, relative_betti,
     smith_normal_form,
 )
+from kneser_morse.morse import MatchingError
 from kneser_morse.wedge import (
     family_faces, filtration, split_fibers, theorem3_counts, toggle_run, w_set,
+    _layer_certificate,
 )
 
 # the enumeration oracles of the A- and B-families, the C-fibers and the A
@@ -108,7 +110,8 @@ def test_criterion_4_relative_ranks():
 
 # criterion 5: the survivor census runs for k = 1, 2, 3 inside 20 minutes
 # (every base family checked in full, every rotated copy by the exact
-# transport certificate, and whole layers composed up to k = 2)
+# transport certificate, and the union of each layer by the missed-set
+# lattice)
 
 def test_criterion_5_census():
     t0 = time.monotonic()
@@ -128,7 +131,7 @@ def test_criterion_5_census():
 
 # criterion 6: the structural properties behind the matchings, exhaustively
 # for k <= 2 (plus the k = 3 pullback bijections, whose families are empty
-# below that)
+# below that, and the missed-set lattice facts through k = 3)
 
 def _check_classifier_partition(k):
     faces = _s_faces(k)
@@ -172,6 +175,17 @@ def _check_poset_maps(k):
             ok, _ = morse.verify_poset_map({f: -stage[f] for f in faces})
             oks.append(ok)
     return all(oks)
+
+
+def _check_missed_set_lattice(k):
+    """The Cluster-Lemma hypotheses of both theorems on missed sets: the
+    layer unions of Theorem 3 and the classifier order of Theorem 2."""
+    try:
+        _layer_certificate(k)
+        check_label_order(k)
+    except MatchingError:
+        return False
+    return True
 
 
 def _check_delta_classes_k3():
@@ -224,8 +238,7 @@ def _check_b_pullbacks():
             oks.append(parsed is not None and len(image) == len(fam)
                        and image == set(a_family(2, *parsed)))
             m = morse.Matching(matching_B(3, s, u))
-            oks.append(all(f in m for f in fam)
-                       and morse.is_acyclic(m, fam)[0])
+            oks.append(set(m.partner) == fam and morse.is_acyclic(m)[0])
     return all(oks) and hits > 0
 
 
@@ -256,6 +269,7 @@ def test_criterion_6_structural_properties():
         ("family partition k=2", _check_classifier_partition(2)),
         ("poset maps k=1", _check_poset_maps(1)),
         ("poset maps k=2", _check_poset_maps(2)),
+        ("missed-set lattice k=0..3", all(_check_missed_set_lattice(k) for k in range(4))),
         ("pivot residue classes k=3", _check_delta_classes_k3()),
         ("four-set pullbacks", _check_b_pullbacks()),
         ("euler and mod-p ranks", _check_euler_and_mod_p()),
@@ -317,7 +331,7 @@ def test_criterion_7_independent_oracles():
                 pairs.append((s, t))
                 used.update((s, t))
         m = morse.Matching(pairs)
-        got, _ = morse.is_acyclic(m, cells=cells)
+        got, _ = morse.is_acyclic(m)
         assert got == _hasse_oracle(m, cells), seed
         agree += 1
     small = [('sg', 0), ('kg', 0), ('s', 0), ('sg', 1)]

@@ -482,7 +482,9 @@ def test_a_theorem3_failure_carries_the_name_of_its_pass(monkeypatch, capsys, k,
     assert err.splitlines()[0] == "FAIL %s" % name
 
 
-# Reports of the parent of the single face encoding, elapsed_ms masked.
+# Reports of the parent of the single face encoding, elapsed_ms masked, plus
+# the route keys (poset_map_route, union_route) that name the missed-set
+# lattice as what certified the Cluster-Lemma order and the layer unions.
 THEOREM2_K1 = {
     'command': 'verify',
     'k': 1,
@@ -495,6 +497,7 @@ THEOREM2_K1 = {
                 'cells': 98,
                 'pairs': 42,
                 'critical': 14,
+                'poset_map_route': 'lattice',
                 'records': [
                     {
                         'lemma': 'sg-matching', 'fiber': 'SG', 'cells': 14, 'pairs': 0,
@@ -582,6 +585,7 @@ THEOREM3_K1_FULL_SNF = {
                 'extra_km1_cells': 14,
                 'predicted_t': 71,
                 'censused': True,
+                'union_route': 'lattice',
                 'families': 42,
                 'rows': [
                     ['P', 1, 3, 11, 3, 1], ['P', 1, 4, 11, 3, 1], ['P', 1, 5, 11, 3, 1],
@@ -651,6 +655,7 @@ THEOREM3_K2_FULL_SNF = {
                 'extra_km1_cells': 60,
                 'predicted_t': 181,
                 'censused': True,
+                'union_route': 'lattice',
                 'families': 60,
                 'rows': [
                     ['P', 1, 3, 958, 6, 2], ['P', 1, 4, 956, 6, 2], ['P', 1, 5, 958, 6, 2],

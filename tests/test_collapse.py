@@ -33,7 +33,8 @@ def members(sigma, k):
 
 
 def is_perfect(matching, cells):
-    return all(c in matching for c in cells)
+    """Every cell is matched, and every matched face is a cell."""
+    return set(matching.partner) == set(cells)
 
 
 def rotation_table(src_k, k, shift):
@@ -310,9 +311,75 @@ def test_classify_refuses_what_it_cannot_label(mask):
 
 @pytest.mark.parametrize("k", [0, 1, 2])
 def test_classifier_is_a_poset_map(k):
+    # the face-level walk over every facet agrees with the missed-set check
     ok, witness = morse.verify_poset_map(
         {sigma: label_key(classify(sigma, k), k) for sigma in sorted(_s_faces(k))})
     assert ok, witness
+    collapse.check_label_order(k)
+
+
+def key_b_above_a(monkeypatch):
+    real = collapse.label_key
+    monkeypatch.setattr(collapse, 'label_key',
+                        lambda label, k: (4,) + label[1:] if label[0] == 'B' else real(label, k))
+
+
+def key_c_rising(monkeypatch):
+    real = collapse.label_key
+    monkeypatch.setattr(collapse, 'label_key', lambda label, k: (
+        (1, triple_index(k).bit[label[1]]) if label[0] == 'C' else real(label, k)))
+
+
+@pytest.mark.parametrize("plant,match", [
+    (key_b_above_a, r"facet shape \(1, 2, 3, 4\) \('B', 1, 3\) keys above face shape "
+                    r"\(1, 2, 3\) \('A', 1, 3\)$"),
+    (key_c_rising, r"label \('C', \(1, 2, 4\)\) keys above label \('C', \(1, 2, 3\)\)$"),
+])
+def test_a_label_order_that_rises_to_a_facet_is_refused(plant, match, monkeypatch):
+    # at k = 3 on missed sets alone, since theorem2_matching lists every
+    # face of s and stops at k = 2
+    plant(monkeypatch)
+    match = "classifier not order-preserving: " + match
+    with pytest.raises(MatchingError, match=match):
+        theorem2_matching(2)
+    with pytest.raises(MatchingError, match=match):
+        collapse.check_label_order(3)
+
+
+def test_a_label_order_with_ties_is_order_preserving(monkeypatch):
+    # a poset map may keep a key on a facet: one key for every C label, and
+    # one for every A and B label, still never rises to a facet
+    monkeypatch.setattr(collapse, 'label_key', lambda label, k: {'SG': 0, 'C': 1}.get(label[0], 2))
+    for k in (2, 3):
+        collapse.check_label_order(k)
+
+
+def test_the_face_level_walk_misses_b_above_a_at_k2(monkeypatch):
+    # no face of s is a B-face below k = 3, so the walk over the faces of
+    # s at k = 2 never compares a B key with an A key and passes the plant
+    # that the missed-set check refuses
+    key_b_above_a(monkeypatch)
+    ok, _ = morse.verify_poset_map(
+        {sigma: collapse.label_key(classify(sigma, 2), 2) for sigma in sorted(_s_faces(2))})
+    assert ok
+    with pytest.raises(MatchingError, match=r"face shape \(1, 2, 3\)"):
+        collapse.check_label_order(2)
+
+
+def test_theorem2_names_a_five_set_read_as_a_pair(monkeypatch):
+    real, mask = graphs.missed_shape, vertex_mask((1, 2, 3, 4, 5))
+    monkeypatch.setattr(graphs, 'missed_shape', lambda m, k: (3, 1, 3) if m == mask else real(m, k))
+    with pytest.raises(MatchingError, match=r"missed set \(1, 2, 3, 4, 5\) reads \(3, 1, 3\), "
+                                            r"but a set of 5 elements must hold a stable triple$"):
+        theorem2_matching(2)
+
+
+def test_theorem2_walks_no_facet_of_the_face_table(monkeypatch):
+    def walked(*args, **kwargs):
+        raise AssertionError("the face-level poset-map walk ran")
+
+    monkeypatch.setattr(morse, 'verify_poset_map', walked)
+    assert theorem2_matching(2).poset_map_route == 'lattice'
 
 
 # ---------------------------------------------------------------------------
@@ -327,7 +394,7 @@ def test_matching_A_perfect_and_acyclic(k):
             fam = set(a_family(k, s, t))
             m = Matching(matching_A(k, s, t))
             assert is_perfect(m, fam)
-            ok, witness = morse.is_acyclic(m, fam)
+            ok, witness = morse.is_acyclic(m)
             assert ok, witness
             pairs_seen += len(m.pairs)
     assert pairs_seen > 0
@@ -379,7 +446,7 @@ def test_the_parts_are_the_pivot_fiber_and_the_residue_classes(l):
     parts = []
     for part in collapse._a_base(k, l):
         pairs = []
-        wedge._to_index(part, pairs, [])
+        wedge._to_index(part, pairs)
         parts.append({f for pair in pairs for f in pair})
     assert parts[0] == buckets.pop('pivot-fiber')
     assert sorted(map(sorted, parts[1:])) == sorted(map(sorted, buckets.values()))
@@ -543,7 +610,7 @@ def test_matching_B_pullback_bijection():
             assert image == set(a_family(2, *parsed))
             m = Matching(matching_B(3, s, u))
             assert is_perfect(m, fam)
-            ok, _ = morse.is_acyclic(m, fam)
+            ok, _ = morse.is_acyclic(m)
             assert ok
     assert hit > 0
 
@@ -565,7 +632,7 @@ def test_matching_C_perfect_and_acyclic(k):
         fiber = c_fiber(k, v)
         m = Matching(matching_C(k, v, fiber))
         assert is_perfect(m, fiber)
-        ok, witness = morse.is_acyclic(m, fiber)
+        ok, witness = morse.is_acyclic(m)
         assert ok, witness
 
 
@@ -788,7 +855,9 @@ def plant_largest_toggle_element(monkeypatch):
 def plant_partner_in_another_block(monkeypatch):
     # in the first C fiber at k = 2 where a face's partner misses one
     # element less, that partner's missed set is given another toggle: the
-    # partner moves to another block and the face is left unmatched
+    # partner moves to another block and the face is left unmatched.  A
+    # face is matched iff its toggle partner lies in the fiber and reads
+    # the same toggle; the error names the first three faces that are not
     k, real = 2, collapse.c_toggle
     ix = triple_index(k)
     full = (1 << ground_size(k)) - 1
@@ -805,8 +874,14 @@ def plant_partner_in_another_block(monkeypatch):
                     collapse, 'c_toggle',
                     lambda kk, fr, missed: other if (kk, fr, missed) == (k, frame, moved)
                     else real(kk, fr, missed))
-                return r"fiber of %s not perfectly matched; first unmatched: \[\(\(\d+, \d+, \d+\)" \
-                    % re.escape(repr(v))
+
+                def toggle(f):
+                    return collapse.c_toggle(k, frame, full & ~remap(f, ix.ground))
+
+                unmatched = [f for f in sorted(fiber)
+                             if f ^ toggle(f) not in fiber or toggle(f ^ toggle(f)) != toggle(f)]
+                return re.escape("fiber of %r not perfectly matched; first unmatched: %r"
+                                 % (v, [members(f, k) for f in unmatched[:3]])) + "$"
     raise AssertionError("no C fiber at k=2 has a partner with a smaller missed set")
 
 

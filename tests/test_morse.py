@@ -107,12 +107,6 @@ def test_long_acyclic_chain_needs_no_recursion():
     assert is_acyclic(m) == (True, None)
 
 
-def test_is_acyclic_enforces_cells():
-    m = Matching([(0b001, 0b011)])
-    with pytest.raises(ValueError):
-        is_acyclic(m, cells=[0b001])
-
-
 def oracle_acyclic(matching, cells):
     """Modified Hasse diagram: down arcs, matched arcs flipped upward."""
     dg = nx.DiGraph()
@@ -181,7 +175,7 @@ def random_case(seed):
 @pytest.mark.parametrize("seed", range(40))
 def test_is_acyclic_agrees_with_hasse_oracle(seed):
     cells, m = random_case(seed)
-    got, witness = is_acyclic(m, cells=cells)
+    got, witness = is_acyclic(m)
     assert got == oracle_acyclic(m, cells)
     assert (got, witness) == reference_is_acyclic(m)
     if got:
@@ -550,6 +544,15 @@ def test_staged_defects_raise_as_the_listed_pairs_do():
                 Matching(list(staged))
             assert bulk.value.faces == listed.value.faces == faces
             assert str(bulk.value) == str(listed.value)
+
+
+def test_a_stage_bit_past_its_upper_faces_is_a_pair_error():
+    # stage 1 holds the upper face 1, which lacks bit 1: the pair (3, 1)
+    # does not cover, and the bit lies past the one-bit table of the stage
+    with pytest.raises(PairError) as bad:
+        Matching(StagePairs([(1, 0b10)]))
+    assert bad.value.faces == (3, 1)
+    assert bad.value.what == "does not cover"
 
 
 def test_stages_that_fail_only_the_bulk_check_are_never_accepted(monkeypatch):

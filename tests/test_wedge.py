@@ -6,15 +6,17 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kneser_morse import morse, wedge
+from kneser_morse import graphs, morse, wedge
 from kneser_morse.morse import MatchingError, members
-from kneser_morse.complexes import complex_for, decode, face_key, remap
+from kneser_morse.complexes import (
+    NbhdComplex, complement_set, complex_for, decode, face_key, remap,
+)
 from kneser_morse.graphs import (
-    all_triples, ground_size, index_I, is_stable, p_complement, q_complement,
-    rotate, triple_index,
+    all_triples, ground_size, index_I, is_stable, missed_shape, p_complement,
+    q_complement, rotate, triple_index, vertex_mask,
 )
 from kneser_morse.wedge import (
-    c_set, critical_form, family_faces, filtration, level1_contains,
+    c_set, critical_form, family_faces, filtration,
     matching_P, matching_Q, nc_set, p_indices, pq_classify, q_indices,
     split_fibers, theorem3_counts, toggle_run, transport, w_case, w_set,
 )
@@ -52,6 +54,26 @@ def test_filtration_rejects_bad_level():
         filtration(1, 4)
     with pytest.raises(ValueError):
         filtration(1, -1)
+
+
+def level1_contains(sigma: int, k: int) -> bool:
+    """Membership in the mixed-graph complex, via the missed set.
+
+    A face of the full complex lies in the complex of the mixed graph iff
+    all of its members are stable (any triple inside the missed set is then
+    a common neighbor there) or some stable triple avoids its support (that
+    triple is a common stable neighbor).  Independent of an is_face query;
+    the two are compared below.
+    """
+    if not sigma:
+        raise ValueError("the empty face belongs to every stage")
+    comp = complement_set(sigma, k)
+    if len(comp) < 3:
+        raise ValueError("%r misses only %d ground elements; not a face of the full complex"
+                         % (decode(sigma, triple_index(k).triples), len(comp)))
+    if not sigma & ~triple_index(k).stable:
+        return True
+    return missed_shape(vertex_mask(comp), k) is True
 
 
 @pytest.mark.parametrize("k", [0, 1])
@@ -496,9 +518,9 @@ def test_matching_P_counts(k, i, j):
     assert len(m.faces) == 2 * len(m.pairs) + len(m.critical)
     # the same matching moved onto the per-k index
     table = [1 << triple_index(k).bit[t] for t in m.triples]
-    ok, witness = morse.is_acyclic(
-        morse.Matching([(remap(a, table), remap(b, table)) for a, b in m.pairs]),
-        [remap(f, table) for f in m.faces])
+    moved = morse.Matching([(remap(a, table), remap(b, table)) for a, b in m.pairs])
+    assert moved.matched() <= {remap(f, table) for f in m.faces}
+    ok, witness = morse.is_acyclic(moved)
     assert ok, witness
 
 
@@ -625,3 +647,96 @@ def test_theorem3_formula_only_path():
     assert out['predicted_t'] == out['extra_k_cells'] - out['extra_km1_cells'] + 1
     with pytest.raises(ValueError):
         theorem3_counts(5, census=True)
+
+
+# ---------------------------------------------------------------------------
+# the union of each layer's family matchings: the face-level oracle and the
+# missed-set lattice the census certifies it with
+
+def compose_layer(k, fms, upper, lower):
+    """The face-level check of one whole layer: the union of the family
+    matchings, moved onto the per-k index, stays inside the faces of the
+    upper stage and is acyclic, and what it leaves unmatched is the lower
+    stage plus the families' critical cells.  Returns the first problem
+    found, or None."""
+    bit = triple_index(k).bit
+    pairs, crit = [], set()
+    for fm in fms:
+        wedge._to_index(fm, pairs)
+        table = [1 << bit[t] for t in fm.triples]
+        crit |= {remap(c, table) for c in fm.critical}
+    cells = filtration(k, upper).all_faces()
+    m = morse.Matching(pairs)
+    if not m.matched() <= cells:
+        return "pairs leave stage %d" % upper
+    ok, cycle = morse.is_acyclic(m)
+    if not ok:
+        return "cycle through %r" % ([decode(a, triple_index(k).triples) for a, _ in cycle[:2]],)
+    if cells - m.matched() != filtration(k, lower).all_faces() | crit:
+        return "survivors are not stage %d plus the counted cells" % lower
+    return None
+
+
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_the_face_level_layer_check_agrees_with_the_lattice(k):
+    assert theorem3_counts(k)['union_route'] == 'lattice'
+    top = [matching_P(k, i, j) for i, j in p_indices(k)]
+    mid = [matching_Q(k, i, j) for i, j in q_indices(k)] if k else []
+    assert compose_layer(k, top, 3, 2) is None
+    assert compose_layer(k, mid, 2, 1) is None
+    # the oracle is not vacuous: a layer short of one family fails it
+    assert compose_layer(k, top[1:], 3, 2) == "survivors are not stage 2 plus the counted cells"
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_the_census_certifies_every_rotated_family_by_transport(k, monkeypatch):
+    # each i = 1 family is checked in full; every other P-family reaches the
+    # census only through transport's certificate, and every Q-family too
+    # (the P-families one parameter down that a Q-family pulls back from
+    # are moved in their own frame, at k - 1)
+    moved, real = [], wedge.transport
+    monkeypatch.setattr(wedge, 'transport', lambda base, kk, family, i, j, cset, shift: (
+        moved.append((kk, family, i, j)) or real(base, kk, family, i, j, cset, shift)))
+    theorem3_counts(k)
+    assert sorted(m[1:] for m in moved if m[0] == k) == sorted(
+        [('P', i, j) for i, j in p_indices(k) if i != 1] + [('Q', i, j) for i, j in q_indices(k)])
+
+
+def test_the_census_walks_no_face_of_a_stage(monkeypatch):
+    def walked(*args, **kwargs):
+        raise AssertionError("a face-level walk ran")
+
+    monkeypatch.setattr(NbhdComplex, 'all_faces', walked)
+    monkeypatch.setattr(morse, 'verify_poset_map', walked)
+    assert theorem3_counts(2)['union_route'] == 'lattice'
+
+
+def plant_shape(monkeypatch, elements, shape):
+    """``graphs.missed_shape`` misreads the one missed set ``elements``."""
+    real, mask = graphs.missed_shape, vertex_mask(elements)
+    monkeypatch.setattr(graphs, 'missed_shape', lambda m, k: shape if m == mask else real(m, k))
+
+
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("elements,shape,match", [
+    # (a): {1, 3, 5} is stable in this five-set
+    ((1, 2, 3, 4, 5), (3, 1, 3),
+     r"missed set \(1, 2, 3, 4, 5\) reads \(3, 1, 3\), but a set of 5 elements must hold "
+     r"a stable triple$"),
+    # (b): a double pair read as a pair shape
+    ((1, 2, 4, 5), (3, 1, 4),
+     r"missed set \(1, 2, 4, 5\) reads \(3, 1, 4\), but a set of 4 elements must hold a "
+     r"stable triple or have the double-pair shape$"),
+    # (c): a pair shape read as holding a stable triple, while its growth
+    # by 3 is the double pair {1, 2, 3, 4}
+    ((1, 2, 4), True,
+     r"missed set \(1, 2, 4\) holds a stable triple, but its growth by 3 reads \(4, 1, 3\)$"),
+    # the lattice facts hold, but the pair shape names another family
+    ((1, 2, 4), (3, 1, 5),
+     r"missed set \(1, 2, 4\) and family shape \(3, 1, 4\): the families and the shapes read "
+     r"on the lattice differ$"),
+])
+def test_the_census_names_a_misread_missed_set(k, elements, shape, match, monkeypatch):
+    plant_shape(monkeypatch, elements, shape)
+    with pytest.raises(MatchingError, match=match):
+        theorem3_counts(k)
