@@ -10,36 +10,28 @@ touches, read by ``graphs.missed_shape``) and by stability of its members:
   triple (two disjoint cyclically adjacent pairs);
 * C-family: some member unstable, fibered by the lex-least unstable member.
 
-Each family carries an explicit perfect acyclic matching.  The A- and
-B-matchings come from ``wedge``'s family engine, the one the P- and
-Q-families of Theorem 3 use.  The A-family missing {1, 2, l} is the part of
-the P-family's subset table (``wedge.family_faces``) that covers the
-support with no unstable bit.  A pivot triple's element matching is one
-``wedge.toggle_run`` stage; each face it leaves holds the pivot, and the
-rest of the face also misses part of the pivot, which files the face in one
-of seven residue classes.  A class is a smaller A-family moved up by
-``wedge.transport`` with the pivot added to every face.  Both steps are
-certified for all faces at once, and a count closes the partition.  The
-other A-families are these rotated by ``transport``, and a B-family is an
-A-family one parameter down pulled back along a rotation, the route
-``wedge.matching_Q`` takes.  A family's matching is built in parts, each a
-``wedge.FamilyMatching`` over its own triples.  A C-fiber's faces are
+Each family carries an explicit perfect acyclic matching.  The A-family
+missing {1, 2, l} is the all-stable part of the P-family's subset table
+(``wedge.family_faces``), matched in parts: one ``wedge.toggle_run`` stage
+of a pivot triple, and seven residue classes, each a smaller A-family moved
+up by ``wedge.transport`` with the pivot added to every face.  Both steps
+are certified for all faces at once, and a count closes the partition.
+Every other A- and B-family is such a base carried by ``wedge.mover``, the
+route the P- and Q-families of Theorem 3 take.  A C-fiber's faces are
 grouped by missed set, and each group toggles one stable vertex, read off
-the lex-least stable triple inside the missed set in v's frame; faces with
-one toggle form a block, paired by ``morse.element_matching``.  Every
-fiber hands back a plain pair list over the per-k index.
+the lex-least stable triple inside the missed set in v's frame
+(``c_toggle``); faces with one toggle form a block, paired by
+``morse.element_matching``.
+
+Every fiber hands back a plain pair list over ``graphs.triple_index(k)``.
 ``theorem2_matching`` files every face in one table (face -> label key) and
 composes the lists under that classifier (the Cluster Lemma) into the one
 ``Matching`` that validates each pair; ``check_label_order`` proves the
 classifier order-preserving on missed sets.  Theorem 2 then needs three
 checks on the whole complex: no pair straddles two fibers, the union is
 acyclic, and the critical cells are exactly F0.  Each fiber's acyclicity
-and perfection follow from these three.
-
-Faces are masks over ``graphs.triple_index(k)``, the index every complex at
-k shares; the A- and B-parts reach it through ``wedge._to_index``.  A
-C-toggle moves ground elements with ``graphs.rotate``, and faces are
-decoded only for error witnesses.
+and perfection follow from these three.  Faces are decoded only for error
+witnesses.
 """
 
 from __future__ import annotations
@@ -50,8 +42,7 @@ from functools import lru_cache
 
 from . import complexes, graphs, morse, wedge
 from .complexes import complement_set, decode, remap
-from .graphs import (missed_shape, p_complement, pair_of, pullback, q_complement, rotate,
-                     unstable_rep, vertex_mask)
+from .graphs import missed_shape, pair_of, rotate, unstable_rep, vertex_mask
 from .morse import Bits, Matching, MatchingError, StagePairs
 from .wedge import FamilyMatching
 
@@ -204,7 +195,7 @@ def _add_pivot(part: FamilyMatching, pivot: tuple, l: int) -> FamilyMatching:
                             "{1, 2, %d} that holds the uncovered elements %r of its class"
                             % (l, pivot, k, l, [x for x in part.cset if x not in (1, 2, l)]))
     w = 1 << len(part.triples)
-    return FamilyMatching(k, 'A', 1, l, (1, 2, l), part.triples + (pivot,), Bits(part.faces.bits << w),
+    return FamilyMatching(k, (1, 2, l), part.triples + (pivot,), Bits(part.faces.bits << w),
                           StagePairs((b, up << w) for b, up in part.pairs.stages), [])
 
 
@@ -216,13 +207,14 @@ def _a_base(k: int, l: int) -> tuple[FamilyMatching, ...]:
     support and hold no unstable bit.  Part one is the element matching of
     the pivot, one ``toggle_run`` stage.  Each face it leaves holds the
     pivot and falls in one residue class of ``_delta_table``, filled by the
-    parts of a smaller A-family moved into the frame at k by ``transport``
-    and given the pivot by ``_add_pivot``.  The classes of a target below
-    k = 2 are left out, as every A-family there is empty.  Twice the pivot
-    pairs plus the class faces must number the family's faces: with the
-    certificates, which make the classes disjoint from each other and from
-    the pivot pairs, that makes the parts a perfect matching, and a face
-    in a class left out, or a pivot stage lost, fails the count.
+    parts of a smaller A-family (carried by ``wedge.mover``) moved into the
+    frame at k by ``transport`` and given the pivot by ``_add_pivot``.  The
+    classes of a target below k = 2 are left out, as every A-family there
+    is empty.  Twice the pivot pairs plus the class faces must number the
+    family's faces: with the certificates, which make the classes disjoint
+    from each other and from the pivot pairs, that makes the parts a
+    perfect matching, and a face in a class left out, or a pivot stage
+    lost, fails the count.
     """
     cset = (1, 2, l)
     fam = wedge.family_faces(k, cset)
@@ -231,12 +223,13 @@ def _a_base(k: int, l: int) -> tuple[FamilyMatching, ...]:
         return ()
     pivot = pivot_vertex(k, l)
     stages, rest = wedge.toggle_run(family, [fam.triples.index(pivot)])
-    parts = [FamilyMatching(k, 'A', 1, l, cset, fam.triples, Bits(family ^ rest), StagePairs(stages), [])]
+    parts = [FamilyMatching(k, cset, fam.triples, Bits(family ^ rest), StagePairs(stages), [])]
     for extra, shift, sub_k, s, t in _delta_table(k, l):
         if sub_k >= 2:
             missed = graphs.ground_elements(vertex_mask(cset) | extra)
-            parts += [_add_pivot(wedge.transport(part, k, 'A', 1, l, missed, shift), pivot, l)
-                      for part in _a_parts(sub_k, s, t)]
+            move = wedge.mover(sub_k, 'A', s, t)
+            parts += [_add_pivot(wedge.transport(move.carry(part), k, 'A', 1, l, missed, shift),
+                                 pivot, l) for part in _a_base(move.k, move.l)]
     classes = sum(len(part.faces) for part in parts[1:])
     if 2 * len(parts[0].pairs) + classes != family.bit_count():
         raise MatchingError("family (A, 1, %d) at k=%d: %d pivot pairs and %d class faces do not "
@@ -245,40 +238,29 @@ def _a_base(k: int, l: int) -> tuple[FamilyMatching, ...]:
     return tuple(parts)
 
 
-def _a_parts(k: int, s: int, t: int) -> list[FamilyMatching]:
-    """The parts of the (1, l) family moved onto the family missing
-    {s, s+1, t} by ``transport``, along ``unstable_rep``'s rotation."""
-    cset = p_complement(k, s, t)
-    l, j = unstable_rep(cset, k)  # j = s-1
-    return [wedge.transport(part, k, 'A', s, t, cset, j) for part in _a_base(k, l)]
+def _pairs(move: wedge.Mover) -> list[tuple[int, int]]:
+    """The pairs, over the per-k index, of the parts ``move`` carries."""
+    pairs: list = []
+    for part in _a_base(move.k, move.l) if move.l else ():
+        wedge._to_index(move.carry(part), pairs)
+    return pairs
 
 
 def matching_A(k: int, s: int, t: int) -> list[tuple[int, int]]:
-    """Pairs of a perfect matching on the all-stable {s, s+1, t}-complement family."""
-    pairs: list = []
-    for part in _a_parts(k, s, t):
-        wedge._to_index(part, pairs)
-    return pairs
+    """Pairs of a perfect matching on the all-stable {s, s+1, t}-complement
+    family: the parts of the (1, l) family, rotated by s - 1 by
+    ``wedge.mover``."""
+    return _pairs(wedge.mover(k, 'A', s, t))
 
 
 def matching_B(k: int, s: int, u: int) -> list[tuple[int, int]]:
-    """Pairs of a perfect matching on the all-stable {s, s+1, u, u+1}-complement family.
-
-    Rotating by k+5-u sends the family bijectively onto a 3-complement
-    family one parameter down (the u-pair lands on {k+5, k+6} and drops off
-    the smaller ground set, see ``graphs.pullback``); the parts of that
-    family's matching move back by ``transport``, as ``wedge.matching_Q``
-    moves a P-family.  At k = 0 the support has two elements and the family
-    is empty.
+    """Pairs of a perfect matching on the all-stable {s, s+1, u, u+1}-complement
+    family: rotating by k+5-u moves the u-pair onto {k+5, k+6}, off the
+    ground set one parameter down (``graphs.pullback``), where the family
+    is an A-family; ``wedge.mover`` carries that family's base onto it and
+    back, the route of a Q-family.  At k = 0 the family is empty.
     """
-    cset = q_complement(k, s, u)
-    pairs: list = []
-    if k == 0:
-        return pairs
-    sub_s, sub_t, shift = pullback(k, s, u)
-    for part in _a_parts(k - 1, sub_s, sub_t):
-        wedge._to_index(wedge.transport(part, k, 'B', s, u, cset, -shift), pairs)
-    return pairs
+    return _pairs(wedge.mover(k, 'B', s, u))
 
 
 # ---------------------------------------------------------------------------
@@ -303,16 +285,23 @@ def c_toggle(k: int, frame: tuple[int, int], missed: int) -> int | None:
     A face holding the unstable v has exactly the stable triples inside its
     missed set as common neighbors.  In the frame where v is {1, 2, l}, u*
     is the lex-least stable triple inside the missed set rotated by -j, and
-    the toggle is {1, l, m}, m the least element of ``comp_set(u*, l)``,
-    rotated back by j.
+    the toggle is {1, l, m} rotated back by j, with the guarded m: the least
+    t of ``comp_set(u*, l)`` such that no stable triple that holds t and
+    lies inside u* + {t} is lex-before u*.  u* then stays the lex-least
+    stable triple when m joins the missed set (checked on every missed set
+    up to k = 6 by the tests), so toggling is an involution on the faces
+    sharing u*; the least element of ``comp_set`` alone breaks that from
+    k = 3 on, and picks the same m at k <= 2.
     """
     l, j = frame
     ix = graphs.triple_index(k)
     inside = sorted(rotate(x, -j, k) for x in graphs.ground_elements(missed))
-    for u_star in itertools.combinations(inside, 3):  # lex order
-        if ix.stable >> ix.bit[u_star] & 1:
-            m = min(comp_set(u_star, l), default=None)  # off 1 and away from l
-            return None if m is None else 1 << ix.bit[rotate((1, l, m), j, k)]
+    u_star = next((u for u in itertools.combinations(inside, 3)  # lex order
+                   if ix.stable >> ix.bit[u] & 1), None)
+    for m in sorted(comp_set(u_star, l)) if u_star else ():  # off 1 and away from l
+        rivals = (tuple(sorted((m,) + ab)) for ab in itertools.combinations(u_star, 2))
+        if not any(w < u_star and ix.stable >> ix.bit[w] & 1 for w in rivals):
+            return 1 << ix.bit[rotate((1, l, m), j, k)]
     return None
 
 
@@ -324,9 +313,9 @@ def matching_C(k: int, v, faces: list[int]) -> list[tuple[int, int]]:
     ``classify``; a face that fails raises ``MatchingError`` naming it and
     the fiber.  The faces are grouped by missed set, and each group's
     toggle is read once by ``c_toggle``.  Faces with the same toggle form a
-    block, paired by ``morse.element_matching``.  A face whose partner
-    leaves its block stays unmatched, and the fiber fails unless every
-    block is perfectly matched.
+    block, paired by ``morse.element_matching``.  A face with no toggle, or
+    whose partner leaves its block, stays unmatched, and the fiber fails
+    unless every face is matched.
     """
     vt = tuple(sorted(v))
     if graphs.is_stable(vt, k):
@@ -347,14 +336,11 @@ def matching_C(k: int, v, faces: list[int]) -> list[tuple[int, int]]:
         groups.setdefault(full & ~remap(sigma, ix.ground), []).append(sigma)
     blocks: dict = {}
     for missed, group in groups.items():
-        x = c_toggle(k, frame, missed)
-        if x is None:
-            raise MatchingError("face %r of the fiber of %r: no toggle for its missed set %r"
-                                % (decode(group[0], ix.triples), v, complement_set(group[0], k)))
-        blocks.setdefault(x, []).extend(group)
+        blocks.setdefault(c_toggle(k, frame, missed), []).extend(group)
     pairs: list = []
     for x, block in blocks.items():
-        pairs += morse.element_matching(block, x)
+        if x is not None:  # faces with no toggle stay unmatched
+            pairs += morse.element_matching(block, x)
     if 2 * len(pairs) != len(faces):  # the blocks' pairs are disjoint
         matched = {f for pair in pairs for f in pair}
         unmatched = sorted(f for f in faces if f not in matched)

@@ -26,6 +26,10 @@ from typing import Iterable
 from . import graphs
 from .graphs import Graph
 
+# Most candidates ``NbhdComplex.all_faces`` expands, the sum of 2^|m| over
+# the maximal faces m: kg needs 56 * 2^10 at k = 2 and 84 * 2^20 at k = 3.
+ALL_FACES_BUDGET = 2_000_000
+
 
 def face_key(sigma: Iterable, k: int) -> int:
     """The mask of a set of triples of [k+6]; duplicates collapse."""
@@ -127,13 +131,14 @@ class NbhdComplex:
     def is_face(self, sigma: int) -> bool:
         return sigma != 0 and any(sigma & ~m == 0 for m in self.maximal)
 
-    def all_faces(self, limit: int = 2_000_000) -> set[int]:
+    def all_faces(self) -> set[int]:
         """Every face of every dimension.  Exponential in the largest maximal
-        face, so guarded: raises if the powerset budget exceeds ``limit``."""
+        face, so guarded: raises if the powerset budget exceeds
+        ``ALL_FACES_BUDGET``."""
         budget = sum(2 ** m.bit_count() for m in self.maximal)
-        if budget > limit:
-            raise ValueError(
-                "refusing to expand %d powerset candidates (limit %d)" % (budget, limit))
+        if budget > ALL_FACES_BUDGET:
+            raise ValueError("refusing to expand %d powerset candidates (limit %d)"
+                             % (budget, ALL_FACES_BUDGET))
         out: set[int] = set()
         for m in self.maximal:
             sub = m

@@ -16,19 +16,17 @@ matched here.  Each family splits along the lex-least unstable member
 of a face; inside one such sub-fiber a fixed list of toggle triples is
 applied in lex order, pairing a face with its toggle partner whenever
 both sides are still free.  What survives each run is empty or a single
-closed-form cell, one per label in ``c_set``.  Families with a missed
-pair other than {1, 2} are rotated copies of a {1, 2} family, and the
-four-element families pull back, along the rotation that moves the
-second pair onto {k+5, k+6}, to three-element families one parameter
-down; ``transport`` moves a verified family along such a rotation and
-certifies the move for every face at once.  ``collapse`` builds the
-all-stable A- and B-families of Theorem 2 with the same ``family_faces``,
-``toggle_run`` and ``transport``.  Summing the survivors over
-all families counts the spheres in the wedge: t = (k+1)(k+3)(k+4)(k+6)/4
-+ 1 of dimension k after the final free collapse, which
-``theorem3_counts`` reports together with a mechanical census of every
-family.  ``_layer_certificate`` proves on missed sets, for every face,
-that each layer's families compose under the Cluster Lemma.
+closed-form cell, one per label in ``c_set``.  Every family is a copy of
+a {1, 2, l} base, rotated, and for a four-element family first pulled
+back one parameter down; ``mover`` names the base and carries it onto the
+family by ``transport``, which certifies each move for every face at once.
+``collapse`` carries the all-stable A- and B-families of Theorem 2 the
+same way.  Summing the survivors over all families counts the spheres in
+the wedge: t = (k+1)(k+3)(k+4)(k+6)/4 + 1 of dimension k after the final
+free collapse, which ``theorem3_counts`` reports together with a
+mechanical census of every family.  ``_layer_certificate`` proves on
+missed sets, for every face, that each layer's families compose under
+the Cluster Lemma.
 
 Faces of one family are bitmasks over the triples inside the family
 support (lex ordered in a family built directly), and a set of them is a
@@ -412,9 +410,6 @@ class FamilyMatching:
     transported one is covered by the certificate of ``transport``.
     """
     k: int
-    family: str
-    i: int
-    j: int
     cset: tuple
     triples: tuple
     faces: Bits
@@ -429,28 +424,23 @@ class FamilyMatching:
 
 
 def matching_P(k: int, i: int, j: int) -> FamilyMatching:
-    """Acyclic matching on the family missing {i, i+1, j}.
+    """Acyclic matching on the family missing {i, i+1, j}: its {1, 2, l}
+    base, built directly and carried by ``mover``.
 
-    For i = 1 the family is built directly: it splits along lex-least
-    unstable members and every sub-fiber runs its toggle list, leaving one
-    closed-form cell per ``c_set`` label, (k+1)(k+2)/2 cells of dimension
-    k in total.  The build checks every cleared run against the direct
-    residue identity, every survivor against its closed form, and then
-    the union of all runs at once: every pair covers, no face is matched
-    twice, every pair stays inside the family, and the whole matching is
-    acyclic.  Other i are the i = 1 family with the matching j, moved by
-    ``transport`` along the rotation by i - 1, whose certificate covers
-    every face of the rotated family.
+    The base splits along lex-least unstable members and every sub-fiber
+    runs its toggle list, leaving one closed-form cell per ``c_set`` label,
+    (k+1)(k+2)/2 cells of dimension k in total.  The build checks every
+    cleared run against the direct residue identity, every survivor against
+    its closed form, and then the union of all runs at once: every pair
+    covers, no face is matched twice, every pair stays inside the family,
+    and the whole matching is acyclic.
     """
-    cset = p_complement(k, i, j)
-    if i == 1:
-        return _matching_p1(k, j, cset)
-    jp, shift = unstable_rep(cset, k)  # shift = i-1
-    base = _matching_p1(k, jp, p_complement(k, 1, jp))
-    return transport(base, k, 'P', i, j, cset, shift)
+    move = mover(k, 'P', i, j)
+    return move.carry(_matching_p1(k, move.l))
 
 
-def _matching_p1(k: int, j: int, cset: tuple) -> FamilyMatching:
+def _matching_p1(k: int, j: int) -> FamilyMatching:
+    cset = p_complement(k, 1, j)
     fam = family_faces(k, cset)
     idx = {t: b for b, t in enumerate(fam.triples)}
     masks = nobit(len(fam.triples))
@@ -505,7 +495,7 @@ def _matching_p1(k: int, j: int, cset: tuple) -> FamilyMatching:
     pairs = StagePairs(stages)
     if 2 * len(pairs) + len(criticals) != len(fam.faces):
         raise MatchingError("matched pairs and critical cells do not partition the family (j=%d)" % (j,))
-    result = FamilyMatching(k, 'P', 1, j, cset, fam.triples, fam.faces, pairs, criticals)
+    result = FamilyMatching(k, cset, fam.triples, fam.faces, pairs, criticals)
     # the subset table is not needed past this point; drop every reference
     # to it before the DFS
     del fam, lose
@@ -563,7 +553,43 @@ def transport(base: FamilyMatching, k: int, family: str, i: int, j: int,
         if graphs.is_stable(t, base.k) != graphs.is_stable(u, k):
             raise MatchingError("family (%s, %d, %d): triple %r at k=%d moves to %r at k=%d "
                                 "and changes stability" % (family, i, j, t, base.k, u, k))
-    return FamilyMatching(k, family, i, j, cset, triples, base.faces, base.pairs, base.critical)
+    return FamilyMatching(k, cset, triples, base.faces, base.pairs, base.critical)
+
+
+class Mover(NamedTuple):
+    """The route of the family ``name`` = (kind, i, j) from its base, the
+    (1, l) family in frame ``k`` (``l`` None: no base, no face), as
+    ``transport`` steps (frame, cset, shift)."""
+    name: tuple
+    k: int
+    l: int | None
+    steps: tuple
+
+    def carry(self, part: FamilyMatching) -> FamilyMatching:
+        """The base, or a part of it, moved onto the family; every
+        certificate error names the family."""
+        for frame, cset, shift in self.steps:
+            part = transport(part, frame, *self.name, cset, shift)
+        return part
+
+
+def mover(k: int, kind: str, i: int, j: int) -> Mover:
+    """The route onto a family: P or A miss {i, i+1, j}, Q or B {i, i+1, j,
+    j+1}.  The first is ``unstable_rep``'s {1, 2, l} rotated by i - 1 (no
+    step for i = 1).  A double pair pulls back (``graphs.pullback``) to a
+    pair-plus-one family at k - 1, whose route it follows before rotating
+    back into the frame at k; at k = 0 it leaves a two-point support, so
+    the family is empty."""
+    if kind in 'PA':
+        cset = p_complement(k, i, j)
+        l, shift = unstable_rep(cset, k)  # shift = i-1
+        return Mover((kind, i, j), k, l, ((k, cset, shift),) if shift else ())
+    cset = q_complement(k, i, j)
+    if k == 0:
+        return Mover((kind, i, j), k, None, ())
+    sub_i, sub_j, shift = pullback(k, i, j)
+    down = mover(k - 1, 'P', sub_i, sub_j)
+    return Mover((kind, i, j), k - 1, down.l, down.steps + ((k, cset, -shift),))
 
 
 def matching_Q(k: int, i: int, j: int) -> FamilyMatching:
@@ -573,18 +599,15 @@ def matching_Q(k: int, i: int, j: int) -> FamilyMatching:
     of a rotated face then avoids the top two ground elements, and a triple
     inside [k+4] is stable mod k+6 iff it is stable mod k+5, so the rotated
     faces are exactly the faces of a three-element family one parameter
-    down (missed set the image of {i, i+1, j, j+1} minus k+6, which always
-    reads as an adjacent pair plus one element).  The matching is that
-    family's, moved back by ``transport``: k(k+1)/2 critical cells of
-    dimension k-1.  The certificate of ``transport`` checks both claims
-    above for every triple of the support, so it covers every face.
+    down.  ``mover`` carries that family's base onto it and back: k(k+1)/2
+    critical cells of dimension k-1.  The certificate of ``transport``
+    checks both claims for every triple of the support.
     """
-    if k < 1:
+    move = mover(k, 'Q', i, j)
+    if move.l is None:
         raise ValueError("every four-element missed set at k=0 leaves a two-point support; "
                          "the families are empty and carry no matching")
-    cset = q_complement(k, i, j)
-    sub_i, sub_j, shift = pullback(k, i, j)
-    return transport(matching_P(k - 1, sub_i, sub_j), k, 'Q', i, j, cset, -shift)
+    return move.carry(matching_P(move.k, 1, move.l))
 
 
 def label_order_I(i: int, k: int) -> list[int]:
@@ -657,13 +680,13 @@ def theorem3_counts(k: int, *, census: bool | None = None) -> dict:
 
     With census (the default up to k=3) every family matching is built and
     its critical count compared against the closed form; a mismatch raises
-    ``MatchingError`` naming the family.  Each i = 1 family is built and
-    checked in full once, then moved onto its rotated copies by
-    ``transport``, whose certificate covers every face; the four-element
-    families are transported from three-element families one parameter
-    down.  ``_layer_certificate`` certifies the union of each layer's
-    family matchings, by the route ``union_route`` names.  Beyond k=3 pass
-    census=False for the formula values alone.
+    ``MatchingError`` naming the family.  Both layers are walked in one
+    loop, grouped by the base ``mover`` names: each distinct base is built
+    by ``matching_P`` and checked in full once, carried onto its families,
+    whose copies the certificate of ``transport`` covers face by face, and
+    dropped after its last copy.  ``_layer_certificate`` certifies the
+    union of each layer's family matchings, by the route ``union_route``
+    names.  Beyond k=3 pass census=False for the formula values alone.
     """
     if k < 0:
         raise ValueError("k must be nonnegative, got %r" % (k,))
@@ -700,45 +723,30 @@ def theorem3_counts(k: int, *, census: bool | None = None) -> dict:
         raise ValueError("the census at k=%d is out of scan budget; pass census=False "
                          "for the formula values" % (k,))
     _layer_certificate(k)
-    per_p = (k + 1) * (k + 2) // 2
-    per_q = k * (k + 1) // 2
-    p_order = p_indices(k)
-    by_base: dict[int, list] = {}
-    for i, j in p_order:
-        by_base.setdefault(unstable_rep(p_complement(k, i, j), k)[0], []).append((i, j))
+    per = {'P': ((k + 1) * (k + 2) // 2, k), 'Q': (k * (k + 1) // 2, k - 1)}
+    order = [('P', i, j) for i, j in p_indices(k)] + [('Q', i, j) for i, j in q_indices(k)]
+    by_base: dict[tuple, list] = {}
+    for name in order:
+        move = mover(k, *name)
+        by_base.setdefault((move.k, move.l), []).append(move)
     placed: dict[tuple, tuple] = {}
-    observed_k = 0
-    for jp in label_order_I(1, k):
-        base = matching_P(k, 1, jp)
-        for i, j in by_base[jp]:
-            fm = base if i == 1 else transport(base, k, 'P', i, j, p_complement(k, i, j), i - 1)
-            if len(fm.critical) != per_p:
-                raise MatchingError("family (P, %d, %d) kept %d cells, wanted %d"
-                                    % (i, j, len(fm.critical), per_p))
-            placed[(i, j)] = ('P', i, j, len(fm.faces), len(fm.critical), k)
-            observed_k += len(fm.critical)
+    for (base_k, l), moves in by_base.items():
+        # no base: the family is empty
+        base = matching_P(base_k, 1, l) if l else FamilyMatching(k, (), (), Bits(0), StagePairs(()), [])
+        for move in moves:
+            fm = move.carry(base)
+            kind, i, j = move.name
+            want, dim = per[kind]
+            if len(fm.critical) != want:
+                raise MatchingError("family (%s, %d, %d) kept %d cells, wanted %d"
+                                    % (kind, i, j, len(fm.critical), want))
+            placed[move.name] = (kind, i, j, len(fm.faces), len(fm.critical), dim)
         del base, fm
-    if observed_k != extra_k:
-        raise MatchingError("dimension-k survivors total %d, formula says %d" % (observed_k, extra_k))
-    rows = [placed[ij] for ij in p_order]
-    observed_km1 = 0
-    for i, j in q_indices(k):
-        if k == 0:
-            fam = family_faces(k, q_complement(k, i, j))
-            if fam.faces:
-                raise MatchingError("family (Q, %d, %d) should be empty at k=0" % (i, j))
-            rows.append(('Q', i, j, 0, 0, k - 1))
-            continue
-        fm = matching_Q(k, i, j)
-        if len(fm.critical) != per_q:
-            raise MatchingError("family (Q, %d, %d) kept %d cells, wanted %d"
-                                % (i, j, len(fm.critical), per_q))
-        rows.append(('Q', i, j, len(fm.faces), len(fm.critical), k - 1))
-        observed_km1 += len(fm.critical)
-    if observed_km1 != extra_km1:
-        raise MatchingError("dimension-(k-1) survivors total %d, formula says %d"
-                            % (observed_km1, extra_km1))
-    out['rows'] = rows
-    out['observed_k_cells'] = observed_k
-    out['observed_km1_cells'] = observed_km1
+    rows = [placed[name] for name in order]
+    observed = {kind: sum(row[4] for row in rows if row[0] == kind) for kind in per}
+    for kind, total, dim in (('P', extra_k, 'k'), ('Q', extra_km1, '(k-1)')):
+        if observed[kind] != total:
+            raise MatchingError("dimension-%s survivors total %d, formula says %d"
+                                % (dim, observed[kind], total))
+    out.update(rows=rows, observed_k_cells=observed['P'], observed_km1_cells=observed['Q'])
     return out

@@ -464,13 +464,13 @@ def fresh_bases():
 def test_a_rotated_matching_that_misses_its_family_is_refused(fresh_bases, monkeypatch):
     # the (1, 4) base rotated one step too far for the family (k=2, s=2,
     # t=5): the transport certificate sees the support land off the family
-    real = collapse.unstable_rep
+    real = wedge.unstable_rep
 
     def off_by_one(v, k):
         l, j = real(v, k)
         return (l, j + 1) if (tuple(v), k) == ((2, 3, 5), 2) else (l, j)
 
-    monkeypatch.setattr(collapse, 'unstable_rep', off_by_one)
+    monkeypatch.setattr(wedge, 'unstable_rep', off_by_one)
     with pytest.raises(MatchingError, match=r"family \(A, 2, 5\): rotation by 2 sends the support "
                                             r"\[3, 5, 6, 7, 8\] to \[1, 2, 5, 7, 8\], not onto the "
                                             r"complement of \(2, 3, 5\)"):
@@ -527,13 +527,13 @@ def test_a_pivot_that_misses_its_class_is_refused(fresh_bases, monkeypatch):
 
 
 def test_a_b_pullback_by_the_wrong_shift_is_refused(fresh_bases, monkeypatch):
-    real = collapse.pullback
+    real = wedge.pullback
 
     def off_by_one(k, s, u):
         sub_s, sub_t, shift = real(k, s, u)
         return sub_s, sub_t, shift + 1
 
-    monkeypatch.setattr(collapse, 'pullback', off_by_one)
+    monkeypatch.setattr(wedge, 'pullback', off_by_one)
     with pytest.raises(MatchingError, match=r"family \(B, 1, 4\): rotation by -5 .* not onto "
                                             r"the complement of \(1, 2, 4, 5\)"):
         matching_B(3, 1, 4)
@@ -675,6 +675,67 @@ def test_c_toggle_equals_the_graph_toggle(k):
         groups.add((label[1], missed))
         blocks.add((label[1], x))
     assert (seen, len(groups), len(blocks)) == C_TOGGLES[k]
+
+
+def least_stable(k, elements):
+    """The lex-least stable triple inside a set of ground elements, or None."""
+    ix = triple_index(k)
+    return next((t for t in itertools.combinations(sorted(elements), 3)
+                 if ix.stable >> ix.bit[t] & 1), None)
+
+
+def closure_failures(k, toggle):
+    """The (l, M) where a toggle rule, read in the frame of {1, 2, l}, does
+    not keep its block closed: for each missed set M off {1, 2, l} that
+    holds a stable triple, with u its lex-least one, the rule must give a
+    stable {1, l, m}, and if m is not in M, u must stay the lex-least
+    stable triple of M + {m} (M - {m} keeps u, as m is off u)."""
+    ix = triple_index(k)
+    n = ground_size(k)
+    failed = []
+    for l in range(3, n):
+        rest = [x for x in range(3, n + 1) if x != l]
+        for size in range(3, len(rest) + 1):
+            for missed in itertools.combinations(rest, size):
+                u = least_stable(k, missed)
+                if u is None:
+                    continue
+                x = toggle(k, (l, 0), vertex_mask(missed))
+                t = None if x is None else ix.triples[x.bit_length() - 1]
+                if t is None or not ix.stable & x or not {1, l} <= set(t):
+                    failed.append((l, missed))
+                    continue
+                (m,) = set(t) - {1, l}
+                if m not in missed and least_stable(k, missed + (m,)) != u:
+                    failed.append((l, missed))
+    return failed
+
+
+def unguarded_toggle(k, frame, missed):
+    """The C toggle before the guard, in the frame j = 0: m is the least
+    element of ``comp_set(u*, l)``."""
+    l, _ = frame
+    u = least_stable(k, [x for x in range(1, ground_size(k) + 1) if missed >> (x - 1) & 1])
+    m = min(collapse.comp_set(u, l), default=None)
+    return None if m is None else 1 << triple_index(k).bit[tuple(sorted((1, l, m)))]
+
+
+@pytest.mark.parametrize("k", range(7))
+def test_the_c_toggle_closes_every_block(k):
+    assert closure_failures(k, collapse.c_toggle) == []
+    # the unguarded rule breaks the closure from k = 3 on
+    assert len(closure_failures(k, unguarded_toggle)) == [0, 0, 0, 2, 14, 52, 148][k]
+
+
+def test_the_guarded_toggle_pairs_the_k3_witness():
+    # {124, 146, 258} misses {3, 7, 9}; unguarded it toggles 146, while
+    # its facet {124, 258} misses {3, 6, 7, 9} and toggles 147.  Guarded,
+    # 146 is passed over, as (3, 6, 9) is stable and lex-before (3, 7, 9)
+    k, v = 3, (1, 2, 4)
+    sigma = face_key([(1, 2, 4), (1, 4, 6), (2, 5, 8)], k)
+    facet = face_key([(1, 2, 4), (2, 5, 8)], k)
+    faces = [sigma, sigma | face_key([(1, 4, 8)], k), facet, facet | face_key([(1, 4, 7)], k)]
+    assert sorted(matching_C(k, v, faces)) == sorted([(sigma, faces[1]), (facet, faces[3])])
 
 
 def stratum_length(k, sigma):

@@ -125,9 +125,11 @@ def test_from_maximal_filters_dominated():
 
 
 def test_all_faces_budget_guard():
-    cx = complex_for('kg', 2)
-    with pytest.raises(ValueError):
-        list(cx.all_faces(limit=100))
+    # kg at k = 3: 84 maximal faces of 20 triples each, 84 * 2^20 candidates
+    cx = complex_for('kg', 3)
+    assert sorted({m.bit_count() for m in cx.maximal}) == [20] and len(cx.maximal) == 84
+    with pytest.raises(ValueError, match="refusing to expand %d powerset candidates" % (84 << 20)):
+        cx.all_faces()
 
 
 def test_stable_vertices_only_in_sg():

@@ -702,6 +702,17 @@ def test_the_census_certifies_every_rotated_family_by_transport(k, monkeypatch):
         [('P', i, j) for i, j in p_indices(k) if i != 1] + [('Q', i, j) for i, j in q_indices(k)])
 
 
+@pytest.mark.parametrize("k", [2, 3])
+def test_the_census_builds_each_base_once(k, monkeypatch):
+    # one build per {1, 2, l} base: the P-bases at k, then the Q-bases one
+    # parameter down, however many families each base is carried onto
+    # (5 + 4 at k = 2, 6 + 5 at k = 3)
+    built, real = [], wedge._matching_p1
+    monkeypatch.setattr(wedge, '_matching_p1', lambda kk, l: built.append((kk, l)) or real(kk, l))
+    theorem3_counts(k)
+    assert built == [(k, l) for l in range(3, k + 6)] + [(k - 1, l) for l in range(3, k + 5)]
+
+
 def test_the_census_walks_no_face_of_a_stage(monkeypatch):
     def walked(*args, **kwargs):
         raise AssertionError("a face-level walk ran")
