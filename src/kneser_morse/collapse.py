@@ -11,17 +11,17 @@ touches, read by ``graphs.missed_shape``) and by stability of its members:
 * C-family: some member unstable, fibered by the lex-least unstable member.
 
 Each family carries an explicit perfect acyclic matching.  The A-family
-missing {1, 2, l} is the all-stable part of the P-family's subset table
-(``wedge.family_faces``), matched in parts: one ``wedge.toggle_run`` stage
-of a pivot triple, and seven residue classes, each a smaller A-family moved
-up by ``wedge.transport`` with the pivot added to every face.  Both steps
-are certified for all faces at once, and a count closes the partition.
-Every other A- and B-family is such a base carried by ``wedge.mover``, the
-route the P- and Q-families of Theorem 3 take.  A C-fiber's faces are
-grouped by missed set, and each group toggles one stable vertex, read off
-the lex-least stable triple inside the missed set in v's frame
-(``c_toggle``); faces with one toggle form a block, paired by
-``morse.element_matching``.
+missing {1, 2, l} is read off the subset table of its support's stable
+triples (``wedge.subset_table``), matched in parts: one ``toggle_run``
+stage of a pivot triple, and seven residue classes, each a smaller A-family
+(read off the class's missed set) moved up by ``transport`` with the pivot
+added to every face.  Both steps are certified for all faces at once, and a
+count closes the partition.  Every other A- and B-family is such a base
+carried by ``wedge.mover``, the route the P- and Q-families of Theorem 3
+take.  A C-fiber's faces are grouped by missed set, and each group toggles
+one stable vertex, read off the lex-least stable triple inside the missed
+set in v's frame (``c_toggle``); faces with one toggle form a block, paired
+by ``morse.element_matching``.
 
 Every fiber hands back a plain pair list over ``graphs.triple_index(k)``.
 ``theorem2_matching`` files every face in one table (face -> label key) and
@@ -42,7 +42,7 @@ from functools import lru_cache
 
 from . import complexes, graphs, morse, wedge
 from .complexes import complement_set, decode, remap
-from .graphs import missed_shape, pair_of, rotate, unstable_rep, vertex_mask
+from .graphs import missed_shape, rotate, unstable_rep, vertex_mask
 from .morse import Bits, Matching, MatchingError, StagePairs
 from .wedge import FamilyMatching
 
@@ -118,60 +118,50 @@ def check_label_order(k: int) -> None:
 
 
 # ---------------------------------------------------------------------------
-# A- and B-family matchings: parts on the P-family subset tables
+# A- and B-family matchings: parts on the stable triples' subset tables
 
-def pivot_vertex(k: int, l: int):
+def pivot_vertex(k: int, l: int) -> tuple:
+    """The pivot of the (1, l) A-family: the lex-least stable triple off
+    {1, 2, l} that holds k+6 and a neighbour of l other than k+6, else
+    ``MatchingError`` (as at k <= 1, where every A-family is empty)."""
     n = graphs.ground_size(k)
-    if l == 3:
-        return (4, 6, n)
-    if l == 4:
-        return (3, 5, n)
-    if l == 5:
-        return (3, 6, n)
-    return (3, l - 1, n)
+    near = {l - 1, l + 1} - {n}
+    for t in itertools.combinations([x for x in range(3, n + 1) if x != l], 3):  # lex order
+        if n in t and near & set(t) and graphs.is_stable(t, k):
+            return t
+    raise MatchingError("family (A, 1, %d) at k=%d: no stable triple off {1, 2, %d} holds %d and "
+                        "a neighbour of %d" % (l, k, l, n, l))
 
 
 def _delta_table(k: int, l: int):
     """Per residue class of the pivot stage on the (1, l) family, the
-    recipe that fills it.
+    recipe that fills it, read off the class's missed set.
 
-    Each row is (extra, shift, sub_k, s, t).  ``extra`` is a ground-element
-    mask, the part of the pivot that the rest of a class face leaves
-    uncovered; sigma -> (sigma - pivot) rotated down by ``shift`` sends the
-    class bijectively onto the A-family (sub_k, s, t).
+    One row (extra, shift, sub_k, s, t) per nonempty subset E of the pivot,
+    by size, then lex: ``extra`` is E as a ground-element mask, the part of
+    the pivot the rest of a class face leaves uncovered, sub_k = k - |E|
+    and shift = |E - {k+6}|.  The class support [k+6] - {1, 2, l} - E,
+    rotated down by ``shift``, must land in [sub_k+6] and miss there a
+    pair-plus-one set {s, s+1, t} (``graphs.missed_shape``), or the row
+    raises ``MatchingError``; sigma -> (sigma - pivot) rotated down by
+    ``shift`` then sends the class onto the A-family (sub_k, s, t), as
+    ``transport`` certifies.  Below sub_k = 2, where every A-family is
+    empty, (s, t) is None.
     """
-    a, b, n = pivot_vertex(k, l)
-    if l == 3:
-        targets = [(1, k - 1, 1, 3), (1, k - 1, 1, 5), (0, k - 1, 1, 3),
-                   (2, k - 2, 1, 4), (1, k - 2, 1, 3), (1, k - 2, 1, 5),
-                   (2, k - 3, 1, 4)]
-    elif l == 4:
-        targets = [(1, k - 1, 1, 3), (1, k - 1, 3, 1), (0, k - 1, 1, 4),
-                   (2, k - 2, 1, 3), (1, k - 2, 1, 3), (1, k - 2, 3, 1),
-                   (2, k - 3, 1, 3)]
-    elif l == 5:
-        targets = [(1, k - 1, 1, 4), (1, k - 1, 4, 1), (0, k - 1, 1, 5),
-                   (2, k - 2, 3, 1), (1, k - 2, 1, 4), (1, k - 2, 4, 1),
-                   (2, k - 3, 3, 1)]
-    else:
-        targets = [(1, k - 1, 1, l - 1), (1, k - 1, l - 2, 1), (0, k - 1, 1, l),
-                   (2, k - 2, l - 3, 1), (1, k - 2, 1, l - 1), (1, k - 2, l - 2, 1),
-                   (2, k - 3, l - 3, 1)]
-    extras = [graphs.vertex_mask(e) for e in
-              ({a}, {b}, {n}, {a, b}, {a, n}, {b, n}, {a, b, n})]
-    rows = []
-    for i in range(7):
-        shift, sub_k, s, t = targets[i]
+    n, cset, rows = graphs.ground_size(k), (1, 2, l), []
+    pivot = pivot_vertex(k, l)
+    for extra in [e for size in (1, 2, 3) for e in itertools.combinations(pivot, size)]:
+        sub_k, shift, shape = k - len(extra), len(set(extra) - {n}), (None, None, None)
         if sub_k >= 2:
-            # renormalize the target name: near l = n-1 the written (s, t)
-            # can put t on the wrong side of the pair once the ground set
-            # shrinks, and the canonical reading swaps it to the wrap pair
-            shape = missed_shape(graphs.vertex_mask(pair_of(s, sub_k) + (t,)), sub_k)
+            image = vertex_mask(rotate(x, -shift, k) for x in range(1, n + 1) if x not in cset + extra)
+            ground = (1 << graphs.ground_size(sub_k)) - 1
+            shape = None if image & ~ground else missed_shape(ground & ~image, sub_k)
             if not isinstance(shape, tuple):
-                raise AssertionError(
-                    "target {%d, %d+1, %d} unparseable at k=%d" % (s, s, t, sub_k))
-            _, s, t = shape
-        rows.append((extras[i], shift, sub_k, s, t))
+                raise MatchingError(
+                    "family (A, 1, %d) at k=%d: the class leaving %r uncovered, rotated down by %d, "
+                    "has support %r, not the complement of a pair-plus-one set in 1..%d"
+                    % (l, k, list(extra), shift, list(graphs.ground_elements(image)), sub_k + 6))
+        rows.append((vertex_mask(extra), shift, sub_k) + shape[1:])
     return rows
 
 
@@ -203,27 +193,26 @@ def _add_pivot(part: FamilyMatching, pivot: tuple, l: int) -> FamilyMatching:
 def _a_base(k: int, l: int) -> tuple[FamilyMatching, ...]:
     """The all-stable family missing {1, 2, l}, matched in parts.
 
-    The family is the subsets of the P-family's table that cover its
-    support and hold no unstable bit.  Part one is the element matching of
-    the pivot, one ``toggle_run`` stage.  Each face it leaves holds the
-    pivot and falls in one residue class of ``_delta_table``, filled by the
-    parts of a smaller A-family (carried by ``wedge.mover``) moved into the
-    frame at k by ``transport`` and given the pivot by ``_add_pivot``.  The
-    classes of a target below k = 2 are left out, as every A-family there
-    is empty.  Twice the pivot pairs plus the class faces must number the
-    family's faces: with the certificates, which make the classes disjoint
-    from each other and from the pivot pairs, that makes the parts a
-    perfect matching, and a face in a class left out, or a pivot stage
-    lost, fails the count.
+    The family is ``full`` of the ``wedge.subset_table`` of the support's
+    stable triples: every subset of them that covers the support.  Part
+    one is the element matching of the pivot, one ``toggle_run`` stage.
+    Each face it leaves holds the pivot and falls in one residue class of
+    ``_delta_table``, filled by the parts of a smaller A-family (carried by
+    ``wedge.mover``) moved into the frame at k by ``transport`` and given
+    the pivot by ``_add_pivot``.  The classes of a target below k = 2 are
+    left out, as every A-family there is empty.  Twice the pivot pairs
+    plus the class faces must number the family's faces: with the
+    certificates, which make the classes disjoint from each other and from
+    the pivot pairs, that makes the parts a perfect matching, and a face in
+    a class left out, or a pivot stage lost, fails the count.
     """
     cset = (1, 2, l)
-    fam = wedge.family_faces(k, cset)
-    family = fam.full & ~fam.faces.bits
-    if not family:
+    fam = wedge.subset_table(k, cset, stable_only=True)
+    if not fam.full:
         return ()
     pivot = pivot_vertex(k, l)
-    stages, rest = wedge.toggle_run(family, [fam.triples.index(pivot)])
-    parts = [FamilyMatching(k, cset, fam.triples, Bits(family ^ rest), StagePairs(stages), [])]
+    stages, rest = wedge.toggle_run(fam.full, [fam.triples.index(pivot)])
+    parts = [FamilyMatching(k, cset, fam.triples, Bits(fam.full ^ rest), StagePairs(stages), [])]
     for extra, shift, sub_k, s, t in _delta_table(k, l):
         if sub_k >= 2:
             missed = graphs.ground_elements(vertex_mask(cset) | extra)
@@ -231,10 +220,10 @@ def _a_base(k: int, l: int) -> tuple[FamilyMatching, ...]:
             parts += [_add_pivot(wedge.transport(move.carry(part), k, 'A', 1, l, missed, shift),
                                  pivot, l) for part in _a_base(move.k, move.l)]
     classes = sum(len(part.faces) for part in parts[1:])
-    if 2 * len(parts[0].pairs) + classes != family.bit_count():
+    if 2 * len(parts[0].pairs) + classes != fam.full.bit_count():
         raise MatchingError("family (A, 1, %d) at k=%d: %d pivot pairs and %d class faces do not "
                             "partition its %d faces" % (l, k, len(parts[0].pairs), classes,
-                                                        family.bit_count()))
+                                                        fam.full.bit_count()))
     return tuple(parts)
 
 

@@ -267,14 +267,15 @@ def critical_form(v, j: int, k: int) -> tuple | None:
 
 
 class FamilyFaces(NamedTuple):
-    """One family enumerated over its subset table.
+    """The subset table of the triples inside a family support.
 
     Bit b of a face stands for ``triples[b]``; ``unstable`` collects the
     bits whose triple is unstable.  ``cover[s]`` is one byte per subset s
     of the universe: bit i for each support element (in ascending order)
     that a triple of s covers, plus bit 7 when s holds an unstable bit.
-    ``faces`` is a ``morse.Bits`` view of the family and ``full`` the
-    bitset of every subset that covers the support, unstable or not.
+    ``faces`` is a ``morse.Bits`` view of the family (the subsets that
+    cover the support and hold an unstable bit) and ``full`` the bitset of
+    every subset that covers the support, unstable or not.
     """
     triples: tuple
     unstable: int
@@ -299,8 +300,10 @@ def _digits(*hits: int) -> bytes:
     return bytes(b"01"[v in hits] for v in range(256))
 
 
-def family_faces(k: int, cset: Iterable[int]) -> FamilyFaces:
-    """Every face missing exactly ``cset`` that has an unstable member.
+def subset_table(k: int, cset: Iterable[int], stable_only: bool = False) -> FamilyFaces:
+    """The subset table of the triples inside the complement of ``cset``,
+    or of its stable ones alone (then ``faces`` is empty and ``full`` the
+    all-stable family of ``collapse``).
 
     One byte per subset of the universe is built by doubling, one triple
     at a time: after triple b the table holds every subset of bits 0..b,
@@ -310,11 +313,10 @@ def family_faces(k: int, cset: Iterable[int]) -> FamilyFaces:
     unstable bit.  One more ``translate`` and one base-2 parse each read
     the bitset of the subsets whose byte holds every position (``full``)
     and of those that also hold bit 7 (``faces``).  The missed set must
-    contain no stable triple, otherwise the family would sit inside the
-    mixed complex and be empty here.  The subset table is exponential in
-    the number of triples of the support, hence the hard cap of
-    ``SCAN_BITS``, which also keeps the support within 6 elements, so the
-    positions stay clear of bit 7.
+    contain no stable triple, otherwise its faces would lie in the mixed
+    complex.  The table is exponential in the number of triples, hence
+    the hard cap of ``SCAN_BITS``; the support is capped at 7 elements,
+    so the positions stay clear of bit 7.
     """
     n = graphs.ground_size(k)
     cs = sorted(set(cset))
@@ -323,11 +325,12 @@ def family_faces(k: int, cset: Iterable[int]) -> FamilyFaces:
     if missed_shape(vertex_mask(cs), k) is True:
         raise ValueError("missed set %r contains a stable triple; that family is empty" % (cset,))
     support = [x for x in range(1, n + 1) if x not in cs]
-    triples = tuple(itertools.combinations(support, 3))
+    triples = tuple(t for t in itertools.combinations(support, 3)
+                    if not stable_only or graphs.is_stable(t, k))
     m = len(triples)
-    if m > SCAN_BITS:
-        raise ValueError("support of %d elements spans %d triples; subset scan beyond %d bits refused"
-                         % (len(support), m, SCAN_BITS))
+    if m > SCAN_BITS or len(support) > 7:
+        raise ValueError("support of %d elements spans %d triples; subset scan beyond %d bits or 7 "
+                         "elements refused" % (len(support), m, SCAN_BITS))
     pos = {x: 1 << i for i, x in enumerate(support)}
     unstable = 0
     table = bytearray(1)
@@ -341,6 +344,11 @@ def family_faces(k: int, cset: Iterable[int]) -> FamilyFaces:
     faces = bitset(table, _digits(whole | 0x80))
     full = bitset(table, _digits(whole, whole | 0x80))
     return FamilyFaces(triples, unstable, Bits(faces), table, full)
+
+
+def family_faces(k: int, cset: Iterable[int]) -> FamilyFaces:
+    """The family missing ``cset``: the ``subset_table`` of all its triples."""
+    return subset_table(k, cset)
 
 
 def split_fibers(fam: FamilyFaces) -> dict[int, int]:

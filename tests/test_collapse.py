@@ -47,7 +47,8 @@ def rotation_table(src_k, k, shift):
 # ---------------------------------------------------------------------------
 # enumeration oracles: the all-stable families by depth-first search over the
 # stable triples, and the residue class of a face by its missed set; the
-# matchings under test build the same families on the P-family subset tables
+# matchings under test build the same families on the subset tables of their
+# stable triples
 
 def stable_covers(missed, k):
     """All faces of stable triples that miss exactly the ground elements in
@@ -546,8 +547,61 @@ def test_a_dropped_pivot_stage_fails_the_partition_count(fresh_bases, monkeypatc
         matching_A(2, 1, 4)
 
 
+def test_a_pivot_whose_class_reads_no_shape_is_refused(fresh_bases, monkeypatch):
+    # (1, 4) at k = 3 pivoting on (3, 6, 9): its rows are derived from the
+    # pivot, and the class {6}, rotated down by one, misses {1, 3, 5} at
+    # k = 2, which holds a stable triple
+    real = collapse.pivot_vertex
+    monkeypatch.setattr(collapse, 'pivot_vertex',
+                        lambda k, l: (3, 6, 9) if (k, l) == (3, 4) else real(k, l))
+    with pytest.raises(MatchingError, match=r"family \(A, 1, 4\) at k=3: the class leaving \[6\] "
+                                            r"uncovered, rotated down by 1, has support "
+                                            r"\[2, 4, 6, 7, 8\], not the complement of a "
+                                            r"pair-plus-one set in 1\.\.8"):
+        matching_A(3, 1, 4)
+
+
 def test_matching_A_empty_at_small_k():
     assert matching_A(1, 1, 3) == []
+
+
+def stable_cover_count(missed, k):
+    """The number of nonempty sets of stable triples that cover exactly the
+    ground elements off ``missed``, by inclusion-exclusion over the subsets
+    W of the support: the sum of (-1)^|support - W| (2^(stable triples
+    inside W) - 1)."""
+    support = [x for x in range(1, ground_size(k) + 1) if x not in missed]
+    total = 0
+    for size in range(len(support) + 1):
+        for w in itertools.combinations(support, size):
+            inside = sum(is_stable(t, k) for t in itertools.combinations(w, 3))
+            total += (-1) ** (len(support) - size) * (2 ** inside - 1)
+    return total
+
+
+# per k, the A and B pairs summed over the families; at k = 4 a (1, l)
+# support spans 35 triples, past SCAN_BITS, but at most 14 stable ones,
+# which are all an A-family's table holds
+AB_COUNTS = {2: (16, 0), 3: (972, 9), 4: (271310, 550)}
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_each_a_and_b_family_has_half_its_faces_as_pairs(k):
+    n = ground_size(k)
+    a = [(stable_cover_count(pair_of(s, k) + (t,), k), len(matching_A(k, s, t)))
+         for s in range(1, n + 1) for t in index_I(s, k)]
+    b = [(stable_cover_count(pair_of(s, k) + pair_of(u, k), k), len(matching_B(k, s, u)))
+         for s in range(1, n + 1) for u in index_J(s, k)]
+    assert all(faces == 2 * pairs for faces, pairs in a + b)
+    assert (sum(p for _, p in a), sum(p for _, p in b)) == AB_COUNTS[k]
+
+
+def test_every_a_base_part_is_an_acyclic_matching():
+    parts = [part for k in (2, 3, 4) for l in range(3, k + 6) for part in collapse._a_base(k, l)]
+    assert len(parts) == 70
+    for part in parts:
+        ok, cycle = morse.is_acyclic(Matching(part.pairs))
+        assert ok, cycle
 
 
 @pytest.mark.parametrize("l", range(3, 9))
@@ -642,28 +696,34 @@ def test_matching_C_rejects_stable_vertex():
 
 
 def graph_toggle(k, frame, sigma):
-    """The C toggle read face by face: the lex-least common neighbor of the
-    face in the ``s`` graph, moved into v's frame by a rotation table; the
-    toggle is {1, l, m}, m the least element of its covering interval off
-    it and away from l, moved back."""
+    """The C toggle read face by face: the lex-least common neighbor u of
+    the face in the ``s`` graph, moved into v's frame by a rotation table;
+    the toggle is {1, l, m}, m the least element of its covering interval
+    off u and away from l for which u is still the lex-least stable triple
+    inside u + {m}, moved back."""
     l, j = frame
     ix = triple_index(k)
     low = remap(graphs.graph('s', k).common_neighbors(sigma), rotation_table(k, k, -j))
     u = ix.triples[(low & -low).bit_length() - 1]
-    m = min(t for t in range(u[0], u[2] + 1) if abs(t - l) > 1 and t not in u)
+    m = min(t for t in range(u[0], u[2] + 1) if abs(t - l) > 1 and t not in u
+            and min(w for w in itertools.combinations(sorted(u + (t,)), 3) if is_stable(w, k)) == u)
     return rotation_table(k, k, j)[ix.bit[tuple(sorted((1, l, m)))]]
 
 
 # per k: C faces, (v, missed set) groups and (v, toggle) blocks
-C_TOGGLES = {0: (0, 0, 0), 1: (84, 28, 14), 2: (15712, 248, 56)}
+C_TOGGLES = {0: (0, 0, 0), 1: (84, 28, 14), 2: (15712, 248, 56), 3: (2, 2, 2)}
+
+# at k = 3, two faces of the fiber of (1, 2, 4) and their toggles; the least
+# element of the interval alone reads (1, 4, 6) for the first
+K3_TOGGLES = {((1, 2, 4), (1, 4, 6), (2, 5, 8)): (1, 4, 8), ((1, 2, 4), (2, 5, 8)): (1, 4, 7)}
 
 
-@pytest.mark.parametrize("k", [0, 1, 2])
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
 def test_c_toggle_equals_the_graph_toggle(k):
     ix = triple_index(k)
     full = (1 << ground_size(k)) - 1
     seen, groups, blocks = 0, set(), set()
-    for sigma in _s_faces(k):
+    for sigma in [face_key(f, k) for f in K3_TOGGLES] if k == 3 else _s_faces(k):
         label = classify(sigma, k)
         if label[0] != 'C':
             continue
@@ -671,6 +731,8 @@ def test_c_toggle_equals_the_graph_toggle(k):
         missed = full & ~remap(sigma, ix.ground)
         x = collapse.c_toggle(k, frame, missed)
         assert x == graph_toggle(k, frame, sigma), members(sigma, k)
+        if k == 3:
+            assert x == face_key([K3_TOGGLES[members(sigma, k)]], k)
         seen += 1
         groups.add((label[1], missed))
         blocks.add((label[1], x))

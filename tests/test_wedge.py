@@ -225,6 +225,15 @@ def test_family_faces_rejects_stable_missed_set():
         family_faces(1, frozenset({1, 3, 5}))
 
 
+def test_a_stable_table_past_seven_support_elements_is_refused():
+    # the (1, 2, 3) support at k = 5 has 8 elements and 20 stable triples,
+    # within SCAN_BITS, but an eighth position would be the unstable flag
+    assert len(wedge.subset_table(4, (1, 2, 3), stable_only=True).triples) == 10
+    with pytest.raises(ValueError, match=r"support of 8 elements spans 20 triples; subset scan "
+                                         r"beyond 22 bits or 7 elements refused"):
+        wedge.subset_table(5, (1, 2, 3), stable_only=True)
+
+
 BASE_FAMILIES = [(k, j) for k in (0, 1, 2) for j in index_I(1, k)] + [(3, 4)]
 
 
