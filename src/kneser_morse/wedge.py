@@ -13,10 +13,12 @@ the shape starting at the lower pair, see ``graphs.missed_shape``).
 
 Grouping the outside faces by their missed set gives the families
 matched here.  Each family splits along the lex-least unstable member
-of a face; inside one such sub-fiber a fixed list of toggle triples is
-applied in lex order, pairing a face with its toggle partner whenever
-both sides are still free.  What survives each run is empty or a single
-closed-form cell, one per label in ``c_set``.  Every family is a copy of
+of a face; inside one such sub-fiber the toggle triples of
+``toggle_plan`` are applied in lex order, pairing a face with its toggle
+partner whenever both sides are still free.  One case split on the
+label's shape gives the toggles and whether the run keeps a cell, and a
+kept cell is always the label with its toggles, one per label in
+``c_set``; the other runs clear their sub-fiber.  Every family is a copy of
 a {1, 2, l} base, rotated, and for a four-element family first pulled
 back one parameter down; ``mover`` names the base and carries it onto the
 family by ``transport``, which certifies each move for every face at once.
@@ -137,133 +139,44 @@ def pq_classify(sigma: int, k: int) -> PQTag:
     return PQTag('P' if shape[0] == 3 else 'Q', shape[1], shape[2], least)
 
 
-def _validate_j1(j: int, k: int) -> None:
-    if j not in index_I(1, k):
-        raise ValueError("j=%r cannot accompany the pair {1, 2} at k=%d" % (j, k))
+def toggle_plan(v, j: int, k: int) -> tuple[tuple, bool]:
+    """The toggles of the sub-fiber of label v in the (1, j) base, lex
+    sorted, and whether its toggle run keeps a cell.
 
-
-def nc_set(j: int, k: int) -> list[tuple]:
-    """Sub-fiber labels whose toggle run clears the sub-fiber completely.
-
-    Generated straight from the shape, so tests can compare it with the
-    case classifier: {q, s-1, s} with q in 4..k+4 and s in q+2..k+6, both
-    avoiding {j, j+1}.
-    """
-    _validate_j1(j, k)
-    n = graphs.ground_size(k)
-    out = []
-    for q in range(4, k + 5):
-        if q in (j, j + 1):
-            continue
-        for s in range(q + 2, n + 1):
-            if s in (j, j + 1):
-                continue
-            out.append((q, s - 1, s))
-    return sorted(out)
-
-
-def c_set(j: int, k: int) -> list[tuple]:
-    """Sub-fiber labels that keep one critical cell: the unstable triples
-    avoiding {1, 2, j} that do not fall in ``nc_set``.  There are
-    (k+1)(k+2)/2 of them for every admissible j."""
-    _validate_j1(j, k)
-    ncs = set(nc_set(j, k))
-    return sorted(t for t in graphs.all_triples(k)
-                  if not graphs.is_stable(t, k)
-                  and not set(t) & {1, 2, j}
-                  and t not in ncs)
-
-
-def w_case(v, j: int, k: int) -> str:
-    """Which toggle-list shape the sub-fiber of label v takes.
-
-    'blocked'  v meets {1, 2, j}: the sub-fiber is empty.
-    'cleared'  v = {q, s, s+1}, q not 3 or j+1: the run matches everything.
-    'low-run'  v = {3, s, s+1}: one survivor.
-    'after-j'  v = {j+1, s, s+1}: one survivor.
-    'split'    v = {q, q+1, s} with s > q+2: one survivor.
-
-    The three surviving shapes are exactly the labels of ``c_set``, the
-    cleared shape is ``nc_set``.
+    A label avoids {1, 2, j}, so its adjacent pair cannot wrap and it has
+    one of two shapes.  v = {q, q+1, s} with s > q+2 toggles {t, q+1, s}
+    for every free t (off {1, 2, j} and v) and keeps a cell.  v = {q, s,
+    s+1} toggles {t, s, s+1} for free t > q and {t, q, s+1} for free t
+    below q-1, and keeps a cell exactly when q-1 is missed (q = 3 or q =
+    j+1); otherwise the second arm sweeps away what the first leaves.  A
+    toggle is stable or lex above v, so applying it neither leaves the
+    support nor changes the lex-least unstable member, and the kept cell
+    is v with all its toggles, k+1 triples.
     """
     t = graphs.check_vertex(v, k)
     if graphs.is_stable(t, k):
         raise ValueError("%r is stable; sub-fibers are labelled by unstable triples" % (v,))
-    _validate_j1(j, k)
-    if set(t) & {1, 2, j}:
-        return 'blocked'
-    s1, s2, s3 = t
-    if s3 == s2 + 1:
-        if s1 == 3:
-            return 'low-run'
-        if s1 == j + 1:
-            return 'after-j'
-        return 'cleared'
-    # 1 is never a member here, so the adjacent pair cannot wrap and must
-    # sit at the bottom of the triple
-    if s2 != s1 + 1:
-        raise AssertionError("unstable %r has no adjacent pair" % (v,))
-    return 'split'
+    if j not in index_I(1, k):
+        raise ValueError("j=%r cannot accompany the pair {1, 2} at k=%d" % (j, k))
+    miss = {1, 2, j}
+    if miss & set(t):
+        raise ValueError("%r meets the missed set {1, 2, %d}; its sub-fiber is empty" % (v, j))
+    a, b, c = t
+    free = [x for x in range(1, graphs.ground_size(k) + 1) if x not in miss and x not in t]
+    if c != b + 1:  # {q, q+1, s}: b = q+1, c = s
+        return tuple(sorted(tuple(sorted((x, b, c))) for x in free)), True
+    # {q, s, s+1}: a = q, b = s, c = s+1
+    plan = [tuple(sorted((x, b, c))) for x in free if x > a]
+    plan += [(x, a, c) for x in free if x < a - 1]
+    return tuple(sorted(plan)), a - 1 in miss
 
 
-def w_set(v, j: int, k: int) -> tuple:
-    """The toggle list of one sub-fiber, lex sorted.
-
-    Every toggle avoids {1, 2, j} and exceeds v, so applying it neither
-    leaves the family support nor changes the lex-least unstable member.
-    The base shape is {t, s2, s3} for the free third elements t; 'cleared'
-    adds toggles {t, s1, s3} for small t and 'after-j' adds {t, j+1, s3}
-    (which drop s2), the arms that sweep away what the base shape misses.
-    """
-    case = w_case(v, j, k)
-    n = graphs.ground_size(k)
-    s1, s2, s3 = graphs.check_vertex(v, k)
-    out: list[tuple] = []
-    if case == 'cleared':
-        skip = set(range(1, s1 + 1)) | {j, s2, s3}
-        out += [tuple(sorted((t, s2, s3))) for t in range(1, n + 1) if t not in skip]
-        out += [(t, s1, s3) for t in range(3, s1 - 1) if t != j]
-    elif case == 'low-run':
-        skip = {1, 2, 3, j, s2, s3}
-        out += [tuple(sorted((t, s2, s3))) for t in range(1, n + 1) if t not in skip]
-    elif case == 'after-j':
-        skip = set(range(1, j + 2)) | {s2, s3}
-        out += [tuple(sorted((t, s2, s3))) for t in range(1, n + 1) if t not in skip]
-        out += [(t, j + 1, s3) for t in range(3, j)]
-    elif case == 'split':
-        skip = {1, 2, j, s1, s2, s3}
-        out += [tuple(sorted((t, s2, s3))) for t in range(1, n + 1) if t not in skip]
-    else:
-        return ()
-    ws = sorted(set(out))
-    if len(ws) != len(out):
-        raise AssertionError("duplicate toggles for label %r" % (v,))
-    return tuple(ws)
-
-
-def critical_form(v, j: int, k: int) -> tuple | None:
-    """The survivor of the toggle run of label v, in closed form.
-
-    None when the run clears the sub-fiber or the sub-fiber is empty.
-    'low-run' and 'split' keep every triple {t, s2, s3} with t free;
-    'after-j' keeps {t, j+1, s3} for t below j together with {t, s2, s3}
-    for t above j.  Always k+1 members, a cell of dimension k.
-    """
-    case = w_case(v, j, k)
-    n = graphs.ground_size(k)
-    s1, s2, s3 = graphs.check_vertex(v, k)
-    if case in ('low-run', 'split'):
-        skip = {1, 2, j, s2, s3}
-        cell = [tuple(sorted((t, s2, s3))) for t in range(1, n + 1) if t not in skip]
-    elif case == 'after-j':
-        cell = [(t, j + 1, s3) for t in range(3, j)]
-        cell += [tuple(sorted((t, s2, s3))) for t in range(j + 1, n + 1) if t not in (s2, s3)]
-    else:
-        return None
-    cell.sort()
-    if len(cell) != k + 1:
-        raise AssertionError("closed form for %r has %d members, wanted %d" % (v, len(cell), k + 1))
-    return tuple(cell)
+def c_set(j: int, k: int) -> list[tuple]:
+    """Sub-fiber labels whose ``toggle_plan`` keeps a cell: (k+1)(k+2)/2 of
+    the unstable triples avoiding {1, 2, j}, for every admissible j."""
+    return sorted(t for t in graphs.all_triples(k)
+                  if not graphs.is_stable(t, k) and not set(t) & {1, 2, j}
+                  and toggle_plan(t, j, k)[1])
 
 
 class FamilyFaces(NamedTuple):
@@ -412,10 +325,11 @@ class FamilyMatching:
     popcount and neither is listed unless iterated: the faces ascending,
     the pairs fiber by fiber, stage by stage, ascending within a stage.
     ``critical`` lists the survivors, fiber by fiber.  A family built
-    directly is checked in full (residue identity, closed-form survivors,
-    and one ``Matching`` over the union of its toggle runs, which validates
-    every pair once before the acyclicity check of the whole family); a
-    transported one is covered by the certificate of ``transport``.
+    directly is checked in full (residue identity, survivors against
+    ``toggle_plan``, and one ``Matching`` over the union of its toggle
+    runs, which validates every pair once before the acyclicity check of
+    the whole family); a transported one is covered by the certificate of
+    ``transport``.
     """
     k: int
     cset: tuple
@@ -436,10 +350,11 @@ def matching_P(k: int, i: int, j: int) -> FamilyMatching:
     base, built directly and carried by ``mover``.
 
     The base splits along lex-least unstable members and every sub-fiber
-    runs its toggle list, leaving one closed-form cell per ``c_set`` label,
-    (k+1)(k+2)/2 cells of dimension k in total.  The build checks every
-    cleared run against the direct residue identity, every survivor against
-    its closed form, and then the union of all runs at once: every pair
+    runs the toggles of its ``toggle_plan``, which keeps one cell, the
+    label with its toggles, per ``c_set`` label and clears every other
+    sub-fiber: (k+1)(k+2)/2 cells of dimension k in total.  The build
+    checks every run against the direct residue identity, its survivors
+    against the plan, and then the union of all runs at once: every pair
     covers, no face is matched twice, every pair stays inside the family,
     and the whole matching is acyclic.
     """
@@ -452,8 +367,6 @@ def _matching_p1(k: int, j: int) -> FamilyMatching:
     fam = family_faces(k, cset)
     idx = {t: b for b, t in enumerate(fam.triples)}
     masks = nobit(len(fam.triples))
-    retain = set(c_set(j, k))
-    clear = set(nc_set(j, k))
     stages: list = []
     criticals: list = []
     present: set = set()
@@ -463,12 +376,15 @@ def _matching_p1(k: int, j: int) -> FamilyMatching:
     for u, fiber in split_fibers(fam).items():
         v = fam.triples[u]
         present.add(v)
+        plan, keeps = toggle_plan(v, j, k)
         toggles = []
-        for w in w_set(v, j, k):
+        cell = 1 << u  # the label with its toggles, the one face a keeping run leaves
+        for w in plan:
             b = idx.get(w)
             if b is None:
                 raise MatchingError("toggle %r of label %r leaves the support of %r" % (w, v, cset))
             toggles.append(b)
+            cell |= 1 << b
         run, residue = toggle_run(fiber, toggles)
         # direct residue identity: a survivor holds every toggle and loses
         # full coverage as soon as any one toggle is removed
@@ -482,24 +398,20 @@ def _matching_p1(k: int, j: int) -> FamilyMatching:
             raise MatchingError("toggle run of label %r disagrees with the residue identity at %r (j=%d)"
                                 % (v, decode((diff & -diff).bit_length() - 1, fam.triples), j))
         # the survivors are checked as a bitset and listed only to report
-        if v in retain:
-            want = critical_form(v, j, k)
-            bits = [idx.get(w) for w in want or ()]
-            if not bits or None in bits or residue != 1 << sum(1 << b for b in bits):
+        if keeps:
+            if residue != 1 << cell:
                 decoded = [decode(f, fam.triples) for f in members(residue)]
-                raise MatchingError("label %r kept %r instead of its closed form %r (j=%d)"
-                                    % (v, decoded, want, j))
-            criticals.append(residue.bit_length() - 1)
-        elif v in clear:
-            if residue:
-                raise MatchingError("label %r should clear but kept %d cells (j=%d)"
-                                    % (v, residue.bit_count(), j))
-        else:
-            raise MatchingError("label %r owns a sub-fiber yet is neither kind (j=%d)" % (v, j))
+                raise MatchingError("label %r kept %r instead of itself with its toggles %r (j=%d)"
+                                    % (v, decoded, decode(cell, fam.triples), j))
+            criticals.append(cell)
+        elif residue:
+            raise MatchingError("label %r should clear but kept %d cells (j=%d)"
+                                % (v, residue.bit_count(), j))
         stages.extend(run)
-    if not retain <= present:
+    missing = set(c_set(j, k)) - present
+    if missing:
         raise MatchingError("labels %r should retain a cell but own no face (j=%d)"
-                            % (sorted(retain - present), j))
+                            % (sorted(missing), j))
     pairs = StagePairs(stages)
     if 2 * len(pairs) + len(criticals) != len(fam.faces):
         raise MatchingError("matched pairs and critical cells do not partition the family (j=%d)" % (j,))

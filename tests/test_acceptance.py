@@ -27,8 +27,8 @@ from kneser_morse.homology import (
 )
 from kneser_morse.morse import MatchingError
 from kneser_morse.wedge import (
-    family_faces, filtration, split_fibers, theorem3_counts, toggle_run, w_set,
-    _layer_certificate,
+    family_faces, filtration, split_fibers, theorem3_counts, toggle_plan,
+    toggle_run, _layer_certificate,
 )
 
 # the enumeration oracles of the A- and B-families, the C-fibers and the A
@@ -165,8 +165,8 @@ def _check_poset_maps(k):
     for j in index_I(1, k):
         fam = family_faces(k, frozenset(p_complement(k, 1, j)))
         for idx, fiber in split_fibers(fam).items():
-            ws = w_set(fam.triples[idx], j, k)
-            toggles = [fam.triples.index(w) for w in ws]
+            plan, _ = toggle_plan(fam.triples[idx], j, k)
+            toggles = [fam.triples.index(w) for w in plan]
             faces = list(morse.members(fiber))
             # a face's stage is one more than the number of toggle prefixes it survives
             stage = dict.fromkeys(faces, 1)

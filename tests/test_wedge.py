@@ -16,9 +16,9 @@ from kneser_morse.graphs import (
     q_complement, rotate, triple_index, vertex_mask,
 )
 from kneser_morse.wedge import (
-    c_set, critical_form, family_faces, filtration,
-    matching_P, matching_Q, nc_set, p_indices, pq_classify, q_indices,
-    split_fibers, theorem3_counts, toggle_run, transport, w_case, w_set,
+    c_set, family_faces, filtration, matching_P, matching_Q, p_indices,
+    pq_classify, q_indices, split_fibers, theorem3_counts, toggle_plan,
+    toggle_run, transport,
 )
 
 
@@ -145,7 +145,42 @@ def test_missed_set_is_exact():
 
 
 # ---------------------------------------------------------------------------
-# sub-fiber labels and toggle sets
+# sub-fiber labels and toggle plans, against the paper's closed forms
+
+def nc_set(j, k):
+    """The labels of the (1, j) base whose toggle run clears the sub-fiber
+    completely, in the paper's form: {q, s-1, s} with q in 4..k+4 and s in
+    q+2..k+6, both avoiding {j, j+1}."""
+    n = ground_size(k)
+    return sorted((q, s - 1, s) for q in range(4, k + 5) if q not in (j, j + 1)
+                  for s in range(q + 2, n + 1) if s not in (j, j + 1))
+
+
+def critical_form(v, j, k):
+    """The survivor of the toggle run of unstable label v in the (1, j)
+    base, in the paper's closed form: None when v meets {1, 2, j} (an empty
+    sub-fiber) or lies in ``nc_set``.  v = {j+1, s, s+1} keeps {t, j+1,
+    s+1} for t below j together with {t, s, s+1} for t above j; the other
+    labels, {3, s, s+1} and {q, q+1, s} with s > q+2, keep {t, v2, v3} for
+    every t off {1, 2, j}.  Always k+1 members, a cell of dimension k."""
+    if set(v) & {1, 2, j} or v in nc_set(j, k):
+        return None
+    n = ground_size(k)
+    s1, s2, s3 = v
+    if s3 == s2 + 1 and s1 == j + 1:
+        cell = [(t, j + 1, s3) for t in range(3, j)]
+        cell += [tuple(sorted((t, s2, s3))) for t in range(j + 1, n + 1) if t not in (s2, s3)]
+    else:
+        cell = [tuple(sorted((t, s2, s3))) for t in range(1, n + 1) if t not in {1, 2, j, s2, s3}]
+    assert len(cell) == k + 1, (v, j, k)
+    return tuple(sorted(cell))
+
+
+def labels(j, k):
+    """The unstable triples avoiding {1, 2, j}: every label a sub-fiber of
+    the (1, j) base can carry."""
+    return [v for v in all_triples(k) if not is_stable(v, k) and not set(v) & {1, 2, j}]
+
 
 def test_c_set_fixtures():
     assert c_set(4, 1) == [(3, 5, 6), (3, 6, 7), (5, 6, 7)]
@@ -161,30 +196,29 @@ def test_c_set_count(k):
         assert not set(c_set(j, k)) & set(nc_set(j, k))
 
 
-@pytest.mark.parametrize("k", [1, 2])
-def test_w_case_partitions_unstable_triples(k):
+@pytest.mark.parametrize("k", range(7))
+def test_toggle_plan_agrees_with_the_closed_form(k):
+    # every label of every base: the plan keeps a cell exactly off nc_set,
+    # and the cell it keeps, v with its toggles, is the closed form (read
+    # through the module so that a planted plan reaches this test)
     for j in index_I(1, k):
-        cs, ns = set(c_set(j, k)), set(nc_set(j, k))
-        for v in all_triples(k):
-            if is_stable(v, k):
-                continue
-            case = w_case(v, j, k)
-            if case == 'blocked':
-                assert set(v) & {1, 2, j}
-            elif case == 'cleared':
-                assert v in ns
-            else:
-                assert case in ('low-run', 'after-j', 'split')
-                assert v in cs
-        assert len(cs) + len(ns) == sum(
-            1 for v in all_triples(k)
-            if not is_stable(v, k) and not set(v) & {1, 2, j})
+        cleared, every = set(nc_set(j, k)), labels(j, k)
+        assert cleared <= set(every)
+        for v in every:
+            plan, keeps = wedge.toggle_plan(v, j, k)
+            assert keeps == (v not in cleared), (j, v)
+            assert (tuple(sorted({v, *plan})) if keeps else None) == critical_form(v, j, k), (j, v)
 
 
-def test_w_set_fixtures():
-    assert w_set((3, 5, 6), 4, 1) == ((5, 6, 7),)
-    assert w_set((3, 6, 7), 4, 1) == ((5, 6, 7),)
-    assert w_set((5, 6, 7), 4, 1) == ((3, 5, 7),)
+def test_toggle_plan_fixtures():
+    assert toggle_plan((3, 5, 6), 4, 1) == (((5, 6, 7),), True)
+    assert toggle_plan((3, 6, 7), 4, 1) == (((5, 6, 7),), True)
+    assert toggle_plan((5, 6, 7), 4, 1) == (((3, 5, 7),), True)
+    assert toggle_plan((5, 6, 7), 3, 1) == ((), False)
+    # {6, 7, 8} at j = 4: 5 is not missed, and the arm {3, 6, 8} clears
+    assert toggle_plan((6, 7, 8), 4, 2) == (((3, 6, 8),), False)
+    # a pair with a far third element keeps whatever j is
+    assert toggle_plan((4, 5, 8), 6, 2) == (((3, 5, 8), (5, 7, 8)), True)
 
 
 def test_critical_form_fixtures():
@@ -194,27 +228,28 @@ def test_critical_form_fixtures():
     assert critical_form((6, 7, 8), 4, 2) is None   # cleared
 
 
-def test_w_case_rejects_stable():
-    with pytest.raises(ValueError):
-        w_case((1, 3, 5), 4, 1)
+def test_toggle_plan_refuses_stable_and_blocked_labels():
+    with pytest.raises(ValueError, match="is stable"):
+        toggle_plan((1, 3, 5), 4, 1)
+    with pytest.raises(ValueError, match=r"meets the missed set \{1, 2, 4\}"):
+        toggle_plan((4, 5, 6), 4, 1)
+    with pytest.raises(ValueError, match="cannot accompany"):
+        toggle_plan((4, 5, 6), 2, 1)
 
 
-@given(st.integers(1, 2), st.data())
+@given(st.integers(0, 3), st.data())
 @settings(max_examples=60, deadline=None)
-def test_w_set_properties(k, data):
+def test_toggle_plan_properties(k, data):
     j = data.draw(st.sampled_from(index_I(1, k)))
-    unstable = [v for v in all_triples(k) if not is_stable(v, k)]
-    v = data.draw(st.sampled_from(unstable))
-    ws = w_set(v, j, k)
-    assert list(ws) == sorted(ws)
-    assert len(set(ws)) == len(ws)
-    for w in ws:
+    v = data.draw(st.sampled_from(labels(j, k)))
+    plan, keeps = toggle_plan(v, j, k)
+    assert list(plan) == sorted(set(plan))
+    for w in plan:
+        # a toggle stays in the support and keeps v the lex-least unstable member
         assert not set(w) & {1, 2, j}
-        assert w != v
-    if w_case(v, j, k) in ('low-run', 'after-j', 'split'):
-        crit = critical_form(v, j, k)
-        assert crit == tuple(sorted({v, *ws}))
-        assert len(crit) == k + 1
+        assert is_stable(w, k) or w > v
+    if keeps:
+        assert len(plan) == k
 
 
 # ---------------------------------------------------------------------------
@@ -330,7 +365,7 @@ def reference_toggle_run(faces, wbits):
 
 
 def toggle_bits(fam, label, j, k):
-    return [fam.triples.index(w) for w in w_set(fam.triples[label], j, k)]
+    return [fam.triples.index(w) for w in toggle_plan(fam.triples[label], j, k)[0]]
 
 
 @pytest.mark.parametrize("k,j", BASE_FAMILIES)
@@ -483,39 +518,92 @@ def test_matching_P_catches_a_pair_outside_the_family(monkeypatch):
         matching_P(1, 1, 3)
 
 
-def test_matching_P_catches_a_perturbed_closed_form(monkeypatch):
-    real = critical_form
+def plant_plan(monkeypatch, label, toggles=None, keeps=None):
+    """``wedge.toggle_plan`` answers ``label`` with the given toggles or
+    keeps flag instead of its own, and every other label as before."""
+    real = wedge.toggle_plan
 
-    def perturbed(v, j, k):
-        return ((4, 5, 6), (4, 5, 7)) if v == (4, 5, 6) else real(v, j, k)
+    def planted(v, j, k):
+        plan, kept = real(v, j, k)
+        if v != label:
+            return plan, kept
+        return plan if toggles is None else toggles, kept if keeps is None else keeps
 
-    monkeypatch.setattr(wedge, 'critical_form', perturbed)
-    with pytest.raises(MatchingError, match=r"label \(4, 5, 6\) kept \[\(\(4, 5, 6\), \(5, 6, 7\)\)\] "
-                                            r"instead of its closed form"):
-        matching_P(1, 1, 3)
+    monkeypatch.setattr(wedge, 'toggle_plan', planted)
+
+
+def test_matching_P_catches_a_label_that_clears_a_cell_it_should_keep(monkeypatch):
+    # (6, 7, 8) clears its sub-fiber in the k = 2 family (1, 4); a plan
+    # that keeps a cell there finds none
+    plant_plan(monkeypatch, (6, 7, 8), keeps=True)
+    with pytest.raises(MatchingError, match=r"^label \(6, 7, 8\) kept \[\] instead of itself with its "
+                                            r"toggles \(\(3, 6, 8\), \(6, 7, 8\)\) \(j=4\)$"):
+        matching_P(2, 1, 4)
 
 
 def test_matching_P_catches_a_label_that_keeps_a_cell_it_should_clear(monkeypatch):
-    # (4, 5, 6) keeps its closed-form cell in the k = 1 family (1, 3); filed
-    # among the labels that clear, its survivor is reported by count
-    real_c, real_nc = c_set, nc_set
-    monkeypatch.setattr(wedge, 'c_set', lambda j, k: [v for v in real_c(j, k) if v != (4, 5, 6)])
-    monkeypatch.setattr(wedge, 'nc_set', lambda j, k: real_nc(j, k) + [(4, 5, 6)])
+    # (4, 5, 6) keeps a cell in the k = 1 family (1, 3); a plan that clears
+    # there reports the survivor by count
+    plant_plan(monkeypatch, (4, 5, 6), keeps=False)
     with pytest.raises(MatchingError, match=r"^label \(4, 5, 6\) should clear but kept 1 cells \(j=3\)$"):
+        matching_P(1, 1, 3)
+
+
+def test_matching_P_catches_a_kept_label_that_owns_no_face(monkeypatch):
+    # (5, 6, 7) owns no face in the k = 1 family (1, 3): every face that
+    # holds it holds a lex-smaller unstable triple, since (5, 6, 7) alone
+    # misses 4; a plan that keeps a cell there has no run to check it on
+    plant_plan(monkeypatch, (5, 6, 7), keeps=True)
+    with pytest.raises(MatchingError, match=r"^labels \[\(5, 6, 7\)\] should retain a cell but own "
+                                            r"no face \(j=3\)$"):
+        matching_P(1, 1, 3)
+
+
+def test_matching_P_catches_a_toggle_off_the_support(monkeypatch):
+    plant_plan(monkeypatch, (4, 5, 6), toggles=((3, 5, 6),))
+    with pytest.raises(MatchingError, match=r"^toggle \(3, 5, 6\) of label \(4, 5, 6\) leaves the "
+                                            r"support of \(1, 2, 3\)$"):
+        matching_P(1, 1, 3)
+
+
+def test_matching_P_acts_on_a_cycle_the_search_reports(monkeypatch):
+    # the search itself is checked on planted cycles in test_morse; here its
+    # verdict on the real, acyclic pairs is planted, naming the first pair
+    low, up = next(iter(matching_P(1, 1, 3).pairs))
+    real = wedge.is_acyclic
+
+    def cyclic(matching):
+        assert real(matching) == (True, None)
+        return False, [(low, up)]
+
+    monkeypatch.setattr(wedge, 'is_acyclic', cyclic)
+    with pytest.raises(MatchingError, match=r"^family \(1, 3\) matching has a directed cycle "
+                                            r"through \[\(\("):
         matching_P(1, 1, 3)
 
 
 @pytest.mark.parametrize("label,toggle,check", [
     ((4, 5, 7), (4, 5, 6), "disagrees with the residue identity at"),
-    ((4, 5, 6), (4, 5, 7), "instead of its closed form"),
 ])
 def test_matching_P_catches_a_swapped_toggle(label, toggle, check, monkeypatch):
     # every label of the k = 1 family (1, 3) toggles (5, 6, 7) alone; here
     # one label's toggle is swapped for another triple of the support
-    real = w_set
-    monkeypatch.setattr(wedge, 'w_set', lambda v, j, k: (toggle,) if v == label else real(v, j, k))
+    plant_plan(monkeypatch, label, toggles=(toggle,))
     with pytest.raises(MatchingError, match=r"label %s .*%s.*\(\(" % (re.escape(str(label)), check)):
         matching_P(1, 1, 3)
+
+
+def test_the_closed_form_oracle_catches_a_swapped_toggle(monkeypatch):
+    # (4, 5, 6) toggling (4, 5, 7) in the k = 1 family (1, 3) still builds a
+    # valid acyclic matching that keeps three 1-cells, its own among them:
+    # the recipe breaks, the claim does not, so the plant is the closed
+    # form's to catch
+    plant_plan(monkeypatch, (4, 5, 6), toggles=((4, 5, 7),))
+    fm = matching_P(1, 1, 3)
+    assert len(fm.critical) == 3 and all(c.bit_count() == 2 for c in fm.critical)
+    assert ((4, 5, 6), (4, 5, 7)) in fm.decoded_critical()
+    with pytest.raises(AssertionError, match=r"\(3, \(4, 5, 6\)\)"):
+        test_toggle_plan_agrees_with_the_closed_form(1)
 
 
 @pytest.mark.parametrize("k,i,j", [(0, 1, 3), (1, 1, 4), (1, 4, 6), (2, 1, 4),
@@ -582,10 +670,9 @@ def test_residue_identity_recomputed():
         for idx, fiber in split_fibers(fam).items():
             v = fam.triples[idx]
             stages, survivors = toggle_run(fiber, toggle_bits(fam, idx, j, k))
-            case = w_case(v, j, k)
-            if case in ('low-run', 'after-j', 'split'):
+            crit = critical_form(v, j, k)
+            if crit is not None:
                 assert survivors.bit_count() == 1
-                crit = critical_form(v, j, k)
                 assert {m.decode(s) for s in members(survivors)} == {crit}
             else:
                 assert not survivors
