@@ -156,12 +156,17 @@ def _verify_filtration(name: str, k: int, depth: str, counts_of) -> list[dict]:
 
 
 def _verify_families(name: str, k: int, depth: str, counts_of) -> list[dict]:
-    """One layer's families and survivor total, censused or from the formulas."""
-    indices, cells = ((wedge.p_indices, 'k_cells') if name == 'p-families'
-                      else (wedge.q_indices, 'km1_cells'))
+    """One layer's families and survivor total, censused or from the
+    formulas: (k+3)(k+6) three-element and half as many four-element
+    families, so a run that does not census reads no missed-set lattice."""
+    kind, cells, per = ('P', 'k_cells', 1) if name == 'p-families' else ('Q', 'km1_cells', 2)
     counts = counts_of()
-    total = counts[('observed_' if counts['censused'] else 'extra_') + cells]
-    return [_result(name, k, True, families=len(indices(k)), critical_total=total,
+    if counts['censused']:
+        families = sum(1 for row in counts['rows'] if row[0] == kind)
+        total = counts['observed_' + cells]
+    else:
+        families, total = (k + 3) * (k + 6) // per, counts['extra_' + cells]
+    return [_result(name, k, True, families=families, critical_total=total,
                     censused=counts['censused'])]
 
 

@@ -24,7 +24,6 @@ from functools import lru_cache
 from typing import Iterable
 
 from . import graphs
-from .graphs import Graph
 
 # Most candidates ``NbhdComplex.all_faces`` expands, the sum of 2^|m| over
 # the maximal faces m: kg needs 56 * 2^10 at k = 2 and 84 * 2^20 at k = 3.
@@ -80,31 +79,14 @@ def complement_set(sigma: int, k: int) -> tuple[int, ...]:
 
 
 class NbhdComplex:
-    """Neighborhood complex of one graph, with cached dimension bands."""
+    """The complex generated by nonempty faces, with cached dimension bands:
+    a graph's neighborhood complex from its ``adj`` rows (``complex_for``),
+    or the middle filtration stage, whose generating faces are not the
+    neighborhoods of a single graph, from explicit faces."""
 
-    def __init__(self, g: Graph):
-        self.graph: Graph | None = g
-        self.k = g.k
-        bit = graphs.triple_index(g.k).bit
-        table = [1 << bit[t] for t in g.verts]
-        self._install(remap(row, table) for row in g.adj)
-
-    @classmethod
-    def from_maximal(cls, k: int, faces: Iterable[int]) -> "NbhdComplex":
-        """The complex generated by explicit faces.
-
-        Needed for the middle filtration stage, whose generating faces are
-        not the neighborhoods of a single graph.  ``graph`` is None on the
-        result; everything else works as usual.
-        """
-        cx = cls.__new__(cls)
-        cx.graph = None
-        cx.k = k
-        cx._install(faces)
-        return cx
-
-    def _install(self, gens: Iterable[int]) -> None:
-        pool = sorted({g for g in gens if g}, key=lambda m: -m.bit_count())
+    def __init__(self, k: int, generators: Iterable[int]):
+        self.k = k
+        pool = sorted({g for g in generators if g}, key=lambda m: -m.bit_count())
         maximal: list[int] = []
         for nb in pool:
             if not any(nb & ~m == 0 for m in maximal):
@@ -128,9 +110,6 @@ class NbhdComplex:
             self._bands[d] = sorted(out)
         return self._bands[d]
 
-    def is_face(self, sigma: int) -> bool:
-        return sigma != 0 and any(sigma & ~m == 0 for m in self.maximal)
-
     def all_faces(self) -> set[int]:
         """Every face of every dimension.  Exponential in the largest maximal
         face, so guarded: raises if the powerset budget exceeds
@@ -150,4 +129,4 @@ class NbhdComplex:
 
 @lru_cache(maxsize=None)
 def complex_for(kind: str, k: int) -> NbhdComplex:
-    return NbhdComplex(graphs.graph(kind, k))
+    return NbhdComplex(k, graphs.graph(kind, k).adj)

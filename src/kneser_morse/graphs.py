@@ -18,10 +18,13 @@ normal form.
 Both theorems sort faces by the ground elements a face misses, and
 ``missed_shape`` is the one reader of that set: a stable triple fits inside,
 or it is {s, s+1, t} (the normal form rotated back), or {s, s+1, u, u+1}, or
-none of these.  ``missed_lattice`` checks, on every mask, the facts that
-both theorems' Cluster-Lemma hypotheses rest on.  ``pullback`` takes a
-family of the third kind to one of the second kind one parameter down;
-``index_I`` and ``index_J`` list the admissible t and u.
+none of these, and ``shape_mask`` writes a shape back.  ``missed_lattice``
+checks, on every mask, the facts that both theorems' Cluster-Lemma
+hypotheses rest on; its pair and double-pair shapes are the one list of
+the census families, and ``p_complement``/``q_complement`` accept a
+family's (i, j) only when its set reads back as its shape.  ``pullback``
+takes a family of the third kind to one of the second kind one parameter
+down.
 
 ``triple_index(k)`` numbers all triples of [k+6] in lex order; bit b of a
 face mask stands for triple b of that index, in every complex at that k.
@@ -121,29 +124,24 @@ def unstable_rep(v, k: int) -> tuple[int, int]:
 # ---------------------------------------------------------------------------
 # missed sets: the shapes both theorems sort faces by
 
-def pair_of(s: int, k: int) -> tuple[int, int]:
-    """The cyclically adjacent pair {s, s+1} (s = k+6 wraps to {k+6, 1})."""
+def shape_mask(shape: tuple, k: int) -> int:
+    """The ground mask a shape names: {s, s+1, t} for (3, s, t), {s, s+1,
+    u, u+1} for (4, s, u); a pair {k+6, 1} wraps."""
+    size, s, t = shape
     n = ground_size(k)
-    return (s, s % n + 1)
+    mask = 1 << (s - 1) | 1 << s % n | 1 << (t - 1)
+    return mask if size == 3 else mask | 1 << t % n
 
 
-def index_I(s: int, k: int) -> list[int]:
-    """Admissible third elements t for missed sets {s, s+1, t}."""
-    n = ground_size(k)
-    if not 1 <= s <= n:
-        raise ValueError("s=%d outside 1..%d" % (s, n))
-    excluded = {(s - 2) % n + 1, s, s % n + 1}
-    return [t for t in range(1, n + 1) if t not in excluded]
-
-
-def index_J(s: int, k: int) -> list[int]:
-    """Admissible second pair starts u for missed sets {s, s+1, u, u+1}."""
-    n = ground_size(k)
-    if s == 1:
-        return list(range(3, n))          # u+1 may not wrap onto 1
-    if 1 < s < n - 1:
-        return list(range(s + 2, n + 1))  # u > s+1, wrap u = k+6 allowed
-    return []
+def _written(shape: tuple, k: int, refusal: str) -> tuple:
+    """The missed set ``shape`` names, once ``missed_shape`` reads it back
+    as ``shape``; ``ValueError(refusal)`` otherwise."""
+    if shape[2] not in range(1, ground_size(k) + 1):
+        raise ValueError(refusal)
+    mask = shape_mask(shape, k)
+    if missed_shape(mask, k) != shape:
+        raise ValueError(refusal)
+    return ground_elements(mask)
 
 
 def p_complement(k: int, i: int, j: int) -> tuple:
@@ -151,29 +149,26 @@ def p_complement(k: int, i: int, j: int) -> tuple:
     n = ground_size(k)
     if not 1 <= i <= n:
         raise ValueError("pair start i=%r leaves the ground set 1..%d" % (i, n))
-    if j not in index_I(i, k):
-        raise ValueError("j=%r cannot accompany the pair {%d, %d}" % (j, i, i % n + 1))
-    return tuple(sorted(set(pair_of(i, k)) | {j}))
+    return _written((3, i, j), k, "j=%r cannot accompany the pair {%d, %d}" % (j, i, i % n + 1))
 
 
 def q_complement(k: int, i: int, j: int) -> tuple:
     """The missed set {i, i+1, j, j+1} of a four-element family, validated."""
     if not 1 <= i <= k + 4:
         raise ValueError("first pair start i=%r must lie in 1..%d" % (i, k + 4))
-    if j not in index_J(i, k):
-        raise ValueError("second pair start j=%r is not admissible after i=%d" % (j, i))
-    return tuple(sorted(set(pair_of(i, k)) | set(pair_of(j, k))))
+    return _written((4, i, j), k, "second pair start j=%r is not admissible after i=%d" % (j, i))
 
 
 def missed_shape(missed: int, k: int):
     """Read a ground-element mask of missed elements: True when a stable
-    triple fits inside, (3, s, t) for {s, s+1, t} with t in ``index_I(s,
-    k)``, (4, s, u) for {s, s+1, u, u+1} with u in ``index_J(s, k)``, else
-    None.  Stability inside is read off ``triple_index(k).stable``, the
-    shapes off the ground set.  A three-element set is ``unstable_rep``'s
-    {1, 2, l} rotated back by j, so s = j+1 and t = l+j, and a run {s, s+1,
-    s+2} reads from its lower pair; four elements are two disjoint adjacent
-    pairs with s < u."""
+    triple fits inside, (3, s, t) for {s, s+1, t}, (4, s, u) for {s, s+1,
+    u, u+1}, else None.  Stability inside is read off
+    ``triple_index(k).stable``, the shapes off the ground set.  A
+    three-element set is ``unstable_rep``'s {1, 2, l} rotated back by j, so
+    s = j+1 and t = l+j, and a run {s, s+1, s+2} reads from its lower pair;
+    four elements are two disjoint adjacent pairs with s < u, the second
+    of which may wrap to {k+6, 1}.  ``shape_mask`` writes a shape back as
+    its mask."""
     n = ground_size(k)
     ix = triple_index(k)
     elements = ground_elements(missed)
@@ -201,9 +196,13 @@ def missed_lattice(k: int) -> list:
     hold for every M of three or more elements and x off M: (a) |M| >= 5:
     a stable triple fits inside; (b) |M| = 3 or 4 and none fits: M has the
     pair or the double-pair shape; (c) M + x holds a stable triple, or has
-    the double-pair shape while M has the pair shape.  (c) is checked as
-    "M + x holds a stable triple if M does"; the rest of it follows from
-    (a) and (b) on M + x, one element larger.
+    the double-pair shape while M has the pair shape; (d) a shape names
+    its own mask: ``shape_mask`` of M's shape is M.  (c) is checked as "M +
+    x holds a stable triple if M does"; the rest of it follows from (a) and
+    (b) on M + x, one element larger.  By (d) no two masks share a shape,
+    so the pair and double-pair shapes read here, in mask order, are the
+    families of the two layers, each once: ``wedge.p_indices`` and
+    ``wedge.q_indices`` list them.
 
     Lemma.  By (a) and (b) a face of the full complex outside the mixed
     complex (an unstable member, no stable triple in its missed set) is a
@@ -229,6 +228,10 @@ def missed_lattice(k: int) -> list:
             want = "" if size >= 5 else " or have the %s shape" % ("pair", "double-pair")[size - 3]
             raise MatchingError("missed set %r reads %r, but a set of %d elements must hold a "
                                 "stable triple%s" % (ground_elements(m), shape, size, want))
+        elif shape_mask(shape, k) != m:  # (d)
+            named = ground_elements(shape_mask(shape, k))
+            raise MatchingError("missed set %r reads %r, which names the missed set %r"
+                                % (ground_elements(m), shape, named))
     return shapes
 
 
@@ -237,7 +240,7 @@ def pullback(k: int, s: int, u: int) -> tuple[int, int, int]:
     onto {k+5, k+6}, off the ground set of parameter k-1, and sends the
     family missing {s, s+1, u, u+1} to the one missing {s', s'+1, t'} there."""
     shift = k + 5 - u
-    down = sorted(rotate(x, shift, k) for x in pair_of(s, k) + pair_of(u, k))
+    down = sorted(rotate(x, shift, k) for x in ground_elements(shape_mask((4, s, u), k)))
     if down[-2:] != [k + 5, k + 6]:
         raise AssertionError("rotation by %d failed to move the second pair on top" % (shift,))
     shape = missed_shape(vertex_mask(down[:3]), k - 1)
@@ -267,13 +270,13 @@ def triple_index(k: int) -> TripleIndex:
 class Graph:
     """One graph family instance with bitset adjacency.
 
-    ``adj[i]`` is an integer whose bit b is set iff vertex b (by index in the
-    lex-sorted vertex list) is adjacent to vertex i.  For ``kg`` and ``s``
-    the vertex list is the whole of ``triple_index(k)``, so their rows are
-    face masks.
+    ``adj[b]`` is the face mask over ``triple_index(k)`` of the neighbors
+    of triple b: bit c is set iff triple c is a vertex adjacent to it.  A
+    triple that is no vertex (an unstable one, in ``sg``) has row 0.
+    ``verts`` lists the vertices, lex sorted.
     """
 
-    __slots__ = ("kind", "k", "verts", "index", "adj")
+    __slots__ = ("kind", "k", "verts", "adj")
 
     def __init__(self, kind: str, k: int):
         if kind not in KINDS:
@@ -283,29 +286,21 @@ class Graph:
         ix = triple_index(k)
         bits = [b for b in range(len(ix.triples)) if kind != SG or ix.stable >> b & 1]
         self.verts: list[Vertex] = [ix.triples[b] for b in bits]
-        self.index: dict[Vertex, int] = {t: i for i, t in enumerate(self.verts)}
-        adj = []
+        adj = [0] * len(ix.triples)
         for b in bits:
             row = 0
-            for jx, c in enumerate(bits):
+            for c in bits:
                 if ix.ground[b] & ix.ground[c]:  # meeting triples, a triple and itself included
                     continue
                 if kind == S and not (ix.stable >> b | ix.stable >> c) & 1:
                     continue
-                row |= 1 << jx
-            adj.append(row)
+                row |= 1 << c
+            adj[b] = row
         self.adj = adj
 
-    def vertex_index(self, v) -> int:
-        t = tuple(sorted(v))
-        try:
-            return self.index[t]
-        except KeyError:
-            raise ValueError("%r is not a vertex of %s_(3,%d)" % (v, self.kind, self.k)) from None
-
     def common_neighbors(self, face: int) -> int:
-        """Common neighbors of the vertices in a mask over ``verts``, as such
-        a mask; -1 (every vertex) for the empty face."""
+        """Common neighbors of the triples in a face mask, as a face mask; -1
+        (every vertex) for the empty face."""
         nb = -1
         while face:
             low = face & -face
@@ -313,24 +308,14 @@ class Graph:
             face ^= low
         return nb
 
-    def neighborhood(self, A: Iterable) -> list[Vertex]:
-        """Common neighbors of all vertices in A, lex sorted.
-
-        The intersection over an empty A is the whole vertex set.
-        """
-        face = 0
-        for v in A:
-            face |= 1 << self.vertex_index(v)
-        nb = self.common_neighbors(face)
-        return [t for b, t in enumerate(self.verts) if nb >> b & 1]
-
     def edges(self) -> Iterator[tuple[Vertex, Vertex]]:
+        triples = triple_index(self.k).triples
         for i, row in enumerate(self.adj):
             hi = row >> (i + 1)
             jx = i + 1
             while hi:
                 if hi & 1:
-                    yield (self.verts[i], self.verts[jx])
+                    yield (triples[i], triples[jx])
                 hi >>= 1
                 jx += 1
 

@@ -31,7 +31,6 @@ that read such sets as faces and pairs without listing them.
 
 from __future__ import annotations
 
-import itertools
 from functools import lru_cache
 from typing import Hashable, Iterable, Iterator
 
@@ -211,9 +210,8 @@ class Matching:
     that fail the bulk check are replayed through the same pair-by-pair
     check in iteration order, so in both layouts the first bad pair raises
     ``PairError`` with the same faces and message; stages that fail in
-    bulk are never accepted.  ``partner``, ``in`` and ``matched()`` read
-    the same in both layouts; for stages ``partner`` is built on first
-    use.
+    bulk are never accepted.  ``partner`` and ``in`` read the same in
+    both layouts; for stages ``partner`` is built on first use.
     """
 
     __slots__ = ("pairs", "_partner")
@@ -240,9 +238,6 @@ class Matching:
 
     def __contains__(self, face) -> bool:
         return face in self.partner
-
-    def matched(self) -> set:
-        return set(itertools.chain.from_iterable(self.pairs))
 
 
 def element_matching(delta: Iterable[int], x: int) -> list[tuple[int, int]]:

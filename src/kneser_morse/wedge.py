@@ -26,7 +26,8 @@ family by ``transport``, which certifies each move for every face at once.
 same way.  Summing the survivors over all families counts the spheres in
 the wedge: t = (k+1)(k+3)(k+4)(k+6)/4 + 1 of dimension k after the final
 free collapse, which ``theorem3_counts`` reports together with a
-mechanical census of every family.  ``_layer_certificate`` proves on
+mechanical census of every family.  ``p_indices`` and ``q_indices``
+read the families off ``graphs.missed_lattice``, whose lemma proves on
 missed sets, for every face, that each layer's families compose under
 the Cluster Lemma.
 
@@ -50,8 +51,8 @@ from typing import Iterable, NamedTuple
 
 from . import graphs
 from .complexes import NbhdComplex, complement_set, complex_for, decode, face_key, remap
-from .graphs import (index_I, index_J, missed_shape, p_complement, pullback,
-                     q_complement, unstable_rep, vertex_mask)
+from .graphs import (missed_shape, p_complement, pullback, q_complement, unstable_rep,
+                     vertex_mask)
 # element_matching (called through morse by collapse) and is_cover have no
 # caller here, but perfbench's tracer counts them in every module that binds
 # them and its self-test expects these bindings
@@ -68,16 +69,17 @@ CENSUS_CAP = max(k for k in range(SCAN_BITS) if math.comb(k + 3, 3) <= SCAN_BITS
 
 def _level2_extras(k: int) -> list[int]:
     """Generating faces added at the middle stage: per missed 4-set with no
-    stable triple inside (two disjoint adjacent pairs), all triples avoiding
-    it.  Missed 4-sets containing a stable triple add nothing new."""
-    n = graphs.ground_size(k)
+    stable triple inside (the double-pair masks of ``graphs.missed_lattice``),
+    all triples avoiding it.  Missed 4-sets containing a stable triple add
+    nothing new."""
+    whole = (1 << graphs.ground_size(k)) - 1
     out = []
-    for i, j in q_indices(k):
-        miss = q_complement(k, i, j)
-        support = [x for x in range(1, n + 1) if x not in miss]
-        face = face_key(itertools.combinations(support, 3), k)
-        if face:
-            out.append(face)
+    for m, shape in enumerate(graphs.missed_lattice(k)):
+        if isinstance(shape, tuple) and shape[0] == 4:
+            support = graphs.ground_elements(whole & ~m)
+            face = face_key(itertools.combinations(support, 3), k)
+            if face:
+                out.append(face)
     return out
 
 
@@ -104,7 +106,7 @@ def _filtration(k: int, level: int) -> NbhdComplex:
         return complex_for('kg', k)
     base = complex_for('s', k)
     gens = base.maximal + _level2_extras(k)
-    return NbhdComplex.from_maximal(k, gens)
+    return NbhdComplex(k, gens)
 
 
 class PQTag(NamedTuple):
@@ -156,7 +158,7 @@ def toggle_plan(v, j: int, k: int) -> tuple[tuple, bool]:
     t = graphs.check_vertex(v, k)
     if graphs.is_stable(t, k):
         raise ValueError("%r is stable; sub-fibers are labelled by unstable triples" % (v,))
-    if j not in index_I(1, k):
+    if not 3 <= j <= k + 5:
         raise ValueError("j=%r cannot accompany the pair {1, 2} at k=%d" % (j, k))
     miss = {1, 2, j}
     if miss & set(t):
@@ -530,22 +532,19 @@ def matching_Q(k: int, i: int, j: int) -> FamilyMatching:
     return move.carry(matching_P(move.k, 1, move.l))
 
 
-def label_order_I(i: int, k: int) -> list[int]:
-    """The admissible third elements for the pair {i, i+1} in processing
-    order: starting at i+2 and walking the cycle round to i-2.  Reports and
-    census rows use this order; nothing else depends on it."""
-    n = graphs.ground_size(k)
-    js = [(i + 1 + t) % n + 1 for t in range(n - 3)]
-    if sorted(js) != index_I(i, k):
-        raise AssertionError("label order walked off the admissible set for i=%d" % (i,))
-    return js
+def _families(k: int, size: int, key) -> list[tuple[int, int]]:
+    """The (s, t) of every ``graphs.missed_lattice`` shape (size, s, t),
+    sorted by ``key``: the families of one layer, each once by fact (d)."""
+    return sorted((shape[1:] for shape in graphs.missed_lattice(k)
+                   if isinstance(shape, tuple) and shape[0] == size), key=key)
 
 
 def p_indices(k: int) -> list[tuple[int, int]]:
-    """All (i, j) of three-element families in processing order; there are
-    (k+3)(k+6) of them."""
+    """All (i, j) of three-element families in processing order: by i, then
+    j walking the cycle from i+2 round to i-2; there are (k+3)(k+6) of
+    them."""
     n = graphs.ground_size(k)
-    out = [(i, j) for i in range(1, n + 1) for j in label_order_I(i, k)]
+    out = _families(k, 3, lambda ij: (ij[0], (ij[1] - ij[0] - 2) % n))
     if len(out) != (k + 3) * (k + 6):
         raise MatchingError("found %d three-element families, wanted (k+3)(k+6) = %d"
                             % (len(out), (k + 3) * (k + 6)))
@@ -553,9 +552,9 @@ def p_indices(k: int) -> list[tuple[int, int]]:
 
 
 def q_indices(k: int) -> list[tuple[int, int]]:
-    """All (i, j) of four-element families in processing order; there are
-    (k+3)(k+6)/2 of them."""
-    out = [(i, j) for i in range(1, k + 5) for j in index_J(i, k)]
+    """All (i, j) of four-element families in processing order, by (i, j);
+    there are (k+3)(k+6)/2 of them."""
+    out = _families(k, 4, None)
     want, rem = divmod((k + 3) * (k + 6), 2)
     if rem:
         raise AssertionError("(k+3)(k+6) is odd at k=%d" % (k,))
@@ -571,20 +570,6 @@ def _to_index(fm: FamilyMatching, pairs: list) -> None:
     bit = graphs.triple_index(fm.k).bit
     table = [1 << bit[t] for t in fm.triples]
     pairs.extend((remap(a, table), remap(b, table)) for a, b in fm.pairs)
-
-
-def _layer_certificate(k: int) -> None:
-    """The Cluster-Lemma hypothesis of both layers for every face at k:
-    ``graphs.missed_lattice``'s lemma, once the masks read as a pair or a
-    double pair are the missed sets of ``p_indices`` and ``q_indices``."""
-    read = {(shape, m) for m, shape in enumerate(graphs.missed_lattice(k))
-            if isinstance(shape, tuple)}
-    want = {((3, i, j), vertex_mask(p_complement(k, i, j))) for i, j in p_indices(k)}
-    want |= {((4, i, j), vertex_mask(q_complement(k, i, j))) for i, j in q_indices(k)}
-    if read != want:
-        shape, m = min(read ^ want)
-        raise MatchingError("missed set %r and family shape %r: the families and the shapes "
-                            "read on the lattice differ" % (graphs.ground_elements(m), shape))
 
 
 def theorem3_counts(k: int, *, census: bool | None = None) -> dict:
@@ -604,9 +589,10 @@ def theorem3_counts(k: int, *, census: bool | None = None) -> dict:
     loop, grouped by the base ``mover`` names: each distinct base is built
     by ``matching_P`` and checked in full once, carried onto its families,
     whose copies the certificate of ``transport`` covers face by face, and
-    dropped after its last copy.  ``_layer_certificate`` certifies the
-    union of each layer's family matchings, by the route ``union_route``
-    names.  Beyond k=3 pass census=False for the formula values alone.
+    dropped after its last copy.  The family list is read off
+    ``graphs.missed_lattice``, whose lemma certifies the union of each
+    layer's family matchings, by the route ``union_route`` names.  Beyond
+    k=3 pass census=False for the formula values alone.
     """
     if k < 0:
         raise ValueError("k must be nonnegative, got %r" % (k,))
@@ -642,7 +628,6 @@ def theorem3_counts(k: int, *, census: bool | None = None) -> dict:
     if k > CENSUS_CAP:
         raise ValueError("the census at k=%d is out of scan budget; pass census=False "
                          "for the formula values" % (k,))
-    _layer_certificate(k)
     per = {'P': ((k + 1) * (k + 2) // 2, k), 'Q': (k * (k + 1) // 2, k - 1)}
     order = [('P', i, j) for i, j in p_indices(k)] + [('Q', i, j) for i, j in q_indices(k)]
     by_base: dict[tuple, list] = {}

@@ -18,24 +18,23 @@ from kneser_morse.collapse import (
     theorem2_matching, _delta_table, _s_faces,
 )
 from kneser_morse.complexes import complex_for, decode, face_key
-from kneser_morse.graphs import (
-    ground_size, index_I, index_J, p_complement, pair_of, rotate, triple_index,
-)
+from kneser_morse.graphs import ground_size, p_complement, rotate, triple_index
 from kneser_morse.homology import (
     CHECK_PRIMES, betti, boundary_matrix, rank_mod_p, relative_betti,
     smith_normal_form,
 )
 from kneser_morse.morse import MatchingError
 from kneser_morse.wedge import (
-    family_faces, filtration, split_fibers, theorem3_counts, toggle_plan,
-    toggle_run, _layer_certificate,
+    family_faces, filtration, p_indices, q_indices, split_fibers, theorem3_counts,
+    toggle_plan, toggle_run,
 )
 
 # the enumeration oracles of the A- and B-families, the C-fibers and the A
-# residue classes, the span oracle of the C-fiber strata and the brute-force
-# 3-complement reader
+# residue classes, the span oracle of the C-fiber strata, the brute-force
+# 3-complement reader and the paper's index sets I_s and J_s
 from test_collapse import (
-    a_family, b_family, c_fiber, delta_decompose, parse_three, stratum_length,
+    a_family, b_family, c_fiber, delta_decompose, index_I, index_J, pair_of,
+    paper_indices, parse_three, stratum_length,
 )
 
 
@@ -179,13 +178,15 @@ def _check_poset_maps(k):
 
 def _check_missed_set_lattice(k):
     """The Cluster-Lemma hypotheses of both theorems on missed sets: the
-    layer unions of Theorem 3 and the classifier order of Theorem 2."""
+    layer unions of Theorem 3, whose families ``p_indices`` and
+    ``q_indices`` read off the lattice and must be the paper's I_s and J_s
+    families, in report order, and the classifier order of Theorem 2."""
     try:
-        _layer_certificate(k)
+        families = p_indices(k), q_indices(k)
         check_label_order(k)
     except MatchingError:
         return False
-    return True
+    return families == paper_indices(k)
 
 
 def _check_delta_classes_k3():

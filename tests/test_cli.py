@@ -251,6 +251,26 @@ def test_the_family_lemmas_keep_the_census_cap(capsys, lemma):
 
 
 @pytest.mark.parametrize("lemma", ["p-families", "q-families"])
+def test_an_uncensused_family_lemma_reads_no_lattice(monkeypatch, capsys, lemma):
+    # the formula gives the family count: a lattice has 2^(k+6) masks, which
+    # --allow-large would otherwise walk at any k
+    def walked(k):
+        raise AssertionError("missed_lattice ran at k=%d" % (k,))
+
+    monkeypatch.setattr(cli.graphs, "missed_lattice", walked)
+    for k in ("2", "4"):
+        code, out, _ = run(capsys, "verify", "lemma", "--lemma", lemma, "--k", k,
+                           "--depth", "counts", "--format", "json")
+        (result,) = json.loads(out)['results']
+        assert code == 0 and result['pass'] and result['detail']['censused'] is False
+    assert result['detail'] == FAMILY_FORMULAS_K4[lemma]
+    # a censused run reads the lattice; with the walk refused it fails
+    code, out, _ = run(capsys, "verify", "lemma", "--lemma", lemma, "--k", "1",
+                       "--format", "json")
+    assert code == 1 and "missed_lattice ran at k=1" in out
+
+
+@pytest.mark.parametrize("lemma", ["p-families", "q-families"])
 def test_the_family_lemmas_refuse_full_snf(capsys, lemma):
     # these targets have no homology check, so full-snf is refused at any k
     # rather than reported as a pass of the default depth; verify all runs

@@ -22,7 +22,7 @@ from kneser_morse.collapse import (
 )
 from kneser_morse.complexes import complex_for, decode, face_key, remap
 from kneser_morse.graphs import (
-    ground_size, index_I, index_J, is_stable, missed_shape, pair_of, rotate,
+    ground_size, is_stable, missed_shape, p_complement, q_complement, rotate,
     triple_index, unstable_rep, vertex_mask,
 )
 from kneser_morse.morse import Matching, MatchingError
@@ -123,6 +123,90 @@ def delta_decompose(k, l, sigma):
         if cs & ~base == ex:
             return i
     raise AssertionError("face %r uncovers %r, not a pivot subset" % (members(sigma, k), cs))
+
+
+# ---------------------------------------------------------------------------
+# the paper's index sets I_s and J_s: the oracle that the families
+# ``wedge.p_indices`` and ``wedge.q_indices`` read off the missed-set lattice
+# must match, in report order
+
+def pair_of(s, k):
+    """The cyclically adjacent pair {s, s+1} (s = k+6 wraps to {k+6, 1})."""
+    n = ground_size(k)
+    return (s, s % n + 1)
+
+
+def index_I(s, k):
+    """I_s: the admissible third elements t of missed sets {s, s+1, t}, all
+    but the pair and its two flanks."""
+    n = ground_size(k)
+    if not 1 <= s <= n:
+        raise ValueError("s=%d outside 1..%d" % (s, n))
+    excluded = {(s - 2) % n + 1, s, s % n + 1}
+    return [t for t in range(1, n + 1) if t not in excluded]
+
+
+def index_J(s, k):
+    """J_s: the admissible second pair starts u of missed sets {s, s+1, u,
+    u+1}, with s < u."""
+    n = ground_size(k)
+    if s == 1:
+        return list(range(3, n))          # u+1 may not wrap onto 1
+    if 1 < s < n - 1:
+        return list(range(s + 2, n + 1))  # u > s+1, wrap u = k+6 allowed
+    return []
+
+
+def paper_indices(k):
+    """The (i, j) of the P- and Q-families by I_s and J_s, in report order:
+    P by i, then j walking the cycle from i+2 round to i-2; Q by (i, j)."""
+    n = ground_size(k)
+
+    def walk(i):  # the whole cycle, from i+2 round to i+1
+        return [(i + 1 + t) % n + 1 for t in range(n)]
+
+    p = [(i, j) for i in range(1, n + 1) for j in walk(i) if j in index_I(i, k)]
+    q = [(i, j) for i in range(1, n + 1) for j in index_J(i, k)]
+    return p, q
+
+
+@pytest.mark.parametrize("k", range(9))
+def test_the_paper_index_sets_are_the_lattice_families(k):
+    p, q = paper_indices(k)
+    assert wedge.p_indices(k) == p
+    assert wedge.q_indices(k) == q
+
+
+@pytest.mark.parametrize("k", range(9))
+def test_complements_accept_exactly_the_paper_index_sets(k):
+    n = ground_size(k)
+    p, q = map(set, paper_indices(k))
+    for i, j in itertools.product(range(1, n + 1), range(0, n + 2)):
+        if (i, j) in p:
+            assert p_complement(k, i, j) == tuple(sorted(pair_of(i, k) + (j,)))
+        else:
+            with pytest.raises(ValueError, match=r"^j=%d cannot accompany the pair \{%d, %d\}$"
+                               % ((j,) + pair_of(i, k))):
+                p_complement(k, i, j)
+        if (i, j) in q:
+            assert q_complement(k, i, j) == tuple(sorted(pair_of(i, k) + pair_of(j, k)))
+        elif i <= k + 4:
+            with pytest.raises(ValueError, match=r"^second pair start j=%d is not admissible "
+                               r"after i=%d$" % (j, i)):
+                q_complement(k, i, j)
+        else:
+            with pytest.raises(ValueError, match=r"^first pair start i=%d must lie in 1\.\.%d$"
+                               % (i, k + 4)):
+                q_complement(k, i, j)
+
+
+def test_the_index_oracle_catches_a_dropped_j(monkeypatch):
+    # I_1 at k = 2 without 5: the lattice still reads the family (1, 5)
+    real = index_I
+    monkeypatch.setitem(globals(), 'index_I',
+                        lambda s, k: [t for t in real(s, k) if (s, t) != (1, 5)])
+    with pytest.raises(AssertionError):
+        test_the_paper_index_sets_are_the_lattice_families(2)
 
 
 def test_pair_of_wraps():

@@ -84,8 +84,7 @@ def test_maximal_faces_are_common_neighborhoods(kind, k):
     g = graph(kind, k)
     cx = complex_for(kind, k)
     for f in cx.maximal:
-        nb = g.neighborhood(g.neighborhood(decode(f, triples_of(k))))
-        assert face_key(nb, k) == f
+        assert g.common_neighbors(g.common_neighbors(f)) == f
 
 
 @pytest.mark.parametrize("kind,k", [('kg', 0), ('sg', 1), ('s', 1)])
@@ -93,10 +92,14 @@ def test_is_face_matches_enumeration(kind, k):
     cx = complex_for(kind, k)
     faces = set(cx.all_faces())
     verts = cx.faces(0)
+
+    def is_face(sigma):  # nonempty and inside a maximal face
+        return sigma != 0 and any(sigma & ~m == 0 for m in cx.maximal)
+
     for r in range(1, 4):
         for sub in itertools.combinations(verts, r):
-            assert cx.is_face(sum(sub)) == (sum(sub) in faces)
-    assert not cx.is_face(0)
+            assert is_face(sum(sub)) == (sum(sub) in faces)
+    assert 0 not in faces
 
 
 def test_all_faces_nonempty_and_closed():
@@ -109,19 +112,19 @@ def test_all_faces_nonempty_and_closed():
             assert len(g_) == 0 or sum(g_) in faces
 
 
-def test_from_maximal_roundtrip():
+def test_explicit_generators_roundtrip():
     cx = complex_for('kg', 1)
-    rebuilt = NbhdComplex.from_maximal(1, cx.maximal)
+    assert cx.maximal == NbhdComplex(1, graph('kg', 1).adj).maximal
+    rebuilt = NbhdComplex(1, cx.maximal)
     assert rebuilt.maximal == cx.maximal
-    assert rebuilt.graph is None
     assert set(rebuilt.all_faces()) == set(cx.all_faces())
 
 
-def test_from_maximal_filters_dominated():
+def test_explicit_generators_filter_dominated_and_empty_faces():
     a, ab = face_key([(1, 2, 3)], 0), face_key([(1, 2, 3), (4, 5, 6)], 0)
-    cx = NbhdComplex.from_maximal(0, [a, ab])
+    cx = NbhdComplex(0, [a, 0, ab, ab])
     assert cx.maximal == [ab]
-    assert cx.is_face(a)
+    assert cx.all_faces() == {a, ab, face_key([(4, 5, 6)], 0)}
 
 
 def test_all_faces_budget_guard():

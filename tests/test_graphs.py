@@ -6,9 +6,10 @@ from math import comb
 import pytest
 from hypothesis import given, strategies as st
 
+from kneser_morse.complexes import decode
 from kneser_morse.graphs import (
     all_triples, check_vertex, graph, ground_size, is_stable, rotate,
-    unstable_rep, vertex_mask,
+    triple_index, unstable_rep, vertex_mask,
 )
 
 
@@ -106,7 +107,7 @@ def test_graph_sizes(k, kind, verts, edges):
 def test_kneser_degree(k):
     g = graph('kg', k)
     for v in g.verts[:10]:
-        assert len(g.neighborhood([v])) == comb(k + 3, 3)
+        assert g.adj[triple_index(k).bit[v]].bit_count() == comb(k + 3, 3)
 
 
 @pytest.mark.parametrize("k", [0, 1])
@@ -136,8 +137,27 @@ def test_rotation_is_an_automorphism(k):
 
 def test_neighborhood_common():
     # N of a set is the intersection of the members' neighborhoods
-    g = graph('kg', 1)
-    a, b = (1, 2, 3), (4, 5, 7)
-    both = set(g.neighborhood([a])) & set(g.neighborhood([b]))
-    assert set(g.neighborhood([a, b])) == both
-    assert all(not set(v) & (set(a) | set(b)) for v in g.neighborhood([a, b]))
+    g = graph('kg', 2)
+    ix = triple_index(2)
+    a, b = (1, 2, 3), (2, 4, 5)
+    both = g.adj[ix.bit[a]] & g.adj[ix.bit[b]]
+    assert g.common_neighbors(1 << ix.bit[a] | 1 << ix.bit[b]) == both
+    assert decode(both, ix.triples) == ((6, 7, 8),)
+    assert g.common_neighbors(0) == -1
+
+
+@pytest.mark.parametrize("kind", ['kg', 's', 'sg'])
+@pytest.mark.parametrize("k", [0, 1])
+def test_adjacency_rows_are_face_masks_over_the_triple_index(kind, k):
+    # every kind, sg included, numbers its rows and their bits by the per-k
+    # index; a triple that is no vertex has row 0 and lies in no row
+    g = graph(kind, k)
+    triples = triple_index(k).triples
+    vertex = [kind != 'sg' or is_stable(t, k) for t in triples]
+    assert g.verts == [t for t, keep in zip(triples, vertex) if keep]
+    assert len(g.adj) == len(triples)
+    for b, t in enumerate(triples):
+        want = sum(1 << c for c, u in enumerate(triples)
+                   if vertex[b] and vertex[c] and not set(t) & set(u)
+                   and (kind != 's' or is_stable(t, k) or is_stable(u, k)))
+        assert g.adj[b] == want, t

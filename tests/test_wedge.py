@@ -12,7 +12,7 @@ from kneser_morse.complexes import (
     NbhdComplex, complement_set, complex_for, decode, face_key, remap,
 )
 from kneser_morse.graphs import (
-    all_triples, ground_size, index_I, is_stable, missed_shape, p_complement,
+    all_triples, ground_size, is_stable, missed_shape, p_complement,
     q_complement, rotate, triple_index, vertex_mask,
 )
 from kneser_morse.wedge import (
@@ -20,6 +20,9 @@ from kneser_morse.wedge import (
     pq_classify, q_indices, split_fibers, theorem3_counts, toggle_plan,
     toggle_run, transport,
 )
+
+from test_collapse import index_I
+from test_morse import matched
 
 
 # ---------------------------------------------------------------------------
@@ -233,8 +236,11 @@ def test_toggle_plan_refuses_stable_and_blocked_labels():
         toggle_plan((1, 3, 5), 4, 1)
     with pytest.raises(ValueError, match=r"meets the missed set \{1, 2, 4\}"):
         toggle_plan((4, 5, 6), 4, 1)
-    with pytest.raises(ValueError, match="cannot accompany"):
-        toggle_plan((4, 5, 6), 2, 1)
+    # the admissible j are I_1 = 3..k+5; k+6 flanks the pair {1, 2}
+    for j in (2, 7, 8):
+        with pytest.raises(ValueError, match=r"^j=%d cannot accompany the pair \{1, 2\} at k=1$" % j):
+            toggle_plan((3, 4, 6), j, 1)
+    assert toggle_plan((3, 4, 6), 5, 1) == (((4, 6, 7),), True)
 
 
 @given(st.integers(0, 3), st.data())
@@ -410,7 +416,7 @@ def test_the_bitset_build_matches_the_list_build(k, j):
     assert fm.pairs.bitsets() == (table_bits([s for s, _ in pairs], slots),
                                   table_bits([t for _, t in pairs], slots))
     assert staged.partner == listed.partner
-    assert staged.matched() == listed.matched()
+    assert matched(staged) == matched(listed)
     assert all((f in staged) == (f in listed) for f in range(slots))
     assert morse.is_acyclic(staged) == morse.is_acyclic(listed) == (True, None)
 
@@ -616,7 +622,7 @@ def test_matching_P_counts(k, i, j):
     # the same matching moved onto the per-k index
     table = [1 << triple_index(k).bit[t] for t in m.triples]
     moved = morse.Matching([(remap(a, table), remap(b, table)) for a, b in m.pairs])
-    assert moved.matched() <= {remap(f, table) for f in m.faces}
+    assert matched(moved) <= {remap(f, table) for f in m.faces}
     ok, witness = morse.is_acyclic(moved)
     assert ok, witness
 
@@ -763,12 +769,12 @@ def compose_layer(k, fms, upper, lower):
         crit |= {remap(c, table) for c in fm.critical}
     cells = filtration(k, upper).all_faces()
     m = morse.Matching(pairs)
-    if not m.matched() <= cells:
+    if not matched(m) <= cells:
         return "pairs leave stage %d" % upper
     ok, cycle = morse.is_acyclic(m)
     if not ok:
         return "cycle through %r" % ([decode(a, triple_index(k).triples) for a, _ in cycle[:2]],)
-    if cells - m.matched() != filtration(k, lower).all_faces() | crit:
+    if cells - matched(m) != filtration(k, lower).all_faces() | crit:
         return "survivors are not stage %d plus the counted cells" % lower
     return None
 
@@ -838,10 +844,10 @@ def plant_shape(monkeypatch, elements, shape):
     # by 3 is the double pair {1, 2, 3, 4}
     ((1, 2, 4), True,
      r"missed set \(1, 2, 4\) holds a stable triple, but its growth by 3 reads \(4, 1, 3\)$"),
-    # the lattice facts hold, but the pair shape names another family
+    # (d): facts (a) to (c) hold, but the pair shape names another missed
+    # set, so the family (1, 5) would be read twice and (1, 4) never
     ((1, 2, 4), (3, 1, 5),
-     r"missed set \(1, 2, 4\) and family shape \(3, 1, 4\): the families and the shapes read "
-     r"on the lattice differ$"),
+     r"missed set \(1, 2, 4\) reads \(3, 1, 5\), which names the missed set \(1, 2, 5\)$"),
 ])
 def test_the_census_names_a_misread_missed_set(k, elements, shape, match, monkeypatch):
     plant_shape(monkeypatch, elements, shape)
