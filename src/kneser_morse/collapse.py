@@ -12,16 +12,14 @@ touches, read by ``graphs.missed_shape``) and by stability of its members:
 
 Each family carries an explicit perfect acyclic matching.  The A-family
 missing {1, 2, l} is read off the subset table of its support's stable
-triples (``wedge.subset_table``), matched in parts: one ``toggle_run``
-stage of a pivot triple, and seven residue classes, each a smaller A-family
-(read off the class's missed set) moved up by ``transport`` with the pivot
-added to every face.  Both steps are certified for all faces at once, and a
-count closes the partition.  Every other A- and B-family is such a base
-carried by ``wedge.mover``, the route the P- and Q-families of Theorem 3
-take.  A C-fiber's faces are grouped by missed set, and each group toggles
-one stable vertex, read off the lex-least stable triple inside the missed
-set in v's frame (``c_toggle``); faces with one toggle form a block, paired
-by ``morse.element_matching``.
+triples (``wedge.subset_table``) and matched by one ``toggle_run``: a pivot
+triple first, then every other triple of the table in lex order, a run of
+element matchings that must leave no face.  Every other A- and B-family is
+such a base carried by ``wedge.mover``, the route the P- and Q-families of
+Theorem 3 take.  A C-fiber's faces are grouped by missed set, and each
+group toggles one stable vertex, read off the lex-least stable triple
+inside the missed set in v's frame (``c_toggle``); faces with one toggle
+form a block, paired by ``morse.element_matching``.
 
 Every fiber hands back a plain pair list over ``graphs.triple_index(k)``.
 ``theorem2_matching`` files every face in one table (face -> label key) and
@@ -42,7 +40,7 @@ from functools import lru_cache
 
 from . import complexes, graphs, morse, wedge
 from .complexes import complement_set, decode, remap
-from .graphs import missed_shape, rotate, unstable_rep, vertex_mask
+from .graphs import missed_shape, rotate, unstable_rep
 from .morse import Bits, Matching, MatchingError, StagePairs
 from .wedge import FamilyMatching
 
@@ -118,12 +116,12 @@ def check_label_order(k: int) -> None:
 
 
 # ---------------------------------------------------------------------------
-# A- and B-family matchings: parts on the stable triples' subset tables
+# A- and B-family matchings: toggle runs on the stable triples' subset tables
 
 def pivot_vertex(k: int, l: int) -> tuple:
     """The pivot of the (1, l) A-family: the lex-least stable triple off
     {1, 2, l} that holds k+6 and a neighbour of l other than k+6, else
-    ``MatchingError`` (as at k <= 1, where every A-family is empty)."""
+    ``MatchingError`` (as for every l at k = 0)."""
     n = graphs.ground_size(k)
     near = {l - 1, l + 1} - {n}
     for t in itertools.combinations([x for x in range(3, n + 1) if x != l], 3):  # lex order
@@ -133,111 +131,46 @@ def pivot_vertex(k: int, l: int) -> tuple:
                         "a neighbour of %d" % (l, k, l, n, l))
 
 
-def _delta_table(k: int, l: int):
-    """Per residue class of the pivot stage on the (1, l) family, the
-    recipe that fills it, read off the class's missed set.
-
-    One row (extra, shift, sub_k, s, t) per nonempty subset E of the pivot,
-    by size, then lex: ``extra`` is E as a ground-element mask, the part of
-    the pivot the rest of a class face leaves uncovered, sub_k = k - |E|
-    and shift = |E - {k+6}|.  The class support [k+6] - {1, 2, l} - E,
-    rotated down by ``shift``, must land in [sub_k+6] and miss there a
-    pair-plus-one set {s, s+1, t} (``graphs.missed_shape``), or the row
-    raises ``MatchingError``; sigma -> (sigma - pivot) rotated down by
-    ``shift`` then sends the class onto the A-family (sub_k, s, t), as
-    ``transport`` certifies.  Below sub_k = 2, where every A-family is
-    empty, (s, t) is None.
-    """
-    n, cset, rows = graphs.ground_size(k), (1, 2, l), []
-    pivot = pivot_vertex(k, l)
-    for extra in [e for size in (1, 2, 3) for e in itertools.combinations(pivot, size)]:
-        sub_k, shift, shape = k - len(extra), len(set(extra) - {n}), (None, None, None)
-        if sub_k >= 2:
-            image = vertex_mask(rotate(x, -shift, k) for x in range(1, n + 1) if x not in cset + extra)
-            ground = (1 << graphs.ground_size(sub_k)) - 1
-            shape = None if image & ~ground else missed_shape(ground & ~image, sub_k)
-            if not isinstance(shape, tuple):
-                raise MatchingError(
-                    "family (A, 1, %d) at k=%d: the class leaving %r uncovered, rotated down by %d, "
-                    "has support %r, not the complement of a pair-plus-one set in 1..%d"
-                    % (l, k, list(extra), shift, list(graphs.ground_elements(image)), sub_k + 6))
-        rows.append((vertex_mask(extra), shift, sub_k) + shape[1:])
-    return rows
-
-
-def _add_pivot(part: FamilyMatching, pivot: tuple, l: int) -> FamilyMatching:
-    """A residue class of the (1, l) family: ``part``, moved by ``transport``
-    onto the all-stable faces missing {1, 2, l} plus a set E, with the pivot
-    added to every face.
-
-    The pivot is certified to be a stable triple off {1, 2, l} that holds
-    every element of a nonempty E, so it lies outside the class support.
-    Adding it then keeps faces all-stable, makes them cover every element
-    but 1, 2 and l, and sends covering pairs to covering pairs; the image
-    is exactly the family faces that hold the pivot and whose rest leaves E
-    uncovered.  The pivot becomes bit m of the part, m its number of
-    triples, so adding it shifts every bitset by 2^m.
-    """
-    k, base = part.k, vertex_mask((1, 2, l))
-    pm, extra = vertex_mask(pivot), vertex_mask(part.cset) & ~base
-    if not graphs.is_stable(pivot, k) or pm & base or not extra or extra & ~pm:
-        raise MatchingError("family (A, 1, %d): pivot %r at k=%d is not a stable triple off "
-                            "{1, 2, %d} that holds the uncovered elements %r of its class"
-                            % (l, pivot, k, l, [x for x in part.cset if x not in (1, 2, l)]))
-    w = 1 << len(part.triples)
-    return FamilyMatching(k, (1, 2, l), part.triples + (pivot,), Bits(part.faces.bits << w),
-                          StagePairs((b, up << w) for b, up in part.pairs.stages), [])
-
-
 @lru_cache(maxsize=None)
-def _a_base(k: int, l: int) -> tuple[FamilyMatching, ...]:
-    """The all-stable family missing {1, 2, l}, matched in parts.
+def _a_base(k: int, l: int) -> FamilyMatching | None:
+    """The all-stable family missing {1, 2, l}, matched by one toggle run;
+    None when the family is empty.
 
     The family is ``full`` of the ``wedge.subset_table`` of the support's
-    stable triples: every subset of them that covers the support.  Part
-    one is the element matching of the pivot, one ``toggle_run`` stage.
-    Each face it leaves holds the pivot and falls in one residue class of
-    ``_delta_table``, filled by the parts of a smaller A-family (carried by
-    ``wedge.mover``) moved into the frame at k by ``transport`` and given
-    the pivot by ``_add_pivot``.  The classes of a target below k = 2 are
-    left out, as every A-family there is empty.  Twice the pivot pairs
-    plus the class faces must number the family's faces: with the
-    certificates, which make the classes disjoint from each other and from
-    the pivot pairs, that makes the parts a perfect matching, and a face in
-    a class left out, or a pivot stage lost, fails the count.
+    stable triples: every subset of them that covers the support.  One
+    ``toggle_run`` toggles the pivot first and then every other triple of
+    the table in bit (lex) order.  A run of element matchings, each on the
+    faces the earlier ones leave, is an acyclic matching of any family of
+    sets (Jonsson, Simplicial Complexes of Graphs, LNM 1928, 2008), so
+    the run is perfect exactly when no face survives it; a survivor raises
+    ``MatchingError`` naming the family and the decoded face.  The pivot
+    goes first only to keep the pairs the tests pin at k = 2 and 3.
     """
     cset = (1, 2, l)
     fam = wedge.subset_table(k, cset, stable_only=True)
     if not fam.full:
-        return ()
-    pivot = pivot_vertex(k, l)
-    stages, rest = wedge.toggle_run(fam.full, [fam.triples.index(pivot)])
-    parts = [FamilyMatching(k, cset, fam.triples, Bits(fam.full ^ rest), StagePairs(stages), [])]
-    for extra, shift, sub_k, s, t in _delta_table(k, l):
-        if sub_k >= 2:
-            missed = graphs.ground_elements(vertex_mask(cset) | extra)
-            move = wedge.mover(sub_k, 'A', s, t)
-            parts += [_add_pivot(wedge.transport(move.carry(part), k, 'A', 1, l, missed, shift),
-                                 pivot, l) for part in _a_base(move.k, move.l)]
-    classes = sum(len(part.faces) for part in parts[1:])
-    if 2 * len(parts[0].pairs) + classes != fam.full.bit_count():
-        raise MatchingError("family (A, 1, %d) at k=%d: %d pivot pairs and %d class faces do not "
-                            "partition its %d faces" % (l, k, len(parts[0].pairs), classes,
-                                                        fam.full.bit_count()))
-    return tuple(parts)
+        return None
+    first = fam.triples.index(pivot_vertex(k, l))
+    order = [first] + [b for b in range(len(fam.triples)) if b != first]
+    stages, rest = wedge.toggle_run(fam.full, order)
+    if rest:
+        raise MatchingError("family (A, 1, %d) at k=%d: face %r survives the toggle run"
+                            % (l, k, decode((rest & -rest).bit_length() - 1, fam.triples)))
+    return FamilyMatching(k, cset, fam.triples, Bits(fam.full), StagePairs(stages), [])
 
 
 def _pairs(move: wedge.Mover) -> list[tuple[int, int]]:
-    """The pairs, over the per-k index, of the parts ``move`` carries."""
+    """The pairs, over the per-k index, of the base ``move`` carries."""
     pairs: list = []
-    for part in _a_base(move.k, move.l) if move.l else ():
-        wedge._to_index(move.carry(part), pairs)
+    base = _a_base(move.k, move.l) if move.l else None
+    if base:
+        wedge._to_index(move.carry(base), pairs)
     return pairs
 
 
 def matching_A(k: int, s: int, t: int) -> list[tuple[int, int]]:
     """Pairs of a perfect matching on the all-stable {s, s+1, t}-complement
-    family: the parts of the (1, l) family, rotated by s - 1 by
+    family: the toggle run of the (1, l) base, rotated by s - 1 by
     ``wedge.mover``."""
     return _pairs(wedge.mover(k, 'A', s, t))
 

@@ -316,8 +316,8 @@ def toggle_run(faces: int, toggles: Iterable[int]) -> tuple[list, int]:
 
 @dataclass
 class FamilyMatching:
-    """An acyclic matching on one family, or on one part of an A- or
-    B-family of ``collapse``, which matches those families in parts.
+    """An acyclic matching on one family: a P- or Q-family here, or an A-
+    or B-family of ``collapse``.
 
     ``triples`` is the bit dictionary of the masks in ``faces``, ``pairs``
     and ``critical``: lex ordered in a family built directly, and the image
@@ -326,12 +326,12 @@ class FamilyMatching:
     ``pairs`` a ``morse.StagePairs`` view, so ``len`` on either is a
     popcount and neither is listed unless iterated: the faces ascending,
     the pairs fiber by fiber, stage by stage, ascending within a stage.
-    ``critical`` lists the survivors, fiber by fiber.  A family built
+    ``critical`` lists the survivors, fiber by fiber.  A P-family built
     directly is checked in full (residue identity, survivors against
     ``toggle_plan``, and one ``Matching`` over the union of its toggle
     runs, which validates every pair once before the acyclicity check of
-    the whole family); a transported one is covered by the certificate of
-    ``transport``.
+    the whole family), an A-base by its one run leaving no face; a
+    transported one is covered by the certificate of ``transport``.
     """
     k: int
     cset: tuple
@@ -446,8 +446,7 @@ def _matching_p1(k: int, j: int) -> FamilyMatching:
 
 def transport(base: FamilyMatching, k: int, family: str, i: int, j: int,
               cset: tuple, shift: int) -> FamilyMatching:
-    """Move a verified family, or one part of it, along the rotation by
-    ``shift`` mod k+6.
+    """Move a verified family along the rotation by ``shift`` mod k+6.
 
     The masks of ``base`` (faces, pairs, critical cells) are shared
     unchanged; only the bit dictionary is relabelled, bit b standing for
@@ -487,12 +486,12 @@ class Mover(NamedTuple):
     l: int | None
     steps: tuple
 
-    def carry(self, part: FamilyMatching) -> FamilyMatching:
-        """The base, or a part of it, moved onto the family; every
-        certificate error names the family."""
+    def carry(self, base: FamilyMatching) -> FamilyMatching:
+        """The base moved onto the family; every certificate error names
+        the family."""
         for frame, cset, shift in self.steps:
-            part = transport(part, frame, *self.name, cset, shift)
-        return part
+            base = transport(base, frame, *self.name, cset, shift)
+        return base
 
 
 def mover(k: int, kind: str, i: int, j: int) -> Mover:

@@ -14,8 +14,8 @@ import networkx as nx
 
 from kneser_morse import morse
 from kneser_morse.collapse import (
-    check_label_order, classify, label_key, matching_B, pivot_vertex,
-    theorem2_matching, _delta_table, _s_faces,
+    check_label_order, classify, label_key, matching_A, matching_B,
+    theorem2_matching, _s_faces,
 )
 from kneser_morse.complexes import complex_for, decode, face_key
 from kneser_morse.graphs import ground_size, p_complement, rotate, triple_index
@@ -29,11 +29,11 @@ from kneser_morse.wedge import (
     toggle_plan, toggle_run,
 )
 
-# the enumeration oracles of the A- and B-families, the C-fibers and the A
-# residue classes, the span oracle of the C-fiber strata, the brute-force
-# 3-complement reader and the paper's index sets I_s and J_s
+# the enumeration oracles of the A- and B-families and the C-fibers, the span
+# oracle of the C-fiber strata, the brute-force 3-complement reader and the
+# paper's index sets I_s and J_s
 from test_collapse import (
-    a_family, b_family, c_fiber, delta_decompose, index_I, index_J, pair_of,
+    a_family, b_family, c_fiber, index_I, index_J, pair_of,
     paper_indices, parse_three, stratum_length,
 )
 
@@ -189,33 +189,15 @@ def _check_missed_set_lattice(k):
     return families == paper_indices(k)
 
 
-def _check_delta_classes_k3():
+def _check_a_bases_k3():
     oks = []
+    hits = 0
     for l in range(3, 9):
-        family = set(a_family(3, 1, l))
-        if not family:
-            continue
-        p = pivot_vertex(3, l)
-        matched = {f for pair in morse.element_matching(family, face_key([p], 3)) for f in pair}
-        buckets = {}
-        for sigma in family - matched:
-            buckets.setdefault(delta_decompose(3, l, sigma), set()).add(sigma)
-        ok, _ = morse.verify_poset_map(
-            {s: 0 if delta_decompose(3, l, s) == 'pivot-fiber' else -delta_decompose(3, l, s)
-             for s in sorted(family)})
-        oks.append(ok)
-        for idx, (extra, shift, sub_k, s, t) in enumerate(
-                _delta_table(3, l), start=1):
-            bucket = buckets.get(idx, set())
-            if sub_k <= 1:
-                oks.append(not bucket)
-                continue
-            image = {face_key([rotate(v, -shift, 3) for v in decode(f, triple_index(3).triples)
-                               if v != p], sub_k)
-                     for f in bucket}
-            oks.append(len(image) == len(bucket)
-                       and image == set(a_family(sub_k, s, t)))
-    return all(oks)
+        fam = set(a_family(3, 1, l))
+        hits += bool(fam)
+        m = morse.Matching(matching_A(3, 1, l))
+        oks.append(set(m.partner) == fam and morse.is_acyclic(m)[0])
+    return all(oks) and hits > 0
 
 
 def _check_b_pullbacks():
@@ -271,7 +253,7 @@ def test_criterion_6_structural_properties():
         ("poset maps k=1", _check_poset_maps(1)),
         ("poset maps k=2", _check_poset_maps(2)),
         ("missed-set lattice k=0..3", all(_check_missed_set_lattice(k) for k in range(4))),
-        ("pivot residue classes k=3", _check_delta_classes_k3()),
+        ("A-bases k=3", _check_a_bases_k3()),
         ("four-set pullbacks", _check_b_pullbacks()),
         ("euler and mod-p ranks", _check_euler_and_mod_p()),
     ]

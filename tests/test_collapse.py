@@ -18,7 +18,7 @@ import pytest
 from kneser_morse import cli, collapse, graphs, morse, wedge
 from kneser_morse.collapse import (
     classify, label_key, matching_A, matching_B, matching_C,
-    pivot_vertex, theorem2_matching, _delta_table, _s_faces,
+    theorem2_matching, _s_faces,
 )
 from kneser_morse.complexes import complex_for, decode, face_key, remap
 from kneser_morse.graphs import (
@@ -46,9 +46,8 @@ def rotation_table(src_k, k, shift):
 
 # ---------------------------------------------------------------------------
 # enumeration oracles: the all-stable families by depth-first search over the
-# stable triples, and the residue class of a face by its missed set; the
-# matchings under test build the same families on the subset tables of their
-# stable triples
+# stable triples; the matchings under test build the same families on the
+# subset tables of their stable triples
 
 def stable_covers(missed, k):
     """All faces of stable triples that miss exactly the ground elements in
@@ -105,24 +104,6 @@ def c_fibers(k):
 def c_fiber(k, v):
     """Faces whose lex-least unstable member is v, ascending."""
     return list(c_fibers(k).get(tuple(sorted(v)), ()))
-
-
-def delta_decompose(k, l, sigma):
-    """Locate a face of the (1, l) family in the pivot decomposition:
-    'pivot-fiber' when the face survives toggling the pivot, else the
-    residue class index 1..7 of ``_delta_table``."""
-    ix = triple_index(k)
-    p = 1 << ix.bit[pivot_vertex(k, l)]
-    if not sigma & p:
-        return 'pivot-fiber'
-    cs = ((1 << ground_size(k)) - 1) & ~remap(sigma ^ p, ix.ground)
-    base = vertex_mask((1, 2, l))
-    if cs == base:
-        return 'pivot-fiber'
-    for i, (ex, _, _, _, _) in enumerate(_delta_table(k, l), start=1):
-        if cs & ~base == ex:
-            return i
-    raise AssertionError("face %r uncovers %r, not a pivot subset" % (members(sigma, k), cs))
 
 
 # ---------------------------------------------------------------------------
@@ -486,13 +467,17 @@ def test_matching_A_perfect_and_acyclic(k):
 
 
 # per k, the count and sha256 of the sorted (s, t, lower, upper) A pairs and
-# (s, u, lower, upper) B pairs over the per-k index, pinned from the
-# depth-first pivot recursion that the subset-table engine replaced
+# (s, u, lower, upper) B pairs over the per-k index; k = 2 and 3 are pinned
+# from the depth-first pivot recursion that the subset-table engine replaced,
+# and the one toggle run, pivot first, keeps them; k = 4 is pinned from that
+# run, so another toggle order reads as another digest
 AB_PAIRS = {
     2: ((16, '7881d77bbbdad704fed70bcc8da91b4273767f87cdffcd2bae88319ba8a02fc0'),
         (0, '4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945')),
     3: ((972, '0606787643cca3cf288683c614101a19a7c098afa48fc4c5c5bef0677f41fcef'),
         (9, 'adb3969b31baa238442220d9c5a931d0202db61243395bf1ab1bc18261a120ba')),
+    4: ((271310, 'b698fe4395ee83ffbefc63f25be94b9376979e87611664c6236891b19d8a4369'),
+        (550, '734d0ef0b20446c966cfbcee5280834068b5f7ac4dda4baff676410fab16c144')),
 }
 
 
@@ -500,14 +485,19 @@ def digest(pairs):
     return len(pairs), hashlib.sha256(repr(sorted(pairs)).encode()).hexdigest()
 
 
-@pytest.mark.parametrize("k", [2, 3])
-def test_the_a_and_b_pairs_are_pinned(k):
+def ab_digests(k):
+    """The digests of every A pair and every B pair at k, tagged by family."""
     n = ground_size(k)
     a = [(s, t) + pair for s in range(1, n + 1) for t in index_I(s, k)
          for pair in matching_A(k, s, t)]
     b = [(s, u) + pair for s in range(1, n + 1) for u in index_J(s, k)
          for pair in matching_B(k, s, u)]
-    assert (digest(a), digest(b)) == AB_PAIRS[k]
+    return digest(a), digest(b)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_the_a_and_b_pairs_are_pinned(k):
+    assert ab_digests(k) == AB_PAIRS[k]
 
 
 # the count and sha256 of the sorted (v, lower, upper) C pairs at k = 2,
@@ -518,23 +508,6 @@ C_PAIRS_K2 = (7856, '2ec3eabd5f8bc5396d05c003ea8493a6339586d97169dfbf08f562407ee
 def test_the_c_pairs_are_pinned():
     pairs = [(v,) + pair for v in fiber_reps(2) for pair in matching_C(2, v, c_fiber(2, v))]
     assert digest(pairs) == C_PAIRS_K2
-
-
-@pytest.mark.parametrize("l", range(3, 9))
-def test_the_parts_are_the_pivot_fiber_and_the_residue_classes(l):
-    # on the per-k index, the pivot stage matches the pivot fiber of the
-    # enumerated family and each further part is one residue class
-    k = 3
-    buckets = {}
-    for sigma in a_family(k, 1, l):
-        buckets.setdefault(delta_decompose(k, l, sigma), set()).add(sigma)
-    parts = []
-    for part in collapse._a_base(k, l):
-        pairs = []
-        wedge._to_index(part, pairs)
-        parts.append({f for pair in pairs for f in pair})
-    assert parts[0] == buckets.pop('pivot-fiber')
-    assert sorted(map(sorted, parts[1:])) == sorted(map(sorted, buckets.values()))
 
 
 @pytest.fixture
@@ -562,55 +535,6 @@ def test_a_rotated_matching_that_misses_its_family_is_refused(fresh_bases, monke
         matching_A(2, 2, 5)
 
 
-def plant_delta_rows(monkeypatch, edit):
-    """``_delta_table`` at k = 3 with its rows passed through ``edit``."""
-    real = collapse._delta_table
-    monkeypatch.setattr(collapse, '_delta_table',
-                        lambda k, l: edit(real(k, l)) if k == 3 else real(k, l))
-
-
-def test_a_class_moved_by_the_wrong_shift_is_refused(fresh_bases, monkeypatch):
-    # the class {9} of (1, 4) at k = 3 is the (2, 1, 4) family unrotated;
-    # rotated by one it lands on other faces, off the class support
-    def shifted(rows):
-        extra, shift, sub_k, s, t = rows[2]
-        return rows[:2] + [(extra, shift + 1, sub_k, s, t)] + rows[3:]
-
-    plant_delta_rows(monkeypatch, shifted)
-    with pytest.raises(MatchingError, match=r"family \(A, 1, 4\): rotation by 1 .* not onto "
-                                            r"the complement of \(1, 2, 4, 9\)"):
-        matching_A(3, 1, 4)
-
-
-def test_swapped_extra_rows_are_refused(fresh_bases, monkeypatch):
-    # the classes {5} and {9} of (1, 4) at k = 3 trade their uncovered
-    # sets: each target is then certified against the other's missed set
-    def swapped(rows):
-        (e1, *r1), (e2, *r2) = rows[1], rows[2]
-        return rows[:1] + [(e2, *r1), (e1, *r2)] + rows[3:]
-
-    plant_delta_rows(monkeypatch, swapped)
-    with pytest.raises(MatchingError, match=r"family \(A, 1, 4\): rotation by 1 .* not onto "
-                                            r"the complement of \(1, 2, 4, 9\)"):
-        matching_A(3, 1, 4)
-
-
-def test_a_pivot_that_misses_its_class_is_refused(fresh_bases, monkeypatch):
-    # (1, 4) at k = 3 toggles (3, 6, 9) while its residue table is still
-    # the one of its pivot (3, 5, 9): the class {5} moves in as certified,
-    # but adding (3, 6, 9) would leave 5 uncovered
-    rows, table = _delta_table(3, 4), collapse._delta_table
-    real = collapse.pivot_vertex
-    monkeypatch.setattr(collapse, 'pivot_vertex',
-                        lambda k, l: (3, 6, 9) if (k, l) == (3, 4) else real(k, l))
-    monkeypatch.setattr(collapse, '_delta_table',
-                        lambda k, l: rows if (k, l) == (3, 4) else table(k, l))
-    with pytest.raises(MatchingError, match=r"family \(A, 1, 4\): pivot \(3, 6, 9\) at k=3 is not a "
-                                            r"stable triple off \{1, 2, 4\} that holds the uncovered "
-                                            r"elements \[5\] of its class"):
-        matching_A(3, 1, 4)
-
-
 def test_a_b_pullback_by_the_wrong_shift_is_refused(fresh_bases, monkeypatch):
     real = wedge.pullback
 
@@ -624,25 +548,33 @@ def test_a_b_pullback_by_the_wrong_shift_is_refused(fresh_bases, monkeypatch):
         matching_B(3, 1, 4)
 
 
-def test_a_dropped_pivot_stage_fails_the_partition_count(fresh_bases, monkeypatch):
-    monkeypatch.setattr(wedge, 'toggle_run', lambda faces, toggles: ([], faces))
-    with pytest.raises(MatchingError, match=r"family \(A, 1, 4\) at k=2: 0 pivot pairs and 0 "
-                                            r"class faces do not partition its \d+ faces"):
-        matching_A(2, 1, 4)
+def test_a_run_that_skips_the_pivot_stage_leaves_a_survivor(fresh_bases, monkeypatch):
+    real = wedge.toggle_run
+    monkeypatch.setattr(wedge, 'toggle_run', lambda faces, toggles: real(faces, toggles[1:]))
+    for k, face in [(2, r"\(\(3, 5, 7\), \(3, 6, 8\)\)"),
+                    (3, r"\(\(3, 5, 7\), \(3, 5, 8\), \(3, 6, 9\)\)")]:
+        with pytest.raises(MatchingError, match=r"family \(A, 1, 4\) at k=%d: face %s survives "
+                                                r"the toggle run$" % (k, face)):
+            matching_A(k, 1, 4)
 
 
-def test_a_pivot_whose_class_reads_no_shape_is_refused(fresh_bases, monkeypatch):
-    # (1, 4) at k = 3 pivoting on (3, 6, 9): its rows are derived from the
-    # pivot, and the class {6}, rotated down by one, misses {1, 3, 5} at
-    # k = 2, which holds a stable triple
+def test_a_swapped_pivot_changes_the_pinned_pairs(fresh_bases, monkeypatch):
+    # (3, 6, 9) for the pivot (3, 5, 9) of (1, 4) at k = 3 still leaves no
+    # survivor, so it breaks the toggle order alone, which the pin catches
     real = collapse.pivot_vertex
     monkeypatch.setattr(collapse, 'pivot_vertex',
                         lambda k, l: (3, 6, 9) if (k, l) == (3, 4) else real(k, l))
-    with pytest.raises(MatchingError, match=r"family \(A, 1, 4\) at k=3: the class leaving \[6\] "
-                                            r"uncovered, rotated down by 1, has support "
-                                            r"\[2, 4, 6, 7, 8\], not the complement of a "
-                                            r"pair-plus-one set in 1\.\.8"):
-        matching_A(3, 1, 4)
+    a, b = ab_digests(3)
+    assert a[0] == AB_PAIRS[3][0][0] and a != AB_PAIRS[3][0]
+    assert b == AB_PAIRS[3][1]
+
+
+def test_no_pivot_is_refused():
+    # at k = 0 no stable triple off {1, 2, l} holds 6 and a neighbour of l
+    for l in (3, 4, 5):
+        with pytest.raises(MatchingError, match=r"family \(A, 1, %d\) at k=0: no stable triple "
+                                                r"off \{1, 2, %d\} holds 6" % (l, l)):
+            collapse.pivot_vertex(0, l)
 
 
 def test_matching_A_empty_at_small_k():
@@ -680,52 +612,14 @@ def test_each_a_and_b_family_has_half_its_faces_as_pairs(k):
     assert (sum(p for _, p in a), sum(p for _, p in b)) == AB_COUNTS[k]
 
 
-def test_every_a_base_part_is_an_acyclic_matching():
-    parts = [part for k in (2, 3, 4) for l in range(3, k + 6) for part in collapse._a_base(k, l)]
-    assert len(parts) == 70
-    for part in parts:
-        ok, cycle = morse.is_acyclic(Matching(part.pairs))
+def test_every_a_base_is_one_run_with_no_survivor():
+    bases = [base for k in (2, 3, 4) for l in range(3, k + 6) if (base := collapse._a_base(k, l))]
+    assert len(bases) == 15
+    for base in bases:
+        low, up = base.pairs.bitsets()
+        assert low | up == base.faces.bits
+        ok, cycle = morse.is_acyclic(Matching(base.pairs))
         assert ok, cycle
-
-
-@pytest.mark.parametrize("l", range(3, 9))
-def test_delta_classes_biject_onto_their_targets(l):
-    # k=3 normal-form family; drop the pivot faces, send each residue class
-    # down by its shift, compare against the literal target family
-    k = 3
-    family = set(a_family(k, 1, l))
-    if not family:
-        return
-    p = pivot_vertex(k, l)
-    matched = {f for pair in morse.element_matching(family, face_key([p], k)) for f in pair}
-    buckets = {}
-    for sigma in family - matched:
-        buckets.setdefault(delta_decompose(k, l, sigma), set()).add(sigma)
-    for idx, (extra, shift, sub_k, s, t) in enumerate(_delta_table(k, l), start=1):
-        bucket = buckets.get(idx, set())
-        if sub_k <= 1:
-            assert not bucket
-            continue
-        target = set(a_family(sub_k, s, t))
-        image = {face_key([rotate(v, -shift, k) for v in members(sigma, k) if v != p], sub_k)
-                 for sigma in bucket}
-        assert len(image) == len(bucket)
-        assert image == target
-
-
-@pytest.mark.parametrize("l", range(3, 9))
-def test_delta_class_labels_are_a_poset_map(l):
-    k = 3
-    family = sorted(a_family(k, 1, l))
-    if not family:
-        return
-
-    def label(sigma):
-        out = delta_decompose(k, l, sigma)
-        return 0 if out == 'pivot-fiber' else -out
-
-    ok, witness = morse.verify_poset_map({sigma: label(sigma) for sigma in family})
-    assert ok, witness
 
 
 # ---------------------------------------------------------------------------

@@ -342,6 +342,8 @@ def test_toggle_run_small():
     # a toggle bit no face reaches leaves an empty stage
     assert toggle_run(faces, [5]) == ([(5, 0)], faces)
     assert toggle_run(0, [0]) == ([(0, 0)], 0)
+    # a top face of one bit still reaches that bit's toggle
+    assert toggle_run(1 | 1 << 0b100, [2]) == ([(2, 1 << 0b100)], 0)
 
 
 def _stagewise_element_matching(faces, wbits):
