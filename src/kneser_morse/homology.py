@@ -3,8 +3,9 @@
 Faces are integer bitmasks; every facet and sign comes from
 ``morse.face_facets``.  ``betti`` lists the cells of dimension
 -1..max_dim + 1 and walks their facets once, into ``morse.facet_table``:
-per cell, the indices of its facets among the cells and their signs.  A
-facet outside the cells is dropped, so relative homology of a pair
+per cell, the indices of its facets among the cells grouped by sign, the
++1 facets up to the cell's cut and the -1 facets after it.  A facet
+outside the cells is dropped, so relative homology of a pair
 (X, A) runs the same machinery on the quotient cells (faces of X not in
 A).  Betti numbers in dimension d are b_d = n_d - rank d_d - rank
 d_{d+1}; the reduced variant augments with the empty face.
@@ -20,8 +21,10 @@ rewritten away and the upper cells dropped.  Then rank d_d is the Morse
 rank plus one per pair whose upper cell has dimension d, and the torsion
 is the Morse torsion.  The equivalence needs d d = 0, so that is
 certified exactly first, on every column of every boundary the ranks
-read, from the same table; a nonzero image raises ``AssertionError``
-naming d, the column and the face.
+read, from the same table: a column's image is zero iff the facets of its
+facets that enter at +1 and at -1 form equal lists once both are sorted.
+A nonzero image raises ``AssertionError`` naming d, the column and the
+face.
 
 ``betti`` lists each dimension's cells in descending mask order: ``kg`` at
 k <= 2 keeps exactly t critical k-cells below the top band, and the only
@@ -186,23 +189,51 @@ class BettiResult:
     reduced: bool
 
 
-def _certify(X, top: int, table: tuple[list, list]) -> None:
+def _signed_image(table: tuple[list, bytearray, dict], i: int) -> tuple[list, list]:
+    """The +1 and -1 lists of column i's image, from explicit incidences:
+    a facet r of a facet of i, at incidences a and b, goes |a b| times into
+    the list of the sign of a b."""
+    plus, minus = [], []
+    for f, a in zip(table[0][i], morse.incidences(table, i)):
+        for r, b in zip(table[0][f], morse.incidences(table, f)):
+            (plus if a * b > 0 else minus).extend([r] * abs(a * b))
+    return plus, minus
+
+
+def _certify(X, top: int, table: tuple[list, bytearray, dict]) -> None:
     """Check d_{d-1} d_d = 0 exactly on every column of d_d, one column at
     a time, walking down from d = top and through each d's columns in
     ascending mask order.  ``table`` is the ``morse.facet_table`` of the
     cells ``betti`` lists, whose last bands are X.faces(top), ..., X.faces(1),
-    each in descending mask order; a column's image is read off it."""
-    facets, signs = table
-    end = len(facets)
+    each in descending mask order; a column's image is read off it.
+
+    The image of a column is zero iff the facets of its facets entered at
+    incidence +1 and at -1 are equal lists once both are sorted.  With +-1
+    incidences a facet's row splits at its cut into the two lists, swapped
+    for a facet at -1; a table with other incidences enters each with
+    multiplicity |a b| (``_signed_image``)."""
+    rows, cut, odd = table
+    end = len(rows)
     for d in range(top, 0, -1):
         band = X.faces(d)
         for j in range(len(band)):
             i = end - 1 - j
-            image: dict[int, int] = {}
-            for f, a in zip(facets[i], signs[i]):
-                for r, b in zip(facets[f], signs[f]):
-                    image[r] = image.get(r, 0) + a * b
-            if any(image.values()):
+            if odd:
+                plus, minus = _signed_image(table, i)
+            else:
+                plus, minus = [], []
+                row, c = rows[i], cut[i]
+                for f in row[:c]:
+                    r, b = rows[f], cut[f]
+                    plus += r[:b]
+                    minus += r[b:]
+                for f in row[c:]:
+                    r, b = rows[f], cut[f]
+                    plus += r[b:]
+                    minus += r[:b]
+            plus.sort()
+            minus.sort()
+            if plus != minus:
                 raise AssertionError(
                     "d_%d d_%d is nonzero on column %d of d_%d (face %r); "
                     "the Morse reduction needs it zero" % (d - 1, d, j, d, band[j]))
@@ -210,7 +241,7 @@ def _certify(X, top: int, table: tuple[list, list]) -> None:
 
 
 def _morse_boundaries(pairs: dict, critical: list, top: int,
-                      cells: list, table: tuple[list, list]) -> list[SparseIntMatrix]:
+                      cells: list, table: tuple[list, bytearray, dict]) -> list[SparseIntMatrix]:
     """The Morse boundaries d = 0..top between the critical cells, each
     dimension's critical cells in removal order as its basis.
 
@@ -223,7 +254,6 @@ def _morse_boundaries(pairs: dict, critical: list, top: int,
     critical cell c is then sum [c:g] pi(g) over its facets g.  Facets and
     signs are read off ``table``, the ``morse.facet_table`` of ``cells``.
     """
-    facets, signs = table
     bands: dict[int, list[int]] = {}
     for c in critical:
         bands.setdefault(c.bit_count() - 1, []).append(c)
@@ -235,7 +265,7 @@ def _morse_boundaries(pairs: dict, critical: list, top: int,
         """sum [f:g] pi(g) over the facets g != b of f, and [f:b]."""
         chain, e = {}, 0
         at = index[f]
-        for g, s in zip(map(cells.__getitem__, facets[at]), signs[at]):
+        for g, s in zip(map(cells.__getitem__, table[0][at]), morse.incidences(table, at)):
             if g == b:
                 e = s
             elif g in image:

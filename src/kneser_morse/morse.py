@@ -26,7 +26,10 @@ bit f standing for face f; ``Bits`` and ``StagePairs`` are sized views
 that read such sets as faces and pairs without listing them.
 ``face_facets`` is the one facet and sign helper, read by ``facet_table``
 (the table ``coreduce`` runs on, built once per ``homology.betti`` call),
-``verify_poset_map`` and ``homology.boundary_matrix``.
+``verify_poset_map`` and ``homology.boundary_matrix``.  The table keeps one
+row of facet indices per cell, its +1 facets before its -1 facets, and the
+count of the first group (the cut) in a bytearray, so a row's signs need no
+storage of their own; ``incidences`` reads them back.
 """
 
 from __future__ import annotations
@@ -355,28 +358,45 @@ def _search_dict(pairs: list) -> tuple[bool, list | None]:
     return True, None
 
 
-def facet_table(cells: list) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
+def facet_table(cells: list) -> tuple[list[tuple[int, ...]], bytearray, dict]:
     """The facets of each cell that lie in ``cells``, walked once with
-    ``face_facets``: two lists parallel to ``cells``, the facet indices into
-    ``cells`` in ``face_facets`` order and their signs.  Equal sign tuples
-    are one shared tuple, so a family needs only a few of them."""
+    ``face_facets``, as indices into ``cells``: per cell one row, its
+    facets of incidence +1, then -1, then any other, each group in
+    ``face_facets`` order; a bytearray of the +1 count (the cut) per cell;
+    and a record, cell -> its row's incidences, of the cells with an
+    incidence other than +-1.  Under the real sign rule the record is
+    empty, and a row reads +1 up to its cut and -1 after it."""
     index = {c: i for i, c in enumerate(cells)}
-    shared: dict[tuple[int, ...], tuple[int, ...]] = {}
-    facets, signs = [], []
-    for c in cells:
-        fs, ss = [], []
+    rows, cut, odd = [], bytearray(len(cells)), {}
+    for n, c in enumerate(cells):
+        plus, minus, other, signs = [], [], [], []
         for g, s in face_facets(c):
             i = index.get(g)
-            if i is not None:
-                fs.append(i)
-                ss.append(s)
-        facets.append(tuple(fs))
-        ss = tuple(ss)
-        signs.append(shared.setdefault(ss, ss))
-    return facets, signs
+            if i is None:
+                continue
+            if s == 1:
+                plus.append(i)
+            elif s == -1:
+                minus.append(i)
+            else:
+                other.append(i)
+                signs.append(s)
+        cut[n] = len(plus)
+        if other:
+            odd[n] = (1,) * len(plus) + (-1,) * len(minus) + tuple(signs)
+            minus += other
+        plus += minus
+        rows.append(tuple(plus))
+    return rows, cut, odd
 
 
-def coreduce(cells: list, table: tuple[list, list]) -> tuple[dict, list]:
+def incidences(table: tuple[list, bytearray, dict], i: int) -> tuple[int, ...]:
+    """The incidences of row i of a ``facet_table``, parallel to its facets."""
+    rows, cut, odd = table
+    return odd.get(i) or (1,) * cut[i] + (-1,) * (len(rows[i]) - cut[i])
+
+
+def coreduce(cells: list, table: tuple[list, bytearray, dict]) -> tuple[dict, list]:
     """Coreduction (Mrozek and Batko, DCG 41, 2009) of ``cells``, listed by
     increasing dimension, on their ``facet_table``.
 
@@ -384,21 +404,22 @@ def coreduce(cells: list, table: tuple[list, list]) -> tuple[dict, list]:
     removed; when none is left, the first remaining cell in the order of
     ``cells`` is removed as critical.  Removal order makes the matching
     acyclic; the caller's order decides how many cells stay critical.  A
-    pair of incidence other than +-1 raises, naming the face.  Runs on
+    pair of incidence other than +-1 raises, naming the face: only a
+    cell in the table's record of other incidences can have one.  Runs on
     indices into ``cells``: a count of remaining facets per cell, each
     cell's cofaces ascending by the bit they add, and a flag per removed
     cell.  Returns the pairs (lower -> upper cell) and the critical cells
     in removal order.
     """
-    facets, signs = table
-    alive = [len(fs) for fs in facets]  # cell -> number of remaining facets
+    rows, _, odd = table
+    alive = [len(fs) for fs in rows]  # cell -> number of remaining facets
     # the top band has no cofaces among the cells: it shares one empty tuple
     below = len(cells)
     while below and cells[below - 1].bit_count() == cells[-1].bit_count():
         below -= 1
     cofaces: list = [[] for _ in range(below)] + [()] * (len(cells) - below)
     for i in sorted(range(len(cells)), key=cells.__getitem__):
-        for j in facets[i]:
+        for j in rows[i]:
             cofaces[j].append(i)
     removed = bytearray(len(cells))
     ready = [i for i, n in enumerate(alive) if n == 1]
@@ -418,10 +439,10 @@ def coreduce(cells: list, table: tuple[list, list]) -> tuple[dict, list]:
             a = ready.pop()
             if removed[a] or alive[a] != 1:
                 continue
-            (b, e), = ((g, s) for g, s in zip(facets[a], signs[a]) if not removed[g])
-            if e not in (1, -1):
+            (at, b), = ((at, g) for at, g in enumerate(rows[a]) if not removed[g])
+            if a in odd and odd[a][at] not in (1, -1):
                 raise AssertionError("face %r pairs with its facet %r at incidence %d, "
-                                     "not +-1" % (cells[a], cells[b], e))
+                                     "not +-1" % (cells[a], cells[b], odd[a][at]))
             pairs[cells[b]] = cells[a]
             remove(a)
             remove(b)

@@ -1,9 +1,11 @@
-"""Mutation sweep over the A-base engine of Theorem 2.
+"""Mutation sweep over the A-base engine of Theorem 2 and the facet table,
+d d = 0 certificate and coreduction of the homology oracle.
 
 Each mutant changes one site of one target function, in a temporary copy of
-``src`` and ``tests``, and runs ``tests/test_collapse.py -x -q`` on that
-copy under a timeout.  A mutant is killed when the run fails or hangs past
-the timeout, and survives when it passes.  The working tree is only read.
+``src`` and ``tests``, and runs the target's own test file with ``-x -q`` on
+that copy under a timeout.  A mutant is killed when the run fails or hangs
+past the timeout, and survives when it passes.  The working tree is only
+read.
 
     python3 tests/mutants.py --list            # the sites, nothing run
     python3 tests/mutants.py                   # run every mutant
@@ -14,7 +16,7 @@ Operators: a comparison flipped to its negation, a ``raise`` dropped, an
 function missing from its module fails ``--list`` as well as a sweep, so a
 rename shows up before anything runs.  The score is printed, not gated: the
 exit status is nonzero only when a target is missing or the unmutated copy
-already fails.
+already fails one of the test files.
 
 pytest does not collect this file (it is not named ``test_*.py``).
 """
@@ -33,10 +35,17 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
-# module path -> the functions mutated in it
+# module path -> {function mutated in it: the test file run against it}
 TARGETS = {
-    'src/kneser_morse/collapse.py': ('pivot_vertex', '_a_base', '_pairs'),
-    'src/kneser_morse/wedge.py': ('toggle_run',),
+    'src/kneser_morse/collapse.py': {'pivot_vertex': 'tests/test_collapse.py',
+                                     '_a_base': 'tests/test_collapse.py',
+                                     '_pairs': 'tests/test_collapse.py'},
+    'src/kneser_morse/wedge.py': {'toggle_run': 'tests/test_wedge.py'},
+    'src/kneser_morse/homology.py': {'_signed_image': 'tests/test_homology.py',
+                                     '_certify': 'tests/test_homology.py'},
+    'src/kneser_morse/morse.py': {'facet_table': 'tests/test_homology.py',
+                                  'incidences': 'tests/test_homology.py',
+                                  'coreduce': 'tests/test_homology.py'},
 }
 
 FLIP = {ast.Lt: ast.GtE, ast.GtE: ast.Lt, ast.Gt: ast.LtE, ast.LtE: ast.Gt,
@@ -118,11 +127,11 @@ def cap_memory() -> None:
     resource.setrlimit(resource.RLIMIT_AS, (MEMORY_CAP, MEMORY_CAP))
 
 
-def run_tests(copy: Path, timeout: float) -> str:
-    """'pass', 'fail' or 'timeout' for ``tests/test_collapse.py -x -q``."""
+def run_tests(copy: Path, test: str, timeout: float) -> str:
+    """'pass', 'fail' or 'timeout' for ``pytest test -x -q``."""
     env = dict(os.environ, PYTHONPATH=str(copy / 'src'), PYTHONDONTWRITEBYTECODE='1')
     try:
-        run = subprocess.run([sys.executable, '-m', 'pytest', 'tests/test_collapse.py', '-x', '-q',
+        run = subprocess.run([sys.executable, '-m', 'pytest', test, '-x', '-q',
                               '-p', 'no:cacheprovider'], cwd=copy, env=env, timeout=timeout,
                              stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
                              preexec_fn=cap_memory)
@@ -138,19 +147,21 @@ def sweep(chosen: list[tuple], timeout: float) -> int:
         for part in ('src', 'tests'):
             shutil.copytree(ROOT / part, copy / part, ignore=ignore)
         shutil.copy(ROOT / 'pyproject.toml', copy / 'pyproject.toml')
-        if run_tests(copy, timeout) != 'pass':
-            print("the unmutated copy does not pass tests/test_collapse.py; no sweep")
-            return 1
+        for test in sorted({TARGETS[path][name] for _, (path, name, *_) in chosen}):
+            if run_tests(copy, test, timeout) != 'pass':
+                print("the unmutated copy does not pass %s; no sweep" % test)
+                return 1
         survivors = []
         for n, (path, name, index, op, line, detail) in chosen:
             original = (copy / path).read_text()
             (copy / path).write_text(mutate(original, name, index, op))
             try:
-                outcome = run_tests(copy, timeout)
+                outcome = run_tests(copy, TARGETS[path][name], timeout)
             finally:
                 (copy / path).write_text(original)
             verdict = 'SURVIVED' if outcome == 'pass' else 'killed (%s)' % outcome
-            print("%3d  %s:%d %s  %s  %s" % (n, path, line, name, detail, verdict), flush=True)
+            print("%3d  %s:%d %s  %s  %s  %s" % (n, path, line, name, detail,
+                                               TARGETS[path][name], verdict), flush=True)
             if outcome == 'pass':
                 survivors.append(n)
     killed = len(chosen) - len(survivors)
@@ -174,7 +185,7 @@ def main(argv=None) -> int:
         return 1
     if args.list:
         for n, (path, name, _, _, line, detail) in numbered:
-            print("%3d  %s:%d %s  %s" % (n, path, line, name, detail))
+            print("%3d  %s:%d %s  %s  %s" % (n, path, line, name, detail, TARGETS[path][name]))
         names = [name for names in TARGETS.values() for name in names]
         print("%d sites in %d functions: %s" % (len(numbered), len(names), ", ".join(names)))
         return 0

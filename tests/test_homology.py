@@ -485,22 +485,28 @@ def betti_cells(family, max_dim, reduced):
 
 @pytest.mark.parametrize("name", REFERENCE)
 def test_the_facet_table_reads_as_the_boundary_matrices(name):
+    # each row is its boundary_matrix column as a multiset of (face,
+    # incidence): first the +1 facets, then the -1 facets, each group in
+    # face_facets order, with the cut at the +1 count; the real sign rule
+    # leaves the record of other incidences empty
     family, max_dim, reduced = reference_case(name)
     cells = betti_cells(family, max_dim, reduced)
-    facets, signs = morse.facet_table(cells)
+    rows, cut, odd = morse.facet_table(cells)
+    assert odd == {} and len(rows) == len(cut) == len(cells)
     at = {c: i for i, c in enumerate(cells)}
     for d in range(max_dim + 2):
         m = boundary_matrix(family, d, reduced=reduced)
-        rows = family.faces(d - 1) if d else [0] if reduced else []
+        faces = family.faces(d - 1) if d else [0] if reduced else []
         columns = [[] for _ in range(m.ncols)]
         for i, j, v in m.triples:
-            columns[j].append((rows[i], v))
+            columns[j].append((faces[i], v))
         for f, column in zip(family.faces(d), columns):
             i = at[f]
-            assert [(cells[g], s) for g, s in zip(facets[i], signs[i])] == column, (name, d, f)
-    assert not reduced or facets[0] == ()  # the empty face has no facet
-    assert len({id(s) for s in signs}) == len(set(signs))  # equal sign tuples are shared
-
+            row = [(cells[g], 1 if n < cut[i] else -1) for n, g in enumerate(rows[i])]
+            assert sorted(row) == sorted(column), (name, d, f)
+            for sign in (1, -1):
+                assert [g for g, s in row if s == sign] == [g for g, s in column if s == sign]
+    assert not reduced or rows[0] == ()  # the empty face has no facet
 
 @pytest.mark.parametrize("name", ['rp2', 's1', 'kg2', 'top1', 'mid2'])
 def test_betti_walks_the_facets_of_each_cell_once(name, monkeypatch):
@@ -523,21 +529,35 @@ def test_the_coreduction_matches_the_dict_oracle(name, order):
 
 def perturbed(how, cells):
     """A ``face_facets`` with every incidence doubled, or with one incidence
-    between two of ``cells`` flipped or dropped: the first one of the first
-    face, in the lowest band above the vertices that has one (or else of
-    the vertices)."""
+    between two of ``cells`` flipped, tripled or dropped: the first one of
+    the first face, in the lowest band above the vertices that has one (or
+    else of the vertices).  A tripled incidence among +-1 ones runs the
+    certificate's path for other incidences.  Or, swapped, with the
+    incidences of the first two such facets of opposite sign exchanged, on
+    the first face that has two: each sign keeps its count, and only which
+    facets carry it changes."""
     facets = morse.face_facets
     if how == 'doubled':
         return lambda f: ((g, 2 * s) for g, s in facets(f))
     among = set(cells)
     bands = sorted(among, key=lambda f: (f.bit_count() < 2, f.bit_count(), f))
-    face, hit = next(((f, g) for f in bands for g, _ in facets(f) if g in among), (None, None))
+    if how == 'swapped':
+        face, hit = next(((f, {g, h}) for f in bands
+                          for (g, s), (h, t) in itertools.combinations(facets(f), 2)
+                          if s != t and g in among and h in among), (None, None))
+    else:
+        face, hit = next(((f, g) for f in bands for g, _ in facets(f) if g in among),
+                         (None, None))
 
     def walk(f):
         out = list(facets(f))
-        if f == face:
+        if f == face and how == 'swapped':
+            (a, s), (b, t) = [(at, s) for at, (g, s) in enumerate(out) if g in hit]
+            out[a], out[b] = (out[a][0], t), (out[b][0], s)
+        elif f == face:
             at = [g for g, _ in out].index(hit)
-            out[at:at + 1] = [(hit, -out[at][1])] if how == 'flipped' else []
+            s = out[at][1]
+            out[at:at + 1] = {'flipped': [(hit, -s)], 'tripled': [(hit, 3 * s)], 'dropped': []}[how]
         return iter(out)
 
     return walk
@@ -550,7 +570,7 @@ def outcome(run):
         return str(e)
 
 
-@pytest.mark.parametrize("how", ['flipped', 'dropped', 'doubled'])
+@pytest.mark.parametrize("how", ['flipped', 'dropped', 'doubled', 'swapped', 'tripled'])
 @pytest.mark.parametrize("name", REFERENCE)
 def test_a_perturbed_table_fails_as_the_oracles_do(name, how, monkeypatch):
     family, max_dim, reduced = reference_case(name)
@@ -572,6 +592,22 @@ def test_a_perturbed_table_fails_as_the_oracles_do(name, how, monkeypatch):
         with pytest.raises(AssertionError) as e:
             betti(family, max_dim, reduced=reduced)
         assert str(e.value) == want
+
+
+@pytest.mark.parametrize("name,order,sign", [('rp2', 'ascending', -1), ('top1', 'descending', 1)])
+def test_a_recorded_row_still_pairs_at_a_unit_incidence(name, order, sign, monkeypatch):
+    # one tripled incidence puts its face's row in the table's record of
+    # other incidences; the face still pairs through a facet at +-1, as the
+    # dict oracle pairs it
+    family, max_dim, reduced = reference_case(name)
+    monkeypatch.setattr(morse, 'face_facets',
+                        perturbed('tripled', betti_cells(family, max_dim, reduced)))
+    pairs, critical, cells, (rows, _, odd) = coreduce(family, max_dim, reduced, order)
+    want_pairs, want_critical = oracle_coreduce(cells)
+    assert list(pairs.items()) == list(want_pairs.items()) and critical == want_critical
+    at = {c: i for i, c in enumerate(cells)}
+    assert [odd[at[up]][rows[at[up]].index(at[lo])]
+            for lo, up in pairs.items() if at[up] in odd] == [sign]
 
 
 @pytest.mark.parametrize("kind,k,where,rank", [
