@@ -109,7 +109,7 @@ def _verify_theorem2(name: str, k: int, depth: str, counts_of) -> list[dict]:
     total = report.records[-1]  # the whole-complex record
     return [_result('theorem2-collapse', k, True, cells=total.cells, pairs=total.pairs,
                     critical=len(report.critical), poset_map_route=report.poset_map_route,
-                    records=recs)]
+                    partition_route=report.partition_route, records=recs)]
 
 
 def _verify_theorem3(name: str, k: int, depth: str, counts_of) -> list[dict]:

@@ -14,11 +14,11 @@ spent round budget does the search see the pairs left; any other pairs
 are listed into a partner dict, checked pair by pair, and searched in
 full.  Unmatched faces are critical.
 
-Pair builders (``element_matching``) hand back plain lists, validated only
-by the ``Matching`` they end up in.  For a union of fibers (the Cluster
-Lemma), the one face table ``key_of`` (face -> fiber key) is all that
-``compose_cluster`` reads; ``verify_poset_map``, a walk over its facets,
-is the tests' oracle for the order ``graphs.missed_lattice`` proves.
+``element_matching``, ``compose_cluster`` and ``verify_poset_map`` list
+faces and pairs: no verify path calls them.  They are the tests'
+face-level oracles (a stage of ``toggle_run``, the whole-complex
+composition of Theorem 2's parts, and the order the missed-set lattice
+proves), and perfbench's tracer binds them.
 
 Faces are integer bitmasks, bit b standing for one vertex: a facet drops
 one bit and a cover adds one.  A bitset holds a set of faces as one int,
@@ -244,9 +244,8 @@ class Matching:
 
 
 def element_matching(delta: Iterable[int], x: int) -> list[tuple[int, int]]:
-    """The pairs (sigma, sigma+x) with both faces in delta, as a plain list:
-    a perfect matching of the faces whose x-toggle lies in delta, and the
-    recursion continues on the rest.  ``x`` is a one-bit mask."""
+    """The pairs (sigma, sigma+x) with both faces in delta, as a plain list;
+    ``x`` is a one-bit mask."""
     if x <= 0 or x & (x - 1):
         raise ValueError("toggle %r is not a single bit" % (x,))
     dset = set(delta)
@@ -453,15 +452,12 @@ def coreduce(cells: list, table: tuple[list, bytearray, dict]) -> tuple[dict, li
 
 
 def verify_poset_map(key_of: dict) -> tuple[bool, tuple | None]:
-    """Check that labels never increase when passing to a facet.
-
-    ``key_of`` maps each cell to its label, read with one dict probe per
-    facet; a facet that is not a cell puts no constraint.  Only
+    """Check that the labels of ``key_of`` (cell -> label) never increase
+    to a facet that is a cell, one dict probe per facet.  Only
     codimension-1 containments are examined; for the families used here
     every fiber is convex, so that is equivalent to checking all
     containments.  Returns (ok, witness) with the offending (facet, face)
-    pair on failure.
-    """
+    pair on failure."""
     get = key_of.get
     for tau, lt in key_of.items():
         for sigma, _ in face_facets(tau):
@@ -471,16 +467,11 @@ def verify_poset_map(key_of: dict) -> tuple[bool, tuple | None]:
 
 
 def compose_cluster(key_of: dict, pairs_by_key: dict[Hashable, list]) -> Matching:
-    """The one ``Matching`` of per-fiber pair lists, filed by fiber key.
-
-    Both faces of a pair must have the key it was filed under in
-    ``key_of``: a straddling pair, or one with a face outside the table,
-    raises ``PairError``.  The ``Matching`` then validates each pair once;
-    its ``PairError`` gets the ``key`` of the faces, by then the key the
-    pair was filed under.  With a poset-map classifier the union is acyclic
-    iff every fiber's pairs are, so one acyclicity search on the union
-    checks every fiber; a cell the union leaves unmatched is critical.
-    """
+    """The one ``Matching`` of per-fiber pair lists, filed by fiber key:
+    a pair whose faces ``key_of`` (face -> key) files elsewhere, or not at
+    all, raises ``PairError``, and so does a pair the ``Matching`` refuses,
+    with the ``key`` of its faces.  With a poset-map classifier the union
+    is acyclic iff every fiber's pairs are (the Cluster Lemma)."""
     get = key_of.get
     all_pairs = []
     for key, pairs in pairs_by_key.items():

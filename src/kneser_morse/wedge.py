@@ -37,8 +37,7 @@ big-int bitset over the family's subset table, bit f standing for face f:
 the faces, each sub-fiber, each toggle stage and the survivors are single
 ints, so the build and its checks are a few big-int operations per fiber
 and per toggle, and nothing lists the faces or the pairs.  The filtration
-stages, like every complex, hold masks over ``graphs.triple_index(k)``; a
-family reaches that index through one ``remap`` table per family.
+stages, like every complex, hold masks over ``graphs.triple_index(k)``.
 """
 
 from __future__ import annotations
@@ -50,12 +49,12 @@ from functools import lru_cache
 from typing import Iterable, NamedTuple
 
 from . import graphs
-from .complexes import NbhdComplex, complement_set, complex_for, decode, face_key, remap
+from .complexes import NbhdComplex, complement_set, complex_for, decode, face_key
 from .graphs import (missed_shape, p_complement, pullback, q_complement, unstable_rep,
                      vertex_mask)
-# element_matching (called through morse by collapse) and is_cover have no
-# caller here, but perfbench's tracer counts them in every module that binds
-# them and its self-test expects these bindings
+# element_matching and is_cover have no caller here; they are bound only
+# because perfbench's tracer patches every module that binds them and its
+# self-test expects these two bindings
 from .morse import (Bits, Matching, MatchingError, PairError, StagePairs, bitset,  # noqa: F401
                     element_matching, is_acyclic, is_cover, members, nobit)
 
@@ -182,12 +181,12 @@ def c_set(j: int, k: int) -> list[tuple]:
 
 
 class FamilyFaces(NamedTuple):
-    """The subset table of the triples inside a family support.
+    """The subset table of a set of triples inside a support.
 
     Bit b of a face stands for ``triples[b]``; ``unstable`` collects the
-    bits whose triple is unstable.  ``cover[s]`` is one byte per subset s
-    of the universe: bit i for each support element (in ascending order)
-    that a triple of s covers, plus bit 7 when s holds an unstable bit.
+    bits whose triple is unstable.  ``cover[s]`` is one byte per subset s:
+    bit i for each support element (in ascending order) that the table's
+    start or a triple of s covers, plus bit 7 when s holds an unstable bit.
     ``faces`` is a ``morse.Bits`` view of the family (the subsets that
     cover the support and hold an unstable bit) and ``full`` the bitset of
     every subset that covers the support, unstable or not.
@@ -209,61 +208,58 @@ def _or_table(e: int) -> bytes:
     return (_IDENTITY | e * _ONES).to_bytes(256, 'big')
 
 
+@lru_cache(maxsize=None)
 def _digits(*hits: int) -> bytes:
     """The ``translate`` table that turns the bytes ``hits`` into the digit
     "1" and every other byte into "0", for ``morse.bitset``."""
     return bytes(b"01"[v in hits] for v in range(256))
 
 
-def subset_table(k: int, cset: Iterable[int], stable_only: bool = False) -> FamilyFaces:
-    """The subset table of the triples inside the complement of ``cset``,
-    or of its stable ones alone (then ``faces`` is empty and ``full`` the
-    all-stable family of ``collapse``).
+def subset_table(k: int, cset: Iterable[int], triples: tuple, covered: tuple = ()) -> FamilyFaces:
+    """The subset table of ``triples``, each off the missed set ``cset``:
+    every triple of a P- or Q-family support (``family_faces``), the stable
+    ones of an A-base, or those a C block of ``collapse`` may add to the
+    vertex whose elements are ``covered`` from the start.
 
-    One byte per subset of the universe is built by doubling, one triple
-    at a time: after triple b the table holds every subset of bits 0..b,
-    the new upper half being the lower half with triple b added, one
-    ``translate`` per doubling.  The byte of the bit set s holds the
-    support positions its triples cover, plus bit 7 when s holds an
-    unstable bit.  One more ``translate`` and one base-2 parse each read
-    the bitset of the subsets whose byte holds every position (``full``)
-    and of those that also hold bit 7 (``faces``).  The missed set must
-    contain no stable triple, otherwise its faces would lie in the mixed
-    complex.  The table is exponential in the number of triples, hence
-    the hard cap of ``SCAN_BITS``; the support is capped at 7 elements,
-    so the positions stay clear of bit 7.
+    The table starts as one byte holding the ``covered`` positions and
+    doubles once per triple: after triple b it holds every subset of bits
+    0..b, the new upper half being the lower half with triple b added, one
+    ``translate`` per doubling.  One more ``translate`` and one base-2
+    parse each read the bitsets ``full`` and ``faces``.  The table is
+    exponential in the number of triples, hence the hard cap of
+    ``SCAN_BITS``; the support is capped at 7 elements, clear of bit 7.
     """
     n = graphs.ground_size(k)
     cs = sorted(set(cset))
     if not cs or cs[0] < 1 or cs[-1] > n:
         raise ValueError("missed set %r leaves the ground set 1..%d" % (cset, n))
-    if missed_shape(vertex_mask(cs), k) is True:
-        raise ValueError("missed set %r contains a stable triple; that family is empty" % (cset,))
     support = [x for x in range(1, n + 1) if x not in cs]
-    triples = tuple(t for t in itertools.combinations(support, 3)
-                    if not stable_only or graphs.is_stable(t, k))
-    m = len(triples)
-    if m > SCAN_BITS or len(support) > 7:
+    if len(triples) > SCAN_BITS or len(support) > 7:
         raise ValueError("support of %d elements spans %d triples; subset scan beyond %d bits or 7 "
-                         "elements refused" % (len(support), m, SCAN_BITS))
+                         "elements refused" % (len(support), len(triples), SCAN_BITS))
     pos = {x: 1 << i for i, x in enumerate(support)}
-    unstable = 0
-    table = bytearray(1)
+    ix, unstable = graphs.triple_index(k), 0
+    table = bytearray([sum(pos[x] for x in set(covered))])
     for b, t in enumerate(triples):
         e = pos[t[0]] | pos[t[1]] | pos[t[2]]
-        if not graphs.is_stable(t, k):
+        if not ix.stable >> ix.bit[t] & 1:
             unstable |= 1 << b
             e |= 0x80
         table += table.translate(_or_table(e))
     whole = (1 << len(support)) - 1
     faces = bitset(table, _digits(whole | 0x80))
     full = bitset(table, _digits(whole, whole | 0x80))
-    return FamilyFaces(triples, unstable, Bits(faces), table, full)
+    return FamilyFaces(tuple(triples), unstable, Bits(faces), table, full)
 
 
 def family_faces(k: int, cset: Iterable[int]) -> FamilyFaces:
-    """The family missing ``cset``: the ``subset_table`` of all its triples."""
-    return subset_table(k, cset)
+    """The family missing ``cset``: the ``subset_table`` of all its
+    triples.  A missed set holding a stable triple is refused: its faces
+    lie in the mixed complex."""
+    n, cs = graphs.ground_size(k), set(cset)
+    if cs <= set(range(1, n + 1)) and missed_shape(vertex_mask(cs), k) is True:
+        raise ValueError("missed set %r contains a stable triple; that family is empty" % (cset,))
+    return subset_table(k, cset, tuple(itertools.combinations(sorted(set(range(1, n + 1)) - cs), 3)))
 
 
 def split_fibers(fam: FamilyFaces) -> dict[int, int]:
@@ -317,7 +313,7 @@ def toggle_run(faces: int, toggles: Iterable[int]) -> tuple[list, int]:
 @dataclass
 class FamilyMatching:
     """An acyclic matching on one family: a P- or Q-family here, or an A-
-    or B-family of ``collapse``.
+    or B-family or a C block (v, u*) of ``collapse``, whose ``cset`` is u*.
 
     ``triples`` is the bit dictionary of the masks in ``faces``, ``pairs``
     and ``critical``: lex ordered in a family built directly, and the image
@@ -330,8 +326,8 @@ class FamilyMatching:
     directly is checked in full (residue identity, survivors against
     ``toggle_plan``, and one ``Matching`` over the union of its toggle
     runs, which validates every pair once before the acyclicity check of
-    the whole family), an A-base by its one run leaving no face; a
-    transported one is covered by the certificate of ``transport``.
+    the whole family), an A-base or a block by ``collapse._certify`` on
+    its stages; a transported one by the certificate of ``transport``.
     """
     k: int
     cset: tuple
@@ -561,14 +557,6 @@ def q_indices(k: int) -> list[tuple[int, int]]:
         raise MatchingError("found %d four-element families, wanted (k+3)(k+6)/2 = %d"
                             % (len(out), want))
     return out
-
-
-def _to_index(fm: FamilyMatching, pairs: list) -> None:
-    """Append the pairs of a family, remapped from its local bits onto the
-    per-k index, to ``pairs``."""
-    bit = graphs.triple_index(fm.k).bit
-    table = [1 << bit[t] for t in fm.triples]
-    pairs.extend((remap(a, table), remap(b, table)) for a, b in fm.pairs)
 
 
 def theorem3_counts(k: int, *, census: bool | None = None) -> dict:

@@ -1,11 +1,14 @@
-"""Mutation sweep over the A-base engine of Theorem 2 and the facet table,
-d d = 0 certificate and coreduction of the homology oracle.
+"""Mutation sweep over Theorem 2's A-bases, C blocks, block order and
+partition count, and the facet table, d d = 0 certificate and coreduction of
+the homology oracle.
 
 Each mutant changes one site of one target function, in a temporary copy of
 ``src`` and ``tests``, and runs the target's own test file with ``-x -q`` on
 that copy under a timeout.  A mutant is killed when the run fails or hangs
-past the timeout, and survives when it passes.  The working tree is only
-read.
+past the timeout, and survives when it passes.  The timeout of a test file
+is ``TIMEOUT_FACTOR`` times the wall time of its unmutated run, which the
+sweep makes first, and at least ``TIMEOUT_FLOOR`` seconds; ``--timeout``
+sets it by hand.  The working tree is only read.
 
     python3 tests/mutants.py --list            # the sites, nothing run
     python3 tests/mutants.py                   # run every mutant
@@ -31,6 +34,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -39,7 +43,9 @@ ROOT = Path(__file__).resolve().parent.parent
 TARGETS = {
     'src/kneser_morse/collapse.py': {'pivot_vertex': 'tests/test_collapse.py',
                                      '_a_base': 'tests/test_collapse.py',
-                                     '_pairs': 'tests/test_collapse.py'},
+                                     'matching_C': 'tests/test_collapse.py',
+                                     'check_label_order': 'tests/test_collapse.py',
+                                     'theorem2_matching': 'tests/test_collapse.py'},
     'src/kneser_morse/wedge.py': {'toggle_run': 'tests/test_wedge.py'},
     'src/kneser_morse/homology.py': {'_signed_image': 'tests/test_homology.py',
                                      '_certify': 'tests/test_homology.py'},
@@ -55,6 +61,13 @@ FLIP = {ast.Lt: ast.GtE, ast.GtE: ast.Lt, ast.Gt: ast.LtE, ast.LtE: ast.Gt,
 # address-space cap of a mutant's test run, so a mutant that blows up a
 # bitset fails with MemoryError instead of crowding the machine
 MEMORY_CAP = 2 << 30
+
+# a mutant's run may take this many times the unmutated run of its test
+# file, and never less than the floor, before it counts as hanging; the
+# unmutated run itself gets the cap
+TIMEOUT_FACTOR = 3.0
+TIMEOUT_FLOOR = 10.0
+BASELINE_CAP = 600.0
 
 
 def find_function(tree: ast.Module, name: str) -> ast.FunctionDef:
@@ -127,36 +140,42 @@ def cap_memory() -> None:
     resource.setrlimit(resource.RLIMIT_AS, (MEMORY_CAP, MEMORY_CAP))
 
 
-def run_tests(copy: Path, test: str, timeout: float) -> str:
-    """'pass', 'fail' or 'timeout' for ``pytest test -x -q``."""
+def run_tests(copy: Path, test: str, timeout: float) -> tuple[str, float]:
+    """'pass', 'fail' or 'timeout' for ``pytest test -x -q``, and the wall
+    time it took."""
     env = dict(os.environ, PYTHONPATH=str(copy / 'src'), PYTHONDONTWRITEBYTECODE='1')
+    start = time.monotonic()
     try:
         run = subprocess.run([sys.executable, '-m', 'pytest', test, '-x', '-q',
                               '-p', 'no:cacheprovider'], cwd=copy, env=env, timeout=timeout,
                              stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
                              preexec_fn=cap_memory)
     except subprocess.TimeoutExpired:
-        return 'timeout'
-    return 'pass' if run.returncode == 0 else 'fail'
+        return 'timeout', time.monotonic() - start
+    return 'pass' if run.returncode == 0 else 'fail', time.monotonic() - start
 
 
-def sweep(chosen: list[tuple], timeout: float) -> int:
+def sweep(chosen: list[tuple], timeout: float | None) -> int:
     with tempfile.TemporaryDirectory(prefix='kneser-mutants-') as tmp:
         copy = Path(tmp)
         ignore = shutil.ignore_patterns('__pycache__', '*.pyc')
         for part in ('src', 'tests'):
             shutil.copytree(ROOT / part, copy / part, ignore=ignore)
         shutil.copy(ROOT / 'pyproject.toml', copy / 'pyproject.toml')
+        limit = {}  # test file -> timeout of its mutants
         for test in sorted({TARGETS[path][name] for _, (path, name, *_) in chosen}):
-            if run_tests(copy, test, timeout) != 'pass':
+            outcome, took = run_tests(copy, test, timeout or BASELINE_CAP)
+            if outcome != 'pass':
                 print("the unmutated copy does not pass %s; no sweep" % test)
                 return 1
+            limit[test] = timeout or max(TIMEOUT_FLOOR, TIMEOUT_FACTOR * took)
+            print("unmutated %s: %.1f s, mutant timeout %.1f s" % (test, took, limit[test]), flush=True)
         survivors = []
         for n, (path, name, index, op, line, detail) in chosen:
             original = (copy / path).read_text()
             (copy / path).write_text(mutate(original, name, index, op))
             try:
-                outcome = run_tests(copy, TARGETS[path][name], timeout)
+                outcome, _ = run_tests(copy, TARGETS[path][name], limit[TARGETS[path][name]])
             finally:
                 (copy / path).write_text(original)
             verdict = 'SURVIVED' if outcome == 'pass' else 'killed (%s)' % outcome
@@ -175,8 +194,10 @@ def main(argv=None) -> int:
     parser.add_argument('--list', action='store_true', help="list the sites and run nothing")
     parser.add_argument('--site', type=int, action='append',
                         help="run only this site number (repeatable)")
-    parser.add_argument('--timeout', type=float, default=180.0,
-                        help="seconds per test run; a run past it counts as killed")
+    parser.add_argument('--timeout', type=float, default=None,
+                        help="seconds per test run, a run past it counting as killed (default: "
+                             "%g times the unmutated run of the test file, at least %g s)"
+                             % (TIMEOUT_FACTOR, TIMEOUT_FLOOR))
     args = parser.parse_args(argv)
     try:
         numbered = list(enumerate(sites(), start=1))

@@ -14,8 +14,7 @@ import networkx as nx
 
 from kneser_morse import morse
 from kneser_morse.collapse import (
-    check_label_order, classify, label_key, matching_A, matching_B,
-    theorem2_matching, _s_faces,
+    check_label_order, classify, label_key, matching_A, matching_B, theorem2_matching,
 )
 from kneser_morse.complexes import complex_for, decode, face_key
 from kneser_morse.graphs import ground_size, p_complement, rotate, triple_index
@@ -30,10 +29,11 @@ from kneser_morse.wedge import (
 )
 
 # the enumeration oracles of the A- and B-families and the C-fibers, the span
-# oracle of the C-fiber strata, the brute-force 3-complement reader and the
-# paper's index sets I_s and J_s
+# oracle of the C-fiber strata, the brute-force 3-complement reader, the
+# paper's index sets I_s and J_s, the listed faces of s and the parts'
+# pairs over the per-k index
 from test_collapse import (
-    a_family, b_family, c_fiber, index_I, index_J, pair_of,
+    _s_faces, a_family, b_family, c_fiber, index_I, index_J, index_pairs, pair_of,
     paper_indices, parse_three, stratum_length,
 )
 
@@ -195,7 +195,7 @@ def _check_a_bases_k3():
     for l in range(3, 9):
         fam = set(a_family(3, 1, l))
         hits += bool(fam)
-        m = morse.Matching(matching_A(3, 1, l))
+        m = morse.Matching(index_pairs(matching_A(3, 1, l)))
         oks.append(set(m.partner) == fam and morse.is_acyclic(m)[0])
     return all(oks) and hits > 0
 
@@ -220,7 +220,7 @@ def _check_b_pullbacks():
                      for f in fam}
             oks.append(parsed is not None and len(image) == len(fam)
                        and image == set(a_family(2, *parsed)))
-            m = morse.Matching(matching_B(3, s, u))
+            m = morse.Matching(index_pairs(matching_B(3, s, u)))
             oks.append(set(m.partner) == fam and morse.is_acyclic(m)[0])
     return all(oks) and hits > 0
 
@@ -233,7 +233,7 @@ def _check_euler_and_mod_p():
         full = sum((-1) ** (f.bit_count() - 1) for f in faces)
         crit = sum((-1) ** (c.bit_count() - 1) for c in rep.critical)
         oks.append(full == crit)
-        oks.append(len(faces) == 2 * len(rep.matching.pairs) + len(rep.critical))
+        oks.append(len(faces) == 2 * rep.records[-1].pairs + len(rep.critical))
     for kind, k in [('s', 0), ('s', 1), ('sg', 1)]:
         cx = complex_for(kind, k)
         for d in range(cx.dim() + 2):

@@ -504,7 +504,9 @@ def test_a_theorem3_failure_carries_the_name_of_its_pass(monkeypatch, capsys, k,
 
 # Reports of the parent of the single face encoding, elapsed_ms masked, plus
 # the route keys (poset_map_route, union_route) that name the missed-set
-# lattice as what certified the Cluster-Lemma order and the layer unions.
+# lattice as what certified the Cluster-Lemma order and the layer unions,
+# and partition_route, which names the count that certifies Theorem 2's
+# parts as a partition of s.
 THEOREM2_K1 = {
     'command': 'verify',
     'k': 1,
@@ -518,6 +520,7 @@ THEOREM2_K1 = {
                 'pairs': 42,
                 'critical': 14,
                 'poset_map_route': 'lattice',
+                'partition_route': 'count',
                 'records': [
                     {
                         'lemma': 'sg-matching', 'fiber': 'SG', 'cells': 14, 'pairs': 0,

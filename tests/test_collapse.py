@@ -3,9 +3,14 @@
 Everything here is checked mechanically: the classifier partitions the
 faces, each fiber matching is perfect and acyclic, the pullback maps between
 families are bijections, and the composed matching leaves exactly the stable
-subcomplex critical.
+subcomplex critical.  The face-level oracle lists every face of ``s``: the
+parts ``theorem2_matching`` builds must partition them, and their pairs,
+composed face by face under the classifier, must be acyclic with ``sg``
+critical.
 """
 
+import ast
+import dataclasses
 import functools
 import hashlib
 import itertools
@@ -17,8 +22,7 @@ import pytest
 
 from kneser_morse import cli, collapse, graphs, morse, wedge
 from kneser_morse.collapse import (
-    classify, label_key, matching_A, matching_B, matching_C,
-    theorem2_matching, _s_faces,
+    classify, label_key, matching_A, matching_B, matching_C, theorem2_matching,
 )
 from kneser_morse.complexes import complex_for, decode, face_key, remap
 from kneser_morse.graphs import (
@@ -30,6 +34,38 @@ from kneser_morse.morse import Matching, MatchingError
 
 def members(sigma, k):
     return decode(sigma, triple_index(k).triples)
+
+
+@functools.lru_cache(maxsize=None)
+def _s_faces(k):
+    """Every face of ``s``, listed: the face-level oracle's one table."""
+    return frozenset(complex_for('s', k).all_faces())
+
+
+def index_table(fm):
+    """Per bit of a part's dictionary, the one-bit mask of its triple in
+    the per-k index."""
+    bit = triple_index(fm.k).bit
+    return [1 << bit[t] for t in fm.triples]
+
+
+def index_pairs(fm):
+    """The pairs of a part over the per-k index; none for an empty family."""
+    if fm is None:
+        return []
+    table = index_table(fm)
+    return [(remap(a, table), remap(b, table)) for a, b in fm.pairs]
+
+
+def index_faces(fm):
+    """The faces of a part over the per-k index."""
+    table = index_table(fm)
+    return [remap(f, table) for f in fm.faces]
+
+
+def c_pairs(k, v):
+    """The pairs of every block of the fiber of v, over the per-k index."""
+    return [pair for block in matching_C(k, v) for pair in index_pairs(block)]
 
 
 def is_perfect(matching, cells):
@@ -323,7 +359,7 @@ def test_b_family_empty_below_k3(k):
     for s in range(1, n + 1):
         for u in index_J(s, k):
             assert b_family(k, s, u) == []
-            assert matching_B(k, s, u) == []
+            assert matching_B(k, s, u) is None
 
 
 def test_b_family_first_appears_at_k3():
@@ -396,10 +432,21 @@ def key_c_rising(monkeypatch):
         (1, triple_index(k).bit[label[1]]) if label[0] == 'C' else real(label, k)))
 
 
+def key_block_rising(monkeypatch):
+    # inside a fiber the block keys fall as u* moves on in lex order, so a
+    # facet, whose lex-least stable triple is no later, can key above
+    real = collapse.label_key
+    monkeypatch.setattr(collapse, 'label_key', lambda label, k: (
+        real(label[:2], k) + (-triple_index(k).bit[label[2]],) if label[0] == 'C' and label[2:]
+        else real(label, k)))
+
+
 @pytest.mark.parametrize("plant,match", [
     (key_b_above_a, r"facet shape \(1, 2, 3, 4\) \('B', 1, 3\) keys above face shape "
                     r"\(1, 2, 3\) \('A', 1, 3\)$"),
     (key_c_rising, r"label \('C', \(1, 2, 4\)\) keys above label \('C', \(1, 2, 3\)\)$"),
+    (key_block_rising, r"facet shape \([\d, ]+\) \('C', \(1, 2, \d\), \(\d, \d, \d\)\) keys above face "
+                       r"shape \([\d, ]+\) \('C', \(1, 2, \d\), \(\d, \d, \d\)\)$"),
 ])
 def test_a_label_order_that_rises_to_a_facet_is_refused(plant, match, monkeypatch):
     # at k = 3 on missed sets alone, since theorem2_matching lists every
@@ -410,6 +457,75 @@ def test_a_label_order_that_rises_to_a_facet_is_refused(plant, match, monkeypatc
         theorem2_matching(2)
     with pytest.raises(MatchingError, match=match):
         collapse.check_label_order(3)
+
+
+def block_order_witness(message):
+    """(l, M, u* of M, M + x, u* of M + x) of a block-order refusal."""
+    found = re.fullmatch(r"classifier not order-preserving: facet shape (\(.*?\)) \('C', \(1, 2, (\d+)\), "
+                         r"(\(.*?\))\) keys above face shape (\(.*?\)) \('C', \(1, 2, \d+\), (\(.*?\))\)",
+                         message)
+    grown, l, facet, missed, face = found.groups()
+    return (int(l),) + tuple(map(ast.literal_eval, (missed, face, grown, facet)))
+
+
+@pytest.mark.parametrize("l", range(3, 9))
+def test_every_frame_of_the_block_order_is_checked(l, monkeypatch):
+    # block keys that fall with u* in the frame of (1, 2, l) alone, at
+    # k = 3: the refusal names a missed set off (1, 2, l), a one-element
+    # growth, and the lex-least stable triple of each
+    real = collapse.label_key
+    monkeypatch.setattr(collapse, 'label_key', lambda label, k: (
+        real(label[:2], k) + (-triple_index(k).bit[label[2]],) if label[:2] == ('C', (1, 2, l))
+        and label[2:] else real(label, k)))
+    with pytest.raises(MatchingError) as refused:
+        collapse.check_label_order(3)
+    at, missed, face, grown, facet = block_order_witness(str(refused.value))
+    assert at == l and not set(grown) & {1, 2, l} and set(missed) < set(grown)
+    assert len(grown) == len(missed) + 1
+    assert (least_stable(3, missed), least_stable(3, grown)) == (face, facet) and facet < face
+
+
+def block_rises(k, l):
+    """The (u*, u* after a one-element growth) that differ, over the missed
+    sets off (1, 2, l): the block pairs whose order the check reads."""
+    off = [x for x in range(3, ground_size(k) + 1) if x != l]
+    rises = set()
+    for size in range(3, len(off) + 1):
+        for missed in itertools.combinations(off, size):
+            face = least_stable(k, missed)
+            for x in set(off) - set(missed) if face else ():
+                facet = least_stable(k, sorted(missed + (x,)))
+                if facet != face:
+                    rises.add((face, facet))
+    return rises
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_every_rise_of_a_block_key_is_caught(k, monkeypatch):
+    # for each block pair (a, b) that a growth passes, b's key alone moves
+    # just above a's, in one frame: the check must name b
+    real = collapse.label_key
+    for l in range(3, ground_size(k)):
+        for a, b in sorted(block_rises(k, l)):
+            monkeypatch.setattr(collapse, 'label_key', lambda label, k: (
+                real(label[:2] + (a,), k) + (1,) if label == ('C', (1, 2, l), b) else real(label, k)))
+            with pytest.raises(MatchingError) as refused:
+                collapse.check_label_order(k)
+            at, _, _, _, facet = block_order_witness(str(refused.value))
+            assert (at, facet) == (l, b)
+
+
+def test_every_step_of_the_c_chain_is_checked(monkeypatch):
+    # two C fibers next to each other along the per-k index, or the last
+    # one and SG, swap their keys: the check names exactly that step
+    ix = triple_index(2)
+    chain = [('C', t) for b, t in enumerate(ix.triples) if not ix.stable >> b & 1] + [('SG',)]
+    real = collapse.label_key
+    for above, below in zip(chain, chain[1:]):
+        swap = {above: real(below, 2), below: real(above, 2)}
+        monkeypatch.setattr(collapse, 'label_key', lambda label, k: swap.get(label) or real(label, k))
+        with pytest.raises(MatchingError, match=re.escape("label %r keys above label %r" % (below, above))):
+            collapse.check_label_order(2)
 
 
 def test_a_label_order_with_ties_is_order_preserving(monkeypatch):
@@ -440,6 +556,22 @@ def test_theorem2_names_a_five_set_read_as_a_pair(monkeypatch):
         theorem2_matching(2)
 
 
+def test_the_block_order_holds_on_every_frame(monkeypatch):
+    # check_label_order reads the block keys in the frames of {1, 2, l}
+    # alone; read face by face, in every frame, a facet of a block face
+    # that keeps v reads a block key no higher
+    for k in (1, 2):
+        keys = {}
+        for sigma in _s_faces(k):
+            label = classify(sigma, k)
+            if label[0] == 'C':
+                u = rotate(block_of(k, label[1], sigma), -unstable_rep(label[1], k)[1], k)
+                keys[sigma] = label_key(label + (u,), k)
+        for sigma, key in keys.items():
+            for facet, _ in morse.face_facets(sigma):
+                assert facet not in keys or keys[facet] <= key, members(sigma, k)
+
+
 def test_theorem2_walks_no_facet_of_the_face_table(monkeypatch):
     def walked(*args, **kwargs):
         raise AssertionError("the face-level poset-map walk ran")
@@ -458,7 +590,7 @@ def test_matching_A_perfect_and_acyclic(k):
     for s in range(1, n + 1):
         for t in index_I(s, k):
             fam = set(a_family(k, s, t))
-            m = Matching(matching_A(k, s, t))
+            m = Matching(index_pairs(matching_A(k, s, t)))
             assert is_perfect(m, fam)
             ok, witness = morse.is_acyclic(m)
             assert ok, witness
@@ -489,9 +621,9 @@ def ab_digests(k):
     """The digests of every A pair and every B pair at k, tagged by family."""
     n = ground_size(k)
     a = [(s, t) + pair for s in range(1, n + 1) for t in index_I(s, k)
-         for pair in matching_A(k, s, t)]
+         for pair in index_pairs(matching_A(k, s, t))]
     b = [(s, u) + pair for s in range(1, n + 1) for u in index_J(s, k)
-         for pair in matching_B(k, s, u)]
+         for pair in index_pairs(matching_B(k, s, u))]
     return digest(a), digest(b)
 
 
@@ -506,7 +638,7 @@ C_PAIRS_K2 = (7856, '2ec3eabd5f8bc5396d05c003ea8493a6339586d97169dfbf08f562407ee
 
 
 def test_the_c_pairs_are_pinned():
-    pairs = [(v,) + pair for v in fiber_reps(2) for pair in matching_C(2, v, c_fiber(2, v))]
+    pairs = [(v,) + pair for v in fiber_reps(2) for pair in c_pairs(2, v)]
     assert digest(pairs) == C_PAIRS_K2
 
 
@@ -578,7 +710,7 @@ def test_no_pivot_is_refused():
 
 
 def test_matching_A_empty_at_small_k():
-    assert matching_A(1, 1, 3) == []
+    assert matching_A(1, 1, 3) is None
 
 
 def stable_cover_count(missed, k):
@@ -604,9 +736,9 @@ AB_COUNTS = {2: (16, 0), 3: (972, 9), 4: (271310, 550)}
 @pytest.mark.parametrize("k", [2, 3, 4])
 def test_each_a_and_b_family_has_half_its_faces_as_pairs(k):
     n = ground_size(k)
-    a = [(stable_cover_count(pair_of(s, k) + (t,), k), len(matching_A(k, s, t)))
+    a = [(stable_cover_count(pair_of(s, k) + (t,), k), len(index_pairs(matching_A(k, s, t))))
          for s in range(1, n + 1) for t in index_I(s, k)]
-    b = [(stable_cover_count(pair_of(s, k) + pair_of(u, k), k), len(matching_B(k, s, u)))
+    b = [(stable_cover_count(pair_of(s, k) + pair_of(u, k), k), len(index_pairs(matching_B(k, s, u))))
          for s in range(1, n + 1) for u in index_J(s, k)]
     assert all(faces == 2 * pairs for faces, pairs in a + b)
     assert (sum(p for _, p in a), sum(p for _, p in b)) == AB_COUNTS[k]
@@ -640,7 +772,7 @@ def test_matching_B_pullback_bijection():
             image = {face_key([rotate(v, shift, 3) for v in members(f, 3)], 2) for f in fam}
             assert len(image) == len(fam)
             assert image == set(a_family(2, *parsed))
-            m = Matching(matching_B(3, s, u))
+            m = Matching(index_pairs(matching_B(3, s, u)))
             assert is_perfect(m, fam)
             ok, _ = morse.is_acyclic(m)
             assert ok
@@ -662,7 +794,7 @@ def fiber_reps(k):
 def test_matching_C_perfect_and_acyclic(k):
     for v in fiber_reps(k):
         fiber = c_fiber(k, v)
-        m = Matching(matching_C(k, v, fiber))
+        m = Matching(c_pairs(k, v))
         assert is_perfect(m, fiber)
         ok, witness = morse.is_acyclic(m)
         assert ok, witness
@@ -670,7 +802,7 @@ def test_matching_C_perfect_and_acyclic(k):
 
 def test_matching_C_rejects_stable_vertex():
     with pytest.raises(ValueError, match="is stable"):
-        matching_C(1, (1, 3, 5), [])
+        matching_C(1, (1, 3, 5))
 
 
 def graph_toggle(k, frame, sigma):
@@ -775,7 +907,16 @@ def test_the_guarded_toggle_pairs_the_k3_witness():
     sigma = face_key([(1, 2, 4), (1, 4, 6), (2, 5, 8)], k)
     facet = face_key([(1, 2, 4), (2, 5, 8)], k)
     faces = [sigma, sigma | face_key([(1, 4, 8)], k), facet, facet | face_key([(1, 4, 7)], k)]
-    assert sorted(matching_C(k, v, faces)) == sorted([(sigma, faces[1]), (facet, faces[3])])
+    paired = set()
+    for block in matching_C(k, v):  # read off the stages: the fiber has 2^20 faces
+        local = {t: 1 << b for b, t in enumerate(block.triples)}
+        (b, up), = block.pairs.stages
+        for lower, upper in zip(faces[::2], faces[1::2]):
+            if all(t in local for t in members(upper, k)):
+                tau = sum(local[t] for t in members(upper, k))
+                if up >> tau & 1 and tau ^ 1 << b == sum(local[t] for t in members(lower, k)):
+                    paired.add((lower, upper))
+    assert paired == {(sigma, faces[1]), (facet, faces[3])}
 
 
 def stratum_length(k, sigma):
@@ -827,7 +968,11 @@ def test_theorem2_matching(k):
     rep = theorem2_matching(k)
     cells, pairs, crit = THEOREM2_EXPECT[k]
     assert rep.records[-1].cells == cells
-    assert len(rep.matching.pairs) == pairs
+    assert rep.records[-1].pairs == pairs
+    labels = sorted(rep.fibers, key=lambda label: label_key(label, k))
+    assert [r.fiber for r in rep.records] == ['SG'] + [collapse._fiber_tag(la) for la in labels] + ['all']
+    assert all(r.critical_count == r.cells - 2 * r.pairs for r in rep.records)
+    assert (rep.poset_map_route, rep.partition_route) == ('lattice', 'count')
     assert len(rep.critical) == crit
     assert set(rep.critical) == complex_for('sg', k).all_faces()
     assert all(r.acyclic for r in rep.records)
@@ -850,7 +995,99 @@ def test_theorem2_euler_conservation(k):
     full = sum((-1) ** (f.bit_count() - 1) for f in faces)
     crit = sum((-1) ** (c.bit_count() - 1) for c in rep.critical)
     assert full == crit
-    assert len(faces) == 2 * len(rep.matching.pairs) + len(rep.critical)
+    assert len(faces) == 2 * rep.records[-1].pairs + len(rep.critical)
+
+
+def compose_face_level(k, rep):
+    """The whole-complex check that theorem2_matching made before the
+    blocks, kept as the oracle: every face of s filed by its classifier
+    key, the pairs of each fiber's parts filed under that key and composed
+    by ``morse.compose_cluster``, one acyclicity search over the union, and
+    the faces it leaves unmatched.  Returns (acyclic, critical)."""
+    keys, key_of = {}, {}
+    for sigma in sorted(_s_faces(k)):
+        label = classify(sigma, k)
+        if label not in keys:
+            keys[label] = label_key(label, k)
+        key_of[sigma] = keys[label]
+    composed = morse.compose_cluster(key_of, {
+        keys[label]: [pair for fm in parts for pair in index_pairs(fm)]
+        for label, parts in rep.fibers.items()})
+    ok, _ = morse.is_acyclic(composed)
+    return ok, [f for f in key_of if f not in composed.partner]
+
+
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_the_parts_and_sg_partition_s(k):
+    rep = theorem2_matching(k)
+    faces = Counter(rep.critical)
+    faces.update(f for parts in rep.fibers.values() for fm in parts for f in index_faces(fm))
+    assert set(faces) == _s_faces(k)
+    assert set(faces.values()) == {1}
+
+
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_the_face_level_composition_agrees(k):
+    rep = theorem2_matching(k)
+    assert compose_face_level(k, rep) == (True, rep.critical)
+
+
+def face_counts(k):
+    """|s| and |sg| with no face listed: for the triples of a pool, the
+    number of nonempty sets of them that cover exactly the ground mask U is
+    the Moebius transform over the subsets of U of 2^(triples inside) - 1.
+    A face of s misses a stable triple, or is all-stable and misses at
+    least three elements; a face of sg is all-stable and misses a stable
+    triple."""
+    n = ground_size(k)
+    full, ix = (1 << n) - 1, triple_index(k)
+
+    def covering(pool):
+        f = [2 ** sum(1 for g in pool if not g & ~w) - 1 for w in range(1 << n)]
+        for i in range(n):
+            for w in range(1 << n):
+                if w >> i & 1:
+                    f[w] -= f[w ^ 1 << i]
+        return f
+
+    every = covering(ix.ground)
+    stable = covering([g for b, g in enumerate(ix.ground) if ix.stable >> b & 1])
+    holds = [missed_shape(full ^ u, k) is True for u in range(1 << n)]
+    s = sum(every[u] if holds[u] else stable[u] * ((full ^ u).bit_count() >= 3) for u in range(1 << n))
+    return s, sum(stable[u] for u in range(1 << n) if holds[u])
+
+
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_the_face_counts_are_the_listed_sizes(k):
+    assert face_counts(k) == (len(_s_faces(k)), len(complex_for('sg', k).all_faces()))
+
+
+def test_the_blocks_count_the_c_faces_at_k3():
+    # theorem2_matching stops at k = 2, where all_faces can still list s;
+    # at k = 3 the blocks, the A- and B-families and sg count |s| too
+    k, ix = 3, triple_index(3)
+    blocks = faces = pairs = 0
+    for b, v in enumerate(ix.triples):
+        if not ix.stable >> b & 1:
+            for fm in matching_C(k, v):
+                blocks, faces, pairs = blocks + 1, faces + len(fm.faces), pairs + len(fm.pairs)
+    assert (blocks, faces, pairs) == (324, 31360536, 15680268)
+    a = sum(len(index_pairs(matching_A(k, s, t))) for s in range(1, 10) for t in index_I(s, k))
+    b = sum(len(index_pairs(matching_B(k, s, u))) for s in range(1, 10) for u in index_J(s, k))
+    assert face_counts(k) == (31377534, 15036) == (15036 + faces + 2 * a + 2 * b, 15036)
+
+
+def test_theorem2_classifies_only_sg_and_matches_only_stages(monkeypatch):
+    calls, real_classify, real_matching = [], collapse.classify, collapse.Matching
+
+    def matching(pairs):
+        assert isinstance(pairs, morse.StagePairs)
+        return real_matching(pairs)
+
+    monkeypatch.setattr(collapse, 'classify', lambda sigma, k: calls.append(sigma) or real_classify(sigma, k))
+    monkeypatch.setattr(collapse, 'Matching', matching)
+    rep = theorem2_matching(2)
+    assert sorted(calls) == rep.critical == sorted(complex_for('sg', 2).all_faces())
 
 
 @pytest.mark.parametrize("flip", [(1, 2, 4), (1, 3, 5)])
@@ -867,165 +1104,200 @@ def test_theorem2_catches_a_flipped_stability_bit(flip, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# planted defects in the fiber matchings at k = 2: each whole-complex check
-# of theorem2_matching, and each fiber's own check, raises with decoded
-# faces and the fiber
+# planted defects at k = 2: each check of a block, of an A-family or of
+# theorem2_matching's composition raises with a decoded face, its fiber and,
+# for a C-fiber, its block
+
+def block_tag(v, block):
+    return "fiber C v=%s, block u*=%s" % ("".join(map(str, v)), "".join(map(str, block.cset)))
+
+
+def block_of(k, v, sigma):
+    """The u* of a face of the fiber of v, read face by face: the lex-least
+    stable triple of its missed set in v's frame, rotated back."""
+    _, j = unstable_rep(v, k)
+    missed = set(range(1, ground_size(k) + 1)) - {x for t in members(sigma, k) for x in t}
+    u = least_stable(k, [rotate(x, -j, k) for x in missed])
+    return None if u is None else rotate(u, j, k)
+
+
+def with_stages(monkeypatch, target, edit):
+    """``wedge.toggle_run`` with the stages of the block whose faces are
+    ``target`` passed through ``edit``; every other run is left alone."""
+    real = wedge.toggle_run
+
+    def run(faces, toggles):
+        stages, rest = real(faces, toggles)
+        return (edit(stages) if faces == target else stages), rest
+
+    monkeypatch.setattr(wedge, 'toggle_run', run)
+
 
 def planted_cycle_site(k):
-    """The first C fiber, with faces a, x, y, z (single bits for x, y, z)
-    such that a+x, a+y, a+z and a+x+y, a+y+z, a+z+x all lie in the fiber."""
-    width = len(triple_index(k).triples)
+    """The first block, with local faces a, x, y, z (single bits for x, y,
+    z) such that a+x, a+y, a+z and a+x+y, a+y+z, a+z+x all lie in it."""
     for v in fiber_reps(k):
-        fiber = set(c_fiber(k, v))
-        for a in sorted(fiber):
-            ups = [1 << b for b in range(width) if not a >> b & 1 and a | 1 << b in fiber]
-            for x, y, z in itertools.combinations(ups, 3):
-                if {a | x | y, a | y | z, a | z | x} <= fiber:
-                    return v, a, x, y, z
-    raise AssertionError("no C fiber at k=%d holds a three-pair cycle" % k)
+        for block in matching_C(k, v):
+            faces = block.faces.bits
+            for a in block.faces:
+                ups = [1 << b for b in range(len(block.triples))
+                       if not a >> b & 1 and faces >> (a | 1 << b) & 1]
+                for x, y, z in itertools.combinations(ups, 3):
+                    if all(faces >> f & 1 for f in (a | x | y, a | y | z, a | z | x)):
+                        return v, block, a, x, y, z
+    raise AssertionError("no block at k=%d holds a three-pair cycle" % k)
 
 
 def plant_cycle(monkeypatch):
     # pairs (a+x, a+x+y), (a+y, a+y+z), (a+z, a+z+x) replace whatever matched
-    # those six faces in one C fiber; each upper face has the next lower face
-    # as a facet, so the three pairs close a cycle
-    v, a, x, y, z = planted_cycle_site(2)
-    planted = [(a | x, a | x | y), (a | y, a | y | z), (a | z, a | z | x)]
-    touched = {f for pair in planted for f in pair}
-    real = collapse.matching_C
+    # those six faces in one block's stages; each upper face has the next
+    # lower face as a facet, so the three pairs close a cycle
+    v, block, a, x, y, z = planted_cycle_site(2)
+    six = {a | x, a | y, a | z, a | x | y, a | y | z, a | z | x}
 
-    def matching(k, u, faces):
-        pairs = real(k, u, faces)
-        if (k, u) != (2, v):
-            return pairs
-        return [p for p in pairs if not touched & set(p)] + planted
+    def edit(stages):
+        out = []
+        for b, up in stages:
+            for f in six:
+                up &= ~(1 << f | (0 if f >> b & 1 else 1 << (f | 1 << b)))
+            out.append((b, up))
+        return out + [(w.bit_length() - 1, 1 << (a | u | w)) for u, w in ((x, y), (y, z), (z, x))]
 
-    monkeypatch.setattr(collapse, 'matching_C', matching)
-    return r"close a cycle at face \(\(\d+, \d+, \d+\).*\[fiber C v=%s\]" % "".join(map(str, v))
-
-
-def plant_misfiled_pair(monkeypatch):
-    # the pair of fiber A s=1 t=7 is filed under fiber A s=1 t=4 instead
-    real = collapse.matching_A
-
-    def matching(k, s, t):
-        if k != 2 or (s, t) not in ((1, 4), (1, 7)):
-            return real(k, s, t)
-        if t == 7:
-            return []
-        return real(2, 1, 4) + real(2, 1, 7)
-
-    monkeypatch.setattr(collapse, 'matching_A', matching)
-    return r"filed under fiber A s=1 t=4 straddles fibers at face \(\(\d+, \d+, \d+\).*\[fiber A s=1 t=7\]"
+    with_stages(monkeypatch, block.faces.bits, edit)
+    return re.escape(block_tag(v, block)) + r": matched pairs close a cycle at face \(\(\d+, \d+, \d+\)"
 
 
 def plant_dropped_pair(monkeypatch):
-    # the first pair of fiber A s=1 t=4 is left out, so both its faces stay critical
+    # the first pair of fiber A s=1 t=4 is left out, so both its faces stay
+    # unmatched, which the count of matched faces sees
     real = collapse.matching_A
 
     def matching(k, s, t):
-        pairs = real(k, s, t)
-        return pairs[1:] if (k, s, t) == (2, 1, 4) else pairs
+        fm = real(k, s, t)
+        if (k, s, t) != (2, 1, 4):
+            return fm
+        (b, up), *rest = fm.pairs.stages
+        return dataclasses.replace(fm, pairs=morse.StagePairs([(b, up & (up - 1))] + rest))
 
     monkeypatch.setattr(collapse, 'matching_A', matching)
-    return r"stable subcomplex differ at face \(\(\d+, \d+, \d+\).*\[fiber A s=1 t=4\]"
+    return r"face \(\(\d+, \d+, \d+\).* of s lies in 0 parts \[fiber A s=1 t=4\]$"
 
 
 def plant_sg_face_in_a_c_fiber(monkeypatch):
     # a maximal face of sg classified into the C fiber that orders lowest
     # among the non-SG fibers, so the classifier stays order-preserving;
-    # the face holds no unstable member, and the fiber's own membership
-    # check refuses it before any pair is built
+    # the face holds no unstable member, and the check that every face of
+    # sg classifies as SG names it with the block its missed set reads
     f = min(complex_for('sg', 2).maximal)
     v = [t for t in triple_index(2).triples if not is_stable(t, 2)][-1]
     real = collapse.classify
     monkeypatch.setattr(collapse, 'classify',
                         lambda sigma, k: ('C', v) if (sigma, k) == (f, 2) else real(sigma, k))
-    return r"face %s filed under the fiber of %s does not hold it" \
-        % (re.escape(repr(members(f, 2))), re.escape(repr(v)))
+    tag = "fiber C v=%s, block u*=%s" % ("".join(map(str, v)), "".join(map(str, block_of(2, v, f))))
+    return re.escape("face %r of sg classifies into [%s], not as SG" % (members(f, 2), tag)) + "$"
 
 
 def plant_largest_toggle_element(monkeypatch):
     # the C toggle built from the largest admissible element instead of the
-    # least leaves faces of the fiber of (5, 7, 8) unmatched
+    # least: the guard refuses it for a block of the fiber of (1, 2, 4),
+    # which is left with no toggle, so none of its faces is matched
     real = collapse.comp_set
     monkeypatch.setattr(collapse, 'comp_set', lambda u_star, l: set(sorted(real(u_star, l))[-1:]))
-    return r"fiber of \(5, 7, 8\) not perfectly matched; first unmatched: \[\(\(\d+, \d+, \d+\)"
+    return r"fiber C v=124, block u\*=\d+: face \(\(1, 2, 4\).* survives the toggle run$"
 
 
 def plant_partner_in_another_block(monkeypatch):
-    # in the first C fiber at k = 2 where a face's partner misses one
-    # element less, that partner's missed set is given another toggle: the
-    # partner moves to another block and the face is left unmatched.  A
-    # face is matched iff its toggle partner lies in the fiber and reads
-    # the same toggle; the error names the first three faces that are not
+    # in the first block at k = 2 that has one, the toggle is replaced by
+    # another stable triple of its table under which a face's partner
+    # reads another u*: the partner lies in another block of the fiber, so
+    # the face survives the block's run
     k, real = 2, collapse.c_toggle
     ix = triple_index(k)
-    full = (1 << ground_size(k)) - 1
     for v in fiber_reps(k):
-        frame = unstable_rep(v, k)
         fiber = set(c_fiber(k, v))
-        for sigma in sorted(fiber):
-            missed = full & ~remap(sigma, ix.ground)
-            x = real(k, frame, missed)
-            moved = full & ~remap(sigma | x, ix.ground)
-            if not sigma & x and sigma | x in fiber and moved != missed:
-                other = 2 if x == 1 else 1
-                monkeypatch.setattr(
-                    collapse, 'c_toggle',
-                    lambda kk, fr, missed: other if (kk, fr, missed) == (k, frame, moved)
-                    else real(kk, fr, missed))
-
-                def toggle(f):
-                    return collapse.c_toggle(k, frame, full & ~remap(f, ix.ground))
-
-                unmatched = [f for f in sorted(fiber)
-                             if f ^ toggle(f) not in fiber or toggle(f ^ toggle(f)) != toggle(f)]
-                return re.escape("fiber of %r not perfectly matched; first unmatched: %r"
-                                 % (v, [members(f, k) for f in unmatched[:3]])) + "$"
-    raise AssertionError("no C fiber at k=2 has a partner with a smaller missed set")
+        for block in matching_C(k, v):
+            table = index_table(block)
+            for b, t in enumerate(block.triples[:-1]):
+                _, rest = wedge.toggle_run(block.faces.bits, [b])
+                if not is_stable(t, k) or not rest:
+                    continue
+                f = (rest & -rest).bit_length() - 1
+                partner = remap(f ^ 1 << b, table)
+                if partner in fiber and block_of(k, v, partner) != block.cset:
+                    frame, umask = unstable_rep(v, k), vertex_mask(block.cset)
+                    monkeypatch.setattr(collapse, 'c_toggle', lambda kk, fr, missed: 1 << ix.bit[t]
+                                        if (kk, fr, missed) == (k, frame, umask) else real(kk, fr, missed))
+                    return re.escape("%s: face %r survives the toggle run"
+                                     % (block_tag(v, block), block.decode(f))) + "$"
+    raise AssertionError("no block at k=2 has a toggle whose partner leaves it")
 
 
 def plant_face_matched_twice(monkeypatch):
-    # the first C fiber at k = 2 gains a second pair on the lower face of
-    # one of its pairs, to another cover of that face inside the fiber: both
-    # pairs lie in the fiber, so only the union's one Matching refuses them
-    k, real = 2, collapse.matching_C
-    width = len(triple_index(k).triples)
-    v = fiber_reps(k)[0]
-    fiber = c_fiber(k, v)
-    for sigma, tau in real(k, v, fiber):
-        others = [sigma | 1 << b for b in range(width)
-                  if not sigma >> b & 1 and sigma | 1 << b in fiber and sigma | 1 << b != tau]
+    # the first block at k = 2 gains a second pair on the lower face of one
+    # of its pairs, to another cover of that face inside the block: both
+    # pairs lie in the block, so only the block's Matching refuses them
+    v = fiber_reps(2)[0]
+    block = matching_C(2, v)[0]
+    faces = block.faces.bits
+    for sigma, tau in block.pairs:
+        others = [b for b in range(len(block.triples))
+                  if not sigma >> b & 1 and faces >> (sigma | 1 << b) & 1 and sigma | 1 << b != tau]
         if others:
-            extra = (sigma, others[0])
-            monkeypatch.setattr(collapse, 'matching_C', lambda kk, u, faces: real(kk, u, faces)
-                                + ([extra] if (kk, u) == (k, v) else []))
-            tag = "".join(map(str, v))
-            return r"pair filed under fiber C v=%s holds a face matched twice at face %s \[fiber C v=%s\]$" \
-                % (tag, re.escape(repr(members(sigma, k))), tag)
-    raise AssertionError("no pair of the first C fiber at k=2 has a lower face with another cover")
+            extra = (others[0], 1 << (sigma | 1 << others[0]))
+            with_stages(monkeypatch, faces, lambda stages: stages + [extra])
+            return re.escape("%s: a pair holds a face matched twice at face %r"
+                             % (block_tag(v, block), block.decode(sigma))) + "$"
+    raise AssertionError("no pair of the first block at k=2 has a lower face with another cover")
 
 
-def plant_face_under_a_later_fiber(monkeypatch):
-    # a face of one C fiber that also holds a later unstable triple is filed
-    # under that triple's fiber: the fiber's membership check names the
-    # earlier unstable member the face holds
-    k, real = 2, collapse.classify
-    for v in fiber_reps(k):
-        for sigma in c_fiber(k, v):
-            later = [t for t in members(sigma, k) if not is_stable(t, k) and t > v]
-            if later:
-                monkeypatch.setattr(collapse, 'classify', lambda f, kk: ('C', later[-1])
-                                    if (f, kk) == (sigma, k) else real(f, kk))
-                return r"face %s filed under the fiber of %s holds the earlier unstable member %s$" \
-                    % tuple(re.escape(repr(x)) for x in (members(sigma, k), later[-1], v))
-    raise AssertionError("no C face at k=2 holds two unstable triples")
+def plant_block_drops_a_pair(monkeypatch):
+    # one block loses a face and the partner it pairs with: the block is
+    # still perfectly matched and acyclic, and only the partition count sees
+    # that two faces of s lie in no part
+    v = fiber_reps(2)[0]
+    real = collapse.matching_C
+    block = real(2, v)[0]
+    (b, up), = block.pairs.stages
+    tau = (up & -up).bit_length() - 1
+    sigma = tau ^ 1 << b
+    dropped = dataclasses.replace(block, faces=morse.Bits(block.faces.bits ^ 1 << sigma ^ 1 << tau),
+                                  pairs=morse.StagePairs([(b, up ^ 1 << tau)]))
+    monkeypatch.setattr(collapse, 'matching_C', lambda k, u: [dropped] + real(k, u)[1:]
+                        if (k, u) == (2, v) else real(k, u))
+    first = min(remap(f, index_table(block)) for f in (sigma, tau))
+    return re.escape("sg and the parts' matched faces count 15964 faces, s has 15966: face %r of s "
+                     "lies in 0 parts [%s]" % (members(first, 2), block_tag(v, block))) + "$"
 
 
-PLANTS = [plant_cycle, plant_misfiled_pair, plant_dropped_pair, plant_sg_face_in_a_c_fiber,
-          plant_largest_toggle_element, plant_partner_in_another_block, plant_face_matched_twice,
-          plant_face_under_a_later_fiber]
+def plant_block_admits_an_earlier_unstable_triple(monkeypatch):
+    # the table of one block also holds an unstable triple lex-before its
+    # vertex: the block stays perfectly matched, and its new faces, which
+    # belong to the earlier triple's fiber, are counted twice
+    real, target = wedge.subset_table, {}
+
+    def table(k, cset, triples, covered=()):
+        extra = target.get((k, tuple(cset), tuple(covered)))
+        return real(k, cset, triples + (extra,) if extra else triples, covered)
+
+    monkeypatch.setattr(wedge, 'subset_table', table)
+    ix = triple_index(2)
+    for v in fiber_reps(2):
+        for block in matching_C(2, v):
+            for t in ix.triples[:ix.bit[v]]:
+                if is_stable(t, 2) or set(t) & set(block.cset):
+                    continue
+                target[(2, block.cset, v)] = t
+                grown = [fm for fm in matching_C(2, v) if fm.cset == block.cset]
+                if len(grown[0].faces) > len(block.faces):
+                    return (r"face \(\(.*\)\) of s lies in 2 parts \[fiber C v=%s, block u\*=\d+ / %s\]$"
+                            % ("".join(map(str, t)), re.escape(block_tag(v, block))))
+                del target[(2, block.cset, v)]
+    raise AssertionError("no block at k=2 gains a face from an earlier unstable triple")
+
+
+PLANTS = [plant_cycle, plant_dropped_pair, plant_sg_face_in_a_c_fiber, plant_largest_toggle_element,
+          plant_partner_in_another_block, plant_face_matched_twice, plant_block_drops_a_pair,
+          plant_block_admits_an_earlier_unstable_triple]
 
 
 @pytest.mark.parametrize("plant", PLANTS)

@@ -9,6 +9,10 @@ SRC = Path(__file__).resolve().parent.parent / 'src' / 'kneser_morse'
 PINNED = {
     'morse.verify_poset_map': "a span of perfbench's SPANS; the tests' face-level oracle of the "
                               "order graphs.missed_lattice proves",
+    'morse.compose_cluster': "a span of perfbench's SPANS; the tests' face-level composition of "
+                             "Theorem 2's parts",
+    'morse.element_matching': "a span of perfbench's SPANS; the tests' stage oracle of "
+                              "wedge.toggle_run",
     'wedge.matching_Q': "a span of perfbench's SPANS; the tests build Q-families through it",
     'wedge.pq_classify': "a span of perfbench's SPANS; the tests' classifier of the outside faces",
     'homology.boundary_matrix': "a span of perfbench's SPANS, sized by its nnz counter",

@@ -1,6 +1,7 @@
 """The filtration between the stable and ambient complexes, and the layered
 matchings that collapse the two outer steps family by family."""
 
+import itertools
 import re
 
 import pytest
@@ -21,7 +22,7 @@ from kneser_morse.wedge import (
     toggle_run, transport,
 )
 
-from test_collapse import index_I
+from test_collapse import index_I, index_pairs, index_table
 from test_morse import matched
 
 
@@ -269,10 +270,14 @@ def test_family_faces_rejects_stable_missed_set():
 def test_a_stable_table_past_seven_support_elements_is_refused():
     # the (1, 2, 3) support at k = 5 has 8 elements and 20 stable triples,
     # within SCAN_BITS, but an eighth position would be the unstable flag
-    assert len(wedge.subset_table(4, (1, 2, 3), stable_only=True).triples) == 10
+    def stable(k):
+        support = range(4, ground_size(k) + 1)
+        return tuple(t for t in itertools.combinations(support, 3) if is_stable(t, k))
+
+    assert len(wedge.subset_table(4, (1, 2, 3), stable(4)).triples) == 10
     with pytest.raises(ValueError, match=r"support of 8 elements spans 20 triples; subset scan "
                                          r"beyond 22 bits or 7 elements refused"):
-        wedge.subset_table(5, (1, 2, 3), stable_only=True)
+        wedge.subset_table(5, (1, 2, 3), stable(5))
 
 
 BASE_FAMILIES = [(k, j) for k in (0, 1, 2) for j in index_I(1, k)] + [(3, 4)]
@@ -763,12 +768,10 @@ def compose_layer(k, fms, upper, lower):
     upper stage and is acyclic, and what it leaves unmatched is the lower
     stage plus the families' critical cells.  Returns the first problem
     found, or None."""
-    bit = triple_index(k).bit
     pairs, crit = [], set()
     for fm in fms:
-        wedge._to_index(fm, pairs)
-        table = [1 << bit[t] for t in fm.triples]
-        crit |= {remap(c, table) for c in fm.critical}
+        pairs += index_pairs(fm)
+        crit |= {remap(c, index_table(fm)) for c in fm.critical}
     cells = filtration(k, upper).all_faces()
     m = morse.Matching(pairs)
     if not matched(m) <= cells:
