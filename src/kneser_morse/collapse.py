@@ -13,12 +13,12 @@ touches, read by ``graphs.missed_shape``) and by stability of its members:
   in v's frame.
 
 Every part is a ``wedge.FamilyMatching`` on a ``wedge.subset_table``, as
-Theorem 3's families are, matched by ``wedge.toggle_run`` and checked on
-its own stages (``_certify``): an A-base is the table of its support's
-stable triples, carried onto every A- and B-family by ``wedge.mover``; a
-block is one stage on ``c_toggle``'s triple.  ``theorem2_matching``
-composes the parts under the Cluster Lemma with no face of F listed or
-classified, and lists faces only for error witnesses.
+Theorem 3's families are, matched by ``wedge.toggle_run`` and checked by
+the one certificate of a built family, ``wedge.certify``: an A-base is the
+table of its support's stable triples, carried onto every A- and B-family
+by ``wedge.mover``; a block is one stage on ``c_toggle``'s triple.
+``theorem2_matching`` composes the parts under the Cluster Lemma with no
+face of F listed or classified, and lists faces only for error witnesses.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from functools import lru_cache
 from . import complexes, graphs, wedge
 from .complexes import decode, remap
 from .graphs import missed_shape, rotate, unstable_rep
-from .morse import Bits, Matching, MatchingError, PairError, StagePairs, bitset, is_acyclic
+from .morse import Bits, MatchingError, StagePairs, bitset
 from .wedge import FamilyMatching
 
 
@@ -134,25 +134,6 @@ def check_label_order(k: int, shapes: list | None = None) -> None:
                                 % (below, above))
 
 
-def _certify(fm: FamilyMatching, where: str) -> None:
-    """The stages of a base or a block are a matching (``Matching`` in
-    bulk), acyclic, and their lower and upper faces are its faces; a
-    failure raises ``MatchingError`` naming ``where`` and a decoded face."""
-    try:
-        ok, cycle = is_acyclic(Matching(fm.pairs))
-    except PairError as e:
-        raise MatchingError("%s: a pair %s at face %r" % (where, e.what, fm.decode(e.faces[0]))) from e
-    if not ok:
-        raise MatchingError("%s: matched pairs close a cycle at face %r"
-                            % (where, fm.decode(cycle[0][0])))
-    low, up = fm.pairs.bitsets()
-    stray = (low | up) ^ fm.faces.bits
-    if stray:
-        f = (stray & -stray).bit_length() - 1
-        raise MatchingError("%s: face %r %s" % (where, fm.decode(f), "survives the toggle run"
-                                                if fm.faces.bits >> f & 1 else "is paired but is no face"))
-
-
 # ---------------------------------------------------------------------------
 # A- and B-family matchings: toggle runs on the stable triples' subset tables
 
@@ -176,8 +157,8 @@ def _a_base(k: int, l: int) -> FamilyMatching | None:
     by one ``toggle_run``, the pivot first (only to keep the pairs the
     tests pin at k = 2 and 3) and then every other triple in lex order.  A
     run of element matchings is acyclic on any family of sets (Jonsson,
-    Simplicial Complexes of Graphs, LNM 1928, 2008), and ``_certify``
-    checks its stages before any mover carries them."""
+    Simplicial Complexes of Graphs, LNM 1928, 2008), and ``wedge.certify``
+    checks it before any mover carries it."""
     support = [x for x in range(3, graphs.ground_size(k) + 1) if x != l]
     fam = wedge.subset_table(k, (1, 2, l), tuple(t for t in itertools.combinations(support, 3)
                                                  if graphs.is_stable(t, k)))
@@ -186,7 +167,7 @@ def _a_base(k: int, l: int) -> FamilyMatching | None:
     first = fam.triples.index(pivot_vertex(k, l))
     stages, _ = wedge.toggle_run(fam.full, [first] + [b for b in range(len(fam.triples)) if b != first])
     base = FamilyMatching(k, (1, 2, l), fam.triples, Bits(fam.full), StagePairs(stages), [])
-    _certify(base, "family (A, 1, %d) at k=%d" % (l, k))
+    wedge.certify(base, "family (A, 1, %d) at k=%d" % (l, k))
     return base
 
 
@@ -286,7 +267,7 @@ def matching_C(k: int, v) -> list[FamilyMatching]:
         toggles = [fam.triples.index(toggle)] if toggle in fam.triples else []
         block = FamilyMatching(k, u_star, fam.triples + (vt,), Bits(faces),
                                StagePairs(wedge.toggle_run(faces, toggles)[0]), [])
-        _certify(block, _tag(('C', vt), k, u_star=u_star))
+        wedge.certify(block, _tag(('C', vt), k, u_star=u_star))
         blocks.append(block)
     return blocks
 

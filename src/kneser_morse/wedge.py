@@ -21,7 +21,8 @@ kept cell is always the label with its toggles, one per label in
 ``c_set``; the other runs clear their sub-fiber.  Every family is a copy of
 a {1, 2, l} base, rotated, and for a four-element family first pulled
 back one parameter down; ``mover`` names the base and carries it onto the
-family by ``transport``, which certifies each move for every face at once.
+family by ``transport``, which certifies each move for every face at once;
+``certify`` checks the base itself, once.
 ``collapse`` carries the all-stable A- and B-families of Theorem 2 the
 same way.  Summing the survivors over all families counts the spheres in
 the wedge: t = (k+1)(k+3)(k+4)(k+6)/4 + 1 of dimension k after the final
@@ -322,12 +323,9 @@ class FamilyMatching:
     ``pairs`` a ``morse.StagePairs`` view, so ``len`` on either is a
     popcount and neither is listed unless iterated: the faces ascending,
     the pairs fiber by fiber, stage by stage, ascending within a stage.
-    ``critical`` lists the survivors, fiber by fiber.  A P-family built
-    directly is checked in full (residue identity, survivors against
-    ``toggle_plan``, and one ``Matching`` over the union of its toggle
-    runs, which validates every pair once before the acyclicity check of
-    the whole family), an A-base or a block by ``collapse._certify`` on
-    its stages; a transported one by the certificate of ``transport``.
+    ``critical`` lists the survivors, fiber by fiber.  Every family built
+    directly, a P- or an A-base or a block, is checked by ``certify``; a
+    copy moved by ``transport`` by the certificate of the move.
     """
     k: int
     cset: tuple
@@ -351,16 +349,15 @@ def matching_P(k: int, i: int, j: int) -> FamilyMatching:
     runs the toggles of its ``toggle_plan``, which keeps one cell, the
     label with its toggles, per ``c_set`` label and clears every other
     sub-fiber: (k+1)(k+2)/2 cells of dimension k in total.  The build
-    checks every run against the direct residue identity, its survivors
-    against the plan, and then the union of all runs at once: every pair
-    covers, no face is matched twice, every pair stays inside the family,
-    and the whole matching is acyclic.
+    checks every run against the direct residue identity and its survivors
+    against the plan, then the whole family by ``certify``.
     """
     move = mover(k, 'P', i, j)
     return move.carry(_matching_p1(k, move.l))
 
 
 def _matching_p1(k: int, j: int) -> FamilyMatching:
+    where = "family (P, 1, %d) at k=%d" % (j, k)
     cset = p_complement(k, 1, j)
     fam = family_faces(k, cset)
     idx = {t: b for b, t in enumerate(fam.triples)}
@@ -380,7 +377,8 @@ def _matching_p1(k: int, j: int) -> FamilyMatching:
         for w in plan:
             b = idx.get(w)
             if b is None:
-                raise MatchingError("toggle %r of label %r leaves the support of %r" % (w, v, cset))
+                raise MatchingError("%s: toggle %r of label %r leaves the support of %r"
+                                    % (where, w, v, cset))
             toggles.append(b)
             cell |= 1 << b
         run, residue = toggle_run(fiber, toggles)
@@ -393,51 +391,58 @@ def _matching_p1(k: int, j: int) -> FamilyMatching:
             ident &= lose[b]
         if residue != ident:
             diff = residue ^ ident
-            raise MatchingError("toggle run of label %r disagrees with the residue identity at %r (j=%d)"
-                                % (v, decode((diff & -diff).bit_length() - 1, fam.triples), j))
+            raise MatchingError("%s: toggle run of label %r disagrees with the residue identity at %r"
+                                % (where, v, decode((diff & -diff).bit_length() - 1, fam.triples)))
         # the survivors are checked as a bitset and listed only to report
         if keeps:
             if residue != 1 << cell:
                 decoded = [decode(f, fam.triples) for f in members(residue)]
-                raise MatchingError("label %r kept %r instead of itself with its toggles %r (j=%d)"
-                                    % (v, decoded, decode(cell, fam.triples), j))
+                raise MatchingError("%s: label %r kept %r instead of itself with its toggles %r"
+                                    % (where, v, decoded, decode(cell, fam.triples)))
             criticals.append(cell)
         elif residue:
-            raise MatchingError("label %r should clear but kept %d cells (j=%d)"
-                                % (v, residue.bit_count(), j))
+            raise MatchingError("%s: label %r should clear but kept %d cells"
+                                % (where, v, residue.bit_count()))
         stages.extend(run)
     missing = set(c_set(j, k)) - present
     if missing:
-        raise MatchingError("labels %r should retain a cell but own no face (j=%d)"
-                            % (sorted(missing), j))
-    pairs = StagePairs(stages)
-    if 2 * len(pairs) + len(criticals) != len(fam.faces):
-        raise MatchingError("matched pairs and critical cells do not partition the family (j=%d)" % (j,))
-    result = FamilyMatching(k, cset, fam.triples, fam.faces, pairs, criticals)
+        raise MatchingError("%s: labels %r should retain a cell but own no face" % (where, sorted(missing)))
+    result = FamilyMatching(k, cset, fam.triples, fam.faces, StagePairs(stages), criticals)
     # the subset table is not needed past this point; drop every reference
     # to it before the DFS
     del fam, lose
-    # the union is the only place the pairs are validated as a matching:
-    # as StagePairs it takes the bitset layout, checked in bulk (every
-    # upper face holds its toggle bit, no face is used twice), and only a
-    # union that fails is replayed pair by pair to name the first bad pair
-    try:
-        matching = Matching(pairs)
-    except PairError as e:
-        raise MatchingError("family (1, %d) pairs: %s, decoded %r"
-                            % (j, e, [result.decode(f) for f in e.faces])) from e
-    # every pair stays inside the family: its faces, read once the stages
-    # are valid, are family faces
-    low, up = pairs.bitsets()
-    outside = (low | up) & ~result.faces.bits
-    if outside:
-        raise MatchingError("family (1, %d) pairs face %r, which lies outside the family"
-                            % (j, result.decode((outside & -outside).bit_length() - 1)))
-    ok, cyc = is_acyclic(matching)
-    if not ok:
-        raise MatchingError("family (1, %d) matching has a directed cycle through %r"
-                            % (j, [result.decode(a) for a, _ in cyc[:3]]))
+    certify(result, where)
     return result
+
+
+def certify(fm: FamilyMatching, where: str) -> None:
+    """The one check of a built family, all discrete Morse theory asks of it
+    (Forman, Adv. Math. 134, 1998): its pairs are a matching, checked in
+    bulk by ``Matching``; the matching is acyclic (``is_acyclic``); and its
+    lower faces, its upper faces and ``critical`` are pairwise disjoint and
+    together exactly ``faces``.  A failure raises ``MatchingError`` naming
+    ``where``, the defect and a decoded face."""
+    try:
+        ok, cycle = is_acyclic(Matching(fm.pairs))
+    except PairError as e:
+        raise MatchingError("%s: a pair %s at face %r" % (where, e.what, fm.decode(e.faces[0]))) from e
+    if not ok:
+        raise MatchingError("%s: matched pairs close a cycle at face %r"
+                            % (where, fm.decode(cycle[0][0])))
+    low, up = fm.pairs.bitsets()
+    paired, faces, crit = low | up, fm.faces.bits, 0
+    for c in fm.critical:
+        if crit >> c & 1:
+            raise MatchingError("%s: face %r is listed critical twice" % (where, fm.decode(c)))
+        crit |= 1 << c
+    stray = (paired ^ crit ^ faces) | (paired & crit)
+    if stray:
+        f = (stray & -stray).bit_length() - 1
+        if crit >> f & 1:
+            how = "is critical and paired" if paired >> f & 1 else "is critical but is no face"
+        else:
+            how = "is paired but is no face" if paired >> f & 1 else "survives the toggle run"
+        raise MatchingError("%s: face %r %s" % (where, fm.decode(f), how))
 
 
 def transport(base: FamilyMatching, k: int, family: str, i: int, j: int,

@@ -1,6 +1,7 @@
 """Mutation sweep over Theorem 2's A-bases, C blocks, block order and
-partition count, and the facet table, d d = 0 certificate and coreduction of
-the homology oracle.
+partition count, the P-base build and the one certificate of a built family
+with the bulk pair check and acyclicity search it rests on, and the facet
+table, d d = 0 certificate and coreduction of the homology oracle.
 
 Each mutant changes one site of one target function, in a temporary copy of
 ``src`` and ``tests``, and runs the target's own test file with ``-x -q`` on
@@ -15,9 +16,11 @@ sets it by hand.  The working tree is only read.
     python3 tests/mutants.py --site 3 --site 7 # run the listed sites only
 
 Operators: a comparison flipped to its negation, a ``raise`` dropped, an
-``and``/``or`` swapped, and an integer constant moved by +1 or -1.  A target
-function missing from its module fails ``--list`` as well as a sweep, so a
-rename shows up before anything runs.  The score is printed, not gated: the
+``and``/``or`` swapped, a returned ``True`` or ``False`` swapped for the
+other (also first in a returned tuple, as in ``return True, None``), and an
+integer constant moved by +1 or -1.  A target function missing from its
+module fails ``--list`` as well as a sweep, so a rename shows up before
+anything runs.  The score is printed, not gated: the
 exit status is nonzero only when a target is missing or the unmutated copy
 already fails one of the test files.
 
@@ -46,10 +49,15 @@ TARGETS = {
                                      'matching_C': 'tests/test_collapse.py',
                                      'check_label_order': 'tests/test_collapse.py',
                                      'theorem2_matching': 'tests/test_collapse.py'},
-    'src/kneser_morse/wedge.py': {'toggle_run': 'tests/test_wedge.py'},
+    'src/kneser_morse/wedge.py': {'toggle_run': 'tests/test_wedge.py',
+                                  '_matching_p1': 'tests/test_wedge.py',
+                                  'certify': 'tests/test_wedge.py'},
     'src/kneser_morse/homology.py': {'_signed_image': 'tests/test_homology.py',
                                      '_certify': 'tests/test_homology.py'},
-    'src/kneser_morse/morse.py': {'facet_table': 'tests/test_homology.py',
+    'src/kneser_morse/morse.py': {'_staged': 'tests/test_morse.py',
+                                  'is_acyclic': 'tests/test_morse.py',
+                                  '_search_dict': 'tests/test_morse.py',
+                                  'facet_table': 'tests/test_homology.py',
                                   'incidences': 'tests/test_homology.py',
                                   'coreduce': 'tests/test_homology.py'},
 }
@@ -77,6 +85,15 @@ def find_function(tree: ast.Module, name: str) -> ast.FunctionDef:
     raise LookupError(name)
 
 
+def verdict(node: ast.AST) -> ast.Constant | None:
+    """The ``True`` or ``False`` that ``node`` returns, alone or first in a
+    tuple as in ``return True, None``; None for any other node."""
+    if not isinstance(node, ast.Return):
+        return None
+    value = node.value.elts[0] if isinstance(node.value, ast.Tuple) and node.value.elts else node.value
+    return value if isinstance(value, ast.Constant) and type(value.value) is bool else None
+
+
 def edits(func: ast.FunctionDef):
     """(node index in ``ast.walk(func)``, operator, detail) for every
     mutation of ``func``, in walk order."""
@@ -90,6 +107,8 @@ def edits(func: ast.FunctionDef):
                                                 'Or' if isinstance(node.op, ast.And) else 'And')
         elif isinstance(node, ast.Raise):
             yield i, ('drop',), "raise dropped"
+        elif verdict(node) is not None:
+            yield i, ('negate',), "return %s -> return %s" % (verdict(node).value, not verdict(node).value)
         elif isinstance(node, ast.Constant) and type(node.value) is int:
             for d in (1, -1):
                 yield i, ('shift', d), "%d -> %d" % (node.value, node.value + d)
@@ -124,6 +143,8 @@ def mutate(source: str, name: str, index: int, op: tuple) -> str:
         node.op = ast.Or() if isinstance(node.op, ast.And) else ast.And()
     elif op[0] == 'shift':
         node.value += op[1]
+    elif op[0] == 'negate':
+        verdict(node).value = not verdict(node).value
     else:  # drop a raise: the statement becomes ``pass``
         for parent in ast.walk(func):
             for field in ('body', 'orelse', 'finalbody'):

@@ -1078,14 +1078,14 @@ def test_the_blocks_count_the_c_faces_at_k3():
 
 
 def test_theorem2_classifies_only_sg_and_matches_only_stages(monkeypatch):
-    calls, real_classify, real_matching = [], collapse.classify, collapse.Matching
+    calls, real_classify, real_matching = [], collapse.classify, wedge.Matching
 
     def matching(pairs):
         assert isinstance(pairs, morse.StagePairs)
         return real_matching(pairs)
 
     monkeypatch.setattr(collapse, 'classify', lambda sigma, k: calls.append(sigma) or real_classify(sigma, k))
-    monkeypatch.setattr(collapse, 'Matching', matching)
+    monkeypatch.setattr(wedge, 'Matching', matching)
     rep = theorem2_matching(2)
     assert sorted(calls) == rep.critical == sorted(complex_for('sg', 2).all_faces())
 

@@ -561,6 +561,14 @@ def test_a_stage_bit_past_its_upper_faces_is_a_pair_error():
     assert bad.value.what == "does not cover"
 
 
+def test_a_pair_from_the_empty_face_passes_the_bulk_check():
+    # the upper face of (0, 2^b) is the single bit b, the one face whose
+    # index needs the mask table to reach exactly bit b
+    for b in range(4):
+        assert morse._staged(StagePairs([(b, 1 << (1 << b))]))
+        assert Matching(StagePairs([(b, 1 << (1 << b))])).partner == {0: 1 << b, 1 << b: 0}
+
+
 def test_stages_that_fail_only_the_bulk_check_are_never_accepted(monkeypatch):
     # a bulk check that fails valid stages: the replay finds no bad pair,
     # and Matching raises rather than accept stages the bulk check refused

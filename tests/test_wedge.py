@@ -1,6 +1,7 @@
 """The filtration between the stable and ambient complexes, and the layered
 matchings that collapse the two outer steps family by family."""
 
+import dataclasses
 import itertools
 import re
 
@@ -462,7 +463,8 @@ def test_matching_P_catches_a_dropped_toggle_pair(monkeypatch):
         return stages, survivors
 
     monkeypatch.setattr(wedge, 'toggle_run', drop_one)
-    with pytest.raises(MatchingError, match="do not partition"):
+    with pytest.raises(MatchingError, match=r"^family \(P, 1, 3\) at k=1: face \(\(\d+, \d+, \d+\).*\) "
+                                            r"survives the toggle run$"):
         matching_P(1, 1, 3)
 
 
@@ -471,8 +473,8 @@ def test_matching_P_catches_a_face_matched_twice(monkeypatch):
 
     def duplicate_one(faces, toggles):
         # the last pair gives way to a stage of its own repeating the first,
-        # so the pair count still partitions the family and only the union
-        # check sees it
+        # so every face is still used and only the bulk check of the pairs
+        # sees it
         stages, survivors = run(faces, toggles)
         if len(morse.StagePairs(stages)) > 1:
             b, up = stages[first_stage(stages)]
@@ -483,29 +485,33 @@ def test_matching_P_catches_a_face_matched_twice(monkeypatch):
         return stages, survivors
 
     monkeypatch.setattr(wedge, 'toggle_run', duplicate_one)
-    with pytest.raises(MatchingError, match=r"family \(1, 3\) pairs: face \d+ matched twice, "
-                                            r"decoded \[\(\("):
+    with pytest.raises(MatchingError, match=r"^family \(P, 1, 3\) at k=1: a pair holds a face matched "
+                                            r"twice at face \(\(\d+, \d+, \d+\)"):
         matching_P(1, 1, 3)
 
 
 def test_matching_P_catches_an_upper_face_without_its_toggle_bit(monkeypatch):
     run = toggle_run
+    swapped = []
 
     def swap_one(faces, toggles):
         # the first pair's upper face gives way to its lower face, which
         # lacks the stage's bit: the count and the faces used are unchanged
         stages, survivors = run(faces, toggles)
         at = first_stage(stages)
-        if at is not None:
+        if at is not None and not swapped:
             b, up = stages[at]
             low = up & -up
+            swapped.append(low.bit_length() - 1)
             stages[at] = (b, up ^ low | low >> (1 << b))
         return stages, survivors
 
     monkeypatch.setattr(wedge, 'toggle_run', swap_one)
-    with pytest.raises(MatchingError, match=r"family \(1, 3\) pairs: non-covering pair "
-                                            r"\(\d+, \d+\), decoded \[\(\("):
+    with pytest.raises(MatchingError) as bad:
         matching_P(1, 1, 3)
+    # the pair is named by the face it was meant to have as its upper face
+    assert str(bad.value) == "family (P, 1, 3) at k=1: a pair does not cover at face %r" % (
+        decode(swapped[0], family_faces(1, (1, 2, 3)).triples),)
 
 
 def test_matching_P_catches_a_pair_outside_the_family(monkeypatch):
@@ -514,8 +520,8 @@ def test_matching_P_catches_a_pair_outside_the_family(monkeypatch):
 
     def plant_outside(faces, toggles):
         # the first nonempty run loses its last pair to a stage pairing the
-        # empty face with a single vertex: the pair count still partitions
-        # the family, the planted pair covers, and no other check meets it
+        # empty face with a single vertex: the planted pair covers, closes
+        # no cycle, and is named before the two faces the run now leaves
         stages, survivors = run(faces, toggles)
         if first_stage(stages) is not None and not planted:
             last = max(i for i, (_, u) in enumerate(stages) if u)
@@ -526,19 +532,20 @@ def test_matching_P_catches_a_pair_outside_the_family(monkeypatch):
         return stages, survivors
 
     monkeypatch.setattr(wedge, 'toggle_run', plant_outside)
-    with pytest.raises(MatchingError, match=r"family \(1, 3\) pairs face \(\), which lies "
-                                            r"outside the family"):
+    with pytest.raises(MatchingError, match=r"^family \(P, 1, 3\) at k=1: face \(\) is paired but is "
+                                            r"no face$"):
         matching_P(1, 1, 3)
 
 
-def plant_plan(monkeypatch, label, toggles=None, keeps=None):
+def plant_plan(monkeypatch, label, toggles=None, keeps=None, at_k=None):
     """``wedge.toggle_plan`` answers ``label`` with the given toggles or
-    keeps flag instead of its own, and every other label as before."""
+    keeps flag instead of its own, at every k or at ``at_k`` alone, and
+    every other label as before."""
     real = wedge.toggle_plan
 
     def planted(v, j, k):
         plan, kept = real(v, j, k)
-        if v != label:
+        if v != label or at_k not in (None, k):
             return plan, kept
         return plan if toggles is None else toggles, kept if keeps is None else keeps
 
@@ -549,8 +556,9 @@ def test_matching_P_catches_a_label_that_clears_a_cell_it_should_keep(monkeypatc
     # (6, 7, 8) clears its sub-fiber in the k = 2 family (1, 4); a plan
     # that keeps a cell there finds none
     plant_plan(monkeypatch, (6, 7, 8), keeps=True)
-    with pytest.raises(MatchingError, match=r"^label \(6, 7, 8\) kept \[\] instead of itself with its "
-                                            r"toggles \(\(3, 6, 8\), \(6, 7, 8\)\) \(j=4\)$"):
+    with pytest.raises(MatchingError, match=r"^family \(P, 1, 4\) at k=2: label \(6, 7, 8\) kept \[\] "
+                                            r"instead of itself with its toggles \(\(3, 6, 8\), "
+                                            r"\(6, 7, 8\)\)$"):
         matching_P(2, 1, 4)
 
 
@@ -558,7 +566,8 @@ def test_matching_P_catches_a_label_that_keeps_a_cell_it_should_clear(monkeypatc
     # (4, 5, 6) keeps a cell in the k = 1 family (1, 3); a plan that clears
     # there reports the survivor by count
     plant_plan(monkeypatch, (4, 5, 6), keeps=False)
-    with pytest.raises(MatchingError, match=r"^label \(4, 5, 6\) should clear but kept 1 cells \(j=3\)$"):
+    with pytest.raises(MatchingError, match=r"^family \(P, 1, 3\) at k=1: label \(4, 5, 6\) should clear "
+                                            r"but kept 1 cells$"):
         matching_P(1, 1, 3)
 
 
@@ -567,32 +576,76 @@ def test_matching_P_catches_a_kept_label_that_owns_no_face(monkeypatch):
     # holds it holds a lex-smaller unstable triple, since (5, 6, 7) alone
     # misses 4; a plan that keeps a cell there has no run to check it on
     plant_plan(monkeypatch, (5, 6, 7), keeps=True)
-    with pytest.raises(MatchingError, match=r"^labels \[\(5, 6, 7\)\] should retain a cell but own "
-                                            r"no face \(j=3\)$"):
+    with pytest.raises(MatchingError, match=r"^family \(P, 1, 3\) at k=1: labels \[\(5, 6, 7\)\] should "
+                                            r"retain a cell but own no face$"):
         matching_P(1, 1, 3)
 
 
 def test_matching_P_catches_a_toggle_off_the_support(monkeypatch):
     plant_plan(monkeypatch, (4, 5, 6), toggles=((3, 5, 6),))
-    with pytest.raises(MatchingError, match=r"^toggle \(3, 5, 6\) of label \(4, 5, 6\) leaves the "
-                                            r"support of \(1, 2, 3\)$"):
+    with pytest.raises(MatchingError, match=r"^family \(P, 1, 3\) at k=1: toggle \(3, 5, 6\) of label "
+                                            r"\(4, 5, 6\) leaves the support of \(1, 2, 3\)$"):
         matching_P(1, 1, 3)
 
 
 def test_matching_P_acts_on_a_cycle_the_search_reports(monkeypatch):
     # the search itself is checked on planted cycles in test_morse; here its
     # verdict on the real, acyclic pairs is planted, naming the first pair
-    low, up = next(iter(matching_P(1, 1, 3).pairs))
+    fm = matching_P(1, 1, 3)
+    (low, up), second = itertools.islice(fm.pairs, 2)
     real = wedge.is_acyclic
 
     def cyclic(matching):
         assert real(matching) == (True, None)
-        return False, [(low, up)]
+        return False, [(low, up), second]
 
     monkeypatch.setattr(wedge, 'is_acyclic', cyclic)
-    with pytest.raises(MatchingError, match=r"^family \(1, 3\) matching has a directed cycle "
-                                            r"through \[\(\("):
+    with pytest.raises(MatchingError, match=r"^family \(P, 1, 3\) at k=1: matched pairs close a cycle "
+                                            r"at face %s$" % re.escape(str(fm.decode(low)))):
         matching_P(1, 1, 3)
+
+
+def test_a_plant_on_a_q_family_base_names_the_base_one_parameter_down(monkeypatch):
+    # the Q-families at k = 2 are carried from P-bases at k = 1: a plant on
+    # the k = 1 base (1, 3) names k=1, so it cannot be taken for the k = 2
+    # P-base of the same j, which still builds
+    plant_plan(monkeypatch, (4, 5, 6), keeps=False, at_k=1)
+    match = r"^family \(P, 1, 3\) at k=1: label \(4, 5, 6\) should clear but kept 1 cells$"
+    with pytest.raises(MatchingError, match=match):
+        matching_Q(2, 1, 3)
+    with pytest.raises(MatchingError, match=match):
+        theorem3_counts(2)
+    assert len(matching_P(2, 1, 3).critical) == 6
+
+
+def certify_fails_on(fm, how):
+    """``wedge.certify`` refuses ``fm``, naming the place, the face and how
+    it is stray."""
+    match = r"^hand-built \(P, 1, 3\): face %s %s$" % (re.escape(str(fm.decode(how[0]))), how[1])
+    with pytest.raises(MatchingError, match=match):
+        wedge.certify(fm, "hand-built (P, 1, 3)")
+
+
+def test_certify_names_every_way_a_face_is_stray():
+    fm = matching_P(1, 1, 3)
+    wedge.certify(fm, "hand-built (P, 1, 3)")
+    low, up = next(iter(fm.pairs))
+    first, *rest = fm.critical
+    off = 1  # the first triple alone covers 3 of the 4 support elements
+    assert not fm.faces.bits >> off & 1 and len(rest) == 2
+    certify_fails_on(dataclasses.replace(fm, critical=[up] + fm.critical), (up, "is critical and paired"))
+    certify_fails_on(dataclasses.replace(fm, critical=fm.critical + [off]), (off, "is critical but is no face"))
+    certify_fails_on(dataclasses.replace(fm, critical=fm.critical + [first]),
+                     (first, "is listed critical twice"))
+    certify_fails_on(dataclasses.replace(fm, critical=rest), (first, "survives the toggle run"))
+    # the pair (0, 0b10) off the family, whose lower face's neighbour mask 1 is unpaired
+    outside = morse.StagePairs(fm.pairs.stages + [(1, 1 << 0b10)])
+    certify_fails_on(dataclasses.replace(fm, pairs=outside), (0, "is paired but is no face"))
+
+
+# the first face, in mask order, at which the planted run and the residue
+# identity part
+SWAPPED_TOGGLE_FACE = {(4, 5, 7): ((4, 5, 7), (4, 6, 7))}
 
 
 @pytest.mark.parametrize("label,toggle,check", [
@@ -602,7 +655,9 @@ def test_matching_P_catches_a_swapped_toggle(label, toggle, check, monkeypatch):
     # every label of the k = 1 family (1, 3) toggles (5, 6, 7) alone; here
     # one label's toggle is swapped for another triple of the support
     plant_plan(monkeypatch, label, toggles=(toggle,))
-    with pytest.raises(MatchingError, match=r"label %s .*%s.*\(\(" % (re.escape(str(label)), check)):
+    with pytest.raises(MatchingError, match=r"^family \(P, 1, 3\) at k=1: .*label %s %s %s$"
+                                            % tuple(map(re.escape, (str(label), check,
+                                                                    str(SWAPPED_TOGGLE_FACE[label]))))):
         matching_P(1, 1, 3)
 
 
