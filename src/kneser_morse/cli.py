@@ -124,19 +124,60 @@ def _verify_theorem3(name: str, k: int, depth: str, counts_of) -> list[dict]:
                    rows=[list(r) for r in counts['rows']])]
     if depth == 'full-snf':
         t = counts['predicted_t']
-        kg = betti(complex_for('kg', k), max_dim=k + 1)
+        cx = complex_for('kg', k)  # level 3 of the filtration: built once, before the fork
+        kg, (top, mid) = _beside(lambda: betti(cx, max_dim=k + 1).numbers, lambda: (
+            relative_betti(wedge.filtration(k, 3), wedge.filtration(k, 2), max_dim=k + 1).numbers,
+            relative_betti(wedge.filtration(k, 2), wedge.filtration(k, 1), max_dim=max(k, 1)).numbers))
         want = tuple(t if d == k else 0 for d in range(k + 2))
-        out.append(_result('theorem3-betti', k, kg.numbers == want,
-                           numbers=list(kg.numbers), wanted=list(want)))
-        top = relative_betti(wedge.filtration(k, 3), wedge.filtration(k, 2), max_dim=k + 1)
+        out.append(_result('theorem3-betti', k, kg == want, numbers=list(kg), wanted=list(want)))
         wt = tuple(counts['extra_k_cells'] if d == k else 0 for d in range(k + 2))
-        out.append(_result('theorem3-relative-top', k, top.numbers == wt,
-                           numbers=list(top.numbers), wanted=list(wt)))
-        mid = relative_betti(wedge.filtration(k, 2), wedge.filtration(k, 1), max_dim=max(k, 1))
+        out.append(_result('theorem3-relative-top', k, top == wt, numbers=list(top), wanted=list(wt)))
         wm = tuple(counts['extra_km1_cells'] if d == k - 1 else 0 for d in range(max(k, 1) + 1))
-        out.append(_result('theorem3-relative-mid', k, mid.numbers == wm,
-                           numbers=list(mid.numbers), wanted=list(wm)))
+        out.append(_result('theorem3-relative-mid', k, mid == wm, numbers=list(mid), wanted=list(wm)))
     return out
+
+
+def _beside(mine, theirs) -> tuple:
+    """(mine(), theirs()), with ``theirs`` run in one forked child while
+    this process runs ``mine``.
+
+    The child sends its result, or the type name and text of its exception,
+    back over a pipe with ``marshal`` and always ends with ``os._exit``, so
+    it flushes none of this process's buffers.  An exception of ``mine`` is
+    raised first, as if it had run first; one of ``theirs`` is raised here
+    again under its type name with its text, so ``_run`` reports it as if
+    it had been raised in this process, and a child that sends nothing
+    raises ``RuntimeError``.  The child is reaped on every path."""
+    import marshal
+    import os
+    r, w = os.pipe()
+    pid = os.fork()
+    if not pid:
+        try:
+            os.close(r)
+            try:
+                sent = (True, theirs())
+            except Exception as e:
+                sent = (False, (type(e).__name__, str(e)))
+            with os.fdopen(w, 'wb') as fh:
+                fh.write(marshal.dumps(sent))
+        finally:
+            os._exit(0)
+    os.close(w)
+    try:
+        with os.fdopen(r, 'rb') as fh:
+            got = mine()
+            data = fh.read()
+    finally:
+        _, status = os.waitpid(pid, 0)
+    if not data:
+        raise RuntimeError("the forked child sent no result and exited with code %d"
+                           % os.waitstatus_to_exitcode(status))
+    ok, theirs_out = marshal.loads(data)
+    if not ok:
+        name, text = theirs_out
+        raise type(name, (Exception,), {})(text)
+    return got, theirs_out
 
 
 def _verify_records(lemma: str, k: int, depth: str, counts_of) -> list[dict]:

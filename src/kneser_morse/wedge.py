@@ -46,7 +46,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable, NamedTuple
 
 from . import graphs
@@ -181,22 +181,33 @@ def c_set(j: int, k: int) -> list[tuple]:
                   and toggle_plan(t, j, k)[1])
 
 
-class FamilyFaces(NamedTuple):
+@dataclass
+class FamilyFaces:
     """The subset table of a set of triples inside a support.
 
     Bit b of a face stands for ``triples[b]``; ``unstable`` collects the
     bits whose triple is unstable.  ``cover[s]`` is one byte per subset s:
     bit i for each support element (in ascending order) that the table's
-    start or a triple of s covers, plus bit 7 when s holds an unstable bit.
-    ``faces`` is a ``morse.Bits`` view of the family (the subsets that
-    cover the support and hold an unstable bit) and ``full`` the bitset of
-    every subset that covers the support, unstable or not.
+    start or a triple of s covers, plus bit 7 when s holds an unstable bit;
+    ``whole`` has the bits of every support element.  ``faces`` is a
+    ``morse.Bits`` view of the family (the subsets that cover the support
+    and hold an unstable bit) and ``full`` the bitset of every subset that
+    covers the support, unstable or not.  Each is read off ``cover`` the
+    first time it is asked for, by one ``translate`` and one base-2 parse:
+    a C block of ``collapse`` reads its own bytes of the table and neither.
     """
     triples: tuple
     unstable: int
-    faces: Bits
     cover: bytearray
-    full: int
+    whole: int
+
+    @cached_property
+    def faces(self) -> Bits:
+        return Bits(bitset(self.cover, _digits(self.whole | 0x80)))
+
+    @cached_property
+    def full(self) -> int:
+        return bitset(self.cover, _digits(self.whole, self.whole | 0x80))
 
 
 _IDENTITY = int.from_bytes(bytes(range(256)), 'big')
@@ -225,8 +236,8 @@ def subset_table(k: int, cset: Iterable[int], triples: tuple, covered: tuple = (
     The table starts as one byte holding the ``covered`` positions and
     doubles once per triple: after triple b it holds every subset of bits
     0..b, the new upper half being the lower half with triple b added, one
-    ``translate`` per doubling.  One more ``translate`` and one base-2
-    parse each read the bitsets ``full`` and ``faces``.  The table is
+    ``translate`` per doubling.  The bitsets ``full`` and ``faces`` are
+    read off it only when asked for (``FamilyFaces``).  The table is
     exponential in the number of triples, hence the hard cap of
     ``SCAN_BITS``; the support is capped at 7 elements, clear of bit 7.
     """
@@ -247,10 +258,7 @@ def subset_table(k: int, cset: Iterable[int], triples: tuple, covered: tuple = (
             unstable |= 1 << b
             e |= 0x80
         table += table.translate(_or_table(e))
-    whole = (1 << len(support)) - 1
-    faces = bitset(table, _digits(whole | 0x80))
-    full = bitset(table, _digits(whole, whole | 0x80))
-    return FamilyFaces(tuple(triples), unstable, Bits(faces), table, full)
+    return FamilyFaces(tuple(triples), unstable, table, (1 << len(support)) - 1)
 
 
 def family_faces(k: int, cset: Iterable[int]) -> FamilyFaces:
@@ -360,16 +368,19 @@ def _matching_p1(k: int, j: int) -> FamilyMatching:
     where = "family (P, 1, %d) at k=%d" % (j, k)
     cset = p_complement(k, 1, j)
     fam = family_faces(k, cset)
-    idx = {t: b for b, t in enumerate(fam.triples)}
-    masks = nobit(len(fam.triples))
+    triples, faces, full, fibers = fam.triples, fam.faces, fam.full, split_fibers(fam)
+    # the subset table is read: drop it before the fibers are matched
+    del fam
+    idx = {t: b for b, t in enumerate(triples)}
+    masks = nobit(len(triples))
     stages: list = []
     criticals: list = []
     present: set = set()
     # lose[b]: the faces holding b whose facet without b misses part of
     # the support, ~nobit[b] & ~((full & nobit[b]) << 2^b)
     lose: dict[int, int] = {}
-    for u, fiber in split_fibers(fam).items():
-        v = fam.triples[u]
+    for u, fiber in fibers.items():
+        v = triples[u]
         present.add(v)
         plan, keeps = toggle_plan(v, j, k)
         toggles = []
@@ -387,18 +398,18 @@ def _matching_p1(k: int, j: int) -> FamilyMatching:
         ident = fiber
         for b in toggles:
             if b not in lose:
-                lose[b] = ~masks[b] & ~((fam.full & masks[b]) << (1 << b))
+                lose[b] = ~masks[b] & ~((full & masks[b]) << (1 << b))
             ident &= lose[b]
         if residue != ident:
             diff = residue ^ ident
             raise MatchingError("%s: toggle run of label %r disagrees with the residue identity at %r"
-                                % (where, v, decode((diff & -diff).bit_length() - 1, fam.triples)))
+                                % (where, v, decode((diff & -diff).bit_length() - 1, triples)))
         # the survivors are checked as a bitset and listed only to report
         if keeps:
             if residue != 1 << cell:
-                decoded = [decode(f, fam.triples) for f in members(residue)]
+                decoded = [decode(f, triples) for f in members(residue)]
                 raise MatchingError("%s: label %r kept %r instead of itself with its toggles %r"
-                                    % (where, v, decoded, decode(cell, fam.triples)))
+                                    % (where, v, decoded, decode(cell, triples)))
             criticals.append(cell)
         elif residue:
             raise MatchingError("%s: label %r should clear but kept %d cells"
@@ -407,10 +418,9 @@ def _matching_p1(k: int, j: int) -> FamilyMatching:
     missing = set(c_set(j, k)) - present
     if missing:
         raise MatchingError("%s: labels %r should retain a cell but own no face" % (where, sorted(missing)))
-    result = FamilyMatching(k, cset, fam.triples, fam.faces, StagePairs(stages), criticals)
-    # the subset table is not needed past this point; drop every reference
-    # to it before the DFS
-    del fam, lose
+    result = FamilyMatching(k, cset, triples, faces, StagePairs(stages), criticals)
+    # full coverage is not needed past this point; drop it before the DFS
+    del full, lose
     certify(result, where)
     return result
 

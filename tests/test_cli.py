@@ -2,14 +2,19 @@
 
 import csv
 import io
+import itertools
 import json
+import os
 import pathlib
 import re
 
 import pytest
 
-from kneser_morse import cli
+from kneser_morse import cli, morse
 from kneser_morse.cli import main
+from kneser_morse.complexes import complex_for
+from kneser_morse.homology import betti, relative_betti, relative_family
+from kneser_morse.wedge import filtration
 
 
 def run(capsys, *argv):
@@ -500,6 +505,82 @@ def test_a_theorem3_failure_carries_the_name_of_its_pass(monkeypatch, capsys, k,
     (result,) = json.loads(out)['results']
     assert (result['name'], result['pass']) == (name, False)
     assert err.splitlines()[0] == "FAIL %s" % name
+
+
+def no_child_left():
+    """True iff this process has no child left to reap."""
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
+
+
+def drop_a_top_step_facet(monkeypatch):
+    """Plant: ``morse.face_facets`` leaves out the first facet of the last
+    2-cell of the top relative step at k = 1, so d_2 d_3 is nonzero on the
+    3-cells above it, in ``kg`` and in the relative step alike."""
+    cell = relative_family(filtration(1, 3), filtration(1, 2), 2).faces(2)[-1]
+    facets = morse.face_facets
+    monkeypatch.setattr(morse, "face_facets",
+                        lambda f: itertools.islice(facets(f), f == cell, None))
+
+
+def error_of(fn):
+    with pytest.raises(Exception) as info:
+        fn()
+    return "%s: %s" % (type(info.value).__name__, info.value)
+
+
+def test_the_full_snf_checks_leave_no_child(capsys):
+    code, out, _ = run(capsys, "verify", "theorem3", "--k", "1", "--depth", "full-snf",
+                       "--format", "json")
+    assert code == 0 and len(json.loads(out)['results']) == 4
+    assert no_child_left()
+
+
+def test_a_relative_step_fails_in_the_child_as_it_would_in_process(monkeypatch, capsys):
+    # betti(kg) is stubbed to pass, so the error can only come from the child
+    class Right:
+        numbers = (0, 71, 0)  # t at k = 1
+
+    monkeypatch.setattr(cli, "betti", lambda cx, max_dim: Right)
+    drop_a_top_step_facet(monkeypatch)
+    want = error_of(lambda: relative_betti(filtration(1, 3), filtration(1, 2), max_dim=2))
+    assert want.startswith("AssertionError: d_2 d_3 is nonzero on column ")
+    code, out, _ = run(capsys, "verify", "theorem3", "--k", "1", "--depth", "full-snf",
+                       "--format", "json")
+    assert code == 1
+    (result,) = json.loads(out)['results']
+    assert (result['name'], result['pass'], result['detail']) == (
+        'theorem3-census', False, {'error': want})
+    assert no_child_left()
+
+
+def test_a_kg_failure_in_the_parent_is_reported_first(monkeypatch, capsys):
+    # the plant breaks both betti(kg) and the top relative step: the
+    # sequential order ranked kg first, so its error is the one reported
+    drop_a_top_step_facet(monkeypatch)
+    want = error_of(lambda: betti(complex_for('kg', 1), max_dim=2))
+    assert want != error_of(lambda: relative_betti(filtration(1, 3), filtration(1, 2), max_dim=2))
+    code, out, _ = run(capsys, "verify", "theorem3", "--k", "1", "--depth", "full-snf",
+                       "--format", "json")
+    assert code == 1
+    (result,) = json.loads(out)['results']
+    assert result['detail'] == {'error': want}
+    assert no_child_left()
+
+
+def test_a_child_that_sends_nothing_fails_the_check(monkeypatch, capsys):
+    # the stub runs only in the child: the parent ranks kg
+    monkeypatch.setattr(cli, "relative_betti", lambda *args, **kwargs: os._exit(3))
+    code, out, _ = run(capsys, "verify", "theorem3", "--k", "1", "--depth", "full-snf",
+                       "--format", "json")
+    assert code == 1
+    (result,) = json.loads(out)['results']
+    assert result['detail'] == {
+        'error': "RuntimeError: the forked child sent no result and exited with code 3"}
+    assert no_child_left()
 
 
 # Reports of the parent of the single face encoding, elapsed_ms masked, plus
