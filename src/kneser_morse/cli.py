@@ -20,7 +20,6 @@ to spare.
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import sys
@@ -304,6 +303,8 @@ def _short(val) -> str:
 
 
 def _render_csv(report: dict) -> str:
+    import csv  # loaded only for --format csv
+
     buf = io.StringIO()
     w = csv.writer(buf)
     results = report['results']

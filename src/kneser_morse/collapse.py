@@ -24,8 +24,8 @@ face of F listed or classified, and lists faces only for error witnesses.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from . import complexes, graphs, wedge
 from .complexes import decode, remap
@@ -275,8 +275,7 @@ def matching_C(k: int, v) -> list[FamilyMatching]:
 # ---------------------------------------------------------------------------
 # the composed collapse
 
-@dataclass
-class VerificationRecord:
+class VerificationRecord(NamedTuple):
     lemma: str
     k: int
     fiber: str
@@ -287,8 +286,7 @@ class VerificationRecord:
     critical_count: int
 
 
-@dataclass
-class CollapseReport:
+class CollapseReport(NamedTuple):
     """``fibers`` maps each nonempty A, B and C label to its parts: the
     family's matching, or the fiber's blocks; ``critical`` is ``sg``,
     ascending."""

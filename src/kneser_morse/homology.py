@@ -36,8 +36,7 @@ equal the number of invariant factors not divisible by p.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from . import morse
 
@@ -65,8 +64,7 @@ class SparseIntMatrix:
         return rows
 
 
-@dataclass(frozen=True)
-class SNFResult:
+class SNFResult(NamedTuple):
     diagonal: tuple[int, ...]  # positive invariant factors, each dividing the next
     rank: int
 
@@ -180,8 +178,7 @@ def relative_family(X, A, max_dim: int) -> FaceFamily:
     return FaceFamily(bands)
 
 
-@dataclass(frozen=True)
-class BettiResult:
+class BettiResult(NamedTuple):
     numbers: tuple[int, ...]          # index d = dimension
     torsion: tuple[tuple[int, ...], ...]
     cells: tuple[int, ...]

@@ -45,7 +45,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Iterable, NamedTuple
 
@@ -181,7 +180,6 @@ def c_set(j: int, k: int) -> list[tuple]:
                   and toggle_plan(t, j, k)[1])
 
 
-@dataclass
 class FamilyFaces:
     """The subset table of a set of triples inside a support.
 
@@ -196,10 +194,12 @@ class FamilyFaces:
     first time it is asked for, by one ``translate`` and one base-2 parse:
     a C block of ``collapse`` reads its own bytes of the table and neither.
     """
-    triples: tuple
-    unstable: int
-    cover: bytearray
-    whole: int
+
+    def __init__(self, triples: tuple, unstable: int, cover: bytearray, whole: int):
+        self.triples = triples
+        self.unstable = unstable
+        self.cover = cover
+        self.whole = whole
 
     @cached_property
     def faces(self) -> Bits:
@@ -319,8 +319,7 @@ def toggle_run(faces: int, toggles: Iterable[int]) -> tuple[list, int]:
     return stages, faces
 
 
-@dataclass
-class FamilyMatching:
+class FamilyMatching(NamedTuple):
     """An acyclic matching on one family: a P- or Q-family here, or an A-
     or B-family or a C block (v, u*) of ``collapse``, whose ``cset`` is u*.
 

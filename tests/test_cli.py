@@ -7,6 +7,8 @@ import json
 import os
 import pathlib
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -125,6 +127,41 @@ def test_multi_result_csv_shows_a_failure_beside_the_census(monkeypatch, capsys)
     passed = {name: ok for name, _, ok, _ in list(csv.reader(io.StringIO(out)))[1:]}
     assert passed == {'theorem3-census': '1', 'theorem3-betti': '0',
                       'theorem3-relative-top': '1', 'theorem3-relative-mid': '1'}
+
+
+# modules that start-up need not load: dataclasses and what it pulls in,
+# and csv, which only --format csv reads
+STARTUP_UNNEEDED = ('dataclasses', 'inspect', 'ast', 'dis', 'tokenize', 'csv')
+SRC = pathlib.Path(__file__).resolve().parent.parent / 'src'
+
+
+def check_startup_modules(plant=""):
+    """Import ``kneser_morse.cli`` in a fresh ``python -S`` and fail, naming
+    them, if that adds any of ``STARTUP_UNNEEDED`` to ``sys.modules``.
+    ``plant`` runs between the snapshot of ``sys.modules`` and the import."""
+    probe = ("import json, sys\n"
+             "sys.path.insert(0, %r)\n"
+             "before = set(sys.modules)\n"
+             "%s\n"
+             "import kneser_morse.cli\n"
+             "print(json.dumps([kneser_morse.cli.__file__, sorted(set(sys.modules) - before)]))"
+             % (str(SRC), plant))
+    done = subprocess.run([sys.executable, '-S', '-c', probe], capture_output=True, text=True,
+                          timeout=60)
+    assert done.returncode == 0, done.stderr
+    where, added = json.loads(done.stdout)
+    assert pathlib.Path(where).is_relative_to(SRC), where
+    loaded = [name for name in STARTUP_UNNEEDED if name in added]
+    assert not loaded, "import kneser_morse.cli loads %s" % ", ".join(loaded)
+
+
+def test_the_cli_starts_without_dataclasses_or_csv():
+    check_startup_modules()
+
+
+def test_a_planted_inspect_import_fails_the_startup_guard():
+    with pytest.raises(AssertionError, match=r"loads .*\binspect\b"):
+        check_startup_modules("import inspect")
 
 
 def test_refusal_large_k(capsys):

@@ -10,7 +10,6 @@ critical.
 """
 
 import ast
-import dataclasses
 import functools
 import hashlib
 import itertools
@@ -1177,7 +1176,7 @@ def plant_dropped_pair(monkeypatch):
         if (k, s, t) != (2, 1, 4):
             return fm
         (b, up), *rest = fm.pairs.stages
-        return dataclasses.replace(fm, pairs=morse.StagePairs([(b, up & (up - 1))] + rest))
+        return fm._replace(pairs=morse.StagePairs([(b, up & (up - 1))] + rest))
 
     monkeypatch.setattr(collapse, 'matching_A', matching)
     return r"face \(\(\d+, \d+, \d+\).* of s lies in 0 parts \[fiber A s=1 t=4\]$"
@@ -1260,8 +1259,8 @@ def plant_block_drops_a_pair(monkeypatch):
     (b, up), = block.pairs.stages
     tau = (up & -up).bit_length() - 1
     sigma = tau ^ 1 << b
-    dropped = dataclasses.replace(block, faces=morse.Bits(block.faces.bits ^ 1 << sigma ^ 1 << tau),
-                                  pairs=morse.StagePairs([(b, up ^ 1 << tau)]))
+    dropped = block._replace(faces=morse.Bits(block.faces.bits ^ 1 << sigma ^ 1 << tau),
+                             pairs=morse.StagePairs([(b, up ^ 1 << tau)]))
     monkeypatch.setattr(collapse, 'matching_C', lambda k, u: [dropped] + real(k, u)[1:]
                         if (k, u) == (2, v) else real(k, u))
     first = min(remap(f, index_table(block)) for f in (sigma, tau))

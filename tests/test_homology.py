@@ -76,6 +76,21 @@ def test_snf_empty():
     assert s.rank == 0 and s.diagonal == ()
 
 
+def test_snf_torsion_keeps_the_factors_above_one():
+    s = homology.SNFResult((1, 1, 2, 6), 4)
+    assert s.torsion == (2, 6) and s.diagonal == (1, 1, 2, 6) and s.rank == 4
+    assert homology.SNFResult((1,), 1).torsion == ()
+
+
+@pytest.mark.parametrize("result,field", [
+    (homology.SNFResult((2,), 1), 'rank'),
+    (homology.BettiResult((0, 1), ((), ()), (2, 1), (1, 0, 0), True), 'numbers'),
+])
+def test_homology_results_are_immutable(result, field):
+    with pytest.raises(AttributeError):
+        setattr(result, field, getattr(result, field))
+
+
 P, Q = CHECK_PRIMES
 
 

@@ -1,7 +1,6 @@
 """The filtration between the stable and ambient complexes, and the layered
 matchings that collapse the two outer steps family by family."""
 
-import dataclasses
 import itertools
 import re
 
@@ -279,6 +278,21 @@ def test_a_stable_table_past_seven_support_elements_is_refused():
     with pytest.raises(ValueError, match=r"support of 8 elements spans 20 triples; subset scan "
                                          r"beyond 22 bits or 7 elements refused"):
         wedge.subset_table(5, (1, 2, 3), stable(5))
+
+
+def test_a_subset_table_reads_faces_and_full_once_each_when_asked(monkeypatch):
+    calls = []
+
+    def counted(cover, digits):
+        calls.append(digits)
+        return morse.bitset(cover, digits)
+
+    monkeypatch.setattr(wedge, 'bitset', counted)
+    fam = wedge.subset_table(1, (1, 2, 3), tuple(itertools.combinations(range(4, 8), 3)))
+    assert len(calls) == 0
+    assert fam.faces is fam.faces and len(calls) == 1
+    assert fam.full and len(calls) == 2
+    assert fam.full and fam.faces and len(calls) == 2
 
 
 BASE_FAMILIES = [(k, j) for k in (0, 1, 2) for j in index_I(1, k)] + [(3, 4)]
@@ -633,14 +647,14 @@ def test_certify_names_every_way_a_face_is_stray():
     first, *rest = fm.critical
     off = 1  # the first triple alone covers 3 of the 4 support elements
     assert not fm.faces.bits >> off & 1 and len(rest) == 2
-    certify_fails_on(dataclasses.replace(fm, critical=[up] + fm.critical), (up, "is critical and paired"))
-    certify_fails_on(dataclasses.replace(fm, critical=fm.critical + [off]), (off, "is critical but is no face"))
-    certify_fails_on(dataclasses.replace(fm, critical=fm.critical + [first]),
+    certify_fails_on(fm._replace(critical=[up] + fm.critical), (up, "is critical and paired"))
+    certify_fails_on(fm._replace(critical=fm.critical + [off]), (off, "is critical but is no face"))
+    certify_fails_on(fm._replace(critical=fm.critical + [first]),
                      (first, "is listed critical twice"))
-    certify_fails_on(dataclasses.replace(fm, critical=rest), (first, "survives the toggle run"))
+    certify_fails_on(fm._replace(critical=rest), (first, "survives the toggle run"))
     # the pair (0, 0b10) off the family, whose lower face's neighbour mask 1 is unpaired
     outside = morse.StagePairs(fm.pairs.stages + [(1, 1 << 0b10)])
-    certify_fails_on(dataclasses.replace(fm, pairs=outside), (0, "is paired but is no face"))
+    certify_fails_on(fm._replace(pairs=outside), (0, "is paired but is no face"))
 
 
 # the first face, in mask order, at which the planted run and the residue
