@@ -1,11 +1,12 @@
 """Exact homology of the face complexes: coreduction, then the Smith form.
 
-Faces are integer bitmasks; every facet and sign comes from
-``morse.face_facets``.  ``betti`` lists the cells of dimension
+Faces are integer bitmasks.  ``betti`` lists the cells of dimension
 -1..max_dim + 1 and walks their facets once, into ``morse.facet_table``:
 per cell, the indices of its facets among the cells grouped by sign, the
-+1 facets up to the cell's cut and the -1 facets after it.  A facet
-outside the cells is dropped, so relative homology of a pair
++1 facets up to the cell's cut and the -1 facets after it.  The table
+applies the sign rule itself; ``boundary_matrix`` reads the same rule face
+by face from ``morse.face_facets``, the rule the tests hold the table to.
+A facet outside the cells is dropped, so relative homology of a pair
 (X, A) runs the same machinery on the quotient cells (faces of X not in
 A).  Betti numbers in dimension d are b_d = n_d - rank d_d - rank
 d_{d+1}; the reduced variant augments with the empty face.

@@ -24,12 +24,14 @@ Faces are integer bitmasks, bit b standing for one vertex: a facet drops
 one bit and a cover adds one.  A bitset holds a set of faces as one int,
 bit f standing for face f; ``Bits`` and ``StagePairs`` are sized views
 that read such sets as faces and pairs without listing them.
-``face_facets`` is the one facet and sign helper, read by ``facet_table``
-(the table ``coreduce`` runs on, built once per ``homology.betti`` call),
-``verify_poset_map`` and ``homology.boundary_matrix``.  The table keeps one
-row of facet indices per cell, its +1 facets before its -1 facets, and the
-count of the first group (the cut) in a bytearray, so a row's signs need no
-storage of their own; ``incidences`` reads them back.
+``facet_table`` is the table ``coreduce`` runs on, built once per
+``homology.betti`` call.  It applies the sign rule itself as it walks each
+cell's bits, and keeps one row of facet indices per cell, its +1 facets
+before its -1 facets, and the count of the first group (the cut) in a
+bytearray, so a row's signs need no storage of their own; ``incidences``
+reads them back.  ``face_facets`` is the same rule face by face, read by
+``verify_poset_map`` and ``homology.boundary_matrix``; the tests hold the
+table to it.
 """
 
 from __future__ import annotations
@@ -358,35 +360,35 @@ def _search_dict(pairs: list) -> tuple[bool, list | None]:
 
 
 def facet_table(cells: list) -> tuple[list[tuple[int, ...]], bytearray, dict]:
-    """The facets of each cell that lie in ``cells``, walked once with
-    ``face_facets``, as indices into ``cells``: per cell one row, its
-    facets of incidence +1, then -1, then any other, each group in
-    ``face_facets`` order; a bytearray of the +1 count (the cut) per cell;
-    and a record, cell -> its row's incidences, of the cells with an
-    incidence other than +-1.  Under the real sign rule the record is
-    empty, and a row reads +1 up to its cut and -1 after it."""
+    """The facets of each cell that lie in ``cells``, as indices into
+    ``cells``: per cell one row, its facets of incidence +1, then -1, each
+    group in ascending order of the dropped bit; a bytearray of the +1
+    count (the cut) per cell; and the record, cell -> its row's
+    incidences, of the cells with an incidence other than +-1, which the
+    sign rule leaves empty.
+
+    The table applies the sign rule itself: it walks each cell's set bits
+    in ascending order, looks up the cell without the bit, and files a
+    facet found at +1 or -1 by the parity of the bit's position, the sign
+    ``face_facets`` gives face by face.  The tests hold the table to that
+    rule."""
     index = {c: i for i, c in enumerate(cells)}
-    rows, cut, odd = [], bytearray(len(cells)), {}
+    get = index.get
+    rows, cut = [], bytearray(len(cells))
     for n, c in enumerate(cells):
-        plus, minus, other, signs = [], [], [], []
-        for g, s in face_facets(c):
-            i = index.get(g)
-            if i is None:
-                continue
-            if s == 1:
-                plus.append(i)
-            elif s == -1:
-                minus.append(i)
-            else:
-                other.append(i)
-                signs.append(s)
+        plus, minus = [], []
+        rest, into, other = c, plus, minus
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            i = get(c ^ low)
+            if i is not None:
+                into.append(i)
+            into, other = other, into
         cut[n] = len(plus)
-        if other:
-            odd[n] = (1,) * len(plus) + (-1,) * len(minus) + tuple(signs)
-            minus += other
         plus += minus
         rows.append(tuple(plus))
-    return rows, cut, odd
+    return rows, cut, {}
 
 
 def incidences(table: tuple[list, bytearray, dict], i: int) -> tuple[int, ...]:
@@ -438,7 +440,9 @@ def coreduce(cells: list, table: tuple[list, bytearray, dict]) -> tuple[dict, li
             a = ready.pop()
             if removed[a] or alive[a] != 1:
                 continue
-            (at, b), = ((at, g) for at, g in enumerate(rows[a]) if not removed[g])
+            for at, b in enumerate(rows[a]):
+                if not removed[b]:
+                    break
             if a in odd and odd[a][at] not in (1, -1):
                 raise AssertionError("face %r pairs with its facet %r at incidence %d, "
                                      "not +-1" % (cells[a], cells[b], odd[a][at]))

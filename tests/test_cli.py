@@ -18,6 +18,8 @@ from kneser_morse.complexes import complex_for
 from kneser_morse.homology import betti, relative_betti, relative_family
 from kneser_morse.wedge import filtration
 
+from test_homology import plant_facets
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -555,12 +557,13 @@ def no_child_left():
 
 def drop_a_top_step_facet(monkeypatch):
     """Plant: ``morse.face_facets`` leaves out the first facet of the last
-    2-cell of the top relative step at k = 1, so d_2 d_3 is nonzero on the
-    3-cells above it, in ``kg`` and in the relative step alike."""
+    2-cell of the top relative step at k = 1, and every facet table is
+    walked with it (``plant_facets``), so d_2 d_3 is nonzero on the 3-cells
+    above it, in ``kg`` and in the relative step alike.  A forked child
+    inherits both patches."""
     cell = relative_family(filtration(1, 3), filtration(1, 2), 2).faces(2)[-1]
     facets = morse.face_facets
-    monkeypatch.setattr(morse, "face_facets",
-                        lambda f: itertools.islice(facets(f), f == cell, None))
+    plant_facets(monkeypatch, lambda f: itertools.islice(facets(f), f == cell, None))
 
 
 def error_of(fn):

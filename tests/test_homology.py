@@ -220,6 +220,47 @@ def test_betti_against_fraction_ranks():
         assert euler == sum((-1) ** d * x for d, x in enumerate(b.numbers))
 
 
+def reference_table(cells):
+    """``morse.facet_table`` walked with ``morse.face_facets``: per cell one
+    row of facet indices, its facets of incidence +1, then -1, then any
+    other, each group in ``face_facets`` order; the +1 count (the cut) per
+    cell; and the record, cell -> its row's incidences, of the cells with
+    an incidence other than +-1.  Under the real sign rule it equals the
+    table; under a planted ``face_facets`` it carries the plant."""
+    index = {c: i for i, c in enumerate(cells)}
+    rows, cut, odd = [], bytearray(len(cells)), {}
+    for n, c in enumerate(cells):
+        plus, minus, other, signs = [], [], [], []
+        for g, s in morse.face_facets(c):
+            i = index.get(g)
+            if i is None:
+                continue
+            if s == 1:
+                plus.append(i)
+            elif s == -1:
+                minus.append(i)
+            else:
+                other.append(i)
+                signs.append(s)
+        cut[n] = len(plus)
+        if other:
+            odd[n] = (1,) * len(plus) + (-1,) * len(minus) + tuple(signs)
+            minus += other
+        plus += minus
+        rows.append(tuple(plus))
+    return rows, cut, odd
+
+
+def plant_facets(monkeypatch, walk):
+    """Plant ``walk`` as ``morse.face_facets`` and build every facet table
+    with ``reference_table``, which reads it: the table applies the sign
+    rule itself, so only then does the plant reach ``_certify``,
+    ``coreduce`` and ``_morse_boundaries`` as well as the face-level
+    oracles."""
+    monkeypatch.setattr(morse, 'face_facets', walk)
+    monkeypatch.setattr(morse, 'facet_table', reference_table)
+
+
 def flip_a_sign(monkeypatch, X, flip):
     """Negate the first sign ``morse.face_facets`` gives for the first face
     of X.faces(flip): the first entry of column 0 of d_flip."""
@@ -231,7 +272,7 @@ def flip_a_sign(monkeypatch, X, flip):
             out[0] = (out[0][0], -out[0][1])
         return iter(out)
 
-    monkeypatch.setattr(morse, 'face_facets', flipped)
+    plant_facets(monkeypatch, flipped)
 
 
 def test_a_flipped_boundary_sign_breaks_the_certificate(monkeypatch):
@@ -330,9 +371,7 @@ def coreduce(family, max_dim, reduced, order):
     """``morse.coreduce`` on the cells ``betti`` ranks, each dimension's
     cells in ascending or descending mask order: its pairs and critical
     cells, then the cells and their facet table."""
-    cells = [0] if reduced else []
-    for d in range(max_dim + 2):
-        cells += family.faces(d) if order == 'ascending' else reversed(family.faces(d))
+    cells = betti_cells(family, max_dim, reduced, order)
     table = morse.facet_table(cells)
     return morse.coreduce(cells, table) + (cells, table)
 
@@ -374,7 +413,7 @@ def test_morse_complex_squares_to_zero_and_keeps_the_ranks(name, order, thin):
 def test_a_non_unit_pair_incidence_is_named(monkeypatch):
     # every incidence doubled: d d = 0 still holds, but no pair may form
     facets = morse.face_facets
-    monkeypatch.setattr(morse, 'face_facets', lambda f: ((g, 2 * s) for g, s in facets(f)))
+    plant_facets(monkeypatch, lambda f: ((g, 2 * s) for g, s in facets(f)))
     with pytest.raises(AssertionError, match=r"face \d+ pairs with its facet \d+ at incidence "):
         betti(complex_for('s', 1), 2)
 
@@ -399,7 +438,7 @@ def test_a_dropped_facet_is_named(monkeypatch):
     cx = complex_for('s', 1)
     tri = cx.faces(2)[0]
     facets = morse.face_facets
-    monkeypatch.setattr(morse, 'face_facets', lambda f: (
+    plant_facets(monkeypatch, lambda f: (
         (g, s) for g, s in facets(f) if (f, g) != (tri, tri & (tri - 1))))
     with pytest.raises(AssertionError) as e:
         betti(cx, 3)
@@ -492,10 +531,12 @@ REFERENCE = ['rp2'] + ['%s%d' % (kind, k) for kind in ('kg', 's', 'sg', 'top', '
                        for k in (0, 1, 2)]
 
 
-def betti_cells(family, max_dim, reduced):
-    """The cells ``betti`` lists, each dimension's in descending mask order."""
+def betti_cells(family, max_dim, reduced, order='descending'):
+    """The cells ``betti`` lists, each dimension's in descending mask order,
+    or in ascending order when ``order`` says so."""
     return ([0] if reduced else []) + [
-        f for d in range(max_dim + 2) for f in reversed(family.faces(d))]
+        f for d in range(max_dim + 2)
+        for f in (family.faces(d) if order == 'ascending' else reversed(family.faces(d)))]
 
 
 @pytest.mark.parametrize("name", REFERENCE)
@@ -523,13 +564,27 @@ def test_the_facet_table_reads_as_the_boundary_matrices(name):
                 assert [g for g, s in row if s == sign] == [g for g, s in column if s == sign]
     assert not reduced or rows[0] == ()  # the empty face has no facet
 
+
+@pytest.mark.parametrize("order", ['descending', 'ascending'])
+@pytest.mark.parametrize("name", REFERENCE)
+def test_the_facet_table_applies_the_sign_rule_of_face_facets(name, order):
+    family, max_dim, reduced = reference_case(name)
+    cells = betti_cells(family, max_dim, reduced, order)
+    assert morse.facet_table(cells) == reference_table(cells)
+
+
 @pytest.mark.parametrize("name", ['rp2', 's1', 'kg2', 'top1', 'mid2'])
 def test_betti_walks_the_facets_of_each_cell_once(name, monkeypatch):
+    # one table, on exactly the cells betti lists, and no face-level walk
     family, max_dim, reduced = reference_case(name)
-    walked, facets = [], morse.face_facets
+    tables, walked = [], []
+    table, facets = morse.facet_table, morse.face_facets
+    monkeypatch.setattr(morse, 'facet_table',
+                        lambda cells: (tables.append(list(cells)), table(cells))[1])
     monkeypatch.setattr(morse, 'face_facets', lambda f: (walked.append(f), facets(f))[1])
     betti(family, max_dim, reduced=reduced)
-    assert sorted(walked) == sorted(betti_cells(family, max_dim, reduced))
+    assert tables == [betti_cells(family, max_dim, reduced)]
+    assert walked == []
 
 
 @pytest.mark.parametrize("order", ['descending', 'ascending'])
@@ -590,7 +645,7 @@ def outcome(run):
 def test_a_perturbed_table_fails_as_the_oracles_do(name, how, monkeypatch):
     family, max_dim, reduced = reference_case(name)
     top, cells = max_dim + 1, betti_cells(family, max_dim, reduced)
-    monkeypatch.setattr(morse, 'face_facets', perturbed(how, cells))
+    plant_facets(monkeypatch, perturbed(how, cells))
 
     def on_the_table():
         table = morse.facet_table(cells)
@@ -615,8 +670,7 @@ def test_a_recorded_row_still_pairs_at_a_unit_incidence(name, order, sign, monke
     # other incidences; the face still pairs through a facet at +-1, as the
     # dict oracle pairs it
     family, max_dim, reduced = reference_case(name)
-    monkeypatch.setattr(morse, 'face_facets',
-                        perturbed('tripled', betti_cells(family, max_dim, reduced)))
+    plant_facets(monkeypatch, perturbed('tripled', betti_cells(family, max_dim, reduced)))
     pairs, critical, cells, (rows, _, odd) = coreduce(family, max_dim, reduced, order)
     want_pairs, want_critical = oracle_coreduce(cells)
     assert list(pairs.items()) == list(want_pairs.items()) and critical == want_critical

@@ -218,7 +218,7 @@ def planted_cycle(fm):
 def test_a_cycle_planted_in_a_base_family_is_caught():
     fm = matching_P(2, 1, 4)
     pairs = planted_cycle(fm)
-    m = Matching(StagePairs(planted_stages(fm)))
+    m = Matching(StagePairs(planted_stages(fm, pairs)))
     assert list(m.pairs) == pairs
     assert is_acyclic(Matching(fm.pairs)) == (True, None)
     ok, witness = is_acyclic(m)
@@ -255,8 +255,9 @@ def assert_layouts_agree(staged):
     assert m.partner == listed.partner
     assert matched(m) == matched(listed)
     assert -1 not in m and -1 not in listed
+    partner = m.partner
     for f in range(2 << width(listed.pairs)):
-        assert (f in m) == (f in m.partner) == (f in listed)
+        assert (f in m) == (f in partner) == (f in listed)
 
 
 def test_the_pairs_pick_the_layout(monkeypatch):
@@ -431,7 +432,8 @@ def test_a_cycle_planted_in_a_k3_base_family_is_caught_in_both_layouts():
     # as at k = 2 above, on the 2^20-mask table of (3, 1, 4): peeling stalls
     # with pairs left, and their search names the cycle that the same pairs
     # listed, searched in full on the dict layout, name
-    m = Matching(StagePairs(planted_stages(matching_P(3, 1, 4))))
+    fm = matching_P(3, 1, 4)
+    m = Matching(StagePairs(planted_stages(fm, planted_cycle(fm))))
     assert table_width(m) == 1 << 20
     # more masks than the int string-digit limit allows digits (4300 by
     # default): the bitsets are listed through base 2, which it exempts
@@ -445,11 +447,11 @@ def test_a_cycle_planted_in_a_k3_base_family_is_caught_in_both_layouts():
     assert is_acyclic(Matching(list(m.pairs))) == (False, witness)
 
 
-def planted_stages(fm):
-    """``planted_cycle`` in stage form: every stage of ``fm`` without the
-    pairs that touch the six planted faces, then one stage per planted
-    pair, so it iterates as the planted pair list."""
-    planted = planted_cycle(fm)[-3:]
+def planted_stages(fm, pairs):
+    """``pairs``, the ``planted_cycle`` of ``fm``, in stage form: every
+    stage of ``fm`` without the pairs that touch the six planted faces,
+    then one stage per planted pair, so it iterates as ``pairs``."""
+    planted = pairs[-3:]
     touched = {f for pair in planted for f in pair}
     drop = sum(1 << tau for sigma, tau in fm.pairs if touched & {sigma, tau})
     return [(b, up & ~drop) for b, up in fm.pairs.stages] + stage_each(planted).stages
@@ -460,8 +462,9 @@ def test_a_cycle_planted_in_stage_form_is_caught_in_every_layout():
     # peeled, and searched stage by stage, they give the witness and the
     # lookups of the same pairs listed on the dict layout
     fm = matching_P(3, 1, 4)
-    staged = StagePairs(planted_stages(fm))
-    assert list(staged) == planted_cycle(fm)
+    pairs = planted_cycle(fm)
+    staged = StagePairs(planted_stages(fm, pairs))
+    assert list(staged) == pairs
     m = Matching(staged)
     assert m.pairs is staged
     rest, rounds = peeled(m)
@@ -469,7 +472,7 @@ def test_a_cycle_planted_in_stage_form_is_caught_in_every_layout():
     ok, witness = is_acyclic(m)
     assert not ok
     assert_witness_closes(m, witness)
-    assert set(witness) & set(planted_cycle(fm)[-3:])
+    assert set(witness) & set(pairs[-3:])
     assert_layouts_agree(staged)
 
 
