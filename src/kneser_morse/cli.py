@@ -10,7 +10,12 @@ the exact homology oracle.
 Reports carry {command, k, results, seed, elapsed_ms}; everything except
 elapsed_ms is byte-deterministic for a fixed (command, k, format, seed).
 ``--depth counts`` runs the formulas only, ``acyclicity`` adds the census
-and matching checks, ``full-snf`` the exact homology cross-checks.  The
+and matching checks, ``full-snf`` the exact homology cross-checks.  At
+``full-snf`` one forked child runs the census and then the top and middle
+relative steps while the process ranks ``kg``; the census's result fills
+the process's memo, so ``verify all`` still runs one census, and a failure
+is reported as in a run of the four in turn: the census's first, then
+``kg``'s, then a relative step's.  The
 table ``VERIFY`` gives each verify target the depths it reads and its
 default k cap at each, ``CAPS`` the caps of build and betti, both restated
 in README's "Size caps"; --allow-large lifts the caps for anyone with time
@@ -83,21 +88,30 @@ def _theorem3_name(censused: bool) -> str:
 def _census_once(k: int, depth: str):
     """``wedge.theorem3_counts`` at k, run at most once per invocation,
     failures included, so the targets of ``verify all`` share one census and
-    all fail with its error if it raises."""
+    all fail with its error if it raises.  ``counts_of(outcome)`` takes the
+    (counts, error) outcome of a census run elsewhere, the forked child of
+    the full-snf checks, in place of running one here."""
     memo: list = []
 
-    def counts_of() -> dict:
+    def counts_of(outcome: tuple | None = None) -> dict:
         if not memo:
-            try:
-                memo.append((wedge.theorem3_counts(k, census=_censused(k, depth)), None))
-            except Exception as e:
-                memo.append((None, e))
-        out, err = memo[0]
-        if err is not None:
-            raise err
-        return out
+            if outcome is None:
+                try:
+                    outcome = (wedge.theorem3_counts(k, census=_censused(k, depth)), None)
+                except Exception as e:
+                    outcome = (None, e)
+            memo.append(outcome)
+        return _settled(memo[0])
 
     return counts_of
+
+
+def _settled(outcome: tuple):
+    """The value of a (value, error) outcome, or its error raised."""
+    value, err = outcome
+    if err is not None:
+        raise err
+    return value
 
 
 def _verify_theorem2(name: str, k: int, depth: str, counts_of) -> list[dict]:
@@ -112,6 +126,7 @@ def _verify_theorem2(name: str, k: int, depth: str, counts_of) -> list[dict]:
 
 
 def _verify_theorem3(name: str, k: int, depth: str, counts_of) -> list[dict]:
+    snf = _full_snf(k, counts_of) if depth == 'full-snf' else None
     counts = counts_of()
     out = [_result(_theorem3_name(counts['censused']), k, True,
                    extra_k_cells=counts['extra_k_cells'],
@@ -121,12 +136,9 @@ def _verify_theorem3(name: str, k: int, depth: str, counts_of) -> list[dict]:
                    **({'union_route': counts['union_route']} if counts['censused'] else {}),
                    families=len(counts['rows']) or None,
                    rows=[list(r) for r in counts['rows']])]
-    if depth == 'full-snf':
+    if snf:
+        kg, (top, mid) = snf
         t = counts['predicted_t']
-        cx = complex_for('kg', k)  # level 3 of the filtration: built once, before the fork
-        kg, (top, mid) = _beside(lambda: betti(cx, max_dim=k + 1).numbers, lambda: (
-            relative_betti(wedge.filtration(k, 3), wedge.filtration(k, 2), max_dim=k + 1).numbers,
-            relative_betti(wedge.filtration(k, 2), wedge.filtration(k, 1), max_dim=max(k, 1)).numbers))
         want = tuple(t if d == k else 0 for d in range(k + 2))
         out.append(_result('theorem3-betti', k, kg == want, numbers=list(kg), wanted=list(want)))
         wt = tuple(counts['extra_k_cells'] if d == k else 0 for d in range(k + 2))
@@ -136,17 +148,38 @@ def _verify_theorem3(name: str, k: int, depth: str, counts_of) -> list[dict]:
     return out
 
 
-def _beside(mine, theirs) -> tuple:
-    """(mine(), theirs()), with ``theirs`` run in one forked child while
-    this process runs ``mine``.
+def _full_snf(k: int, counts_of) -> tuple:
+    """The Betti numbers of ``kg`` and of the top and middle relative steps.
 
-    The child sends its result, or the type name and text of its exception,
-    back over a pipe with ``marshal`` and always ends with ``os._exit``, so
-    it flushes none of this process's buffers.  An exception of ``mine`` is
-    raised first, as if it had run first; one of ``theirs`` is raised here
-    again under its type name with its text, so ``_run`` reports it as if
-    it had been raised in this process, and a child that sends nothing
-    raises ``RuntimeError``.  The child is reaped on every path."""
+    ``kg``'s bands 0..k+2 are listed here, so both sides of the fork read
+    them; then one forked child runs the census and the two relative steps,
+    in that order, while this process ranks ``kg``, and the child's census
+    fills the memo of ``counts_of``.  Errors are raised as in a run of the
+    four in turn: the census's, then ``kg``'s, then a relative step's."""
+    cx = complex_for('kg', k)  # level 3 of the filtration, so the child reads it too
+    for d in range(k + 3):
+        cx.faces(d)
+    kg, census, steps = _beside(lambda: betti(cx, max_dim=k + 1).numbers, counts_of, lambda: (
+        relative_betti(wedge.filtration(k, 3), wedge.filtration(k, 2), max_dim=k + 1).numbers,
+        relative_betti(wedge.filtration(k, 2), wedge.filtration(k, 1), max_dim=max(k, 1)).numbers))
+    counts_of(census)
+    return _settled(kg), _settled(steps)
+
+
+def _beside(mine, *theirs) -> tuple:
+    """The outcomes of ``mine``, run in this process, and of each of
+    ``theirs``, run in turn in one forked child meanwhile; an outcome is
+    (value, None), or (None, exception) for a call that raised.
+
+    The child stops at the first call that raises.  It sends each outcome
+    over a pipe with ``marshal`` as soon as it has it, an exception as its
+    type name and text, and always ends with ``os._exit``, so it flushes
+    none of this process's buffers.  Here an exception of the child is
+    rebuilt under its type name with its text, so ``_run`` reports it as if
+    it had been raised in this process.  A call the child did not report
+    reads as the error that stopped the child: the exception of an earlier
+    call, or a ``RuntimeError`` when the child sent nothing more.  The child
+    is reaped on every path."""
     import marshal
     import os
     r, w = os.pipe()
@@ -154,29 +187,36 @@ def _beside(mine, theirs) -> tuple:
     if not pid:
         try:
             os.close(r)
-            try:
-                sent = (True, theirs())
-            except Exception as e:
-                sent = (False, (type(e).__name__, str(e)))
             with os.fdopen(w, 'wb') as fh:
-                fh.write(marshal.dumps(sent))
+                for call in theirs:
+                    try:
+                        fh.write(marshal.dumps((True, call())))
+                    except Exception as e:
+                        fh.write(marshal.dumps((False, (type(e).__name__, str(e)))))
+                        break
+                    fh.flush()
         finally:
             os._exit(0)
     os.close(w)
     try:
         with os.fdopen(r, 'rb') as fh:
-            got = mine()
+            try:
+                here = (mine(), None)
+            except Exception as e:
+                here = (None, e)
             data = fh.read()
     finally:
         _, status = os.waitpid(pid, 0)
-    if not data:
-        raise RuntimeError("the forked child sent no result and exited with code %d"
-                           % os.waitstatus_to_exitcode(status))
-    ok, theirs_out = marshal.loads(data)
-    if not ok:
-        name, text = theirs_out
-        raise type(name, (Exception,), {})(text)
-    return got, theirs_out
+    sent, stream = [], io.BytesIO(data)
+    while stream.tell() < len(data):
+        ok, value = marshal.load(stream)
+        sent.append((value, None) if ok else (None, type(value[0], (Exception,), {})(value[1])))
+    if len(sent) < len(theirs):
+        stop = sent[-1][1] if sent and sent[-1][1] else RuntimeError(
+            "the forked child sent no result and exited with code %d"
+            % os.waitstatus_to_exitcode(status))
+        sent += [(None, stop)] * (len(theirs) - len(sent))
+    return (here, *sent)
 
 
 def _verify_records(lemma: str, k: int, depth: str, counts_of) -> list[dict]:

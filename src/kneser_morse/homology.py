@@ -24,8 +24,10 @@ is the Morse torsion.  The equivalence needs d d = 0, so that is
 certified exactly first, on every column of every boundary the ranks
 read, from the same table: a column's image is zero iff the facets of its
 facets that enter at +1 and at -1 form equal lists once both are sorted.
-A nonzero image raises ``AssertionError`` naming d, the column and the
-face.
+For each boundary d the rows of the cells of dimension d - 1 are split at
+their cuts once, every column of d reads its facets' two parts from that
+split, and the split is dropped before the next boundary down.  A nonzero
+image raises ``AssertionError`` naming d, the column and the face.
 
 ``betti`` lists each dimension's cells in descending mask order: ``kg`` at
 k <= 2 keeps exactly t critical k-cells below the top band, and the only
@@ -207,13 +209,20 @@ def _certify(X, top: int, table: tuple[list, bytearray, dict]) -> None:
 
     The image of a column is zero iff the facets of its facets entered at
     incidence +1 and at -1 are equal lists once both are sorted.  With +-1
-    incidences a facet's row splits at its cut into the two lists, swapped
-    for a facet at -1; a table with other incidences enters each with
-    multiplicity |a b| (``_signed_image``)."""
+    incidences the rows of X.faces(d - 1) are split at their cuts once per
+    d, into lists indexed like the cells (the cells below that band read
+    as empty), and a column adds each facet's two parts to the two lists,
+    swapped for a facet at -1; a table with other incidences enters each
+    with multiplicity |a b| (``_signed_image``)."""
     rows, cut, odd = table
     end = len(rows)
     for d in range(top, 0, -1):
         band = X.faces(d)
+        start = end - len(band)
+        lo = start - len(X.faces(d - 1))
+        if not odd:  # band d - 1's rows split at their cuts once, by cell index
+            pos = [()] * lo + [rows[f][:cut[f]] for f in range(lo, start)]
+            neg = [()] * lo + [rows[f][cut[f]:] for f in range(lo, start)]
         for j in range(len(band)):
             i = end - 1 - j
             if odd:
@@ -222,19 +231,18 @@ def _certify(X, top: int, table: tuple[list, bytearray, dict]) -> None:
                 plus, minus = [], []
                 row, c = rows[i], cut[i]
                 for f in row[:c]:
-                    r, b = rows[f], cut[f]
-                    plus += r[:b]
-                    minus += r[b:]
+                    plus += pos[f]
+                    minus += neg[f]
                 for f in row[c:]:
-                    r, b = rows[f], cut[f]
-                    plus += r[b:]
-                    minus += r[:b]
+                    plus += neg[f]
+                    minus += pos[f]
             plus.sort()
             minus.sort()
             if plus != minus:
                 raise AssertionError(
                     "d_%d d_%d is nonzero on column %d of d_%d (face %r); "
                     "the Morse reduction needs it zero" % (d - 1, d, j, d, band[j]))
+        pos = neg = None  # dropped before the next band splits its rows
         end -= len(band)
 
 
@@ -275,15 +283,15 @@ def _morse_boundaries(pairs: dict, critical: list, top: int,
                     % (b, f, g))
         return chain, e
 
-    for b, a in pairs.items():
+    for b, a in pairs.items() if feed else ():
         if b.bit_count() - 1 in feed:
             chain, e = project(a, b)
             image[b] = {i: -e * v for i, v in chain.items() if v}
     out = []
     for d in range(top + 1):
         rows, cols = bands.get(d - 1, []), bands.get(d, [])
-        triples = [(i, j, v) for j, c in enumerate(cols) if d - 1 in feed
-                   for i, v in project(c)[0].items()]
+        triples = [(i, j, v) for j, c in enumerate(cols)
+                   for i, v in project(c)[0].items()] if d - 1 in feed else []
         out.append(SparseIntMatrix(len(rows), len(cols), triples))
     return out
 
@@ -304,8 +312,8 @@ def betti(X, max_dim: int, reduced: bool = True) -> BettiResult:
     table = morse.facet_table(cells)
     _certify(X, top, table)
     pairs, critical = morse.coreduce(cells, table)
-    uppers = [a.bit_count() - 1 for a in pairs.values()]
-    ranks = [uppers.count(d) for d in range(top + 1)]  # one per pair
+    uppers = list(map(int.bit_count, pairs.values()))
+    ranks = [uppers.count(d + 1) for d in range(top + 1)]  # one per pair
     torsion = [()] * (top + 1)
     for d, m in enumerate(_morse_boundaries(pairs, critical, top, cells, table)):
         s = smith_normal_form(m)

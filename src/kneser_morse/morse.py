@@ -36,6 +36,7 @@ table to it.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from functools import lru_cache
 from typing import Hashable, Iterable, Iterator
 
@@ -415,9 +416,7 @@ def coreduce(cells: list, table: tuple[list, bytearray, dict]) -> tuple[dict, li
     rows, _, odd = table
     alive = [len(fs) for fs in rows]  # cell -> number of remaining facets
     # the top band has no cofaces among the cells: it shares one empty tuple
-    below = len(cells)
-    while below and cells[below - 1].bit_count() == cells[-1].bit_count():
-        below -= 1
+    below = bisect_left(cells, cells[-1].bit_count(), key=int.bit_count) if cells else 0
     cofaces: list = [[] for _ in range(below)] + [()] * (len(cells) - below)
     for i in sorted(range(len(cells)), key=cells.__getitem__):
         for j in rows[i]:

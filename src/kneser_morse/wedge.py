@@ -541,29 +541,32 @@ def matching_Q(k: int, i: int, j: int) -> FamilyMatching:
     return move.carry(matching_P(move.k, 1, move.l))
 
 
-def _families(k: int, size: int, key) -> list[tuple[int, int]]:
-    """The (s, t) of every ``graphs.missed_lattice`` shape (size, s, t),
-    sorted by ``key``: the families of one layer, each once by fact (d)."""
-    return sorted((shape[1:] for shape in graphs.missed_lattice(k)
+def _families(k: int, size: int, key, shapes: list | None) -> list[tuple[int, int]]:
+    """The (s, t) of every shape (size, s, t) in ``shapes``, a walk of
+    ``graphs.missed_lattice(k)`` (made here when None), sorted by ``key``:
+    the families of one layer, each once by fact (d)."""
+    shapes = graphs.missed_lattice(k) if shapes is None else shapes
+    return sorted((shape[1:] for shape in shapes
                    if isinstance(shape, tuple) and shape[0] == size), key=key)
 
 
-def p_indices(k: int) -> list[tuple[int, int]]:
+def p_indices(k: int, shapes: list | None = None) -> list[tuple[int, int]]:
     """All (i, j) of three-element families in processing order: by i, then
     j walking the cycle from i+2 round to i-2; there are (k+3)(k+6) of
-    them."""
+    them.  ``shapes`` is a walk of ``graphs.missed_lattice(k)`` already
+    made, or None to make one."""
     n = graphs.ground_size(k)
-    out = _families(k, 3, lambda ij: (ij[0], (ij[1] - ij[0] - 2) % n))
+    out = _families(k, 3, lambda ij: (ij[0], (ij[1] - ij[0] - 2) % n), shapes)
     if len(out) != (k + 3) * (k + 6):
         raise MatchingError("found %d three-element families, wanted (k+3)(k+6) = %d"
                             % (len(out), (k + 3) * (k + 6)))
     return out
 
 
-def q_indices(k: int) -> list[tuple[int, int]]:
+def q_indices(k: int, shapes: list | None = None) -> list[tuple[int, int]]:
     """All (i, j) of four-element families in processing order, by (i, j);
-    there are (k+3)(k+6)/2 of them."""
-    out = _families(k, 4, None)
+    there are (k+3)(k+6)/2 of them.  ``shapes`` as for ``p_indices``."""
+    out = _families(k, 4, None, shapes)
     want, rem = divmod((k + 3) * (k + 6), 2)
     if rem:
         raise AssertionError("(k+3)(k+6) is odd at k=%d" % (k,))
@@ -590,10 +593,10 @@ def theorem3_counts(k: int, *, census: bool | None = None) -> dict:
     loop, grouped by the base ``mover`` names: each distinct base is built
     by ``matching_P`` and checked in full once, carried onto its families,
     whose copies the certificate of ``transport`` covers face by face, and
-    dropped after its last copy.  The family list is read off
-    ``graphs.missed_lattice``, whose lemma certifies the union of each
-    layer's family matchings, by the route ``union_route`` names.  Beyond
-    k=3 pass census=False for the formula values alone.
+    dropped after its last copy.  The family list of both layers is read
+    off one walk of ``graphs.missed_lattice``, whose lemma certifies the
+    union of each layer's family matchings, by the route ``union_route``
+    names.  Beyond k=3 pass census=False for the formula values alone.
     """
     if k < 0:
         raise ValueError("k must be nonnegative, got %r" % (k,))
@@ -630,7 +633,9 @@ def theorem3_counts(k: int, *, census: bool | None = None) -> dict:
         raise ValueError("the census at k=%d is out of scan budget; pass census=False "
                          "for the formula values" % (k,))
     per = {'P': ((k + 1) * (k + 2) // 2, k), 'Q': (k * (k + 1) // 2, k - 1)}
-    order = [('P', i, j) for i, j in p_indices(k)] + [('Q', i, j) for i, j in q_indices(k)]
+    shapes = graphs.missed_lattice(k)  # one walk lists both layers
+    order = ([('P', i, j) for i, j in p_indices(k, shapes)]
+             + [('Q', i, j) for i, j in q_indices(k, shapes)])
     by_base: dict[tuple, list] = {}
     for name in order:
         move = mover(k, *name)

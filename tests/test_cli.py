@@ -623,6 +623,78 @@ def test_a_child_that_sends_nothing_fails_the_check(monkeypatch, capsys):
     assert no_child_left()
 
 
+def counted_census(monkeypatch, log, raises=False):
+    """Patch the census to append the pid of each process that runs it to
+    the file ``log``, which a forked child's calls reach too; it raises
+    ``RuntimeError: synthetic census`` when ``raises`` says so."""
+    census = cli.wedge.theorem3_counts
+
+    def counting(k, **kwargs):
+        with open(log, "a") as fh:
+            fh.write("%d\n" % os.getpid())
+        if raises:
+            raise RuntimeError("synthetic census")
+        return census(k, **kwargs)
+
+    monkeypatch.setattr(cli.wedge, "theorem3_counts", counting)
+    return lambda: [int(line) for line in pathlib.Path(log).read_text().split()]
+
+
+def test_the_full_snf_census_runs_once_in_the_child(monkeypatch, capsys, tmp_path):
+    # verify all at full-snf: the child runs the census, and p-families and
+    # q-families read it from the memo the child's result fills
+    pids = counted_census(monkeypatch, tmp_path / "census.log")
+    code, out, _ = run(capsys, "verify", "all", "--k", "1", "--depth", "full-snf",
+                       "--format", "json")
+    assert code == 0 and no_child_left()
+    (pid,) = pids()
+    assert pid != os.getpid()
+    by_name = {r['name']: r['detail'] for r in json.loads(out)['results']}
+    assert by_name['p-families'] == {'families': 28, 'critical_total': 84, 'censused': True}
+    assert by_name['q-families'] == {'families': 14, 'critical_total': 14, 'censused': True}
+    assert by_name['theorem3-census']['rows'] == [
+        list(r) for r in cli.wedge.theorem3_counts(1)['rows']]
+
+
+SYNTHETIC = {'error': "RuntimeError: synthetic census"}
+
+
+@pytest.mark.parametrize("plant", [False, True])
+def test_a_census_failure_in_the_child_reads_as_in_process(monkeypatch, capsys, tmp_path, plant):
+    # the census ran first before the fork, so its error is the one
+    # reported even when the planted facet also breaks kg and the top step
+    pids = counted_census(monkeypatch, tmp_path / "census.log", raises=True)
+    if plant:
+        drop_a_top_step_facet(monkeypatch)
+    code, out, err = run(capsys, "verify", "theorem3", "--k", "1", "--depth", "full-snf",
+                         "--format", "json")
+    assert (code, err) == (1, "FAIL theorem3-census\n") and no_child_left()
+    assert json.loads(out)['results'] == [
+        {'name': 'theorem3-census', 'k': 1, 'pass': False, 'detail': SYNTHETIC}]
+    code, out, _ = run(capsys, "verify", "all", "--k", "1", "--depth", "full-snf",
+                       "--format", "json")
+    assert code == 1 and no_child_left()
+    assert len(pids()) == 2  # once per invocation
+    results = json.loads(out)['results']
+    assert [r['name'] for r in results] == [
+        'theorem2-collapse', 'theorem3-census', 'filtration-nesting', 'p-families', 'q-families']
+    assert {r['name']: r['detail'] for r in results if not r['pass']} == {
+        name: SYNTHETIC for name in ('theorem3-census', 'p-families', 'q-families')}
+
+
+def test_kg_bands_are_listed_before_the_fork(monkeypatch, capsys):
+    # complex_for builds the maximal faces only; both sides of the fork
+    # read kg's bands 0..k+2, so they are listed once, before it
+    cx = complex_for('kg', 1)
+    assert filtration(1, 3) is cx  # the child's relative steps read it too
+    monkeypatch.setattr(cx, "_bands", {})
+    beside, listed = cli._beside, []
+    monkeypatch.setattr(cli, "_beside", lambda *calls: (
+        listed.append(sorted(cx._bands)), beside(*calls))[1])
+    code, _, _ = run(capsys, "verify", "theorem3", "--k", "1", "--depth", "full-snf")
+    assert code == 0 and listed == [[0, 1, 2, 3]] and no_child_left()
+
+
 # Reports of the parent of the single face encoding, elapsed_ms masked, plus
 # the route keys (poset_map_route, union_route) that name the missed-set
 # lattice as what certified the Cluster-Lemma order and the layer unions,

@@ -664,6 +664,33 @@ def test_a_perturbed_table_fails_as_the_oracles_do(name, how, monkeypatch):
         assert str(e.value) == want
 
 
+@pytest.mark.parametrize("name", ['rp2', 'kg1', 's1', 'sg1', 'top1', 'mid2', 's2', 'top2'])
+def test_a_sign_flipped_in_any_band_is_named_as_the_oracle_names_it(name, monkeypatch):
+    # the certificate splits the rows of band d - 1 once for all columns of
+    # band d; a sign flipped at the first or the last face of any band is
+    # named by the same d, column and face as the matrix-product oracle
+    # names, in reduced families (band 0's rows reach the empty face) and
+    # unreduced ones, among them the top relative steps, with no 0-cells
+    family, max_dim, reduced = reference_case(name)
+    top, cells = max_dim + 1, betti_cells(family, max_dim, reduced)
+    assert not name.startswith('top') or family.faces(0) == []
+    among, facets = set(cells), morse.face_facets
+    named = set()
+    for d in range(top + 1):
+        for face in {family.faces(d)[0], family.faces(d)[-1]} if family.faces(d) else ():
+            hit = next((g for g, _ in facets(face) if g in among), None)
+            if hit is None:
+                continue
+            with monkeypatch.context() as m:
+                plant_facets(m, lambda f, face=face, hit=hit: (
+                    (g, -s if (f, g) == (face, hit) else s) for g, s in facets(f)))
+                got = outcome(lambda: homology._certify(family, top, morse.facet_table(cells)))
+                want = outcome(lambda: oracle_certify(family, top, reduced))
+            assert got == want, (d, face)
+            named.add(want)
+    assert any(isinstance(want, str) for want in named)
+
+
 @pytest.mark.parametrize("name,order,sign", [('rp2', 'ascending', -1), ('top1', 'descending', 1)])
 def test_a_recorded_row_still_pairs_at_a_unit_incidence(name, order, sign, monkeypatch):
     # one tripled incidence puts its face's row in the table's record of

@@ -818,6 +818,20 @@ def test_theorem3_counts(k):
         assert cells >= critical
 
 
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_a_census_walks_the_missed_set_lattice_once(k, monkeypatch):
+    # p_indices and q_indices read the one walk the census makes, and list
+    # the same families as from walks of their own
+    walks, lattice = [], graphs.missed_lattice
+    monkeypatch.setattr(graphs, "missed_lattice", lambda k: (walks.append(k), lattice(k))[1])
+    rows = theorem3_counts(k)['rows']
+    assert walks == [k]
+    assert [row[:3] for row in rows] == (
+        [('P', i, j) for i, j in p_indices(k)] + [('Q', i, j) for i, j in q_indices(k)])
+    shapes = lattice(k)
+    assert (p_indices(k, shapes), q_indices(k, shapes)) == (p_indices(k), q_indices(k))
+
+
 def test_theorem3_formula_only_path():
     out = theorem3_counts(5, census=False)
     assert not out['censused']
