@@ -3,9 +3,11 @@
 Faces are integer bitmasks.  ``betti`` lists the cells of dimension
 -1..max_dim + 1 and walks their facets once, into ``morse.facet_table``:
 per cell, the indices of its facets among the cells grouped by sign, the
-+1 facets up to the cell's cut and the -1 facets after it.  The table
-applies the sign rule itself; ``boundary_matrix`` reads the same rule face
-by face from ``morse.face_facets``, the rule the tests hold the table to.
++1 facets up to the cell's cut and the -1 facets after it.  An incidence
+a is |a| copies of an index, so every reader below is exact on any
+integer table.  The table applies the sign rule itself, which repeats no
+index; ``boundary_matrix`` reads the same rule face by face from
+``morse.face_facets``, the rule the tests hold the table to.
 A facet outside the cells is dropped, so relative homology of a pair
 (X, A) runs the same machinery on the quotient cells (faces of X not in
 A).  Betti numbers in dimension d are b_d = n_d - rank d_d - rank
@@ -15,7 +17,8 @@ in increasing mask order as bases.
 
 A family is coreduced by ``morse.coreduce`` through its top boundary on
 that table: the cells of dimension -1..max_dim + 1 form a chain complex of
-their own.  Removal order makes the matching acyclic, so the critical
+their own.  A cell pairs only when one copy of one facet is left, so at
+incidence +-1, and removal order makes the matching acyclic, so the critical
 cells span a chain-equivalent Morse complex (Skoldberg, Trans. AMS 358,
 2006): the boundary of a critical cell with the lower cell of each pair
 rewritten away and the upper cells dropped.  Then rank d_d is the Morse
@@ -39,6 +42,7 @@ equal the number of invariant factors not divisible by p.
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Iterable, NamedTuple
 
 from . import morse
@@ -189,18 +193,7 @@ class BettiResult(NamedTuple):
     reduced: bool
 
 
-def _signed_image(table: tuple[list, bytearray, dict], i: int) -> tuple[list, list]:
-    """The +1 and -1 lists of column i's image, from explicit incidences:
-    a facet r of a facet of i, at incidences a and b, goes |a b| times into
-    the list of the sign of a b."""
-    plus, minus = [], []
-    for f, a in zip(table[0][i], morse.incidences(table, i)):
-        for r, b in zip(table[0][f], morse.incidences(table, f)):
-            (plus if a * b > 0 else minus).extend([r] * abs(a * b))
-    return plus, minus
-
-
-def _certify(X, top: int, table: tuple[list, bytearray, dict]) -> None:
+def _certify(X, top: int, table: tuple[list, bytearray]) -> None:
     """Check d_{d-1} d_d = 0 exactly on every column of d_d, one column at
     a time, walking down from d = top and through each d's columns in
     ascending mask order.  ``table`` is the ``morse.facet_table`` of the
@@ -208,34 +201,29 @@ def _certify(X, top: int, table: tuple[list, bytearray, dict]) -> None:
     each in descending mask order; a column's image is read off it.
 
     The image of a column is zero iff the facets of its facets entered at
-    incidence +1 and at -1 are equal lists once both are sorted.  With +-1
-    incidences the rows of X.faces(d - 1) are split at their cuts once per
-    d, into lists indexed like the cells (the cells below that band read
-    as empty), and a column adds each facet's two parts to the two lists,
-    swapped for a facet at -1; a table with other incidences enters each
-    with multiplicity |a b| (``_signed_image``)."""
-    rows, cut, odd = table
+    incidence +1 and at -1 are equal lists once both are sorted.  The rows
+    of X.faces(d - 1) are split at their cuts once per d, into lists
+    indexed like the cells (the cells below that band read as empty), and
+    a column adds each facet's two parts to the two lists, swapped for a
+    facet at -1, once per copy of the facet in its row."""
+    rows, cut = table
     end = len(rows)
     for d in range(top, 0, -1):
         band = X.faces(d)
         start = end - len(band)
         lo = start - len(X.faces(d - 1))
-        if not odd:  # band d - 1's rows split at their cuts once, by cell index
-            pos = [()] * lo + [rows[f][:cut[f]] for f in range(lo, start)]
-            neg = [()] * lo + [rows[f][cut[f]:] for f in range(lo, start)]
+        pos = [()] * lo + [rows[f][:cut[f]] for f in range(lo, start)]
+        neg = [()] * lo + [rows[f][cut[f]:] for f in range(lo, start)]
         for j in range(len(band)):
             i = end - 1 - j
-            if odd:
-                plus, minus = _signed_image(table, i)
-            else:
-                plus, minus = [], []
-                row, c = rows[i], cut[i]
-                for f in row[:c]:
-                    plus += pos[f]
-                    minus += neg[f]
-                for f in row[c:]:
-                    plus += neg[f]
-                    minus += pos[f]
+            plus, minus = [], []
+            row, c = rows[i], cut[i]
+            for f in row[:c]:
+                plus += pos[f]
+                minus += neg[f]
+            for f in row[c:]:
+                plus += neg[f]
+                minus += pos[f]
             plus.sort()
             minus.sort()
             if plus != minus:
@@ -247,7 +235,7 @@ def _certify(X, top: int, table: tuple[list, bytearray, dict]) -> None:
 
 
 def _morse_boundaries(pairs: dict, critical: list, top: int,
-                      cells: list, table: tuple[list, bytearray, dict]) -> list[SparseIntMatrix]:
+                      cells: list, table: tuple[list, bytearray]) -> list[SparseIntMatrix]:
     """The Morse boundaries d = 0..top between the critical cells, each
     dimension's critical cells in removal order as its basis.
 
@@ -255,15 +243,18 @@ def _morse_boundaries(pairs: dict, critical: list, top: int,
     pi(b) = -[a:b] sum [a:g] pi(g) over the facets g != b of a, where a
     critical cell is its own image and an upper or absent cell maps to 0.
     Every lower g must have left before b, which makes the matching
-    acyclic; one that did not raises.  Only the dimensions that feed a
-    boundary with both rows and columns are tabled.  The column of a
-    critical cell c is then sum [c:g] pi(g) over its facets g.  Facets and
-    signs are read off ``table``, the ``morse.facet_table`` of ``cells``.
+    acyclic; one that did not raises.  The critical cells are counted by
+    dimension first, and only the dimensions that feed a boundary with both
+    rows and columns are listed and tabled.  The column of a critical cell
+    c is then sum [c:g] pi(g) over its facets g.  Facets are read off
+    ``table``, the ``morse.facet_table`` of ``cells``, each copy at the
+    sign of its side of the cut.
     """
-    bands: dict[int, list[int]] = {}
-    for c in critical:
-        bands.setdefault(c.bit_count() - 1, []).append(c)
-    feed = {d - 1 for d in range(top + 1) if bands.get(d - 1) and bands.get(d)}
+    rows, cut = table
+    sizes = Counter(map(int.bit_count, critical))  # dimension + 1 -> critical cells
+    feed = {d - 1 for d in range(top + 1) if sizes[d] and sizes[d + 1]}
+    bands = {d: [c for c in critical if c.bit_count() == d + 1]
+             for d in feed | {d + 1 for d in feed}}
     image = {c: {i: 1} for d in feed for i, c in enumerate(bands[d])}
     index = {c: i for i, c in enumerate(cells) if c.bit_count() - 2 in feed} if feed else {}
 
@@ -271,9 +262,10 @@ def _morse_boundaries(pairs: dict, critical: list, top: int,
         """sum [f:g] pi(g) over the facets g != b of f, and [f:b]."""
         chain, e = {}, 0
         at = index[f]
-        for g, s in zip(map(cells.__getitem__, table[0][at]), morse.incidences(table, at)):
+        for n, g in enumerate(map(cells.__getitem__, rows[at])):
+            s = 1 if n < cut[at] else -1  # a copy's sign is its side of the cut
             if g == b:
-                e = s
+                e += s
             elif g in image:
                 for i, v in image[g].items():
                     chain[i] = chain.get(i, 0) + s * v
@@ -289,10 +281,9 @@ def _morse_boundaries(pairs: dict, critical: list, top: int,
             image[b] = {i: -e * v for i, v in chain.items() if v}
     out = []
     for d in range(top + 1):
-        rows, cols = bands.get(d - 1, []), bands.get(d, [])
-        triples = [(i, j, v) for j, c in enumerate(cols)
+        triples = [(i, j, v) for j, c in enumerate(bands[d])
                    for i, v in project(c)[0].items()] if d - 1 in feed else []
-        out.append(SparseIntMatrix(len(rows), len(cols), triples))
+        out.append(SparseIntMatrix(sizes[d], sizes[d + 1], triples))
     return out
 
 

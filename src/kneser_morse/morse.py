@@ -28,8 +28,9 @@ that read such sets as faces and pairs without listing them.
 ``homology.betti`` call.  It applies the sign rule itself as it walks each
 cell's bits, and keeps one row of facet indices per cell, its +1 facets
 before its -1 facets, and the count of the first group (the cut) in a
-bytearray, so a row's signs need no storage of their own; ``incidences``
-reads them back.  ``face_facets`` is the same rule face by face, read by
+bytearray, so a row's signs need no storage of their own.  Any integer
+incidence a fits that shape as |a| copies of an index; the sign rule never
+repeats one.  ``face_facets`` is the same rule face by face, read by
 ``verify_poset_map`` and ``homology.boundary_matrix``; the tests hold the
 table to it.
 """
@@ -360,13 +361,13 @@ def _search_dict(pairs: list) -> tuple[bool, list | None]:
     return True, None
 
 
-def facet_table(cells: list) -> tuple[list[tuple[int, ...]], bytearray, dict]:
+def facet_table(cells: list) -> tuple[list[tuple[int, ...]], bytearray]:
     """The facets of each cell that lie in ``cells``, as indices into
     ``cells``: per cell one row, its facets of incidence +1, then -1, each
-    group in ascending order of the dropped bit; a bytearray of the +1
-    count (the cut) per cell; and the record, cell -> its row's
-    incidences, of the cells with an incidence other than +-1, which the
-    sign rule leaves empty.
+    group in ascending order of the dropped bit, and a bytearray of the +1
+    count (the cut) per cell.  An incidence a is |a| copies of its facet's
+    index in the group of its sign, so one shape holds any integer
+    boundary; the sign rule repeats no index.
 
     The table applies the sign rule itself: it walks each cell's set bits
     in ascending order, looks up the cell without the bit, and files a
@@ -389,16 +390,10 @@ def facet_table(cells: list) -> tuple[list[tuple[int, ...]], bytearray, dict]:
         cut[n] = len(plus)
         plus += minus
         rows.append(tuple(plus))
-    return rows, cut, {}
+    return rows, cut
 
 
-def incidences(table: tuple[list, bytearray, dict], i: int) -> tuple[int, ...]:
-    """The incidences of row i of a ``facet_table``, parallel to its facets."""
-    rows, cut, odd = table
-    return odd.get(i) or (1,) * cut[i] + (-1,) * (len(rows[i]) - cut[i])
-
-
-def coreduce(cells: list, table: tuple[list, bytearray, dict]) -> tuple[dict, list]:
+def coreduce(cells: list, table: tuple[list, bytearray]) -> tuple[dict, list]:
     """Coreduction (Mrozek and Batko, DCG 41, 2009) of ``cells``, listed by
     increasing dimension, on their ``facet_table``.
 
@@ -406,15 +401,15 @@ def coreduce(cells: list, table: tuple[list, bytearray, dict]) -> tuple[dict, li
     removed; when none is left, the first remaining cell in the order of
     ``cells`` is removed as critical.  Removal order makes the matching
     acyclic; the caller's order decides how many cells stay critical.  A
-    pair of incidence other than +-1 raises, naming the face: only a
-    cell in the table's record of other incidences can have one.  Runs on
-    indices into ``cells``: a count of remaining facets per cell, each
-    cell's cofaces ascending by the bit they add, and a flag per removed
-    cell.  Returns the pairs (lower -> upper cell) and the critical cells
-    in removal order.
+    facet counts once per copy in its row, so a cell is ready only when one
+    copy is left, and every pair has incidence +-1.  Runs on indices into
+    ``cells``: a count of remaining facet copies per cell, each cell's
+    cofaces ascending by the bit they add, once per copy, and a flag per
+    removed cell.  Returns the pairs (lower -> upper cell) and the critical
+    cells in removal order.
     """
-    rows, _, odd = table
-    alive = [len(fs) for fs in rows]  # cell -> number of remaining facets
+    rows = table[0]
+    alive = [len(fs) for fs in rows]  # cell -> number of remaining facet copies
     # the top band has no cofaces among the cells: it shares one empty tuple
     below = bisect_left(cells, cells[-1].bit_count(), key=int.bit_count) if cells else 0
     cofaces: list = [[] for _ in range(below)] + [()] * (len(cells) - below)
@@ -439,12 +434,9 @@ def coreduce(cells: list, table: tuple[list, bytearray, dict]) -> tuple[dict, li
             a = ready.pop()
             if removed[a] or alive[a] != 1:
                 continue
-            for at, b in enumerate(rows[a]):
+            for b in rows[a]:
                 if not removed[b]:
                     break
-            if a in odd and odd[a][at] not in (1, -1):
-                raise AssertionError("face %r pairs with its facet %r at incidence %d, "
-                                     "not +-1" % (cells[a], cells[b], odd[a][at]))
             pairs[cells[b]] = cells[a]
             remove(a)
             remove(b)

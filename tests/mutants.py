@@ -1,7 +1,8 @@
 """Mutation sweep over Theorem 2's A-bases, C blocks, block order and
 partition count, the P-base build and the one certificate of a built family
-with the bulk pair check and acyclicity search it rests on, and the facet
-table, d d = 0 certificate and coreduction of the homology oracle.
+with the bulk pair check and acyclicity search it rests on, the facet
+table, d d = 0 certificate, coreduction and Morse boundaries of the
+homology oracle, and the missed-set reader and lattice certificate.
 
 Each mutant changes one site of one target function, in a temporary copy of
 ``src`` and ``tests``, and runs the target's own test file with ``-x -q`` on
@@ -52,14 +53,15 @@ TARGETS = {
     'src/kneser_morse/wedge.py': {'toggle_run': 'tests/test_wedge.py',
                                   '_matching_p1': 'tests/test_wedge.py',
                                   'certify': 'tests/test_wedge.py'},
-    'src/kneser_morse/homology.py': {'_signed_image': 'tests/test_homology.py',
-                                     '_certify': 'tests/test_homology.py'},
+    'src/kneser_morse/homology.py': {'_certify': 'tests/test_homology.py',
+                                     '_morse_boundaries': 'tests/test_homology.py'},
     'src/kneser_morse/morse.py': {'_staged': 'tests/test_morse.py',
                                   'is_acyclic': 'tests/test_morse.py',
                                   '_search_dict': 'tests/test_morse.py',
                                   'facet_table': 'tests/test_homology.py',
-                                  'incidences': 'tests/test_homology.py',
                                   'coreduce': 'tests/test_homology.py'},
+    'src/kneser_morse/graphs.py': {'missed_shape': 'tests/test_graphs.py',
+                                   'missed_lattice': 'tests/test_graphs.py'},
 }
 
 FLIP = {ast.Lt: ast.GtE, ast.GtE: ast.Lt, ast.Gt: ast.LtE, ast.LtE: ast.Gt,

@@ -6,11 +6,14 @@ from math import comb
 import pytest
 from hypothesis import given, strategies as st
 
+from kneser_morse import graphs
 from kneser_morse.complexes import decode
 from kneser_morse.graphs import (
     all_triples, check_vertex, graph, ground_size, is_stable, rotate,
     triple_index, unstable_rep, vertex_mask,
 )
+from kneser_morse.morse import MatchingError
+from test_collapse import brute_shape
 
 
 def brute_stable(v, k):
@@ -161,3 +164,39 @@ def test_adjacency_rows_are_face_masks_over_the_triple_index(kind, k):
                    if vertex[b] and vertex[c] and not set(t) & set(u)
                    and (kind != 's' or is_stable(t, k) or is_stable(u, k)))
         assert g.adj[b] == want, t
+
+
+# ---------------------------------------------------------------------------
+# the missed-set reader and the lattice certificate on it
+
+@pytest.mark.parametrize("k", range(4))
+def test_the_missed_lattice_reads_every_mask_as_the_brute_force_readers(k):
+    assert graphs.missed_lattice(k) == [brute_shape(m, k) for m in range(1 << ground_size(k))]
+
+
+@pytest.mark.parametrize("k", [0, 1, 2])
+@pytest.mark.parametrize("elements,shape,match", [
+    # (a): {1, 3, 5} is stable in this five-set
+    ((1, 2, 3, 4, 5), (3, 1, 3),
+     r"missed set \(1, 2, 3, 4, 5\) reads \(3, 1, 3\), but a set of 5 elements must hold "
+     r"a stable triple$"),
+    # (b): a double pair read as a pair shape, and a pair read as nothing
+    ((1, 2, 4, 5), (3, 1, 4),
+     r"missed set \(1, 2, 4, 5\) reads \(3, 1, 4\), but a set of 4 elements must hold a "
+     r"stable triple or have the double-pair shape$"),
+    ((1, 2, 4), None,
+     r"missed set \(1, 2, 4\) reads None, but a set of 3 elements must hold a stable triple "
+     r"or have the pair shape$"),
+    # (c): a pair shape read as holding a stable triple, while its growth
+    # by 3 is the double pair {1, 2, 3, 4}
+    ((1, 2, 4), True,
+     r"missed set \(1, 2, 4\) holds a stable triple, but its growth by 3 reads \(4, 1, 3\)$"),
+    # (d): the pair shape names another missed set
+    ((1, 2, 4), (3, 1, 5),
+     r"missed set \(1, 2, 4\) reads \(3, 1, 5\), which names the missed set \(1, 2, 5\)$"),
+])
+def test_the_missed_lattice_names_a_misread_mask(k, elements, shape, match, monkeypatch):
+    real, mask = graphs.missed_shape, vertex_mask(elements)
+    monkeypatch.setattr(graphs, 'missed_shape', lambda m, k: shape if m == mask else real(m, k))
+    with pytest.raises(MatchingError, match=match):
+        graphs.missed_lattice(k)

@@ -222,33 +222,21 @@ def test_betti_against_fraction_ranks():
 
 def reference_table(cells):
     """``morse.facet_table`` walked with ``morse.face_facets``: per cell one
-    row of facet indices, its facets of incidence +1, then -1, then any
-    other, each group in ``face_facets`` order; the +1 count (the cut) per
-    cell; and the record, cell -> its row's incidences, of the cells with
-    an incidence other than +-1.  Under the real sign rule it equals the
-    table; under a planted ``face_facets`` it carries the plant."""
+    row of facet indices, a facet at incidence s written |s| times, into
+    the +1 group for s > 0 and the -1 group after it for s < 0, each group
+    in ``face_facets`` order; and the size of the +1 group (the cut) per
+    cell.  Under the real sign rule it equals the table; under a planted
+    ``face_facets`` it carries the plant."""
     index = {c: i for i, c in enumerate(cells)}
-    rows, cut, odd = [], bytearray(len(cells)), {}
+    rows, cut = [], bytearray(len(cells))
     for n, c in enumerate(cells):
-        plus, minus, other, signs = [], [], [], []
+        plus, minus = [], []
         for g, s in morse.face_facets(c):
-            i = index.get(g)
-            if i is None:
-                continue
-            if s == 1:
-                plus.append(i)
-            elif s == -1:
-                minus.append(i)
-            else:
-                other.append(i)
-                signs.append(s)
+            if g in index:
+                (plus if s > 0 else minus).extend([index[g]] * abs(s))
         cut[n] = len(plus)
-        if other:
-            odd[n] = (1,) * len(plus) + (-1,) * len(minus) + tuple(signs)
-            minus += other
-        plus += minus
-        rows.append(tuple(plus))
-    return rows, cut, odd
+        rows.append(tuple(plus + minus))
+    return rows, cut
 
 
 def plant_facets(monkeypatch, walk):
@@ -367,6 +355,22 @@ def test_k2_ranks_are_pinned(monkeypatch):
     assert relative_betti(*relative_step(2, 2, 2)).ranks == (0, 0, 60, 20)
 
 
+@pytest.mark.parametrize("name", ['kg1', 'kg2'])
+def test_no_morse_boundary_of_kg_reads_a_cell(name):
+    # below the top band kg keeps critical cells in dimension k alone, so
+    # no Morse boundary has critical cells on both sides: each is a zero
+    # matrix sized off the critical cells alone, and no cell or table row
+    # is read
+    family, max_dim, reduced = reference_case(name)
+    cells = betti_cells(family, max_dim, reduced)
+    pairs, critical = morse.coreduce(cells, morse.facet_table(cells))
+    sizes = [sum(1 for c in critical if c.bit_count() == n) for n in range(max_dim + 3)]
+    boundaries = homology._morse_boundaries(pairs, critical, max_dim + 1, None, (None, None))
+    assert [(m.nrows, m.ncols, m.nnz()) for m in boundaries] == [
+        (sizes[d], sizes[d + 1], 0) for d in range(max_dim + 2)]
+    assert sizes[int(name[-1]) + 1]  # the t critical k-cells
+
+
 def coreduce(family, max_dim, reduced, order):
     """``morse.coreduce`` on the cells ``betti`` ranks, each dimension's
     cells in ascending or descending mask order: its pairs and critical
@@ -385,11 +389,13 @@ def dense_product(a, b):
 @pytest.mark.parametrize("name,order", [
     pytest.param(name, order, id=name if order == 'ascending' else name + '-descending')
     for order in ('ascending', 'descending') for name in ('kg1', 's1', 'rp2', 'top1', 'mid1')])
-@pytest.mark.parametrize("thin", [None, 2, 3])
+@pytest.mark.parametrize("thin", [None, 1, 2, 3])
 def test_morse_complex_squares_to_zero_and_keeps_the_ranks(name, order, thin):
     # with thin = t, every t-th pair is split back into two critical cells:
     # a smaller acyclic matching in the same removal order, whose Morse
-    # complex is bigger but must still be a chain complex of the same ranks
+    # complex is bigger but must still be a chain complex of the same ranks;
+    # with thin = 1 every cell is critical, and the Morse boundaries are the
+    # boundary matrices, entry by entry
     b, family, max_dim, reduced = morse_fixture(name)
     pairs, critical, cells, table = coreduce(family, max_dim, reduced, order)
     assert morse.is_acyclic(morse.Matching(pairs.items())) == (True, None)
@@ -408,14 +414,12 @@ def test_morse_complex_squares_to_zero_and_keeps_the_ranks(name, order, thin):
             assert s.torsion == b.torsion[d - 1], (name, d)
     if thin == 2 and name == 'kg1':  # the split pairs leave a nontrivial composite
         assert boundaries[1].nnz() and boundaries[2].nnz()
-
-
-def test_a_non_unit_pair_incidence_is_named(monkeypatch):
-    # every incidence doubled: d d = 0 still holds, but no pair may form
-    facets = morse.face_facets
-    plant_facets(monkeypatch, lambda f: ((g, 2 * s) for g, s in facets(f)))
-    with pytest.raises(AssertionError, match=r"face \d+ pairs with its facet \d+ at incidence "):
-        betti(complex_for('s', 1), 2)
+    for d, m in enumerate(boundaries) if thin == 1 else ():
+        rows, cols = ([c for c in critical if c.bit_count() == n] for n in (d, d + 1))
+        faces = family.faces(d - 1) if d else [0] if reduced else []
+        assert ({(rows[i], cols[j]): v for i, j, v in m.triples}
+                == {(faces[i], family.faces(d)[j]): v
+                    for i, j, v in boundary_matrix(family, d, reduced=reduced).triples}), (name, d)
 
 
 def test_a_rewrite_out_of_removal_order_is_named(monkeypatch):
@@ -473,15 +477,18 @@ def oracle_certify(X, top, reduced):
 
 
 def oracle_coreduce(cells):
-    """Coreduction of ``cells`` on dicts keyed by mask, every facet read
-    from ``morse.face_facets`` when it is needed."""
-    alive, up = {}, {}
+    """Coreduction of ``cells`` over Z on dicts keyed by mask: a facet at
+    incidence s counts |s| times, so a face is ready when one facet at +-1
+    is all it has left; every facet is read from ``morse.face_facets``
+    when it is needed."""
+    alive, up, times = {}, {}, {}
     for f in cells:
         alive[f] = up[f] = 0
-        for g, _ in morse.face_facets(f):
+        for g, s in morse.face_facets(f):
             if g in alive:
-                alive[f] += 1
+                alive[f] += abs(s)
                 up[g] |= f ^ g
+                times[f, g] = abs(s)
     ready = [f for f, n in alive.items() if n == 1]
     pairs, critical = {}, []
 
@@ -492,7 +499,7 @@ def oracle_coreduce(cells):
             low = rest & -rest
             rest ^= low
             if f | low in alive:
-                alive[f | low] -= 1
+                alive[f | low] -= times[f | low, f]
                 if alive[f | low] == 1:
                     ready.append(f | low)
 
@@ -501,10 +508,7 @@ def oracle_coreduce(cells):
             a = ready.pop()
             if alive.get(a) != 1:
                 continue
-            (b, e), = ((g, s) for g, s in morse.face_facets(a) if g in alive)
-            if e not in (1, -1):
-                raise AssertionError("face %r pairs with its facet %r at incidence %d, "
-                                     "not +-1" % (a, b, e))
+            b, = (g for g, _ in morse.face_facets(a) if g in alive)
             pairs[b] = a
             remove(a)
             remove(b)
@@ -544,11 +548,12 @@ def test_the_facet_table_reads_as_the_boundary_matrices(name):
     # each row is its boundary_matrix column as a multiset of (face,
     # incidence): first the +1 facets, then the -1 facets, each group in
     # face_facets order, with the cut at the +1 count; the real sign rule
-    # leaves the record of other incidences empty
+    # repeats no index in a row
     family, max_dim, reduced = reference_case(name)
     cells = betti_cells(family, max_dim, reduced)
-    rows, cut, odd = morse.facet_table(cells)
-    assert odd == {} and len(rows) == len(cut) == len(cells)
+    rows, cut = morse.facet_table(cells)
+    assert len(rows) == len(cut) == len(cells)
+    assert all(len(set(row)) == len(row) for row in rows)
     at = {c: i for i, c in enumerate(cells)}
     for d in range(max_dim + 2):
         m = boundary_matrix(family, d, reduced=reduced)
@@ -601,8 +606,8 @@ def perturbed(how, cells):
     """A ``face_facets`` with every incidence doubled, or with one incidence
     between two of ``cells`` flipped, tripled or dropped: the first one of
     the first face, in the lowest band above the vertices that has one (or
-    else of the vertices).  A tripled incidence among +-1 ones runs the
-    certificate's path for other incidences.  Or, swapped, with the
+    else of the vertices).  A table writes a tripled incidence as three
+    copies of one index in a row.  Or, swapped, with the
     incidences of the first two such facets of opposite sign exchanged, on
     the first face that has two: each sign keeps its count, and only which
     facets carry it changes."""
@@ -693,17 +698,43 @@ def test_a_sign_flipped_in_any_band_is_named_as_the_oracle_names_it(name, monkey
 
 @pytest.mark.parametrize("name,order,sign", [('rp2', 'ascending', -1), ('top1', 'descending', 1)])
 def test_a_recorded_row_still_pairs_at_a_unit_incidence(name, order, sign, monkeypatch):
-    # one tripled incidence puts its face's row in the table's record of
-    # other incidences; the face still pairs through a facet at +-1, as the
-    # dict oracle pairs it
+    # one tripled incidence writes three copies of one facet into its
+    # face's row; the face still pairs, through a facet that occurs once in
+    # its row, so at +-1 (sign, read off the cut), as the dict oracle pairs it
     family, max_dim, reduced = reference_case(name)
     plant_facets(monkeypatch, perturbed('tripled', betti_cells(family, max_dim, reduced)))
-    pairs, critical, cells, (rows, _, odd) = coreduce(family, max_dim, reduced, order)
+    pairs, critical, cells, (rows, cut) = coreduce(family, max_dim, reduced, order)
     want_pairs, want_critical = oracle_coreduce(cells)
     assert list(pairs.items()) == list(want_pairs.items()) and critical == want_critical
     at = {c: i for i, c in enumerate(cells)}
-    assert [odd[at[up]][rows[at[up]].index(at[lo])]
-            for lo, up in pairs.items() if at[up] in odd] == [sign]
+    tripled, = (i for i, row in enumerate(rows) if len(set(row)) < len(row))
+    assert [(rows[tripled].count(at[lo]), 1 if rows[tripled].index(at[lo]) < cut[tripled] else -1)
+            for lo, up in pairs.items() if at[up] == tripled] == [(1, sign)]
+
+
+@pytest.mark.parametrize("how", ['doubled', 'tripled'])
+@pytest.mark.parametrize("name", [name for name in REFERENCE if name == 'rp2' or name[-1] != '2'])
+def test_an_integer_table_ranks_as_the_smith_form_of_its_boundaries(name, how, monkeypatch):
+    # a planted incidence a is |a| copies of an index in the table, and
+    # betti is exact on it: its ranks and torsion are the Smith form's of
+    # the planted boundary matrices (a doubled boundary's invariant factors
+    # are all even), or, where d d != 0, it fails as the product oracle does
+    family, max_dim, reduced = reference_case(name)
+    plant_facets(monkeypatch, perturbed(how, betti_cells(family, max_dim, reduced)))
+    refused = outcome(lambda: oracle_certify(family, max_dim + 1, reduced))
+    if refused is not None:
+        assert how == 'tripled'
+        with pytest.raises(AssertionError) as e:
+            betti(family, max_dim, reduced=reduced)
+        assert str(e.value) == refused
+        return
+    b = betti(family, max_dim, reduced=reduced)
+    for d in range(max_dim + 2):
+        whole = smith_normal_form(boundary_matrix(family, d, reduced=reduced))
+        assert b.ranks[d] == whole.rank, d
+        if d:
+            assert b.torsion[d - 1] == whole.torsion, d
+            assert how != 'doubled' or len(whole.torsion) == whole.rank, d
 
 
 @pytest.mark.parametrize("kind,k,where,rank", [

@@ -1,10 +1,16 @@
 """Every public function, class and method in ``src/kneser_morse`` has a
-caller there, or is pinned below with the reason it stays."""
+caller there, or is pinned below with the reason it stays; and README's
+mutation paragraph names exactly the functions ``tests/mutants.py`` sweeps."""
 
 import ast
+import keyword
+import re
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / 'src' / 'kneser_morse'
+import mutants
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / 'src' / 'kneser_morse'
 
 PINNED = {
     'morse.verify_poset_map': "a span of perfbench's SPANS; the tests' face-level oracle of the "
@@ -80,3 +86,28 @@ def orphan(n):
     return orphan(n - 1) if n else 0
 '''
     assert unused_public_names({'m': module}) == ['m.Table.dropped', 'm.orphan']
+
+
+def named_targets(paragraph):
+    """The function names in the code spans of ``paragraph``, each a bare
+    name or ``module.name``; file names, options and keywords name none."""
+    return {span for span in re.findall(r"`([^`]+)`", paragraph)
+            if re.fullmatch(r"(\w+\.)?\w+", span) and not span.endswith('.py')
+            and not keyword.iskeyword(span)}
+
+
+def test_the_readme_names_exactly_the_mutation_targets():
+    # every target by name, and a module-qualified name only in its module
+    readme = (ROOT / 'README.md').read_text()
+    paragraph, = (p for p in readme.split('\n\n') if p.startswith('`python3 tests/mutants.py`'))
+    named = named_targets(paragraph)
+    targets = {'%s.%s' % (Path(path).stem, name)
+               for path, names in mutants.TARGETS.items() for name in names}
+    assert {span.split('.')[-1] for span in named} == {t.split('.')[-1] for t in targets}
+    assert {span for span in named if '.' in span} <= targets
+
+
+def test_a_stale_mutation_paragraph_fails_the_guard():
+    assert named_targets("mutates `homology._signed_image`, `_certify`, `morse.facet_table`, "
+                         "`incidences`, `and`/`or`, `return True`, `-x` and `test_homology.py`") == {
+        'homology._signed_image', '_certify', 'morse.facet_table', 'incidences'}
