@@ -9,6 +9,7 @@ import pathlib
 import re
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -559,8 +560,8 @@ def drop_a_top_step_facet(monkeypatch):
     """Plant: ``morse.face_facets`` leaves out the first facet of the last
     2-cell of the top relative step at k = 1, and every facet table is
     walked with it (``plant_facets``), so d_2 d_3 is nonzero on the 3-cells
-    above it, in ``kg`` and in the relative step alike.  A forked child
-    inherits both patches."""
+    above it, in ``kg`` and in the relative step alike.  The forked child
+    that ranks ``kg`` inherits both patches."""
     cell = relative_family(filtration(1, 3), filtration(1, 2), 2).faces(2)[-1]
     facets = morse.face_facets
     plant_facets(monkeypatch, lambda f: itertools.islice(facets(f), f == cell, None))
@@ -580,7 +581,8 @@ def test_the_full_snf_checks_leave_no_child(capsys):
 
 
 def test_a_relative_step_fails_in_the_child_as_it_would_in_process(monkeypatch, capsys):
-    # betti(kg) is stubbed to pass, so the error can only come from the child
+    # betti(kg) is stubbed to pass in the child, so the error can only come
+    # from the relative step in the process
     class Right:
         numbers = (0, 71, 0)  # t at k = 1
 
@@ -612,8 +614,8 @@ def test_a_kg_failure_in_the_parent_is_reported_first(monkeypatch, capsys):
 
 
 def test_a_child_that_sends_nothing_fails_the_check(monkeypatch, capsys):
-    # the stub runs only in the child: the parent ranks kg
-    monkeypatch.setattr(cli, "relative_betti", lambda *args, **kwargs: os._exit(3))
+    # the stub runs only in the child, which ranks kg alone
+    monkeypatch.setattr(cli, "betti", lambda *args, **kwargs: os._exit(3))
     code, out, _ = run(capsys, "verify", "theorem3", "--k", "1", "--depth", "full-snf",
                        "--format", "json")
     assert code == 1
@@ -640,15 +642,14 @@ def counted_census(monkeypatch, log, raises=False):
     return lambda: [int(line) for line in pathlib.Path(log).read_text().split()]
 
 
-def test_the_full_snf_census_runs_once_in_the_child(monkeypatch, capsys, tmp_path):
-    # verify all at full-snf: the child runs the census, and p-families and
-    # q-families read it from the memo the child's result fills
+def test_the_full_snf_census_runs_once_in_the_process(monkeypatch, capsys, tmp_path):
+    # verify all at full-snf: the process runs the census, not the child that
+    # ranks kg, and p-families and q-families read it from the memo
     pids = counted_census(monkeypatch, tmp_path / "census.log")
     code, out, _ = run(capsys, "verify", "all", "--k", "1", "--depth", "full-snf",
                        "--format", "json")
     assert code == 0 and no_child_left()
-    (pid,) = pids()
-    assert pid != os.getpid()
+    assert pids() == [os.getpid()]
     by_name = {r['name']: r['detail'] for r in json.loads(out)['results']}
     assert by_name['p-families'] == {'families': 28, 'critical_total': 84, 'censused': True}
     assert by_name['q-families'] == {'families': 14, 'critical_total': 14, 'censused': True}
@@ -661,8 +662,9 @@ SYNTHETIC = {'error': "RuntimeError: synthetic census"}
 
 @pytest.mark.parametrize("plant", [False, True])
 def test_a_census_failure_in_the_child_reads_as_in_process(monkeypatch, capsys, tmp_path, plant):
-    # the census ran first before the fork, so its error is the one
-    # reported even when the planted facet also breaks kg and the top step
+    # the census runs in the process while the child ranks kg; it ran first
+    # in a sequential run, so its error is the one reported even when the
+    # planted facet also breaks kg and the top step
     pids = counted_census(monkeypatch, tmp_path / "census.log", raises=True)
     if plant:
         drop_a_top_step_facet(monkeypatch)
@@ -682,15 +684,30 @@ def test_a_census_failure_in_the_child_reads_as_in_process(monkeypatch, capsys, 
         name: SYNTHETIC for name in ('theorem3-census', 'p-families', 'q-families')}
 
 
+def test_a_census_failure_kills_the_child_at_once(monkeypatch, capsys, tmp_path):
+    # betti(kg) runs only in the child, where the stub would hold it for 30 s;
+    # the census fails in the process meanwhile, so the child is killed and
+    # reaped and the census's error is reported without waiting for kg
+    monkeypatch.setattr(cli, "betti", lambda *args, **kwargs: time.sleep(30))
+    pids = counted_census(monkeypatch, tmp_path / "census.log", raises=True)
+    start = time.monotonic()
+    code, out, err = run(capsys, "verify", "theorem3", "--k", "1", "--depth", "full-snf",
+                         "--format", "json")
+    assert time.monotonic() - start < 5
+    assert (code, err) == (1, "FAIL theorem3-census\n") and no_child_left()
+    assert pids() == [os.getpid()]
+    assert json.loads(out)['results'] == [
+        {'name': 'theorem3-census', 'k': 1, 'pass': False, 'detail': SYNTHETIC}]
+
+
 def test_kg_bands_are_listed_before_the_fork(monkeypatch, capsys):
     # complex_for builds the maximal faces only; both sides of the fork
     # read kg's bands 0..k+2, so they are listed once, before it
     cx = complex_for('kg', 1)
-    assert filtration(1, 3) is cx  # the child's relative steps read it too
+    assert filtration(1, 3) is cx  # the process's relative steps read it too
     monkeypatch.setattr(cx, "_bands", {})
-    beside, listed = cli._beside, []
-    monkeypatch.setattr(cli, "_beside", lambda *calls: (
-        listed.append(sorted(cx._bands)), beside(*calls))[1])
+    fork, listed = os.fork, []
+    monkeypatch.setattr(os, "fork", lambda: (listed.append(sorted(cx._bands)), fork())[1])
     code, _, _ = run(capsys, "verify", "theorem3", "--k", "1", "--depth", "full-snf")
     assert code == 0 and listed == [[0, 1, 2, 3]] and no_child_left()
 
